@@ -17,33 +17,32 @@ at scalar arguments built from spectral radii and operator norms:
 * norm-only quadratic bounds for r(AB +/- BA) and r(AB) that need no
   series at all.
 
-A bound that cannot be applied (an argument outside the convergence disk,
-a vanishing denominator) comes back Unavailable with the reason recorded;
-only structural problems (dimension mismatch, a failed commutator test
-where commutativity is required) raise.
+`Invariants` computes each norm and radius of an instance once, on first
+use; each bound is a `Row` of a table, turned into a `BoundResult` by one
+evaluator. A bound that cannot apply comes back Unavailable with the
+reason; only structural problems (dimension mismatch, a non-commuting
+pair where commutativity is required) raise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+import sys
+from collections import ChainMap
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import BadExponent, DimMismatch, NonCommuting
-from .matrices import (
-    Matrix,
-    commutator_norm,
-    is_commuting,
-    operator_norm,
-    spectral_radius,
-)
+from .matrices import Matrix, commutes, operator_norm, spectral_radius
 from .series import DEFAULT_TOL, PowerSeries, eval_companion
 
 _DENOM_FLOOR = 1e-300
+_DENOM_CHECK = f"denominator >= {_DENOM_FLOOR:g}"
 
 Precondition = tuple[str, bool, float]
+BoundPair = tuple["BoundResult", "BoundResult"]
 
 
 @dataclass
@@ -77,486 +76,288 @@ class BoundResult:
         }
 
 
-def _finish(
-    name: str,
-    target: str,
-    preconditions: list[Precondition],
-    intermediates: dict[str, float],
-    compute,
-) -> BoundResult:
-    """Run `compute` only when every precondition holds."""
-    failed = [p for p in preconditions if not p[1]]
-    if failed:
-        desc, _, measured = failed[0]
-        return BoundResult(
-            name=name,
-            value=None,
-            target=target,
-            reason=f"precondition failed: {desc} (measured {measured:.6g})",
-            preconditions=preconditions,
-            intermediates=intermediates,
-        )
-    value = compute()
-    return BoundResult(
-        name=name,
-        value=value,
-        target=target,
-        preconditions=preconditions,
-        intermediates=intermediates,
+# Every quantity a bound uses, by label; A is T in single mode.
+_QUANTITIES: dict[str, Callable[["Invariants"], float]] = {
+    "||T||": lambda v: operator_norm(v.A),
+    "r(T)": lambda v: spectral_radius(v.A),
+    "||A||": lambda v: operator_norm(v.A),
+    "||B||": lambda v: operator_norm(v.B),
+    "||AB||": lambda v: operator_norm(v.A @ v.B),
+    "||BA||": lambda v: operator_norm(v.B @ v.A),
+    "||A^2||": lambda v: operator_norm(v.A @ v.A),
+    "||B^2||": lambda v: operator_norm(v.B @ v.B),
+    "||AB^2||": lambda v: operator_norm(v.A @ v.B @ v.B),
+    "||A^2B||": lambda v: operator_norm(v.A @ v.A @ v.B),
+    "||AB-BA||": lambda v: operator_norm(v.A @ v.B - v.B @ v.A),
+    "r(A)": lambda v: spectral_radius(v.A),
+    "r(B)": lambda v: spectral_radius(v.B),
+    "||A||^2": lambda v: v["||A||"] ** 2,
+    "||B||^2": lambda v: v["||B||"] ** 2,
+    "r(A)^2": lambda v: v["r(A)"] ** 2,
+    "r(B)^2": lambda v: v["r(B)"] ** 2,
+    "||A|| ||B||": lambda v: v["||A||"] * v["||B||"],
+    "sqrt(||A^2|| ||B^2||)": lambda v: math.sqrt(v["||A^2||"] * v["||B^2||"]),
+    "sqrt(||A|| ||AB^2||)": lambda v: math.sqrt(v["||A||"] * v["||AB^2||"]),
+    "sqrt(||A^2B|| ||B||)": lambda v: math.sqrt(v["||A^2B||"] * v["||B||"]),
+    "sqrt(||A|| ||B|| ||AB||)": lambda v: math.sqrt(v["||A||"] * v["||B||"] * v["||AB||"]),
+    "||A|| sqrt(||B^2||)": lambda v: v["||A||"] * math.sqrt(v["||B^2||"]),
+    "sqrt(||A^2||) ||B||": lambda v: math.sqrt(v["||A^2||"]) * v["||B||"],
+}
+
+
+class Invariants(dict):
+    """Norms and spectral radii of one instance by label, each computed on
+    first use (||T||, r(T) for one operator; ||A||, r(A), ||AB-BA||, ... for
+    a pair), and the quantities derived from them."""
+
+    def __init__(self, A: Matrix, B: Optional[Matrix] = None):
+        if B is not None and A.shape != B.shape:
+            raise DimMismatch(f"dimension mismatch: {A.shape} vs {B.shape}")
+        super().__init__()
+        self.A, self.B = A, B
+
+    def __missing__(self, label: str) -> float:
+        value = self[label] = _QUANTITIES[label](self)
+        return value
+
+    @property
+    def commuting(self) -> bool:
+        """The commutator test of `matrices.is_commuting`."""
+        return commutes(self["||AB-BA||"], self["||A||"], self["||B||"])
+
+
+def _holder_scope(v: Invariants, p: float) -> Mapping[str, float]:
+    """`v` plus the quantities of the Hölder exponent p."""
+    q = p / (p - 1.0)
+    rA, rB = v["r(A)"], v["r(B)"]
+    return ChainMap({
+        "p": p, "q": q, "||A||^p": v["||A||"] ** p, "||B||^q": v["||B||"] ** q,
+        "r(A)^p": rA**p, "r(B)^q": rB**q,
+        "r(A)^(p-1) r(B)^(q-1)": rA ** (p - 1.0) * rB ** (q - 1.0),
+    }, v)
+
+
+@dataclass(frozen=True)
+class Row:
+    """One bound: f_a is evaluated at `args`, and `combine` maps those
+    values and the quantities to (value, extra intermediates). The
+    preconditions are "x < R" for each of `hyps`, then each argument."""
+
+    name: str
+    target: str
+    args: tuple[str, ...]
+    combine: Callable[[list[float], Mapping[str, float]], tuple[float, dict]]
+    hyps: tuple[str, ...] = ()  # below R, like each argument
+    notes: tuple[str, ...] = ()  # quantities recorded as intermediates
+    p: Optional[float] = None  # Hölder exponent of the quantities
+    check_args: bool = True  # False when the hypotheses imply args < R
+    denominator: bool = False  # the last f_a value divides
+
+
+def _evaluate(row: Row, f: Optional[PowerSeries], v: Invariants, tol: float,
+              fa: dict[float, float]) -> BoundResult:
+    """Check the preconditions, then evaluate f_a (memoised in `fa` by
+    argument across the rows of one instance) and combine."""
+    s = v if row.p is None else _holder_scope(v, row.p)
+    checked = dict.fromkeys(row.hyps + (row.args if row.check_args else ()))
+    # One shared description string per label, as a literal would be.
+    pre = [(sys.intern(f"{x} < R"), s[x] < f.radius, s[x]) for x in checked]
+    notes = {x: s[x] for x in row.notes}
+    if row.args:
+        notes["eval_uncertainty"] = 3 * tol
+    out = BoundResult(row.name, None, row.target, None, pre, notes)
+    for desc, holds, measured in pre:
+        if not holds:
+            out.reason = f"precondition failed: {desc} (measured {measured:.6g})"
+            return out
+    for x in row.args:
+        if s[x] not in fa:
+            fa[s[x]] = eval_companion(f, s[x], tol)
+    F = [fa[s[x]] for x in row.args]
+    if row.denominator:
+        pre.append((_DENOM_CHECK, F[-1] >= _DENOM_FLOOR, F[-1]))
+        notes["denominator"] = F[-1]
+        if F[-1] < _DENOM_FLOOR:
+            out.reason = "denominator vanishes"
+            return out
+    value, extra = row.combine(F, s)
+    notes.update(extra)
+    for name, y in [*zip((f"f_a({x})" for x in row.args), F), ("value", value)]:
+        if not math.isfinite(y):
+            out.reason = f"not finite: {name} = {y!r}"
+            return out
+    out.value = value
+    return out
+
+
+_SQ = ("||A||^2", "||B||^2")
+_NORMS = ("||A||", "||B||", "||AB||", "||A^2||", "||B^2||", "||AB^2||", "||A^2B||")
+_MIXED = ("sqrt(||A|| ||AB^2||)", "sqrt(||A^2B|| ||B||)")
+_TRIPLE = ("sqrt(||A|| ||B|| ||AB||)", "||A|| sqrt(||B^2||)", "sqrt(||A^2||) ||B||")
+
+
+def _mixed(u: float, left: float, right: float) -> tuple[float, dict]:
+    """(1/2) f_a(||AB||) + (1/2) min of the two arms, recording both."""
+    return 0.5 * u + 0.5 * min(left, right), {"arm-left": left, "arm-right": right}
+
+
+def _triple(u: float, geo: float, low: float) -> tuple[float, dict]:
+    """(1/2) f_a(||AB||) + (1/2) min of the two branches, recording both."""
+    half_u = 0.5 * u
+    return half_u + 0.5 * min(geo, low), {
+        "branch-geo": half_u + 0.5 * geo, "branch-min": half_u + 0.5 * low}
+
+
+def _chain(s: Mapping[str, float], half: bool) -> tuple[float, dict]:
+    """||AB|| + min of the mixed arms, with the relaxed arms; halved for r(AB)."""
+    u, geo = s["||AB||"], s[_TRIPLE[0]]
+    arm = min(s[_MIXED[0]], s[_MIXED[1]])
+    low = min(s[_TRIPLE[1]], s[_TRIPLE[2]])
+    if half:
+        return 0.5 * (u + arm), {
+            "relaxed-geo": 0.5 * u + 0.5 * geo, "relaxed-min": 0.5 * u + 0.5 * low}
+    return u + arm, {"relaxed-geo": u + geo, "relaxed-min": u + low}
+
+
+_SINGLE = Row("companion-radius", "f(T)", ("r(T)",), lambda F, s: (F[0], {}),
+              ("||T||",), ("r(T)", "||T||"), check_args=False)  # r(T) <= ||T||
+# The sign of r(AB +/- BA) changes only the name and the target.
+_PM_ROWS = (
+    Row("pm-quadratic", "AB+/-BA", (), lambda F, s: (0.5 * (
+        s["||AB||"] + s["||BA||"] + math.sqrt(
+            (s["||AB||"] - s["||BA||"]) ** 2 + 4.0 * s["||A^2||"] * s["||B^2||"])), {}),
+        notes=("||AB||", "||BA||", "||A^2||", "||B^2||")),
+    Row("pm-mixed", "AB+/-BA", (), lambda F, s: _chain(s, False), notes=_NORMS),
+)
+# Commuting pairs, after the Hölder rows of each exponent.
+_COMMUTING_ROWS = (
+    Row("pair-squares", "f(AB)", ("r(A)^2", "r(B)^2"),
+        lambda F, s: (math.sqrt(F[0] * F[1]), {}), _SQ, ("r(A)", "r(B)", "||A||", "||B||")),
+    Row("norm-split", "f(AB)", ("||AB||", "sqrt(||A^2|| ||B^2||)"),
+        lambda F, s: (0.5 * (F[0] + F[1]), {}), _SQ, _NORMS),
+    Row("norm-split-cs", "f(AB)", ("||AB||", "||A^2||", "||B^2||"),
+        lambda F, s: (0.5 * (F[0] + math.sqrt(F[1] * F[2])), {}), _SQ, _NORMS),
+    Row("mixed-split", "f(AB)", ("||AB||", *_MIXED), lambda F, s: _mixed(*F),
+        _SQ + ("||A||", "||B||"), _NORMS + _MIXED),
+    Row("mixed-split-cs", "f(AB)", ("||AB||", "||A||", "||AB^2||", "||A^2B||", "||B||"),
+        lambda F, s: _mixed(F[0], math.sqrt(F[1] * F[2]), math.sqrt(F[3] * F[4])),
+        _SQ + ("||A||", "||B||"), _NORMS + _MIXED),
+    Row("triple-split", "f(AB)", ("||AB||", *_TRIPLE),
+        lambda F, s: _triple(F[0], F[1], min(F[2], F[3])), _SQ, _NORMS + _TRIPLE),
+    Row("triple-split-cs", "f(AB)",
+        ("||AB||", "||A|| ||B||", "||A||^2", "||B^2||", "||A^2||", "||B||^2"),
+        lambda F, s: _triple(F[0], math.sqrt(F[1] * F[0]), min(
+            math.sqrt(F[2] * F[3]), math.sqrt(F[4] * F[5]))), _SQ, _NORMS + _TRIPLE),
+    Row("product-half", "AB", (),
+        lambda F, s: (0.5 * (s["||AB||"] + s["sqrt(||A^2|| ||B^2||)"]), {}),
+        notes=("||AB||", "||A^2||", "||B^2||")),
+    Row("product-chain", "AB", (), lambda F, s: _chain(s, True), notes=_NORMS),
+)
+_ROWS = {row.name: row for row in (*_PM_ROWS, *_COMMUTING_ROWS)}
+
+
+def _holder_rows(p: float) -> tuple[Row, Row]:
+    if not (p > 1):
+        raise BadExponent(f"need p > 1, got {p}")
+    hyps, args = ("||A||^p", "||B||^q"), ("r(A)^p", "r(B)^q")
+    notes = ("r(A)", "r(B)", "||A||", "||B||", "p", "q", *args)
+    return (
+        Row(f"holder-geo(p={p:g})", "f(AB)", args,
+            lambda F, s: (F[0] ** (1.0 / s["p"]) * F[1] ** (1.0 / s["q"]), {}),
+            hyps, notes, p),
+        Row(f"holder-ratio(p={p:g})", "f(AB)", (*args, "r(A)^(p-1) r(B)^(q-1)"),
+            lambda F, s: (F[0] * F[1] / F[2], {}), hyps, notes, p, denominator=True),
     )
 
 
-def _require_commuting(A: Matrix, B: Matrix) -> None:
-    if not is_commuting(A, B):
-        raise NonCommuting(
-            f"commutator test failed: ||AB-BA|| = {commutator_norm(A, B):.6e} "
-            f"with ||A|| ||B|| = {operator_norm(A) * operator_norm(B):.6e}"
-        )
+def _commuting(f: Optional[PowerSeries], A: Matrix, B: Matrix, tol: float,
+               *rows: Row) -> tuple[BoundResult, ...]:
+    """Evaluate `rows` for a pair that must commute."""
+    v = Invariants(A, B)
+    if not v.commuting:
+        raise NonCommuting(f"commutator test failed: ||AB-BA|| = {v['||AB-BA||']:.6e} "
+                           f"with ||A|| ||B|| = {v['||A||'] * v['||B||']:.6e}")
+    fa: dict[float, float] = {}
+    return tuple(_evaluate(row, f, v, tol, fa) for row in rows)
 
 
-# ---------------------------------------------------------------------------
-# Single operator
-# ---------------------------------------------------------------------------
+def _signed(result: BoundResult, sign: int) -> BoundResult:
+    tag = "+" if sign > 0 else "-"
+    return replace(result, name=f"{result.name}({tag})", target=f"AB{tag}BA",
+                   preconditions=list(result.preconditions),
+                   intermediates=dict(result.intermediates))
+
+
+def _pm(name: str, A: Matrix, B: Matrix, sign: int) -> BoundResult:
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return _signed(_evaluate(_ROWS[name], None, Invariants(A, B), 0.0, {}), sign)
 
 
 def bound_single(f: PowerSeries, T: Matrix, tol: float = DEFAULT_TOL) -> BoundResult:
     """r[f(T)] <= f_a(r(T)), valid whenever ||T|| < radius."""
-    nrm = operator_norm(T)
-    r = spectral_radius(T)
-    pre = [("||T|| < R", nrm < f.radius, nrm)]
-    inter = {"r(T)": r, "||T||": nrm, "eval_uncertainty": 3 * tol}
-    return _finish(
-        "companion-radius", "f(T)", pre, inter,
-        lambda: eval_companion(f, r, tol),
-    )
+    return _evaluate(_SINGLE, f, Invariants(T), tol, {})
 
 
-# ---------------------------------------------------------------------------
-# Commuting pairs, series bounds
-# ---------------------------------------------------------------------------
+def bound_pair_holder(f: PowerSeries, A: Matrix, B: Matrix, p: float,
+                      tol: float = DEFAULT_TOL) -> BoundPair:
+    """Hölder-split (geometric, ratio) bounds on r[f(AB)] for a commuting pair;
+    the ratio form is unavailable when its denominator vanishes."""
+    return _commuting(f, A, B, tol, *_holder_rows(p))
 
 
-def bound_pair_holder(
-    f: PowerSeries, A: Matrix, B: Matrix, p: float, tol: float = DEFAULT_TOL
-) -> tuple[BoundResult, BoundResult]:
-    """Hölder-split bounds on r[f(AB)] for a commuting pair.
-
-    Returns (geometric form, ratio form). The ratio form divides by
-    f_a(r(A)^(p-1) r(B)^(q-1)) and is unavailable when that value
-    vanishes (possible when a_0 = 0 and r(A) r(B) = 0).
-    """
-    if not (p > 1):
-        raise BadExponent(f"need p > 1, got {p}")
-    _require_commuting(A, B)
-    q = p / (p - 1.0)
-    R = f.radius
-    rA, rB = spectral_radius(A), spectral_radius(B)
-    nA, nB = operator_norm(A), operator_norm(B)
-    argA, argB = rA**p, rB**q
-    arg_den = rA ** (p - 1.0) * rB ** (q - 1.0)
-    inter = {
-        "r(A)": rA, "r(B)": rB, "||A||": nA, "||B||": nB,
-        "p": p, "q": q, "r(A)^p": argA, "r(B)^q": argB,
-        "eval_uncertainty": 3 * tol,
-    }
-    norm_pre = [
-        ("||A||^p < R", nA**p < R, nA**p),
-        ("||B||^q < R", nB**q < R, nB**q),
-    ]
-    geo_pre = norm_pre + [
-        ("r(A)^p < R", argA < R, argA),
-        ("r(B)^q < R", argB < R, argB),
-    ]
-
-    def geo_value() -> float:
-        return eval_companion(f, argA, tol) ** (1.0 / p) * eval_companion(
-            f, argB, tol
-        ) ** (1.0 / q)
-
-    geo = _finish(f"holder-geo(p={p:g})", "f(AB)", geo_pre, dict(inter), geo_value)
-
-    ratio_pre = geo_pre + [
-        ("r(A)^(p-1) r(B)^(q-1) < R", arg_den < R, arg_den),
-    ]
-    if all(ok for _, ok, _ in ratio_pre):
-        denom = eval_companion(f, arg_den, tol)
-        ratio_pre.append(
-            (f"denominator >= {_DENOM_FLOOR:g}", denom >= _DENOM_FLOOR, denom)
-        )
-        ratio_inter = dict(inter)
-        ratio_inter["denominator"] = denom
-        ratio = _finish(
-            f"holder-ratio(p={p:g})", "f(AB)", ratio_pre, ratio_inter,
-            lambda: eval_companion(f, argA, tol)
-            * eval_companion(f, argB, tol) / denom,
-        )
-        if not ratio.available and denom < _DENOM_FLOOR:
-            ratio.reason = "denominator vanishes"
-    else:
-        ratio = _finish(
-            f"holder-ratio(p={p:g})", "f(AB)", ratio_pre, dict(inter),
-            lambda: math.nan,
-        )
-    return geo, ratio
-
-
-def bound_pair_sq(
-    f: PowerSeries, A: Matrix, B: Matrix, tol: float = DEFAULT_TOL
-) -> BoundResult:
+def bound_pair_sq(f: PowerSeries, A: Matrix, B: Matrix,
+                  tol: float = DEFAULT_TOL) -> BoundResult:
     """sqrt(f_a(r(A)^2) f_a(r(B)^2)): the p = q = 2 geometric form."""
-    _require_commuting(A, B)
-    R = f.radius
-    rA, rB = spectral_radius(A), spectral_radius(B)
-    nA, nB = operator_norm(A), operator_norm(B)
-    pre = [
-        ("||A||^2 < R", nA**2 < R, nA**2),
-        ("||B||^2 < R", nB**2 < R, nB**2),
-        ("r(A)^2 < R", rA**2 < R, rA**2),
-        ("r(B)^2 < R", rB**2 < R, rB**2),
-    ]
-    inter = {
-        "r(A)": rA, "r(B)": rB, "||A||": nA, "||B||": nB,
-        "eval_uncertainty": 3 * tol,
-    }
-    return _finish(
-        "pair-squares", "f(AB)", pre, inter,
-        lambda: math.sqrt(
-            eval_companion(f, rA**2, tol) * eval_companion(f, rB**2, tol)
-        ),
-    )
+    return _commuting(f, A, B, tol, _ROWS["pair-squares"])[0]
 
 
-def _pair_norms(A: Matrix, B: Matrix) -> dict[str, float]:
-    return {
-        "||A||": operator_norm(A),
-        "||B||": operator_norm(B),
-        "||AB||": operator_norm(A @ B),
-        "||A^2||": operator_norm(A @ A),
-        "||B^2||": operator_norm(B @ B),
-        "||AB^2||": operator_norm(A @ B @ B),
-        "||A^2B||": operator_norm(A @ A @ B),
-    }
+def bound_pair_norm(f: PowerSeries, A: Matrix, B: Matrix,
+                    tol: float = DEFAULT_TOL) -> BoundPair:
+    """Norm-averaged bounds on r[f(AB)] for a commuting pair; the second
+    relaxes the first by Cauchy-Schwarz."""
+    return _commuting(f, A, B, tol, _ROWS["norm-split"], _ROWS["norm-split-cs"])
 
 
-def bound_pair_norm(
-    f: PowerSeries, A: Matrix, B: Matrix, tol: float = DEFAULT_TOL
-) -> tuple[BoundResult, BoundResult]:
-    """Norm-averaged bounds on r[f(AB)] for a commuting pair.
-
-    First form averages f_a(||AB||) with f_a(sqrt(||A^2|| ||B^2||)); the
-    second replaces the latter by its Cauchy-Schwarz relaxation
-    sqrt(f_a(||A^2||) f_a(||B^2||)), so first <= second always.
-    """
-    _require_commuting(A, B)
-    R = f.radius
-    ns = _pair_norms(A, B)
-    u = ns["||AB||"]
-    s = math.sqrt(ns["||A^2||"] * ns["||B^2||"])
-    hyp = [
-        ("||A||^2 < R", ns["||A||"] ** 2 < R, ns["||A||"] ** 2),
-        ("||B||^2 < R", ns["||B||"] ** 2 < R, ns["||B||"] ** 2),
-    ]
-    inter = dict(ns)
-    inter["eval_uncertainty"] = 3 * tol
-    first = _finish(
-        "norm-split", "f(AB)",
-        hyp + [("||AB|| < R", u < R, u), ("sqrt(||A^2|| ||B^2||) < R", s < R, s)],
-        dict(inter),
-        lambda: 0.5 * (eval_companion(f, u, tol) + eval_companion(f, s, tol)),
-    )
-    second = _finish(
-        "norm-split-cs", "f(AB)",
-        hyp + [
-            ("||AB|| < R", u < R, u),
-            ("||A^2|| < R", ns["||A^2||"] < R, ns["||A^2||"]),
-            ("||B^2|| < R", ns["||B^2||"] < R, ns["||B^2||"]),
-        ],
-        dict(inter),
-        lambda: 0.5 * (
-            eval_companion(f, u, tol)
-            + math.sqrt(
-                eval_companion(f, ns["||A^2||"], tol)
-                * eval_companion(f, ns["||B^2||"], tol)
-            )
-        ),
-    )
-    return first, second
+def bound_pair_mixed(f: PowerSeries, A: Matrix, B: Matrix,
+                     tol: float = DEFAULT_TOL) -> BoundPair:
+    """Mixed-power norm bounds on r[f(AB)] for a commuting pair; the second
+    relaxes each arm by Cauchy-Schwarz."""
+    return _commuting(f, A, B, tol, _ROWS["mixed-split"], _ROWS["mixed-split-cs"])
 
 
-def bound_pair_mixed(
-    f: PowerSeries, A: Matrix, B: Matrix, tol: float = DEFAULT_TOL
-) -> tuple[BoundResult, BoundResult]:
-    """Mixed-power norm bounds on r[f(AB)] for a commuting pair.
-
-    First form: (1/2) f_a(||AB||) + (1/2) min of f_a at
-    sqrt(||A|| ||AB^2||) and sqrt(||A^2B|| ||B||). Second form relaxes
-    each min arm by Cauchy-Schwarz.
-    """
-    _require_commuting(A, B)
-    R = f.radius
-    ns = _pair_norms(A, B)
-    u = ns["||AB||"]
-    v1 = math.sqrt(ns["||A||"] * ns["||AB^2||"])
-    v2 = math.sqrt(ns["||A^2B||"] * ns["||B||"])
-    hyp = [
-        ("||A||^2 < R", ns["||A||"] ** 2 < R, ns["||A||"] ** 2),
-        ("||B||^2 < R", ns["||B||"] ** 2 < R, ns["||B||"] ** 2),
-        ("||A|| < R", ns["||A||"] < R, ns["||A||"]),
-        ("||B|| < R", ns["||B||"] < R, ns["||B||"]),
-    ]
-    inter = dict(ns)
-    inter.update({
-        "sqrt(||A|| ||AB^2||)": v1,
-        "sqrt(||A^2B|| ||B||)": v2,
-        "eval_uncertainty": 3 * tol,
-    })
-
-    def first_value() -> float:
-        arm1 = eval_companion(f, v1, tol)
-        arm2 = eval_companion(f, v2, tol)
-        inter_first["arm-left"] = arm1
-        inter_first["arm-right"] = arm2
-        return 0.5 * eval_companion(f, u, tol) + 0.5 * min(arm1, arm2)
-
-    inter_first = dict(inter)
-    first = _finish(
-        "mixed-split", "f(AB)",
-        hyp + [
-            ("||AB|| < R", u < R, u),
-            ("sqrt(||A|| ||AB^2||) < R", v1 < R, v1),
-            ("sqrt(||A^2B|| ||B||) < R", v2 < R, v2),
-        ],
-        inter_first, first_value,
-    )
-
-    def second_value() -> float:
-        arm1 = math.sqrt(
-            eval_companion(f, ns["||A||"], tol)
-            * eval_companion(f, ns["||AB^2||"], tol)
-        )
-        arm2 = math.sqrt(
-            eval_companion(f, ns["||A^2B||"], tol)
-            * eval_companion(f, ns["||B||"], tol)
-        )
-        inter_second["arm-left"] = arm1
-        inter_second["arm-right"] = arm2
-        return 0.5 * eval_companion(f, u, tol) + 0.5 * min(arm1, arm2)
-
-    inter_second = dict(inter)
-    second = _finish(
-        "mixed-split-cs", "f(AB)",
-        hyp + [
-            ("||AB|| < R", u < R, u),
-            ("||A|| < R", ns["||A||"] < R, ns["||A||"]),
-            ("||AB^2|| < R", ns["||AB^2||"] < R, ns["||AB^2||"]),
-            ("||A^2B|| < R", ns["||A^2B||"] < R, ns["||A^2B||"]),
-            ("||B|| < R", ns["||B||"] < R, ns["||B||"]),
-        ],
-        inter_second, second_value,
-    )
-    return first, second
-
-
-def bound_pair_triple(
-    f: PowerSeries, A: Matrix, B: Matrix, tol: float = DEFAULT_TOL
-) -> tuple[BoundResult, BoundResult]:
-    """Triple-product norm bounds on r[f(AB)] for a commuting pair.
-
-    The brace offers two valid arms: f_a(sqrt(||A|| ||B|| ||AB||)) and
-    min{f_a(||A|| sqrt(||B^2||)), f_a(sqrt(||A^2||) ||B||)}; both are
-    computed, recorded, and combined by min. The second result relaxes
-    each arm by Cauchy-Schwarz.
-    """
-    _require_commuting(A, B)
-    R = f.radius
-    ns = _pair_norms(A, B)
-    u = ns["||AB||"]
-    g = math.sqrt(ns["||A||"] * ns["||B||"] * u)
-    w1 = ns["||A||"] * math.sqrt(ns["||B^2||"])
-    w2 = math.sqrt(ns["||A^2||"]) * ns["||B||"]
-    hyp = [
-        ("||A||^2 < R", ns["||A||"] ** 2 < R, ns["||A||"] ** 2),
-        ("||B||^2 < R", ns["||B||"] ** 2 < R, ns["||B||"] ** 2),
-    ]
-    inter = dict(ns)
-    inter.update({
-        "sqrt(||A|| ||B|| ||AB||)": g,
-        "||A|| sqrt(||B^2||)": w1,
-        "sqrt(||A^2||) ||B||": w2,
-        "eval_uncertainty": 3 * tol,
-    })
-
-    def first_value() -> float:
-        half_u = 0.5 * eval_companion(f, u, tol)
-        branch_geo = eval_companion(f, g, tol)
-        branch_min = min(
-            eval_companion(f, w1, tol), eval_companion(f, w2, tol)
-        )
-        inter_first["branch-geo"] = half_u + 0.5 * branch_geo
-        inter_first["branch-min"] = half_u + 0.5 * branch_min
-        return half_u + 0.5 * min(branch_geo, branch_min)
-
-    inter_first = dict(inter)
-    first = _finish(
-        "triple-split", "f(AB)",
-        hyp + [
-            ("||AB|| < R", u < R, u),
-            ("sqrt(||A|| ||B|| ||AB||) < R", g < R, g),
-            ("||A|| sqrt(||B^2||) < R", w1 < R, w1),
-            ("sqrt(||A^2||) ||B|| < R", w2 < R, w2),
-        ],
-        inter_first, first_value,
-    )
-
-    ab_norm_prod = ns["||A||"] * ns["||B||"]
-
-    def second_value() -> float:
-        half_u = 0.5 * eval_companion(f, u, tol)
-        branch_geo = math.sqrt(
-            eval_companion(f, ab_norm_prod, tol) * eval_companion(f, u, tol)
-        )
-        branch_min = min(
-            math.sqrt(
-                eval_companion(f, ns["||A||"] ** 2, tol)
-                * eval_companion(f, ns["||B^2||"], tol)
-            ),
-            math.sqrt(
-                eval_companion(f, ns["||A^2||"], tol)
-                * eval_companion(f, ns["||B||"] ** 2, tol)
-            ),
-        )
-        inter_second["branch-geo"] = half_u + 0.5 * branch_geo
-        inter_second["branch-min"] = half_u + 0.5 * branch_min
-        return half_u + 0.5 * min(branch_geo, branch_min)
-
-    inter_second = dict(inter)
-    second = _finish(
-        "triple-split-cs", "f(AB)",
-        hyp + [
-            ("||AB|| < R", u < R, u),
-            ("||A|| ||B|| < R", ab_norm_prod < R, ab_norm_prod),
-            ("||A||^2 < R", ns["||A||"] ** 2 < R, ns["||A||"] ** 2),
-            ("||B^2|| < R", ns["||B^2||"] < R, ns["||B^2||"]),
-            ("||A^2|| < R", ns["||A^2||"] < R, ns["||A^2||"]),
-            ("||B||^2 < R", ns["||B||"] ** 2 < R, ns["||B||"] ** 2),
-        ],
-        inter_second, second_value,
-    )
-    return first, second
-
-
-# ---------------------------------------------------------------------------
-# Norm-only bounds (no series)
-# ---------------------------------------------------------------------------
+def bound_pair_triple(f: PowerSeries, A: Matrix, B: Matrix,
+                      tol: float = DEFAULT_TOL) -> BoundPair:
+    """Triple-product norm bounds on r[f(AB)] for a commuting pair; the
+    second relaxes each arm by Cauchy-Schwarz."""
+    return _commuting(f, A, B, tol, _ROWS["triple-split"], _ROWS["triple-split-cs"])
 
 
 def bound_pm_quadratic(A: Matrix, B: Matrix, sign: int = +1) -> BoundResult:
     """r(AB +/- BA) <= (||AB|| + ||BA|| + sqrt((||AB||-||BA||)^2
     + 4 ||A^2|| ||B^2||)) / 2. No commutativity required."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if A.shape != B.shape:
-        raise DimMismatch(f"dimension mismatch: {A.shape} vs {B.shape}")
-    nAB = operator_norm(A @ B)
-    nBA = operator_norm(B @ A)
-    nA2 = operator_norm(A @ A)
-    nB2 = operator_norm(B @ B)
-    value = 0.5 * (nAB + nBA + math.sqrt((nAB - nBA) ** 2 + 4.0 * nA2 * nB2))
-    tag = "+" if sign > 0 else "-"
-    return BoundResult(
-        name=f"pm-quadratic({tag})",
-        value=value,
-        target=f"AB{tag}BA",
-        intermediates={
-            "||AB||": nAB, "||BA||": nBA, "||A^2||": nA2, "||B^2||": nB2,
-        },
-    )
+    return _pm("pm-quadratic", A, B, sign)
 
 
 def bound_pm_mixed(A: Matrix, B: Matrix, sign: int = +1) -> BoundResult:
-    """r(AB +/- BA) <= ||AB|| + min{sqrt(||A|| ||AB^2||),
-    sqrt(||A^2B|| ||B||)}. The relaxed arms sqrt(||A|| ||B|| ||AB||) and
-    min{||A|| sqrt(||B^2||), sqrt(||A^2||) ||B||} are recorded as
-    intermediates. No commutativity required."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if A.shape != B.shape:
-        raise DimMismatch(f"dimension mismatch: {A.shape} vs {B.shape}")
-    ns = _pair_norms(A, B)
-    u = ns["||AB||"]
-    v1 = math.sqrt(ns["||A||"] * ns["||AB^2||"])
-    v2 = math.sqrt(ns["||A^2B||"] * ns["||B||"])
-    relaxed_geo = u + math.sqrt(ns["||A||"] * ns["||B||"] * u)
-    relaxed_min = u + min(
-        ns["||A||"] * math.sqrt(ns["||B^2||"]),
-        math.sqrt(ns["||A^2||"]) * ns["||B||"],
-    )
-    inter = dict(ns)
-    inter.update({
-        "relaxed-geo": relaxed_geo,
-        "relaxed-min": relaxed_min,
-    })
-    tag = "+" if sign > 0 else "-"
-    return BoundResult(
-        name=f"pm-mixed({tag})",
-        value=u + min(v1, v2),
-        target=f"AB{tag}BA",
-        intermediates=inter,
-    )
+    """r(AB +/- BA) <= ||AB|| + min{sqrt(||A|| ||AB^2||), sqrt(||A^2B|| ||B||)},
+    with two relaxed arms as intermediates. No commutativity required."""
+    return _pm("pm-mixed", A, B, sign)
 
 
 def bound_product_half(A: Matrix, B: Matrix) -> BoundResult:
     """r(AB) <= (||AB|| + sqrt(||A^2|| ||B^2||)) / 2 for a commuting pair."""
-    _require_commuting(A, B)
-    nAB = operator_norm(A @ B)
-    nA2 = operator_norm(A @ A)
-    nB2 = operator_norm(B @ B)
-    return BoundResult(
-        name="product-half",
-        value=0.5 * (nAB + math.sqrt(nA2 * nB2)),
-        target="AB",
-        intermediates={"||AB||": nAB, "||A^2||": nA2, "||B^2||": nB2},
-    )
+    return _commuting(None, A, B, 0.0, _ROWS["product-half"])[0]
 
 
 def bound_product_chain(A: Matrix, B: Matrix) -> BoundResult:
-    """r(AB) <= (1/2)[||AB|| + min{sqrt(||A|| ||AB^2||),
-    sqrt(||A^2B|| ||B||)}] for a commuting pair; the halved relaxed arms
-    are recorded as intermediates."""
-    _require_commuting(A, B)
-    ns = _pair_norms(A, B)
-    u = ns["||AB||"]
-    v1 = math.sqrt(ns["||A||"] * ns["||AB^2||"])
-    v2 = math.sqrt(ns["||A^2B||"] * ns["||B||"])
-    relaxed_geo = 0.5 * u + 0.5 * math.sqrt(ns["||A||"] * ns["||B||"] * u)
-    relaxed_min = 0.5 * u + 0.5 * min(
-        ns["||A||"] * math.sqrt(ns["||B^2||"]),
-        math.sqrt(ns["||A^2||"]) * ns["||B||"],
-    )
-    inter = dict(ns)
-    inter.update({
-        "relaxed-geo": relaxed_geo,
-        "relaxed-min": relaxed_min,
-    })
-    return BoundResult(
-        name="product-chain",
-        value=0.5 * (u + min(v1, v2)),
-        target="AB",
-        intermediates=inter,
-    )
+    """r(AB) <= (1/2)[||AB|| + min{sqrt(||A|| ||AB^2||), sqrt(||A^2B|| ||B||)}]
+    for a commuting pair, with the halved relaxed arms as intermediates."""
+    return _commuting(None, A, B, 0.0, _ROWS["product-chain"])[0]
 
 
-# ---------------------------------------------------------------------------
-# Scalar utility: the weighted reverse-Hölder sum inequality
-# ---------------------------------------------------------------------------
-
-
-def reverse_holder_gap(
-    weights: Sequence[float],
-    xs: Sequence[complex],
-    ys: Sequence[complex],
-    p: float,
-) -> float:
+def reverse_holder_gap(weights: Sequence[float], xs: Sequence[complex],
+                       ys: Sequence[complex], p: float) -> float:
     """Gap of (sum m|x|^p)(sum m|y|^q) >= (sum m|xy|)(sum m|x|^(p-1)|y|^(q-1)).
 
     Returns LHS - RHS, which is nonnegative for nonnegative weights and
@@ -575,85 +376,43 @@ def reverse_holder_gap(
     return lhs - rhs
 
 
-# ---------------------------------------------------------------------------
-# Dispatcher
-# ---------------------------------------------------------------------------
-
 DEFAULT_P_GRID = (1.5, 2.0, 3.0)
 
 
 @dataclass
 class BestBoundReport:
-    """All evaluated bounds plus the minimum over the series target."""
+    """All evaluated bounds, the minimum over the series target, and the
+    instance's invariants."""
 
     results: list[BoundResult]
     minimum: Optional[BoundResult]
+    invariants: Invariants
 
 
-def _commuting_gated_names(p_grid: Sequence[float]) -> list[tuple[str, str]]:
-    names = []
-    for p in p_grid:
-        names.append((f"holder-geo(p={p:g})", "f(AB)"))
-        names.append((f"holder-ratio(p={p:g})", "f(AB)"))
-    names += [
-        ("pair-squares", "f(AB)"),
-        ("norm-split", "f(AB)"),
-        ("norm-split-cs", "f(AB)"),
-        ("mixed-split", "f(AB)"),
-        ("mixed-split-cs", "f(AB)"),
-        ("triple-split", "f(AB)"),
-        ("triple-split-cs", "f(AB)"),
-        ("product-half", "AB"),
-        ("product-chain", "AB"),
-    ]
-    return names
-
-
-def best_bound(
-    f: PowerSeries,
-    A: Matrix,
-    B: Optional[Matrix] = None,
-    tol: float = DEFAULT_TOL,
-    p_grid: Sequence[float] = DEFAULT_P_GRID,
-) -> BestBoundReport:
-    """Evaluate every applicable bound; report all plus the minimum.
-
-    Single-operator mode (B omitted) bounds r[f(A)]. Pair mode bounds
-    r[f(AB)] (plus the norm-only product bounds); a non-commuting pair
-    downgrades every commutativity-gated bound to Unavailable instead of
+def best_bound(f: PowerSeries, A: Matrix, B: Optional[Matrix] = None,
+               tol: float = DEFAULT_TOL,
+               p_grid: Sequence[float] = DEFAULT_P_GRID) -> BestBoundReport:
+    """Evaluate every bound on r[f(A)] (B omitted) or on r[f(AB)] and the
+    norm-only targets; report all plus the minimum over the available
+    bounds on the series target (None if there are none). A non-commuting
+    pair makes each commutativity-gated bound Unavailable instead of
     raising, so the report always describes the full menu.
-
-    The reported minimum ranges over available bounds whose target is the
-    series function; an all-Unavailable outcome yields minimum None.
     """
-    results: list[BoundResult] = []
+    v, fa = Invariants(A, B), {}
     if B is None:
-        results.append(bound_single(f, A, tol))
-        series_target = "f(T)"
+        results = [_evaluate(_SINGLE, f, v, tol, fa)]
     else:
-        for sign in (+1, -1):
-            results.append(bound_pm_quadratic(A, B, sign))
-            results.append(bound_pm_mixed(A, B, sign))
-        if is_commuting(A, B):
-            for p in p_grid:
-                results.extend(bound_pair_holder(f, A, B, p, tol))
-            results.append(bound_pair_sq(f, A, B, tol))
-            results.extend(bound_pair_norm(f, A, B, tol))
-            results.extend(bound_pair_mixed(f, A, B, tol))
-            results.extend(bound_pair_triple(f, A, B, tol))
-            results.append(bound_product_half(A, B))
-            results.append(bound_product_chain(A, B))
+        pm = [_evaluate(row, f, v, tol, fa) for row in _PM_ROWS]
+        results = [_signed(r, sign) for sign in (+1, -1) for r in pm]
+        rows = [r for p in p_grid for r in _holder_rows(p)] + list(_COMMUTING_ROWS)
+        if v.commuting:
+            results += [_evaluate(row, f, v, tol, fa) for row in rows]
         else:
-            cnorm = commutator_norm(A, B)
-            for name, target in _commuting_gated_names(p_grid):
-                results.append(BoundResult(
-                    name=name,
-                    value=None,
-                    target=target,
-                    reason=f"commutator test failed (||AB-BA|| = {cnorm:.6e})",
-                    preconditions=[("AB = BA", False, cnorm)],
-                ))
-        series_target = "f(AB)"
-    candidates = [r for r in results if r.available and r.target == series_target]
+            cnorm = v["||AB-BA||"]
+            reason = f"commutator test failed (||AB-BA|| = {cnorm:.6e})"
+            results += [BoundResult(row.name, None, row.target, reason,
+                                    [("AB = BA", False, cnorm)]) for row in rows]
+    target = "f(T)" if B is None else "f(AB)"
+    candidates = [r for r in results if r.available and r.target == target]
     minimum = min(candidates, key=lambda r: r.value) if candidates else None
-    return BestBoundReport(results=results, minimum=minimum)
+    return BestBoundReport(results, minimum, v)

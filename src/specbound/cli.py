@@ -22,15 +22,8 @@ from pathlib import Path
 from . import harness
 from .bounds import DEFAULT_P_GRID, best_bound
 from .errors import NonCommuting, SpecboundError
-from .matrices import (
-    commutator_norm,
-    eval_matrix_series,
-    is_commuting,
-    load_matrix,
-    operator_norm,
-    spectral_radius,
-)
-from .harness import resolve_series
+from .matrices import load_matrix
+from .harness import oracle_radii, resolve_series
 from .series import DEFAULT_TOL
 
 _DEFAULT_VERIFY_SERIES = "exp,geometric,log-resolvent"
@@ -151,29 +144,9 @@ def cmd_bound(args) -> int:
         return 2
     matrices = [load_matrix(path) for path in args.matrix]
     p_grid = _parse_floats(args.p) if args.p else DEFAULT_P_GRID
-    oracles: dict[str, tuple[float, float]] = {}
-    noncommuting = False
-    if len(matrices) == 1:
-        T = matrices[0]
-        report = best_bound(f, T, tol=args.tol, p_grid=p_grid)
-        if operator_norm(T) < f.radius:
-            cert = eval_matrix_series(f, T, args.tol)
-            oracles["f(T)"] = (spectral_radius(cert.value), cert.remainder_bound)
-    else:
-        A, B = matrices
-        if A.shape != B.shape:
-            print(f"error: dimension mismatch: {A.shape} vs {B.shape}",
-                  file=sys.stderr)
-            return 2
-        report = best_bound(f, A, B, tol=args.tol, p_grid=p_grid)
-        AB, BA = A @ B, B @ A
-        oracles["AB"] = (spectral_radius(AB), 0.0)
-        oracles["AB+BA"] = (spectral_radius(AB + BA), 0.0)
-        oracles["AB-BA"] = (spectral_radius(AB - BA), 0.0)
-        if operator_norm(AB) < f.radius:
-            cert = eval_matrix_series(f, AB, args.tol)
-            oracles["f(AB)"] = (spectral_radius(cert.value), cert.remainder_bound)
-        noncommuting = not is_commuting(A, B)
+    # best_bound raises DimMismatch (exit 2) for a pair of unequal sizes.
+    report = best_bound(f, *matrices, tol=args.tol, p_grid=p_grid)
+    oracles = oracle_radii(f, *matrices, tol=args.tol)
 
     if args.format == "table":
         _emit(_bound_report_text(report.results, oracles, report.minimum), args.out)
@@ -189,10 +162,10 @@ def cmd_bound(args) -> int:
         }
         _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
 
-    if noncommuting:
-        A, B = matrices
+    inv = report.invariants
+    if len(matrices) == 2 and not inv.commuting:
         print(
-            f"error: pair does not commute: ||AB-BA|| = {commutator_norm(A, B):.6e}",
+            f"error: pair does not commute: ||AB-BA|| = {inv['||AB-BA||']:.6e}",
             file=sys.stderr,
         )
         return 3

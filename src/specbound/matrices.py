@@ -93,12 +93,19 @@ def commutator_norm(A: Matrix, B: Matrix) -> float:
     return operator_norm(A @ B - B @ A)
 
 
+def commutes(
+    cnorm: float, nA: float, nB: float, rel_tol: float = 1e-10, floor: float = 1e-300
+) -> bool:
+    """Commutator test on given norms: ||AB-BA|| <= rel_tol * (||A|| ||B|| + floor)."""
+    return cnorm <= rel_tol * (nA * nB + floor)
+
+
 def is_commuting(
     A: Matrix, B: Matrix, rel_tol: float = 1e-10, floor: float = 1e-300
 ) -> bool:
-    """Commutator test: ||AB-BA|| <= rel_tol * (||A|| ||B|| + floor)."""
-    return commutator_norm(A, B) <= rel_tol * (
-        operator_norm(A) * operator_norm(B) + floor
+    """The commutator test `commutes` on the norms of A, B and AB-BA."""
+    return commutes(
+        commutator_norm(A, B), operator_norm(A), operator_norm(B), rel_tol, floor
     )
 
 

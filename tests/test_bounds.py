@@ -476,3 +476,104 @@ def test_bound_result_serialization():
     assert record["value"] == pytest.approx(1.0)
     assert record["preconditions"] == [["||T|| < R", True, 0.0]]
     assert "r(T)" in record["intermediates"]
+
+
+# ---------------------------------------------------------------------------
+# Non-finite values and work per call
+# ---------------------------------------------------------------------------
+
+
+def test_nonfinite_single_bound_is_unavailable():
+    # eval_companion(exp, 150) is NaN: 150**n overflows where the catalog's
+    # 1/n! coefficients are already 0 (n > 170)
+    report = best_bound(EXP, np.diag([150.0, 1.0]))
+    (b,) = report.results
+    assert not b.available
+    assert "not finite" in b.reason
+    assert report.minimum is None
+
+
+def test_nonfinite_pair_bounds_are_unavailable():
+    # every f(AB) row evaluates exp's companion at some x >= 64, where
+    # eval_companion returns NaN
+    D = np.diag([8.0, 1.0]).astype(complex)
+    report = best_bound(EXP, D, D)
+    assert all(math.isfinite(r.value) for r in report.results if r.available)
+    series = [r for r in report.results if r.target == "f(AB)"]
+    assert len(series) == 13
+    assert all(not r.available and "not finite" in r.reason for r in series)
+    assert report.minimum is None
+
+
+def test_preconditions_are_hypotheses_then_arguments_once():
+    A, B = commuting_pair(2)
+    pre = {r.name: [p[0] for p in r.preconditions]
+           for r in best_bound(GEO, A, B).results}
+    sq = ["||A||^2 < R", "||B||^2 < R"]
+    assert pre["norm-split"] == sq + ["||AB|| < R", "sqrt(||A^2|| ||B^2||) < R"]
+    assert pre["mixed-split-cs"] == sq + [
+        "||A|| < R", "||B|| < R", "||AB|| < R", "||AB^2|| < R", "||A^2B|| < R",
+    ]
+    assert pre["triple-split-cs"] == sq + [
+        "||AB|| < R", "||A|| ||B|| < R", "||B^2|| < R", "||A^2|| < R",
+    ]
+    assert pre["holder-ratio(p=2)"] == [
+        "||A||^p < R", "||B||^q < R", "r(A)^p < R", "r(B)^q < R",
+        "r(A)^(p-1) r(B)^(q-1) < R", "denominator >= 1e-300",
+    ]
+    for name, descriptions in pre.items():
+        assert len(descriptions) == len(set(descriptions)), name
+
+
+def _count_work(monkeypatch):
+    import specbound.bounds as bounds_mod
+    import specbound.matrices as matrices_mod
+
+    counts = {"svd": 0, "eig": 0}
+    companion = []
+    svd, eig, fa = (
+        matrices_mod.operator_norm, matrices_mod.spectral_radius,
+        bounds_mod.eval_companion,
+    )
+
+    def counted_svd(T):
+        counts["svd"] += 1
+        return svd(T)
+
+    def counted_eig(T):
+        counts["eig"] += 1
+        return eig(T)
+
+    def counted_fa(f, x, *args, **kwargs):
+        companion.append((f.name, x))
+        return fa(f, x, *args, **kwargs)
+
+    for mod in (bounds_mod, matrices_mod):
+        monkeypatch.setattr(mod, "operator_norm", counted_svd)
+        monkeypatch.setattr(mod, "spectral_radius", counted_eig)
+    monkeypatch.setattr(bounds_mod, "eval_companion", counted_fa)
+    return counts, companion
+
+
+@pytest.mark.parametrize("f", [EXP, GEO])
+def test_best_bound_pair_computes_each_invariant_once(monkeypatch, f):
+    A, B = commuting_pair(5, n=8)
+    counts, companion = _count_work(monkeypatch)
+    report = best_bound(f, A, B)
+    assert report.minimum is not None
+    assert counts == {"svd": 9, "eig": 2}
+    assert companion and len(companion) == len(set(companion))
+
+
+def test_best_bound_single_computes_each_invariant_once(monkeypatch):
+    counts, companion = _count_work(monkeypatch)
+    best_bound(EXP, as_matrix([[0.9, 1.5], [0, 0.3]]))
+    assert counts == {"svd": 1, "eig": 1}
+    assert len(companion) == 1
+
+
+def test_best_bound_noncommuting_pair_runs_no_eigensolve(monkeypatch):
+    counts, companion = _count_work(monkeypatch)
+    best_bound(GEO, SHIFT, SHIFT_T)
+    assert counts == {"svd": 9, "eig": 0}
+    assert companion == []
