@@ -7,8 +7,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 structural error (bad file, dimension mismatch,
 unknown name), 3 non-commuting pair given where commutativity is
-required. The worker count is capped by SPECBOUND_THREADS (0 = run
-trials sequentially).
+required.
 """
 
 from __future__ import annotations

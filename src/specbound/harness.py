@@ -16,9 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -162,9 +160,10 @@ def gen_commuting_pair(spec: InstanceSpec) -> tuple[Matrix, Matrix]:
             )
             A = U @ np.diag(da) @ U.conj().T
             B = U @ np.diag(db) @ U.conj().T
-        if operator_norm(A) > 1e-10 and operator_norm(B) > 1e-10:
-            A = _scaled(A, spec.norm_target)
-            B = _scaled(B, spec.norm_target)
+        nA, nB = operator_norm(A), operator_norm(B)
+        if nA > 1e-10 and nB > 1e-10:
+            A = A * (spec.norm_target / nA)
+            B = B * (spec.norm_target / nB)
             if is_commuting(A, B):
                 return A, B
         seed = (seed * 6364136223846793005 + 1442695040888963407) % 2**63
@@ -324,28 +323,13 @@ def run_trial(
     return record
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SPECBOUND_THREADS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
 def run_sweep(config: SweepConfig) -> list[TrialRecord]:
     """Run every trial of the sweep; records come back in seed order."""
-    tasks = [
-        (family, fi, i)
+    return [
+        run_trial(config, family, fi, i)
         for fi, family in enumerate(config.families)
         for i in range(config.trials)
     ]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(lambda t: run_trial(config, *t), tasks)
-            )
-    return [run_trial(config, *t) for t in tasks]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@ Matrix = np.ndarray
 # Squaring past this norm risks leaving double range within a few steps.
 _SQUARING_NORM_CAP = 1e120
 
+# Relative tolerance and absolute floor of the commutator test `commutes`.
+_COMMUTE_REL_TOL = 1e-10
+_COMMUTE_FLOOR = 1e-300
+
 
 def as_matrix(entries) -> Matrix:
     """Validate and return a square complex matrix (n >= 1, finite)."""
@@ -93,20 +97,14 @@ def commutator_norm(A: Matrix, B: Matrix) -> float:
     return operator_norm(A @ B - B @ A)
 
 
-def commutes(
-    cnorm: float, nA: float, nB: float, rel_tol: float = 1e-10, floor: float = 1e-300
-) -> bool:
-    """Commutator test on given norms: ||AB-BA|| <= rel_tol * (||A|| ||B|| + floor)."""
-    return cnorm <= rel_tol * (nA * nB + floor)
+def commutes(cnorm: float, nA: float, nB: float) -> bool:
+    """Commutator test on given norms: ||AB-BA|| <= tol (||A|| ||B|| + floor)."""
+    return cnorm <= _COMMUTE_REL_TOL * (nA * nB + _COMMUTE_FLOOR)
 
 
-def is_commuting(
-    A: Matrix, B: Matrix, rel_tol: float = 1e-10, floor: float = 1e-300
-) -> bool:
+def is_commuting(A: Matrix, B: Matrix) -> bool:
     """The commutator test `commutes` on the norms of A, B and AB-BA."""
-    return commutes(
-        commutator_norm(A, B), operator_norm(A), operator_norm(B), rel_tol, floor
-    )
+    return commutes(commutator_norm(A, B), operator_norm(A), operator_norm(B))
 
 
 @dataclass(frozen=True)
@@ -195,7 +193,10 @@ def parse_matrix(text: str) -> Matrix:
         raise ValueError(
             f"expected {dim * dim} entries for dim {dim}, got {len(entries)}"
         )
-    flat = [complex(re, im) for re, im in entries]
+    try:
+        flat = [complex(re, im) for re, im in entries]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"entries must be [re, im] number pairs: {exc}") from exc
     return as_matrix(np.array(flat, dtype=np.complex128).reshape(dim, dim))
 
 

@@ -1,8 +1,8 @@
 """Power series with certified truncation control.
 
 A series f(z) = sum a_n z^n is represented by a coefficient function, a
-radius of convergence, and (for catalog entries) a certified tail majorant:
-a function (m, x) -> upper bound on sum_{j>m} |a_j| x^j. Every evaluation
+radius of convergence, and a certified tail majorant: a function
+(m, x) -> upper bound on sum_{j>m} |a_j| x^j. Every evaluation
 routine sums terms only up to an order whose certified tail is below the
 requested tolerance, so results carry an explicit error budget.
 
@@ -23,27 +23,20 @@ from .errors import NoConvergence, OutOfDisk
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_TERMS = 10**6
 
-# Probe window for the ratio-stabilization fallback (uncataloged series).
-_PROBE_WINDOW = 16
-
 
 @dataclass(frozen=True)
 class PowerSeries:
     """A power series sum a_n z^n with convergence radius `radius`.
 
-    coeff(n) must be deterministic. `tail_bound(m, x)` must return a
-    certified upper bound on sum_{j>m} |a_j| x^j (math.inf when no
-    certificate holds at that order); when absent, a heuristic
-    ratio-stabilization bound is used instead.
+    coeff(n) must be deterministic. `tail_bound(m, x)` is required and
+    must return a certified upper bound on sum_{j>m} |a_j| x^j (math.inf
+    when no certificate holds at that order).
     """
 
     coeff: Callable[[int], complex]
     radius: float
     name: str
-    coeff_mode: str = "exact-closed-form"  # or "recurrence"
-    tail_bound: Optional[Callable[[int, float], float]] = field(
-        default=None, repr=False
-    )
+    tail_bound: Callable[[int, float], float] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -79,40 +72,11 @@ def _check_eval_args(f: PowerSeries, x: float, tol: float) -> None:
         )
 
 
-def _ratio_probe_tail(f: PowerSeries, m: int, x: float) -> float:
-    """Heuristic tail bound for series without a closed-form certificate.
-
-    Watches the term ratios over a probe window past m; once they sit
-    below 1 and are not increasing, the tail is bounded by the geometric
-    sum first_term / (1 - rho) with rho the largest observed ratio.
-    """
-    terms = []
-    xj = x ** (m + 1) if x > 0 else 0.0
-    for j in range(m + 1, m + 1 + _PROBE_WINDOW):
-        t = abs(f.coeff(j)) * xj
-        xj *= x
-        if t > 0:
-            terms.append(t)
-    if not terms:
-        return 0.0 if x == 0 else math.inf
-    if len(terms) < 3:
-        return math.inf
-    ratios = [b / a for a, b in zip(terms, terms[1:])]
-    rho = max(ratios)
-    stabilized = all(r2 <= r1 * 1.05 for r1, r2 in zip(ratios, ratios[1:]))
-    if rho < 1.0 and stabilized:
-        return terms[0] / (1.0 - rho)
-    return math.inf
-
-
 def _order_and_tail(
     f: PowerSeries, x: float, tol: float, max_terms: int
 ) -> tuple[int, float]:
-    tail = f.tail_bound if f.tail_bound is not None else (
-        lambda m, y: _ratio_probe_tail(f, m, y)
-    )
     for m in range(max_terms + 1):
-        t = tail(m, x)
+        t = f.tail_bound(m, x)
         if t <= tol:
             return m, t
     raise NoConvergence(
@@ -170,7 +134,6 @@ def from_coefficients(
         coeff=coefficient,
         radius=math.inf,
         name=name,
-        coeff_mode="exact-closed-form",
         tail_bound=tail,
     )
 
@@ -379,7 +342,6 @@ def arcsin_series() -> SeriesCatalogEntry:
         coeff=coefficient,
         radius=1.0,
         name="arcsin",
-        coeff_mode="recurrence",
         tail_bound=tail,
     )
     return SeriesCatalogEntry(series=series, closed_form_eval=math.asin)
@@ -418,7 +380,6 @@ def hypergeometric_series(
         coeff=lambda n: complex(coeffs(n)),
         radius=1.0,
         name="2F1",
-        coeff_mode="recurrence",
         tail_bound=tail,
     )
 

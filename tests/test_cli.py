@@ -126,9 +126,11 @@ def test_bound_unknown_series_exits_2(zero2, capsys):
 
 def test_bound_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.mat"
-    bad.write_text("not json")
-    code = main(["bound", "--series", "exp", "--matrix", str(bad)])
-    assert code == 2
+    for text in ("not json", '{"dim": 1, "entries": [["1", 0]]}',
+                 '{"dim": 1, "entries": [[null, 0]]}', '{"dim": 1, "entries": [5]}'):
+        bad.write_text(text)
+        code = main(["bound", "--series", "exp", "--matrix", str(bad)])
+        assert code == 2, text
 
 
 def test_bound_dim_mismatch_exits_2(tmp_path, capsys):
@@ -172,15 +174,12 @@ def test_verify_small_run(tmp_path, capsys):
     assert "violations" in capsys.readouterr().out
 
 
-def test_verify_reports_are_byte_identical(tmp_path, capsys, monkeypatch):
-    out1, out2, out3 = (tmp_path / n for n in ("r1", "r2", "r3"))
+def test_verify_reports_are_byte_identical(tmp_path, capsys):
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["verify", *_VERIFY_ARGS, "--out", str(out1)]) == 0
     assert main(["verify", *_VERIFY_ARGS, "--out", str(out2)]) == 0
     assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
-    monkeypatch.setenv("SPECBOUND_THREADS", "2")
-    assert main(["verify", *_VERIFY_ARGS, "--out", str(out3)]) == 0
-    assert (out1 / "trials.csv").read_bytes() == (out3 / "trials.csv").read_bytes()
 
 
 def test_compare_emits_plot_ready_csv(tmp_path, capsys):

@@ -269,7 +269,7 @@ def test_tail_certificate_dominates_measured_remainder(name):
 
 
 # ---------------------------------------------------------------------------
-# Polynomials and uncataloged series
+# Polynomials and user-built series
 # ---------------------------------------------------------------------------
 
 
@@ -285,9 +285,8 @@ def test_polynomial_tail_is_zero_beyond_degree():
     assert f.tail_bound(0, 0.5) == pytest.approx(0.25)
 
 
-def test_ratio_probe_handles_uncataloged_series():
-    # geometric-type series provided without a closed-form certificate
-    f = PowerSeries(coeff=lambda n: complex(0.7**n), radius=1.0 / 0.7,
-                    name="probe")
-    value = eval_companion(f, 1.0, 1e-10)
-    assert value == pytest.approx(1.0 / 0.3, abs=1e-8)
+def test_power_series_requires_tail_bound():
+    # without a certified tail there is no true error budget to report
+    with pytest.raises(TypeError):
+        PowerSeries(coeff=lambda n: complex(0.7**n), radius=1.0 / 0.7,
+                    name="uncertified")
