@@ -145,7 +145,7 @@ def cmd_bound(args) -> int:
     p_grid = _parse_floats(args.p) if args.p else DEFAULT_P_GRID
     # best_bound raises DimMismatch (exit 2) for a pair of unequal sizes.
     report = best_bound(f, *matrices, tol=args.tol, p_grid=p_grid)
-    oracles = oracle_radii(f, *matrices, tol=args.tol)
+    oracles = oracle_radii(f, report.invariants, tol=args.tol)
 
     if args.format == "table":
         _emit(_bound_report_text(report.results, oracles, report.minimum), args.out)

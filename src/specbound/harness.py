@@ -26,6 +26,7 @@ import numpy as np
 from .bounds import (
     DEFAULT_P_GRID,
     BoundResult,
+    Invariants,
     best_bound,
     bound_pm_mixed,
     bound_pm_quadratic,
@@ -33,7 +34,7 @@ from .bounds import (
 from .errors import GenerationFailure, OutOfDisk, UnknownFamily
 from .matrices import (
     Matrix,
-    eval_matrix_series,
+    _series_at_norm,
     gelfand_sequence,
     is_commuting,
     operator_norm,
@@ -41,6 +42,7 @@ from .matrices import (
     spectral_radius,
 )
 from .series import (
+    DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
     PowerSeries,
     SeriesCatalogEntry,
@@ -244,11 +246,17 @@ def _judge(record: TrialRecord) -> None:
 
     A missing oracle (series argument outside the disk) can only happen
     when every bound on that target is unavailable, so skipping is safe.
+    A non-finite oracle or oracle error checks nothing, so an available
+    bound meeting one is a violation.
     """
     for b in record.bounds:
         if not b.available or b.target not in record.oracles:
             continue
         oracle, oracle_err = record.oracles[b.target]
+        if not (math.isfinite(oracle) and math.isfinite(oracle_err)):
+            record.violation = True
+            record.tightness[b.name] = None
+            continue
         slack = _SLACK_REL * max(1.0, oracle) + oracle_err
         if b.value < oracle - slack:
             record.violation = True
@@ -258,26 +266,29 @@ def _judge(record: TrialRecord) -> None:
 
 
 def oracle_radii(
-    f: PowerSeries, A: Matrix, B: Optional[Matrix] = None, tol: float = DEFAULT_TOL
+    f: PowerSeries, v: Invariants, tol: float = DEFAULT_TOL
 ) -> dict[str, tuple[float, float]]:
-    """(value, error) of the oracle for each target quantity.
+    """(value, error) of the oracle for each target quantity of the
+    instance whose invariants are `v` (as `best_bound` reports them).
 
     Pair mode gives r(AB), r(AB+BA) and r(AB-BA) by dense eigensolves,
     with no error. The series target f(T) or f(AB) gets the spectral
     radius of its certified truncation, with the truncation's remainder
-    bound as error, when its argument lies inside the disk.
+    bound as error, when its argument lies inside the disk; the norm of
+    that argument is read from `v`.
     """
+    A, B = v.A, v.B
     if B is None:
-        M, target, oracles = A, "f(T)", {}
+        M, nrm, target, oracles = A, v["||T||"], "f(T)", {}
     else:
-        M, BA, target = A @ B, B @ A, "f(AB)"
+        M, BA, nrm, target = A @ B, B @ A, v["||AB||"], "f(AB)"
         oracles = {
             "AB": (spectral_radius(M), 0.0),
             "AB+BA": (spectral_radius(M + BA), 0.0),
             "AB-BA": (spectral_radius(M - BA), 0.0),
         }
     try:
-        cert = eval_matrix_series(f, M, tol)
+        cert = _series_at_norm(f, M, nrm, tol, DEFAULT_MAX_TERMS)
     except OutOfDisk:
         return oracles
     oracles[target] = (spectral_radius(cert.value), cert.remainder_bound)
@@ -316,7 +327,7 @@ def run_trial(
         spec=spec,
         series_name=name,
         series_params=entry.params,
-        oracles=oracle_radii(f, *matrices, tol=config.tol),
+        oracles=oracle_radii(f, report.invariants, tol=config.tol),
         bounds=report.results,
     )
     _judge(record)

@@ -113,6 +113,31 @@ def test_bound_2f1_with_params(zero2, capsys):
     assert "companion-radius" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("pair, svds", [(False, 1), (True, 9)])
+def test_bound_oracle_reuses_the_report_norm(monkeypatch, diag_pair, capsys,
+                                             pair, svds):
+    # The oracle takes ||T|| or ||AB|| from best_bound's invariants, so a
+    # bound operation runs only best_bound's SVDs.
+    import specbound.bounds as bounds_mod
+    import specbound.harness as harness_mod
+    import specbound.matrices as matrices_mod
+
+    calls = []
+    svd = matrices_mod.operator_norm
+
+    def counted(T):
+        calls.append(1)
+        return svd(T)
+
+    for mod in (bounds_mod, harness_mod, matrices_mod):
+        monkeypatch.setattr(mod, "operator_norm", counted)
+    a, b = diag_pair
+    argv = ["bound", "--series", "geometric", "--matrix", a]
+    assert main(argv + ["--matrix", b] if pair else argv) == 0
+    assert "oracle r[f(" in capsys.readouterr().out
+    assert len(calls) == svds
+
+
 def test_bound_missing_file_exits_2(capsys):
     code = main(["bound", "--series", "exp", "--matrix", "/nonexistent.mat"])
     assert code == 2
@@ -127,7 +152,8 @@ def test_bound_unknown_series_exits_2(zero2, capsys):
 def test_bound_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.mat"
     for text in ("not json", '{"dim": 1, "entries": [["1", 0]]}',
-                 '{"dim": 1, "entries": [[null, 0]]}', '{"dim": 1, "entries": [5]}'):
+                 '{"dim": 1, "entries": [[null, 0]]}', '{"dim": 1, "entries": [5]}',
+                 '[1]', '{"dim": 1, "entries": 5}', '"x"'):
         bad.write_text(text)
         code = main(["bound", "--series", "exp", "--matrix", str(bad)])
         assert code == 2, text

@@ -5,9 +5,11 @@ import pytest
 
 from specbound import (
     FAMILIES_PAIR,
+    BoundResult,
     FAMILIES_SINGLE,
     InstanceSpec,
     SweepConfig,
+    TrialRecord,
     UnknownFamily,
     commutator_norm,
     gen_commuting_pair,
@@ -19,7 +21,12 @@ from specbound import (
     summarize,
     write_trials_csv,
 )
-from specbound.harness import run_identity_checks, run_limit_checks, run_pm_checks
+from specbound.harness import (
+    _judge,
+    run_identity_checks,
+    run_limit_checks,
+    run_pm_checks,
+)
 
 
 def spec(family, seed=1, dim=4, target=0.8):
@@ -227,6 +234,22 @@ def test_summarize_statistics():
     wins = sum(b["wins"] for b in summary["bounds"].values()
                if b["target"] == "f(AB)")
     assert wins >= 20  # every trial has at least one winner (ties allowed)
+
+
+@pytest.mark.parametrize("oracle, violation", [
+    ((1.0, 0.0), False), ((float("nan"), 0.0), True),
+    ((float("inf"), 0.0), True), ((1.0, float("nan")), True),
+])
+def test_judge_flags_a_non_finite_oracle(oracle, violation):
+    # A NaN or inf oracle checks nothing; an available bound meeting one
+    # must not count as a pass.
+    record = TrialRecord(
+        spec=spec("diagonal-positive"), series_name="exp", series_params=None,
+        oracles={"f(T)": oracle}, bounds=[BoundResult("b", 2.0, "f(T)")],
+    )
+    _judge(record)
+    assert record.violation is violation
+    assert summarize([record])["violations"] == int(violation)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from specbound import (
     as_matrix,
     commutator_norm,
     eval_matrix_series,
+    from_coefficients,
     gelfand_sequence,
     is_commuting,
     load_matrix,
@@ -74,6 +76,11 @@ def test_load_rejects_malformed_documents(tmp_path):
         bad_entry.write_text('{"dim": 1, "entries": %s}' % entries)
         with pytest.raises(ValueError):
             load_matrix(bad_entry)
+    for text in ('[1]', '{"dim": 1, "entries": 5}', '"x"'):
+        bad_doc = tmp_path / "bad4.mat"
+        bad_doc.write_text(text)
+        with pytest.raises(ValueError):
+            load_matrix(bad_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +255,54 @@ def test_partial_sum_matches_direct_powers():
         f.coeff(j) * np.linalg.matrix_power(T, j) for j in range(6)
     )
     assert np.allclose(series_partial_sum(f, T, 5), direct, atol=1e-13)
+
+
+def _complex_poly(seed, degree):
+    g = rng(seed)
+    return from_coefficients(g.standard_normal(degree + 1)
+                             + 1j * g.standard_normal(degree + 1))
+
+
+@pytest.mark.parametrize("f", [lookup("exp").series, lookup("geometric").series,
+                               _complex_poly(3, 3)], ids=["exp", "geometric", "poly"])
+def test_partial_sum_low_order_is_horner(f):
+    # m <= 3 has block size 1: exactly the Horner loop below, bit for bit.
+    T = random_complex(41, 5)
+    eye = np.eye(5, dtype=np.complex128)
+    for m in range(4):
+        S = f.coeff(m) * eye
+        for j in range(m - 1, -1, -1):
+            S = f.coeff(j) * eye + T @ S
+        assert np.array_equal(series_partial_sum(f, T, m), S), m
+
+
+_PS_ORDERS = (0, 1, 2, 3, 4, 8, 9, 15, 16, 17, 63, 64, 65, 200)
+
+
+@pytest.fixture(scope="module")
+def ps_reference():
+    """A non-normal complex T (n = 4, ||T|| = 1.1), a complex polynomial of
+    degree 200, and its partial sums in 40-digit arithmetic."""
+    T = np.triu(random_complex(43, 4), 1) * 2.0 + random_complex(44, 4)
+    T *= 1.1 / operator_norm(T)
+    f = _complex_poly(45, max(_PS_ORDERS))
+    with mp.workdps(40):
+        Tm, P = mp.matrix(T.tolist()), mp.eye(4)
+        S, sums = mp.zeros(4, 4), []
+        for k in range(max(_PS_ORDERS) + 1):
+            S += mp.mpc(f.coeff(k)) * P
+            sums.append(np.array(S.tolist(), dtype=np.complex128))
+            P = P * Tm
+    return f, T, sums
+
+
+@pytest.mark.parametrize("m", _PS_ORDERS)
+def test_partial_sum_matches_mpmath(ps_reference, m):
+    # Rounding error of Horner's form: a small multiple of u sum |a_k| ||T||^k.
+    f, T, sums = ps_reference
+    majorant = sum(abs(f.coeff(k)) * operator_norm(T) ** k for k in range(m + 1))
+    err = operator_norm(series_partial_sum(f, T, m) - sums[m])
+    assert err <= 1e-13 * majorant
 
 
 # ---------------------------------------------------------------------------
