@@ -42,4 +42,4 @@ class UnknownFamily(SpecboundError):
 
 
 class GenerationFailure(SpecboundError):
-    """Could not generate a valid random instance after retries."""
+    """A generated random instance is not valid for its family."""

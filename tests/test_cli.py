@@ -208,6 +208,16 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["verify", "compare"])
+@pytest.mark.parametrize("args", [
+    ["--dims", ","], ["--series", ","], ["--trials", "-3"],
+])
+def test_sweep_with_nothing_to_cycle_exits_2(tmp_path, capsys, command, args):
+    code = main([command, *args, "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_compare_emits_plot_ready_csv(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main(["compare", *_VERIFY_ARGS, "--out", str(out)])

@@ -7,6 +7,7 @@ from specbound import (
     FAMILIES_PAIR,
     BoundResult,
     FAMILIES_SINGLE,
+    GenerationFailure,
     InstanceSpec,
     SweepConfig,
     TrialRecord,
@@ -26,6 +27,7 @@ from specbound.harness import (
     run_identity_checks,
     run_limit_checks,
     run_pm_checks,
+    run_trial,
 )
 
 
@@ -76,22 +78,21 @@ def test_unknown_family():
 
 @pytest.mark.parametrize("family", FAMILIES_PAIR)
 def test_pair_families_commute_and_hit_target(family):
-    for seed in range(8):
-        A, B = gen_commuting_pair(spec(family, seed=seed))
-        assert is_commuting(A, B)
-        assert commutator_norm(A, B) <= 1e-12 * max(
-            1e-300, operator_norm(A) * operator_norm(B)
-        )
-        assert operator_norm(A) == pytest.approx(0.8, rel=1e-12)
-        assert operator_norm(B) == pytest.approx(0.8, rel=1e-12)
+    # The generator does not check itself: its pairs commute by construction.
+    for dim in (1, 2, 8, 32, 64):
+        for seed in range(8):
+            A, B = gen_commuting_pair(spec(family, seed=seed, dim=dim))
+            assert is_commuting(A, B)
+            assert commutator_norm(A, B) <= 1e-12 * max(
+                1e-300, operator_norm(A) * operator_norm(B)
+            )
+            assert operator_norm(A) == pytest.approx(0.8, rel=1e-12)
+            assert operator_norm(B) == pytest.approx(0.8, rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "family, svds", [("commuting-polynomial-pair", 6), ("commuting-triangular-pair", 5)]
-)
-def test_pair_generator_computes_each_norm_once(monkeypatch, family, svds):
-    # M's norm (polynomial only), ||A|| and ||B|| once each, then the three
-    # norms of the commutator test.
+def count_operator_norm(monkeypatch):
+    """Count every operator_norm (one SVD each) the package runs."""
+    import specbound.bounds as bounds_mod
     import specbound.harness as harness_mod
     import specbound.matrices as matrices_mod
 
@@ -101,11 +102,44 @@ def test_pair_generator_computes_each_norm_once(monkeypatch, family, svds):
         calls.append(1)
         return operator_norm(T)
 
-    for mod in (harness_mod, matrices_mod):
+    for mod in (bounds_mod, harness_mod, matrices_mod):
         monkeypatch.setattr(mod, "operator_norm", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "family, svds", [("commuting-polynomial-pair", 3), ("commuting-triangular-pair", 2)]
+)
+def test_pair_generator_computes_each_norm_once(monkeypatch, family, svds):
+    # M's norm (polynomial only), then ||A|| and ||B|| once each; the
+    # commutator test is left to best_bound.
+    calls = count_operator_norm(monkeypatch)
     for seed in range(20):
         gen_commuting_pair(spec(family, seed=seed, dim=8))
     assert len(calls) == 20 * svds
+
+
+@pytest.mark.parametrize(
+    "family, svds", [("commuting-polynomial-pair", 12), ("commuting-triangular-pair", 11)]
+)
+def test_pair_trial_svd_count(monkeypatch, family, svds):
+    # The generator's norms, then best_bound's 9, whose commutator test is
+    # the only one the trial runs; the oracle reads ||AB|| from the report.
+    calls = count_operator_norm(monkeypatch)
+    config = SweepConfig(families=(family,), trials=20, dims=(8,), seed=5)
+    for i in range(config.trials):
+        run_trial(config, family, 0, i)
+    assert len(calls) == 20 * svds
+
+
+def test_trial_on_non_commuting_pair_fails_loudly(monkeypatch):
+    import specbound.harness as harness_mod
+
+    S = np.array([[0, 1], [0, 0]], dtype=complex)
+    monkeypatch.setattr(harness_mod, "gen_commuting_pair", lambda spec: (S, S.T))
+    config = SweepConfig(trials=1, dims=(2,))
+    with pytest.raises(GenerationFailure, match="not a commuting pair"):
+        run_trial(config, FAMILIES_PAIR[0], 0, 0)
 
 
 def test_pair_generator_determinism():
