@@ -30,12 +30,14 @@ import math
 import sys
 from collections import ChainMap
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import BadExponent, DimMismatch, NonCommuting
-from .matrices import Matrix, commutes, operator_norm, spectral_radius
+from .errors import BadExponent, DimMismatch, NonCommuting, NormOverflow
+from .matrices import (Matrix, commutes, operator_norm, operator_norms,
+                       spectral_radii, spectral_radius)
 from .series import DEFAULT_TOL, PowerSeries, eval_companion
 
 _DENOM_FLOOR = 1e-300
@@ -76,21 +78,14 @@ class BoundResult:
         }
 
 
-# Every quantity a bound uses, by label; A is T in single mode.
+# A pair's operator norms, in the order of `Invariants.products`.
+_PAIR_NORMS = ("||A||", "||B||", "||AB||", "||BA||", "||A^2||", "||B^2||",
+               "||AB^2||", "||A^2B||", "||AB-BA||")
+
+# Every other quantity a bound uses, by label; A is T in single mode.
 _QUANTITIES: dict[str, Callable[["Invariants"], float]] = {
     "||T||": lambda v: operator_norm(v.A),
     "r(T)": lambda v: spectral_radius(v.A),
-    "||A||": lambda v: operator_norm(v.A),
-    "||B||": lambda v: operator_norm(v.B),
-    "||AB||": lambda v: operator_norm(v.A @ v.B),
-    "||BA||": lambda v: operator_norm(v.B @ v.A),
-    "||A^2||": lambda v: operator_norm(v.A @ v.A),
-    "||B^2||": lambda v: operator_norm(v.B @ v.B),
-    "||AB^2||": lambda v: operator_norm(v.A @ v.B @ v.B),
-    "||A^2B||": lambda v: operator_norm(v.A @ v.A @ v.B),
-    "||AB-BA||": lambda v: operator_norm(v.A @ v.B - v.B @ v.A),
-    "r(A)": lambda v: spectral_radius(v.A),
-    "r(B)": lambda v: spectral_radius(v.B),
     "||A||^2": lambda v: v["||A||"] ** 2,
     "||B||^2": lambda v: v["||B||"] ** 2,
     "r(A)^2": lambda v: v["r(A)"] ** 2,
@@ -108,7 +103,8 @@ _QUANTITIES: dict[str, Callable[["Invariants"], float]] = {
 class Invariants(dict):
     """Norms and spectral radii of one instance by label, each computed on
     first use (||T||, r(T) for one operator; ||A||, r(A), ||AB-BA||, ... for
-    a pair), and the quantities derived from them."""
+    a pair), and the quantities derived from them. A pair's nine norms come
+    from one SVD call on `products`, its two radii from one eigensolve."""
 
     def __init__(self, A: Matrix, B: Optional[Matrix] = None):
         if B is not None and A.shape != B.shape:
@@ -116,9 +112,32 @@ class Invariants(dict):
         super().__init__()
         self.A, self.B = A, B
 
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # checked below, by name
+    def products(self) -> np.ndarray:
+        """A, B, AB, BA, A^2, B^2, AB^2, A^2B and AB-BA as one stack, in
+        the order of `_PAIR_NORMS`; NormOverflow if one is not finite."""
+        A, B = self.A, self.B
+        P = np.empty((len(_PAIR_NORMS), *A.shape), dtype=np.result_type(A, B))
+        P[0], P[1] = A, B
+        for i, (X, Y) in enumerate(((A, B), (B, A), (A, A), (B, B)), 2):
+            np.matmul(X, Y, out=P[i])
+        np.matmul(P[2:5:2], B, out=P[6:8])  # AB^2 = (AB)B, A^2B = (AA)B
+        np.subtract(P[2], P[3], out=P[8])
+        finite = np.isfinite(P).all(axis=(1, 2))
+        if not finite.all():
+            bad = ", ".join(x[2:-2] for x, ok in zip(_PAIR_NORMS, finite) if not ok)
+            raise NormOverflow(f"not finite: {bad}; normalize the pair first")
+        return P
+
     def __missing__(self, label: str) -> float:
-        value = self[label] = _QUANTITIES[label](self)
-        return value
+        if label in _PAIR_NORMS:
+            self.update(zip(_PAIR_NORMS, operator_norms(self.products).tolist()))
+        elif label in ("r(A)", "r(B)"):
+            self["r(A)"], self["r(B)"] = spectral_radii(self.products[:2]).tolist()
+        else:
+            self[label] = _QUANTITIES[label](self)
+        return self[label]
 
     @property
     def commuting(self) -> bool:
@@ -288,6 +307,11 @@ def _signed(result: BoundResult, sign: int) -> BoundResult:
                    intermediates=dict(result.intermediates))
 
 
+def _pm_rows(v: Invariants) -> list[BoundResult]:
+    """pm-quadratic and pm-mixed on `v`, unsigned: each holds for either sign."""
+    return [_evaluate(row, None, v, 0.0, {}) for row in _PM_ROWS]
+
+
 def _pm(name: str, A: Matrix, B: Matrix, sign: int) -> BoundResult:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -402,7 +426,7 @@ def best_bound(f: PowerSeries, A: Matrix, B: Optional[Matrix] = None,
     if B is None:
         results = [_evaluate(_SINGLE, f, v, tol, fa)]
     else:
-        pm = [_evaluate(row, f, v, tol, fa) for row in _PM_ROWS]
+        pm = _pm_rows(v)
         results = [_signed(r, sign) for sign in (+1, -1) for r in pm]
         rows = [r for p in p_grid for r in _holder_rows(p)] + list(_COMMUTING_ROWS)
         if v.commuting:

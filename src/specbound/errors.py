@@ -26,7 +26,7 @@ class DimMismatch(SpecboundError):
 
 
 class NormOverflow(SpecboundError):
-    """Repeated squaring left floating-point range; normalize first."""
+    """A matrix power or product left floating-point range; normalize first."""
 
 
 class NonCommuting(SpecboundError):

@@ -27,9 +27,8 @@ from .bounds import (
     DEFAULT_P_GRID,
     BoundResult,
     Invariants,
+    _pm_rows,
     best_bound,
-    bound_pm_mixed,
-    bound_pm_quadratic,
 )
 from .errors import GenerationFailure, OutOfDisk, UnknownFamily
 from .matrices import (
@@ -37,7 +36,9 @@ from .matrices import (
     _series_at_norm,
     gelfand_sequence,
     operator_norm,
+    operator_norms,
     series_partial_sum,
+    spectral_radii,
     spectral_radius,
 )
 from .series import (
@@ -187,9 +188,9 @@ class SweepConfig:
     norm_targets: Optional[tuple[float, ...]] = None  # cycled when given
 
     def __post_init__(self):
-        if not self.series_names or not self.dims or self.trials < 0:
+        if not (self.series_names and self.families and self.dims) or self.trials < 0:
             raise ValueError(
-                "a sweep needs a series, a dimension and trials >= 0"
+                "a sweep needs a series, a family, a dimension and trials >= 0"
             )
 
 
@@ -264,28 +265,27 @@ def oracle_radii(
     """(value, error) of the oracle for each target quantity of the
     instance whose invariants are `v` (as `best_bound` reports them).
 
-    Pair mode gives r(AB), r(AB+BA) and r(AB-BA) by dense eigensolves,
-    with no error. The series target f(T) or f(AB) gets the spectral
+    Pair mode gives r(AB), r(AB+BA) and r(AB-BA), with no error, from
+    the products in `v`. The series target f(T) or f(AB) gets the spectral
     radius of its certified truncation, with the truncation's remainder
     bound as error, when its argument lies inside the disk; the norm of
-    that argument is read from `v`.
+    that argument is read from `v`. A pair's radii take one eigensolve call.
     """
-    A, B = v.A, v.B
-    if B is None:
-        M, nrm, target, oracles = A, v["||T||"], "f(T)", {}
+    if v.B is None:
+        M, nrm, target, terms = v.A, v["||T||"], "f(T)", {}
     else:
-        M, BA, nrm, target = A @ B, B @ A, v["||AB||"], "f(AB)"
-        oracles = {
-            "AB": (spectral_radius(M), 0.0),
-            "AB+BA": (spectral_radius(M + BA), 0.0),
-            "AB-BA": (spectral_radius(M - BA), 0.0),
-        }
+        P = v.products  # AB, BA and AB-BA are P[2], P[3] and P[8]
+        M, nrm, target = P[2], v["||AB||"], "f(AB)"
+        terms = {"AB": (M, 0.0), "AB+BA": (M + P[3], 0.0), "AB-BA": (P[8], 0.0)}
     try:
         cert = _series_at_norm(f, M, nrm, tol, DEFAULT_MAX_TERMS)
+        terms[target] = (cert.value, cert.remainder_bound)
     except OutOfDisk:
-        return oracles
-    oracles[target] = (spectral_radius(cert.value), cert.remainder_bound)
-    return oracles
+        pass
+    if v.B is None:  # one matrix at most: nothing to stack
+        return {k: (spectral_radius(S), err) for k, (S, err) in terms.items()}
+    radii = spectral_radii(np.stack([S for S, _ in terms.values()])).tolist()
+    return {k: (r, err) for (k, (_, err)), r in zip(terms.items(), radii)}
 
 
 def run_trial(
@@ -521,11 +521,11 @@ def run_identity_checks(
     for i in range(trials):
         spec = _identity_spec(seed, i, families, dims)
         T = gen_matrix(spec)
-        r = spectral_radius(T)
+        powers = [T] + [np.linalg.matrix_power(T, m) for m in range(2, 6)]
+        r, *rms = spectral_radii(np.stack(powers)).tolist()
         g = gelfand_sequence(T, 5)
         results["radius-below-norm"].record(r - g[0] - 1e-10)
-        for m in range(2, 6):
-            rm = spectral_radius(np.linalg.matrix_power(T, m))
+        for m, rm in enumerate(rms, 2):
             margin = abs(rm - r**m) - 1e-8 * max(1.0, r**m)
             results["power-identity"].record(margin)
         for gk, gk1 in zip(g, g[1:]):
@@ -537,8 +537,7 @@ def run_identity_checks(
         n = dims[i % len(dims)]
         A = _ginibre(pair_rng, n)
         B = _ginibre(pair_rng, n)
-        rab = spectral_radius(A @ B)
-        rba = spectral_radius(B @ A)
+        rab, rba = spectral_radii(np.stack((A @ B, B @ A))).tolist()
         results["product-order"].record(
             abs(rab - rba) - 1e-8 * max(1.0, rab)
         )
@@ -548,13 +547,9 @@ def run_identity_checks(
             seed=int(normal_rng.integers(0, 2**63)),
             family="hermitian", dim=n, norm_target=1.0,
         ))
-        results["normal-equality"].record(
-            abs(spectral_radius(H) - operator_norm(H)) - 1e-10
-        )
-        U = _haar_unitary(normal_rng, n)
-        results["normal-equality"].record(
-            abs(spectral_radius(U) - operator_norm(U)) - 1e-10
-        )
+        HU = np.stack((H, _haar_unitary(normal_rng, n)))
+        for r, nrm in zip(spectral_radii(HU).tolist(), operator_norms(HU).tolist()):
+            results["normal-equality"].record(abs(r - nrm) - 1e-10)
     return results
 
 
@@ -577,18 +572,15 @@ def run_limit_checks(
         k = int(rng.integers(2, 7))
         coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         terms = [coeffs[j] * np.linalg.matrix_power(M, j) for j in range(k)]
-        lhs = spectral_radius(sum(terms))
-        rhs = sum(spectral_radius(V) for V in terms)
-        results["subadditivity"].record(lhs - rhs - 1e-8)
+        lhs, *rs = spectral_radii(np.stack([sum(terms)] + terms)).tolist()
+        results["subadditivity"].record(lhs - sum(rs) - 1e-8)
 
         ca = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         cb = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         V = series_partial_sum(from_coefficients(ca), M, len(ca) - 1)
         S = series_partial_sum(from_coefficients(cb), M, len(cb) - 1)
-        results["radius-continuity"].record(
-            abs(spectral_radius(V) - spectral_radius(S))
-            - spectral_radius(V - S) - 1e-8
-        )
+        rV, rS, rVS = spectral_radii(np.stack((V, S, V - S))).tolist()
+        results["radius-continuity"].record(abs(rV - rS) - rVS - 1e-8)
 
         entry = cauchy_entries[i % len(cauchy_entries)]
         f = entry.series
@@ -598,7 +590,8 @@ def run_limit_checks(
         orders = sorted({
             truncation_order(f, x, t) for t in (1e-3, 1e-5, 1e-7, 1e-9)
         })
-        radii = [spectral_radius(series_partial_sum(f, T, m)) for m in orders]
+        sums = np.stack([series_partial_sum(f, T, m) for m in orders])
+        radii = spectral_radii(sums).tolist()
         for a in range(len(orders)):
             for b in range(a + 1, len(orders)):
                 allowed = f.tail_bound(orders[a], x) + 1e-8
@@ -624,10 +617,10 @@ def run_pm_checks(
         A = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
         B = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
         # Both bounds are the same for either sign.
-        quad = bound_pm_quadratic(A, B)
-        mixed = bound_pm_mixed(A, B)
-        for sign in (+1, -1):
-            oracle = spectral_radius(A @ B + sign * (B @ A))
+        v = Invariants(A, B)
+        quad, mixed = _pm_rows(v)
+        P = v.products  # AB, BA and AB-BA are P[2], P[3] and P[8]
+        for oracle in spectral_radii(np.stack((P[2] + P[3], P[8]))).tolist():
             slack = _SLACK_REL * max(1.0, oracle)
             results["pm-quadratic"].record(oracle - quad.value - slack)
             results["pm-mixed"].record(oracle - mixed.value - slack)

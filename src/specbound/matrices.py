@@ -49,23 +49,31 @@ def _check_same_dim(A: Matrix, B: Matrix) -> None:
         raise DimMismatch(f"dimension mismatch: {A.shape} vs {B.shape}")
 
 
-def spectral_radius(T: Matrix) -> float:
-    """max |eigenvalue| via a dense eigensolve."""
+def spectral_radii(S: np.ndarray) -> np.ndarray:
+    """max |eigenvalue| of each matrix of a (..., n, n) stack, one eigensolve."""
     try:
-        eigs = np.linalg.eigvals(np.asarray(T, dtype=np.complex128))
+        eigs = np.linalg.eigvals(np.asarray(S, dtype=np.complex128))
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"eigenvalue solve failed: {exc}") from exc
-    return float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    return np.abs(eigs).max(axis=-1)
+
+
+def operator_norms(S: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a (..., n, n) stack, one SVD."""
+    try:
+        return np.linalg.svd(np.asarray(S, dtype=np.complex128), compute_uv=False)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"singular value solve failed: {exc}") from exc
+
+
+def spectral_radius(T: Matrix) -> float:
+    """max |eigenvalue| via a dense eigensolve."""
+    return float(spectral_radii(T))
 
 
 def operator_norm(T: Matrix) -> float:
     """Largest singular value (induced 2-norm)."""
-    try:
-        return float(
-            np.linalg.norm(np.asarray(T, dtype=np.complex128), 2)
-        )
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"singular value solve failed: {exc}") from exc
+    return float(operator_norms(T))
 
 
 def gelfand_sequence(T: Matrix, k_max: int) -> list[float]:

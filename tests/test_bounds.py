@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from specbound import (
     BadExponent,
     NonCommuting,
+    NormOverflow,
     as_matrix,
     best_bound,
     bound_pair_holder,
@@ -25,10 +26,12 @@ from specbound import (
     eval_matrix_series,
     gen_commuting_pair,
     lookup,
+    operator_norm,
     reverse_holder_gap,
     spectral_radius,
     true_function_radius,
 )
+from specbound.bounds import Invariants
 from specbound.harness import InstanceSpec
 
 TOL = 1e-10
@@ -525,55 +528,76 @@ def test_preconditions_are_hypotheses_then_arguments_once():
         assert len(descriptions) == len(set(descriptions)), name
 
 
-def _count_work(monkeypatch):
+def _count_companion(monkeypatch):
     import specbound.bounds as bounds_mod
-    import specbound.matrices as matrices_mod
 
-    counts = {"svd": 0, "eig": 0}
     companion = []
-    svd, eig, fa = (
-        matrices_mod.operator_norm, matrices_mod.spectral_radius,
-        bounds_mod.eval_companion,
-    )
-
-    def counted_svd(T):
-        counts["svd"] += 1
-        return svd(T)
-
-    def counted_eig(T):
-        counts["eig"] += 1
-        return eig(T)
+    fa = bounds_mod.eval_companion
 
     def counted_fa(f, x, *args, **kwargs):
         companion.append((f.name, x))
         return fa(f, x, *args, **kwargs)
 
-    for mod in (bounds_mod, matrices_mod):
-        monkeypatch.setattr(mod, "operator_norm", counted_svd)
-        monkeypatch.setattr(mod, "spectral_radius", counted_eig)
     monkeypatch.setattr(bounds_mod, "eval_companion", counted_fa)
-    return counts, companion
+    return companion
 
 
 @pytest.mark.parametrize("f", [EXP, GEO])
-def test_best_bound_pair_computes_each_invariant_once(monkeypatch, f):
+def test_best_bound_pair_computes_each_invariant_once(monkeypatch, lapack_work, f):
+    # Nine norms from one SVD call, r(A) and r(B) from one eigensolve call.
     A, B = commuting_pair(5, n=8)
-    counts, companion = _count_work(monkeypatch)
+    lapack_work.update(dict.fromkeys(lapack_work, 0))  # the generator's norms
+    companion = _count_companion(monkeypatch)
     report = best_bound(f, A, B)
     assert report.minimum is not None
-    assert counts == {"svd": 9, "eig": 2}
+    assert lapack_work == {"svd": 9, "svd_calls": 1, "eig": 2, "eig_calls": 1}
     assert companion and len(companion) == len(set(companion))
 
 
-def test_best_bound_single_computes_each_invariant_once(monkeypatch):
-    counts, companion = _count_work(monkeypatch)
+def test_best_bound_single_computes_each_invariant_once(monkeypatch, lapack_work):
+    companion = _count_companion(monkeypatch)
     best_bound(EXP, as_matrix([[0.9, 1.5], [0, 0.3]]))
-    assert counts == {"svd": 1, "eig": 1}
+    assert lapack_work == {"svd": 1, "svd_calls": 1, "eig": 1, "eig_calls": 1}
     assert len(companion) == 1
 
 
-def test_best_bound_noncommuting_pair_runs_no_eigensolve(monkeypatch):
-    counts, companion = _count_work(monkeypatch)
+def test_best_bound_noncommuting_pair_runs_no_eigensolve(monkeypatch, lapack_work):
+    companion = _count_companion(monkeypatch)
     best_bound(GEO, SHIFT, SHIFT_T)
-    assert counts == {"svd": 9, "eig": 0}
+    assert lapack_work == {"svd": 9, "svd_calls": 1, "eig": 0, "eig_calls": 0}
     assert companion == []
+
+
+# Each pair invariant as one matrix formula: the per-label reference the
+# stacked `Invariants` must match bit for bit.
+_PAIR_REFERENCE = {
+    "||A||": lambda A, B: operator_norm(A),
+    "||B||": lambda A, B: operator_norm(B),
+    "||AB||": lambda A, B: operator_norm(A @ B),
+    "||BA||": lambda A, B: operator_norm(B @ A),
+    "||A^2||": lambda A, B: operator_norm(A @ A),
+    "||B^2||": lambda A, B: operator_norm(B @ B),
+    "||AB^2||": lambda A, B: operator_norm(A @ B @ B),
+    "||A^2B||": lambda A, B: operator_norm(A @ A @ B),
+    "||AB-BA||": lambda A, B: operator_norm(A @ B - B @ A),
+    "r(A)": lambda A, B: spectral_radius(A),
+    "r(B)": lambda A, B: spectral_radius(B),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+def test_pair_invariants_match_per_label_formulas(n):
+    g = np.random.default_rng(n)
+    for imag in (1j, 1j, 1j, 0.0):  # complex pairs, then a real one
+        A, B = g.standard_normal((2, n, n)) + imag * g.standard_normal((2, n, n))
+        v = Invariants(A, B)
+        for label, ref in _PAIR_REFERENCE.items():
+            assert v[label] == ref(A, B), (n, label)
+
+
+def test_pair_product_overflow_is_named():
+    # A^2 and A^2B overflow to inf; the SVD is never asked to decompose them.
+    A = as_matrix(np.diag([1e160, 1.0]))
+    B = as_matrix(np.diag([1.0, 2.0]))
+    with pytest.raises(NormOverflow, match=r"not finite: A\^2, A\^2B;"):
+        best_bound(EXP, A, B)

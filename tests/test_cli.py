@@ -114,28 +114,25 @@ def test_bound_2f1_with_params(zero2, capsys):
 
 
 @pytest.mark.parametrize("pair, svds", [(False, 1), (True, 9)])
-def test_bound_oracle_reuses_the_report_norm(monkeypatch, diag_pair, capsys,
+def test_bound_oracle_reuses_the_report_norm(lapack_work, diag_pair, capsys,
                                              pair, svds):
     # The oracle takes ||T|| or ||AB|| from best_bound's invariants, so a
-    # bound operation runs only best_bound's SVDs.
-    import specbound.bounds as bounds_mod
-    import specbound.harness as harness_mod
-    import specbound.matrices as matrices_mod
-
-    calls = []
-    svd = matrices_mod.operator_norm
-
-    def counted(T):
-        calls.append(1)
-        return svd(T)
-
-    for mod in (bounds_mod, harness_mod, matrices_mod):
-        monkeypatch.setattr(mod, "operator_norm", counted)
+    # bound operation runs only best_bound's SVDs, in one call.
     a, b = diag_pair
     argv = ["bound", "--series", "geometric", "--matrix", a]
     assert main(argv + ["--matrix", b] if pair else argv) == 0
     assert "oracle r[f(" in capsys.readouterr().out
-    assert len(calls) == svds
+    assert lapack_work["svd"] == svds
+    assert lapack_work["svd_calls"] == 1
+
+
+def test_bound_product_overflow_exits_2(tmp_path, capsys):
+    a, b = tmp_path / "a.mat", tmp_path / "b.mat"
+    save_matrix(a, np.diag([1e160, 1.0]).astype(complex))
+    save_matrix(b, np.diag([1.0, 2.0]).astype(complex))
+    code = main(["bound", "--series", "exp", "--matrix", str(a), "--matrix", str(b)])
+    assert code == 2
+    assert "not finite: A^2, A^2B" in capsys.readouterr().err
 
 
 def test_bound_missing_file_exits_2(capsys):
@@ -210,7 +207,7 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["verify", "compare"])
 @pytest.mark.parametrize("args", [
-    ["--dims", ","], ["--series", ","], ["--trials", "-3"],
+    ["--dims", ","], ["--series", ","], ["--trials", "-3"], ["--families", ","],
 ])
 def test_sweep_with_nothing_to_cycle_exits_2(tmp_path, capsys, command, args):
     code = main([command, *args, "--out", str(tmp_path / "r")])

@@ -1,5 +1,7 @@
 """Instance generation, sweeps, and report determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,18 +14,28 @@ from specbound import (
     SweepConfig,
     TrialRecord,
     UnknownFamily,
+    bound_pm_quadratic,
     commutator_norm,
+    eval_matrix_series,
+    from_coefficients,
     gen_commuting_pair,
     gen_matrix,
     is_commuting,
+    lookup,
     operator_norm,
     run_sweep,
+    series_partial_sum,
     spectral_radius,
     summarize,
     write_trials_csv,
 )
+from specbound.bounds import Invariants
 from specbound.harness import (
+    _SLACK_REL,
+    _ginibre,
     _judge,
+    _scaled,
+    oracle_radii,
     run_identity_checks,
     run_limit_checks,
     run_pm_checks,
@@ -90,46 +102,93 @@ def test_pair_families_commute_and_hit_target(family):
             assert operator_norm(B) == pytest.approx(0.8, rel=1e-12)
 
 
-def count_operator_norm(monkeypatch):
-    """Count every operator_norm (one SVD each) the package runs."""
-    import specbound.bounds as bounds_mod
-    import specbound.harness as harness_mod
-    import specbound.matrices as matrices_mod
-
-    calls = []
-
-    def counted(T):
-        calls.append(1)
-        return operator_norm(T)
-
-    for mod in (bounds_mod, harness_mod, matrices_mod):
-        monkeypatch.setattr(mod, "operator_norm", counted)
-    return calls
-
-
 @pytest.mark.parametrize(
     "family, svds", [("commuting-polynomial-pair", 3), ("commuting-triangular-pair", 2)]
 )
-def test_pair_generator_computes_each_norm_once(monkeypatch, family, svds):
+def test_pair_generator_computes_each_norm_once(lapack_work, family, svds):
     # M's norm (polynomial only), then ||A|| and ||B|| once each; the
     # commutator test is left to best_bound.
-    calls = count_operator_norm(monkeypatch)
     for seed in range(20):
         gen_commuting_pair(spec(family, seed=seed, dim=8))
-    assert len(calls) == 20 * svds
+    assert lapack_work["svd"] == 20 * svds
 
 
 @pytest.mark.parametrize(
     "family, svds", [("commuting-polynomial-pair", 12), ("commuting-triangular-pair", 11)]
 )
-def test_pair_trial_svd_count(monkeypatch, family, svds):
-    # The generator's norms, then best_bound's 9, whose commutator test is
-    # the only one the trial runs; the oracle reads ||AB|| from the report.
-    calls = count_operator_norm(monkeypatch)
+def test_pair_trial_svd_count(lapack_work, family, svds):
+    # The generator's norms, then best_bound's 9 in one call, whose
+    # commutator test is the only one the trial runs; the oracle reads
+    # ||AB|| from the report and takes its four radii in one call.
     config = SweepConfig(families=(family,), trials=20, dims=(8,), seed=5)
     for i in range(config.trials):
         run_trial(config, family, 0, i)
-    assert len(calls) == 20 * svds
+    assert lapack_work["svd"] == 20 * svds
+    assert lapack_work["svd_calls"] == 20 * (svds - 8)
+    assert lapack_work["eig_calls"] == 20 * 2  # best_bound's, the oracle's
+
+
+def test_pair_oracle_is_one_eigensolve_call(lapack_work):
+    A, B = gen_commuting_pair(spec("commuting-polynomial-pair", dim=8))
+    f = lookup("exp").series
+    oracles = oracle_radii(f, Invariants(A, B))
+    assert lapack_work["eig"] == 4 and lapack_work["eig_calls"] == 1
+    # Bit for bit the one-target-at-a-time formulas.
+    AB, BA = A @ B, B @ A
+    cert = eval_matrix_series(f, AB)
+    assert oracles == {
+        "AB": (spectral_radius(AB), 0.0),
+        "AB+BA": (spectral_radius(AB + BA), 0.0),
+        "AB-BA": (spectral_radius(AB - BA), 0.0),
+        "f(AB)": (spectral_radius(cert.value), cert.remainder_bound),
+    }
+
+
+def test_pm_check_oracles_match_the_per_sign_formula():
+    # The reference loop: r(AB + sign BA), one sign and one call at a time.
+    seed, trials, dims = 3, 12, (2, 4, 8)
+    worst = -math.inf
+    for i in range(trials):
+        rng = np.random.default_rng([seed, i, 4])
+        n = dims[i % len(dims)]
+        A = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
+        B = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
+        quad = bound_pm_quadratic(A, B)
+        for sign in (+1, -1):
+            oracle = spectral_radius(A @ B + sign * (B @ A))
+            worst = max(worst, oracle - quad.value - _SLACK_REL * max(1.0, oracle))
+    assert run_pm_checks(seed, trials, dims)["pm-quadratic"].worst == worst
+
+
+def test_limit_checks_match_the_one_matrix_formulas():
+    # The reference loop: one spectral radius per call, as the checks state.
+    seed, trials, dims = 2, 9, (2, 4, 8)
+    sub = cont = -math.inf
+    for i in range(trials):
+        rng = np.random.default_rng([seed, i, 3])
+        n = dims[i % len(dims)]
+        M = _scaled(_ginibre(rng, n), 1.0)
+        k = int(rng.integers(2, 7))
+        coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        terms = [coeffs[j] * np.linalg.matrix_power(M, j) for j in range(k)]
+        rhs = sum(spectral_radius(V) for V in terms)
+        sub = max(sub, spectral_radius(sum(terms)) - rhs - 1e-8)
+        ca, cb = (rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in "ab")
+        V = series_partial_sum(from_coefficients(ca), M, 3)
+        S = series_partial_sum(from_coefficients(cb), M, 3)
+        gap = abs(spectral_radius(V) - spectral_radius(S)) - spectral_radius(V - S)
+        cont = max(cont, gap - 1e-8)
+    checks = run_limit_checks(seed, trials, dims)
+    assert checks["subadditivity"].worst == sub
+    assert checks["radius-continuity"].worst == cont
+
+
+def test_pm_check_trial_is_one_stacked_svd_call(lapack_work):
+    # Per trial: ||A|| and ||B|| to scale the pair, then both pm bounds
+    # from one call on the pair's nine norms.
+    run_pm_checks(seed=3, trials=12)
+    assert lapack_work["svd_calls"] == 12 * 3
+    assert lapack_work["svd"] == 12 * (2 + 9)
 
 
 def test_trial_on_non_commuting_pair_fails_loudly(monkeypatch):

@@ -24,6 +24,7 @@ from specbound import (
     spectral_radius,
     true_function_radius,
 )
+from specbound.matrices import operator_norms, spectral_radii
 
 
 def rng(seed=0):
@@ -104,6 +105,22 @@ def test_operator_norm_examples():
     assert operator_norm(np.eye(3)) == pytest.approx(1.0)
     assert operator_norm(as_matrix([[0, 4], [0, 0]])) == pytest.approx(4.0)
     assert operator_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+def test_stacked_norms_and_radii_are_bit_identical(n):
+    # Each entry of a stacked call equals the one-matrix call and the
+    # textbook formula exactly; the stack holds a zero and a nilpotent matrix.
+    g = rng(n)
+    S = g.standard_normal((6, n, n)) + 1j * g.standard_normal((6, n, n))
+    S[1] = 0
+    S[2] = np.triu(S[2], 1)
+    norms, radii = operator_norms(S), spectral_radii(S)
+    assert norms.shape == radii.shape == (6,)
+    for i, T in enumerate(S):
+        assert norms[i] == operator_norm(T) == np.linalg.norm(T, 2)
+        assert radii[i] == spectral_radius(T) == np.abs(np.linalg.eigvals(T)).max()
+    assert norms[1] == radii[1] == 0.0 and radii[2] == 0.0
 
 
 def test_radius_never_exceeds_norm():
