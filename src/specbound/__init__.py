@@ -4,17 +4,7 @@ from .bounds import (
     BestBoundReport,
     BoundResult,
     best_bound,
-    bound_pair_holder,
-    bound_pair_mixed,
-    bound_pair_norm,
-    bound_pair_sq,
-    bound_pair_triple,
-    bound_pm_mixed,
-    bound_pm_quadratic,
-    bound_product_chain,
-    bound_product_half,
     bound_single,
-    reverse_holder_gap,
 )
 from .errors import (
     BadExponent,
@@ -22,7 +12,6 @@ from .errors import (
     EigenFailure,
     GenerationFailure,
     NoConvergence,
-    NonCommuting,
     NormOverflow,
     OutOfDisk,
     SpecboundError,
@@ -36,6 +25,7 @@ from .harness import (
     TrialRecord,
     gen_commuting_pair,
     gen_matrix,
+    oracle_radii,
     resolve_series,
     run_sweep,
     summarize,
@@ -45,21 +35,16 @@ from .harness import (
 from .matrices import (
     EvalCertificate,
     as_matrix,
-    commutator_norm,
-    eval_matrix_series,
     gelfand_sequence,
-    is_commuting,
     load_matrix,
     operator_norm,
     save_matrix,
     series_partial_sum,
     spectral_radius,
-    true_function_radius,
 )
 from .series import (
     PowerSeries,
     SeriesCatalogEntry,
-    abs_companion,
     catalog,
     eval_companion,
     from_coefficients,

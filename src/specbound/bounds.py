@@ -19,9 +19,10 @@ at scalar arguments built from spectral radii and operator norms:
 
 `Invariants` computes each norm and radius of an instance once, on first
 use; each bound is a `Row` of a table, turned into a `BoundResult` by one
-evaluator. A bound that cannot apply comes back Unavailable with the
-reason; only structural problems (dimension mismatch, a non-commuting
-pair where commutativity is required) raise.
+evaluator. A bound that cannot apply, a commutativity-gated one on a
+non-commuting pair included, comes back Unavailable with the reason;
+only structural problems (dimension mismatch, a bad exponent or
+tolerance, products out of range) raise.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import BadExponent, DimMismatch, NonCommuting, NormOverflow
+from .errors import BadExponent, DimMismatch, NormOverflow
 from .matrices import (Matrix, commutes, operator_norm, operator_norms,
                        spectral_radii, spectral_radius)
 from .series import DEFAULT_TOL, PowerSeries, eval_companion
@@ -44,7 +45,6 @@ _DENOM_FLOOR = 1e-300
 _DENOM_CHECK = f"denominator >= {_DENOM_FLOOR:g}"
 
 Precondition = tuple[str, bool, float]
-BoundPair = tuple["BoundResult", "BoundResult"]
 
 
 @dataclass
@@ -141,7 +141,7 @@ class Invariants(dict):
 
     @property
     def commuting(self) -> bool:
-        """The commutator test of `matrices.is_commuting`."""
+        """The commutator test `matrices.commutes` on this pair's norms."""
         return commutes(self["||AB-BA||"], self["||A||"], self["||B||"])
 
 
@@ -272,12 +272,11 @@ _COMMUTING_ROWS = (
         notes=("||AB||", "||A^2||", "||B^2||")),
     Row("product-chain", "AB", (), lambda F, s: _chain(s, True), notes=_NORMS),
 )
-_ROWS = {row.name: row for row in (*_PM_ROWS, *_COMMUTING_ROWS)}
 
 
 def _holder_rows(p: float) -> tuple[Row, Row]:
-    if not (p > 1):
-        raise BadExponent(f"need p > 1, got {p}")
+    if not (1 < p < math.inf):
+        raise BadExponent(f"need 1 < p < inf, got {p}")
     hyps, args = ("||A||^p", "||B||^q"), ("r(A)^p", "r(B)^q")
     notes = ("r(A)", "r(B)", "||A||", "||B||", "p", "q", *args)
     return (
@@ -287,17 +286,6 @@ def _holder_rows(p: float) -> tuple[Row, Row]:
         Row(f"holder-ratio(p={p:g})", "f(AB)", (*args, "r(A)^(p-1) r(B)^(q-1)"),
             lambda F, s: (F[0] * F[1] / F[2], {}), hyps, notes, p, denominator=True),
     )
-
-
-def _commuting(f: Optional[PowerSeries], A: Matrix, B: Matrix, tol: float,
-               *rows: Row) -> tuple[BoundResult, ...]:
-    """Evaluate `rows` for a pair that must commute."""
-    v = Invariants(A, B)
-    if not v.commuting:
-        raise NonCommuting(f"commutator test failed: ||AB-BA|| = {v['||AB-BA||']:.6e} "
-                           f"with ||A|| ||B|| = {v['||A||'] * v['||B||']:.6e}")
-    fa: dict[float, float] = {}
-    return tuple(_evaluate(row, f, v, tol, fa) for row in rows)
 
 
 def _signed(result: BoundResult, sign: int) -> BoundResult:
@@ -312,92 +300,9 @@ def _pm_rows(v: Invariants) -> list[BoundResult]:
     return [_evaluate(row, None, v, 0.0, {}) for row in _PM_ROWS]
 
 
-def _pm(name: str, A: Matrix, B: Matrix, sign: int) -> BoundResult:
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return _signed(_evaluate(_ROWS[name], None, Invariants(A, B), 0.0, {}), sign)
-
-
 def bound_single(f: PowerSeries, T: Matrix, tol: float = DEFAULT_TOL) -> BoundResult:
     """r[f(T)] <= f_a(r(T)), valid whenever ||T|| < radius."""
-    return _evaluate(_SINGLE, f, Invariants(T), tol, {})
-
-
-def bound_pair_holder(f: PowerSeries, A: Matrix, B: Matrix, p: float,
-                      tol: float = DEFAULT_TOL) -> BoundPair:
-    """Hölder-split (geometric, ratio) bounds on r[f(AB)] for a commuting pair;
-    the ratio form is unavailable when its denominator vanishes."""
-    return _commuting(f, A, B, tol, *_holder_rows(p))
-
-
-def bound_pair_sq(f: PowerSeries, A: Matrix, B: Matrix,
-                  tol: float = DEFAULT_TOL) -> BoundResult:
-    """sqrt(f_a(r(A)^2) f_a(r(B)^2)): the p = q = 2 geometric form."""
-    return _commuting(f, A, B, tol, _ROWS["pair-squares"])[0]
-
-
-def bound_pair_norm(f: PowerSeries, A: Matrix, B: Matrix,
-                    tol: float = DEFAULT_TOL) -> BoundPair:
-    """Norm-averaged bounds on r[f(AB)] for a commuting pair; the second
-    relaxes the first by Cauchy-Schwarz."""
-    return _commuting(f, A, B, tol, _ROWS["norm-split"], _ROWS["norm-split-cs"])
-
-
-def bound_pair_mixed(f: PowerSeries, A: Matrix, B: Matrix,
-                     tol: float = DEFAULT_TOL) -> BoundPair:
-    """Mixed-power norm bounds on r[f(AB)] for a commuting pair; the second
-    relaxes each arm by Cauchy-Schwarz."""
-    return _commuting(f, A, B, tol, _ROWS["mixed-split"], _ROWS["mixed-split-cs"])
-
-
-def bound_pair_triple(f: PowerSeries, A: Matrix, B: Matrix,
-                      tol: float = DEFAULT_TOL) -> BoundPair:
-    """Triple-product norm bounds on r[f(AB)] for a commuting pair; the
-    second relaxes each arm by Cauchy-Schwarz."""
-    return _commuting(f, A, B, tol, _ROWS["triple-split"], _ROWS["triple-split-cs"])
-
-
-def bound_pm_quadratic(A: Matrix, B: Matrix, sign: int = +1) -> BoundResult:
-    """r(AB +/- BA) <= (||AB|| + ||BA|| + sqrt((||AB||-||BA||)^2
-    + 4 ||A^2|| ||B^2||)) / 2. No commutativity required."""
-    return _pm("pm-quadratic", A, B, sign)
-
-
-def bound_pm_mixed(A: Matrix, B: Matrix, sign: int = +1) -> BoundResult:
-    """r(AB +/- BA) <= ||AB|| + min{sqrt(||A|| ||AB^2||), sqrt(||A^2B|| ||B||)},
-    with two relaxed arms as intermediates. No commutativity required."""
-    return _pm("pm-mixed", A, B, sign)
-
-
-def bound_product_half(A: Matrix, B: Matrix) -> BoundResult:
-    """r(AB) <= (||AB|| + sqrt(||A^2|| ||B^2||)) / 2 for a commuting pair."""
-    return _commuting(None, A, B, 0.0, _ROWS["product-half"])[0]
-
-
-def bound_product_chain(A: Matrix, B: Matrix) -> BoundResult:
-    """r(AB) <= (1/2)[||AB|| + min{sqrt(||A|| ||AB^2||), sqrt(||A^2B|| ||B||)}]
-    for a commuting pair, with the halved relaxed arms as intermediates."""
-    return _commuting(None, A, B, 0.0, _ROWS["product-chain"])[0]
-
-
-def reverse_holder_gap(weights: Sequence[float], xs: Sequence[complex],
-                       ys: Sequence[complex], p: float) -> float:
-    """Gap of (sum m|x|^p)(sum m|y|^q) >= (sum m|xy|)(sum m|x|^(p-1)|y|^(q-1)).
-
-    Returns LHS - RHS, which is nonnegative for nonnegative weights and
-    p > 1 with 1/p + 1/q = 1. The ratio-form pair bound rests on this.
-    """
-    if not (p > 1):
-        raise BadExponent(f"need p > 1, got {p}")
-    q = p / (p - 1.0)
-    m = np.asarray(weights, dtype=np.float64)
-    if np.any(m < 0):
-        raise ValueError("weights must be nonnegative")
-    ax = np.abs(np.asarray(xs, dtype=np.complex128))
-    ay = np.abs(np.asarray(ys, dtype=np.complex128))
-    lhs = float(np.sum(m * ax**p) * np.sum(m * ay**q))
-    rhs = float(np.sum(m * ax * ay) * np.sum(m * ax ** (p - 1) * ay ** (q - 1)))
-    return lhs - rhs
+    return best_bound(f, T, tol=tol).results[0]
 
 
 DEFAULT_P_GRID = (1.5, 2.0, 3.0)
@@ -422,6 +327,8 @@ def best_bound(f: PowerSeries, A: Matrix, B: Optional[Matrix] = None,
     pair makes each commutativity-gated bound Unavailable instead of
     raising, so the report always describes the full menu.
     """
+    if not (tol > 0):
+        raise ValueError(f"tolerance must be positive, got {tol}")
     v, fa = Invariants(A, B), {}
     if B is None:
         results = [_evaluate(_SINGLE, f, v, tol, fa)]

@@ -5,9 +5,10 @@ Subcommands:
   verify   run a randomized verification sweep plus the identity checks
   compare  emit per-bound tightness statistics as plot-ready CSV
 
-Exit codes: 0 success, 2 structural error (bad file, dimension mismatch,
-unknown name), 3 non-commuting pair given where commutativity is
-required.
+Exit codes: 0 success, 1 a violation or failed check (verify, compare),
+2 structural error (bad file or option value, dimension mismatch,
+unknown name), 3 non-commuting pair given to bound (its report is
+written first, with each commutativity-gated bound unavailable).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import harness
 from .bounds import DEFAULT_P_GRID, best_bound
-from .errors import NonCommuting, SpecboundError
+from .errors import SpecboundError
 from .matrices import load_matrix
 from .harness import oracle_radii, resolve_series
 from .series import DEFAULT_TOL
@@ -172,15 +173,9 @@ def cmd_bound(args) -> int:
 
 
 def _sweep_config(args) -> harness.SweepConfig:
-    params = _parse_params(args.param)
-    hyp = (
-        params.get("alpha", 1.0),
-        params.get("beta", 1.0),
-        params.get("gamma", 1.0),
-    )
     return harness.SweepConfig(
         series_names=_parse_names(args.series),
-        hyp_params=hyp,
+        params=_parse_params(args.param) or None,
         families=_parse_names(args.families),
         trials=args.trials,
         dims=_parse_ints(args.dims),
@@ -263,9 +258,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NonCommuting as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (SpecboundError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

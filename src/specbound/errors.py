@@ -29,12 +29,8 @@ class NormOverflow(SpecboundError):
     """A matrix power or product left floating-point range; normalize first."""
 
 
-class NonCommuting(SpecboundError):
-    """A commutativity-gated bound received a non-commuting pair."""
-
-
 class BadExponent(SpecboundError):
-    """Hölder exponent must satisfy p > 1."""
+    """Hölder exponent must satisfy 1 < p < inf."""
 
 
 class UnknownFamily(SpecboundError):

@@ -178,7 +178,7 @@ class SweepConfig:
     """
 
     series_names: tuple[str, ...] = ("exp",)
-    hyp_params: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    params: Optional[dict[str, float]] = None  # series parameters (2F1's)
     families: tuple[str, ...] = FAMILIES_PAIR
     trials: int = 500
     dims: tuple[int, ...] = (2, 4, 8)
@@ -218,13 +218,6 @@ def resolve_series(
             raise ValueError(f"no coefficients in {name!r}")
         return SeriesCatalogEntry(series=from_coefficients(coeffs, name=name))
     return lookup(name, params)
-
-
-def _entry_for(config: SweepConfig, name: str) -> SeriesCatalogEntry:
-    if name == "2F1":
-        a, b, g = config.hyp_params
-        return lookup(name, {"alpha": a, "beta": b, "gamma": g})
-    return resolve_series(name)
 
 
 def _single_norm_base(radius: float) -> float:
@@ -294,7 +287,7 @@ def run_trial(
     """One deterministic trial; pure function of (config, family, index)."""
     trial_rng = np.random.default_rng([config.seed, family_index, index])
     name = config.series_names[index % len(config.series_names)]
-    entry = _entry_for(config, name)
+    entry = resolve_series(name, config.params)
     f = entry.series
     dim = config.dims[index % len(config.dims)]
     pair_mode = family in FAMILIES_PAIR

@@ -17,12 +17,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimMismatch, EigenFailure, NormOverflow, OutOfDisk
-from .series import (
-    DEFAULT_MAX_TERMS,
-    DEFAULT_TOL,
-    PowerSeries,
-    _order_and_tail,
-)
+from .series import PowerSeries, _order_and_tail
 
 Matrix = np.ndarray
 
@@ -42,11 +37,6 @@ def as_matrix(entries) -> Matrix:
     if not np.isfinite(T).all():
         raise ValueError("matrix entries must be finite")
     return T
-
-
-def _check_same_dim(A: Matrix, B: Matrix) -> None:
-    if A.shape != B.shape:
-        raise DimMismatch(f"dimension mismatch: {A.shape} vs {B.shape}")
 
 
 def spectral_radii(S: np.ndarray) -> np.ndarray:
@@ -99,20 +89,9 @@ def gelfand_sequence(T: Matrix, k_max: int) -> list[float]:
     return out
 
 
-def commutator_norm(A: Matrix, B: Matrix) -> float:
-    """||AB - BA|| in the operator norm."""
-    _check_same_dim(A, B)
-    return operator_norm(A @ B - B @ A)
-
-
 def commutes(cnorm: float, nA: float, nB: float) -> bool:
     """Commutator test on given norms: ||AB-BA|| <= tol (||A|| ||B|| + floor)."""
     return cnorm <= _COMMUTE_REL_TOL * (nA * nB + _COMMUTE_FLOOR)
-
-
-def is_commuting(A: Matrix, B: Matrix) -> bool:
-    """The commutator test `commutes` on the norms of A, B and AB-BA."""
-    return commutes(commutator_norm(A, B), operator_norm(A), operator_norm(B))
 
 
 @dataclass(frozen=True)
@@ -166,7 +145,12 @@ def series_partial_sum(f: PowerSeries, T: Matrix, m: int) -> Matrix:
 def _series_at_norm(
     f: PowerSeries, T: Matrix, nrm: float, tol: float, max_terms: int
 ) -> EvalCertificate:
-    """`eval_matrix_series` given nrm = ||T||, for callers that have it."""
+    """Evaluate f(T) by truncation, certified to tol in operator norm,
+    given nrm = ||T||.
+
+    The order is chosen so the scalar majorant sum_{j>m} |a_j| nrm^j is
+    below tol; that majorant dominates the matrix remainder norm.
+    """
     if nrm >= f.radius:
         raise OutOfDisk(
             f"{f.name}: operator norm {nrm} is not inside the disk of "
@@ -178,34 +162,6 @@ def _series_at_norm(
     return EvalCertificate(
         value=series_partial_sum(f, T, m), order=m, remainder_bound=tail
     )
-
-
-def eval_matrix_series(
-    f: PowerSeries,
-    T: Matrix,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> EvalCertificate:
-    """Evaluate f(T) by truncation, certified to tol in operator norm.
-
-    The order is chosen so the scalar majorant sum_{j>m} |a_j| ||T||^j is
-    below tol; that majorant dominates the matrix remainder norm.
-    """
-    T = np.asarray(T, dtype=np.complex128)
-    return _series_at_norm(f, T, operator_norm(T), tol, max_terms)
-
-
-def true_function_radius(
-    f: PowerSeries, T: Matrix, tol: float = DEFAULT_TOL
-) -> float:
-    """Oracle for the spectral radius of f(T).
-
-    Returns r(S_m(T)) for the certified truncation S_m. Because the
-    remainder f(T) - S_m(T) commutes with S_m(T), the spectral radius is
-    1-Lipschitz along it, so the true r[f(T)] lies within the
-    certificate's remainder_bound of the returned value.
-    """
-    return spectral_radius(eval_matrix_series(f, T, tol).value)
 
 
 # ---------------------------------------------------------------------------

@@ -48,19 +48,6 @@ class SeriesCatalogEntry:
     params: Optional[dict[str, float]] = None
 
 
-def abs_companion(f: PowerSeries) -> PowerSeries:
-    """Series with coefficients |a_n|: same radius, nonnegative terms.
-
-    Tail certificates transfer unchanged because they only ever see |a_n|.
-    """
-    base = f.coeff
-    return replace(
-        f,
-        coeff=lambda n: complex(abs(base(n))),
-        name=f.name + "_abs",
-    )
-
-
 def _check_eval_args(f: PowerSeries, x: float, tol: float) -> None:
     if not (x >= 0):
         raise ValueError(f"argument must be nonnegative, got {x}")
@@ -307,14 +294,9 @@ def artanh_series() -> SeriesCatalogEntry:
 
 
 def half_log_ratio_series() -> SeriesCatalogEntry:
-    """(1/2) ln((1+z)/(1-z)): the same odd series as artanh."""
-    series = PowerSeries(
-        coeff=_odd_reciprocal_coeff,
-        radius=1.0,
-        name="half-log-ratio",
-        tail_bound=_odd_reciprocal_tail,
-    )
-    return SeriesCatalogEntry(series=series, closed_form_eval=math.atanh)
+    """(1/2) ln((1+z)/(1-z)): the artanh series under its other name."""
+    entry = artanh_series()
+    return replace(entry, series=replace(entry.series, name="half-log-ratio"))
 
 
 def arcsin_series() -> SeriesCatalogEntry:

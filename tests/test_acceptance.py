@@ -12,30 +12,34 @@ import math
 import numpy as np
 import pytest
 
+from inequalities import reverse_holder_gap
 from specbound import (
     SweepConfig,
     as_matrix,
-    bound_pm_quadratic,
+    best_bound,
     bound_single,
     catalog,
     eval_companion,
-    eval_matrix_series,
     lookup,
-    reverse_holder_gap,
+    operator_norm,
     run_sweep,
     spectral_radius,
     truncation_order,
 )
+from specbound.bounds import Invariants
 from specbound.cli import main
 from specbound.harness import (
     FAMILIES_PAIR,
     FAMILIES_SINGLE,
     InstanceSpec,
     gen_matrix,
+    oracle_radii,
     run_identity_checks,
     run_limit_checks,
     run_pm_checks,
 )
+from specbound.matrices import _series_at_norm
+from specbound.series import DEFAULT_MAX_TERMS
 
 TOL = 1e-10
 
@@ -74,7 +78,7 @@ def test_a1_single_operator_soundness():
     for idx, name in enumerate(ALL_SERIES):
         config = SweepConfig(
             series_names=(name,),
-            hyp_params=HYP_PARAMS,
+            params=dict(zip(("alpha", "beta", "gamma"), HYP_PARAMS)),
             families=FAMILIES_SINGLE,
             trials=200,
             dims=(2, 4, 8),
@@ -159,8 +163,10 @@ def test_a4_noncommuting_quadratic_bounds():
     shift = as_matrix([[0, 1], [0, 0]])
     shift_t = as_matrix([[0, 0], [1, 0]])
     equality_gap = 0.0
+    results = best_bound(lookup("exp").series, shift, shift_t).results
+    by_name = {r.name: r for r in results}
     for sign in (+1, -1):
-        b = bound_pm_quadratic(shift, shift_t, sign)
+        b = by_name[f"pm-quadratic({'+' if sign > 0 else '-'})"]
         oracle = spectral_radius(shift @ shift_t + sign * (shift_t @ shift))
         equality_gap = max(equality_gap, abs(b.value - oracle))
     ok = violations == 0 and equality_gap <= 1e-10
@@ -215,7 +221,7 @@ def test_a7_equality_cases():
             )
             T = gen_matrix(spec)
             bound = bound_single(f, T, TOL)
-            cert = eval_matrix_series(f, T, TOL)
+            cert = _series_at_norm(f, T, operator_norm(T), TOL, DEFAULT_MAX_TERMS)
             oracle = spectral_radius(cert.value)
             ratio = bound.value / oracle
             allowance = (3 * TOL + cert.remainder_bound) / oracle + 1e-12
@@ -227,7 +233,7 @@ def test_a7_equality_cases():
     geo = lookup("geometric").series
     T = as_matrix([[0, 0.5], [0, 0]])
     bound = bound_single(geo, T, TOL)
-    oracle = spectral_radius(eval_matrix_series(geo, T, TOL).value)
+    oracle = oracle_radii(geo, Invariants(T), TOL)["f(T)"][0]
     exact = abs(bound.value - 1.0) <= 1e-12 and abs(oracle - 1.0) <= 1e-12
     ok = exact
     report("A7 equality cases", ok,

@@ -7,32 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inequalities import reverse_holder_gap
 from specbound import (
     BadExponent,
-    NonCommuting,
     NormOverflow,
     as_matrix,
     best_bound,
-    bound_pair_holder,
-    bound_pair_mixed,
-    bound_pair_norm,
-    bound_pair_sq,
-    bound_pair_triple,
-    bound_pm_mixed,
-    bound_pm_quadratic,
-    bound_product_chain,
-    bound_product_half,
     bound_single,
-    eval_matrix_series,
     gen_commuting_pair,
     lookup,
     operator_norm,
-    reverse_holder_gap,
+    oracle_radii,
     spectral_radius,
-    true_function_radius,
 )
 from specbound.bounds import Invariants
 from specbound.harness import InstanceSpec
+from specbound.matrices import _series_at_norm
+from specbound.series import DEFAULT_MAX_TERMS
 
 TOL = 1e-10
 
@@ -50,8 +41,35 @@ def commuting_pair(seed, n=4, family="commuting-polynomial-pair", target=0.7):
     )
 
 
+def rows(f, A, B, p=2.0):
+    """Each bound of `best_bound`'s report on the pair, by name."""
+    return {r.name: r for r in best_bound(f, A, B, tol=TOL, p_grid=(p,)).results}
+
+
+def holder(f, A, B, p):
+    """The (geometric, ratio) Hölder rows at exponent p."""
+    r = rows(f, A, B, p)
+    return r[f"holder-geo(p={p:g})"], r[f"holder-ratio(p={p:g})"]
+
+
+def split(f, A, B, name):
+    """A norm-averaged row and its Cauchy-Schwarz relaxation `name`-cs."""
+    r = rows(f, A, B)
+    return r[name], r[f"{name}-cs"]
+
+
+def pm(name, A, B, sign=+1):
+    """The norm-only row `name` on r(AB + sign BA)."""
+    return rows(EXP, A, B)[f"{name}({'+' if sign > 0 else '-'})"]
+
+
+def oracle_radius(f, T):
+    """r of f(T)'s certified truncation, as the harness computes it."""
+    return oracle_radii(f, Invariants(T), TOL)["f(T)"][0]
+
+
 def oracle_with_slack(f, T):
-    cert = eval_matrix_series(f, T, TOL)
+    cert = _series_at_norm(f, T, operator_norm(T), TOL, DEFAULT_MAX_TERMS)
     oracle = spectral_radius(cert.value)
     return oracle, 1e-8 * max(1.0, oracle) + cert.remainder_bound
 
@@ -70,9 +88,8 @@ def test_single_zero_matrix_exp():
 def test_single_nilpotent_geometric_equality():
     T = as_matrix([[0, 0.5], [0, 0]])
     b = bound_single(GEO, T)
-    oracle = true_function_radius(GEO, T, TOL)
     assert b.value == pytest.approx(1.0, abs=1e-12)
-    assert oracle == pytest.approx(1.0, abs=1e-12)
+    assert oracle_radius(GEO, T) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_nonnormal_with_placed_radius():
@@ -107,29 +124,30 @@ def test_single_scalar_reduction_is_equality():
 
 def test_holder_rejects_bad_exponent():
     A, B = np.diag([0.5, 0.5]), np.diag([0.5, 0.5])
-    with pytest.raises(BadExponent):
-        bound_pair_holder(EXP, A, B, 1.0)
+    for p in (1.0, math.inf, math.nan):
+        with pytest.raises(BadExponent):
+            best_bound(EXP, A, B, p_grid=(p,))
 
 
 def test_holder_rejects_noncommuting():
-    with pytest.raises(NonCommuting):
-        bound_pair_holder(EXP, SHIFT, SHIFT_T, 2.0)
+    for b in holder(EXP, SHIFT, SHIFT_T, 2.0):
+        assert not b.available
+        assert "commutator test failed" in b.reason
 
 
 def test_holder_scalar_case_p2():
     A = np.diag([0.5, 0.5]).astype(complex)
-    geo, ratio = bound_pair_holder(EXP, A, A, 2.0)
+    geo, ratio = holder(EXP, A, A, 2.0)
     # f_a(0.25)^(1/2) * f_a(0.25)^(1/2) = e^0.25
     assert geo.value == pytest.approx(math.exp(0.25), abs=1e-9)
-    oracle = true_function_radius(EXP, A @ A, TOL)
-    assert oracle == pytest.approx(math.exp(0.25), abs=1e-9)
+    assert oracle_radius(EXP, A @ A) == pytest.approx(math.exp(0.25), abs=1e-9)
     assert ratio.available
 
 
 def test_holder_zero_factor():
     Z = np.zeros((3, 3))
     B = np.diag([0.5, 0.4, 0.1]).astype(complex)
-    geo, _ = bound_pair_holder(EXP, Z, B, 2.0)
+    geo, _ = holder(EXP, Z, B, 2.0)
     # f_a(0)^(1/2) f_a(r(B)^2)^(1/2) >= |a_0| = oracle
     assert geo.value == pytest.approx(math.exp(0.125), abs=1e-9)
     assert geo.value >= 1.0
@@ -138,7 +156,7 @@ def test_holder_zero_factor():
 def test_holder_ratio_denominator_vanishes():
     # constant-term-free series with r(A) = r(B) = 0
     N = as_matrix([[0, 0.5], [0, 0]])
-    geo, ratio = bound_pair_holder(LOG, N, N, 2.0)
+    geo, ratio = holder(LOG, N, N, 2.0)
     assert geo.available
     assert not ratio.available
     assert ratio.reason == "denominator vanishes"
@@ -148,7 +166,7 @@ def test_holder_ratio_denominator_vanishes():
 def test_holder_soundness_random_pairs(p):
     for seed in range(12):
         A, B = commuting_pair(seed)
-        geo, ratio = bound_pair_holder(GEO, A, B, p)
+        geo, ratio = holder(GEO, A, B, p)
         oracle, slack = oracle_with_slack(GEO, A @ B)
         for b in (geo, ratio):
             if b.available:
@@ -162,7 +180,7 @@ def test_holder_exp_closed_forms(p):
     A, B = commuting_pair(23)
     rA, rB = spectral_radius(A), spectral_radius(B)
     q = p / (p - 1.0)
-    geo, ratio = bound_pair_holder(EXP, A, B, p)
+    geo, ratio = holder(EXP, A, B, p)
     assert geo.value == pytest.approx(
         math.exp(rA**p / p + rB**q / q), rel=1e-9
     )
@@ -178,7 +196,7 @@ def test_holder_geometric_closed_forms(p):
     A, B = commuting_pair(29, target=0.6)
     rA, rB = spectral_radius(A), spectral_radius(B)
     q = p / (p - 1.0)
-    geo, ratio = bound_pair_holder(GEO, A, B, p)
+    geo, ratio = holder(GEO, A, B, p)
     assert geo.value == pytest.approx(
         (1 - rA**p) ** (-1 / p) * (1 - rB**q) ** (-1 / q), rel=1e-9
     )
@@ -190,20 +208,20 @@ def test_holder_geometric_closed_forms(p):
 
 def test_pair_squares_matches_holder_at_p2():
     A, B = commuting_pair(7)
-    sq = bound_pair_sq(GEO, A, B)
-    geo, _ = bound_pair_holder(GEO, A, B, 2.0)
+    sq = rows(GEO, A, B)["pair-squares"]
+    geo, _ = holder(GEO, A, B, 2.0)
     assert sq.value == pytest.approx(geo.value, rel=1e-12)
 
 
 def test_pair_squares_zero_pair():
     Z = np.zeros((2, 2))
-    assert bound_pair_sq(EXP, Z, Z).value == pytest.approx(1.0, abs=1e-12)
+    assert rows(EXP, Z, Z)["pair-squares"].value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pair_squares_exp_closed_form():
     A, B = commuting_pair(19)
     rA, rB = spectral_radius(A), spectral_radius(B)
-    b = bound_pair_sq(EXP, A, B)
+    b = rows(EXP, A, B)["pair-squares"]
     assert b.value == pytest.approx(
         math.exp((rA**2 + rB**2) / 2.0), rel=1e-9
     )
@@ -214,11 +232,11 @@ def test_pair_squares_exp_closed_form():
 def test_pair_squares_frozen_example():
     A = np.diag([0.6, 0.6]).astype(complex)
     B = np.diag([0.5, 0.5]).astype(complex)
-    b = bound_pair_sq(GEO, A, B)
+    b = rows(GEO, A, B)["pair-squares"]
     assert b.value == pytest.approx(1.4433756729740643, abs=1e-10)
-    oracle = true_function_radius(GEO, A @ B, TOL)
-    assert oracle == pytest.approx(1.0 / 0.7, abs=1e-9)
-    assert b.value >= oracle
+    r = oracle_radius(GEO, A @ B)
+    assert r == pytest.approx(1.0 / 0.7, abs=1e-9)
+    assert b.value >= r
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +246,23 @@ def test_pair_squares_frozen_example():
 
 def test_norm_split_zero_pair():
     Z = np.zeros((2, 2))
-    first, second = bound_pair_norm(EXP, Z, Z)
+    first, second = split(EXP, Z, Z, "norm-split")
     assert first.value == pytest.approx(1.0, abs=1e-12)
     assert second.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_split_diagonal_equality():
     A = np.diag([0.7, 0.7]).astype(complex)
-    first, _ = bound_pair_norm(GEO, A, A)
+    first, _ = split(GEO, A, A, "norm-split")
     assert first.value == pytest.approx(1.0 / 0.51, abs=1e-9)
-    oracle = true_function_radius(GEO, A @ A, TOL)
+    oracle = oracle_radius(GEO, A @ A)
     assert first.value == pytest.approx(oracle, abs=1e-8)
 
 
 def test_norm_split_chain_order_and_soundness():
     for seed in range(12):
         A, B = commuting_pair(seed + 50)
-        first, second = bound_pair_norm(GEO, A, B)
+        first, second = split(GEO, A, B, "norm-split")
         assert first.value <= second.value + 1e-10 * max(1.0, second.value)
         oracle, slack = oracle_with_slack(GEO, A @ B)
         assert first.value >= oracle - slack
@@ -252,7 +270,7 @@ def test_norm_split_chain_order_and_soundness():
 
 def test_mixed_split_zero_pair():
     Z = np.zeros((2, 2))
-    first, second = bound_pair_mixed(EXP, Z, Z)
+    first, second = split(EXP, Z, Z, "mixed-split")
     assert first.value == pytest.approx(1.0, abs=1e-12)
     assert second.value == pytest.approx(1.0, abs=1e-12)
 
@@ -260,14 +278,14 @@ def test_mixed_split_zero_pair():
 def test_mixed_split_diagonal_scalar_symmetry():
     c = 0.6
     A = np.diag([c, c]).astype(complex)
-    first, _ = bound_pair_mixed(GEO, A, A)
+    first, _ = split(GEO, A, A, "mixed-split")
     assert first.value == pytest.approx(1.0 / (1 - c * c), abs=1e-9)
 
 
 def test_mixed_split_chain_order_and_soundness():
     for seed in range(12):
         A, B = commuting_pair(seed + 80)
-        first, second = bound_pair_mixed(EXP, A, B, TOL)
+        first, second = split(EXP, A, B, "mixed-split")
         assert first.value <= second.value + 1e-10 * max(1.0, second.value)
         oracle, slack = oracle_with_slack(EXP, A @ B)
         assert first.value >= oracle - slack
@@ -275,7 +293,7 @@ def test_mixed_split_chain_order_and_soundness():
 
 def test_triple_split_zero_pair():
     Z = np.zeros((2, 2))
-    first, second = bound_pair_triple(EXP, Z, Z)
+    first, second = split(EXP, Z, Z, "triple-split")
     assert first.value == pytest.approx(1.0, abs=1e-12)
     assert second.value == pytest.approx(1.0, abs=1e-12)
 
@@ -283,7 +301,7 @@ def test_triple_split_zero_pair():
 def test_triple_split_diagonal_branches_agree():
     c = 0.5
     A = np.diag([c, c]).astype(complex)
-    first, _ = bound_pair_triple(GEO, A, A)
+    first, _ = split(GEO, A, A, "triple-split")
     assert first.value == pytest.approx(1.0 / (1 - c * c), abs=1e-9)
     assert first.intermediates["branch-geo"] == pytest.approx(
         first.intermediates["branch-min"], rel=1e-9
@@ -293,7 +311,7 @@ def test_triple_split_diagonal_branches_agree():
 def test_triple_split_chain_order_and_soundness():
     for seed in range(12):
         A, B = commuting_pair(seed + 110)
-        first, second = bound_pair_triple(GEO, A, B)
+        first, second = split(GEO, A, B, "triple-split")
         assert first.value <= second.value + 1e-10 * max(1.0, second.value)
         oracle, slack = oracle_with_slack(GEO, A @ B)
         for b in (first, second):
@@ -310,7 +328,7 @@ def test_triple_split_chain_order_and_soundness():
 def test_pm_quadratic_shift_pair_equality():
     # AB + BA = I and AB - BA = diag(1, -1): oracle 1, bound 1
     for sign in (+1, -1):
-        b = bound_pm_quadratic(SHIFT, SHIFT_T, sign)
+        b = pm("pm-quadratic", SHIFT, SHIFT_T, sign)
         oracle = spectral_radius(
             SHIFT @ SHIFT_T + sign * (SHIFT_T @ SHIFT)
         )
@@ -320,7 +338,7 @@ def test_pm_quadratic_shift_pair_equality():
 
 def test_pm_quadratic_zero():
     Z = np.zeros((2, 2))
-    assert bound_pm_quadratic(Z, Z).value == 0.0
+    assert pm("pm-quadratic", Z, Z).value == 0.0
 
 
 def test_pm_quadratic_soundness_random():
@@ -329,7 +347,7 @@ def test_pm_quadratic_soundness_random():
         A = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
         B = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
         for sign in (+1, -1):
-            b = bound_pm_quadratic(A, B, sign)
+            b = pm("pm-quadratic", A, B, sign)
             oracle = spectral_radius(A @ B + sign * (B @ A))
             assert b.value >= oracle - 1e-8 * max(1.0, oracle)
 
@@ -337,7 +355,7 @@ def test_pm_quadratic_soundness_random():
 def test_pm_mixed_shift_pair():
     # B^2 = 0 kills the left arm: bound = ||AB|| = 1 = oracle, both signs
     for sign in (+1, -1):
-        b = bound_pm_mixed(SHIFT, SHIFT_T, sign)
+        b = pm("pm-mixed", SHIFT, SHIFT_T, sign)
         oracle = spectral_radius(SHIFT @ SHIFT_T + sign * (SHIFT_T @ SHIFT))
         assert b.value == pytest.approx(1.0, abs=1e-12)
         assert b.value >= oracle - 1e-10
@@ -348,7 +366,7 @@ def test_pm_mixed_line_below_relaxations():
     for _ in range(20):
         A = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
         B = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
-        b = bound_pm_mixed(A, B)
+        b = pm("pm-mixed", A, B)
         for key in ("relaxed-geo", "relaxed-min"):
             arm = b.intermediates[key]
             assert b.value <= arm + 1e-10 * max(1.0, arm)
@@ -356,33 +374,34 @@ def test_pm_mixed_line_below_relaxations():
 
 def test_product_half_identity_pair():
     eye = np.eye(2)
-    b = bound_product_half(eye, eye)
+    b = rows(EXP, eye, eye)["product-half"]
     assert b.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_product_half_signed_diagonal():
     A = np.diag([0.5, -0.5]).astype(complex)
-    b = bound_product_half(A, A)
+    b = rows(EXP, A, A)["product-half"]
     assert b.value == pytest.approx(0.25, abs=1e-12)
     assert spectral_radius(A @ A) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_product_half_rejects_noncommuting():
-    with pytest.raises(NonCommuting):
-        bound_product_half(SHIFT, SHIFT_T)
+    b = rows(EXP, SHIFT, SHIFT_T)["product-half"]
+    assert not b.available
+    assert "commutator test failed" in b.reason
 
 
 def test_product_half_soundness_random():
     for seed in range(15):
         A, B = commuting_pair(seed + 140)
-        b = bound_product_half(A, B)
+        b = rows(EXP, A, B)["product-half"]
         oracle = spectral_radius(A @ B)
         assert b.value >= oracle - 1e-8 * max(1.0, oracle)
 
 
 def test_product_chain_identity_pair():
     eye = np.eye(3)
-    b = bound_product_chain(eye, eye)
+    b = rows(EXP, eye, eye)["product-chain"]
     assert b.value == pytest.approx(1.0, abs=1e-12)
     assert spectral_radius(eye @ eye) == pytest.approx(1.0)
 
@@ -390,7 +409,7 @@ def test_product_chain_identity_pair():
 def test_product_chain_line_below_relaxations_and_oracle():
     for seed in range(15):
         A, B = commuting_pair(seed + 170)
-        b = bound_product_chain(A, B)
+        b = rows(EXP, A, B)["product-chain"]
         oracle = spectral_radius(A @ B)
         assert b.value >= oracle - 1e-8 * max(1.0, oracle)
         for key in ("relaxed-geo", "relaxed-min"):
@@ -455,7 +474,7 @@ def test_best_bound_pair_example():
     assert by_name["holder-geo(p=2)"].value == pytest.approx(
         1.4433756729740643, abs=1e-9
     )
-    oracle = true_function_radius(GEO, A @ B, TOL)
+    oracle = oracle_radius(GEO, A @ B)
     assert report.minimum is not None
     assert report.minimum.target == "f(AB)"
     assert report.minimum.value >= oracle - 1e-8 * max(1.0, oracle) - TOL

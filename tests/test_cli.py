@@ -174,6 +174,21 @@ def test_bound_too_many_matrices_exits_2(zero2, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("scale", [0.5, 2.0])  # norm inside, then outside, the disk
+@pytest.mark.parametrize("option, modes", [
+    (["--p", "1"], (2,)), (["--p", "inf"], (2,)),  # --p only shapes pair bounds
+    (["--tol", "-1"], (1, 2)), (["--tol", "nan"], (1, 2)),
+], ids=["p=1", "p=inf", "tol=-1", "tol=nan"])
+def test_bound_bad_exponent_or_tolerance_exits_2(tmp_path, capsys, option, modes, scale):
+    path = str(tmp_path / "d.mat")
+    save_matrix(path, np.diag([scale, 0.5]).astype(complex))
+    for count in modes:
+        code = main(["bound", "--series", "geometric", *option,
+                     *["--matrix", path] * count])
+        assert code == 2, (option, count)
+        assert "error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify / compare
 # ---------------------------------------------------------------------------

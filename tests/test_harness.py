@@ -14,13 +14,10 @@ from specbound import (
     SweepConfig,
     TrialRecord,
     UnknownFamily,
-    bound_pm_quadratic,
-    commutator_norm,
-    eval_matrix_series,
+    best_bound,
     from_coefficients,
     gen_commuting_pair,
     gen_matrix,
-    is_commuting,
     lookup,
     operator_norm,
     run_sweep,
@@ -41,6 +38,8 @@ from specbound.harness import (
     run_pm_checks,
     run_trial,
 )
+from specbound.matrices import _series_at_norm
+from specbound.series import DEFAULT_MAX_TERMS, DEFAULT_TOL
 
 
 def spec(family, seed=1, dim=4, target=0.8):
@@ -94,8 +93,9 @@ def test_pair_families_commute_and_hit_target(family):
     for dim in (1, 2, 8, 32, 64):
         for seed in range(8):
             A, B = gen_commuting_pair(spec(family, seed=seed, dim=dim))
-            assert is_commuting(A, B)
-            assert commutator_norm(A, B) <= 1e-12 * max(
+            v = Invariants(A, B)
+            assert v.commuting
+            assert v["||AB-BA||"] <= 1e-12 * max(
                 1e-300, operator_norm(A) * operator_norm(B)
             )
             assert operator_norm(A) == pytest.approx(0.8, rel=1e-12)
@@ -135,7 +135,7 @@ def test_pair_oracle_is_one_eigensolve_call(lapack_work):
     assert lapack_work["eig"] == 4 and lapack_work["eig_calls"] == 1
     # Bit for bit the one-target-at-a-time formulas.
     AB, BA = A @ B, B @ A
-    cert = eval_matrix_series(f, AB)
+    cert = _series_at_norm(f, AB, operator_norm(AB), DEFAULT_TOL, DEFAULT_MAX_TERMS)
     assert oracles == {
         "AB": (spectral_radius(AB), 0.0),
         "AB+BA": (spectral_radius(AB + BA), 0.0),
@@ -153,7 +153,8 @@ def test_pm_check_oracles_match_the_per_sign_formula():
         n = dims[i % len(dims)]
         A = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
         B = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
-        quad = bound_pm_quadratic(A, B)
+        results = best_bound(lookup("exp").series, A, B).results
+        quad = {r.name: r for r in results}["pm-quadratic(+)"]
         for sign in (+1, -1):
             oracle = spectral_radius(A @ B + sign * (B @ A))
             worst = max(worst, oracle - quad.value - _SLACK_REL * max(1.0, oracle))

@@ -11,20 +11,19 @@ from specbound import (
     NormOverflow,
     OutOfDisk,
     as_matrix,
-    commutator_norm,
-    eval_matrix_series,
     from_coefficients,
     gelfand_sequence,
-    is_commuting,
     load_matrix,
     lookup,
     operator_norm,
+    oracle_radii,
     save_matrix,
     series_partial_sum,
     spectral_radius,
-    true_function_radius,
 )
-from specbound.matrices import operator_norms, spectral_radii
+from specbound.bounds import Invariants
+from specbound.matrices import _series_at_norm, operator_norms, spectral_radii
+from specbound.series import DEFAULT_MAX_TERMS
 
 
 def rng(seed=0):
@@ -34,6 +33,11 @@ def rng(seed=0):
 def random_complex(seed, n):
     g = rng(seed)
     return (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / math.sqrt(2)
+
+
+def certified_sum(f, T, tol):
+    """f(T) truncated and certified to tol, as the oracle evaluates it."""
+    return _series_at_norm(f, T, operator_norm(T), tol, DEFAULT_MAX_TERMS)
 
 
 # ---------------------------------------------------------------------------
@@ -198,25 +202,27 @@ def test_polynomials_of_same_matrix_commute():
     M = random_complex(5, 4)
     A = 0.3 * M @ M + M + np.eye(4)
     B = M @ M @ M - 2.0 * M
-    assert commutator_norm(A, B) <= 1e-12 * operator_norm(A) * operator_norm(B)
-    assert is_commuting(A, B)
+    v = Invariants(A, B)
+    assert v["||AB-BA||"] <= 1e-12 * operator_norm(A) * operator_norm(B)
+    assert v.commuting
 
 
 def test_shift_pair_commutator():
     A = as_matrix([[0, 1], [0, 0]])
     B = as_matrix([[0, 0], [1, 0]])
-    assert commutator_norm(A, B) == pytest.approx(1.0)
-    assert not is_commuting(A, B)
+    v = Invariants(A, B)
+    assert v["||AB-BA||"] == pytest.approx(1.0)
+    assert not v.commuting
 
 
 def test_self_commutator_is_zero():
     A = random_complex(9, 3)
-    assert commutator_norm(A, A) == 0.0
+    assert Invariants(A, A)["||AB-BA||"] == 0.0
 
 
 def test_commutator_dim_mismatch():
     with pytest.raises(DimMismatch):
-        commutator_norm(np.eye(2), np.eye(3))
+        Invariants(np.eye(2), np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +232,7 @@ def test_commutator_dim_mismatch():
 
 def test_series_of_zero_matrix_is_identity_coefficient():
     f = lookup("exp").series
-    cert = eval_matrix_series(f, np.zeros((2, 2)), 1e-12)
+    cert = certified_sum(f, np.zeros((2, 2)), 1e-12)
     assert np.allclose(cert.value, np.eye(2), atol=1e-14)
     assert cert.remainder_bound <= 1e-12
 
@@ -234,7 +240,7 @@ def test_series_of_zero_matrix_is_identity_coefficient():
 def test_geometric_series_of_nilpotent_matches_resolvent():
     f = lookup("geometric").series
     T = as_matrix([[0, 0.5], [0, 0]])
-    cert = eval_matrix_series(f, T, 1e-10)
+    cert = certified_sum(f, T, 1e-10)
     expected = np.linalg.inv(np.eye(2) - T)
     assert np.array_equal(cert.value, np.eye(2) + T)
     assert np.allclose(cert.value, expected, atol=1e-14)
@@ -244,14 +250,14 @@ def test_exp_of_nilpotent():
     # two terms of the series are exact here: I + T
     f = lookup("exp").series
     T = as_matrix([[0, 1], [0, 0]])
-    cert = eval_matrix_series(f, T, 1e-12)
+    cert = certified_sum(f, T, 1e-12)
     assert np.allclose(cert.value, [[1, 1], [0, 1]], atol=1e-12)
 
 
 def test_series_rejects_norm_outside_disk():
     f = lookup("geometric").series
     with pytest.raises(OutOfDisk):
-        eval_matrix_series(f, np.diag([1.5, 0.1]), 1e-10)
+        certified_sum(f, np.diag([1.5, 0.1]), 1e-10)
 
 
 def test_truncation_certificate_consistency():
@@ -260,8 +266,8 @@ def test_truncation_certificate_consistency():
     f = lookup("log-resolvent").series
     T = 0.8 * random_complex(17, 4) / operator_norm(random_complex(17, 4))
     tol = 1e-8
-    a = eval_matrix_series(f, T, tol)
-    b = eval_matrix_series(f, T, tol / 10)
+    a = certified_sum(f, T, tol)
+    b = certified_sum(f, T, tol / 10)
     assert operator_norm(a.value - b.value) <= 1.1 * (tol + tol / 10)
 
 
@@ -329,14 +335,15 @@ def test_partial_sum_matches_mpmath(ps_reference, m):
 
 def test_oracle_exp_of_diagonal():
     f = lookup("exp").series
-    value = true_function_radius(f, np.diag([0.5, 0.2]), 1e-10)
+    value = oracle_radii(f, Invariants(np.diag([0.5, 0.2])), 1e-10)["f(T)"][0]
     assert value == pytest.approx(math.exp(0.5), abs=1e-10)
 
 
 def test_oracle_geometric_of_nilpotent():
     f = lookup("geometric").series
     T = as_matrix([[0, 0.5], [0, 0]])
-    assert true_function_radius(f, T, 1e-10) == pytest.approx(1.0, abs=1e-12)
+    value = oracle_radii(f, Invariants(T), 1e-10)["f(T)"][0]
+    assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_log_resolvent_below_scalar_bound():
@@ -344,6 +351,6 @@ def test_oracle_log_resolvent_below_scalar_bound():
     G = random_complex(31, 4)
     T = 0.8 * G / operator_norm(G)
     tol = 1e-10
-    value = true_function_radius(f, T, tol)
+    value = oracle_radii(f, Invariants(T), tol)["f(T)"][0]
     r = spectral_radius(T)
     assert value <= -math.log1p(-r) + tol + 1e-10

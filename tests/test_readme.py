@@ -1,0 +1,16 @@
+"""The README's library example runs against the installed package."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_runs():
+    text = README.read_text(encoding="utf-8")
+    blocks = list(re.finditer(r"```python\n(.*?)```", text, re.S))
+    assert blocks, "README has no python example"
+    for block in blocks:
+        # Pad with the lines above the block so tracebacks cite README lines.
+        code = "\n" * text.count("\n", 0, block.start(1)) + block[1]
+        exec(compile(code, str(README), "exec"), {})

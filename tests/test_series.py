@@ -1,6 +1,7 @@
 """Series construction, companion evaluation, and truncation certificates."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -11,7 +12,6 @@ from specbound import (
     NoConvergence,
     OutOfDisk,
     PowerSeries,
-    abs_companion,
     catalog,
     eval_companion,
     from_coefficients,
@@ -110,41 +110,42 @@ def test_terms_vanish_for_2f1_with_growing_coefficients():
 
 def test_companion_of_log_resolvent_is_positive_log_series():
     f = lookup("log-resolvent").series
-    fa = abs_companion(f)
-    assert fa.radius == f.radius
-    assert fa.name == "log-resolvent_abs"
+    with pytest.raises(OutOfDisk):  # the companion's disk is f's
+        eval_companion(f, f.radius, 1e-12)
     for n in range(1, 15):
-        assert fa.coeff(n) == pytest.approx(1.0 / n)
+        assert abs(f.coeff(n)) == pytest.approx(1.0 / n)
     # companion closed form is ln 1/(1-x)
-    assert eval_companion(fa, 0.5, 1e-12) == pytest.approx(
+    assert eval_companion(f, 0.5, 1e-12) == pytest.approx(
         math.log(2.0), abs=1e-11
     )
 
 
 def test_companion_of_nonnegative_series_is_identity_on_values():
     f = lookup("exp").series
-    fa = abs_companion(f)
     for x in (0.0, 0.7, 2.5):
-        assert eval_companion(fa, x, 1e-12) == pytest.approx(
-            eval_companion(f, x, 1e-12), abs=1e-12
+        assert eval_companion(f, x, 1e-12) == pytest.approx(
+            math.exp(x), abs=1e-12
         )
 
 
 def test_companion_of_cos_is_cosh():
-    fa = abs_companion(lookup("cos").series)
+    f = lookup("cos").series
     for x in (0.0, 1.0, 3.0):
-        assert eval_companion(fa, x, 1e-12) == pytest.approx(
+        assert eval_companion(f, x, 1e-12) == pytest.approx(
             math.cosh(x), abs=1e-10
         )
 
 
 @pytest.mark.parametrize("name", ALL_NAMES + ["2F1"])
 def test_companion_idempotent(name):
+    # eval_companion reads only |a_n|: the series of |a_n| has the same
+    # companion, bit for bit.
     f = lookup(name).series
-    once = abs_companion(f)
-    twice = abs_companion(once)
+    once = replace(f, coeff=lambda n: complex(abs(f.coeff(n))))
     for n in range(40):
-        assert twice.coeff(n) == once.coeff(n)
+        assert abs(once.coeff(n)) == abs(f.coeff(n))
+    for x in (0.0, 0.3 * min(f.radius, 2.0), 0.9 * min(f.radius, 2.0)):
+        assert eval_companion(once, x, 1e-12) == eval_companion(f, x, 1e-12)
 
 
 # ---------------------------------------------------------------------------
