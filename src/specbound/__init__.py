@@ -26,7 +26,6 @@ from .harness import (
     gen_commuting_pair,
     gen_matrix,
     oracle_radii,
-    resolve_series,
     run_sweep,
     summarize,
     write_summary_json,

@@ -330,12 +330,12 @@ def best_bound(f: PowerSeries, A: Matrix, B: Optional[Matrix] = None,
     if not (tol > 0):
         raise ValueError(f"tolerance must be positive, got {tol}")
     v, fa = Invariants(A, B), {}
+    rows = [r for p in p_grid for r in _holder_rows(p)] + list(_COMMUTING_ROWS)
     if B is None:
         results = [_evaluate(_SINGLE, f, v, tol, fa)]
     else:
         pm = _pm_rows(v)
         results = [_signed(r, sign) for sign in (+1, -1) for r in pm]
-        rows = [r for p in p_grid for r in _holder_rows(p)] + list(_COMMUTING_ROWS)
         if v.commuting:
             results += [_evaluate(row, f, v, tol, fa) for row in rows]
         else:

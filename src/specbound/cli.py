@@ -5,10 +5,14 @@ Subcommands:
   verify   run a randomized verification sweep plus the identity checks
   compare  emit per-bound tightness statistics as plot-ready CSV
 
+`verify` and `compare` share their `--param` values across the listed
+series: each series takes the ones it knows (2F1: alpha, beta, gamma).
+
 Exit codes: 0 success, 1 a violation or failed check (verify, compare),
-2 structural error (bad file or option value, dimension mismatch,
-unknown name), 3 non-commuting pair given to bound (its report is
-written first, with each commutativity-gated bound unavailable).
+2 structural error (bad file or option value, a `--param` key that no
+listed series takes, dimension mismatch, unknown name), 3 non-commuting
+pair given to bound (its report is written first, with each
+commutativity-gated bound unavailable).
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from . import harness
 from .bounds import DEFAULT_P_GRID, best_bound
 from .errors import SpecboundError
 from .matrices import load_matrix
-from .harness import oracle_radii, resolve_series
-from .series import DEFAULT_TOL
+from .harness import oracle_radii
+from .series import DEFAULT_TOL, SeriesCatalogEntry, lookup
 
 _DEFAULT_VERIFY_SERIES = "exp,geometric,log-resolvent"
 _DEFAULT_FAMILIES = ",".join(harness.FAMILIES_SINGLE + harness.FAMILIES_PAIR)
@@ -40,16 +44,17 @@ def _parse_params(items: list[str]) -> dict[str, float]:
     return params
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _parse_list(text: str, convert=str) -> tuple:
+    return tuple(convert(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
-
-
-def _parse_names(text: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+def _lookup_all(names, params: dict[str, float]) -> list[SeriesCatalogEntry]:
+    """Each named series at `params`; an error if none of them takes params."""
+    entries = [lookup(name, params) for name in names]
+    if params and not any(e.params for e in entries):
+        raise ValueError(f"--param {sorted(params)}: no series in {list(names)} "
+                         "takes parameters")
+    return entries
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,25 +130,20 @@ def _bound_report_csv(results, oracles) -> str:
     )
     for r in results:
         oracle, err = oracles.get(r.target, (None, None))
-        writer.writerow([
-            r.name, r.target, int(r.available),
-            "" if r.value is None else repr(r.value),
-            r.reason or "",
-            "" if oracle is None else repr(oracle),
-            "" if err is None else repr(err),
-        ])
+        writer.writerow([r.name, r.target, int(r.available),
+                         *map(harness._fmt, (r.value, r.reason, oracle, err))])
     return buf.getvalue()
 
 
 def cmd_bound(args) -> int:
-    entry = resolve_series(args.series, _parse_params(args.param) or None)
+    [entry] = _lookup_all([args.series], _parse_params(args.param))
     f = entry.series
     if not 1 <= len(args.matrix) <= 2:
         print("error: --matrix must appear once (single mode) or twice (pair mode)",
               file=sys.stderr)
         return 2
     matrices = [load_matrix(path) for path in args.matrix]
-    p_grid = _parse_floats(args.p) if args.p else DEFAULT_P_GRID
+    p_grid = _parse_list(args.p, float) if args.p else DEFAULT_P_GRID
     # best_bound raises DimMismatch (exit 2) for a pair of unequal sizes.
     report = best_bound(f, *matrices, tol=args.tol, p_grid=p_grid)
     oracles = oracle_radii(f, report.invariants, tol=args.tol)
@@ -173,15 +173,17 @@ def cmd_bound(args) -> int:
 
 
 def _sweep_config(args) -> harness.SweepConfig:
+    names, params = _parse_list(args.series), _parse_params(args.param)
+    _lookup_all(names, params)  # fail on a name or --param before sweeping
     return harness.SweepConfig(
-        series_names=_parse_names(args.series),
-        params=_parse_params(args.param) or None,
-        families=_parse_names(args.families),
+        series_names=names,
+        params=params or None,
+        families=_parse_list(args.families),
         trials=args.trials,
-        dims=_parse_ints(args.dims),
+        dims=_parse_list(args.dims, int),
         seed=args.seed,
         tol=args.tol,
-        p_grid=_parse_floats(args.p) if args.p else DEFAULT_P_GRID,
+        p_grid=_parse_list(args.p, float) if args.p else DEFAULT_P_GRID,
     )
 
 
@@ -239,15 +241,9 @@ def cmd_compare(args) -> int:
             "wins", "win_rate", "tightness_mean", "tightness_median",
             "tightness_max",
         ])
+        # summarize's per-bound keys are already in the column order
         for name, stat in summary["bounds"].items():
-            writer.writerow([
-                name, stat["target"], stat["evaluated"], stat["available"],
-                repr(stat["availability_rate"]), stat["wins"],
-                repr(stat["win_rate"]),
-                "" if stat["tightness_mean"] is None else repr(stat["tightness_mean"]),
-                "" if stat["tightness_median"] is None else repr(stat["tightness_median"]),
-                "" if stat["tightness_max"] is None else repr(stat["tightness_max"]),
-            ])
+            writer.writerow([name, *map(harness._fmt, stat.values())])
     print(f"{summary['trials']} trials, {summary['violations']} violations")
     print(f"report: {path}")
     return 0 if summary["violations"] == 0 else 1

@@ -45,7 +45,6 @@ from .series import (
     DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
     PowerSeries,
-    SeriesCatalogEntry,
     from_coefficients,
     lookup,
     truncation_order,
@@ -207,19 +206,6 @@ class TrialRecord:
     violation: bool = False
 
 
-def resolve_series(
-    name: str, params: Optional[dict[str, float]] = None
-) -> SeriesCatalogEntry:
-    """Catalog lookup, or a finite polynomial given as "poly:c0,c1,..."
-    with complex-literal coefficients (e.g. "poly:1,-0.5,0.25j")."""
-    if name.startswith("poly:"):
-        coeffs = [complex(tok) for tok in name[5:].split(",") if tok.strip()]
-        if not coeffs:
-            raise ValueError(f"no coefficients in {name!r}")
-        return SeriesCatalogEntry(series=from_coefficients(coeffs, name=name))
-    return lookup(name, params)
-
-
 def _single_norm_base(radius: float) -> float:
     return 0.9 * min(radius, 10.0)
 
@@ -287,7 +273,7 @@ def run_trial(
     """One deterministic trial; pure function of (config, family, index)."""
     trial_rng = np.random.default_rng([config.seed, family_index, index])
     name = config.series_names[index % len(config.series_names)]
-    entry = resolve_series(name, config.params)
+    entry = lookup(name, config.params)
     f = entry.series
     dim = config.dims[index % len(config.dims)]
     pair_mode = family in FAMILIES_PAIR

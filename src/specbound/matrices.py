@@ -16,8 +16,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimMismatch, EigenFailure, NormOverflow, OutOfDisk
-from .series import PowerSeries, _order_and_tail
+from .errors import DimMismatch, EigenFailure, NormOverflow
+from .series import PowerSeries, _check_eval_args, _order_and_tail
 
 Matrix = np.ndarray
 
@@ -151,13 +151,7 @@ def _series_at_norm(
     The order is chosen so the scalar majorant sum_{j>m} |a_j| nrm^j is
     below tol; that majorant dominates the matrix remainder norm.
     """
-    if nrm >= f.radius:
-        raise OutOfDisk(
-            f"{f.name}: operator norm {nrm} is not inside the disk of "
-            f"radius {f.radius}"
-        )
-    if not (tol > 0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_eval_args(f, nrm, tol)
     m, tail = _order_and_tail(f, nrm, tol, max_terms)
     return EvalCertificate(
         value=series_partial_sum(f, T, m), order=m, remainder_bound=tail

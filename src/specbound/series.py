@@ -15,8 +15,8 @@ nonnegative real arguments, which is why only that case is supported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import NoConvergence, OutOfDisk
 
@@ -177,98 +177,31 @@ def _memo_sequence(first: float, step: Callable[[int, float], float]):
 # ---------------------------------------------------------------------------
 
 
-def exp_series() -> SeriesCatalogEntry:
-    """exp(z) = sum z^n / n!; companion is exp itself."""
-    series = PowerSeries(
-        coeff=lambda n: complex(_inv_factorial(n)),
-        radius=math.inf,
-        name="exp",
-        tail_bound=_factorial_tail,
-    )
-    return SeriesCatalogEntry(series=series, closed_form_eval=math.exp)
+def _entry(name: str, coeff: Callable[[int], complex], radius: float,
+           tail: Callable[[int, float], float],
+           closed_form: Callable[[float], float],
+           params: Optional[dict[str, float]] = None) -> SeriesCatalogEntry:
+    series = PowerSeries(coeff=coeff, radius=radius, name=name, tail_bound=tail)
+    return SeriesCatalogEntry(series, closed_form, params)
 
 
-def cos_series() -> SeriesCatalogEntry:
-    """cos(z) = sum (-1)^n z^(2n) / (2n)!; companion is cosh."""
-    series = PowerSeries(
-        coeff=lambda n: complex(
-            (-1) ** (n // 2) * _inv_factorial(n) if n % 2 == 0 else 0.0
-        ),
-        radius=math.inf,
-        name="cos",
-        tail_bound=_factorial_tail,
-    )
-    return SeriesCatalogEntry(series=series, closed_form_eval=math.cosh)
+def _factorial_entry(name: str, parity: Optional[int], sign: int,
+                     closed_form: Callable[[float], float]) -> SeriesCatalogEntry:
+    """a_n = sign^(n//2) / n! on every n (parity None) or on the n of one
+    parity, 0 elsewhere: exp, cos, sin, cosh and sinh."""
+
+    def coefficient(n: int) -> complex:
+        if parity is not None and n % 2 != parity:
+            return 0.0j
+        return complex(sign ** (n // 2) * _inv_factorial(n))
+
+    return _entry(name, coefficient, math.inf, _factorial_tail, closed_form)
 
 
-def sin_series() -> SeriesCatalogEntry:
-    """sin(z) = sum (-1)^n z^(2n+1) / (2n+1)!; companion is sinh."""
-    series = PowerSeries(
-        coeff=lambda n: complex(
-            (-1) ** ((n - 1) // 2) * _inv_factorial(n) if n % 2 == 1 else 0.0
-        ),
-        radius=math.inf,
-        name="sin",
-        tail_bound=_factorial_tail,
-    )
-    return SeriesCatalogEntry(series=series, closed_form_eval=math.sinh)
-
-
-def cosh_series() -> SeriesCatalogEntry:
-    """cosh(z) = sum z^(2n) / (2n)!; already nonnegative."""
-    series = PowerSeries(
-        coeff=lambda n: complex(_inv_factorial(n) if n % 2 == 0 else 0.0),
-        radius=math.inf,
-        name="cosh",
-        tail_bound=_factorial_tail,
-    )
-    return SeriesCatalogEntry(series=series, closed_form_eval=math.cosh)
-
-
-def sinh_series() -> SeriesCatalogEntry:
-    """sinh(z) = sum z^(2n+1) / (2n+1)!; already nonnegative."""
-    series = PowerSeries(
-        coeff=lambda n: complex(_inv_factorial(n) if n % 2 == 1 else 0.0),
-        radius=math.inf,
-        name="sinh",
-        tail_bound=_factorial_tail,
-    )
-    return SeriesCatalogEntry(series=series, closed_form_eval=math.sinh)
-
-
-def geometric_series() -> SeriesCatalogEntry:
-    """sum z^n = 1/(1-z) on |z| < 1."""
-    series = PowerSeries(
-        coeff=lambda n: complex(1.0),
-        radius=1.0,
-        name="geometric",
-        tail_bound=_geometric_tail,
-    )
-    return SeriesCatalogEntry(series=series, closed_form_eval=lambda x: 1.0 / (1.0 - x))
-
-
-def resolvent_series() -> SeriesCatalogEntry:
-    """1/(1+z) = sum (-1)^n z^n on |z| < 1; companion is 1/(1-z)."""
-    series = PowerSeries(
-        coeff=lambda n: complex((-1) ** n),
-        radius=1.0,
-        name="resolvent",
-        tail_bound=_geometric_tail,
-    )
-    return SeriesCatalogEntry(series=series, closed_form_eval=lambda x: 1.0 / (1.0 - x))
-
-
-def log_resolvent_series() -> SeriesCatalogEntry:
-    """ln 1/(1+z) = sum_{n>=1} (-1)^n z^n / n; companion is ln 1/(1-z)."""
-    series = PowerSeries(
-        coeff=lambda n: complex((-1) ** n / n) if n >= 1 else 0.0j,
-        radius=1.0,
-        name="log-resolvent",
-        tail_bound=_reciprocal_tail,
-    )
-    return SeriesCatalogEntry(
-        series=series, closed_form_eval=lambda x: -math.log1p(-x)
-    )
+def _geometric_entry(name: str, sign: int) -> SeriesCatalogEntry:
+    """a_n = sign^n on |z| < 1; the companion is 1/(1-z) for either sign."""
+    return _entry(name, lambda n: complex(sign**n), 1.0, _geometric_tail,
+                  lambda x: 1.0 / (1.0 - x))
 
 
 def _odd_reciprocal_coeff(n: int) -> complex:
@@ -282,24 +215,7 @@ def _odd_reciprocal_tail(m: int, x: float) -> float:
     return x ** (m + 1) / ((m + 1) * (1.0 - x * x))
 
 
-def artanh_series() -> SeriesCatalogEntry:
-    """artanh(z) = sum z^(2n-1)/(2n-1) on |z| < 1; nonnegative."""
-    series = PowerSeries(
-        coeff=_odd_reciprocal_coeff,
-        radius=1.0,
-        name="artanh",
-        tail_bound=_odd_reciprocal_tail,
-    )
-    return SeriesCatalogEntry(series=series, closed_form_eval=math.atanh)
-
-
-def half_log_ratio_series() -> SeriesCatalogEntry:
-    """(1/2) ln((1+z)/(1-z)): the artanh series under its other name."""
-    entry = artanh_series()
-    return replace(entry, series=replace(entry.series, name="half-log-ratio"))
-
-
-def arcsin_series() -> SeriesCatalogEntry:
+def _arcsin_entry() -> SeriesCatalogEntry:
     """arcsin(z) = sum c_n z^(2n+1) with c_n = (2n-1)!!/((2n)!! (2n+1)).
 
     Coefficients come from the term-to-term recurrence
@@ -320,13 +236,7 @@ def arcsin_series() -> SeriesCatalogEntry:
         # Odd-step term ratios are below x^2, so a geometric sum closes it.
         return odd((j - 1) // 2) * x**j / (1.0 - x * x)
 
-    series = PowerSeries(
-        coeff=coefficient,
-        radius=1.0,
-        name="arcsin",
-        tail_bound=tail,
-    )
-    return SeriesCatalogEntry(series=series, closed_form_eval=math.asin)
+    return _entry("arcsin", coefficient, 1.0, tail, math.asin)
 
 
 def hypergeometric_series(
@@ -358,58 +268,67 @@ def hypergeometric_series(
             return math.inf
         return coeffs(m + 1) * x ** (m + 1) / (1.0 - rho * x)
 
-    series = PowerSeries(
-        coeff=lambda n: complex(coeffs(n)),
-        radius=1.0,
-        name="2F1",
-        tail_bound=tail,
-    )
-
     def closed_form(x: float) -> float:
         from scipy.special import hyp2f1
 
         return float(hyp2f1(alpha, beta, gamma, x))
 
-    return SeriesCatalogEntry(
-        series=series,
-        closed_form_eval=closed_form,
-        params={"alpha": alpha, "beta": beta, "gamma": gamma},
-    )
+    return _entry("2F1", lambda n: complex(coeffs(n)), 1.0, tail, closed_form,
+                  {"alpha": alpha, "beta": beta, "gamma": gamma})
 
 
-_DEFAULT_2F1 = (1.0, 1.0, 1.0)
+# Every named series but 2F1, built once, each with the closed form of its
+# companion.
+_CATALOG: dict[str, SeriesCatalogEntry] = {e.series.name: e for e in (
+    # ln 1/(1+z) = sum_{n>=1} (-1)^n z^n / n; companion ln 1/(1-z)
+    _entry("log-resolvent", lambda n: complex((-1) ** n / n) if n >= 1 else 0.0j,
+           1.0, _reciprocal_tail, lambda x: -math.log1p(-x)),
+    _factorial_entry("cos", 0, -1, math.cosh),
+    _factorial_entry("sin", 1, -1, math.sinh),
+    _geometric_entry("resolvent", -1),  # 1/(1+z)
+    _factorial_entry("exp", None, 1, math.exp),
+    # (1/2) ln((1+z)/(1-z)): the artanh series under its other name
+    _entry("half-log-ratio", _odd_reciprocal_coeff, 1.0, _odd_reciprocal_tail,
+           math.atanh),
+    _arcsin_entry(),
+    # artanh(z) = sum z^(2n-1)/(2n-1) on |z| < 1; nonnegative
+    _entry("artanh", _odd_reciprocal_coeff, 1.0, _odd_reciprocal_tail, math.atanh),
+    _geometric_entry("geometric", 1),  # 1/(1-z)
+    _factorial_entry("cosh", 0, 1, math.cosh),
+    _factorial_entry("sinh", 1, 1, math.sinh),
+)}
 
-_CATALOG_BUILDERS: dict[str, Callable[[], SeriesCatalogEntry]] = {
-    "log-resolvent": log_resolvent_series,
-    "cos": cos_series,
-    "sin": sin_series,
-    "resolvent": resolvent_series,
-    "exp": exp_series,
-    "half-log-ratio": half_log_ratio_series,
-    "arcsin": arcsin_series,
-    "artanh": artanh_series,
-    "geometric": geometric_series,
-    "cosh": cosh_series,
-    "sinh": sinh_series,
-}
+# The parameters a series can take (2F1's), with their defaults.
+_PARAM_DEFAULTS = {"alpha": 1.0, "beta": 1.0, "gamma": 1.0}
 
 
-def catalog(
-    hyp_params: tuple[float, float, float] = _DEFAULT_2F1,
-) -> list[SeriesCatalogEntry]:
-    """All named series, with 2F1 instantiated at the given parameters."""
-    entries = [build() for build in _CATALOG_BUILDERS.values()]
-    entries.append(hypergeometric_series(*hyp_params))
-    return entries
+def catalog(params: Optional[Mapping[str, float]] = None) -> list[SeriesCatalogEntry]:
+    """All named series, with 2F1 at `params` (see `lookup`)."""
+    return [*_CATALOG.values(), lookup("2F1", params)]
 
 
-def lookup(name: str, params: Optional[dict[str, float]] = None) -> SeriesCatalogEntry:
-    """Fetch a catalog entry by name; "2F1" takes alpha/beta/gamma params."""
-    if name == "2F1":
-        p = params or {}
-        return hypergeometric_series(
-            p.get("alpha", 1.0), p.get("beta", 1.0), p.get("gamma", 1.0)
+def lookup(name: str,
+           params: Optional[Mapping[str, float]] = None) -> SeriesCatalogEntry:
+    """The series called `name`: a catalog name, "2F1" with its alpha,
+    beta and gamma taken from `params` (1.0 where absent), or a finite
+    polynomial "poly:c0,c1,..." with complex-literal coefficients (e.g.
+    "poly:1,-0.5,0.25j"). A sweep shares `params` across its series, so
+    a series without parameters ignores them; a key that no series takes
+    raises KeyError.
+    """
+    params = dict(params or {})
+    unknown = sorted(params.keys() - _PARAM_DEFAULTS.keys())
+    if unknown:
+        raise KeyError(
+            f"unknown series parameter(s) {unknown}; known: {list(_PARAM_DEFAULTS)}"
         )
-    if name in _CATALOG_BUILDERS:
-        return _CATALOG_BUILDERS[name]()
-    raise KeyError(f"unknown series {name!r}; known: {sorted(_CATALOG_BUILDERS)} + 2F1")
+    if name == "2F1":
+        return hypergeometric_series(**{**_PARAM_DEFAULTS, **params})
+    if name.startswith("poly:"):
+        coeffs = [complex(tok) for tok in name[5:].split(",") if tok.strip()]
+        if not coeffs:
+            raise ValueError(f"no coefficients in {name!r}")
+        return SeriesCatalogEntry(series=from_coefficients(coeffs, name=name))
+    if name in _CATALOG:
+        return _CATALOG[name]
+    raise KeyError(f"unknown series {name!r}; known: {sorted(_CATALOG)} + 2F1")

@@ -262,7 +262,7 @@ def test_a8_scalar_primitives():
         assert gap >= -1e-8 * max(1.0, lhs)
         worst_gap = min(worst_gap, gap / max(1.0, lhs))
 
-    entries = [e for e in catalog(HYP_PARAMS)]
+    entries = [e for e in catalog(dict(zip(("alpha", "beta", "gamma"), HYP_PARAMS)))]
     worst_closed = 0.0
     worst_tail_excess = -math.inf
     for entry in entries:

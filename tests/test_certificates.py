@@ -86,7 +86,7 @@ def _exact_tail(coeff, mx, m):
 
 
 def entries():
-    out = list(catalog((0.5, 0.75, 1.25)))
+    out = list(catalog({"alpha": 0.5, "beta": 0.75, "gamma": 1.25}))
     out.append(hypergeometric_series(2.0, 2.0, 1.0))  # growing coefficients
     return out
 

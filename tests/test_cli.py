@@ -126,6 +126,18 @@ def test_bound_oracle_reuses_the_report_norm(lapack_work, diag_pair, capsys,
     assert lapack_work["svd_calls"] == 1
 
 
+@pytest.mark.parametrize("series, key", [
+    ("2F1", "alfa"),  # a key no series takes
+    ("exp", "alpha"),  # a series that takes none
+    ("poly:1,0.5", "gamma"),
+])
+def test_bound_param_nothing_takes_exits_2(zero2, capsys, series, key):
+    code = main(["bound", "--series", series, "--param", f"{key}=0.5",
+                 "--matrix", zero2])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
 def test_bound_product_overflow_exits_2(tmp_path, capsys):
     a, b = tmp_path / "a.mat", tmp_path / "b.mat"
     save_matrix(a, np.diag([1e160, 1.0]).astype(complex))
@@ -176,9 +188,9 @@ def test_bound_too_many_matrices_exits_2(zero2, capsys):
 
 @pytest.mark.parametrize("scale", [0.5, 2.0])  # norm inside, then outside, the disk
 @pytest.mark.parametrize("option, modes", [
-    (["--p", "1"], (2,)), (["--p", "inf"], (2,)),  # --p only shapes pair bounds
+    (["--p", "1"], (1, 2)), (["--p", "inf"], (1, 2)), (["--p", "nan"], (1, 2)),
     (["--tol", "-1"], (1, 2)), (["--tol", "nan"], (1, 2)),
-], ids=["p=1", "p=inf", "tol=-1", "tol=nan"])
+], ids=["p=1", "p=inf", "p=nan", "tol=-1", "tol=nan"])
 def test_bound_bad_exponent_or_tolerance_exits_2(tmp_path, capsys, option, modes, scale):
     path = str(tmp_path / "d.mat")
     save_matrix(path, np.diag([scale, 0.5]).astype(complex))
@@ -228,6 +240,29 @@ def test_sweep_with_nothing_to_cycle_exits_2(tmp_path, capsys, command, args):
     code = main([command, *args, "--out", str(tmp_path / "r")])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "compare"])
+@pytest.mark.parametrize("series, key", [
+    ("2F1,exp", "alfa"),  # a key no series takes
+    ("exp", "alpha"),  # series that take none
+    ("exp,geometric", "gamma"),
+])
+def test_sweep_param_nothing_takes_exits_2(tmp_path, capsys, command, series, key):
+    code = main([command, "--series", series, "--param", f"{key}=0.5",
+                 "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+def test_compare_shares_params_across_series(tmp_path, capsys):
+    # 2F1 takes alpha and gamma; exp ignores them.
+    out = tmp_path / "cmp"
+    code = main(["compare", "--series", "2F1,exp", "--param", "alpha=0.5",
+                 "--param", "gamma=2", "--families", "diagonal-positive",
+                 "--trials", "4", "--dims", "2", "--out", str(out)])
+    assert code == 0
+    assert "companion-radius" in (out / "compare.csv").read_text()
 
 
 def test_compare_emits_plot_ready_csv(tmp_path, capsys):

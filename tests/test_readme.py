@@ -1,7 +1,10 @@
-"""The README's library example runs against the installed package."""
+"""The README's library example runs against the installed package, and
+its catalog sentence names the package's catalog."""
 
 import re
 from pathlib import Path
+
+from specbound import catalog
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +17,11 @@ def test_readme_library_example_runs():
         # Pad with the lines above the block so tracebacks cite README lines.
         code = "\n" * text.count("\n", 0, block.start(1)) + block[1]
         exec(compile(code, str(README), "exec"), {})
+
+
+def test_readme_names_every_catalog_entry():
+    text = README.read_text(encoding="utf-8")
+    sentence = re.search(r"Series catalog:(.*?)\.\s", text, re.S)
+    assert sentence, "README has no 'Series catalog:' sentence"
+    named = re.findall(r"`([^`]+)`", sentence[1])
+    assert sorted(named) == sorted(e.series.name for e in catalog())

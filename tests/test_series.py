@@ -53,6 +53,11 @@ def test_2f1_unit_parameters_collapse_to_geometric():
         assert e.series.coeff(n) == pytest.approx(1.0)
 
 
+def test_lookup_rejects_a_parameter_no_series_takes():
+    with pytest.raises(KeyError, match="alfa"):
+        lookup("2F1", {"alfa": 0.5})
+
+
 def test_2f1_rejects_nonpositive_parameters():
     with pytest.raises(ValueError):
         hypergeometric_series(0.0, 1.0, 1.0)
