@@ -31,7 +31,7 @@ import math
 import sys
 from collections import ChainMap
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -67,20 +67,10 @@ class BoundResult:
     def available(self) -> bool:
         return self.value is not None
 
-    def as_record(self) -> dict:
-        return {
-            "name": self.name,
-            "target": self.target,
-            "value": self.value,
-            "reason": self.reason,
-            "preconditions": [list(p) for p in self.preconditions],
-            "intermediates": dict(self.intermediates),
-        }
 
-
-# A pair's operator norms, in the order of `Invariants.products`.
-_PAIR_NORMS = ("||A||", "||B||", "||AB||", "||BA||", "||A^2||", "||B^2||",
-               "||AB^2||", "||A^2B||", "||AB-BA||")
+# A pair's products, in the order of `Invariants.products`, and their norms.
+_PRODUCTS = ("A", "B", "AB", "BA", "A^2", "B^2", "AB^2", "A^2B", "AB-BA")
+_PAIR_NORMS = tuple(f"||{x}||" for x in _PRODUCTS)
 
 # Every other quantity a bound uses, by label; A is T in single mode.
 _QUANTITIES: dict[str, Callable[["Invariants"], float]] = {
@@ -116,9 +106,9 @@ class Invariants(dict):
     @np.errstate(over="ignore", invalid="ignore")  # checked below, by name
     def products(self) -> np.ndarray:
         """A, B, AB, BA, A^2, B^2, AB^2, A^2B and AB-BA as one stack, in
-        the order of `_PAIR_NORMS`; NormOverflow if one is not finite."""
+        the order of `_PRODUCTS`; NormOverflow if one is not finite."""
         A, B = self.A, self.B
-        P = np.empty((len(_PAIR_NORMS), *A.shape), dtype=np.result_type(A, B))
+        P = np.empty((len(_PRODUCTS), *A.shape), dtype=np.result_type(A, B))
         P[0], P[1] = A, B
         for i, (X, Y) in enumerate(((A, B), (B, A), (A, A), (B, B)), 2):
             np.matmul(X, Y, out=P[i])
@@ -126,9 +116,13 @@ class Invariants(dict):
         np.subtract(P[2], P[3], out=P[8])
         finite = np.isfinite(P).all(axis=(1, 2))
         if not finite.all():
-            bad = ", ".join(x[2:-2] for x, ok in zip(_PAIR_NORMS, finite) if not ok)
+            bad = ", ".join(x for x, ok in zip(_PRODUCTS, finite) if not ok)
             raise NormOverflow(f"not finite: {bad}; normalize the pair first")
         return P
+
+    def matrix(self, label: str) -> np.ndarray:
+        """The pair's product called `label`, one of `_PRODUCTS` (e.g. "AB-BA")."""
+        return self.products[_PRODUCTS.index(label)]
 
     def __missing__(self, label: str) -> float:
         if label in _PAIR_NORMS:
@@ -168,16 +162,15 @@ class Row:
     combine: Callable[[list[float], Mapping[str, float]], tuple[float, dict]]
     hyps: tuple[str, ...] = ()  # below R, like each argument
     notes: tuple[str, ...] = ()  # quantities recorded as intermediates
-    p: Optional[float] = None  # Hölder exponent of the quantities
     check_args: bool = True  # False when the hypotheses imply args < R
     denominator: bool = False  # the last f_a value divides
 
 
-def _evaluate(row: Row, f: Optional[PowerSeries], v: Invariants, tol: float,
-              fa: dict[float, float]) -> BoundResult:
-    """Check the preconditions, then evaluate f_a (memoised in `fa` by
-    argument across the rows of one instance) and combine."""
-    s = v if row.p is None else _holder_scope(v, row.p)
+def _evaluate(row: Row, f: Optional[PowerSeries], s: Mapping[str, float],
+              tol: float, fa: dict[float, float]) -> BoundResult:
+    """Check the preconditions on the quantities `s`, then evaluate f_a
+    (memoised in `fa` by argument across the rows of one instance) and
+    combine."""
     checked = dict.fromkeys(row.hyps + (row.args if row.check_args else ()))
     # One shared description string per label, as a literal would be.
     pre = [(sys.intern(f"{x} < R"), s[x] < f.radius, s[x]) for x in checked]
@@ -274,7 +267,9 @@ _COMMUTING_ROWS = (
 )
 
 
+@cache
 def _holder_rows(p: float) -> tuple[Row, Row]:
+    """The two rows of the Hölder exponent p, evaluated on `_holder_scope`."""
     if not (1 < p < math.inf):
         raise BadExponent(f"need 1 < p < inf, got {p}")
     hyps, args = ("||A||^p", "||B||^q"), ("r(A)^p", "r(B)^q")
@@ -282,9 +277,9 @@ def _holder_rows(p: float) -> tuple[Row, Row]:
     return (
         Row(f"holder-geo(p={p:g})", "f(AB)", args,
             lambda F, s: (F[0] ** (1.0 / s["p"]) * F[1] ** (1.0 / s["q"]), {}),
-            hyps, notes, p),
+            hyps, notes),
         Row(f"holder-ratio(p={p:g})", "f(AB)", (*args, "r(A)^(p-1) r(B)^(q-1)"),
-            lambda F, s: (F[0] * F[1] / F[2], {}), hyps, notes, p, denominator=True),
+            lambda F, s: (F[0] * F[1] / F[2], {}), hyps, notes, denominator=True),
     )
 
 
@@ -330,19 +325,23 @@ def best_bound(f: PowerSeries, A: Matrix, B: Optional[Matrix] = None,
     if not (tol > 0):
         raise ValueError(f"tolerance must be positive, got {tol}")
     v, fa = Invariants(A, B), {}
-    rows = [r for p in p_grid for r in _holder_rows(p)] + list(_COMMUTING_ROWS)
+    holder = [(p, _holder_rows(p)) for p in p_grid]  # checks each p in both modes
     if B is None:
         results = [_evaluate(_SINGLE, f, v, tol, fa)]
     else:
         pm = _pm_rows(v)
         results = [_signed(r, sign) for sign in (+1, -1) for r in pm]
+        groups = [*holder, (None, _COMMUTING_ROWS)]  # the last needs no exponent
         if v.commuting:
-            results += [_evaluate(row, f, v, tol, fa) for row in rows]
+            for p, rows in groups:
+                s = v if p is None else _holder_scope(v, p)
+                results += [_evaluate(row, f, s, tol, fa) for row in rows]
         else:
             cnorm = v["||AB-BA||"]
             reason = f"commutator test failed (||AB-BA|| = {cnorm:.6e})"
             results += [BoundResult(row.name, None, row.target, reason,
-                                    [("AB = BA", False, cnorm)]) for row in rows]
+                                    [("AB = BA", False, cnorm)])
+                        for _, rows in groups for row in rows]
     target = "f(T)" if B is None else "f(AB)"
     candidates = [r for r in results if r.available and r.target == target]
     minimum = min(candidates, key=lambda r: r.value) if candidates else None

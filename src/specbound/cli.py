@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import harness
@@ -29,9 +30,6 @@ from .errors import SpecboundError
 from .matrices import load_matrix
 from .harness import oracle_radii
 from .series import DEFAULT_TOL, SeriesCatalogEntry, lookup
-
-_DEFAULT_VERIFY_SERIES = "exp,geometric,log-resolvent"
-_DEFAULT_FAMILIES = ",".join(harness.FAMILIES_SINGLE + harness.FAMILIES_PAIR)
 
 
 def _parse_params(items: list[str]) -> dict[str, float]:
@@ -78,18 +76,19 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--out", default=None, help="write the report here instead of stdout")
     pb.set_defaults(func=cmd_bound)
 
+    sweep = harness.SweepConfig  # the defaults of both sweep commands
     for name, func in (("verify", cmd_verify), ("compare", cmd_compare)):
         ps = sub.add_parser(name)
-        ps.add_argument("--series", default=_DEFAULT_VERIFY_SERIES,
+        ps.add_argument("--series", default=",".join(sweep.series_names),
                         help="comma-separated catalog names")
         ps.add_argument("--param", action="append", default=[])
-        ps.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        ps.add_argument("--tol", type=float, default=sweep.tol)
         ps.add_argument("--p", default=None)
-        ps.add_argument("--trials", type=int, default=500,
+        ps.add_argument("--trials", type=int, default=sweep.trials,
                         help="instances per family")
-        ps.add_argument("--dims", default="2,4,8")
-        ps.add_argument("--families", default=_DEFAULT_FAMILIES)
-        ps.add_argument("--seed", type=int, default=0)
+        ps.add_argument("--dims", default=",".join(map(str, sweep.dims)))
+        ps.add_argument("--families", default=",".join(sweep.families))
+        ps.add_argument("--seed", type=int, default=sweep.seed)
         ps.add_argument("--out", required=True, help="output directory")
         ps.set_defaults(func=func)
     return parser
@@ -157,7 +156,7 @@ def cmd_bound(args) -> int:
             "series": args.series,
             "params": entry.params,
             "oracles": {k: list(v) for k, v in oracles.items()},
-            "results": [r.as_record() for r in report.results],
+            "results": [asdict(r) for r in report.results],
             "minimum": None if report.minimum is None else report.minimum.name,
         }
         _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
@@ -187,17 +186,6 @@ def _sweep_config(args) -> harness.SweepConfig:
     )
 
 
-def _check_block(checks: dict[str, harness.CheckResult]) -> dict:
-    return {
-        name: {
-            "trials": c.trials,
-            "violations": c.violations,
-            "worst_margin": c.worst,
-        }
-        for name, c in checks.items()
-    }
-
-
 def cmd_verify(args) -> int:
     config = _sweep_config(args)
     out_dir = Path(args.out)
@@ -209,12 +197,12 @@ def cmd_verify(args) -> int:
     checks = {}
     checks.update(harness.run_identity_checks(args.seed, check_trials, config.dims))
     checks.update(harness.run_limit_checks(args.seed, check_trials, config.dims))
-    checks.update(harness.run_pm_checks(args.seed, max(check_trials, 500), config.dims))
+    checks.update(harness.run_pm_checks(args.seed, dims=config.dims))  # 500 trials
     all_checks_pass = all(c.passed for c in checks.values())
     passed = sweep_summary["violations"] == 0 and all_checks_pass
     summary = {
         "sweep": sweep_summary,
-        "checks": _check_block(checks),
+        "checks": {name: asdict(c) for name, c in checks.items()},
         "passed": passed,
     }
     harness.write_summary_json(summary, out_dir / "summary.json")

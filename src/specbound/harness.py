@@ -39,7 +39,6 @@ from .matrices import (
     operator_norms,
     series_partial_sum,
     spectral_radii,
-    spectral_radius,
 )
 from .series import (
     DEFAULT_MAX_TERMS,
@@ -75,6 +74,10 @@ class InstanceSpec:
     dim: int
     norm_target: float
 
+    def __post_init__(self):
+        if self.dim < 1 or self.norm_target <= 0:
+            raise ValueError(f"bad instance spec {self}")
+
 
 def _ginibre(rng: np.random.Generator, n: int) -> Matrix:
     return (
@@ -97,8 +100,6 @@ def _scaled(M: Matrix, norm_target: float) -> Matrix:
 
 def gen_matrix(spec: InstanceSpec) -> Matrix:
     """One matrix of the requested family, scaled to the target norm."""
-    if spec.dim < 1 or spec.norm_target <= 0:
-        raise ValueError(f"bad instance spec {spec}")
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
     n = spec.dim
     if spec.family == "diagonal-positive":
@@ -138,8 +139,6 @@ def gen_commuting_pair(spec: InstanceSpec) -> tuple[Matrix, Matrix]:
     """
     if spec.family not in FAMILIES_PAIR:
         raise UnknownFamily(f"unknown pair family {spec.family!r}")
-    if spec.dim < 1 or spec.norm_target <= 0:
-        raise ValueError(f"bad instance spec {spec}")
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
     n = spec.dim
     if spec.family == "commuting-polynomial-pair":
@@ -176,21 +175,25 @@ class SweepConfig:
     per-trial fraction drawn from the trial's own seed.
     """
 
-    series_names: tuple[str, ...] = ("exp",)
+    series_names: tuple[str, ...] = ("exp", "geometric", "log-resolvent")
     params: Optional[dict[str, float]] = None  # series parameters (2F1's)
-    families: tuple[str, ...] = FAMILIES_PAIR
+    families: tuple[str, ...] = FAMILIES_SINGLE + FAMILIES_PAIR
     trials: int = 500
     dims: tuple[int, ...] = (2, 4, 8)
     seed: int = 0
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     p_grid: tuple[float, ...] = DEFAULT_P_GRID
-    norm_targets: Optional[tuple[float, ...]] = None  # cycled when given
 
     def __post_init__(self):
         if not (self.series_names and self.families and self.dims) or self.trials < 0:
             raise ValueError(
                 "a sweep needs a series, a family, a dimension and trials >= 0"
             )
+        unknown = [f for f in self.families if f not in FAMILIES_SINGLE + FAMILIES_PAIR]
+        if unknown:
+            raise UnknownFamily(f"unknown families {unknown}")
+        if min(self.dims) < 1:
+            raise ValueError(f"dimensions must be >= 1, got {self.dims}")
 
 
 @dataclass
@@ -204,14 +207,6 @@ class TrialRecord:
     bounds: list[BoundResult]
     tightness: dict[str, Optional[float]] = field(default_factory=dict)
     violation: bool = False
-
-
-def _single_norm_base(radius: float) -> float:
-    return 0.9 * min(radius, 10.0)
-
-
-def _pair_norm_base(radius: float) -> float:
-    return 0.8 * math.sqrt(radius) if math.isfinite(radius) else 1.0
 
 
 def _judge(record: TrialRecord) -> None:
@@ -248,22 +243,21 @@ def oracle_radii(
     the products in `v`. The series target f(T) or f(AB) gets the spectral
     radius of its certified truncation, with the truncation's remainder
     bound as error, when its argument lies inside the disk; the norm of
-    that argument is read from `v`. A pair's radii take one eigensolve call.
+    that argument is read from `v`. All radii take one eigensolve call.
     """
     if v.B is None:
         M, nrm, target, terms = v.A, v["||T||"], "f(T)", {}
     else:
-        P = v.products  # AB, BA and AB-BA are P[2], P[3] and P[8]
-        M, nrm, target = P[2], v["||AB||"], "f(AB)"
-        terms = {"AB": (M, 0.0), "AB+BA": (M + P[3], 0.0), "AB-BA": (P[8], 0.0)}
+        M, nrm, target = v.matrix("AB"), v["||AB||"], "f(AB)"
+        terms = {"AB": (M, 0.0), "AB+BA": (M + v.matrix("BA"), 0.0),
+                 "AB-BA": (v.matrix("AB-BA"), 0.0)}
     try:
         cert = _series_at_norm(f, M, nrm, tol, DEFAULT_MAX_TERMS)
         terms[target] = (cert.value, cert.remainder_bound)
     except OutOfDisk:
         pass
-    if v.B is None:  # one matrix at most: nothing to stack
-        return {k: (spectral_radius(S), err) for k, (S, err) in terms.items()}
-    radii = spectral_radii(np.stack([S for S, _ in terms.values()])).tolist()
+    stack = [S for S, _ in terms.values()]  # empty: one matrix outside the disk
+    radii = spectral_radii(np.stack(stack)).tolist() if stack else []
     return {k: (r, err) for (k, (_, err)), r in zip(terms.items(), radii)}
 
 
@@ -278,20 +272,16 @@ def run_trial(
     dim = config.dims[index % len(config.dims)]
     pair_mode = family in FAMILIES_PAIR
     if pair_mode:
-        base = _pair_norm_base(f.radius)
+        base = 0.8 * math.sqrt(f.radius) if math.isfinite(f.radius) else 1.0
         fraction = trial_rng.uniform(0.3, 1.0)
     else:
-        base = _single_norm_base(f.radius)
+        base = 0.9 * min(f.radius, 10.0)
         fraction = trial_rng.uniform(0.05, 1.0)
-    if config.norm_targets is not None:
-        target = config.norm_targets[index % len(config.norm_targets)]
-    else:
-        target = base * fraction
     spec = InstanceSpec(
         seed=int(trial_rng.integers(0, 2**63)),
         family=family,
         dim=dim,
-        norm_target=float(target),
+        norm_target=float(base * fraction),
     )
     matrices = gen_commuting_pair(spec) if pair_mode else (gen_matrix(spec),)
     report = best_bound(f, *matrices, tol=config.tol, p_grid=config.p_grid)
@@ -345,35 +335,26 @@ def _params_text(params: Optional[dict[str, float]]) -> str:
     return ";".join(f"{k}={v!r}" for k, v in sorted(params.items()))
 
 
-def trial_rows(record: TrialRecord) -> list[dict[str, str]]:
-    """One CSV row per bound of one trial."""
+def trial_rows(record: TrialRecord) -> list[list[str]]:
+    """One CSV row per bound of one trial, in `_CSV_COLUMNS` order."""
+    spec = record.spec
     rows = []
     for b in record.bounds:
         oracle, oracle_err = record.oracles.get(b.target, (None, None))
-        rows.append({
-            "family": record.spec.family,
-            "seed": str(record.spec.seed),
-            "dim": str(record.spec.dim),
-            "norm_target": _fmt(record.spec.norm_target),
-            "series": record.series_name,
-            "series_params": _params_text(record.series_params),
-            "bound": b.name,
-            "target": b.target,
-            "available": "1" if b.available else "0",
-            "value": _fmt(b.value),
-            "reason": b.reason or "",
-            "oracle": _fmt(oracle),
-            "oracle_error": _fmt(oracle_err),
-            "tightness": _fmt(record.tightness.get(b.name)),
-            "violation": "1" if record.violation else "0",
-        })
+        rows.append([
+            spec.family, str(spec.seed), str(spec.dim), _fmt(spec.norm_target),
+            record.series_name, _params_text(record.series_params),
+            b.name, b.target, "1" if b.available else "0", _fmt(b.value),
+            b.reason or "", _fmt(oracle), _fmt(oracle_err),
+            _fmt(record.tightness.get(b.name)), "1" if record.violation else "0",
+        ])
     return rows
 
 
 def write_trials_csv(records: Sequence[TrialRecord], path: Union[str, Path]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(_CSV_COLUMNS)
         for record in records:
             writer.writerows(trial_rows(record))
 
@@ -449,33 +430,32 @@ def write_summary_json(summary: dict, path: Union[str, Path]) -> None:
 class CheckResult:
     """Outcome of one property check over many instances.
 
-    `worst` is the largest signed violation margin seen (negative means
-    the property held with room to spare).
+    `worst_margin` is the largest signed violation margin seen (negative
+    means the property held with room to spare).
     """
 
     trials: int = 0
     violations: int = 0
-    worst: float = -math.inf
+    worst_margin: float = -math.inf
 
     def record(self, margin: float) -> None:
         self.trials += 1
         if margin > 0:
             self.violations += 1
-        self.worst = max(self.worst, margin)
+        self.worst_margin = max(self.worst_margin, margin)
 
     @property
     def passed(self) -> bool:
         return self.violations == 0
 
 
-def _identity_spec(seed: int, i: int, families: Sequence[str],
-                   dims: Sequence[int], top: float = 1.2) -> InstanceSpec:
+def _identity_spec(seed: int, i: int, dims: Sequence[int]) -> InstanceSpec:
     rng = np.random.default_rng([seed, i])
     return InstanceSpec(
         seed=int(rng.integers(0, 2**63)),
-        family=families[i % len(families)],
+        family=FAMILIES_SINGLE[i % len(FAMILIES_SINGLE)],
         dim=dims[i % len(dims)],
-        norm_target=float(rng.uniform(0.2, top)),
+        norm_target=float(rng.uniform(0.2, 1.2)),
     )
 
 
@@ -496,9 +476,8 @@ def run_identity_checks(
         "norm-root-monotone": CheckResult(),
         "norm-root-above-radius": CheckResult(),
     }
-    families = list(FAMILIES_SINGLE)
     for i in range(trials):
-        spec = _identity_spec(seed, i, families, dims)
+        spec = _identity_spec(seed, i, dims)
         T = gen_matrix(spec)
         powers = [T] + [np.linalg.matrix_power(T, m) for m in range(2, 6)]
         r, *rms = spectral_radii(np.stack(powers)).tolist()
@@ -598,8 +577,8 @@ def run_pm_checks(
         # Both bounds are the same for either sign.
         v = Invariants(A, B)
         quad, mixed = _pm_rows(v)
-        P = v.products  # AB, BA and AB-BA are P[2], P[3] and P[8]
-        for oracle in spectral_radii(np.stack((P[2] + P[3], P[8]))).tolist():
+        plus, minus = v.matrix("AB") + v.matrix("BA"), v.matrix("AB-BA")
+        for oracle in spectral_radii(np.stack((plus, minus))).tolist():
             slack = _SLACK_REL * max(1.0, oracle)
             results["pm-quadratic"].record(oracle - quad.value - slack)
             results["pm-mixed"].record(oracle - mixed.value - slack)

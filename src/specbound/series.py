@@ -14,6 +14,7 @@ nonnegative real arguments, which is why only that case is supported here.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -307,14 +308,26 @@ def catalog(params: Optional[Mapping[str, float]] = None) -> list[SeriesCatalogE
     return [*_CATALOG.values(), lookup("2F1", params)]
 
 
+def _poly_coefficient(name: str, i: int, token: str) -> complex:
+    """Coefficient i of the "poly:" series `name`, written as `token`."""
+    try:
+        c = complex(token)
+        if cmath.isfinite(c):
+            return c
+    except ValueError:
+        pass
+    raise ValueError(f"coefficient {i} of {name!r} is {token.strip()!r}, "
+                     "not a finite complex literal")
+
+
 def lookup(name: str,
            params: Optional[Mapping[str, float]] = None) -> SeriesCatalogEntry:
     """The series called `name`: a catalog name, "2F1" with its alpha,
     beta and gamma taken from `params` (1.0 where absent), or a finite
-    polynomial "poly:c0,c1,..." with complex-literal coefficients (e.g.
-    "poly:1,-0.5,0.25j"). A sweep shares `params` across its series, so
-    a series without parameters ignores them; a key that no series takes
-    raises KeyError.
+    polynomial "poly:c0,c1,..." whose coefficients are finite complex
+    literals (e.g. "poly:1,-0.5,0.25j"; ValueError names any other). A
+    sweep shares `params` across its series, so a series without
+    parameters ignores them; a key that no series takes raises KeyError.
     """
     params = dict(params or {})
     unknown = sorted(params.keys() - _PARAM_DEFAULTS.keys())
@@ -325,9 +338,8 @@ def lookup(name: str,
     if name == "2F1":
         return hypergeometric_series(**{**_PARAM_DEFAULTS, **params})
     if name.startswith("poly:"):
-        coeffs = [complex(tok) for tok in name[5:].split(",") if tok.strip()]
-        if not coeffs:
-            raise ValueError(f"no coefficients in {name!r}")
+        coeffs = [_poly_coefficient(name, i, tok)
+                  for i, tok in enumerate(name[5:].split(","))]
         return SeriesCatalogEntry(series=from_coefficients(coeffs, name=name))
     if name in _CATALOG:
         return _CATALOG[name]

@@ -180,7 +180,7 @@ def test_a5_background_identities():
     """Power identity, product order, normal equality, norm-root chain."""
     checks = run_identity_checks(seed=5, trials=500, dims=(2, 4, 8))
     detail = ", ".join(
-        f"{name}: worst {c.worst:.2e}" for name, c in checks.items()
+        f"{name}: worst {c.worst_margin:.2e}" for name, c in checks.items()
     )
     ok = all(c.passed for c in checks.values())
     report("A5 background identities", ok, detail)
@@ -191,7 +191,7 @@ def test_a6_limit_laws():
     """Subadditivity, radius continuity, truncation Cauchy behavior."""
     checks = run_limit_checks(seed=6, trials=300, dims=(2, 4, 8))
     detail = ", ".join(
-        f"{name}: {c.trials} checks, worst {c.worst:.2e}"
+        f"{name}: {c.trials} checks, worst {c.worst_margin:.2e}"
         for name, c in checks.items()
     )
     ok = all(c.passed for c in checks.values()) and all(

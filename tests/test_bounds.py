@@ -1,6 +1,8 @@
 """Every bound against hand values, oracles, and ordering properties."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -492,7 +494,7 @@ def test_best_bound_noncommuting_gating():
 
 def test_bound_result_serialization():
     b = bound_single(EXP, np.zeros((2, 2)))
-    record = b.as_record()
+    record = json.loads(json.dumps(asdict(b)))
     assert record["name"] == "companion-radius"
     assert record["target"] == "f(T)"
     assert record["value"] == pytest.approx(1.0)
@@ -603,6 +605,18 @@ _PAIR_REFERENCE = {
     "r(B)": lambda A, B: spectral_radius(B),
 }
 
+_PRODUCT_REFERENCE = {
+    "A": lambda A, B: A,
+    "B": lambda A, B: B,
+    "AB": lambda A, B: A @ B,
+    "BA": lambda A, B: B @ A,
+    "A^2": lambda A, B: A @ A,
+    "B^2": lambda A, B: B @ B,
+    "AB^2": lambda A, B: A @ B @ B,
+    "A^2B": lambda A, B: A @ A @ B,
+    "AB-BA": lambda A, B: A @ B - B @ A,
+}
+
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
 def test_pair_invariants_match_per_label_formulas(n):
@@ -612,6 +626,8 @@ def test_pair_invariants_match_per_label_formulas(n):
         v = Invariants(A, B)
         for label, ref in _PAIR_REFERENCE.items():
             assert v[label] == ref(A, B), (n, label)
+        for label, ref in _PRODUCT_REFERENCE.items():
+            assert np.array_equal(v.matrix(label), ref(A, B)), (n, label)
 
 
 def test_pair_product_overflow_is_named():

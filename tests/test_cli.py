@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from specbound import save_matrix
-from specbound.cli import main
+from specbound import SweepConfig, save_matrix
+from specbound.cli import _sweep_config, build_parser, main
 
 
 @pytest.fixture
@@ -101,6 +101,17 @@ def test_bound_polynomial_series(tmp_path, capsys):
     assert code == 0
     assert "minimum [f(T)] = 1.18" in out
     assert "oracle r[f(T)] = 1.18" in out
+
+
+@pytest.mark.parametrize("series, position", [
+    ("poly:1,,0.5", 1),  # not 1 + 0.5z: an empty coefficient is an error
+    ("poly:nan", 0),
+    ("poly:inf,1", 0),
+])
+def test_bound_bad_polynomial_coefficient_exits_2(zero2, capsys, series, position):
+    code = main(["bound", "--series", series, "--matrix", zero2])
+    assert code == 2
+    assert f"coefficient {position} of {series!r}" in capsys.readouterr().err
 
 
 def test_bound_2f1_with_params(zero2, capsys):
@@ -235,11 +246,18 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["verify", "compare"])
 @pytest.mark.parametrize("args", [
     ["--dims", ","], ["--series", ","], ["--trials", "-3"], ["--families", ","],
+    ["--families", "bogus"], ["--dims", "0"],
 ])
 def test_sweep_with_nothing_to_cycle_exits_2(tmp_path, capsys, command, args):
     code = main([command, *args, "--out", str(tmp_path / "r")])
     assert code == 2
     assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # fails before writing anything
+
+
+def test_sweep_defaults_match_sweep_config():
+    args = build_parser().parse_args(["verify", "--out", "x"])
+    assert _sweep_config(args) == SweepConfig()
 
 
 @pytest.mark.parametrize("command", ["verify", "compare"])

@@ -285,6 +285,15 @@ def test_polynomial_series_is_exact():
     assert eval_companion(f, 2.0, 1e-12) == pytest.approx(1 + 2 * 2 + 0.25 * 4)
 
 
+@pytest.mark.parametrize("name, position", [
+    ("poly:1,,0.5", 1), ("poly: ,1", 0), ("poly:nan", 0), ("poly:1,inf", 1),
+    ("poly:1,2,nanj", 2), ("poly:1,x", 1), ("poly:", 0),
+])
+def test_lookup_rejects_empty_or_non_finite_poly_coefficients(name, position):
+    with pytest.raises(ValueError, match=f"coefficient {position} of"):
+        lookup(name)
+
+
 def test_polynomial_tail_is_zero_beyond_degree():
     f = from_coefficients([3.0, 0.0, 1.0])
     assert f.tail_bound(2, 10.0) == 0.0
