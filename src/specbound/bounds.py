@@ -283,6 +283,14 @@ def _holder_rows(p: float) -> tuple[Row, Row]:
     )
 
 
+def _holder_groups(p_grid: Sequence[float]) -> list[tuple[float, tuple[Row, Row]]]:
+    """(p, rows) for each p of p_grid; BadExponent on a p out of range or repeated."""
+    repeated = [p for i, p in enumerate(p_grid) if p in p_grid[:i]]
+    if repeated:
+        raise BadExponent(f"Hölder exponent p={repeated[0]:g} is given twice")
+    return [(p, _holder_rows(p)) for p in p_grid]
+
+
 def _signed(result: BoundResult, sign: int) -> BoundResult:
     tag = "+" if sign > 0 else "-"
     return replace(result, name=f"{result.name}({tag})", target=f"AB{tag}BA",
@@ -325,7 +333,7 @@ def best_bound(f: PowerSeries, A: Matrix, B: Optional[Matrix] = None,
     if not (tol > 0):
         raise ValueError(f"tolerance must be positive, got {tol}")
     v, fa = Invariants(A, B), {}
-    holder = [(p, _holder_rows(p)) for p in p_grid]  # checks each p in both modes
+    holder = _holder_groups(p_grid)  # checks each p in both modes
     if B is None:
         results = [_evaluate(_SINGLE, f, v, tol, fa)]
     else:

@@ -174,6 +174,8 @@ def cmd_bound(args) -> int:
 def _sweep_config(args) -> harness.SweepConfig:
     names, params = _parse_list(args.series), _parse_params(args.param)
     _lookup_all(names, params)  # fail on a name or --param before sweeping
+    if args.trials == 0:  # verify's checks would still run and report a pass
+        raise ValueError("--trials 0 sweeps nothing; give at least 1")
     return harness.SweepConfig(
         series_names=names,
         params=params or None,

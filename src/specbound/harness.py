@@ -27,6 +27,7 @@ from .bounds import (
     DEFAULT_P_GRID,
     BoundResult,
     Invariants,
+    _holder_groups,
     _pm_rows,
     best_bound,
 )
@@ -194,6 +195,7 @@ class SweepConfig:
             raise UnknownFamily(f"unknown families {unknown}")
         if min(self.dims) < 1:
             raise ValueError(f"dimensions must be >= 1, got {self.dims}")
+        _holder_groups(self.p_grid)  # BadExponent before any trial runs
 
 
 @dataclass

@@ -123,7 +123,7 @@ def series_partial_sum(f: PowerSeries, T: Matrix, m: int) -> Matrix:
     s = max(1, math.isqrt(m))
     blocks = m // s + 1
     c = np.zeros(blocks * s, dtype=np.complex128)
-    c[: m + 1] = [f.coeff(j) for j in range(m + 1)]
+    c[: m + 1] = f.prefix(m)[0]
     # powers[i] = T^i for i <= s, the one O(s n^2) buffer: blocks are
     # formed one at a time inside the Horner loop, never all at once.
     powers = np.empty((s + 1, n, n), dtype=np.complex128)
@@ -186,7 +186,7 @@ def parse_matrix(text: str) -> Matrix:
         )
     try:
         flat = [complex(re, im) for re, im in entries]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"entries must be [re, im] number pairs: {exc}") from exc
     return as_matrix(np.array(flat, dtype=np.complex128).reshape(dim, dim))
 

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import NoConvergence, OutOfDisk
 
 DEFAULT_TOL = 1e-10
@@ -29,15 +31,31 @@ DEFAULT_MAX_TERMS = 10**6
 class PowerSeries:
     """A power series sum a_n z^n with convergence radius `radius`.
 
-    coeff(n) must be deterministic. `tail_bound(m, x)` is required and
-    must return a certified upper bound on sum_{j>m} |a_j| x^j (math.inf
-    when no certificate holds at that order).
+    coeff(n) must be deterministic; each series object calls it once per n
+    (see `prefix`). `tail_bound(m, x)` is required and must return a
+    certified upper bound on sum_{j>m} |a_j| x^j (math.inf when no
+    certificate holds at that order). The order search finds the smallest
+    certified order when that bound is nonincreasing in m once finite, as
+    every catalog tail is, and a certified but maybe larger one otherwise.
     """
 
     coeff: Callable[[int], complex]
     radius: float
     name: str
     tail_bound: Callable[[int, float], float] = field(repr=False)
+    _prefix: list = field(init=False, repr=False, compare=False,
+                          default_factory=lambda: [np.empty(0, complex), np.empty(0)])
+
+    def prefix(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """a_0..a_m (complex128) and |a_0|..|a_m| (float64), kept on the
+        object and grown to m on demand: `coeff(j)` runs once per j."""
+        a, mags = self._prefix
+        if len(a) <= m:
+            new = [self.coeff(j) for j in range(len(a), m + 1)]
+            a = np.concatenate((a, new))
+            mags = np.concatenate((mags, [abs(c) for c in new]))
+            self._prefix[:] = a, mags
+        return a[: m + 1], mags[: m + 1]
 
 
 @dataclass(frozen=True)
@@ -63,19 +81,27 @@ def _check_eval_args(f: PowerSeries, x: float, tol: float) -> None:
 def _order_and_tail(
     f: PowerSeries, x: float, tol: float, max_terms: int
 ) -> tuple[int, float]:
-    for m in range(max_terms + 1):
-        t = f.tail_bound(m, x)
-        if t <= tol:
-            return m, t
-    raise NoConvergence(
-        f"{f.name}: no order up to {max_terms} certifies tail <= {tol} at x={x}"
-    )
+    """Gallop over m = 0, 1, 3, 7, ..., max_terms to a tail <= tol, then bisect."""
+    fail, m = -1, 0  # fail: the largest order known to miss tol
+    while not (t := f.tail_bound(m, x)) <= tol:
+        if m >= max_terms:
+            raise NoConvergence(f"{f.name}: no order up to {max_terms} "
+                                f"certifies tail <= {tol} at x={x}")
+        fail, m = m, min(2 * m + 1, max_terms)
+    while m - fail > 1:
+        mid = (fail + m) // 2
+        if (t_mid := f.tail_bound(mid, x)) <= tol:
+            m, t = mid, t_mid
+        else:
+            fail = mid
+    return m, t
 
 
 def truncation_order(
     f: PowerSeries, x: float, tol: float, max_terms: int = DEFAULT_MAX_TERMS
 ) -> int:
-    """Smallest tested m whose certified tail majorant at x is <= tol."""
+    """Smallest m whose certified tail majorant at x is <= tol (see
+    `PowerSeries`), found in O(log m) tail evaluations."""
     _check_eval_args(f, x, tol)
     return _order_and_tail(f, x, tol, max_terms)[0]
 
@@ -96,8 +122,8 @@ def eval_companion(
     total = 0.0
     comp = 0.0
     xj = 1.0
-    for j in range(m + 1):
-        term = abs(f.coeff(j)) * xj
+    for mag in f.prefix(m)[1].tolist():
+        term = mag * xj
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -112,14 +138,11 @@ def from_coefficients(
     """Finite polynomial as a power series (radius +inf, exact tail)."""
     values = [complex(c) for c in coeffs]
 
-    def coefficient(n: int) -> complex:
-        return values[n] if n < len(values) else 0.0j
-
     def tail(m: int, x: float) -> float:
         return sum(abs(values[j]) * x**j for j in range(m + 1, len(values)))
 
     return PowerSeries(
-        coeff=coefficient,
+        coeff=lambda n: values[n] if n < len(values) else 0.0j,
         radius=math.inf,
         name=name,
         tail_bound=tail,

@@ -129,6 +129,9 @@ def test_holder_rejects_bad_exponent():
     for p in (1.0, math.inf, math.nan):
         with pytest.raises(BadExponent):
             best_bound(EXP, A, B, p_grid=(p,))
+    for Y in (B, None):  # a repeated exponent would repeat its two rows
+        with pytest.raises(BadExponent, match="p=2 is given twice"):
+            best_bound(EXP, A, Y, p_grid=(2, 1.5, 2.0))
 
 
 def test_holder_rejects_noncommuting():

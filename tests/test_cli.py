@@ -173,7 +173,8 @@ def test_bound_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.mat"
     for text in ("not json", '{"dim": 1, "entries": [["1", 0]]}',
                  '{"dim": 1, "entries": [[null, 0]]}', '{"dim": 1, "entries": [5]}',
-                 '[1]', '{"dim": 1, "entries": 5}', '"x"'):
+                 '[1]', '{"dim": 1, "entries": 5}', '"x"',
+                 '{"dim": 1, "entries": [[1%s, 0]]}' % ("0" * 400)):
         bad.write_text(text)
         code = main(["bound", "--series", "exp", "--matrix", str(bad)])
         assert code == 2, text
@@ -200,8 +201,8 @@ def test_bound_too_many_matrices_exits_2(zero2, capsys):
 @pytest.mark.parametrize("scale", [0.5, 2.0])  # norm inside, then outside, the disk
 @pytest.mark.parametrize("option, modes", [
     (["--p", "1"], (1, 2)), (["--p", "inf"], (1, 2)), (["--p", "nan"], (1, 2)),
-    (["--tol", "-1"], (1, 2)), (["--tol", "nan"], (1, 2)),
-], ids=["p=1", "p=inf", "p=nan", "tol=-1", "tol=nan"])
+    (["--tol", "-1"], (1, 2)), (["--tol", "nan"], (1, 2)), (["--p", "2,2.0"], (1, 2)),
+], ids=["p=1", "p=inf", "p=nan", "tol=-1", "tol=nan", "p=2,2.0"])
 def test_bound_bad_exponent_or_tolerance_exits_2(tmp_path, capsys, option, modes, scale):
     path = str(tmp_path / "d.mat")
     save_matrix(path, np.diag([scale, 0.5]).astype(complex))
@@ -246,7 +247,8 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["verify", "compare"])
 @pytest.mark.parametrize("args", [
     ["--dims", ","], ["--series", ","], ["--trials", "-3"], ["--families", ","],
-    ["--families", "bogus"], ["--dims", "0"],
+    ["--families", "bogus"], ["--dims", "0"], ["--trials", "0"], ["--p", "0.5"],
+    ["--p", "2,2.0"],
 ])
 def test_sweep_with_nothing_to_cycle_exits_2(tmp_path, capsys, command, args):
     code = main([command, *args, "--out", str(tmp_path / "r")])

@@ -7,6 +7,7 @@ import pytest
 
 from specbound import (
     FAMILIES_PAIR,
+    BadExponent,
     BoundResult,
     FAMILIES_SINGLE,
     GenerationFailure,
@@ -238,6 +239,14 @@ def small_config(**overrides):
 
 def test_empty_sweep():
     assert run_sweep(small_config(trials=0)) == []
+
+
+@pytest.mark.parametrize("p_grid, match", [
+    ((0.5,), "1 < p < inf"), ((2.0, 3.0, 2), "p=2 is given twice"),
+])
+def test_sweep_config_checks_the_exponent_grid(p_grid, match):
+    with pytest.raises(BadExponent, match=match):
+        small_config(p_grid=p_grid)
 
 
 def test_sweep_has_no_violations_and_full_records():

@@ -76,7 +76,7 @@ def test_load_rejects_malformed_documents(tmp_path):
     bad_dim.write_text('{"dim": 0, "entries": []}')
     with pytest.raises(ValueError):
         load_matrix(bad_dim)
-    for entries in ('[["1", 0]]', '[[null, 0]]', '[5]'):
+    for entries in ('[["1", 0]]', '[[null, 0]]', '[5]', '[[1%s, 0]]' % ("0" * 400)):
         bad_entry = tmp_path / "bad3.mat"
         bad_entry.write_text('{"dim": 1, "entries": %s}' % entries)
         with pytest.raises(ValueError):

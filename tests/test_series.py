@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from specbound import (
     lookup,
     truncation_order,
 )
+from specbound.series import _order_and_tail
 
 ALL_NAMES = [
     "log-resolvent", "cos", "sin", "resolvent", "exp", "half-log-ratio",
@@ -305,3 +307,126 @@ def test_power_series_requires_tail_bound():
     with pytest.raises(TypeError):
         PowerSeries(coeff=lambda n: complex(0.7**n), radius=1.0 / 0.7,
                     name="uncertified")
+
+
+# ---------------------------------------------------------------------------
+# Order search and coefficient prefix against the per-term reference
+# ---------------------------------------------------------------------------
+
+COMPLEX_POLY = "poly:1,-0.5+0.3j,0.25j,1+2j"
+# Every catalog entry, 2F1 at its defaults and at (0.5, 0.75, 1.25), and a
+# polynomial with complex coefficients.
+SEARCH_SERIES = [*ALL_NAMES, "2F1", "2F1(0.5,0.75,1.25)", COMPLEX_POLY]
+
+
+def search_series(name):
+    if name == "2F1(0.5,0.75,1.25)":
+        return hypergeometric_series(0.5, 0.75, 1.25).series
+    return lookup(name).series
+
+
+def linear_order_and_tail(f, x, tol, max_terms):
+    """The order search as a linear scan over m = 0, 1, 2, ..."""
+    for m in range(max_terms + 1):
+        t = f.tail_bound(m, x)
+        if t <= tol:
+            return m, t
+    raise NoConvergence(f"no order up to {max_terms}")
+
+
+def per_term_companion(f, m, x):
+    """Kahan sum of abs(f.coeff(j)) x^j over j <= m, one coeff call per term."""
+    total = 0.0
+    comp = 0.0
+    xj = 1.0
+    for j in range(m + 1):
+        term = abs(f.coeff(j)) * xj
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        xj *= x
+    return total
+
+
+def search_points(f):
+    if math.isinf(f.radius):
+        return [0.0, 1.0, 9.0, 58.0, 150.0]
+    return [0.0, 0.5, 0.9, 0.995, 0.9999]
+
+
+@pytest.mark.parametrize("name", SEARCH_SERIES)
+def test_order_search_and_companion_match_per_term_reference(name):
+    # Galloping plus bisection finds the linear scan's (m, tail) bit for
+    # bit, or fails where it fails; the companion sum over the prefix
+    # equals the per-term loop bit for bit, NaN (exp past x = 58) included.
+    f = search_series(name)
+    for x in search_points(f):
+        for tol in (1e-3, 1e-10, 1e-14):
+            for max_terms in (100, 10**6):
+                try:
+                    expected = linear_order_and_tail(f, x, tol, max_terms)
+                except NoConvergence:
+                    with pytest.raises(NoConvergence):
+                        _order_and_tail(f, x, tol, max_terms)
+                    continue
+                assert _order_and_tail(f, x, tol, max_terms) == expected, (x, tol)
+                got = eval_companion(f, x, tol, max_terms)
+                want = per_term_companion(f, expected[0], x)
+                assert repr(got) == repr(want), (x, tol, max_terms)
+
+
+def counted_tail(f):
+    calls = []
+
+    def tail(m, x):
+        calls.append(m)
+        return f.tail_bound(m, x)
+
+    return replace(f, tail_bound=tail), calls
+
+
+def test_order_search_makes_logarithmically_many_tail_calls():
+    f, calls = counted_tail(lookup("geometric").series)
+    with pytest.raises(NoConvergence):
+        truncation_order(f, 0.99999, 1e-10, max_terms=10**6)
+    assert calls[-1] == 10**6  # the cap itself is tested
+    assert len(calls) <= 2 * math.ceil(math.log2(10**6)) + 2
+    calls.clear()
+    m = truncation_order(f, 0.9999, 1e-10)
+    assert m > 10**5
+    assert len(calls) <= 2 * math.ceil(math.log2(m + 1)) + 2
+
+
+# numpy's complex abs differs from Python's by an ulp on these two values.
+ULP_POLY = ("poly:0.6404226504432821+0.1370126477621637j,1,"
+            "0.1257302210933933+0.32359471786070765j")
+
+
+@pytest.mark.parametrize("name", [*ALL_NAMES, "2F1", COMPLEX_POLY, ULP_POLY])
+def test_prefix_matches_coeff_bit_for_bit(name):
+    f = lookup(name).series
+    coeffs = [f.coeff(j) for j in range(201)]
+    for m in (3, 200, 0):  # grow, then read a shorter prefix
+        a, mags = f.prefix(m)
+        assert a.tobytes() == np.array(coeffs[: m + 1], dtype=np.complex128).tobytes()
+        assert mags.tobytes() == np.array(
+            [abs(c) for c in coeffs[: m + 1]], dtype=np.float64).tobytes()
+
+
+def test_prefix_calls_coeff_once_per_index_and_is_not_a_field():
+    base = lookup("exp").series
+    calls = []
+
+    def coeff(n):
+        calls.append(n)
+        return base.coeff(n)
+
+    f = replace(base, coeff=coeff)  # a fresh, empty prefix
+    for m in (10, 5, 30, 30):
+        f.prefix(m)
+    assert calls == list(range(31))
+    assert f == replace(f) and "_prefix=" not in repr(f)
+    g = replace(f)
+    g.prefix(2)
+    assert calls == [*range(31), 0, 1, 2]
