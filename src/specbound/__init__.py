@@ -34,7 +34,6 @@ from .harness import (
 from .matrices import (
     EvalCertificate,
     as_matrix,
-    gelfand_sequence,
     load_matrix,
     operator_norm,
     save_matrix,

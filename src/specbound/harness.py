@@ -27,7 +27,7 @@ from .bounds import (
     DEFAULT_P_GRID,
     BoundResult,
     Invariants,
-    _holder_groups,
+    _holder_rows,
     _pm_rows,
     best_bound,
 )
@@ -35,9 +35,7 @@ from .errors import GenerationFailure, OutOfDisk, UnknownFamily
 from .matrices import (
     Matrix,
     _series_at_norm,
-    gelfand_sequence,
     operator_norm,
-    operator_norms,
     series_partial_sum,
     spectral_radii,
 )
@@ -195,7 +193,7 @@ class SweepConfig:
             raise UnknownFamily(f"unknown families {unknown}")
         if min(self.dims) < 1:
             raise ValueError(f"dimensions must be >= 1, got {self.dims}")
-        _holder_groups(self.p_grid)  # BadExponent before any trial runs
+        _holder_rows(self.p_grid)  # BadExponent before any trial runs
 
 
 @dataclass
@@ -211,27 +209,30 @@ class TrialRecord:
     violation: bool = False
 
 
+def _below_oracle(value: float, oracle: float, oracle_err: float) -> bool:
+    """True when a bound's `value` is below its oracle by more than the
+    oracle's error plus `_SLACK_REL` * max(1, oracle). A non-finite oracle
+    or oracle error checks nothing, so any value meeting one fails."""
+    if not (math.isfinite(oracle) and math.isfinite(oracle_err)):
+        return True
+    return value < oracle - (_SLACK_REL * max(1.0, oracle) + oracle_err)
+
+
 def _judge(record: TrialRecord) -> None:
     """Fill tightness ratios and the violation flag in place.
 
     A missing oracle (series argument outside the disk) can only happen
     when every bound on that target is unavailable, so skipping is safe.
-    A non-finite oracle or oracle error checks nothing, so an available
-    bound meeting one is a violation.
     """
     for b in record.bounds:
         if not b.available or b.target not in record.oracles:
             continue
         oracle, oracle_err = record.oracles[b.target]
-        if not (math.isfinite(oracle) and math.isfinite(oracle_err)):
+        if _below_oracle(b.value, oracle, oracle_err):
             record.violation = True
-            record.tightness[b.name] = None
-            continue
-        slack = _SLACK_REL * max(1.0, oracle) + oracle_err
-        if b.value < oracle - slack:
-            record.violation = True
+        trusted = math.isfinite(oracle) and math.isfinite(oracle_err)
         record.tightness[b.name] = (
-            b.value / oracle if oracle > 1e-12 else None
+            b.value / oracle if trusted and oracle > 1e-12 else None
         )
 
 
@@ -424,7 +425,7 @@ def write_summary_json(summary: dict, path: Union[str, Path]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Identity and limit checks (no series bounds involved)
+# Checks of the package's own certificates
 # ---------------------------------------------------------------------------
 
 
@@ -451,99 +452,18 @@ class CheckResult:
         return self.violations == 0
 
 
-def _identity_spec(seed: int, i: int, dims: Sequence[int]) -> InstanceSpec:
-    rng = np.random.default_rng([seed, i])
-    return InstanceSpec(
-        seed=int(rng.integers(0, 2**63)),
-        family=FAMILIES_SINGLE[i % len(FAMILIES_SINGLE)],
-        dim=dims[i % len(dims)],
-        norm_target=float(rng.uniform(0.2, 1.2)),
-    )
-
-
-def run_identity_checks(
-    seed: int = 0, trials: int = 300, dims: Sequence[int] = (2, 4, 8)
-) -> dict[str, CheckResult]:
-    """Spectral-radius ground truths on random instances.
-
-    Checks r <= ||.||, the power identity r(T^m) = r(T)^m for m <= 5,
-    r(AB) = r(BA) for arbitrary pairs, r = ||.|| for normal matrices, and
-    the monotone norm-root sequence from repeated squaring.
-    """
-    results = {
-        "radius-below-norm": CheckResult(),
-        "power-identity": CheckResult(),
-        "product-order": CheckResult(),
-        "normal-equality": CheckResult(),
-        "norm-root-monotone": CheckResult(),
-        "norm-root-above-radius": CheckResult(),
-    }
-    for i in range(trials):
-        spec = _identity_spec(seed, i, dims)
-        T = gen_matrix(spec)
-        powers = [T] + [np.linalg.matrix_power(T, m) for m in range(2, 6)]
-        r, *rms = spectral_radii(np.stack(powers)).tolist()
-        g = gelfand_sequence(T, 5)
-        results["radius-below-norm"].record(r - g[0] - 1e-10)
-        for m, rm in enumerate(rms, 2):
-            margin = abs(rm - r**m) - 1e-8 * max(1.0, r**m)
-            results["power-identity"].record(margin)
-        for gk, gk1 in zip(g, g[1:]):
-            results["norm-root-monotone"].record(gk1 - gk - 1e-10)
-        for gk in g:
-            results["norm-root-above-radius"].record(r - gk - 1e-8)
-
-        pair_rng = np.random.default_rng([seed, i, 1])
-        n = dims[i % len(dims)]
-        A = _ginibre(pair_rng, n)
-        B = _ginibre(pair_rng, n)
-        rab, rba = spectral_radii(np.stack((A @ B, B @ A))).tolist()
-        results["product-order"].record(
-            abs(rab - rba) - 1e-8 * max(1.0, rab)
-        )
-
-        normal_rng = np.random.default_rng([seed, i, 2])
-        H = gen_matrix(InstanceSpec(
-            seed=int(normal_rng.integers(0, 2**63)),
-            family="hermitian", dim=n, norm_target=1.0,
-        ))
-        HU = np.stack((H, _haar_unitary(normal_rng, n)))
-        for r, nrm in zip(spectral_radii(HU).tolist(), operator_norms(HU).tolist()):
-            results["normal-equality"].record(abs(r - nrm) - 1e-10)
-    return results
-
-
 def run_limit_checks(
     seed: int = 0, trials: int = 300, dims: Sequence[int] = (2, 4, 8)
 ) -> dict[str, CheckResult]:
-    """Limit-law checks: subadditivity over commuting families, radius
-    continuity along commuting perturbations, and the Cauchy behavior of
-    the truncated-series radius."""
-    results = {
-        "subadditivity": CheckResult(),
-        "radius-continuity": CheckResult(),
-        "truncation-cauchy": CheckResult(),
-    }
+    """The Cauchy behaviour of the truncated-series radius: radii of
+    truncations certified to different tolerances differ by at most the
+    coarser one's tail bound."""
+    result = CheckResult()
     cauchy_entries = [lookup("exp"), lookup("geometric")]
     for i in range(trials):
         rng = np.random.default_rng([seed, i, 3])
         n = dims[i % len(dims)]
-        M = _scaled(_ginibre(rng, n), 1.0)
-        k = int(rng.integers(2, 7))
-        coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        terms = [coeffs[j] * np.linalg.matrix_power(M, j) for j in range(k)]
-        lhs, *rs = spectral_radii(np.stack([sum(terms)] + terms)).tolist()
-        results["subadditivity"].record(lhs - sum(rs) - 1e-8)
-
-        ca = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        cb = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        V = series_partial_sum(from_coefficients(ca), M, len(ca) - 1)
-        S = series_partial_sum(from_coefficients(cb), M, len(cb) - 1)
-        rV, rS, rVS = spectral_radii(np.stack((V, S, V - S))).tolist()
-        results["radius-continuity"].record(abs(rV - rS) - rVS - 1e-8)
-
-        entry = cauchy_entries[i % len(cauchy_entries)]
-        f = entry.series
+        f = cauchy_entries[i % len(cauchy_entries)].series
         norm_cap = 1.5 if math.isinf(f.radius) else 0.7 * f.radius
         T = _scaled(_ginibre(rng, n), float(rng.uniform(0.3, 1.0)) * norm_cap)
         x = operator_norm(T)
@@ -555,10 +475,8 @@ def run_limit_checks(
         for a in range(len(orders)):
             for b in range(a + 1, len(orders)):
                 allowed = f.tail_bound(orders[a], x) + 1e-8
-                results["truncation-cauchy"].record(
-                    abs(radii[a] - radii[b]) - allowed
-                )
-    return results
+                result.record(abs(radii[a] - radii[b]) - allowed)
+    return {"truncation-cauchy": result}
 
 
 def run_pm_checks(

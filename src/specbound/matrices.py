@@ -21,9 +21,6 @@ from .series import PowerSeries, _check_eval_args, _order_and_tail
 
 Matrix = np.ndarray
 
-# Squaring past this norm risks leaving double range within a few steps.
-_SQUARING_NORM_CAP = 1e120
-
 # Relative tolerance and absolute floor of the commutator test `commutes`.
 _COMMUTE_REL_TOL = 1e-10
 _COMMUTE_FLOOR = 1e-300
@@ -64,29 +61,6 @@ def spectral_radius(T: Matrix) -> float:
 def operator_norm(T: Matrix) -> float:
     """Largest singular value (induced 2-norm)."""
     return float(operator_norms(T))
-
-
-def gelfand_sequence(T: Matrix, k_max: int) -> list[float]:
-    """g_k = ||T^(2^k)||^(1/2^k) for k = 0..k_max, by repeated squaring.
-
-    Non-increasing, and every term is at least the spectral radius.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    P = np.asarray(T, dtype=np.complex128)
-    cur = operator_norm(P)
-    out = [cur]
-    for k in range(1, k_max + 1):
-        if cur > _SQUARING_NORM_CAP:
-            raise NormOverflow(
-                f"norm {cur:.3e} too large to square safely; normalize first"
-            )
-        P = P @ P
-        cur = operator_norm(P)
-        if not math.isfinite(cur):
-            raise NormOverflow("repeated squaring overflowed; normalize first")
-        out.append(cur ** (1.0 / 2.0**k) if cur > 0 else 0.0)
-    return out
 
 
 def commutes(cnorm: float, nA: float, nB: float) -> bool:
@@ -150,12 +124,16 @@ def _series_at_norm(
 
     The order is chosen so the scalar majorant sum_{j>m} |a_j| nrm^j is
     below tol; that majorant dominates the matrix remainder norm.
+    NormOverflow if the truncation is not finite.
     """
     _check_eval_args(f, nrm, tol)
     m, tail = _order_and_tail(f, nrm, tol, max_terms)
-    return EvalCertificate(
-        value=series_partial_sum(f, T, m), order=m, remainder_bound=tail
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        value = series_partial_sum(f, T, m)
+    if not np.isfinite(value).all():
+        raise NormOverflow(f"{f.name}: the order-{m} truncation at ||T|| = {nrm:g} "
+                           "is not finite; normalize the matrix first")
+    return EvalCertificate(value=value, order=m, remainder_bound=tail)
 
 
 # ---------------------------------------------------------------------------

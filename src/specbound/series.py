@@ -139,7 +139,10 @@ def from_coefficients(
     values = [complex(c) for c in coeffs]
 
     def tail(m: int, x: float) -> float:
-        return sum(abs(values[j]) * x**j for j in range(m + 1, len(values)))
+        try:
+            return sum(abs(values[j]) * x**j for j in range(m + 1, len(values)))
+        except OverflowError:  # a float power past double range
+            return math.inf
 
     return PowerSeries(
         coeff=lambda n: values[n] if n < len(values) else 0.0j,

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from inequalities import reverse_holder_gap
+from inequalities import CS_FORMS, holder_ratio, reverse_holder_gap
 from specbound import (
     SweepConfig,
     as_matrix,
@@ -34,12 +34,12 @@ from specbound.harness import (
     InstanceSpec,
     gen_matrix,
     oracle_radii,
-    run_identity_checks,
     run_limit_checks,
     run_pm_checks,
 )
 from specbound.matrices import _series_at_norm
 from specbound.series import DEFAULT_MAX_TERMS
+from textbook import run_identity_checks, run_limit_laws
 
 TOL = 1e-10
 
@@ -56,6 +56,12 @@ HYP_PARAMS = (0.5, 0.75, 1.25)
 
 def report(label: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {label}: {'PASS' if ok else 'FAIL'} -- {detail}")
+
+
+def record_companion(record):
+    """f_a of a trial's series, as its bounds evaluate it."""
+    f = lookup(record.series_name, record.series_params).series
+    return lambda x: eval_companion(f, x, TOL)
 
 
 @pytest.fixture(scope="module")
@@ -97,14 +103,12 @@ def test_a1_single_operator_soundness():
 
 
 def test_a2_pair_holder_soundness(pair_records):
-    """Hölder pair bounds sound on 500 commuting pairs per family."""
+    """Hölder pair bounds sound on 500 commuting pairs per family (the
+    ratio forms, which A3 shows are above them, are then sound too)."""
     per_family = {fam: 0 for fam in FAMILIES_PAIR}
     violations = 0
     unavailable_reasons: dict[str, int] = {}
-    holder_names = [
-        f"holder-{kind}(p={p:g})"
-        for p in (1.5, 2.0, 3.0) for kind in ("geo", "ratio")
-    ] + ["pair-squares"]
+    holder_names = [f"holder-geo(p={p:g})" for p in (1.5, 2.0, 3.0)] + ["pair-squares"]
     for record in pair_records:
         per_family[record.spec.family] += 1
         oracle, oracle_err = record.oracles["f(AB)"]
@@ -127,27 +131,28 @@ def test_a2_pair_holder_soundness(pair_records):
     assert ok
 
 
-CHAINS = (
-    ("norm-split", "norm-split-cs"),
-    ("mixed-split", "mixed-split-cs"),
-    ("triple-split", "triple-split-cs"),
-)
-
-
 def test_a3_chain_soundness_and_ordering(pair_records):
-    """Each chain line bounds the oracle and line 1 <= line 2."""
+    """Each norm-averaged row and each Hölder row bounds the oracle, and is
+    at most the corollary that dominates it (its Cauchy-Schwarz form, or
+    the ratio form), evaluated from the row's intermediates."""
     assert len(pair_records) >= 500
     violations, order_breaks = 0, 0
+    holder_names = [f"holder-geo(p={p:g})" for p in (1.5, 2.0, 3.0)]
     for record in pair_records:
         oracle, oracle_err = record.oracles["f(AB)"]
         slack = 1e-8 * max(1.0, oracle) + oracle_err
+        fa = record_companion(record)
         by_name = {b.name: b for b in record.bounds}
-        for first_name, second_name in CHAINS:
-            first, second = by_name[first_name], by_name[second_name]
-            assert first.available and second.available
-            if first.value < oracle - slack or second.value < oracle - slack:
+        pairs = [(by_name[name], form(fa, by_name[name].intermediates))
+                 for name, form in CS_FORMS.items()]
+        for name in holder_names:
+            s = by_name[name].intermediates
+            pairs.append((by_name[name], holder_ratio(fa, s["r(A)"], s["r(B)"], s["p"])))
+        for row, corollary in pairs:
+            assert row.available, row.name
+            if row.value < oracle - slack:
                 violations += 1
-            if first.value > second.value + 1e-10 * max(1.0, second.value):
+            if row.value > corollary + 1e-10 * max(1.0, corollary):
                 order_breaks += 1
     ok = violations == 0 and order_breaks == 0
     report("A3 chain soundness and ordering", ok,
@@ -189,7 +194,8 @@ def test_a5_background_identities():
 
 def test_a6_limit_laws():
     """Subadditivity, radius continuity, truncation Cauchy behavior."""
-    checks = run_limit_checks(seed=6, trials=300, dims=(2, 4, 8))
+    checks = run_limit_laws(seed=6, trials=300, dims=(2, 4, 8))
+    checks.update(run_limit_checks(seed=6, trials=300, dims=(2, 4, 8)))
     detail = ", ".join(
         f"{name}: {c.trials} checks, worst {c.worst_margin:.2e}"
         for name, c in checks.items()

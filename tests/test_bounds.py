@@ -9,20 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inequalities import reverse_holder_gap
+from inequalities import CS_FORMS, holder_ratio, reverse_holder_gap
 from specbound import (
     BadExponent,
     NormOverflow,
     as_matrix,
     best_bound,
     bound_single,
+    catalog,
+    eval_companion,
     gen_commuting_pair,
     lookup,
     operator_norm,
     oracle_radii,
     spectral_radius,
 )
-from specbound.bounds import Invariants
+from specbound.bounds import (
+    _COMMUTING_ROWS, Invariants, _evaluate, _holder_row, _holder_scope,
+)
 from specbound.harness import InstanceSpec
 from specbound.matrices import _series_at_norm
 from specbound.series import DEFAULT_MAX_TERMS
@@ -48,16 +52,22 @@ def rows(f, A, B, p=2.0):
     return {r.name: r for r in best_bound(f, A, B, tol=TOL, p_grid=(p,)).results}
 
 
+def companion(f):
+    """f_a as the bounds evaluate it."""
+    return lambda x: eval_companion(f, x, TOL)
+
+
 def holder(f, A, B, p):
-    """The (geometric, ratio) Hölder rows at exponent p."""
-    r = rows(f, A, B, p)
-    return r[f"holder-geo(p={p:g})"], r[f"holder-ratio(p={p:g})"]
+    """The Hölder row at exponent p, and the ratio form on its intermediates."""
+    geo = rows(f, A, B, p)[f"holder-geo(p={p:g})"]
+    s = geo.intermediates
+    return geo, holder_ratio(companion(f), s["r(A)"], s["r(B)"], s["p"])
 
 
 def split(f, A, B, name):
-    """A norm-averaged row and its Cauchy-Schwarz relaxation `name`-cs."""
-    r = rows(f, A, B)
-    return r[name], r[f"{name}-cs"]
+    """A norm-averaged row, and its Cauchy-Schwarz form on its intermediates."""
+    row = rows(f, A, B)[name]
+    return row, CS_FORMS[name](companion(f), row.intermediates)
 
 
 def pm(name, A, B, sign=+1):
@@ -129,24 +139,25 @@ def test_holder_rejects_bad_exponent():
     for p in (1.0, math.inf, math.nan):
         with pytest.raises(BadExponent):
             best_bound(EXP, A, B, p_grid=(p,))
-    for Y in (B, None):  # a repeated exponent would repeat its two rows
+    for Y in (B, None):  # a repeated exponent would repeat its row
         with pytest.raises(BadExponent, match="p=2 is given twice"):
             best_bound(EXP, A, Y, p_grid=(2, 1.5, 2.0))
 
 
 def test_holder_rejects_noncommuting():
-    for b in holder(EXP, SHIFT, SHIFT_T, 2.0):
-        assert not b.available
-        assert "commutator test failed" in b.reason
+    b = rows(EXP, SHIFT, SHIFT_T)["holder-geo(p=2)"]
+    assert not b.available
+    assert "commutator test failed" in b.reason
 
 
 def test_holder_scalar_case_p2():
     A = np.diag([0.5, 0.5]).astype(complex)
     geo, ratio = holder(EXP, A, A, 2.0)
-    # f_a(0.25)^(1/2) * f_a(0.25)^(1/2) = e^0.25
+    # f_a(0.25)^(1/2) * f_a(0.25)^(1/2) = e^0.25, and the ratio form
+    # e^(0.25 + 0.25 - 0.25) is the same number
     assert geo.value == pytest.approx(math.exp(0.25), abs=1e-9)
     assert oracle_radius(EXP, A @ A) == pytest.approx(math.exp(0.25), abs=1e-9)
-    assert ratio.available
+    assert ratio == pytest.approx(math.exp(0.25), abs=1e-9)
 
 
 def test_holder_zero_factor():
@@ -159,12 +170,12 @@ def test_holder_zero_factor():
 
 
 def test_holder_ratio_denominator_vanishes():
-    # constant-term-free series with r(A) = r(B) = 0
+    # constant-term-free series with r(A) = r(B) = 0: the ratio form gives
+    # no bound, the row it dominates still does
     N = as_matrix([[0, 0.5], [0, 0]])
     geo, ratio = holder(LOG, N, N, 2.0)
-    assert geo.available
-    assert not ratio.available
-    assert ratio.reason == "denominator vanishes"
+    assert geo.available and geo.value == 0.0
+    assert ratio == math.inf
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -173,9 +184,8 @@ def test_holder_soundness_random_pairs(p):
         A, B = commuting_pair(seed)
         geo, ratio = holder(GEO, A, B, p)
         oracle, slack = oracle_with_slack(GEO, A @ B)
-        for b in (geo, ratio):
-            if b.available:
-                assert b.value >= oracle - slack, (seed, p, b.name)
+        assert geo.available, (seed, p)
+        assert oracle - slack <= geo.value <= ratio * (1 + 1e-10), (seed, p)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -189,7 +199,7 @@ def test_holder_exp_closed_forms(p):
     assert geo.value == pytest.approx(
         math.exp(rA**p / p + rB**q / q), rel=1e-9
     )
-    assert ratio.value == pytest.approx(
+    assert ratio == pytest.approx(
         math.exp(rA**p + rB**q - rA ** (p - 1) * rB ** (q - 1)), rel=1e-9
     )
 
@@ -205,7 +215,7 @@ def test_holder_geometric_closed_forms(p):
     assert geo.value == pytest.approx(
         (1 - rA**p) ** (-1 / p) * (1 - rB**q) ** (-1 / q), rel=1e-9
     )
-    assert ratio.value == pytest.approx(
+    assert ratio == pytest.approx(
         (1 - rA ** (p - 1) * rB ** (q - 1)) / ((1 - rA**p) * (1 - rB**q)),
         rel=1e-9,
     )
@@ -253,7 +263,7 @@ def test_norm_split_zero_pair():
     Z = np.zeros((2, 2))
     first, second = split(EXP, Z, Z, "norm-split")
     assert first.value == pytest.approx(1.0, abs=1e-12)
-    assert second.value == pytest.approx(1.0, abs=1e-12)
+    assert second == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_split_diagonal_equality():
@@ -268,7 +278,7 @@ def test_norm_split_chain_order_and_soundness():
     for seed in range(12):
         A, B = commuting_pair(seed + 50)
         first, second = split(GEO, A, B, "norm-split")
-        assert first.value <= second.value + 1e-10 * max(1.0, second.value)
+        assert first.value <= second + 1e-10 * max(1.0, second)
         oracle, slack = oracle_with_slack(GEO, A @ B)
         assert first.value >= oracle - slack
 
@@ -277,7 +287,7 @@ def test_mixed_split_zero_pair():
     Z = np.zeros((2, 2))
     first, second = split(EXP, Z, Z, "mixed-split")
     assert first.value == pytest.approx(1.0, abs=1e-12)
-    assert second.value == pytest.approx(1.0, abs=1e-12)
+    assert second == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mixed_split_diagonal_scalar_symmetry():
@@ -291,7 +301,7 @@ def test_mixed_split_chain_order_and_soundness():
     for seed in range(12):
         A, B = commuting_pair(seed + 80)
         first, second = split(EXP, A, B, "mixed-split")
-        assert first.value <= second.value + 1e-10 * max(1.0, second.value)
+        assert first.value <= second + 1e-10 * max(1.0, second)
         oracle, slack = oracle_with_slack(EXP, A @ B)
         assert first.value >= oracle - slack
 
@@ -300,7 +310,7 @@ def test_triple_split_zero_pair():
     Z = np.zeros((2, 2))
     first, second = split(EXP, Z, Z, "triple-split")
     assert first.value == pytest.approx(1.0, abs=1e-12)
-    assert second.value == pytest.approx(1.0, abs=1e-12)
+    assert second == pytest.approx(1.0, abs=1e-12)
 
 
 def test_triple_split_diagonal_branches_agree():
@@ -317,12 +327,11 @@ def test_triple_split_chain_order_and_soundness():
     for seed in range(12):
         A, B = commuting_pair(seed + 110)
         first, second = split(GEO, A, B, "triple-split")
-        assert first.value <= second.value + 1e-10 * max(1.0, second.value)
+        assert first.value <= second + 1e-10 * max(1.0, second)
         oracle, slack = oracle_with_slack(GEO, A @ B)
-        for b in (first, second):
-            assert b.value >= oracle - slack
-            assert b.intermediates["branch-geo"] >= oracle - slack
-            assert b.intermediates["branch-min"] >= oracle - slack
+        assert first.value >= oracle - slack
+        assert first.intermediates["branch-geo"] >= oracle - slack
+        assert first.intermediates["branch-min"] >= oracle - slack
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +469,53 @@ def test_reverse_holder_property(data, p):
 
 
 # ---------------------------------------------------------------------------
+# Corollaries that are not rows
+# ---------------------------------------------------------------------------
+
+_SERIES = catalog({"alpha": 0.5, "beta": 0.75, "gamma": 1.25})
+_ROW = {row.name: row for row in _COMMUTING_ROWS}
+
+
+def _scalar_pair(norms, radii=None):
+    """Invariants of a pair given by its norms (and radii) alone."""
+    v = Invariants(np.zeros((1, 1)), np.zeros((1, 1)))
+    v.update(norms)
+    if radii is not None:
+        v["r(A)"], v["r(B)"] = radii
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entry=st.sampled_from(_SERIES),
+    u=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
+    p=st.floats(1.05, 8.0),
+)
+def test_dropped_corollaries_dominate_their_rows(entry, u, p):
+    # Each corollary, with f_a from its closed form, is at least the row it
+    # dominates as best_bound evaluates it, at any nonnegative arguments
+    # inside the disk: the norms need not come from one pair.
+    f, fa = entry.series, entry.closed_form_eval
+    R = f.radius
+    top = math.sqrt(0.99 * R) if math.isfinite(R) else 3.0  # every argument < R
+
+    def check(row, scope, corollary):
+        kept = _evaluate(row, f, scope, TOL, {})
+        assert kept.available, (row.name, kept.reason)
+        assert corollary >= kept.value - 1e-12 * max(1.0, kept.value), row.name
+
+    names = ("||A||", "||B||", "||AB||", "||A^2||", "||B^2||", "||AB^2||", "||A^2B||")
+    v = _scalar_pair({k: x * top for k, x in zip(names, u)})
+    for name, form in CS_FORMS.items():
+        check(_ROW[name], v, form(fa, v))
+
+    q = p / (p - 1.0)
+    rA, rB = (u[0] * top * top) ** (1 / p), (u[1] * top * top) ** (1 / q)
+    v = _scalar_pair({"||A||": rA, "||B||": rB}, (rA, rB))
+    check(_holder_row(p), _holder_scope(v, p), holder_ratio(fa, rA, rB, p))
+
+
+# ---------------------------------------------------------------------------
 # Dispatcher
 # ---------------------------------------------------------------------------
 
@@ -476,7 +532,7 @@ def test_best_bound_pair_example():
     B = np.diag([0.5, 0.5]).astype(complex)
     report = best_bound(GEO, A, B)
     by_name = {r.name: r for r in report.results}
-    assert by_name["holder-geo(p=2)"].value == pytest.approx(
+    assert by_name["pair-squares"].value == pytest.approx(
         1.4433756729740643, abs=1e-9
     )
     oracle = oracle_radius(GEO, A @ B)
@@ -527,7 +583,7 @@ def test_nonfinite_pair_bounds_are_unavailable():
     report = best_bound(EXP, D, D)
     assert all(math.isfinite(r.value) for r in report.results if r.available)
     series = [r for r in report.results if r.target == "f(AB)"]
-    assert len(series) == 13
+    assert len(series) == 6
     assert all(not r.available and "not finite" in r.reason for r in series)
     assert report.minimum is None
 
@@ -538,15 +594,16 @@ def test_preconditions_are_hypotheses_then_arguments_once():
            for r in best_bound(GEO, A, B).results}
     sq = ["||A||^2 < R", "||B||^2 < R"]
     assert pre["norm-split"] == sq + ["||AB|| < R", "sqrt(||A^2|| ||B^2||) < R"]
-    assert pre["mixed-split-cs"] == sq + [
-        "||A|| < R", "||B|| < R", "||AB|| < R", "||AB^2|| < R", "||A^2B|| < R",
+    assert pre["mixed-split"] == sq + [
+        "||A|| < R", "||B|| < R", "||AB|| < R", "sqrt(||A|| ||AB^2||) < R",
+        "sqrt(||A^2B|| ||B||) < R",
     ]
-    assert pre["triple-split-cs"] == sq + [
-        "||AB|| < R", "||A|| ||B|| < R", "||B^2|| < R", "||A^2|| < R",
+    assert pre["triple-split"] == sq + [
+        "||AB|| < R", "sqrt(||A|| ||B|| ||AB||) < R", "||A|| sqrt(||B^2||) < R",
+        "sqrt(||A^2||) ||B|| < R",
     ]
-    assert pre["holder-ratio(p=2)"] == [
+    assert pre["holder-geo(p=1.5)"] == [
         "||A||^p < R", "||B||^q < R", "r(A)^p < R", "r(B)^q < R",
-        "r(A)^(p-1) r(B)^(q-1) < R", "denominator >= 1e-300",
     ]
     for name, descriptions in pre.items():
         assert len(descriptions) == len(set(descriptions)), name

@@ -53,7 +53,9 @@ def test_bound_pair_geometric(diag_pair, capsys):
     code = main(["bound", "--series", "geometric", "--matrix", a, "--matrix", b])
     out = capsys.readouterr().out
     assert code == 0
-    assert "holder-geo(p=2)" in out
+    assert "pair-squares" in out
+    assert "holder-geo(p=1.5)" in out and "holder-geo(p=3)" in out
+    assert "holder-geo(p=2)" not in out  # pair-squares is that row
     assert "1.44337567" in out
     assert "1.42857142" in out  # oracle r[f(AB)]
 
@@ -67,6 +69,40 @@ def test_bound_noncommuting_pair_exits_3(shift_pair, capsys):
     assert "||AB-BA||" in captured.err
     # the norm-only results are still reported
     assert "pm-quadratic(+)" in captured.out
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_bound_below_its_own_oracle_exits_1(tmp_path, capsys, n):
+    # A = 0.99 J and B = 0.99 (J + E), J the upper shift and E = 1e-11 in
+    # entry (n, 1), pass the commutator test but do not commute: r(A) = 0
+    # while r(B) is about 0.99 * 1e-11^(1/n), so the rows built on the radii
+    # fall below r[f(AB)] (1.0844 at n = 20, 1.3817 at n = 40).
+    J = np.diag(np.ones(n - 1), 1).astype(complex)
+    E = np.zeros((n, n), dtype=complex)
+    E[n - 1, 0] = 1e-11
+    a, b = tmp_path / "a.mat", tmp_path / "b.mat"
+    save_matrix(a, 0.99 * J)
+    save_matrix(b, 0.99 * (J + E))
+    code = main(["bound", "--series", "geometric", "--matrix", str(a),
+                 "--matrix", str(b)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "oracle r[f(AB)]" in captured.out  # the report is written first
+    assert "error: pair-squares = " in captured.err
+    assert "is below oracle r[f(AB)]" in captured.err
+    assert "norm-split" not in captured.err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bound_polynomial_overflow_exits_2(tmp_path, capsys):
+    # The tail's x**j leaves double range: an error line, no traceback.
+    m = tmp_path / "big.mat"
+    save_matrix(m, np.diag([1e200, 0.5]).astype(complex))
+    code = main(["bound", "--series", "poly:1,1,1", "--matrix", str(m)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not finite" in err
 
 
 def test_bound_structured_output(zero2, capsys):
@@ -232,6 +268,8 @@ def test_verify_small_run(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["passed"] is True
     assert summary["sweep"]["violations"] == 0
+    assert sorted(summary["checks"]) == [
+        "pm-mixed", "pm-mixed-chain", "pm-quadratic", "truncation-cauchy"]
     assert all(c["violations"] == 0 for c in summary["checks"].values())
     assert "violations" in capsys.readouterr().out
 

@@ -34,13 +34,13 @@ from specbound.harness import (
     _judge,
     _scaled,
     oracle_radii,
-    run_identity_checks,
     run_limit_checks,
     run_pm_checks,
     run_trial,
 )
 from specbound.matrices import _series_at_norm
 from specbound.series import DEFAULT_MAX_TERMS, DEFAULT_TOL
+from textbook import run_identity_checks, run_limit_laws
 
 
 def spec(family, seed=1, dim=4, target=0.8):
@@ -180,7 +180,7 @@ def test_limit_checks_match_the_one_matrix_formulas():
         S = series_partial_sum(from_coefficients(cb), M, 3)
         gap = abs(spectral_radius(V) - spectral_radius(S)) - spectral_radius(V - S)
         cont = max(cont, gap - 1e-8)
-    checks = run_limit_checks(seed, trials, dims)
+    checks = run_limit_laws(seed, trials, dims)
     assert checks["subadditivity"].worst_margin == sub
     assert checks["radius-continuity"].worst_margin == cont
 
@@ -351,7 +351,7 @@ def test_judge_flags_a_non_finite_oracle(oracle, violation):
 
 
 # ---------------------------------------------------------------------------
-# Identity / limit checks
+# Identity, limit and pm checks
 # ---------------------------------------------------------------------------
 
 
@@ -361,7 +361,10 @@ def test_identity_checks_pass():
 
 
 def test_limit_checks_pass():
-    for name, result in run_limit_checks(seed=1, trials=60).items():
+    checks = run_limit_checks(seed=1, trials=60)
+    assert list(checks) == ["truncation-cauchy"]
+    checks.update(run_limit_laws(seed=1, trials=60))
+    for name, result in checks.items():
         assert result.passed, (name, result.worst_margin)
 
 

@@ -12,7 +12,6 @@ from specbound import (
     OutOfDisk,
     as_matrix,
     from_coefficients,
-    gelfand_sequence,
     load_matrix,
     lookup,
     operator_norm,
@@ -24,6 +23,7 @@ from specbound import (
 from specbound.bounds import Invariants
 from specbound.matrices import _series_at_norm, operator_norms, spectral_radii
 from specbound.series import DEFAULT_MAX_TERMS
+from textbook import gelfand_sequence
 
 
 def rng(seed=0):
