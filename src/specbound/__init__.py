@@ -1,11 +1,6 @@
 """Certified spectral-radius bounds for power-series matrix functions."""
 
-from .bounds import (
-    BestBoundReport,
-    BoundResult,
-    best_bound,
-    bound_single,
-)
+from .bounds import BestBoundReport, BoundResult, best_bound
 from .errors import (
     BadExponent,
     DimMismatch,
@@ -32,7 +27,6 @@ from .harness import (
     write_trials_csv,
 )
 from .matrices import (
-    EvalCertificate,
     as_matrix,
     load_matrix,
     operator_norm,

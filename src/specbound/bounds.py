@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import ChainMap
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -218,14 +218,15 @@ def _chain(s: Mapping[str, float], half: bool) -> tuple[float, dict]:
 
 _SINGLE = Row("companion-radius", "f(T)", ("r(T)",), lambda F, s: (F[0], {}),
               ("||T||",), ("r(T)", "||T||"), check_args=False)  # r(T) <= ||T||
-# The sign of r(AB +/- BA) changes only the name and the target.
-_PM_ROWS = (
-    Row("pm-quadratic", "AB+/-BA", (), lambda F, s: (0.5 * (
+# r(AB + BA), then r(AB - BA): each row holds for either sign.
+_PM_ROWS = tuple(row for sign in "+-" for row in (
+    Row(f"pm-quadratic({sign})", f"AB{sign}BA", (), lambda F, s: (0.5 * (
         s["||AB||"] + s["||BA||"] + math.sqrt(
             (s["||AB||"] - s["||BA||"]) ** 2 + 4.0 * s["||A^2||"] * s["||B^2||"])), {}),
         notes=("||AB||", "||BA||", "||A^2||", "||B^2||")),
-    Row("pm-mixed", "AB+/-BA", (), lambda F, s: _chain(s, False), notes=_NORMS),
-)
+    Row(f"pm-mixed({sign})", f"AB{sign}BA", (), lambda F, s: _chain(s, False),
+        notes=_NORMS),
+))
 # Commuting pairs, after the Hölder rows of each exponent.
 _COMMUTING_ROWS = (
     Row("pair-squares", "f(AB)", ("r(A)^2", "r(B)^2"),
@@ -262,23 +263,6 @@ def _holder_rows(p_grid: Sequence[float]) -> list[tuple[float, Row]]:
     return [(p, _holder_row(p)) for p in p_grid]
 
 
-def _signed(result: BoundResult, sign: int) -> BoundResult:
-    tag = "+" if sign > 0 else "-"
-    return replace(result, name=f"{result.name}({tag})", target=f"AB{tag}BA",
-                   preconditions=list(result.preconditions),
-                   intermediates=dict(result.intermediates))
-
-
-def _pm_rows(v: Invariants) -> list[BoundResult]:
-    """pm-quadratic and pm-mixed on `v`, unsigned: each holds for either sign."""
-    return [_evaluate(row, None, v, 0.0, {}) for row in _PM_ROWS]
-
-
-def bound_single(f: PowerSeries, T: Matrix, tol: float = DEFAULT_TOL) -> BoundResult:
-    """r[f(T)] <= f_a(r(T)), valid whenever ||T|| < radius."""
-    return best_bound(f, T, tol=tol).results[0]
-
-
 # p = 2 is left out: its row is pair-squares.
 DEFAULT_P_GRID = (1.5, 3.0)
 
@@ -302,15 +286,14 @@ def best_bound(f: PowerSeries, A: Matrix, B: Optional[Matrix] = None,
     pair makes each commutativity-gated bound Unavailable instead of
     raising, so the report always describes the full menu.
     """
-    if not (tol > 0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (0 < tol < math.inf):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     v, fa = Invariants(A, B), {}
     holder = _holder_rows(p_grid)  # checks each p in both modes
     if B is None:
         results = [_evaluate(_SINGLE, f, v, tol, fa)]
     else:
-        pm = _pm_rows(v)
-        results = [_signed(r, sign) for sign in (+1, -1) for r in pm]
+        results = [_evaluate(row, f, v, tol, fa) for row in _PM_ROWS]
         rows = [row for _, row in holder] + list(_COMMUTING_ROWS)
         if v.commuting:
             scopes = [_holder_scope(v, p) for p, _ in holder]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import asdict
@@ -47,6 +48,27 @@ def _parse_params(items: list[str]) -> dict[str, float]:
 
 def _parse_list(text: str, convert=str) -> tuple:
     return tuple(convert(tok.strip()) for tok in text.split(",") if tok.strip())
+
+
+def _is_complex(text: str) -> bool:
+    try:
+        complex(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_series(text: str) -> tuple[str, ...]:
+    """The sweep's --series list. A token that is empty or a complex
+    literal continues the "poly:" name before it (no catalog name is a
+    complex literal), so "poly:1,0.5,exp" is two series."""
+    names: list[str] = []
+    for tok in map(str.strip, text.split(",")):
+        if names and names[-1].startswith("poly:") and (not tok or _is_complex(tok)):
+            names[-1] += "," + tok
+        elif tok:
+            names.append(tok)
+    return tuple(names)
 
 
 def _lookup_all(names, params: dict[str, float]) -> list[SeriesCatalogEntry]:
@@ -83,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (("verify", cmd_verify), ("compare", cmd_compare)):
         ps = sub.add_parser(name)
         ps.add_argument("--series", default=",".join(sweep.series_names),
-                        help="comma-separated catalog names")
+                        help="comma-separated catalog names or poly:c0,c1,...")
         ps.add_argument("--param", action="append", default=[])
         ps.add_argument("--tol", type=float, default=sweep.tol)
         ps.add_argument("--p", default=None)
@@ -123,17 +145,10 @@ def _bound_report_text(results, oracles, minimum) -> str:
 
 
 def _bound_report_csv(results, oracles) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["bound", "target", "available", "value", "reason", "oracle", "oracle_error"]
-    )
-    for r in results:
-        oracle, err = oracles.get(r.target, (None, None))
-        writer.writerow([r.name, r.target, int(r.available),
-                         *map(harness._fmt, (r.value, r.reason, oracle, err))])
+    writer.writerow(harness._BOUND_COLUMNS)
+    writer.writerows(harness._bound_cells(r, oracles) for r in results)
     return buf.getvalue()
 
 
@@ -164,8 +179,7 @@ def cmd_bound(args) -> int:
         }
         _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
 
-    low = [r for r in report.results if r.available and r.target in oracles
-           and harness._below_oracle(r.value, *oracles[r.target])]
+    _, low = harness._judged(report.results, oracles)
     for r in low:
         value, err = oracles[r.target]
         print(f"error: {r.name} = {r.value!r} is below oracle r[{r.target}] = "
@@ -181,7 +195,7 @@ def cmd_bound(args) -> int:
 
 
 def _sweep_config(args) -> harness.SweepConfig:
-    names, params = _parse_list(args.series), _parse_params(args.param)
+    names, params = _parse_series(args.series), _parse_params(args.param)
     _lookup_all(names, params)  # fail on a name or --param before sweeping
     if args.trials == 0:  # verify's checks would still run and report a pass
         raise ValueError("--trials 0 sweeps nothing; give at least 1")
@@ -197,11 +211,17 @@ def _sweep_config(args) -> harness.SweepConfig:
     )
 
 
-def cmd_verify(args) -> int:
+def _sweep(args) -> tuple[harness.SweepConfig, Path, list[harness.TrialRecord]]:
+    """The config of `verify` or `compare`, its --out directory (made only
+    once the options are valid) and the sweep's records."""
     config = _sweep_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = harness.run_sweep(config)
+    return config, out_dir, harness.run_sweep(config)
+
+
+def cmd_verify(args) -> int:
+    config, out_dir, records = _sweep(args)
     harness.write_trials_csv(records, out_dir / "trials.csv")
     sweep_summary = harness.summarize(records)
     check_trials = min(args.trials, 300)
@@ -225,10 +245,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _sweep_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records = harness.run_sweep(config)
+    _, out_dir, records = _sweep(args)
     summary = harness.summarize(records)
     path = out_dir / "compare.csv"
     with open(path, "w", newline="", encoding="utf-8") as handle:

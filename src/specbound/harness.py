@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -27,8 +27,9 @@ from .bounds import (
     DEFAULT_P_GRID,
     BoundResult,
     Invariants,
+    _PM_ROWS,
+    _evaluate,
     _holder_rows,
-    _pm_rows,
     best_bound,
 )
 from .errors import GenerationFailure, OutOfDisk, UnknownFamily
@@ -193,6 +194,9 @@ class SweepConfig:
             raise UnknownFamily(f"unknown families {unknown}")
         if min(self.dims) < 1:
             raise ValueError(f"dimensions must be >= 1, got {self.dims}")
+        if not (0 < self.tol < math.inf) or self.seed < 0:
+            raise ValueError(f"need 0 < tol < inf and seed >= 0, got tol={self.tol}, "
+                             f"seed={self.seed}")
         _holder_rows(self.p_grid)  # BadExponent before any trial runs
 
 
@@ -205,8 +209,8 @@ class TrialRecord:
     series_params: Optional[dict[str, float]]
     oracles: dict[str, tuple[float, float]]
     bounds: list[BoundResult]
-    tightness: dict[str, Optional[float]] = field(default_factory=dict)
-    violation: bool = False
+    tightness: dict[str, Optional[float]]
+    violation: bool
 
 
 def _below_oracle(value: float, oracle: float, oracle_err: float) -> bool:
@@ -218,22 +222,24 @@ def _below_oracle(value: float, oracle: float, oracle_err: float) -> bool:
     return value < oracle - (_SLACK_REL * max(1.0, oracle) + oracle_err)
 
 
-def _judge(record: TrialRecord) -> None:
-    """Fill tightness ratios and the violation flag in place.
+def _judged(bounds: Sequence[BoundResult], oracles: dict[str, tuple[float, float]]
+            ) -> tuple[dict[str, Optional[float]], list[BoundResult]]:
+    """(tightness ratio by bound name, bounds below their oracle), over the
+    available bounds whose target has an oracle.
 
     A missing oracle (series argument outside the disk) can only happen
     when every bound on that target is unavailable, so skipping is safe.
     """
-    for b in record.bounds:
-        if not b.available or b.target not in record.oracles:
+    tightness, low = {}, []
+    for b in bounds:
+        if not b.available or b.target not in oracles:
             continue
-        oracle, oracle_err = record.oracles[b.target]
+        oracle, oracle_err = oracles[b.target]
         if _below_oracle(b.value, oracle, oracle_err):
-            record.violation = True
+            low.append(b)
         trusted = math.isfinite(oracle) and math.isfinite(oracle_err)
-        record.tightness[b.name] = (
-            b.value / oracle if trusted and oracle > 1e-12 else None
-        )
+        tightness[b.name] = b.value / oracle if trusted and oracle > 1e-12 else None
+    return tightness, low
 
 
 def oracle_radii(
@@ -255,8 +261,7 @@ def oracle_radii(
         terms = {"AB": (M, 0.0), "AB+BA": (M + v.matrix("BA"), 0.0),
                  "AB-BA": (v.matrix("AB-BA"), 0.0)}
     try:
-        cert = _series_at_norm(f, M, nrm, tol, DEFAULT_MAX_TERMS)
-        terms[target] = (cert.value, cert.remainder_bound)
+        terms[target] = _series_at_norm(f, M, nrm, tol, DEFAULT_MAX_TERMS)
     except OutOfDisk:
         pass
     stack = [S for S, _ in terms.values()]  # empty: one matrix outside the disk
@@ -293,15 +298,10 @@ def run_trial(
             f"{spec} is not a commuting pair "
             f"(||AB-BA|| = {report.invariants['||AB-BA||']:.6e})"
         )
-    record = TrialRecord(
-        spec=spec,
-        series_name=name,
-        series_params=entry.params,
-        oracles=oracle_radii(f, report.invariants, tol=config.tol),
-        bounds=report.results,
-    )
-    _judge(record)
-    return record
+    oracles = oracle_radii(f, report.invariants, tol=config.tol)
+    tightness, low = _judged(report.results, oracles)
+    return TrialRecord(spec, name, entry.params, oracles, report.results,
+                       tightness, bool(low))
 
 
 def run_sweep(config: SweepConfig) -> list[TrialRecord]:
@@ -317,11 +317,11 @@ def run_sweep(config: SweepConfig) -> list[TrialRecord]:
 # Reports
 # ---------------------------------------------------------------------------
 
-_CSV_COLUMNS = (
-    "family", "seed", "dim", "norm_target", "series", "series_params",
-    "bound", "target", "available", "value", "reason",
-    "oracle", "oracle_error", "tightness", "violation",
-)
+# The columns of one bound and its oracle, shared with `bound --format csv`.
+_BOUND_COLUMNS = ("bound", "target", "available", "value", "reason",
+                  "oracle", "oracle_error")
+_CSV_COLUMNS = ("family", "seed", "dim", "norm_target", "series", "series_params",
+                *_BOUND_COLUMNS, "tightness", "violation")
 
 
 def _fmt(value) -> str:
@@ -338,20 +338,21 @@ def _params_text(params: Optional[dict[str, float]]) -> str:
     return ";".join(f"{k}={v!r}" for k, v in sorted(params.items()))
 
 
+def _bound_cells(b: BoundResult, oracles: dict[str, tuple[float, float]]) -> list[str]:
+    """The `_BOUND_COLUMNS` cells of bound `b` and the oracle of its target."""
+    oracle, oracle_err = oracles.get(b.target, (None, None))
+    return [b.name, b.target, "1" if b.available else "0",
+            *map(_fmt, (b.value, b.reason, oracle, oracle_err))]
+
+
 def trial_rows(record: TrialRecord) -> list[list[str]]:
     """One CSV row per bound of one trial, in `_CSV_COLUMNS` order."""
     spec = record.spec
-    rows = []
-    for b in record.bounds:
-        oracle, oracle_err = record.oracles.get(b.target, (None, None))
-        rows.append([
-            spec.family, str(spec.seed), str(spec.dim), _fmt(spec.norm_target),
-            record.series_name, _params_text(record.series_params),
-            b.name, b.target, "1" if b.available else "0", _fmt(b.value),
-            b.reason or "", _fmt(oracle), _fmt(oracle_err),
-            _fmt(record.tightness.get(b.name)), "1" if record.violation else "0",
-        ])
-    return rows
+    head = [spec.family, str(spec.seed), str(spec.dim), _fmt(spec.norm_target),
+            record.series_name, _params_text(record.series_params)]
+    violation = "1" if record.violation else "0"
+    return [[*head, *_bound_cells(b, record.oracles),
+             _fmt(record.tightness.get(b.name)), violation] for b in record.bounds]
 
 
 def write_trials_csv(records: Sequence[TrialRecord], path: Union[str, Path]) -> None:
@@ -496,7 +497,7 @@ def run_pm_checks(
         B = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
         # Both bounds are the same for either sign.
         v = Invariants(A, B)
-        quad, mixed = _pm_rows(v)
+        quad, mixed = (_evaluate(row, None, v, 0.0, {}) for row in _PM_ROWS[:2])
         plus, minus = v.matrix("AB") + v.matrix("BA"), v.matrix("AB-BA")
         for oracle in spectral_radii(np.stack((plus, minus))).tolist():
             slack = _SLACK_REL * max(1.0, oracle)

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from .errors import DimMismatch, EigenFailure, NormOverflow
-from .series import PowerSeries, _check_eval_args, _order_and_tail
+from .series import PowerSeries, _order_and_tail
 
 Matrix = np.ndarray
 
@@ -68,19 +67,6 @@ def commutes(cnorm: float, nA: float, nB: float) -> bool:
     return cnorm <= _COMMUTE_REL_TOL * (nA * nB + _COMMUTE_FLOOR)
 
 
-@dataclass(frozen=True)
-class EvalCertificate:
-    """Truncated matrix series with a certified remainder bound.
-
-    `value` is S_m(T) = sum_{j<=m} a_j T^j; the true series value differs
-    from it by at most `remainder_bound` in operator norm.
-    """
-
-    value: Matrix
-    order: int
-    remainder_bound: float
-
-
 def series_partial_sum(f: PowerSeries, T: Matrix, m: int) -> Matrix:
     """S_m(T) = sum_{j<=m} a_j T^j by Paterson-Stockmeyer evaluation.
 
@@ -118,22 +104,19 @@ def series_partial_sum(f: PowerSeries, T: Matrix, m: int) -> Matrix:
 
 def _series_at_norm(
     f: PowerSeries, T: Matrix, nrm: float, tol: float, max_terms: int
-) -> EvalCertificate:
-    """Evaluate f(T) by truncation, certified to tol in operator norm,
-    given nrm = ||T||.
-
-    The order is chosen so the scalar majorant sum_{j>m} |a_j| nrm^j is
-    below tol; that majorant dominates the matrix remainder norm.
-    NormOverflow if the truncation is not finite.
+) -> tuple[Matrix, float]:
+    """(S_m(T), tail): f(T) truncated at the order m whose scalar majorant
+    tail = sum_{j>m} |a_j| nrm^j is <= tol, given nrm = ||T||. That tail
+    dominates the matrix remainder's operator norm. NormOverflow if the
+    truncation is not finite.
     """
-    _check_eval_args(f, nrm, tol)
     m, tail = _order_and_tail(f, nrm, tol, max_terms)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         value = series_partial_sum(f, T, m)
     if not np.isfinite(value).all():
         raise NormOverflow(f"{f.name}: the order-{m} truncation at ||T|| = {nrm:g} "
                            "is not finite; normalize the matrix first")
-    return EvalCertificate(value=value, order=m, remainder_bound=tail)
+    return value, tail
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,8 @@ class SeriesCatalogEntry:
 def _check_eval_args(f: PowerSeries, x: float, tol: float) -> None:
     if not (x >= 0):
         raise ValueError(f"argument must be nonnegative, got {x}")
-    if not (tol > 0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (0 < tol < math.inf):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if x >= f.radius:
         raise OutOfDisk(
             f"{f.name}: argument {x} is not inside the disk of radius {f.radius}"
@@ -81,7 +81,9 @@ def _check_eval_args(f: PowerSeries, x: float, tol: float) -> None:
 def _order_and_tail(
     f: PowerSeries, x: float, tol: float, max_terms: int
 ) -> tuple[int, float]:
-    """Gallop over m = 0, 1, 3, 7, ..., max_terms to a tail <= tol, then bisect."""
+    """Gallop over m = 0, 1, 3, 7, ..., max_terms to a tail <= tol, then
+    bisect; the arguments are checked first (OutOfDisk, ValueError)."""
+    _check_eval_args(f, x, tol)
     fail, m = -1, 0  # fail: the largest order known to miss tol
     while not (t := f.tail_bound(m, x)) <= tol:
         if m >= max_terms:
@@ -102,7 +104,6 @@ def truncation_order(
 ) -> int:
     """Smallest m whose certified tail majorant at x is <= tol (see
     `PowerSeries`), found in O(log m) tail evaluations."""
-    _check_eval_args(f, x, tol)
     return _order_and_tail(f, x, tol, max_terms)[0]
 
 
@@ -117,7 +118,6 @@ def eval_companion(
     to a few ulps of the result. For series with nonnegative coefficients
     this is also the value of f itself.
     """
-    _check_eval_args(f, x, tol)
     m, _ = _order_and_tail(f, x, tol, max_terms)
     total = 0.0
     comp = 0.0

@@ -17,7 +17,6 @@ from specbound import (
     SweepConfig,
     as_matrix,
     best_bound,
-    bound_single,
     catalog,
     eval_companion,
     lookup,
@@ -226,11 +225,11 @@ def test_a7_equality_cases():
                 norm_target=float(top * rng.uniform(0.3, 1.0)),
             )
             T = gen_matrix(spec)
-            bound = bound_single(f, T, TOL)
-            cert = _series_at_norm(f, T, operator_norm(T), TOL, DEFAULT_MAX_TERMS)
-            oracle = spectral_radius(cert.value)
+            bound = best_bound(f, T, tol=TOL).results[0]
+            value, tail = _series_at_norm(f, T, operator_norm(T), TOL, DEFAULT_MAX_TERMS)
+            oracle = spectral_radius(value)
             ratio = bound.value / oracle
-            allowance = (3 * TOL + cert.remainder_bound) / oracle + 1e-12
+            allowance = (3 * TOL + tail) / oracle + 1e-12
             assert ratio >= 1.0 - allowance, (name, spec)
             assert ratio <= 1.0 + 1e-8, (name, spec)
             worst_low = min(worst_low, ratio)
@@ -238,7 +237,7 @@ def test_a7_equality_cases():
 
     geo = lookup("geometric").series
     T = as_matrix([[0, 0.5], [0, 0]])
-    bound = bound_single(geo, T, TOL)
+    bound = best_bound(geo, T, tol=TOL).results[0]
     oracle = oracle_radii(geo, Invariants(T), TOL)["f(T)"][0]
     exact = abs(bound.value - 1.0) <= 1e-12 and abs(oracle - 1.0) <= 1e-12
     ok = exact

@@ -15,7 +15,6 @@ from specbound import (
     NormOverflow,
     as_matrix,
     best_bound,
-    bound_single,
     catalog,
     eval_companion,
     gen_commuting_pair,
@@ -81,9 +80,9 @@ def oracle_radius(f, T):
 
 
 def oracle_with_slack(f, T):
-    cert = _series_at_norm(f, T, operator_norm(T), TOL, DEFAULT_MAX_TERMS)
-    oracle = spectral_radius(cert.value)
-    return oracle, 1e-8 * max(1.0, oracle) + cert.remainder_bound
+    value, tail = _series_at_norm(f, T, operator_norm(T), TOL, DEFAULT_MAX_TERMS)
+    oracle = spectral_radius(value)
+    return oracle, 1e-8 * max(1.0, oracle) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +91,14 @@ def oracle_with_slack(f, T):
 
 
 def test_single_zero_matrix_exp():
-    b = bound_single(EXP, np.zeros((2, 2)))
+    b = best_bound(EXP, np.zeros((2, 2))).results[0]
     assert b.value == pytest.approx(1.0, abs=1e-12)
     assert b.available and b.target == "f(T)"
 
 
 def test_single_nilpotent_geometric_equality():
     T = as_matrix([[0, 0.5], [0, 0]])
-    b = bound_single(GEO, T)
+    b = best_bound(GEO, T).results[0]
     assert b.value == pytest.approx(1.0, abs=1e-12)
     assert oracle_radius(GEO, T) == pytest.approx(1.0, abs=1e-12)
 
@@ -107,14 +106,14 @@ def test_single_nilpotent_geometric_equality():
 def test_single_nonnormal_with_placed_radius():
     # triangular, r(T) = 0.9 but a much larger norm
     T = as_matrix([[0.9, 1.5], [0, 0.3]])
-    b = bound_single(EXP, T)
+    b = best_bound(EXP, T).results[0]
     assert b.value == pytest.approx(math.exp(0.9), abs=1e-9)
     oracle, slack = oracle_with_slack(EXP, T)
     assert b.value >= oracle - slack
 
 
 def test_single_unavailable_outside_disk():
-    b = bound_single(GEO, np.diag([1.2, 0.5]))
+    b = best_bound(GEO, np.diag([1.2, 0.5])).results[0]
     assert not b.available
     assert "||T|| < R" in b.reason
 
@@ -124,7 +123,7 @@ def test_single_scalar_reduction_is_equality():
     # scalar identity f_a(a) = r(f(a))
     for a in (0.0, 0.3, 0.8):
         T = as_matrix([[a]])
-        b = bound_single(GEO, T)
+        b = best_bound(GEO, T).results[0]
         oracle, _ = oracle_with_slack(GEO, T)
         assert b.value == pytest.approx(oracle, abs=3 * TOL)
 
@@ -551,8 +550,23 @@ def test_best_bound_noncommuting_gating():
     assert report.minimum is None
 
 
+def test_pm_rows_are_signed_rows_evaluated_apart():
+    A, B = gen_commuting_pair(InstanceSpec(5, "commuting-polynomial-pair", 4, 0.8))
+    pm = best_bound(EXP, A, B).results[:4]
+    assert [(r.name, r.target) for r in pm] == [
+        ("pm-quadratic(+)", "AB+BA"), ("pm-mixed(+)", "AB+BA"),
+        ("pm-quadratic(-)", "AB-BA"), ("pm-mixed(-)", "AB-BA")]
+    for plus, minus in zip(pm[:2], pm[2:]):
+        assert plus.value == minus.value
+        assert plus.intermediates == minus.intermediates
+        assert plus.preconditions == minus.preconditions
+    # No two rows share a mutable list or dict.
+    assert len({id(r.preconditions) for r in pm}) == 4
+    assert len({id(r.intermediates) for r in pm}) == 4
+
+
 def test_bound_result_serialization():
-    b = bound_single(EXP, np.zeros((2, 2)))
+    b = best_bound(EXP, np.zeros((2, 2))).results[0]
     record = json.loads(json.dumps(asdict(b)))
     assert record["name"] == "companion-radius"
     assert record["target"] == "f(T)"

@@ -1,12 +1,13 @@
 """CLI exit codes, report content, and byte-level determinism."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from specbound import SweepConfig, save_matrix
-from specbound.cli import _sweep_config, build_parser, main
+from specbound import InstanceSpec, SweepConfig, gen_commuting_pair, save_matrix
+from specbound.cli import _parse_series, _sweep_config, build_parser, main
 
 
 @pytest.fixture
@@ -238,7 +239,8 @@ def test_bound_too_many_matrices_exits_2(zero2, capsys):
 @pytest.mark.parametrize("option, modes", [
     (["--p", "1"], (1, 2)), (["--p", "inf"], (1, 2)), (["--p", "nan"], (1, 2)),
     (["--tol", "-1"], (1, 2)), (["--tol", "nan"], (1, 2)), (["--p", "2,2.0"], (1, 2)),
-], ids=["p=1", "p=inf", "p=nan", "tol=-1", "tol=nan", "p=2,2.0"])
+    (["--tol", "inf"], (1, 2)),
+], ids=["p=1", "p=inf", "p=nan", "tol=-1", "tol=nan", "p=2,2.0", "tol=inf"])
 def test_bound_bad_exponent_or_tolerance_exits_2(tmp_path, capsys, option, modes, scale):
     path = str(tmp_path / "d.mat")
     save_matrix(path, np.diag([scale, 0.5]).astype(complex))
@@ -286,13 +288,63 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["--dims", ","], ["--series", ","], ["--trials", "-3"], ["--families", ","],
     ["--families", "bogus"], ["--dims", "0"], ["--trials", "0"], ["--p", "0.5"],
-    ["--p", "2,2.0"],
+    ["--p", "2,2.0"], ["--tol", "-1"], ["--tol", "0"], ["--tol", "nan"],
+    ["--tol", "inf"], ["--seed", "-1"],
 ])
 def test_sweep_with_nothing_to_cycle_exits_2(tmp_path, capsys, command, args):
     code = main([command, *args, "--out", str(tmp_path / "r")])
     assert code == 2
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()  # fails before writing anything
+
+
+@pytest.mark.parametrize("text, names", [
+    ("exp,geometric", ("exp", "geometric")),
+    ("poly:1,0.5", ("poly:1,0.5",)),
+    ("poly:1,-0.5+0.3j,0.25j,exp, poly:2,nan", ("poly:1,-0.5+0.3j,0.25j", "exp",
+                                               "poly:2,nan")),
+    ("poly:1,,0.5", ("poly:1,,0.5",)),
+], ids=["catalog", "poly", "poly-then-catalog", "empty-coefficient"])
+def test_sweep_series_list_keeps_poly_names_whole(text, names):
+    assert _parse_series(text) == names
+
+
+def test_sweep_runs_a_poly_series(tmp_path, capsys):
+    out = tmp_path / "r"
+    code = main(["verify", "--series", "poly:1,0.5,exp", "--families",
+                 "diagonal-positive,commuting-triangular-pair", "--trials", "4",
+                 "--dims", "2", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    rows = list(csv.DictReader((out / "trials.csv").read_text().splitlines()))
+    assert {row["series"] for row in rows} == {"poly:1,0.5", "exp"}
+
+
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_sweep_empty_poly_coefficient_exits_2(tmp_path, capsys, command):
+    code = main([command, "--series", "poly:1,,0.5", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "coefficient 1 of 'poly:1,,0.5'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_bound_csv_is_the_bound_columns_of_trials_csv(tmp_path, capsys):
+    # One writer for both reports: a swept pair's `bound --format csv` is
+    # its trial's rows of trials.csv, bound columns only.
+    out = tmp_path / "r"
+    assert main(["verify", "--series", "exp", "--families", "commuting-polynomial-pair",
+                 "--trials", "1", "--dims", "4", "--out", str(out)]) == 0
+    header, *rows = list(csv.reader((out / "trials.csv").read_text().splitlines()))
+    first, last = header.index("bound"), header.index("oracle_error") + 1
+    trial = rows[0]
+    spec = InstanceSpec(int(trial[1]), trial[0], int(trial[2]), float(trial[3]))
+    paths = [str(tmp_path / "A.mat"), str(tmp_path / "B.mat")]
+    for path, M in zip(paths, gen_commuting_pair(spec)):
+        save_matrix(path, M)
+    capsys.readouterr()
+    assert main(["bound", "--series", "exp", "--format", "csv",
+                 "--matrix", paths[0], "--matrix", paths[1]]) == 0
+    expected = [header[first:last]] + [row[first:last] for row in rows]
+    assert list(csv.reader(capsys.readouterr().out.splitlines())) == expected
 
 
 def test_sweep_defaults_match_sweep_config():

@@ -31,7 +31,7 @@ from specbound.bounds import Invariants
 from specbound.harness import (
     _SLACK_REL,
     _ginibre,
-    _judge,
+    _judged,
     _scaled,
     oracle_radii,
     run_limit_checks,
@@ -136,12 +136,12 @@ def test_pair_oracle_is_one_eigensolve_call(lapack_work):
     assert lapack_work["eig"] == 4 and lapack_work["eig_calls"] == 1
     # Bit for bit the one-target-at-a-time formulas.
     AB, BA = A @ B, B @ A
-    cert = _series_at_norm(f, AB, operator_norm(AB), DEFAULT_TOL, DEFAULT_MAX_TERMS)
+    S, tail = _series_at_norm(f, AB, operator_norm(AB), DEFAULT_TOL, DEFAULT_MAX_TERMS)
     assert oracles == {
         "AB": (spectral_radius(AB), 0.0),
         "AB+BA": (spectral_radius(AB + BA), 0.0),
         "AB-BA": (spectral_radius(AB - BA), 0.0),
-        "f(AB)": (spectral_radius(cert.value), cert.remainder_bound),
+        "f(AB)": (spectral_radius(S), tail),
     }
 
 
@@ -284,10 +284,10 @@ def test_sweep_determinism_and_csv_bytes(tmp_path):
 
 def _judged_trial(f, instance, matrices):
     report = best_bound(f, *matrices)
-    record = TrialRecord(instance, f.name, None,
-                         oracle_radii(f, report.invariants), report.results)
-    _judge(record)
-    return record
+    oracles = oracle_radii(f, report.invariants)
+    tightness, low = _judged(report.results, oracles)
+    return TrialRecord(instance, f.name, None, oracles, report.results,
+                       tightness, bool(low))
 
 
 def test_sweep_survives_targets_outside_disk():
@@ -341,12 +341,14 @@ def test_summarize_statistics():
 def test_judge_flags_a_non_finite_oracle(oracle, violation):
     # A NaN or inf oracle checks nothing; an available bound meeting one
     # must not count as a pass.
+    bounds = [BoundResult("b", 2.0, "f(T)")]
+    tightness, low = _judged(bounds, {"f(T)": oracle})
+    assert (low == bounds) is violation
     record = TrialRecord(
         spec=spec("diagonal-positive"), series_name="exp", series_params=None,
-        oracles={"f(T)": oracle}, bounds=[BoundResult("b", 2.0, "f(T)")],
+        oracles={"f(T)": oracle}, bounds=bounds, tightness=tightness,
+        violation=bool(low),
     )
-    _judge(record)
-    assert record.violation is violation
     assert summarize([record])["violations"] == int(violation)
 
 
