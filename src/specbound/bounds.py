@@ -9,8 +9,7 @@ at scalar arguments built from spectral radii and operator norms:
       r[f(AB)]^2 <= f_a(r(A)^2) f_a(r(B)^2)                    (p = q = 2)
 * commuting pair, norm-averaged:
       r[f(AB)] <= (1/2)[f_a(||AB||) + f_a(sqrt(||A^2|| ||B^2||))]
-  and the variants with mixed powers ||AB^2||, ||A^2B|| or the triple
-  product ||A|| ||B|| ||AB||.
+  and the variant with the mixed powers ||AB^2||, ||A^2B||.
 * norm-only quadratic bounds for r(AB +/- BA) and r(AB) that need no
   series at all.
 
@@ -77,9 +76,6 @@ _QUANTITIES: dict[str, Callable[["Invariants"], float]] = {
     "sqrt(||A^2|| ||B^2||)": lambda v: math.sqrt(v["||A^2||"] * v["||B^2||"]),
     "sqrt(||A|| ||AB^2||)": lambda v: math.sqrt(v["||A||"] * v["||AB^2||"]),
     "sqrt(||A^2B|| ||B||)": lambda v: math.sqrt(v["||A^2B||"] * v["||B||"]),
-    "sqrt(||A|| ||B|| ||AB||)": lambda v: math.sqrt(v["||A||"] * v["||B||"] * v["||AB||"]),
-    "||A|| sqrt(||B^2||)": lambda v: v["||A||"] * math.sqrt(v["||B^2||"]),
-    "sqrt(||A^2||) ||B||": lambda v: math.sqrt(v["||A^2||"]) * v["||B||"],
 }
 
 
@@ -190,7 +186,6 @@ def _evaluate(row: Row, f: Optional[PowerSeries], s: Mapping[str, float],
 _SQ = ("||A||^2", "||B||^2")
 _NORMS = ("||A||", "||B||", "||AB||", "||A^2||", "||B^2||", "||AB^2||", "||A^2B||")
 _MIXED = ("sqrt(||A|| ||AB^2||)", "sqrt(||A^2B|| ||B||)")
-_TRIPLE = ("sqrt(||A|| ||B|| ||AB||)", "||A|| sqrt(||B^2||)", "sqrt(||A^2||) ||B||")
 
 
 def _mixed(u: float, left: float, right: float) -> tuple[float, dict]:
@@ -198,22 +193,10 @@ def _mixed(u: float, left: float, right: float) -> tuple[float, dict]:
     return 0.5 * u + 0.5 * min(left, right), {"arm-left": left, "arm-right": right}
 
 
-def _triple(u: float, geo: float, low: float) -> tuple[float, dict]:
-    """(1/2) f_a(||AB||) + (1/2) min of the two branches, recording both."""
-    half_u = 0.5 * u
-    return half_u + 0.5 * min(geo, low), {
-        "branch-geo": half_u + 0.5 * geo, "branch-min": half_u + 0.5 * low}
-
-
 def _chain(s: Mapping[str, float], half: bool) -> tuple[float, dict]:
-    """||AB|| + min of the mixed arms, with the relaxed arms; halved for r(AB)."""
-    u, geo = s["||AB||"], s[_TRIPLE[0]]
-    arm = min(s[_MIXED[0]], s[_MIXED[1]])
-    low = min(s[_TRIPLE[1]], s[_TRIPLE[2]])
-    if half:
-        return 0.5 * (u + arm), {
-            "relaxed-geo": 0.5 * u + 0.5 * geo, "relaxed-min": 0.5 * u + 0.5 * low}
-    return u + arm, {"relaxed-geo": u + geo, "relaxed-min": u + low}
+    """||AB|| + min of the mixed arms; halved for r(AB)."""
+    value = s["||AB||"] + min(s[_MIXED[0]], s[_MIXED[1]])
+    return (0.5 * value if half else value), {}
 
 
 _SINGLE = Row("companion-radius", "f(T)", ("r(T)",), lambda F, s: (F[0], {}),
@@ -233,10 +216,9 @@ _COMMUTING_ROWS = (
         lambda F, s: (math.sqrt(F[0] * F[1]), {}), _SQ, ("r(A)", "r(B)", "||A||", "||B||")),
     Row("norm-split", "f(AB)", ("||AB||", "sqrt(||A^2|| ||B^2||)"),
         lambda F, s: (0.5 * (F[0] + F[1]), {}), _SQ, _NORMS),
+    # (AB)^2 = A AB^2 = A^2B B puts r(AB) below each argument: no ||A||, ||B|| < R
     Row("mixed-split", "f(AB)", ("||AB||", *_MIXED), lambda F, s: _mixed(*F),
-        _SQ + ("||A||", "||B||"), _NORMS + _MIXED),
-    Row("triple-split", "f(AB)", ("||AB||", *_TRIPLE),
-        lambda F, s: _triple(F[0], F[1], min(F[2], F[3])), _SQ, _NORMS + _TRIPLE),
+        _SQ, _NORMS + _MIXED),
     Row("product-half", "AB", (),
         lambda F, s: (0.5 * (s["||AB||"] + s["sqrt(||A^2|| ||B^2||)"]), {}),
         notes=("||AB||", "||A^2||", "||B^2||")),

@@ -12,10 +12,10 @@ series: each series takes the ones it knows (2F1: alpha, beta, gamma).
 Exit codes: 0 success, 1 a violation or failed check (verify, compare),
 or a bound below its oracle (bound, which names each such bound after
 writing its report), 2 structural error (bad file or option value, a
-`--param` key that no listed series takes, dimension mismatch, unknown
-name, a series truncation out of floating-point range), 3 non-commuting
-pair given to bound (its report is written first, with each
-commutativity-gated bound unavailable).
+`--param` key that no listed series takes or that is given twice,
+dimension mismatch, unknown name, a series truncation out of
+floating-point range), 3 non-commuting pair given to bound (its report
+is written first, with each commutativity-gated bound unavailable).
 """
 
 from __future__ import annotations
@@ -42,7 +42,10 @@ def _parse_params(items: list[str]) -> dict[str, float]:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"--param expects key=value, got {item!r}")
-        params[key.strip()] = float(value)
+        key = key.strip()
+        if key in params:
+            raise ValueError(f"--param {item!r}: {key} is given twice")
+        params[key] = float(value)
     return params
 
 
@@ -250,13 +253,9 @@ def cmd_compare(args) -> int:
     path = out_dir / "compare.csv"
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([
-            "bound", "target", "evaluated", "available", "availability_rate",
-            "wins", "win_rate", "tightness_mean", "tightness_median",
-            "tightness_max",
-        ])
-        # summarize's per-bound keys are already in the column order
-        for name, stat in summary["bounds"].items():
+        stats = summary["bounds"]
+        writer.writerow(["bound", *next(iter(stats.values()))])
+        for name, stat in stats.items():
             writer.writerow([name, *map(harness._fmt, stat.values())])
     print(f"{summary['trials']} trials, {summary['violations']} violations")
     print(f"report: {path}")

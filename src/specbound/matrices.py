@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimMismatch, EigenFailure, NormOverflow
-from .series import PowerSeries, _order_and_tail
+from .series import DEFAULT_MAX_TERMS, PowerSeries, _order_and_tail
 
 Matrix = np.ndarray
 
@@ -103,14 +103,14 @@ def series_partial_sum(f: PowerSeries, T: Matrix, m: int) -> Matrix:
 
 
 def _series_at_norm(
-    f: PowerSeries, T: Matrix, nrm: float, tol: float, max_terms: int
+    f: PowerSeries, T: Matrix, nrm: float, tol: float
 ) -> tuple[Matrix, float]:
     """(S_m(T), tail): f(T) truncated at the order m whose scalar majorant
     tail = sum_{j>m} |a_j| nrm^j is <= tol, given nrm = ||T||. That tail
     dominates the matrix remainder's operator norm. NormOverflow if the
     truncation is not finite.
     """
-    m, tail = _order_and_tail(f, nrm, tol, max_terms)
+    m, tail = _order_and_tail(f, nrm, tol, DEFAULT_MAX_TERMS)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         value = series_partial_sum(f, T, m)
     if not np.isfinite(value).all():

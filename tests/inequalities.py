@@ -10,6 +10,10 @@ be the strict minimum.
   y = r(B)^q.
 * each `*_cs` form >= its row without the suffix, by Cauchy-Schwarz:
   f_a(sqrt(x y)) <= sqrt(f_a(x) f_a(y)).
+* `triple_split` >= mixed-split, and each of `relaxed_arms` >= pm-mixed,
+  by submultiplicativity: ||AB^2|| <= ||AB|| ||B||, ||AB^2|| <= ||A|| ||B^2||
+  and ||A^2B|| <= ||A^2|| ||B||, and f_a is nondecreasing. These hold for
+  the norms of one pair, commuting or not, but not for arbitrary numbers.
 """
 
 import math
@@ -60,12 +64,33 @@ def mixed_split_cs(fa, a, b, ab, ab2, a2b):
                                     math.sqrt(fa(a2b) * fa(b)))
 
 
-def triple_split_cs(fa, a, b, ab, a2, b2):
+def triple_split(fa, s):
+    """(1/2) f_a(||AB||) + (1/2) min of f_a(sqrt(||A|| ||B|| ||AB||)),
+    f_a(||A|| sqrt(||B^2||)) and f_a(sqrt(||A^2||) ||B||), on a pair's
+    norms `s`."""
+    a, b, ab = s["||A||"], s["||B||"], s["||AB||"]
+    return 0.5 * fa(ab) + 0.5 * min(fa(math.sqrt(a * b * ab)),
+                                    fa(a * math.sqrt(s["||B^2||"])),
+                                    fa(math.sqrt(s["||A^2||"]) * b))
+
+
+def triple_split_cs(fa, s):
     """(1/2) f_a(||AB||) + (1/2) min of sqrt(f_a(||A|| ||B||) f_a(||AB||)),
-    sqrt(f_a(||A||^2) f_a(||B^2||)) and sqrt(f_a(||A^2||) f_a(||B||^2))."""
+    sqrt(f_a(||A||^2) f_a(||B^2||)) and sqrt(f_a(||A^2||) f_a(||B||^2)),
+    on a pair's norms `s`: `triple_split`'s Cauchy-Schwarz form."""
+    a, b, ab, a2, b2 = (s[k] for k in ("||A||", "||B||", "||AB||", "||A^2||", "||B^2||"))
     return 0.5 * fa(ab) + 0.5 * min(math.sqrt(fa(a * b) * fa(ab)),
                                     math.sqrt(fa(a**2) * fa(b2)),
                                     math.sqrt(fa(a2) * fa(b**2)))
+
+
+def relaxed_arms(s):
+    """||AB|| + sqrt(||A|| ||B|| ||AB||) and ||AB|| + the smaller of
+    ||A|| sqrt(||B^2||) and sqrt(||A^2||) ||B||, on a pair's norms `s`:
+    each is at least pm-mixed, ||AB|| + the smaller mixed arm."""
+    a, b, ab = s["||A||"], s["||B||"], s["||AB||"]
+    return (ab + math.sqrt(a * b * ab),
+            ab + min(a * math.sqrt(s["||B^2||"]), math.sqrt(s["||A^2||"]) * b))
 
 
 # Each norm-averaged row's Cauchy-Schwarz form, as a function of f_a and
@@ -75,6 +100,4 @@ CS_FORMS = {
         fa, s["||AB||"], s["||A^2||"], s["||B^2||"]),
     "mixed-split": lambda fa, s: mixed_split_cs(
         fa, s["||A||"], s["||B||"], s["||AB||"], s["||AB^2||"], s["||A^2B||"]),
-    "triple-split": lambda fa, s: triple_split_cs(
-        fa, s["||A||"], s["||B||"], s["||AB||"], s["||A^2||"], s["||B^2||"]),
 }

@@ -12,7 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from inequalities import CS_FORMS, holder_ratio, reverse_holder_gap
+from inequalities import (
+    CS_FORMS, holder_ratio, reverse_holder_gap, triple_split, triple_split_cs,
+)
 from specbound import (
     SweepConfig,
     as_matrix,
@@ -37,8 +39,7 @@ from specbound.harness import (
     run_pm_checks,
 )
 from specbound.matrices import _series_at_norm
-from specbound.series import DEFAULT_MAX_TERMS
-from textbook import run_identity_checks, run_limit_laws
+from textbook import run_identity_checks, run_limit_laws, run_mixed_chain
 
 TOL = 1e-10
 
@@ -133,7 +134,9 @@ def test_a2_pair_holder_soundness(pair_records):
 def test_a3_chain_soundness_and_ordering(pair_records):
     """Each norm-averaged row and each Hölder row bounds the oracle, and is
     at most the corollary that dominates it (its Cauchy-Schwarz form, or
-    the ratio form), evaluated from the row's intermediates."""
+    the ratio form), evaluated from the row's intermediates; mixed-split
+    is at most the triple product form, which is at most its own
+    Cauchy-Schwarz form."""
     assert len(pair_records) >= 500
     violations, order_breaks = 0, 0
     holder_names = [f"holder-geo(p={p:g})" for p in (1.5, 2.0, 3.0)]
@@ -147,6 +150,11 @@ def test_a3_chain_soundness_and_ordering(pair_records):
         for name in holder_names:
             s = by_name[name].intermediates
             pairs.append((by_name[name], holder_ratio(fa, s["r(A)"], s["r(B)"], s["p"])))
+        s = by_name["mixed-split"].intermediates
+        triple = triple_split(fa, s)
+        pairs.append((by_name["mixed-split"], triple))
+        if triple > triple_split_cs(fa, s) + 1e-10 * max(1.0, triple):
+            order_breaks += 1
         for row, corollary in pairs:
             assert row.available, row.name
             if row.value < oracle - slack:
@@ -163,6 +171,7 @@ def test_a3_chain_soundness_and_ordering(pair_records):
 def test_a4_noncommuting_quadratic_bounds():
     """Norm-only bounds on r(AB +/- BA), plus the 2x2 equality case."""
     checks = run_pm_checks(seed=77, trials=500, dims=(2, 4, 8))
+    checks.update(run_mixed_chain(seed=77, trials=500, dims=(2, 4, 8)))
     violations = sum(c.violations for c in checks.values())
     shift = as_matrix([[0, 1], [0, 0]])
     shift_t = as_matrix([[0, 0], [1, 0]])
@@ -226,7 +235,7 @@ def test_a7_equality_cases():
             )
             T = gen_matrix(spec)
             bound = best_bound(f, T, tol=TOL).results[0]
-            value, tail = _series_at_norm(f, T, operator_norm(T), TOL, DEFAULT_MAX_TERMS)
+            value, tail = _series_at_norm(f, T, operator_norm(T), TOL)
             oracle = spectral_radius(value)
             ratio = bound.value / oracle
             allowance = (3 * TOL + tail) / oracle + 1e-12

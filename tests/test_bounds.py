@@ -9,10 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inequalities import CS_FORMS, holder_ratio, reverse_holder_gap
+from inequalities import (
+    CS_FORMS, holder_ratio, relaxed_arms, reverse_holder_gap, triple_split,
+    triple_split_cs,
+)
 from specbound import (
     BadExponent,
     NormOverflow,
+    PowerSeries,
     as_matrix,
     best_bound,
     catalog,
@@ -26,9 +30,8 @@ from specbound import (
 from specbound.bounds import (
     _COMMUTING_ROWS, Invariants, _evaluate, _holder_row, _holder_scope,
 )
-from specbound.harness import InstanceSpec
+from specbound.harness import InstanceSpec, _ginibre
 from specbound.matrices import _series_at_norm
-from specbound.series import DEFAULT_MAX_TERMS
 
 TOL = 1e-10
 
@@ -80,7 +83,7 @@ def oracle_radius(f, T):
 
 
 def oracle_with_slack(f, T):
-    value, tail = _series_at_norm(f, T, operator_norm(T), TOL, DEFAULT_MAX_TERMS)
+    value, tail = _series_at_norm(f, T, operator_norm(T), TOL)
     oracle = spectral_radius(value)
     return oracle, 1e-8 * max(1.0, oracle) + tail
 
@@ -305,32 +308,34 @@ def test_mixed_split_chain_order_and_soundness():
         assert first.value >= oracle - slack
 
 
-def test_triple_split_zero_pair():
-    Z = np.zeros((2, 2))
-    first, second = split(EXP, Z, Z, "triple-split")
-    assert first.value == pytest.approx(1.0, abs=1e-12)
-    assert second == pytest.approx(1.0, abs=1e-12)
-
-
-def test_triple_split_diagonal_branches_agree():
-    c = 0.5
-    A = np.diag([c, c]).astype(complex)
-    first, _ = split(GEO, A, A, "triple-split")
-    assert first.value == pytest.approx(1.0 / (1 - c * c), abs=1e-9)
-    assert first.intermediates["branch-geo"] == pytest.approx(
-        first.intermediates["branch-min"], rel=1e-9
-    )
+def test_mixed_split_needs_only_its_arguments_inside_the_disk():
+    # R = 1/2 and ||A|| = 0.6 >= R, but r(AB) <= sqrt(||A|| ||AB^2||) = 0.18
+    # and the row's other arguments lie inside the disk: the row applies,
+    # with equality here
+    f = PowerSeries(coeff=lambda n: complex(2.0**n), radius=0.5, name="2^n",
+                    tail_bound=lambda m, x: (2.0 * x) ** (m + 1) / (1.0 - 2.0 * x))
+    A, B = np.diag([0.6, 0.1]).astype(complex), np.diag([0.3, 0.3]).astype(complex)
+    b = rows(f, A, B)["mixed-split"]
+    assert b.available, b.reason
+    assert [p[0] for p in b.preconditions][:2] == ["||A||^2 < R", "||B||^2 < R"]
+    oracle, slack = oracle_with_slack(f, A @ B)
+    assert oracle == pytest.approx(1.0 / (1.0 - 2.0 * 0.18), abs=slack)
+    assert oracle - slack <= b.value <= oracle + slack
 
 
 def test_triple_split_chain_order_and_soundness():
+    # mixed-split <= triple_split <= its Cauchy-Schwarz form: the triple
+    # product form is not a row, since it is never below mixed-split
+    fa = companion(GEO)
     for seed in range(12):
         A, B = commuting_pair(seed + 110)
-        first, second = split(GEO, A, B, "triple-split")
-        assert first.value <= second + 1e-10 * max(1.0, second)
+        mixed = rows(GEO, A, B)["mixed-split"]
+        triple = triple_split(fa, mixed.intermediates)
+        cs = triple_split_cs(fa, mixed.intermediates)
+        assert mixed.value <= triple + 1e-12 * max(1.0, triple)
+        assert triple <= cs + 1e-10 * max(1.0, cs)
         oracle, slack = oracle_with_slack(GEO, A @ B)
-        assert first.value >= oracle - slack
-        assert first.intermediates["branch-geo"] >= oracle - slack
-        assert first.intermediates["branch-min"] >= oracle - slack
+        assert mixed.value >= oracle - slack
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +385,7 @@ def test_pm_mixed_line_below_relaxations():
         A = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
         B = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
         b = pm("pm-mixed", A, B)
-        for key in ("relaxed-geo", "relaxed-min"):
-            arm = b.intermediates[key]
+        for arm in relaxed_arms(b.intermediates):
             assert b.value <= arm + 1e-10 * max(1.0, arm)
 
 
@@ -425,9 +429,8 @@ def test_product_chain_line_below_relaxations_and_oracle():
         b = rows(EXP, A, B)["product-chain"]
         oracle = spectral_radius(A @ B)
         assert b.value >= oracle - 1e-8 * max(1.0, oracle)
-        for key in ("relaxed-geo", "relaxed-min"):
-            arm = b.intermediates[key]
-            assert b.value <= arm + 1e-10 * max(1.0, arm)
+        for arm in relaxed_arms(b.intermediates):  # halved, as r(AB)'s row is
+            assert b.value <= 0.5 * arm + 1e-10 * max(1.0, arm)
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +487,30 @@ def _scalar_pair(norms, radii=None):
     return v
 
 
+def _real_pair(kind, seed, a, b):
+    """A pair of norms a and b: aligned positive diagonals (every
+    submultiplicative step an equality), a commuting pair or a generic one."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 3
+    if kind == "diagonal":
+        A, B = (np.diag(np.sort(rng.uniform(0.1, 1.0, n))[::-1]).astype(complex)
+                for _ in "AB")
+    elif kind == "commuting":
+        A, B = commuting_pair(seed, n)
+    else:
+        A, B = _ginibre(rng, n), _ginibre(rng, n)
+    return A * (a / operator_norm(A)), B * (b / operator_norm(B))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     entry=st.sampled_from(_SERIES),
     u=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
     p=st.floats(1.05, 8.0),
+    kind=st.sampled_from(("diagonal", "commuting", "generic")),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_dropped_corollaries_dominate_their_rows(entry, u, p):
+def test_dropped_corollaries_dominate_their_rows(entry, u, p, kind, seed):
     # Each corollary, with f_a from its closed form, is at least the row it
     # dominates as best_bound evaluates it, at any nonnegative arguments
     # inside the disk: the norms need not come from one pair.
@@ -512,6 +532,14 @@ def test_dropped_corollaries_dominate_their_rows(entry, u, p):
     rA, rB = (u[0] * top * top) ** (1 / p), (u[1] * top * top) ** (1 / q)
     v = _scalar_pair({"||A||": rA, "||B||": rB}, (rA, rB))
     check(_holder_row(p), _holder_scope(v, p), holder_ratio(fa, rA, rB, p))
+
+    # triple_split and its Cauchy-Schwarz form on the norms of one pair,
+    # commuting or not: submultiplicativity need not hold for other numbers
+    v = Invariants(*_real_pair(kind, seed, u[0] * top, u[1] * top))
+    s = _evaluate(_ROW["mixed-split"], f, v, TOL, {}).intermediates
+    triple = triple_split(fa, s)
+    check(_ROW["mixed-split"], v, triple)
+    assert triple_split_cs(fa, s) >= triple - 1e-12 * max(1.0, triple)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +625,7 @@ def test_nonfinite_pair_bounds_are_unavailable():
     report = best_bound(EXP, D, D)
     assert all(math.isfinite(r.value) for r in report.results if r.available)
     series = [r for r in report.results if r.target == "f(AB)"]
-    assert len(series) == 6
+    assert len(series) == 5
     assert all(not r.available and "not finite" in r.reason for r in series)
     assert report.minimum is None
 
@@ -609,12 +637,7 @@ def test_preconditions_are_hypotheses_then_arguments_once():
     sq = ["||A||^2 < R", "||B||^2 < R"]
     assert pre["norm-split"] == sq + ["||AB|| < R", "sqrt(||A^2|| ||B^2||) < R"]
     assert pre["mixed-split"] == sq + [
-        "||A|| < R", "||B|| < R", "||AB|| < R", "sqrt(||A|| ||AB^2||) < R",
-        "sqrt(||A^2B|| ||B||) < R",
-    ]
-    assert pre["triple-split"] == sq + [
-        "||AB|| < R", "sqrt(||A|| ||B|| ||AB||) < R", "||A|| sqrt(||B^2||) < R",
-        "sqrt(||A^2||) ||B|| < R",
+        "||AB|| < R", "sqrt(||A|| ||AB^2||) < R", "sqrt(||A^2B|| ||B||) < R",
     ]
     assert pre["holder-geo(p=1.5)"] == [
         "||A||^p < R", "||B||^q < R", "r(A)^p < R", "r(B)^q < R",

@@ -186,6 +186,15 @@ def test_bound_param_nothing_takes_exits_2(zero2, capsys, series, key):
     assert key in capsys.readouterr().err
 
 
+def test_bound_repeated_param_exits_2(zero2, capsys):
+    # the first alpha would be dropped without a word
+    code = main(["bound", "--series", "2F1", "--param", "alpha=0.5",
+                 "--param", "alpha=2", "--matrix", zero2])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'alpha=2'" in err and "alpha is given twice" in err
+
+
 def test_bound_product_overflow_exits_2(tmp_path, capsys):
     a, b = tmp_path / "a.mat", tmp_path / "b.mat"
     save_matrix(a, np.diag([1e160, 1.0]).astype(complex))
@@ -271,7 +280,7 @@ def test_verify_small_run(tmp_path, capsys):
     assert summary["passed"] is True
     assert summary["sweep"]["violations"] == 0
     assert sorted(summary["checks"]) == [
-        "pm-mixed", "pm-mixed-chain", "pm-quadratic", "truncation-cauchy"]
+        "pm-mixed", "pm-quadratic", "truncation-cauchy"]
     assert all(c["violations"] == 0 for c in summary["checks"].values())
     assert "violations" in capsys.readouterr().out
 
@@ -363,6 +372,15 @@ def test_sweep_param_nothing_takes_exits_2(tmp_path, capsys, command, series, ke
                  "--out", str(tmp_path / "r")])
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_sweep_repeated_param_exits_2(tmp_path, capsys, command):
+    code = main([command, "--series", "2F1,exp", "--param", "gamma=2",
+                 "--param", " gamma=3", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "gamma is given twice" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # fails before writing anything
 
 
 def test_compare_shares_params_across_series(tmp_path, capsys):

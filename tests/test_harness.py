@@ -39,8 +39,8 @@ from specbound.harness import (
     run_trial,
 )
 from specbound.matrices import _series_at_norm
-from specbound.series import DEFAULT_MAX_TERMS, DEFAULT_TOL
-from textbook import run_identity_checks, run_limit_laws
+from specbound.series import DEFAULT_TOL
+from textbook import run_identity_checks, run_limit_laws, run_mixed_chain
 
 
 def spec(family, seed=1, dim=4, target=0.8):
@@ -136,7 +136,7 @@ def test_pair_oracle_is_one_eigensolve_call(lapack_work):
     assert lapack_work["eig"] == 4 and lapack_work["eig_calls"] == 1
     # Bit for bit the one-target-at-a-time formulas.
     AB, BA = A @ B, B @ A
-    S, tail = _series_at_norm(f, AB, operator_norm(AB), DEFAULT_TOL, DEFAULT_MAX_TERMS)
+    S, tail = _series_at_norm(f, AB, operator_norm(AB), DEFAULT_TOL)
     assert oracles == {
         "AB": (spectral_radius(AB), 0.0),
         "AB+BA": (spectral_radius(AB + BA), 0.0),
@@ -373,3 +373,11 @@ def test_limit_checks_pass():
 def test_pm_checks_pass():
     for name, result in run_pm_checks(seed=1, trials=100).items():
         assert result.passed, (name, result.worst_margin)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_pm_mixed_chain_holds_on_verify_pairs(seed):
+    # the 500 pairs `verify --seed` checks pm-mixed on, at the default dims
+    (result,) = run_mixed_chain(seed, trials=500).values()
+    assert result.trials == 500 * 2
+    assert result.passed, result.worst_margin

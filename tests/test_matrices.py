@@ -22,7 +22,6 @@ from specbound import (
 )
 from specbound.bounds import Invariants
 from specbound.matrices import _series_at_norm, operator_norms, spectral_radii
-from specbound.series import DEFAULT_MAX_TERMS
 from textbook import gelfand_sequence
 
 
@@ -38,7 +37,7 @@ def random_complex(seed, n):
 def certified_sum(f, T, tol):
     """(S_m(T), tail): f(T) truncated and certified to tol, as the oracle
     evaluates it."""
-    return _series_at_norm(f, T, operator_norm(T), tol, DEFAULT_MAX_TERMS)
+    return _series_at_norm(f, T, operator_norm(T), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from typing import Sequence
 
 import numpy as np
 
+from inequalities import relaxed_arms
 from specbound import NormOverflow, from_coefficients, operator_norm, series_partial_sum
+from specbound.bounds import _PM_ROWS, Invariants, _evaluate
 from specbound.harness import (
     FAMILIES_SINGLE,
     CheckResult,
@@ -137,3 +139,21 @@ def run_limit_laws(
         rV, rS, rVS = spectral_radii(np.stack((V, S, V - S))).tolist()
         results["radius-continuity"].record(abs(rV - rS) - rVS - 1e-8)
     return results
+
+
+def run_mixed_chain(
+    seed: int = 0, trials: int = 500, dims: Sequence[int] = (2, 4, 8)
+) -> dict[str, CheckResult]:
+    """pm-mixed is at most each of its `relaxed_arms`, computed from the
+    row's own intermediates, on the pairs of `run_pm_checks` (the same
+    [seed, i, 4] stream). This is submultiplicativity of LAPACK's norms."""
+    result = CheckResult()
+    for i in range(trials):
+        rng = np.random.default_rng([seed, i, 4])
+        n = dims[i % len(dims)]
+        A = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
+        B = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
+        mixed = _evaluate(_PM_ROWS[1], None, Invariants(A, B), 0.0, {})
+        for arm in relaxed_arms(mixed.intermediates):
+            result.record(mixed.value - arm - 1e-10 * max(1.0, arm))
+    return {"pm-mixed-chain": result}
