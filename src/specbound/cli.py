@@ -6,15 +6,11 @@ Subcommands:
            truncation certificates and the norm-only bounds
   compare  emit per-bound tightness statistics as plot-ready CSV
 
-`verify` and `compare` share their `--param` values across the listed
-series: each series takes the ones it knows (2F1: alpha, beta, gamma).
-
 Exit codes: 0 success, 1 a violation or failed check (verify, compare),
 or a bound below its oracle (bound, which names each such bound after
-writing its report), 2 structural error (bad file or option value, a
-`--param` key that no listed series takes or that is given twice,
-dimension mismatch, unknown name, a series truncation out of
-floating-point range), 3 non-commuting pair given to bound (its report
+writing its report), 2 structural error (bad file or option value,
+dimension mismatch, unknown or malformed name, a series truncation out
+of floating-point range), 3 non-commuting pair given to bound (its report
 is written first, with each commutativity-gated bound unavailable).
 """
 
@@ -33,20 +29,7 @@ from .bounds import DEFAULT_P_GRID, best_bound
 from .errors import SpecboundError
 from .matrices import load_matrix
 from .harness import oracle_radii
-from .series import DEFAULT_TOL, SeriesCatalogEntry, lookup
-
-
-def _parse_params(items: list[str]) -> dict[str, float]:
-    params = {}
-    for item in items:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"--param expects key=value, got {item!r}")
-        key = key.strip()
-        if key in params:
-            raise ValueError(f"--param {item!r}: {key} is given twice")
-        params[key] = float(value)
-    return params
+from .series import DEFAULT_TOL, lookup
 
 
 def _parse_list(text: str, convert=str) -> tuple:
@@ -63,24 +46,16 @@ def _is_complex(text: str) -> bool:
 
 def _parse_series(text: str) -> tuple[str, ...]:
     """The sweep's --series list. A token that is empty or a complex
-    literal continues the "poly:" name before it (no catalog name is a
-    complex literal), so "poly:1,0.5,exp" is two series."""
+    literal continues the "poly:" or "2F1:" name before it (no catalog
+    name is a complex literal), so "poly:1,0.5,exp" is two series."""
     names: list[str] = []
     for tok in map(str.strip, text.split(",")):
-        if names and names[-1].startswith("poly:") and (not tok or _is_complex(tok)):
+        if (names and names[-1].startswith(("poly:", "2F1:"))
+                and (not tok or _is_complex(tok))):
             names[-1] += "," + tok
         elif tok:
             names.append(tok)
     return tuple(names)
-
-
-def _lookup_all(names, params: dict[str, float]) -> list[SeriesCatalogEntry]:
-    """Each named series at `params`; an error if none of them takes params."""
-    entries = [lookup(name, params) for name in names]
-    if params and not any(e.params for e in entries):
-        raise ValueError(f"--param {sorted(params)}: no series in {list(names)} "
-                         "takes parameters")
-    return entries
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,9 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bound", help="bound r[f(T)] or r[f(AB)] for given matrices")
     pb.add_argument("--series", required=True,
-                    help="catalog name, or poly:c0,c1,... for an explicit polynomial")
-    pb.add_argument("--param", action="append", default=[],
-                    help="series parameter, e.g. alpha=1.5 (repeatable)")
+                    help="catalog name, 2F1:alpha,beta,gamma, or poly:c0,c1,... "
+                         "for an explicit polynomial")
     pb.add_argument("--matrix", action="append", default=[], required=True,
                     help="matrix file (one for single mode, two for pair mode)")
     pb.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -108,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (("verify", cmd_verify), ("compare", cmd_compare)):
         ps = sub.add_parser(name)
         ps.add_argument("--series", default=",".join(sweep.series_names),
-                        help="comma-separated catalog names or poly:c0,c1,...")
-        ps.add_argument("--param", action="append", default=[])
+                        help="comma-separated catalog names, 2F1:alpha,beta,gamma "
+                             "or poly:c0,c1,...")
         ps.add_argument("--tol", type=float, default=sweep.tol)
         ps.add_argument("--p", default=None)
         ps.add_argument("--trials", type=int, default=sweep.trials,
@@ -156,7 +130,7 @@ def _bound_report_csv(results, oracles) -> str:
 
 
 def cmd_bound(args) -> int:
-    [entry] = _lookup_all([args.series], _parse_params(args.param))
+    entry = lookup(args.series)
     f = entry.series
     if not 1 <= len(args.matrix) <= 2:
         print("error: --matrix must appear once (single mode) or twice (pair mode)",
@@ -198,13 +172,10 @@ def cmd_bound(args) -> int:
 
 
 def _sweep_config(args) -> harness.SweepConfig:
-    names, params = _parse_series(args.series), _parse_params(args.param)
-    _lookup_all(names, params)  # fail on a name or --param before sweeping
     if args.trials == 0:  # verify's checks would still run and report a pass
         raise ValueError("--trials 0 sweeps nothing; give at least 1")
     return harness.SweepConfig(
-        series_names=names,
-        params=params or None,
+        series_names=_parse_series(args.series),
         families=_parse_list(args.families),
         trials=args.trials,
         dims=_parse_list(args.dims, int),
@@ -267,7 +238,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecboundError, ValueError, KeyError, OSError) as exc:
+    except (SpecboundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

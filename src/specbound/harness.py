@@ -175,7 +175,6 @@ class SweepConfig:
     """
 
     series_names: tuple[str, ...] = ("exp", "geometric", "log-resolvent")
-    params: Optional[dict[str, float]] = None  # series parameters (2F1's)
     families: tuple[str, ...] = FAMILIES_SINGLE + FAMILIES_PAIR
     trials: int = 500
     dims: tuple[int, ...] = (2, 4, 8)
@@ -197,6 +196,8 @@ class SweepConfig:
             raise ValueError(f"need 0 < tol < inf and seed >= 0, got tol={self.tol}, "
                              f"seed={self.seed}")
         _holder_rows(self.p_grid)  # BadExponent before any trial runs
+        for name in self.series_names:  # and ValueError on a bad series name
+            lookup(name)
 
 
 @dataclass
@@ -274,7 +275,7 @@ def run_trial(
     """One deterministic trial; pure function of (config, family, index)."""
     trial_rng = np.random.default_rng([config.seed, family_index, index])
     name = config.series_names[index % len(config.series_names)]
-    entry = lookup(name, config.params)
+    entry = lookup(name)
     f = entry.series
     dim = config.dims[index % len(config.dims)]
     pair_mode = family in FAMILIES_PAIR

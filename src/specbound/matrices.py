@@ -8,6 +8,7 @@ exactly through repr.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -135,9 +136,11 @@ def parse_matrix(text: str) -> Matrix:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-    dim = doc["dim"]
-    entries = doc["entries"]
-    if not isinstance(dim, int) or dim < 1:
+    missing = [key for key in ("dim", "entries") if key not in doc]
+    if missing:
+        raise ValueError(f"the matrix document has no {' or '.join(missing)} field")
+    dim, entries = doc["dim"], doc["entries"]
+    if type(dim) is not int or dim < 1:  # a JSON true is a bool, not a dim
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     if not isinstance(entries, list):
         raise ValueError(f"entries must be a list, got {type(entries).__name__}")
@@ -146,6 +149,8 @@ def parse_matrix(text: str) -> Matrix:
             f"expected {dim * dim} entries for dim {dim}, got {len(entries)}"
         )
     try:
+        if bool in map(type, itertools.chain.from_iterable(entries)):
+            raise TypeError("a JSON boolean is not a number")
         flat = [complex(re, im) for re, im in entries]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"entries must be [re, im] number pairs: {exc}") from exc

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -325,48 +325,43 @@ _CATALOG: dict[str, SeriesCatalogEntry] = {e.series.name: e for e in (
     _factorial_entry("sinh", 1, 1, math.sinh),
 )}
 
-# The parameters a series can take (2F1's), with their defaults.
-_PARAM_DEFAULTS = {"alpha": 1.0, "beta": 1.0, "gamma": 1.0}
+
+def catalog() -> list[SeriesCatalogEntry]:
+    """All named series, with 2F1 at alpha = beta = gamma = 1."""
+    return [*_CATALOG.values(), lookup("2F1")]
 
 
-def catalog(params: Optional[Mapping[str, float]] = None) -> list[SeriesCatalogEntry]:
-    """All named series, with 2F1 at `params` (see `lookup`)."""
-    return [*_CATALOG.values(), lookup("2F1", params)]
+def _literals(name: str, what: str) -> list[complex]:
+    """The comma-separated finite complex literals after the ":" of
+    `name`; ValueError names the first that is not one as `what` i."""
+    values = []
+    for i, token in enumerate(name.partition(":")[2].split(",")):
+        try:
+            values.append(complex(token))
+        except ValueError:
+            values.append(cmath.nan)
+        if not cmath.isfinite(values[-1]):
+            raise ValueError(f"{what} {i} of {name!r} is {token.strip()!r}, "
+                             "not a finite complex literal")
+    return values
 
 
-def _poly_coefficient(name: str, i: int, token: str) -> complex:
-    """Coefficient i of the "poly:" series `name`, written as `token`."""
-    try:
-        c = complex(token)
-        if cmath.isfinite(c):
-            return c
-    except ValueError:
-        pass
-    raise ValueError(f"coefficient {i} of {name!r} is {token.strip()!r}, "
-                     "not a finite complex literal")
-
-
-def lookup(name: str,
-           params: Optional[Mapping[str, float]] = None) -> SeriesCatalogEntry:
-    """The series called `name`: a catalog name, "2F1" with its alpha,
-    beta and gamma taken from `params` (1.0 where absent), or a finite
-    polynomial "poly:c0,c1,..." whose coefficients are finite complex
-    literals (e.g. "poly:1,-0.5,0.25j"; ValueError names any other). A
-    sweep shares `params` across its series, so a series without
-    parameters ignores them; a key that no series takes raises KeyError.
+def lookup(name: str) -> SeriesCatalogEntry:
+    """The series called `name`: a catalog name, "2F1:alpha,beta,gamma"
+    with three positive finite reals ("2F1" alone: all three 1), or a
+    finite polynomial "poly:c0,c1,..." whose coefficients are finite
+    complex literals (e.g. "poly:1,-0.5,0.25j"). ValueError names a
+    malformed or unknown name.
     """
-    params = dict(params or {})
-    unknown = sorted(params.keys() - _PARAM_DEFAULTS.keys())
-    if unknown:
-        raise KeyError(
-            f"unknown series parameter(s) {unknown}; known: {list(_PARAM_DEFAULTS)}"
-        )
-    if name == "2F1":
-        return hypergeometric_series(**{**_PARAM_DEFAULTS, **params})
+    if name == "2F1" or name.startswith("2F1:"):
+        params = _literals(name, "parameter") if name != "2F1" else [1.0] * 3
+        if len(params) != 3 or not all(c.imag == 0 < c.real for c in params):
+            raise ValueError(f"{name!r} needs three positive reals alpha,beta,gamma")
+        return hypergeometric_series(*(c.real for c in params))
     if name.startswith("poly:"):
-        coeffs = [_poly_coefficient(name, i, tok)
-                  for i, tok in enumerate(name[5:].split(","))]
+        coeffs = _literals(name, "coefficient")
         return SeriesCatalogEntry(series=from_coefficients(coeffs, name=name))
     if name in _CATALOG:
         return _CATALOG[name]
-    raise KeyError(f"unknown series {name!r}; known: {sorted(_CATALOG)} + 2F1")
+    raise ValueError(f"unknown series {name!r}; known: {sorted(_CATALOG)}, "
+                     "2F1:alpha,beta,gamma and poly:c0,c1,...")

@@ -19,7 +19,6 @@ from specbound import (
     SweepConfig,
     as_matrix,
     best_bound,
-    catalog,
     eval_companion,
     lookup,
     operator_norm,
@@ -45,13 +44,12 @@ TOL = 1e-10
 
 ALL_SERIES = [
     "log-resolvent", "cos", "sin", "resolvent", "exp", "half-log-ratio",
-    "arcsin", "artanh", "geometric", "cosh", "sinh", "2F1",
+    "arcsin", "artanh", "geometric", "cosh", "sinh", "2F1:0.5,0.75,1.25",
 ]
 NONNEGATIVE_SERIES = [
     "exp", "geometric", "cosh", "sinh", "arcsin", "artanh",
-    "half-log-ratio", "2F1",
+    "half-log-ratio", "2F1:0.5,0.75,1.25",
 ]
-HYP_PARAMS = (0.5, 0.75, 1.25)
 
 
 def report(label: str, ok: bool, detail: str) -> None:
@@ -60,7 +58,7 @@ def report(label: str, ok: bool, detail: str) -> None:
 
 def record_companion(record):
     """f_a of a trial's series, as its bounds evaluate it."""
-    f = lookup(record.series_name, record.series_params).series
+    f = lookup(record.series_name).series
     return lambda x: eval_companion(f, x, TOL)
 
 
@@ -84,7 +82,6 @@ def test_a1_single_operator_soundness():
     for idx, name in enumerate(ALL_SERIES):
         config = SweepConfig(
             series_names=(name,),
-            params=dict(zip(("alpha", "beta", "gamma"), HYP_PARAMS)),
             families=FAMILIES_SINGLE,
             trials=200,
             dims=(2, 4, 8),
@@ -219,11 +216,7 @@ def test_a7_equality_cases():
     """Positive-diagonal instances are tight; nilpotent resolvent exact."""
     worst_low, worst_high = 1.0, 1.0
     for s_idx, name in enumerate(NONNEGATIVE_SERIES):
-        entry = (
-            lookup(name) if name != "2F1"
-            else lookup(name, dict(zip(("alpha", "beta", "gamma"), HYP_PARAMS)))
-        )
-        f = entry.series
+        f = lookup(name).series
         top = 0.9 * min(f.radius, 10.0)
         for i in range(60):
             rng = np.random.default_rng([97, s_idx, i])
@@ -276,7 +269,7 @@ def test_a8_scalar_primitives():
         assert gap >= -1e-8 * max(1.0, lhs)
         worst_gap = min(worst_gap, gap / max(1.0, lhs))
 
-    entries = [e for e in catalog(dict(zip(("alpha", "beta", "gamma"), HYP_PARAMS)))]
+    entries = [lookup(name) for name in ALL_SERIES]  # 2F1 at (0.5, 0.75, 1.25)
     worst_closed = 0.0
     worst_tail_excess = -math.inf
     for entry in entries:

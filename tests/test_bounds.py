@@ -474,7 +474,7 @@ def test_reverse_holder_property(data, p):
 # Corollaries that are not rows
 # ---------------------------------------------------------------------------
 
-_SERIES = catalog({"alpha": 0.5, "beta": 0.75, "gamma": 1.25})
+_SERIES = [*catalog(), lookup("2F1:0.5,0.75,1.25")]
 _ROW = {row.name: row for row in _COMMUTING_ROWS}
 
 

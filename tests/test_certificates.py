@@ -17,7 +17,7 @@ import math
 import mpmath as mp
 import pytest
 
-from specbound import catalog, hypergeometric_series
+from specbound import catalog, lookup
 
 mp.mp.dps = 40
 
@@ -86,9 +86,9 @@ def _exact_tail(coeff, mx, m):
 
 
 def entries():
-    out = list(catalog({"alpha": 0.5, "beta": 0.75, "gamma": 1.25}))
-    out.append(hypergeometric_series(2.0, 2.0, 1.0))  # growing coefficients
-    return out
+    # The catalog with 2F1 at (0.5, 0.75, 1.25), and at (2, 2, 1): growing coefficients.
+    return [*(e for e in catalog() if e.series.name != "2F1"),
+            lookup("2F1:0.5,0.75,1.25"), lookup("2F1:2,2,1")]
 
 
 @pytest.mark.parametrize("entry", entries(), ids=lambda e: (

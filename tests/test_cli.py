@@ -152,13 +152,19 @@ def test_bound_bad_polynomial_coefficient_exits_2(zero2, capsys, series, positio
 
 
 def test_bound_2f1_with_params(zero2, capsys):
-    code = main([
-        "bound", "--series", "2F1", "--param", "alpha=0.5",
-        "--param", "beta=0.75", "--param", "gamma=1.25",
-        "--matrix", zero2,
-    ])
+    code = main(["bound", "--series", "2F1:0.5,0.75,1.25", "--matrix", zero2])
     assert code == 0
     assert "companion-radius" in capsys.readouterr().out
+
+
+_BAD_2F1_NAMES = ["2F1:0.5,1", "2F1:1,1,1j", "2F1:0,1,1", "2F1:inf,1,1", "2F1:1,,1"]
+
+
+@pytest.mark.parametrize("series", _BAD_2F1_NAMES)
+def test_bound_malformed_2f1_name_exits_2(zero2, capsys, series):
+    code = main(["bound", "--series", series, "--matrix", zero2])
+    assert code == 2
+    assert repr(series) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("pair, svds", [(False, 1), (True, 9)])
@@ -172,27 +178,6 @@ def test_bound_oracle_reuses_the_report_norm(lapack_work, diag_pair, capsys,
     assert "oracle r[f(" in capsys.readouterr().out
     assert lapack_work["svd"] == svds
     assert lapack_work["svd_calls"] == 1
-
-
-@pytest.mark.parametrize("series, key", [
-    ("2F1", "alfa"),  # a key no series takes
-    ("exp", "alpha"),  # a series that takes none
-    ("poly:1,0.5", "gamma"),
-])
-def test_bound_param_nothing_takes_exits_2(zero2, capsys, series, key):
-    code = main(["bound", "--series", series, "--param", f"{key}=0.5",
-                 "--matrix", zero2])
-    assert code == 2
-    assert key in capsys.readouterr().err
-
-
-def test_bound_repeated_param_exits_2(zero2, capsys):
-    # the first alpha would be dropped without a word
-    code = main(["bound", "--series", "2F1", "--param", "alpha=0.5",
-                 "--param", "alpha=2", "--matrix", zero2])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "'alpha=2'" in err and "alpha is given twice" in err
 
 
 def test_bound_product_overflow_exits_2(tmp_path, capsys):
@@ -213,6 +198,7 @@ def test_bound_missing_file_exits_2(capsys):
 def test_bound_unknown_series_exits_2(zero2, capsys):
     code = main(["bound", "--series", "nope", "--matrix", zero2])
     assert code == 2
+    assert capsys.readouterr().err.startswith("error: unknown series 'nope'")
 
 
 def test_bound_malformed_file_exits_2(tmp_path, capsys):
@@ -220,7 +206,9 @@ def test_bound_malformed_file_exits_2(tmp_path, capsys):
     for text in ("not json", '{"dim": 1, "entries": [["1", 0]]}',
                  '{"dim": 1, "entries": [[null, 0]]}', '{"dim": 1, "entries": [5]}',
                  '[1]', '{"dim": 1, "entries": 5}', '"x"',
-                 '{"dim": 1, "entries": [[1%s, 0]]}' % ("0" * 400)):
+                 '{"dim": 1, "entries": [[1%s, 0]]}' % ("0" * 400),
+                 '{"dim": true, "entries": [[0.5, 0]]}', '{"entries": [[1, 0]]}',
+                 '{"dim": 1}', '{"dim": 1, "entries": [[true, false]]}'):
         bad.write_text(text)
         code = main(["bound", "--series", "exp", "--matrix", str(bad)])
         assert code == 2, text
@@ -313,7 +301,8 @@ def test_sweep_with_nothing_to_cycle_exits_2(tmp_path, capsys, command, args):
     ("poly:1,-0.5+0.3j,0.25j,exp, poly:2,nan", ("poly:1,-0.5+0.3j,0.25j", "exp",
                                                "poly:2,nan")),
     ("poly:1,,0.5", ("poly:1,,0.5",)),
-], ids=["catalog", "poly", "poly-then-catalog", "empty-coefficient"])
+    ("2F1:0.5,1,2,exp", ("2F1:0.5,1,2", "exp")),
+], ids=["catalog", "poly", "poly-then-catalog", "empty-coefficient", "2F1-then-catalog"])
 def test_sweep_series_list_keeps_poly_names_whole(text, names):
     assert _parse_series(text) == names
 
@@ -333,6 +322,14 @@ def test_sweep_empty_poly_coefficient_exits_2(tmp_path, capsys, command):
     code = main([command, "--series", "poly:1,,0.5", "--out", str(tmp_path / "r")])
     assert code == 2
     assert "coefficient 1 of 'poly:1,,0.5'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("series", _BAD_2F1_NAMES)
+def test_sweep_malformed_2f1_name_exits_2(tmp_path, capsys, series):
+    code = main(["verify", "--series", f"exp,{series}", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert repr(series) in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 
@@ -361,36 +358,19 @@ def test_sweep_defaults_match_sweep_config():
     assert _sweep_config(args) == SweepConfig()
 
 
-@pytest.mark.parametrize("command", ["verify", "compare"])
-@pytest.mark.parametrize("series, key", [
-    ("2F1,exp", "alfa"),  # a key no series takes
-    ("exp", "alpha"),  # series that take none
-    ("exp,geometric", "gamma"),
-])
-def test_sweep_param_nothing_takes_exits_2(tmp_path, capsys, command, series, key):
-    code = main([command, "--series", series, "--param", f"{key}=0.5",
-                 "--out", str(tmp_path / "r")])
-    assert code == 2
-    assert key in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["verify", "compare"])
-def test_sweep_repeated_param_exits_2(tmp_path, capsys, command):
-    code = main([command, "--series", "2F1,exp", "--param", "gamma=2",
-                 "--param", " gamma=3", "--out", str(tmp_path / "r")])
-    assert code == 2
-    assert "gamma is given twice" in capsys.readouterr().err
-    assert not (tmp_path / "r").exists()  # fails before writing anything
-
-
-def test_compare_shares_params_across_series(tmp_path, capsys):
-    # 2F1 takes alpha and gamma; exp ignores them.
-    out = tmp_path / "cmp"
-    code = main(["compare", "--series", "2F1,exp", "--param", "alpha=0.5",
-                 "--param", "gamma=2", "--families", "diagonal-positive",
-                 "--trials", "4", "--dims", "2", "--out", str(out)])
-    assert code == 0
-    assert "companion-radius" in (out / "compare.csv").read_text()
+def test_sweep_records_each_series_own_params(tmp_path, capsys):
+    # Two 2F1s in one sweep, each trial with the parameters of its own name.
+    out = tmp_path / "r"
+    code = main(["verify", "--series", "2F1:0.5,1,2,2F1:0.5,0.75,1.25,exp",
+                 "--families", "diagonal-positive", "--trials", "6", "--dims", "2",
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    rows = list(csv.DictReader((out / "trials.csv").read_text().splitlines()))
+    assert {(row["series"], row["series_params"]) for row in rows} == {
+        ("2F1:0.5,1,2", "alpha=0.5;beta=1.0;gamma=2.0"),
+        ("2F1:0.5,0.75,1.25", "alpha=0.5;beta=0.75;gamma=1.25"),
+        ("exp", ""),
+    }
 
 
 def test_compare_emits_plot_ready_csv(tmp_path, capsys):

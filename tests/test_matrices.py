@@ -76,15 +76,20 @@ def test_load_rejects_malformed_documents(tmp_path):
     bad_dim.write_text('{"dim": 0, "entries": []}')
     with pytest.raises(ValueError):
         load_matrix(bad_dim)
-    for entries in ('[["1", 0]]', '[[null, 0]]', '[5]', '[[1%s, 0]]' % ("0" * 400)):
+    for entries in ('[["1", 0]]', '[[null, 0]]', '[5]', '[[1%s, 0]]' % ("0" * 400),
+                    '[[true, false]]', '[[0.5, false]]'):
         bad_entry = tmp_path / "bad3.mat"
         bad_entry.write_text('{"dim": 1, "entries": %s}' % entries)
         with pytest.raises(ValueError):
             load_matrix(bad_entry)
-    for text in ('[1]', '{"dim": 1, "entries": 5}', '"x"'):
+    for text, match in (('[1]', "JSON object"), ('{"dim": 1, "entries": 5}', "list"),
+                        ('"x"', "JSON object"),
+                        ('{"dim": true, "entries": [[0.5, 0]]}', "dim must be"),
+                        ('{"entries": [[1, 0]]}', "no dim field"),
+                        ('{"dim": 1}', "no entries field")):
         bad_doc = tmp_path / "bad4.mat"
         bad_doc.write_text(text)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             load_matrix(bad_doc)
 
 

@@ -50,14 +50,11 @@ def test_exp_entry():
 
 
 def test_2f1_unit_parameters_collapse_to_geometric():
-    e = lookup("2F1", {"alpha": 1.0, "beta": 1.0, "gamma": 1.0})
-    for n in range(20):
-        assert e.series.coeff(n) == pytest.approx(1.0)
-
-
-def test_lookup_rejects_a_parameter_no_series_takes():
-    with pytest.raises(KeyError, match="alfa"):
-        lookup("2F1", {"alfa": 0.5})
+    for name in ("2F1", "2F1:1,1,1"):
+        e = lookup(name)
+        assert e.params == {"alpha": 1.0, "beta": 1.0, "gamma": 1.0}
+        for n in range(20):
+            assert e.series.coeff(n) == pytest.approx(1.0)
 
 
 def test_2f1_rejects_nonpositive_parameters():
@@ -171,7 +168,7 @@ def test_eval_geometric_at_half():
 
 
 def test_eval_2f1_unit_parameters():
-    f = lookup("2F1", {"alpha": 1, "beta": 1, "gamma": 1}).series
+    f = lookup("2F1:1,1,1").series
     assert abs(eval_companion(f, 0.3, 1e-12) - 1.0 / 0.7) <= 1e-12
 
 
