@@ -36,11 +36,9 @@ from .matrices import (
 )
 from .series import (
     PowerSeries,
-    SeriesCatalogEntry,
     catalog,
     eval_companion,
     from_coefficients,
-    hypergeometric_series,
     lookup,
     truncation_order,
 )

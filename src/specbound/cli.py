@@ -130,8 +130,7 @@ def _bound_report_csv(results, oracles) -> str:
 
 
 def cmd_bound(args) -> int:
-    entry = lookup(args.series)
-    f = entry.series
+    f = lookup(args.series)
     if not 1 <= len(args.matrix) <= 2:
         print("error: --matrix must appear once (single mode) or twice (pair mode)",
               file=sys.stderr)
@@ -149,7 +148,6 @@ def cmd_bound(args) -> int:
     else:
         doc = {
             "series": args.series,
-            "params": entry.params,
             "oracles": {k: list(v) for k, v in oracles.items()},
             "results": [asdict(r) for r in report.results],
             "minimum": None if report.minimum is None else report.minimum.name,

@@ -74,7 +74,8 @@ class InstanceSpec:
     norm_target: float
 
     def __post_init__(self):
-        if self.dim < 1 or self.norm_target <= 0:
+        if (type(self.dim) is not int or self.dim < 1
+                or not 0 < self.norm_target < math.inf):
             raise ValueError(f"bad instance spec {self}")
 
 
@@ -206,7 +207,6 @@ class TrialRecord:
 
     spec: InstanceSpec
     series_name: str
-    series_params: Optional[dict[str, float]]
     oracles: dict[str, tuple[float, float]]
     bounds: list[BoundResult]
     tightness: dict[str, Optional[float]]
@@ -275,8 +275,7 @@ def run_trial(
     """One deterministic trial; pure function of (config, family, index)."""
     trial_rng = np.random.default_rng([config.seed, family_index, index])
     name = config.series_names[index % len(config.series_names)]
-    entry = lookup(name)
-    f = entry.series
+    f = lookup(name)
     dim = config.dims[index % len(config.dims)]
     pair_mode = family in FAMILIES_PAIR
     if pair_mode:
@@ -300,8 +299,7 @@ def run_trial(
         )
     oracles = oracle_radii(f, report.invariants, tol=config.tol)
     tightness, low = _judged(report.results, oracles)
-    return TrialRecord(spec, name, entry.params, oracles, report.results,
-                       tightness, bool(low))
+    return TrialRecord(spec, name, oracles, report.results, tightness, bool(low))
 
 
 def run_sweep(config: SweepConfig) -> list[TrialRecord]:
@@ -320,8 +318,8 @@ def run_sweep(config: SweepConfig) -> list[TrialRecord]:
 # The columns of one bound and its oracle, shared with `bound --format csv`.
 _BOUND_COLUMNS = ("bound", "target", "available", "value", "reason",
                   "oracle", "oracle_error")
-_CSV_COLUMNS = ("family", "seed", "dim", "norm_target", "series", "series_params",
-                *_BOUND_COLUMNS, "tightness", "violation")
+_CSV_COLUMNS = ("family", "seed", "dim", "norm_target", "series", *_BOUND_COLUMNS,
+                "tightness", "violation")
 
 
 def _fmt(value) -> str:
@@ -330,12 +328,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _params_text(params: Optional[dict[str, float]]) -> str:
-    if not params:
-        return ""
-    return ";".join(f"{k}={v!r}" for k, v in sorted(params.items()))
 
 
 def _bound_cells(b: BoundResult, oracles: dict[str, tuple[float, float]]) -> list[str]:
@@ -349,7 +341,7 @@ def trial_rows(record: TrialRecord) -> list[list[str]]:
     """One CSV row per bound of one trial, in `_CSV_COLUMNS` order."""
     spec = record.spec
     head = [spec.family, str(spec.seed), str(spec.dim), _fmt(spec.norm_target),
-            record.series_name, _params_text(record.series_params)]
+            record.series_name]
     violation = "1" if record.violation else "0"
     return [[*head, *_bound_cells(b, record.oracles),
              _fmt(record.tightness.get(b.name)), violation] for b in record.bounds]
@@ -460,11 +452,11 @@ def run_limit_checks(
     truncations certified to different tolerances differ by at most the
     coarser one's tail bound."""
     result = CheckResult()
-    cauchy_entries = [lookup("exp"), lookup("geometric")]
+    cauchy_series = [lookup("exp"), lookup("geometric")]
     for i in range(trials):
         rng = np.random.default_rng([seed, i, 3])
         n = dims[i % len(dims)]
-        f = cauchy_entries[i % len(cauchy_entries)].series
+        f = cauchy_series[i % len(cauchy_series)]
         norm_cap = 1.5 if math.isinf(f.radius) else 0.7 * f.radius
         T = _scaled(_ginibre(rng, n), float(rng.uniform(0.3, 1.0)) * norm_cap)
         x = operator_norm(T)

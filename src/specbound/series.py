@@ -10,6 +10,10 @@ The "companion" of f is the series with coefficients |a_n|; it has the same
 radius of convergence, and equals f when all coefficients are nonnegative.
 All spectral-radius bounds in this package evaluate companions at
 nonnegative real arguments, which is why only that case is supported here.
+
+Each series is one `PowerSeries` named by one string: a catalog name,
+"2F1:alpha,beta,gamma" or "poly:c0,c1,...". `lookup(name)` returns it, with
+`.name == name`, so every message about a series names it as it was asked for.
 """
 
 from __future__ import annotations
@@ -37,12 +41,14 @@ class PowerSeries:
     certificate holds at that order). The order search finds the smallest
     certified order when that bound is nonincreasing in m once finite, as
     every catalog tail is, and a certified but maybe larger one otherwise.
+    `closed_form(x)`, when given, is the companion's value in closed form.
     """
 
     coeff: Callable[[int], complex]
     radius: float
     name: str
     tail_bound: Callable[[int, float], float] = field(repr=False)
+    closed_form: Optional[Callable[[float], float]] = field(default=None, repr=False)
     _prefix: list = field(init=False, repr=False, compare=False,
                           default_factory=lambda: [np.empty(0, complex), np.empty(0)])
 
@@ -56,15 +62,6 @@ class PowerSeries:
             mags = np.concatenate((mags, [abs(c) for c in new]))
             self._prefix[:] = a, mags
         return a[: m + 1], mags[: m + 1]
-
-
-@dataclass(frozen=True)
-class SeriesCatalogEntry:
-    """A named series plus the closed form of its companion, when known."""
-
-    series: PowerSeries
-    closed_form_eval: Optional[Callable[[float], float]] = None
-    params: Optional[dict[str, float]] = None
 
 
 def _check_eval_args(f: PowerSeries, x: float, tol: float) -> None:
@@ -204,16 +201,8 @@ def _memo_sequence(first: float, step: Callable[[int, float], float]):
 # ---------------------------------------------------------------------------
 
 
-def _entry(name: str, coeff: Callable[[int], complex], radius: float,
-           tail: Callable[[int, float], float],
-           closed_form: Callable[[float], float],
-           params: Optional[dict[str, float]] = None) -> SeriesCatalogEntry:
-    series = PowerSeries(coeff=coeff, radius=radius, name=name, tail_bound=tail)
-    return SeriesCatalogEntry(series, closed_form, params)
-
-
-def _factorial_entry(name: str, parity: Optional[int], sign: int,
-                     closed_form: Callable[[float], float]) -> SeriesCatalogEntry:
+def _factorial(name: str, parity: Optional[int], sign: int,
+               closed_form: Callable[[float], float]) -> PowerSeries:
     """a_n = sign^(n//2) / n! on every n (parity None) or on the n of one
     parity, 0 elsewhere: exp, cos, sin, cosh and sinh."""
 
@@ -222,13 +211,13 @@ def _factorial_entry(name: str, parity: Optional[int], sign: int,
             return 0.0j
         return complex(sign ** (n // 2) * _inv_factorial(n))
 
-    return _entry(name, coefficient, math.inf, _factorial_tail, closed_form)
+    return PowerSeries(coefficient, math.inf, name, _factorial_tail, closed_form)
 
 
-def _geometric_entry(name: str, sign: int) -> SeriesCatalogEntry:
+def _geometric(name: str, sign: int) -> PowerSeries:
     """a_n = sign^n on |z| < 1; the companion is 1/(1-z) for either sign."""
-    return _entry(name, lambda n: complex(sign**n), 1.0, _geometric_tail,
-                  lambda x: 1.0 / (1.0 - x))
+    return PowerSeries(lambda n: complex(sign**n), 1.0, name, _geometric_tail,
+                       lambda x: 1.0 / (1.0 - x))
 
 
 def _odd_reciprocal_coeff(n: int) -> complex:
@@ -242,7 +231,7 @@ def _odd_reciprocal_tail(m: int, x: float) -> float:
     return x ** (m + 1) / ((m + 1) * (1.0 - x * x))
 
 
-def _arcsin_entry() -> SeriesCatalogEntry:
+def _arcsin() -> PowerSeries:
     """arcsin(z) = sum c_n z^(2n+1) with c_n = (2n-1)!!/((2n)!! (2n+1)).
 
     Coefficients come from the term-to-term recurrence
@@ -263,13 +252,12 @@ def _arcsin_entry() -> SeriesCatalogEntry:
         # Odd-step term ratios are below x^2, so a geometric sum closes it.
         return odd((j - 1) // 2) * x**j / (1.0 - x * x)
 
-    return _entry("arcsin", coefficient, 1.0, tail, math.asin)
+    return PowerSeries(coefficient, 1.0, "arcsin", tail, math.asin)
 
 
-def hypergeometric_series(
-    alpha: float, beta: float, gamma: float
-) -> SeriesCatalogEntry:
-    """2F1(alpha, beta; gamma; z) with alpha, beta, gamma > 0 (radius 1).
+def _hypergeometric(name: str, alpha: float, beta: float, gamma: float) -> PowerSeries:
+    """2F1(alpha, beta; gamma; z) named `name` (radius 1); `lookup` has
+    checked that alpha, beta and gamma are positive.
 
     Coefficients a_0 = 1, a_{n+1} = a_n (n+alpha)(n+beta)/((n+1)(n+gamma));
     all positive. The tail majorant uses the monotone bound on the
@@ -277,9 +265,6 @@ def hypergeometric_series(
     1 + max(0, alpha+beta-1-gamma)/(m+1)
       + max(0, alpha*beta-gamma)/((m+1)(m+gamma)).
     """
-    if not (alpha > 0 and beta > 0 and gamma > 0):
-        raise ValueError("2F1 parameters must be positive")
-
     coeffs = _memo_sequence(
         1.0,
         lambda n, a: a * (n + alpha) * (n + beta) / ((n + 1.0) * (n + gamma)),
@@ -300,33 +285,32 @@ def hypergeometric_series(
 
         return float(hyp2f1(alpha, beta, gamma, x))
 
-    return _entry("2F1", lambda n: complex(coeffs(n)), 1.0, tail, closed_form,
-                  {"alpha": alpha, "beta": beta, "gamma": gamma})
+    return PowerSeries(lambda n: complex(coeffs(n)), 1.0, name, tail, closed_form)
 
 
 # Every named series but 2F1, built once, each with the closed form of its
 # companion.
-_CATALOG: dict[str, SeriesCatalogEntry] = {e.series.name: e for e in (
+_CATALOG: dict[str, PowerSeries] = {f.name: f for f in (
     # ln 1/(1+z) = sum_{n>=1} (-1)^n z^n / n; companion ln 1/(1-z)
-    _entry("log-resolvent", lambda n: complex((-1) ** n / n) if n >= 1 else 0.0j,
-           1.0, _reciprocal_tail, lambda x: -math.log1p(-x)),
-    _factorial_entry("cos", 0, -1, math.cosh),
-    _factorial_entry("sin", 1, -1, math.sinh),
-    _geometric_entry("resolvent", -1),  # 1/(1+z)
-    _factorial_entry("exp", None, 1, math.exp),
+    PowerSeries(lambda n: complex((-1) ** n / n) if n >= 1 else 0.0j, 1.0,
+                "log-resolvent", _reciprocal_tail, lambda x: -math.log1p(-x)),
+    _factorial("cos", 0, -1, math.cosh),
+    _factorial("sin", 1, -1, math.sinh),
+    _geometric("resolvent", -1),  # 1/(1+z)
+    _factorial("exp", None, 1, math.exp),
     # (1/2) ln((1+z)/(1-z)): the artanh series under its other name
-    _entry("half-log-ratio", _odd_reciprocal_coeff, 1.0, _odd_reciprocal_tail,
-           math.atanh),
-    _arcsin_entry(),
+    PowerSeries(_odd_reciprocal_coeff, 1.0, "half-log-ratio", _odd_reciprocal_tail,
+                math.atanh),
+    _arcsin(),
     # artanh(z) = sum z^(2n-1)/(2n-1) on |z| < 1; nonnegative
-    _entry("artanh", _odd_reciprocal_coeff, 1.0, _odd_reciprocal_tail, math.atanh),
-    _geometric_entry("geometric", 1),  # 1/(1-z)
-    _factorial_entry("cosh", 0, 1, math.cosh),
-    _factorial_entry("sinh", 1, 1, math.sinh),
+    PowerSeries(_odd_reciprocal_coeff, 1.0, "artanh", _odd_reciprocal_tail, math.atanh),
+    _geometric("geometric", 1),  # 1/(1-z)
+    _factorial("cosh", 0, 1, math.cosh),
+    _factorial("sinh", 1, 1, math.sinh),
 )}
 
 
-def catalog() -> list[SeriesCatalogEntry]:
+def catalog() -> list[PowerSeries]:
     """All named series, with 2F1 at alpha = beta = gamma = 1."""
     return [*_CATALOG.values(), lookup("2F1")]
 
@@ -346,21 +330,20 @@ def _literals(name: str, what: str) -> list[complex]:
     return values
 
 
-def lookup(name: str) -> SeriesCatalogEntry:
+def lookup(name: str) -> PowerSeries:
     """The series called `name`: a catalog name, "2F1:alpha,beta,gamma"
     with three positive finite reals ("2F1" alone: all three 1), or a
     finite polynomial "poly:c0,c1,..." whose coefficients are finite
-    complex literals (e.g. "poly:1,-0.5,0.25j"). ValueError names a
-    malformed or unknown name.
+    complex literals (e.g. "poly:1,-0.5,0.25j"); its `.name` is `name`.
+    ValueError names a malformed or unknown name.
     """
     if name == "2F1" or name.startswith("2F1:"):
         params = _literals(name, "parameter") if name != "2F1" else [1.0] * 3
         if len(params) != 3 or not all(c.imag == 0 < c.real for c in params):
             raise ValueError(f"{name!r} needs three positive reals alpha,beta,gamma")
-        return hypergeometric_series(*(c.real for c in params))
+        return _hypergeometric(name, *(c.real for c in params))
     if name.startswith("poly:"):
-        coeffs = _literals(name, "coefficient")
-        return SeriesCatalogEntry(series=from_coefficients(coeffs, name=name))
+        return from_coefficients(_literals(name, "coefficient"), name=name)
     if name in _CATALOG:
         return _CATALOG[name]
     raise ValueError(f"unknown series {name!r}; known: {sorted(_CATALOG)}, "

@@ -58,7 +58,7 @@ def report(label: str, ok: bool, detail: str) -> None:
 
 def record_companion(record):
     """f_a of a trial's series, as its bounds evaluate it."""
-    f = lookup(record.series_name).series
+    f = lookup(record.series_name)
     return lambda x: eval_companion(f, x, TOL)
 
 
@@ -173,7 +173,7 @@ def test_a4_noncommuting_quadratic_bounds():
     shift = as_matrix([[0, 1], [0, 0]])
     shift_t = as_matrix([[0, 0], [1, 0]])
     equality_gap = 0.0
-    results = best_bound(lookup("exp").series, shift, shift_t).results
+    results = best_bound(lookup("exp"), shift, shift_t).results
     by_name = {r.name: r for r in results}
     for sign in (+1, -1):
         b = by_name[f"pm-quadratic({'+' if sign > 0 else '-'})"]
@@ -216,7 +216,7 @@ def test_a7_equality_cases():
     """Positive-diagonal instances are tight; nilpotent resolvent exact."""
     worst_low, worst_high = 1.0, 1.0
     for s_idx, name in enumerate(NONNEGATIVE_SERIES):
-        f = lookup(name).series
+        f = lookup(name)
         top = 0.9 * min(f.radius, 10.0)
         for i in range(60):
             rng = np.random.default_rng([97, s_idx, i])
@@ -237,7 +237,7 @@ def test_a7_equality_cases():
             worst_low = min(worst_low, ratio)
             worst_high = max(worst_high, ratio)
 
-    geo = lookup("geometric").series
+    geo = lookup("geometric")
     T = as_matrix([[0, 0.5], [0, 0]])
     bound = best_bound(geo, T, tol=TOL).results[0]
     oracle = oracle_radii(geo, Invariants(T), TOL)["f(T)"][0]
@@ -269,16 +269,14 @@ def test_a8_scalar_primitives():
         assert gap >= -1e-8 * max(1.0, lhs)
         worst_gap = min(worst_gap, gap / max(1.0, lhs))
 
-    entries = [lookup(name) for name in ALL_SERIES]  # 2F1 at (0.5, 0.75, 1.25)
     worst_closed = 0.0
     worst_tail_excess = -math.inf
-    for entry in entries:
-        f = entry.series
+    for f in map(lookup, ALL_SERIES):  # 2F1 at (0.5, 0.75, 1.25)
         top = 0.95 * min(f.radius, 10.0)
         for k in range(100):
             x = top * k / 99.0
             value = eval_companion(f, x, TOL)
-            closed = entry.closed_form_eval(x)
+            closed = f.closed_form(x)
             worst_closed = max(worst_closed, abs(value - closed))
             assert abs(value - closed) <= 10 * TOL, (f.name, x)
             m = truncation_order(f, x, TOL)

@@ -35,9 +35,9 @@ from specbound.matrices import _series_at_norm
 
 TOL = 1e-10
 
-EXP = lookup("exp").series
-GEO = lookup("geometric").series
-LOG = lookup("log-resolvent").series
+EXP = lookup("exp")
+GEO = lookup("geometric")
+LOG = lookup("log-resolvent")
 
 SHIFT = as_matrix([[0, 1], [0, 0]])
 SHIFT_T = as_matrix([[0, 0], [1, 0]])
@@ -504,17 +504,17 @@ def _real_pair(kind, seed, a, b):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    entry=st.sampled_from(_SERIES),
+    f=st.sampled_from(_SERIES),
     u=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
     p=st.floats(1.05, 8.0),
     kind=st.sampled_from(("diagonal", "commuting", "generic")),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_dropped_corollaries_dominate_their_rows(entry, u, p, kind, seed):
+def test_dropped_corollaries_dominate_their_rows(f, u, p, kind, seed):
     # Each corollary, with f_a from its closed form, is at least the row it
     # dominates as best_bound evaluates it, at any nonnegative arguments
     # inside the disk: the norms need not come from one pair.
-    f, fa = entry.series, entry.closed_form_eval
+    fa = f.closed_form
     R = f.radius
     top = math.sqrt(0.99 * R) if math.isfinite(R) else 3.0  # every argument < R
 

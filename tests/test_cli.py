@@ -6,7 +6,16 @@ import json
 import numpy as np
 import pytest
 
-from specbound import InstanceSpec, SweepConfig, gen_commuting_pair, save_matrix
+from specbound import (
+    InstanceSpec,
+    SweepConfig,
+    best_bound,
+    gen_commuting_pair,
+    gen_matrix,
+    lookup,
+    oracle_radii,
+    save_matrix,
+)
 from specbound.cli import _parse_series, _sweep_config, build_parser, main
 
 
@@ -155,6 +164,15 @@ def test_bound_2f1_with_params(zero2, capsys):
     code = main(["bound", "--series", "2F1:0.5,0.75,1.25", "--matrix", zero2])
     assert code == 0
     assert "companion-radius" in capsys.readouterr().out
+
+
+def test_bound_2f1_error_names_its_parameters(tmp_path, capsys):
+    # Near the unit circle no order certifies the tail; the error says which 2F1.
+    path = tmp_path / "near.mat"
+    save_matrix(path, np.diag([0.9999999, 0.2]).astype(complex))
+    code = main(["bound", "--series", "2F1:2,2,1", "--matrix", str(path)])
+    assert code == 2
+    assert "error: 2F1:2,2,1: no order up to" in capsys.readouterr().err
 
 
 _BAD_2F1_NAMES = ["2F1:0.5,1", "2F1:1,1,1j", "2F1:0,1,1", "2F1:inf,1,1", "2F1:1,,1"]
@@ -359,18 +377,27 @@ def test_sweep_defaults_match_sweep_config():
 
 
 def test_sweep_records_each_series_own_params(tmp_path, capsys):
-    # Two 2F1s in one sweep, each trial with the parameters of its own name.
+    # Two 2F1s in one sweep, each trial with the parameters of its own name:
+    # the series named in a row, and not the other 2F1, rebuilds its oracle.
     out = tmp_path / "r"
-    code = main(["verify", "--series", "2F1:0.5,1,2,2F1:0.5,0.75,1.25,exp",
+    names = ("2F1:0.5,1,2", "2F1:0.5,0.75,1.25")
+    code = main(["verify", "--series", ",".join((*names, "exp")),
                  "--families", "diagonal-positive", "--trials", "6", "--dims", "2",
                  "--out", str(out)])
     assert code == 0, capsys.readouterr().err
     rows = list(csv.DictReader((out / "trials.csv").read_text().splitlines()))
-    assert {(row["series"], row["series_params"]) for row in rows} == {
-        ("2F1:0.5,1,2", "alpha=0.5;beta=1.0;gamma=2.0"),
-        ("2F1:0.5,0.75,1.25", "alpha=0.5;beta=0.75;gamma=1.25"),
-        ("exp", ""),
-    }
+    assert {row["series"] for row in rows} == {*names, "exp"}
+    for name, other in zip(names, reversed(names)):
+        row = next(r for r in rows if r["series"] == name and r["target"] == "f(T)")
+        T = gen_matrix(InstanceSpec(int(row["seed"]), row["family"], int(row["dim"]),
+                                    float(row["norm_target"])))
+
+        def oracle(series):
+            f = lookup(series)
+            return repr(oracle_radii(f, best_bound(f, T).invariants)["f(T)"][0])
+
+        assert oracle(name) == row["oracle"]
+        assert oracle(other) != row["oracle"]
 
 
 def test_compare_emits_plot_ready_csv(tmp_path, capsys):

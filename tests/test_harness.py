@@ -81,6 +81,15 @@ def test_generator_determinism():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("dim, target", [
+    (0, 0.8), (True, 0.8), (4, 0.0), (4, -1.0), (4, math.nan), (4, math.inf),
+])
+def test_instance_spec_rejects_bad_dim_or_norm_target(dim, target):
+    # A NaN or infinite target would scale every generated entry to NaN or inf.
+    with pytest.raises(ValueError, match="bad instance spec"):
+        spec("dense-random", dim=dim, target=target)
+
+
 def test_unknown_family():
     with pytest.raises(UnknownFamily):
         gen_matrix(spec("banded"))
@@ -131,7 +140,7 @@ def test_pair_trial_svd_count(lapack_work, family, svds):
 
 def test_pair_oracle_is_one_eigensolve_call(lapack_work):
     A, B = gen_commuting_pair(spec("commuting-polynomial-pair", dim=8))
-    f = lookup("exp").series
+    f = lookup("exp")
     oracles = oracle_radii(f, Invariants(A, B))
     assert lapack_work["eig"] == 4 and lapack_work["eig_calls"] == 1
     # Bit for bit the one-target-at-a-time formulas.
@@ -154,7 +163,7 @@ def test_pm_check_oracles_match_the_per_sign_formula():
         n = dims[i % len(dims)]
         A = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
         B = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
-        results = best_bound(lookup("exp").series, A, B).results
+        results = best_bound(lookup("exp"), A, B).results
         quad = {r.name: r for r in results}["pm-quadratic(+)"]
         for sign in (+1, -1):
             oracle = spectral_radius(A @ B + sign * (B @ A))
@@ -286,12 +295,12 @@ def _judged_trial(f, instance, matrices):
     report = best_bound(f, *matrices)
     oracles = oracle_radii(f, report.invariants)
     tightness, low = _judged(report.results, oracles)
-    return TrialRecord(instance, f.name, None, oracles, report.results,
-                       tightness, bool(low))
+    return TrialRecord(instance, f.name, oracles, report.results, tightness,
+                       bool(low))
 
 
 def test_sweep_survives_targets_outside_disk():
-    f = lookup("geometric").series
+    f = lookup("geometric")
     for seed in range(6):
         # single mode: ||T|| = 1.5 >= R = 1 leaves the bound unavailable
         # and the oracle uncomputable; the trial must report, not crash
@@ -345,7 +354,7 @@ def test_judge_flags_a_non_finite_oracle(oracle, violation):
     tightness, low = _judged(bounds, {"f(T)": oracle})
     assert (low == bounds) is violation
     record = TrialRecord(
-        spec=spec("diagonal-positive"), series_name="exp", series_params=None,
+        spec=spec("diagonal-positive"), series_name="exp",
         oracles={"f(T)": oracle}, bounds=bounds, tightness=tightness,
         violation=bool(low),
     )

@@ -236,14 +236,14 @@ def test_commutator_dim_mismatch():
 
 
 def test_series_of_zero_matrix_is_identity_coefficient():
-    f = lookup("exp").series
+    f = lookup("exp")
     value, tail = certified_sum(f, np.zeros((2, 2)), 1e-12)
     assert np.allclose(value, np.eye(2), atol=1e-14)
     assert tail <= 1e-12
 
 
 def test_geometric_series_of_nilpotent_matches_resolvent():
-    f = lookup("geometric").series
+    f = lookup("geometric")
     T = as_matrix([[0, 0.5], [0, 0]])
     value, _ = certified_sum(f, T, 1e-10)
     expected = np.linalg.inv(np.eye(2) - T)
@@ -253,14 +253,14 @@ def test_geometric_series_of_nilpotent_matches_resolvent():
 
 def test_exp_of_nilpotent():
     # two terms of the series are exact here: I + T
-    f = lookup("exp").series
+    f = lookup("exp")
     T = as_matrix([[0, 1], [0, 0]])
     value, _ = certified_sum(f, T, 1e-12)
     assert np.allclose(value, [[1, 1], [0, 1]], atol=1e-12)
 
 
 def test_series_rejects_norm_outside_disk():
-    f = lookup("geometric").series
+    f = lookup("geometric")
     with pytest.raises(OutOfDisk):
         certified_sum(f, np.diag([1.5, 0.1]), 1e-10)
 
@@ -268,7 +268,7 @@ def test_series_rejects_norm_outside_disk():
 def test_truncation_certificate_consistency():
     # two evaluations at different tolerances differ by at most the
     # combined certified remainders (plus an ulp-level cushion)
-    f = lookup("log-resolvent").series
+    f = lookup("log-resolvent")
     T = 0.8 * random_complex(17, 4) / operator_norm(random_complex(17, 4))
     tol = 1e-8
     a, _ = certified_sum(f, T, tol)
@@ -277,7 +277,7 @@ def test_truncation_certificate_consistency():
 
 
 def test_partial_sum_matches_direct_powers():
-    f = lookup("exp").series
+    f = lookup("exp")
     T = 0.5 * random_complex(23, 3)
     direct = sum(
         f.coeff(j) * np.linalg.matrix_power(T, j) for j in range(6)
@@ -291,7 +291,7 @@ def _complex_poly(seed, degree):
                              + 1j * g.standard_normal(degree + 1))
 
 
-@pytest.mark.parametrize("f", [lookup("exp").series, lookup("geometric").series,
+@pytest.mark.parametrize("f", [lookup("exp"), lookup("geometric"),
                                _complex_poly(3, 3)], ids=["exp", "geometric", "poly"])
 def test_partial_sum_low_order_is_horner(f):
     # m <= 3 has block size 1: exactly the Horner loop below, bit for bit.
@@ -339,20 +339,20 @@ def test_partial_sum_matches_mpmath(ps_reference, m):
 
 
 def test_oracle_exp_of_diagonal():
-    f = lookup("exp").series
+    f = lookup("exp")
     value = oracle_radii(f, Invariants(np.diag([0.5, 0.2])), 1e-10)["f(T)"][0]
     assert value == pytest.approx(math.exp(0.5), abs=1e-10)
 
 
 def test_oracle_geometric_of_nilpotent():
-    f = lookup("geometric").series
+    f = lookup("geometric")
     T = as_matrix([[0, 0.5], [0, 0]])
     value = oracle_radii(f, Invariants(T), 1e-10)["f(T)"][0]
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_log_resolvent_below_scalar_bound():
-    f = lookup("log-resolvent").series
+    f = lookup("log-resolvent")
     G = random_complex(31, 4)
     T = 0.8 * G / operator_norm(G)
     tol = 1e-10

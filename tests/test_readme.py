@@ -24,4 +24,4 @@ def test_readme_names_every_catalog_entry():
     sentence = re.search(r"Series catalog:(.*?)\.\s", text, re.S)
     assert sentence, "README has no 'Series catalog:' sentence"
     named = re.findall(r"`([^`]+)`", sentence[1])
-    assert sorted(named) == sorted(e.series.name for e in catalog())
+    assert sorted(named) == sorted(f.name for f in catalog())

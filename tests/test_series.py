@@ -16,7 +16,6 @@ from specbound import (
     catalog,
     eval_companion,
     from_coefficients,
-    hypergeometric_series,
     lookup,
     truncation_order,
 )
@@ -28,8 +27,8 @@ ALL_NAMES = [
 ]
 
 
-def grid(entry, points=40, top_fraction=0.95):
-    top = top_fraction * min(entry.series.radius, 10.0)
+def grid(f, points=40, top_fraction=0.95):
+    top = top_fraction * min(f.radius, 10.0)
     return [top * k / (points - 1) for k in range(points)]
 
 
@@ -39,42 +38,42 @@ def grid(entry, points=40, top_fraction=0.95):
 
 
 def test_catalog_has_required_entries():
-    names = {e.series.name for e in catalog()}
+    names = {f.name for f in catalog()}
     assert set(ALL_NAMES) | {"2F1"} <= names
+    for name in [*names, "2F1:0.5,0.75,1.25", "poly:1,-0.5+0.3j"]:
+        assert lookup(name).name == name
 
 
 def test_exp_entry():
-    e = lookup("exp")
-    assert e.series.coeff(3) == pytest.approx(1.0 / 6.0)
-    assert e.series.radius == math.inf
+    f = lookup("exp")
+    assert f.coeff(3) == pytest.approx(1.0 / 6.0)
+    assert f.radius == math.inf
 
 
 def test_2f1_unit_parameters_collapse_to_geometric():
     for name in ("2F1", "2F1:1,1,1"):
-        e = lookup(name)
-        assert e.params == {"alpha": 1.0, "beta": 1.0, "gamma": 1.0}
+        f = lookup(name)
         for n in range(20):
-            assert e.series.coeff(n) == pytest.approx(1.0)
+            assert f.coeff(n) == pytest.approx(1.0)
 
 
 def test_2f1_rejects_nonpositive_parameters():
-    with pytest.raises(ValueError):
-        hypergeometric_series(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        hypergeometric_series(1.0, 1.0, -2.0)
+    for name in ("2F1:0,1,1", "2F1:1,1,-2"):
+        with pytest.raises(ValueError, match="positive reals"):
+            lookup(name)
 
 
 def test_arcsin_coefficients_match_taylor_expansion():
     # independent oracle: mpmath Taylor coefficients of asin at 0
     expected = [float(c) for c in mpmath.taylor(mpmath.asin, 0, 9)]
-    e = lookup("arcsin")
-    got = [e.series.coeff(n).real for n in range(10)]
+    f = lookup("arcsin")
+    got = [f.coeff(n).real for n in range(10)]
     assert got == pytest.approx(expected, abs=1e-15)
-    assert e.series.coeff(3).real == pytest.approx(1.0 / 6.0)
+    assert f.coeff(3).real == pytest.approx(1.0 / 6.0)
 
 
 def test_log_resolvent_coefficients_alternate():
-    f = lookup("log-resolvent").series
+    f = lookup("log-resolvent")
     assert f.coeff(0) == 0
     assert f.coeff(1) == pytest.approx(-1.0)
     assert f.coeff(2) == pytest.approx(0.5)
@@ -83,7 +82,7 @@ def test_log_resolvent_coefficients_alternate():
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_coefficients_deterministic(name):
-    f = lookup(name).series
+    f = lookup(name)
     first = [f.coeff(n) for n in range(30)]
     second = [f.coeff(n) for n in range(30)]
     assert first == second
@@ -92,7 +91,7 @@ def test_coefficients_deterministic(name):
 @pytest.mark.parametrize("name", ["log-resolvent", "resolvent", "geometric",
                                   "arcsin", "artanh", "half-log-ratio"])
 def test_terms_vanish_inside_finite_disk(name):
-    f = lookup(name).series
+    f = lookup(name)
     assert math.isfinite(f.radius)
     for x in (0.3, 0.6, 0.9):
         assert abs(f.coeff(2000)) * x**2000 < 1e-60
@@ -101,7 +100,7 @@ def test_terms_vanish_inside_finite_disk(name):
 def test_terms_vanish_for_2f1_with_growing_coefficients():
     # alpha + beta > gamma + 1 makes the coefficients grow polynomially;
     # terms must still vanish inside the unit disk
-    f = hypergeometric_series(2.0, 2.0, 1.0).series
+    f = lookup("2F1:2,2,1")
     assert f.coeff(2000).real > 1.0
     for x in (0.3, 0.6, 0.9):
         assert abs(f.coeff(2000)) * x**2000 < 1e-60
@@ -113,7 +112,7 @@ def test_terms_vanish_for_2f1_with_growing_coefficients():
 
 
 def test_companion_of_log_resolvent_is_positive_log_series():
-    f = lookup("log-resolvent").series
+    f = lookup("log-resolvent")
     with pytest.raises(OutOfDisk):  # the companion's disk is f's
         eval_companion(f, f.radius, 1e-12)
     for n in range(1, 15):
@@ -125,7 +124,7 @@ def test_companion_of_log_resolvent_is_positive_log_series():
 
 
 def test_companion_of_nonnegative_series_is_identity_on_values():
-    f = lookup("exp").series
+    f = lookup("exp")
     for x in (0.0, 0.7, 2.5):
         assert eval_companion(f, x, 1e-12) == pytest.approx(
             math.exp(x), abs=1e-12
@@ -133,7 +132,7 @@ def test_companion_of_nonnegative_series_is_identity_on_values():
 
 
 def test_companion_of_cos_is_cosh():
-    f = lookup("cos").series
+    f = lookup("cos")
     for x in (0.0, 1.0, 3.0):
         assert eval_companion(f, x, 1e-12) == pytest.approx(
             math.cosh(x), abs=1e-10
@@ -144,7 +143,7 @@ def test_companion_of_cos_is_cosh():
 def test_companion_idempotent(name):
     # eval_companion reads only |a_n|: the series of |a_n| has the same
     # companion, bit for bit.
-    f = lookup(name).series
+    f = lookup(name)
     once = replace(f, coeff=lambda n: complex(abs(f.coeff(n))))
     for n in range(40):
         assert abs(once.coeff(n)) == abs(f.coeff(n))
@@ -158,22 +157,22 @@ def test_companion_idempotent(name):
 
 
 def test_eval_exp_at_one():
-    f = lookup("exp").series
+    f = lookup("exp")
     assert abs(eval_companion(f, 1.0, 1e-12) - math.e) <= 1e-12
 
 
 def test_eval_geometric_at_half():
-    f = lookup("geometric").series
+    f = lookup("geometric")
     assert abs(eval_companion(f, 0.5, 1e-12) - 2.0) <= 1e-12
 
 
 def test_eval_2f1_unit_parameters():
-    f = lookup("2F1:1,1,1").series
+    f = lookup("2F1:1,1,1")
     assert abs(eval_companion(f, 0.3, 1e-12) - 1.0 / 0.7) <= 1e-12
 
 
 def test_eval_rejects_points_outside_disk():
-    f = lookup("geometric").series
+    f = lookup("geometric")
     with pytest.raises(OutOfDisk):
         eval_companion(f, 1.0, 1e-10)
     with pytest.raises(OutOfDisk):
@@ -181,7 +180,7 @@ def test_eval_rejects_points_outside_disk():
 
 
 def test_eval_rejects_bad_arguments():
-    f = lookup("exp").series
+    f = lookup("exp")
     with pytest.raises(ValueError):
         eval_companion(f, -0.5, 1e-10)
     with pytest.raises(ValueError):
@@ -189,26 +188,26 @@ def test_eval_rejects_bad_arguments():
 
 
 def test_no_convergence_near_boundary_with_small_cap():
-    f = lookup("geometric").series
+    f = lookup("geometric")
     with pytest.raises(NoConvergence):
         eval_companion(f, 0.999, 1e-12, max_terms=100)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES + ["2F1"])
 def test_closed_form_agreement(name):
-    entry = lookup(name)
+    f = lookup(name)
     tol = 1e-10
-    for x in grid(entry):
-        value = eval_companion(entry.series, x, tol)
-        assert abs(value - entry.closed_form_eval(x)) <= 10 * tol, (name, x)
+    for x in grid(f):
+        value = eval_companion(f, x, tol)
+        assert abs(value - f.closed_form(x)) <= 10 * tol, (name, x)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_companion_monotone_on_grid(name):
-    entry = lookup(name)
+    f = lookup(name)
     tol = 1e-10
-    xs = grid(entry, points=15)
-    values = [eval_companion(entry.series, x, tol) for x in xs]
+    xs = grid(f, points=15)
+    values = [eval_companion(f, x, tol) for x in xs]
     for lo, hi in zip(values, values[1:]):
         assert lo <= hi + 2 * tol
 
@@ -219,7 +218,7 @@ def test_companion_monotone_on_grid(name):
     y=st.floats(min_value=0.0, max_value=0.9),
 )
 def test_companion_monotone_hypothesis(x, y):
-    f = lookup("log-resolvent").series
+    f = lookup("log-resolvent")
     lo, hi = sorted((x, y))
     tol = 1e-10
     assert eval_companion(f, lo, tol) <= eval_companion(f, hi, tol) + 2 * tol
@@ -241,32 +240,31 @@ def test_truncation_order_exp():
         return total
 
     assert brute_tail(13) > 1e-12 > brute_tail(14)
-    f = lookup("exp").series
+    f = lookup("exp")
     assert truncation_order(f, 1.0, 1e-12) == 14
 
 
 def test_truncation_order_geometric():
     # exact tail 0.5^(m+1)/0.5 = 0.5^m; smallest m with 0.5^m <= 1e-9 is 30
     assert 0.5**29 > 1e-9 >= 0.5**30
-    f = lookup("geometric").series
+    f = lookup("geometric")
     assert truncation_order(f, 0.5, 1e-9) == 30
 
 
 @pytest.mark.parametrize("name", ALL_NAMES + ["2F1"])
 def test_truncation_order_zero_at_origin(name):
-    f = lookup(name).series
+    f = lookup(name)
     assert truncation_order(f, 0.0, 1e-12) == 0
 
 
 @pytest.mark.parametrize("name", ALL_NAMES + ["2F1"])
 def test_tail_certificate_dominates_measured_remainder(name):
-    entry = lookup(name)
-    f = entry.series
+    f = lookup(name)
     tol = 1e-10
-    for x in grid(entry, points=12):
+    for x in grid(f, points=12):
         m = truncation_order(f, x, tol)
         partial = sum(abs(f.coeff(j)) * x**j for j in range(m + 1))
-        closed = entry.closed_form_eval(x)
+        closed = f.closed_form(x)
         measured = closed - partial
         slack = 1e-12 * max(1.0, abs(closed))
         assert measured <= f.tail_bound(m, x) + slack, (name, x)
@@ -318,8 +316,8 @@ SEARCH_SERIES = [*ALL_NAMES, "2F1", "2F1(0.5,0.75,1.25)", COMPLEX_POLY]
 
 def search_series(name):
     if name == "2F1(0.5,0.75,1.25)":
-        return hypergeometric_series(0.5, 0.75, 1.25).series
-    return lookup(name).series
+        return lookup("2F1:0.5,0.75,1.25")
+    return lookup(name)
 
 
 def linear_order_and_tail(f, x, tol, max_terms):
@@ -384,7 +382,7 @@ def counted_tail(f):
 
 
 def test_order_search_makes_logarithmically_many_tail_calls():
-    f, calls = counted_tail(lookup("geometric").series)
+    f, calls = counted_tail(lookup("geometric"))
     with pytest.raises(NoConvergence):
         truncation_order(f, 0.99999, 1e-10, max_terms=10**6)
     assert calls[-1] == 10**6  # the cap itself is tested
@@ -402,7 +400,7 @@ ULP_POLY = ("poly:0.6404226504432821+0.1370126477621637j,1,"
 
 @pytest.mark.parametrize("name", [*ALL_NAMES, "2F1", COMPLEX_POLY, ULP_POLY])
 def test_prefix_matches_coeff_bit_for_bit(name):
-    f = lookup(name).series
+    f = lookup(name)
     coeffs = [f.coeff(j) for j in range(201)]
     for m in (3, 200, 0):  # grow, then read a shorter prefix
         a, mags = f.prefix(m)
@@ -412,7 +410,7 @@ def test_prefix_matches_coeff_bit_for_bit(name):
 
 
 def test_prefix_calls_coeff_once_per_index_and_is_not_a_field():
-    base = lookup("exp").series
+    base = lookup("exp")
     calls = []
 
     def coeff(n):
