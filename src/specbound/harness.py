@@ -191,8 +191,8 @@ class SweepConfig:
         unknown = [f for f in self.families if f not in FAMILIES_SINGLE + FAMILIES_PAIR]
         if unknown:
             raise UnknownFamily(f"unknown families {unknown}")
-        if min(self.dims) < 1:
-            raise ValueError(f"dimensions must be >= 1, got {self.dims}")
+        if not all(type(d) is int and d >= 1 for d in self.dims):  # as InstanceSpec
+            raise ValueError(f"dimensions must be ints >= 1, got {self.dims}")
         if not (0 < self.tol < math.inf) or self.seed < 0:
             raise ValueError(f"need 0 < tol < inf and seed >= 0, got tol={self.tol}, "
                              f"seed={self.seed}")

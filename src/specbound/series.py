@@ -1,7 +1,7 @@
 """Power series with certified truncation control.
 
-A series f(z) = sum a_n z^n is represented by a coefficient function, a
-radius of convergence, and a certified tail majorant: a function
+A series f(z) = sum a_n z^n is represented by its coefficients, a radius
+of convergence, and a certified tail majorant: a function
 (m, x) -> upper bound on sum_{j>m} |a_j| x^j. Every evaluation
 routine sums terms only up to an order whose certified tail is below the
 requested tolerance, so results carry an explicit error budget.
@@ -10,6 +10,10 @@ The "companion" of f is the series with coefficients |a_n|; it has the same
 radius of convergence, and equals f when all coefficients are nonnegative.
 All spectral-radius bounds in this package evaluate companions at
 nonnegative real arguments, which is why only that case is supported here.
+
+Every catalog series is s z^k sum_j t_j (c z^d)^j, t_j = prod(a)_j /
+(j! prod(b)_j): one row (k, d, c, a, b, s) of `_ROWS`, one builder, one
+tail certificate, and magnitudes kept as ln|a_n|, so none underflows.
 
 Each series is one `PowerSeries` named by one string: a catalog name,
 "2F1:alpha,beta,gamma" or "poly:c0,c1,...". `lookup(name)` returns it, with
@@ -35,16 +39,18 @@ DEFAULT_MAX_TERMS = 10**6
 class PowerSeries:
     """A power series sum a_n z^n with convergence radius `radius`.
 
-    coeff(n) must be deterministic; each series object calls it once per n
-    (see `prefix`). `tail_bound(m, x)` is required and must return a
-    certified upper bound on sum_{j>m} |a_j| x^j (math.inf when no
-    certificate holds at that order). The order search finds the smallest
-    certified order when that bound is nonincreasing in m once finite, as
-    every catalog tail is, and a certified but maybe larger one otherwise.
-    `closed_form(x)`, when given, is the companion's value in closed form.
+    `coefficients(m)` returns a_0..a_m (complex128) and ln|a_0|..ln|a_m|
+    (float64, -inf where a_n = 0); it must be deterministic, and each
+    series object keeps its longest result (see `prefix`). `tail_bound(m,
+    x)` is required and must return a certified upper bound on
+    sum_{j>m} |a_j| x^j (math.inf when no certificate holds at that
+    order). The order search finds the smallest certified order when that
+    bound is nonincreasing in m once finite, as every catalog tail is, and
+    a certified but maybe larger one otherwise. `closed_form(x)`, when
+    given, is the companion's value in closed form.
     """
 
-    coeff: Callable[[int], complex]
+    coefficients: Callable[[int], tuple[np.ndarray, np.ndarray]]
     radius: float
     name: str
     tail_bound: Callable[[int, float], float] = field(repr=False)
@@ -53,15 +59,17 @@ class PowerSeries:
                           default_factory=lambda: [np.empty(0, complex), np.empty(0)])
 
     def prefix(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """a_0..a_m (complex128) and |a_0|..|a_m| (float64), kept on the
-        object and grown to m on demand: `coeff(j)` runs once per j."""
-        a, mags = self._prefix
-        if len(a) <= m:
-            new = [self.coeff(j) for j in range(len(a), m + 1)]
-            a = np.concatenate((a, new))
-            mags = np.concatenate((mags, [abs(c) for c in new]))
-            self._prefix[:] = a, mags
-        return a[: m + 1], mags[: m + 1]
+        """a_0..a_m and ln|a_0|..ln|a_m|, kept on the object: `coefficients`
+        runs only when m is past the stored prefix, which then at least
+        doubles, so reading m = 0, 1, 2, ... costs O(m) in all."""
+        if len(self._prefix[0]) <= m:
+            self._prefix[:] = self.coefficients(max(m, 2 * len(self._prefix[0])))
+        a, logs = self._prefix
+        return a[: m + 1], logs[: m + 1]
+
+    def coeff(self, n: int) -> complex:
+        """a_n, read from the prefix."""
+        return complex(self.prefix(n)[0][n])
 
 
 def _check_eval_args(f: PowerSeries, x: float, tol: float) -> None:
@@ -110,30 +118,35 @@ def eval_companion(
 ) -> float:
     """Evaluate sum |a_n| x^n to within tol at nonnegative real x.
 
-    Sums with compensated (Kahan) accumulation up to the certified order,
-    so the returned value is within tol of the companion's true value up
-    to a few ulps of the result. For series with nonnegative coefficients
-    this is also the value of f itself.
+    Each term up to the certified order is exp(ln|a_n| + n ln x), so no
+    coefficient underflows where x^n is large, and `math.fsum` adds them
+    exactly rounded: the result is within tol of the companion's value up
+    to a few ulps of each term's exponent, and math.inf past double range.
+    For series with nonnegative coefficients this is also f's value.
     """
     m, _ = _order_and_tail(f, x, tol, max_terms)
-    total = 0.0
-    comp = 0.0
-    xj = 1.0
-    for mag in f.prefix(m)[1].tolist():
-        term = mag * xj
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        xj *= x
-    return total
+    logs = f.prefix(m)[1]
+    if x == 0.0:
+        return math.exp(logs[0])
+    exponents = (logs + math.log(x) * np.arange(m + 1)).tolist()
+    try:
+        return math.fsum(map(math.exp, exponents))
+    except OverflowError:  # a term or the sum past double range
+        return math.inf
 
 
 def from_coefficients(
     coeffs: Sequence[complex], name: str = "polynomial"
 ) -> PowerSeries:
-    """Finite polynomial as a power series (radius +inf, exact tail)."""
+    """Finite polynomial as a power series (radius +inf, exact tail); each
+    a_n is kept exactly as given."""
     values = [complex(c) for c in coeffs]
+    logs = [math.log(abs(c)) if c else -math.inf for c in values]
+
+    def coefficients(m: int) -> tuple[np.ndarray, np.ndarray]:
+        pad = max(0, m + 1 - len(values))
+        return (np.array(values[: m + 1] + [0j] * pad, complex),
+                np.array(logs[: m + 1] + [-math.inf] * pad))
 
     def tail(m: int, x: float) -> float:
         try:
@@ -141,173 +154,89 @@ def from_coefficients(
         except OverflowError:  # a float power past double range
             return math.inf
 
-    return PowerSeries(
-        coeff=lambda n: values[n] if n < len(values) else 0.0j,
-        radius=math.inf,
-        name=name,
-        tail_bound=tail,
-    )
+    return PowerSeries(coefficients, math.inf, name, tail)
 
 
-# ---------------------------------------------------------------------------
-# Certified tail majorants for the catalog families
-# ---------------------------------------------------------------------------
+def _hypergeometric(name: str, k: int, d: int, c: float, a: Sequence[float],
+                    b: Sequence[float], s: int,
+                    closed_form: Callable[[float], float]) -> PowerSeries:
+    """s z^k sum_j t_j (c z^d)^j with t_j = prod(a)_j / (j! prod(b)_j), for
+    positive a and b with len(a) <= len(b) + 1 and s = +1 or -1.
 
-
-def _factorial_tail(m: int, x: float) -> float:
-    # Valid whenever |a_j| <= 1/j!: tail <= x^(m+1)/(m+1)! * 1/(1 - x/(m+2)).
-    if x == 0.0:
-        return 0.0
-    if x >= m + 2:
-        return math.inf
-    lead = math.exp((m + 1) * math.log(x) - math.lgamma(m + 2))
-    return lead / (1.0 - x / (m + 2))
-
-
-def _geometric_tail(m: int, x: float) -> float:
-    # Valid whenever |a_j| <= 1 and x < 1: tail <= x^(m+1)/(1-x).
-    if x == 0.0:
-        return 0.0
-    return x ** (m + 1) / (1.0 - x)
-
-
-def _reciprocal_tail(m: int, x: float) -> float:
-    # Valid whenever |a_j| <= 1/j (j >= 1): tail <= x^(m+1)/((m+1)(1-x)).
-    if x == 0.0:
-        return 0.0
-    return x ** (m + 1) / ((m + 1) * (1.0 - x))
-
-
-def _inv_factorial(n: int) -> float:
-    # 1/171! is below the double-precision normal range.
-    return 1.0 / math.factorial(n) if n <= 170 else 0.0
-
-
-def _memo_sequence(first: float, step: Callable[[int, float], float]):
-    """Coefficient stream c_0=first, c_{n+1}=step(n, c_n), cached."""
-    cache = [first]
-
-    def value(n: int) -> float:
-        while len(cache) <= n:
-            k = len(cache) - 1
-            cache.append(step(k, cache[k]))
-        return cache[n]
-
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Catalog
-# ---------------------------------------------------------------------------
-
-
-def _factorial(name: str, parity: Optional[int], sign: int,
-               closed_form: Callable[[float], float]) -> PowerSeries:
-    """a_n = sign^(n//2) / n! on every n (parity None) or on the n of one
-    parity, 0 elsewhere: exp, cos, sin, cosh and sinh."""
-
-    def coefficient(n: int) -> complex:
-        if parity is not None and n % 2 != parity:
-            return 0.0j
-        return complex(sign ** (n // 2) * _inv_factorial(n))
-
-    return PowerSeries(coefficient, math.inf, name, _factorial_tail, closed_form)
-
-
-def _geometric(name: str, sign: int) -> PowerSeries:
-    """a_n = sign^n on |z| < 1; the companion is 1/(1-z) for either sign."""
-    return PowerSeries(lambda n: complex(sign**n), 1.0, name, _geometric_tail,
-                       lambda x: 1.0 / (1.0 - x))
-
-
-def _odd_reciprocal_coeff(n: int) -> complex:
-    return complex(1.0 / n) if n % 2 == 1 else 0.0j
-
-
-def _odd_reciprocal_tail(m: int, x: float) -> float:
-    # Odd terms x^j/j only: tail <= x^(m+1) / ((m+1)(1 - x^2)).
-    if x == 0.0:
-        return 0.0
-    return x ** (m + 1) / ((m + 1) * (1.0 - x * x))
-
-
-def _arcsin() -> PowerSeries:
-    """arcsin(z) = sum c_n z^(2n+1) with c_n = (2n-1)!!/((2n)!! (2n+1)).
-
-    Coefficients come from the term-to-term recurrence
-    c_{n+1} = c_n (2n+1)^2 / (2(n+1)(2n+3)), never from Gamma evaluations
-    at large argument.
+    ln t_j is the running sum of ln rho_i, i < j, with the term ratio
+    rho_i = |c| prod(i + a) / ((i + 1) prod(i + b)), not lgamma differences,
+    which lose digits at large argument. Tail: pair each a with one of the
+    denominators b and 1. A factor (j + a)/(j + b) is monotone in j: at most
+    1 when a <= b, else largest at j = J, as is an unpaired 1/(j + b). So
+    every ratio from j = J on is at most rho_bar(J), and the terms from J on
+    sum to at most t_J x^(k+dJ) / (1 - rho_bar(J) x^d) while that is positive.
     """
-    odd = _memo_sequence(
-        1.0, lambda n, c: c * (2 * n + 1) ** 2 / (2.0 * (n + 1) * (2 * n + 3))
-    )
+    ratio_c = abs(c)
+    denominators = sorted((*b, 1.0), reverse=True)
+    pairs = zip(sorted(a, reverse=True), denominators)
+    growing = tuple((ai, bi) for ai, bi in pairs if ai > bi)
+    unpaired = tuple(denominators[len(a):])
 
-    def coefficient(n: int) -> complex:
-        return complex(odd((n - 1) // 2)) if n % 2 == 1 else 0.0j
+    def coefficients(m: int) -> tuple[np.ndarray, np.ndarray]:
+        coeffs, logs = np.zeros(m + 1, complex), np.full(m + 1, -math.inf)
+        log_t, t = logs[k::d], coeffs.real[k::d]  # views: n = k + dj <= m
+        i = np.arange(len(log_t) - 1, dtype=float)
+        rho = np.full_like(i, ratio_c)  # in place: the prefix may be 10^6 long
+        for ai in a:
+            rho *= i + ai
+        rho /= i + 1.0
+        for bi in b:
+            rho /= i + bi
+        log_t[:1] = 0.0
+        np.cumsum(np.log(rho, out=rho), out=log_t[1:])
+        np.exp(log_t, out=t)
+        t *= s
+        t[1::2] *= math.copysign(1.0, c)  # (sign c)^j
+        return coeffs, logs
 
     def tail(m: int, x: float) -> float:
         if x == 0.0:
             return 0.0
-        j = m + 1 if (m + 1) % 2 == 1 else m + 2
-        # Odd-step term ratios are below x^2, so a geometric sum closes it.
-        return odd((j - 1) // 2) * x**j / (1.0 - x * x)
-
-    return PowerSeries(coefficient, 1.0, "arcsin", tail, math.asin)
-
-
-def _hypergeometric(name: str, alpha: float, beta: float, gamma: float) -> PowerSeries:
-    """2F1(alpha, beta; gamma; z) named `name` (radius 1); `lookup` has
-    checked that alpha, beta and gamma are positive.
-
-    Coefficients a_0 = 1, a_{n+1} = a_n (n+alpha)(n+beta)/((n+1)(n+gamma));
-    all positive. The tail majorant uses the monotone bound on the
-    coefficient ratio: for k >= m it never exceeds
-    1 + max(0, alpha+beta-1-gamma)/(m+1)
-      + max(0, alpha*beta-gamma)/((m+1)(m+gamma)).
-    """
-    coeffs = _memo_sequence(
-        1.0,
-        lambda n, a: a * (n + alpha) * (n + beta) / ((n + 1.0) * (n + gamma)),
-    )
-    excess_linear = max(0.0, alpha + beta - 1.0 - gamma)
-    excess_const = max(0.0, alpha * beta - gamma)
-
-    def tail(m: int, x: float) -> float:
-        if x == 0.0:
-            return 0.0
-        rho = 1.0 + excess_linear / (m + 1) + excess_const / ((m + 1) * (m + gamma))
-        if rho * x >= 1.0:
+        J = (m - k) // d + 1 if m >= k else 0  # the first term past m
+        rho_bar = ratio_c
+        for ai, bi in growing:
+            rho_bar *= (J + ai) / (J + bi)
+        for bi in unpaired:
+            rho_bar /= J + bi
+        try:
+            q = rho_bar * x**d
+            if q >= 1.0:
+                return math.inf
+            n = k + d * J  # the stored ln|t_J|, read in place on the hot path
+            logs = f._prefix[1] if n < len(f._prefix[1]) else f.prefix(n)[1]
+            return math.exp(logs.item(n) + n * math.log(x)) / (1.0 - q)
+        except OverflowError:  # past double range
             return math.inf
-        return coeffs(m + 1) * x ** (m + 1) / (1.0 - rho * x)
 
-    def closed_form(x: float) -> float:
-        from scipy.special import hyp2f1
-
-        return float(hyp2f1(alpha, beta, gamma, x))
-
-    return PowerSeries(lambda n: complex(coeffs(n)), 1.0, name, tail, closed_form)
+    radius = ratio_c ** (-1.0 / d) if len(a) == len(b) + 1 else math.inf
+    f = PowerSeries(coefficients, radius, name, tail, closed_form)  # read by tail
+    return f
 
 
-# Every named series but 2F1, built once, each with the closed form of its
-# companion.
-_CATALOG: dict[str, PowerSeries] = {f.name: f for f in (
+# Every named series but 2F1: its names, then (k, d, c, a, b, s) and the
+# closed form of its companion.
+_ROWS = (
     # ln 1/(1+z) = sum_{n>=1} (-1)^n z^n / n; companion ln 1/(1-z)
-    PowerSeries(lambda n: complex((-1) ** n / n) if n >= 1 else 0.0j, 1.0,
-                "log-resolvent", _reciprocal_tail, lambda x: -math.log1p(-x)),
-    _factorial("cos", 0, -1, math.cosh),
-    _factorial("sin", 1, -1, math.sinh),
-    _geometric("resolvent", -1),  # 1/(1+z)
-    _factorial("exp", None, 1, math.exp),
-    # (1/2) ln((1+z)/(1-z)): the artanh series under its other name
-    PowerSeries(_odd_reciprocal_coeff, 1.0, "half-log-ratio", _odd_reciprocal_tail,
-                math.atanh),
-    _arcsin(),
-    # artanh(z) = sum z^(2n-1)/(2n-1) on |z| < 1; nonnegative
-    PowerSeries(_odd_reciprocal_coeff, 1.0, "artanh", _odd_reciprocal_tail, math.atanh),
-    _geometric("geometric", 1),  # 1/(1-z)
-    _factorial("cosh", 0, 1, math.cosh),
-    _factorial("sinh", 1, 1, math.sinh),
-)}
+    (("log-resolvent",), 1, 1, -1.0, (1.0, 1.0), (2.0,), -1, lambda x: -math.log1p(-x)),
+    (("cos",), 0, 2, -0.25, (), (0.5,), 1, math.cosh),
+    (("sin",), 1, 2, -0.25, (), (1.5,), 1, math.sinh),
+    (("resolvent",), 0, 1, -1.0, (1.0,), (), 1, lambda x: 1.0 / (1.0 - x)),  # 1/(1+z)
+    (("exp",), 0, 1, 1.0, (), (), 1, math.exp),
+    # artanh(z) = sum z^(2j+1)/(2j+1), also named half-log-ratio: (1/2) ln((1+z)/(1-z))
+    (("half-log-ratio", "artanh"), 1, 2, 1.0, (0.5, 1.0), (1.5,), 1, math.atanh),
+    (("arcsin",), 1, 2, 1.0, (0.5, 0.5), (1.5,), 1, math.asin),
+    (("geometric",), 0, 1, 1.0, (1.0,), (), 1, lambda x: 1.0 / (1.0 - x)),  # 1/(1-z)
+    (("cosh",), 0, 2, 0.25, (), (0.5,), 1, math.cosh),
+    (("sinh",), 1, 2, 0.25, (), (1.5,), 1, math.sinh),
+)
+_CATALOG: dict[str, PowerSeries] = {
+    name: _hypergeometric(name, *row) for names, *row in _ROWS for name in names
+}
 
 
 def catalog() -> list[PowerSeries]:
@@ -341,7 +270,14 @@ def lookup(name: str) -> PowerSeries:
         params = _literals(name, "parameter") if name != "2F1" else [1.0] * 3
         if len(params) != 3 or not all(c.imag == 0 < c.real for c in params):
             raise ValueError(f"{name!r} needs three positive reals alpha,beta,gamma")
-        return _hypergeometric(name, *(c.real for c in params))
+        alpha, beta, gamma = (c.real for c in params)
+
+        def closed_form(x: float) -> float:
+            from scipy.special import hyp2f1
+
+            return float(hyp2f1(alpha, beta, gamma, x))
+
+        return _hypergeometric(name, 0, 1, 1.0, (alpha, beta), (gamma,), 1, closed_form)
     if name.startswith("poly:"):
         return from_coefficients(_literals(name, "coefficient"), name=name)
     if name in _CATALOG:

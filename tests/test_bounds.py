@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import asdict
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,7 +313,9 @@ def test_mixed_split_needs_only_its_arguments_inside_the_disk():
     # R = 1/2 and ||A|| = 0.6 >= R, but r(AB) <= sqrt(||A|| ||AB^2||) = 0.18
     # and the row's other arguments lie inside the disk: the row applies,
     # with equality here
-    f = PowerSeries(coeff=lambda n: complex(2.0**n), radius=0.5, name="2^n",
+    f = PowerSeries(coefficients=lambda m: (2.0 ** np.arange(m + 1) + 0j,
+                                            np.arange(m + 1) * math.log(2.0)),
+                    radius=0.5, name="2^n",
                     tail_bound=lambda m, x: (2.0 * x) ** (m + 1) / (1.0 - 2.0 * x))
     A, B = np.diag([0.6, 0.1]).astype(complex), np.diag([0.3, 0.3]).astype(complex)
     b = rows(f, A, B)["mixed-split"]
@@ -608,10 +611,19 @@ def test_bound_result_serialization():
 # ---------------------------------------------------------------------------
 
 
-def test_nonfinite_single_bound_is_unavailable():
-    # eval_companion(exp, 150) is NaN: 150**n overflows where the catalog's
-    # 1/n! coefficients are already 0 (n > 170)
+def test_single_bound_past_factorial_underflow_is_available():
+    # exp's companion at 150 sums terms 150^n/n! past n = 170, where 1/n!
+    # is below double range: e^150 to 1e-12
     report = best_bound(EXP, np.diag([150.0, 1.0]))
+    (b,) = report.results
+    assert b.available, b.reason
+    assert abs(b.value - mp.exp(150)) <= 1e-12 * mp.exp(150)
+    assert report.minimum is b
+
+
+def test_nonfinite_single_bound_is_unavailable():
+    # eval_companion(exp, 710) is inf: e^710 is past double range
+    report = best_bound(EXP, np.diag([710.0, 1.0]))
     (b,) = report.results
     assert not b.available
     assert "not finite" in b.reason
@@ -619,9 +631,9 @@ def test_nonfinite_single_bound_is_unavailable():
 
 
 def test_nonfinite_pair_bounds_are_unavailable():
-    # every f(AB) row evaluates exp's companion at some x >= 64, where
-    # eval_companion returns NaN
-    D = np.diag([8.0, 1.0]).astype(complex)
+    # every f(AB) row evaluates exp's companion at some x >= 729, where
+    # eval_companion returns inf
+    D = np.diag([27.0, 1.0]).astype(complex)
     report = best_bound(EXP, D, D)
     assert all(math.isfinite(r.value) for r in report.results if r.available)
     series = [r for r in report.results if r.target == "f(AB)"]

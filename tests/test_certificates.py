@@ -1,11 +1,12 @@
-"""High-precision verification of the catalog tail certificates.
+"""High-precision verification of the catalog coefficients and tail
+certificates.
 
 Rebuilds each catalog series' companion coefficients in 40-digit
-arithmetic, completely independent of the package's float code, and
-checks that tail_bound(m, x) dominates the exact tail
-sum_{j>m} |a_j| x^j at many (m, x) pairs. This is the safety property
-everything else rests on: a certificate below the true tail would make
-every "certified" evaluation a lie.
+arithmetic, completely independent of the package's float code, checks
+the package's ln|a_n| against them, and checks that tail_bound(m, x)
+dominates the exact tail sum_{j>m} |a_j| x^j at many (m, x) pairs. This
+is the safety property everything else rests on: a certificate below
+the true tail would make every "certified" evaluation a lie.
 
 The exact tail is summed forward (positive terms, no cancellation), so
 its accuracy is the working precision at any magnitude; tails here range
@@ -22,6 +23,7 @@ from specbound import catalog, lookup
 mp.mp.dps = 40
 
 ORDERS = (0, 1, 2, 3, 5, 8, 13, 21, 34)
+COEFF_ORDERS = 20_000  # beyond the orders of `bound` near the radius
 
 
 def _cached_recurrence(first, step):
@@ -37,6 +39,8 @@ def _cached_recurrence(first, step):
 
 
 def _mp_coeffs(name):
+    if name == "2F1":
+        name = "2F1:1,1,1"
     if name == "exp":
         return lambda j: 1 / mp.factorial(j)
     if name in ("cos", "cosh"):
@@ -107,6 +111,24 @@ def test_tail_bound_dominates_exact_tail(f):
             assert mp.mpf(bound) * (1 + mp.mpf("1e-12")) + mp.mpf(
                 "1e-300"
             ) >= exact, (f.name, m, x, bound, float(exact))
+
+
+@pytest.mark.parametrize("f", [*catalog(), lookup("2F1:0.5,0.75,1.25")],
+                         ids=lambda f: f.name.replace(":", "-").replace(",", "-"))
+def test_log_coefficients_match_recurrences(f):
+    # The error of ln|a_n| is the relative error of |a_n|: within 1e-12,
+    # scaled by |ln|a_n|| past 1, since a double holds ln(1/20000!) only
+    # to 1e-16 relative. Differences of lgamma at large argument miss this
+    # on the 2F1, log-resolvent, arcsin and artanh rows (by up to 1.4e-11
+    # at n <= 20,000).
+    coeff = _mp_coeffs(f.name)
+    for n, got in enumerate(f.prefix(COEFF_ORDERS)[1].tolist()):
+        c = coeff(n)
+        if c == 0:
+            assert got == -math.inf, (f.name, n)
+            continue
+        want = mp.log(c)
+        assert abs(got - want) <= mp.mpf("1e-12") * max(1, abs(want)), (f.name, n, got)
 
 
 def test_certificates_shrink_with_order():

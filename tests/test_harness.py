@@ -250,6 +250,13 @@ def test_empty_sweep():
     assert run_sweep(small_config(trials=0)) == []
 
 
+@pytest.mark.parametrize("dims", [(True,), (np.int64(2),), (2, 0), (2.0,)])
+def test_sweep_config_rejects_dims_instance_spec_rejects(dims):
+    # InstanceSpec's rule, at construction rather than at the first trial
+    with pytest.raises(ValueError, match="dimensions must be ints >= 1"):
+        small_config(dims=dims)
+
+
 @pytest.mark.parametrize("p_grid, match", [
     ((0.5,), "1 < p < inf"), ((2.0, 3.0, 2), "p=2 is given twice"),
 ])

@@ -1,7 +1,11 @@
 """Series construction, companion evaluation, and truncation certificates."""
 
 import math
+import re
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -19,12 +23,14 @@ from specbound import (
     lookup,
     truncation_order,
 )
+from specbound.cli import _parse_series
 from specbound.series import _order_and_tail
 
 ALL_NAMES = [
     "log-resolvent", "cos", "sin", "resolvent", "exp", "half-log-ratio",
     "arcsin", "artanh", "geometric", "cosh", "sinh",
 ]
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
 
 
 def grid(f, points=40, top_fraction=0.95):
@@ -42,6 +48,29 @@ def test_catalog_has_required_entries():
     assert set(ALL_NAMES) | {"2F1"} <= names
     for name in [*names, "2F1:0.5,0.75,1.25", "poly:1,-0.5+0.3j"]:
         assert lookup(name).name == name
+
+
+def test_all_names_is_the_catalog():
+    # The parametrised tests below run over ALL_NAMES: a new catalog row
+    # must join them.
+    assert sorted(ALL_NAMES) == sorted(f.name for f in catalog() if f.name != "2F1")
+
+
+def test_ci_catalog_sweep_names_every_catalog_series():
+    # The CI step that runs `verify` over every catalog series under
+    # -W error::RuntimeWarning must not silently skip a catalog row
+    # (ALL_NAMES is the catalog: see the test above).
+    text = WORKFLOW.read_text(encoding="utf-8")
+    step = re.search(r"- name: Verify sweep over every catalog series.*?\n\s*run: (.*?)\n",
+                     text, re.S)
+    assert step, "the workflow has no 'every catalog series' verify step"
+    assert "-W error::RuntimeWarning" in step[1]
+    series = re.search(r"--series (\S+)", step[1])
+    assert series, step[1]
+    named = set(_parse_series(series[1]))
+    # 2F1 alone is 2F1:1,1,1; the step runs the same builder at other parameters.
+    assert set(ALL_NAMES) <= named, sorted(set(ALL_NAMES) - named)
+    assert any(name.startswith("2F1:") for name in named)
 
 
 def test_exp_entry():
@@ -141,10 +170,15 @@ def test_companion_of_cos_is_cosh():
 
 @pytest.mark.parametrize("name", ALL_NAMES + ["2F1"])
 def test_companion_idempotent(name):
-    # eval_companion reads only |a_n|: the series of |a_n| has the same
+    # eval_companion reads only ln|a_n|: the series of |a_n| has the same
     # companion, bit for bit.
     f = lookup(name)
-    once = replace(f, coeff=lambda n: complex(abs(f.coeff(n))))
+
+    def magnitudes(m):
+        a, logs = f.prefix(m)
+        return np.abs(a).astype(complex), logs
+
+    once = replace(f, coefficients=magnitudes)
     for n in range(40):
         assert abs(once.coeff(n)) == abs(f.coeff(n))
     for x in (0.0, 0.3 * min(f.radius, 2.0), 0.9 * min(f.radius, 2.0)):
@@ -299,9 +333,35 @@ def test_polynomial_tail_is_zero_beyond_degree():
 
 def test_power_series_requires_tail_bound():
     # without a certified tail there is no true error budget to report
-    with pytest.raises(TypeError):
-        PowerSeries(coeff=lambda n: complex(0.7**n), radius=1.0 / 0.7,
-                    name="uncertified")
+    with pytest.raises(TypeError, match="tail_bound"):
+        PowerSeries(coefficients=lambda m: (0.7 ** np.arange(m + 1) + 0j,
+                                            np.arange(m + 1) * math.log(0.7)),
+                    radius=1.0 / 0.7, name="uncertified")
+
+
+# ---------------------------------------------------------------------------
+# Companions past the 1/171! cutoff and past double range
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, exact", [
+    ("exp", mpmath.exp), ("cosh", mpmath.cosh), ("sinh", mpmath.sinh),
+])
+@pytest.mark.parametrize("x", [58.0, 100.0, 150.0])
+def test_companion_past_factorial_underflow_matches_mpmath(name, exact, x):
+    # 1/n! underflows past n = 170 while x^n overflows: the terms are
+    # formed in log space, so neither reaches the sum.
+    value = eval_companion(lookup(name), x, 1e-10)
+    want = exact(mpmath.mpf(x))
+    assert abs(value - want) <= 1e-12 * want, (name, x, value)
+
+
+def test_companion_past_double_range_is_inf_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_companion(lookup("exp"), 710.0, 1e-10) == math.inf
+        assert eval_companion(lookup("sinh"), 1000.0, 1e-10) == math.inf
+        assert lookup("cosh").tail_bound(10, 1e200) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +389,17 @@ def linear_order_and_tail(f, x, tol, max_terms):
     raise NoConvergence(f"no order up to {max_terms}")
 
 
+REFERENCE_TERMS = 5000  # the longest sum checked term by term in mpmath
+
+
 def per_term_companion(f, m, x):
-    """Kahan sum of abs(f.coeff(j)) x^j over j <= m, one coeff call per term."""
-    total = 0.0
-    comp = 0.0
-    xj = 1.0
-    for j in range(m + 1):
-        term = abs(f.coeff(j)) * xj
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        xj *= x
-    return total
+    """sum of |a_j| x^j over j <= m in 50-digit arithmetic, each |a_j|
+    the exponential of its stored ln|a_j|: exact up to the rounding of
+    the stored magnitudes themselves."""
+    with mpmath.workdps(50):
+        logs = f.prefix(m)[1].tolist()
+        return sum(mpmath.exp(lg) * mpmath.mpf(x) ** j
+                   for j, lg in enumerate(logs) if lg > -math.inf)
 
 
 def search_points(f):
@@ -353,8 +411,9 @@ def search_points(f):
 @pytest.mark.parametrize("name", SEARCH_SERIES)
 def test_order_search_and_companion_match_per_term_reference(name):
     # Galloping plus bisection finds the linear scan's (m, tail) bit for
-    # bit, or fails where it fails; the companion sum over the prefix
-    # equals the per-term loop bit for bit, NaN (exp past x = 58) included.
+    # bit, or fails where it fails; the companion sum over the prefix is
+    # the exact sum of its terms to 1e-12 relative, and inf past double
+    # range.
     f = search_series(name)
     for x in search_points(f):
         for tol in (1e-3, 1e-10, 1e-14):
@@ -367,8 +426,13 @@ def test_order_search_and_companion_match_per_term_reference(name):
                     continue
                 assert _order_and_tail(f, x, tol, max_terms) == expected, (x, tol)
                 got = eval_companion(f, x, tol, max_terms)
+                if expected[0] > REFERENCE_TERMS:
+                    continue
                 want = per_term_companion(f, expected[0], x)
-                assert repr(got) == repr(want), (x, tol, max_terms)
+                if want > sys.float_info.max:
+                    assert got == math.inf, (x, tol, max_terms)
+                else:
+                    assert abs(got - want) <= 1e-12 * want, (x, tol, max_terms)
 
 
 def counted_tail(f):
@@ -400,28 +464,37 @@ ULP_POLY = ("poly:0.6404226504432821+0.1370126477621637j,1,"
 
 @pytest.mark.parametrize("name", [*ALL_NAMES, "2F1", COMPLEX_POLY, ULP_POLY])
 def test_prefix_matches_coeff_bit_for_bit(name):
-    f = lookup(name)
-    coeffs = [f.coeff(j) for j in range(201)]
+    # Every prefix, grown or read shorter, is the head of one
+    # coefficients(m) call, and coeff(j) reads it.
+    f = replace(lookup(name))  # a fresh, empty prefix
+    full, full_logs = f.coefficients(200)
     for m in (3, 200, 0):  # grow, then read a shorter prefix
-        a, mags = f.prefix(m)
-        assert a.tobytes() == np.array(coeffs[: m + 1], dtype=np.complex128).tobytes()
-        assert mags.tobytes() == np.array(
-            [abs(c) for c in coeffs[: m + 1]], dtype=np.float64).tobytes()
+        a, logs = f.prefix(m)
+        assert a.tobytes() == full[: m + 1].tobytes()
+        assert logs.tobytes() == full_logs[: m + 1].tobytes()
+    coeffs = [f.coeff(j) for j in range(201)]
+    assert np.array(coeffs, dtype=np.complex128).tobytes() == full.tobytes()
+    if name.startswith("poly:"):  # each a_n as given; ln|a_n| of Python's abs
+        given = [complex(t) for t in name[len("poly:"):].split(",")]
+        assert coeffs[: len(given)] == given
+        assert full_logs.tolist() == [math.log(abs(c)) if c else -math.inf
+                                      for c in coeffs]
 
 
-def test_prefix_calls_coeff_once_per_index_and_is_not_a_field():
+def test_prefix_calls_coefficients_only_to_grow_and_is_not_a_field():
     base = lookup("exp")
     calls = []
 
-    def coeff(n):
-        calls.append(n)
-        return base.coeff(n)
+    def coefficients(m):
+        calls.append(m)
+        return base.coefficients(m)
 
-    f = replace(base, coeff=coeff)  # a fresh, empty prefix
-    for m in (10, 5, 30, 30):
+    f = replace(base, coefficients=coefficients)  # a fresh, empty prefix
+    for m in (10, 5, 30, 30, 31, 62):  # past the prefix, it at least doubles
         f.prefix(m)
-    assert calls == list(range(31))
+    f.coeff(7)
+    assert calls == [10, 30, 62]
     assert f == replace(f) and "_prefix=" not in repr(f)
     g = replace(f)
     g.prefix(2)
-    assert calls == [*range(31), 0, 1, 2]
+    assert calls == [10, 30, 62, 2]
