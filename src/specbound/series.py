@@ -1,15 +1,11 @@
 """Power series with certified truncation control.
 
-A series f(z) = sum a_n z^n is represented by its coefficients, a radius
-of convergence, and a certified tail majorant: a function
-(m, x) -> upper bound on sum_{j>m} |a_j| x^j. Every evaluation
-routine sums terms only up to an order whose certified tail is below the
-requested tolerance, so results carry an explicit error budget.
-
-The "companion" of f is the series with coefficients |a_n|; it has the same
-radius of convergence, and equals f when all coefficients are nonnegative.
-All spectral-radius bounds in this package evaluate companions at
-nonnegative real arguments, which is why only that case is supported here.
+A series f(z) = sum a_n z^n is its coefficients, a radius of convergence
+and a certified tail majorant (m, x) -> bound on sum_{j>m} |a_j| x^j; every
+evaluation sums only up to an order whose tail is below the requested
+tolerance. The "companion" of f has coefficients |a_n| and the same radius,
+and equals f when every a_n >= 0; every bound in this package evaluates
+companions at nonnegative real arguments, the only case supported here.
 
 Every catalog series is s z^k sum_j t_j (c z^d)^j, t_j = prod(a)_j /
 (j! prod(b)_j): one row (k, d, c, a, b, s) of `_ROWS`, one builder, one
@@ -41,13 +37,15 @@ class PowerSeries:
 
     `coefficients(m)` returns a_0..a_m (complex128) and ln|a_0|..ln|a_m|
     (float64, -inf where a_n = 0); it must be deterministic, and each
-    series object keeps its longest result (see `prefix`). `tail_bound(m,
-    x)` is required and must return a certified upper bound on
+    series object keeps a prefix of it (see `prefix`). `tail_bound(m, x)`
+    is required and must return a certified upper bound on
     sum_{j>m} |a_j| x^j (math.inf when no certificate holds at that
     order). The order search finds the smallest certified order when that
     bound is nonincreasing in m once finite, as every catalog tail is, and
-    a certified but maybe larger one otherwise. `closed_form(x)`, when
-    given, is the companion's value in closed form.
+    a certified but maybe larger one otherwise. A catalog tail reads ln|a_n|
+    of the series it was built with (`log_abs`), so a copy given other
+    coefficients needs its own tail. `closed_form(x)`, when given, is the
+    companion's value in closed form.
     """
 
     coefficients: Callable[[int], tuple[np.ndarray, np.ndarray]]
@@ -66,6 +64,14 @@ class PowerSeries:
             self._prefix[:] = self.coefficients(max(m, 2 * len(self._prefix[0])))
         a, logs = self._prefix
         return a[: m + 1], logs[: m + 1]
+
+    def log_abs(self, n: int) -> float:
+        """ln|a_n|; past n = 2**16 from a `coefficients(n)` result that is not
+        kept, as an order search that fails reads up to max_terms."""
+        logs = self._prefix[1]
+        if n >= len(logs):
+            logs = (self.prefix(n) if n < 2**16 else self.coefficients(n))[1]
+        return logs.item(n)
 
     def coeff(self, n: int) -> complex:
         """a_n, read from the prefix."""
@@ -207,9 +213,8 @@ def _hypergeometric(name: str, k: int, d: int, c: float, a: Sequence[float],
             q = rho_bar * x**d
             if q >= 1.0:
                 return math.inf
-            n = k + d * J  # the stored ln|t_J|, read in place on the hot path
-            logs = f._prefix[1] if n < len(f._prefix[1]) else f.prefix(n)[1]
-            return math.exp(logs.item(n) + n * math.log(x)) / (1.0 - q)
+            n = k + d * J
+            return math.exp(f.log_abs(n) + n * math.log(x)) / (1.0 - q)
         except OverflowError:  # past double range
             return math.inf
 
@@ -218,8 +223,7 @@ def _hypergeometric(name: str, k: int, d: int, c: float, a: Sequence[float],
     return f
 
 
-# Every named series but 2F1: its names, then (k, d, c, a, b, s) and the
-# closed form of its companion.
+# Every named series but 2F1: names, (k, d, c, a, b, s), companion's closed form.
 _ROWS = (
     # ln 1/(1+z) = sum_{n>=1} (-1)^n z^n / n; companion ln 1/(1-z)
     (("log-resolvent",), 1, 1, -1.0, (1.0, 1.0), (2.0,), -1, lambda x: -math.log1p(-x)),

@@ -381,15 +381,19 @@ def search_series(name):
 
 
 def linear_order_and_tail(f, x, tol, max_terms):
-    """The order search as a linear scan over m = 0, 1, 2, ..."""
+    """The order search as a linear scan over m = 0, 1, 2, ..., reading the
+    prefix ahead of the tail (which reads ln|a_n| for n <= m + 2, and does
+    not keep what it reads past 2**16 terms)."""
     for m in range(max_terms + 1):
+        f.prefix(min(2 * m, max_terms) + 2)
         t = f.tail_bound(m, x)
         if t <= tol:
             return m, t
     raise NoConvergence(f"no order up to {max_terms}")
 
 
-REFERENCE_TERMS = 5000  # the longest sum checked term by term in mpmath
+REFERENCE_TERMS = 5000  # the longest sum checked term by term in mpmath;
+# longer sums are checked against the companion's closed form.
 
 
 def per_term_companion(f, m, x):
@@ -413,7 +417,8 @@ def test_order_search_and_companion_match_per_term_reference(name):
     # Galloping plus bisection finds the linear scan's (m, tail) bit for
     # bit, or fails where it fails; the companion sum over the prefix is
     # the exact sum of its terms to 1e-12 relative, and inf past double
-    # range.
+    # range. Past REFERENCE_TERMS terms it is within tol + 1e-12 relative
+    # of the closed form instead.
     f = search_series(name)
     for x in search_points(f):
         for tol in (1e-3, 1e-10, 1e-14):
@@ -427,6 +432,8 @@ def test_order_search_and_companion_match_per_term_reference(name):
                 assert _order_and_tail(f, x, tol, max_terms) == expected, (x, tol)
                 got = eval_companion(f, x, tol, max_terms)
                 if expected[0] > REFERENCE_TERMS:
+                    want = f.closed_form(x)
+                    assert abs(got - want) <= tol + 1e-12 * want, (x, tol, max_terms)
                     continue
                 want = per_term_companion(f, expected[0], x)
                 if want > sys.float_info.max:
@@ -455,6 +462,16 @@ def test_order_search_makes_logarithmically_many_tail_calls():
     m = truncation_order(f, 0.9999, 1e-10)
     assert m > 10**5
     assert len(calls) <= 2 * math.ceil(math.log2(m + 1)) + 2
+
+
+def test_failed_order_search_keeps_a_short_prefix():
+    # A failing search reads coefficients up to max_terms = 10**6; past
+    # 2**16 terms they are read without being kept on the series.
+    f = lookup("2F1:1,1,1")  # the geometric series, with an empty prefix
+    with pytest.raises(NoConvergence):
+        eval_companion(f, 0.99999)
+    assert 0 < len(f._prefix[0]) <= 2**17
+    assert abs(eval_companion(f, 0.5) - 2.0) <= 1e-10
 
 
 # numpy's complex abs differs from Python's by an ulp on these two values.
