@@ -2,7 +2,6 @@
 
 from .bounds import BestBoundReport, BoundResult, best_bound
 from .errors import (
-    BadExponent,
     DimMismatch,
     EigenFailure,
     GenerationFailure,

@@ -4,9 +4,11 @@ Every bound here evaluates the companion series f_a (coefficients |a_n|)
 at scalar arguments built from spectral radii and operator norms:
 
 * single operator:      r[f(T)]  <= f_a(r(T))
-* commuting pair, Hölder exponents p, q = p/(p-1):
-      r[f(AB)] <= f_a(r(A)^p)^(1/p) f_a(r(B)^q)^(1/q)
-      r[f(AB)]^2 <= f_a(r(A)^2) f_a(r(B)^2)                    (p = q = 2)
+* any pair, the same at T = AB:
+      r[f(AB)] <= f_a(r(AB))
+* commuting pair, where r(AB) <= r(A) r(B):
+      r[f(AB)] <= f_a(r(A) r(B))
+      r[f(AB)]^2 <= f_a(r(A)^2) f_a(r(B)^2)
 * commuting pair, norm-averaged:
       r[f(AB)] <= (1/2)[f_a(||AB||) + f_a(sqrt(||A^2|| ||B^2||))]
   and the variant with the mixed powers ||AB^2||, ||A^2B||.
@@ -17,22 +19,21 @@ at scalar arguments built from spectral radii and operator norms:
 use; each bound is a `Row` of a table, turned into a `BoundResult` by one
 evaluator. A bound that cannot apply, a commutativity-gated one on a
 non-commuting pair included, comes back Unavailable with the reason;
-only structural problems (dimension mismatch, a bad exponent or
-tolerance, products out of range) raise.
+only structural problems (dimension mismatch, a bad tolerance, products
+out of range) raise.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import ChainMap
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import Callable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import BadExponent, DimMismatch, NormOverflow
+from .errors import DimMismatch, NormOverflow
 from .matrices import (Matrix, commutes, operator_norm, operator_norms,
                        spectral_radii, spectral_radius)
 from .series import DEFAULT_TOL, PowerSeries, eval_companion
@@ -64,6 +65,8 @@ class BoundResult:
 # A pair's products, in the order of `Invariants.products`, and their norms.
 _PRODUCTS = ("A", "B", "AB", "BA", "A^2", "B^2", "AB^2", "A^2B", "AB-BA")
 _PAIR_NORMS = tuple(f"||{x}||" for x in _PRODUCTS)
+# The radii of the first three products, from one eigensolve.
+_PAIR_RADII = ("r(A)", "r(B)", "r(AB)")
 
 # Every other quantity a bound uses, by label; A is T in single mode.
 _QUANTITIES: dict[str, Callable[["Invariants"], float]] = {
@@ -73,6 +76,7 @@ _QUANTITIES: dict[str, Callable[["Invariants"], float]] = {
     "||B||^2": lambda v: v["||B||"] ** 2,
     "r(A)^2": lambda v: v["r(A)"] ** 2,
     "r(B)^2": lambda v: v["r(B)"] ** 2,
+    "r(A) r(B)": lambda v: v["r(A)"] * v["r(B)"],
     "sqrt(||A^2|| ||B^2||)": lambda v: math.sqrt(v["||A^2||"] * v["||B^2||"]),
     "sqrt(||A|| ||AB^2||)": lambda v: math.sqrt(v["||A||"] * v["||AB^2||"]),
     "sqrt(||A^2B|| ||B||)": lambda v: math.sqrt(v["||A^2B||"] * v["||B||"]),
@@ -83,7 +87,8 @@ class Invariants(dict):
     """Norms and spectral radii of one instance by label, each computed on
     first use (||T||, r(T) for one operator; ||A||, r(A), ||AB-BA||, ... for
     a pair), and the quantities derived from them. A pair's nine norms come
-    from one SVD call on `products`, its two radii from one eigensolve."""
+    from one SVD call on `products`, r(A), r(B) and r(AB) from one
+    eigensolve."""
 
     def __init__(self, A: Matrix, B: Optional[Matrix] = None):
         if B is not None and A.shape != B.shape:
@@ -116,8 +121,8 @@ class Invariants(dict):
     def __missing__(self, label: str) -> float:
         if label in _PAIR_NORMS:
             self.update(zip(_PAIR_NORMS, operator_norms(self.products).tolist()))
-        elif label in ("r(A)", "r(B)"):
-            self["r(A)"], self["r(B)"] = spectral_radii(self.products[:2]).tolist()
+        elif label in _PAIR_RADII:
+            self.update(zip(_PAIR_RADII, spectral_radii(self.products[:3]).tolist()))
         else:
             self[label] = _QUANTITIES[label](self)
         return self[label]
@@ -126,16 +131,6 @@ class Invariants(dict):
     def commuting(self) -> bool:
         """The commutator test `matrices.commutes` on this pair's norms."""
         return commutes(self["||AB-BA||"], self["||A||"], self["||B||"])
-
-
-def _holder_scope(v: Invariants, p: float) -> Mapping[str, float]:
-    """`v` plus the quantities of the Hölder exponent p."""
-    q = p / (p - 1.0)
-    rA, rB = v["r(A)"], v["r(B)"]
-    return ChainMap({
-        "p": p, "q": q, "||A||^p": v["||A||"] ** p, "||B||^q": v["||B||"] ** q,
-        "r(A)^p": rA**p, "r(B)^q": rB**q,
-    }, v)
 
 
 @dataclass(frozen=True)
@@ -199,8 +194,16 @@ def _chain(s: Mapping[str, float], half: bool) -> tuple[float, dict]:
     return (0.5 * value if half else value), {}
 
 
-_SINGLE = Row("companion-radius", "f(T)", ("r(T)",), lambda F, s: (F[0], {}),
-              ("||T||",), ("r(T)", "||T||"), check_args=False)  # r(T) <= ||T||
+def _first(F: list[float], s: Mapping[str, float]) -> tuple[float, dict]:
+    """The row's one f_a value."""
+    return F[0], {}
+
+
+# r(T) <= ||T||, and r(AB) <= ||AB||: the hypothesis puts each argument in the disk.
+_SINGLE = Row("companion-radius", "f(T)", ("r(T)",), _first, ("||T||",),
+              ("r(T)", "||T||"), check_args=False)
+_PRODUCT = Row("product-radius", "f(AB)", ("r(AB)",), _first, ("||AB||",),
+               ("r(AB)", "||AB||"), check_args=False)
 # r(AB + BA), then r(AB - BA): each row holds for either sign.
 _PM_ROWS = tuple(row for sign in "+-" for row in (
     Row(f"pm-quadratic({sign})", f"AB{sign}BA", (), lambda F, s: (0.5 * (
@@ -210,8 +213,10 @@ _PM_ROWS = tuple(row for sign in "+-" for row in (
     Row(f"pm-mixed({sign})", f"AB{sign}BA", (), lambda F, s: _chain(s, False),
         notes=_NORMS),
 ))
-# Commuting pairs, after the Hölder rows of each exponent.
+# Commuting pairs. ||AB|| < R keeps f(AB)'s oracle for every row.
 _COMMUTING_ROWS = (
+    Row("factor-radius", "f(AB)", ("r(A) r(B)",), _first, ("||AB||",),
+        ("r(A)", "r(B)", "||AB||")),  # r(AB) <= r(A) r(B)
     Row("pair-squares", "f(AB)", ("r(A)^2", "r(B)^2"),
         lambda F, s: (math.sqrt(F[0] * F[1]), {}), _SQ, ("r(A)", "r(B)", "||A||", "||B||")),
     Row("norm-split", "f(AB)", ("||AB||", "sqrt(||A^2|| ||B^2||)"),
@@ -226,29 +231,6 @@ _COMMUTING_ROWS = (
 )
 
 
-@cache
-def _holder_row(p: float) -> Row:
-    """The row of the Hölder exponent p, evaluated on `_holder_scope`."""
-    if not (1 < p < math.inf):
-        raise BadExponent(f"need 1 < p < inf, got {p}")
-    args = ("r(A)^p", "r(B)^q")
-    return Row(f"holder-geo(p={p:g})", "f(AB)", args,
-               lambda F, s: (F[0] ** (1.0 / s["p"]) * F[1] ** (1.0 / s["q"]), {}),
-               ("||A||^p", "||B||^q"), ("r(A)", "r(B)", "||A||", "||B||", "p", "q", *args))
-
-
-def _holder_rows(p_grid: Sequence[float]) -> list[tuple[float, Row]]:
-    """(p, row) for each p of p_grid; BadExponent on a p out of range or repeated."""
-    repeated = [p for i, p in enumerate(p_grid) if p in p_grid[:i]]
-    if repeated:
-        raise BadExponent(f"Hölder exponent p={repeated[0]:g} is given twice")
-    return [(p, _holder_row(p)) for p in p_grid]
-
-
-# p = 2 is left out: its row is pair-squares.
-DEFAULT_P_GRID = (1.5, 3.0)
-
-
 @dataclass
 class BestBoundReport:
     """All evaluated bounds, the minimum over the series target, and the
@@ -260,8 +242,7 @@ class BestBoundReport:
 
 
 def best_bound(f: PowerSeries, A: Matrix, B: Optional[Matrix] = None,
-               tol: float = DEFAULT_TOL,
-               p_grid: Sequence[float] = DEFAULT_P_GRID) -> BestBoundReport:
+               tol: float = DEFAULT_TOL) -> BestBoundReport:
     """Evaluate every bound on r[f(A)] (B omitted) or on r[f(AB)] and the
     norm-only targets; report all plus the minimum over the available
     bounds on the series target (None if there are none). A non-commuting
@@ -271,21 +252,18 @@ def best_bound(f: PowerSeries, A: Matrix, B: Optional[Matrix] = None,
     if not (0 < tol < math.inf):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     v, fa = Invariants(A, B), {}
-    holder = _holder_rows(p_grid)  # checks each p in both modes
     if B is None:
         results = [_evaluate(_SINGLE, f, v, tol, fa)]
     else:
-        results = [_evaluate(row, f, v, tol, fa) for row in _PM_ROWS]
-        rows = [row for _, row in holder] + list(_COMMUTING_ROWS)
+        results = [_evaluate(row, f, v, tol, fa) for row in (*_PM_ROWS, _PRODUCT)]
         if v.commuting:
-            scopes = [_holder_scope(v, p) for p, _ in holder]
-            scopes += [v] * len(_COMMUTING_ROWS)
-            results += [_evaluate(row, f, s, tol, fa) for row, s in zip(rows, scopes)]
+            results += [_evaluate(row, f, v, tol, fa) for row in _COMMUTING_ROWS]
         else:
             cnorm = v["||AB-BA||"]
             reason = f"commutator test failed (||AB-BA|| = {cnorm:.6e})"
             results += [BoundResult(row.name, None, row.target, reason,
-                                    [("AB = BA", False, cnorm)]) for row in rows]
+                                    [("AB = BA", False, cnorm)])
+                        for row in _COMMUTING_ROWS]
     target = "f(T)" if B is None else "f(AB)"
     candidates = [r for r in results if r.available and r.target == target]
     minimum = min(candidates, key=lambda r: r.value) if candidates else None

@@ -11,7 +11,7 @@ or a bound below its oracle (bound, which names each such bound after
 writing its report), 2 structural error (bad file or option value,
 dimension mismatch, unknown or malformed name, a series truncation out
 of floating-point range), 3 non-commuting pair given to bound (its report
-is written first, with each commutativity-gated bound unavailable).
+is written first, with each bound that needs AB = BA unavailable).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import harness
-from .bounds import DEFAULT_P_GRID, best_bound
+from .bounds import best_bound
 from .errors import SpecboundError
 from .matrices import load_matrix
 from .harness import oracle_radii
@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--matrix", action="append", default=[], required=True,
                     help="matrix file (one for single mode, two for pair mode)")
     pb.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    pb.add_argument("--p", default=None, help="comma-separated Hölder exponents")
     pb.add_argument("--format", choices=("table", "csv", "structured"),
                     default="table")
     pb.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -85,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated catalog names, 2F1:alpha,beta,gamma "
                              "or poly:c0,c1,...")
         ps.add_argument("--tol", type=float, default=sweep.tol)
-        ps.add_argument("--p", default=None)
         ps.add_argument("--trials", type=int, default=sweep.trials,
                         help="instances per family")
         ps.add_argument("--dims", default=",".join(map(str, sweep.dims)))
@@ -136,9 +134,8 @@ def cmd_bound(args) -> int:
               file=sys.stderr)
         return 2
     matrices = [load_matrix(path) for path in args.matrix]
-    p_grid = _parse_list(args.p, float) if args.p else DEFAULT_P_GRID
     # best_bound raises DimMismatch (exit 2) for a pair of unequal sizes.
-    report = best_bound(f, *matrices, tol=args.tol, p_grid=p_grid)
+    report = best_bound(f, *matrices, tol=args.tol)
     oracles = oracle_radii(f, report.invariants, tol=args.tol)
 
     if args.format == "table":
@@ -179,7 +176,6 @@ def _sweep_config(args) -> harness.SweepConfig:
         dims=_parse_list(args.dims, int),
         seed=args.seed,
         tol=args.tol,
-        p_grid=_parse_list(args.p, float) if args.p else DEFAULT_P_GRID,
     )
 
 

@@ -29,10 +29,6 @@ class NormOverflow(SpecboundError):
     """A matrix power or product left floating-point range; normalize first."""
 
 
-class BadExponent(SpecboundError):
-    """Hölder exponent must satisfy 1 < p < inf."""
-
-
 class UnknownFamily(SpecboundError):
     """Instance family name is not recognized."""
 

@@ -4,7 +4,10 @@ The pair corollaries below are not rows of `best_bound`: each is at
 least a row it reports, for every companion f_a (`fa`), so it can never
 be the strict minimum.
 
-* `holder_ratio` >= holder-geo(p): f_a has nonnegative coefficients, so
+* `holder_geo` >= factor-radius: Hölder's inequality on the coefficients
+  of f_a gives f_a(xy) <= f_a(x^p)^(1/p) f_a(y^q)^(1/q) for 1/p + 1/q = 1,
+  at x = r(A), y = r(B); at p = 2 it is pair-squares.
+* `holder_ratio` >= `holder_geo`: f_a has nonnegative coefficients, so
   it is log-convex, and Hölder's inequality on those coefficients gives
   f_a(x^(1/q) y^(1/p)) <= f_a(x)^(1/q) f_a(y)^(1/p) at x = r(A)^p,
   y = r(B)^q.
@@ -20,8 +23,6 @@ import math
 
 import numpy as np
 
-from specbound import BadExponent
-
 
 def reverse_holder_gap(weights, xs, ys, p):
     """Gap of (sum m|x|^p)(sum m|y|^q) >= (sum m|xy|)(sum m|x|^(p-1)|y|^(q-1)).
@@ -30,7 +31,7 @@ def reverse_holder_gap(weights, xs, ys, p):
     p > 1 with 1/p + 1/q = 1. `holder_ratio` rests on this.
     """
     if not (p > 1):
-        raise BadExponent(f"need p > 1, got {p}")
+        raise ValueError(f"need p > 1, got {p}")
     q = p / (p - 1.0)
     m = np.asarray(weights, dtype=np.float64)
     if np.any(m < 0):
@@ -40,6 +41,15 @@ def reverse_holder_gap(weights, xs, ys, p):
     lhs = float(np.sum(m * ax**p) * np.sum(m * ay**q))
     rhs = float(np.sum(m * ax * ay) * np.sum(m * ax ** (p - 1) * ay ** (q - 1)))
     return lhs - rhs
+
+
+def holder_geo(fa, rA, rB, p):
+    """f_a(r(A)^p)^(1/p) f_a(r(B)^q)^(1/q), 1/p + 1/q = 1: the Hölder form
+    of the factor row, pair-squares at p = 2."""
+    if not (1 < p < math.inf):
+        raise ValueError(f"need 1 < p < inf, got {p}")
+    q = p / (p - 1.0)
+    return fa(rA**p) ** (1.0 / p) * fa(rB**q) ** (1.0 / q)
 
 
 def holder_ratio(fa, rA, rB, p):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from inequalities import (
-    CS_FORMS, holder_ratio, reverse_holder_gap, triple_split, triple_split_cs,
+    CS_FORMS, holder_geo, holder_ratio, reverse_holder_gap, triple_split,
+    triple_split_cs,
 )
 from specbound import (
     SweepConfig,
@@ -71,7 +72,6 @@ def pair_records():
         dims=(2, 4, 8),
         seed=2024,
         tol=TOL,
-        p_grid=(1.5, 2.0, 3.0),
     )
     return run_sweep(config)
 
@@ -100,12 +100,13 @@ def test_a1_single_operator_soundness():
 
 
 def test_a2_pair_holder_soundness(pair_records):
-    """Hölder pair bounds sound on 500 commuting pairs per family (the
-    ratio forms, which A3 shows are above them, are then sound too)."""
+    """The product row, the factor row and pair-squares sound on 500
+    commuting pairs per family (the Hölder and ratio forms, which A3 shows
+    are above the factor row, are then sound too)."""
     per_family = {fam: 0 for fam in FAMILIES_PAIR}
     violations = 0
     unavailable_reasons: dict[str, int] = {}
-    holder_names = [f"holder-geo(p={p:g})" for p in (1.5, 2.0, 3.0)] + ["pair-squares"]
+    holder_names = ["product-radius", "factor-radius", "pair-squares"]
     for record in pair_records:
         per_family[record.spec.family] += 1
         oracle, oracle_err = record.oracles["f(AB)"]
@@ -122,21 +123,21 @@ def test_a2_pair_holder_soundness(pair_records):
                     unavailable_reasons.get(b.reason, 0) + 1
                 )
     ok = violations == 0 and all(n >= 500 for n in per_family.values())
-    report("A2 pair Hölder soundness", ok,
+    report("A2 product, factor and pair-squares soundness", ok,
            f"pairs per family {per_family}, {violations} violations, "
            f"unavailable: {unavailable_reasons or 'none'}")
     assert ok
 
 
 def test_a3_chain_soundness_and_ordering(pair_records):
-    """Each norm-averaged row and each Hölder row bounds the oracle, and is
-    at most the corollary that dominates it (its Cauchy-Schwarz form, or
-    the ratio form), evaluated from the row's intermediates; mixed-split
-    is at most the triple product form, which is at most its own
-    Cauchy-Schwarz form."""
+    """Each norm-averaged row and the factor row bound the oracle, and are
+    at most the corollary that dominates them (the Cauchy-Schwarz form, or
+    the Hölder form at p = 1.5, 2 and 3), evaluated from the row's
+    intermediates; each Hölder form is at most its ratio form; the product
+    row is at most the factor row; mixed-split is at most the triple
+    product form, which is at most its own Cauchy-Schwarz form."""
     assert len(pair_records) >= 500
     violations, order_breaks = 0, 0
-    holder_names = [f"holder-geo(p={p:g})" for p in (1.5, 2.0, 3.0)]
     for record in pair_records:
         oracle, oracle_err = record.oracles["f(AB)"]
         slack = 1e-8 * max(1.0, oracle) + oracle_err
@@ -144,9 +145,14 @@ def test_a3_chain_soundness_and_ordering(pair_records):
         by_name = {b.name: b for b in record.bounds}
         pairs = [(by_name[name], form(fa, by_name[name].intermediates))
                  for name, form in CS_FORMS.items()]
-        for name in holder_names:
-            s = by_name[name].intermediates
-            pairs.append((by_name[name], holder_ratio(fa, s["r(A)"], s["r(B)"], s["p"])))
+        factor = by_name["factor-radius"]
+        rA, rB = factor.intermediates["r(A)"], factor.intermediates["r(B)"]
+        pairs.append((by_name["product-radius"], factor.value))
+        for p in (1.5, 2.0, 3.0):
+            geo = holder_geo(fa, rA, rB, p)
+            pairs.append((factor, geo))
+            if geo > holder_ratio(fa, rA, rB, p) * (1 + 1e-10):
+                order_breaks += 1
         s = by_name["mixed-split"].intermediates
         triple = triple_split(fa, s)
         pairs.append((by_name["mixed-split"], triple))

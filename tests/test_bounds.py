@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inequalities import (
-    CS_FORMS, holder_ratio, relaxed_arms, reverse_holder_gap, triple_split,
-    triple_split_cs,
+    CS_FORMS, holder_geo, holder_ratio, relaxed_arms, reverse_holder_gap,
+    triple_split, triple_split_cs,
 )
 from specbound import (
-    BadExponent,
+    FAMILIES_PAIR,
     NormOverflow,
     PowerSeries,
     as_matrix,
@@ -28,9 +28,7 @@ from specbound import (
     oracle_radii,
     spectral_radius,
 )
-from specbound.bounds import (
-    _COMMUTING_ROWS, Invariants, _evaluate, _holder_row, _holder_scope,
-)
+from specbound.bounds import _COMMUTING_ROWS, Invariants, _evaluate
 from specbound.harness import InstanceSpec, _ginibre
 from specbound.matrices import _series_at_norm
 
@@ -50,9 +48,9 @@ def commuting_pair(seed, n=4, family="commuting-polynomial-pair", target=0.7):
     )
 
 
-def rows(f, A, B, p=2.0):
+def rows(f, A, B):
     """Each bound of `best_bound`'s report on the pair, by name."""
-    return {r.name: r for r in best_bound(f, A, B, tol=TOL, p_grid=(p,)).results}
+    return {r.name: r for r in best_bound(f, A, B, tol=TOL).results}
 
 
 def companion(f):
@@ -61,10 +59,12 @@ def companion(f):
 
 
 def holder(f, A, B, p):
-    """The Hölder row at exponent p, and the ratio form on its intermediates."""
-    geo = rows(f, A, B, p)[f"holder-geo(p={p:g})"]
-    s = geo.intermediates
-    return geo, holder_ratio(companion(f), s["r(A)"], s["r(B)"], s["p"])
+    """The factor row, and the Hölder and ratio forms at exponent p on its
+    intermediates r(A) and r(B)."""
+    factor = rows(f, A, B)["factor-radius"]
+    rA, rB = factor.intermediates["r(A)"], factor.intermediates["r(B)"]
+    fa = companion(f)
+    return factor, holder_geo(fa, rA, rB, p), holder_ratio(fa, rA, rB, p)
 
 
 def split(f, A, B, name):
@@ -133,32 +133,27 @@ def test_single_scalar_reduction_is_equality():
 
 
 # ---------------------------------------------------------------------------
-# Hölder pair bounds
+# Product and factor rows, and the Hölder forms above them
 # ---------------------------------------------------------------------------
 
 
-def test_holder_rejects_bad_exponent():
-    A, B = np.diag([0.5, 0.5]), np.diag([0.5, 0.5])
-    for p in (1.0, math.inf, math.nan):
-        with pytest.raises(BadExponent):
-            best_bound(EXP, A, B, p_grid=(p,))
-    for Y in (B, None):  # a repeated exponent would repeat its row
-        with pytest.raises(BadExponent, match="p=2 is given twice"):
-            best_bound(EXP, A, Y, p_grid=(2, 1.5, 2.0))
-
-
 def test_holder_rejects_noncommuting():
-    b = rows(EXP, SHIFT, SHIFT_T)["holder-geo(p=2)"]
-    assert not b.available
-    assert "commutator test failed" in b.reason
+    # the factor row, and pair-squares, the Hölder form at p = 2, need AB = BA
+    by_name = rows(EXP, SHIFT, SHIFT_T)
+    for name in ("factor-radius", "pair-squares"):
+        assert not by_name[name].available
+        assert "commutator test failed" in by_name[name].reason
 
 
 def test_holder_scalar_case_p2():
     A = np.diag([0.5, 0.5]).astype(complex)
-    geo, ratio = holder(EXP, A, A, 2.0)
-    # f_a(0.25)^(1/2) * f_a(0.25)^(1/2) = e^0.25, and the ratio form
-    # e^(0.25 + 0.25 - 0.25) is the same number
-    assert geo.value == pytest.approx(math.exp(0.25), abs=1e-9)
+    factor, geo, ratio = holder(EXP, A, A, 2.0)
+    # f_a(0.25) = e^0.25 for the factor row; f_a(0.25)^(1/2) f_a(0.25)^(1/2)
+    # for pair-squares and the Hölder form, and the ratio form
+    # e^(0.25 + 0.25 - 0.25), are the same number
+    assert factor.value == pytest.approx(math.exp(0.25), abs=1e-9)
+    assert rows(EXP, A, A)["pair-squares"].value == pytest.approx(math.exp(0.25), abs=1e-9)
+    assert geo == pytest.approx(math.exp(0.25), abs=1e-9)
     assert oracle_radius(EXP, A @ A) == pytest.approx(math.exp(0.25), abs=1e-9)
     assert ratio == pytest.approx(math.exp(0.25), abs=1e-9)
 
@@ -166,18 +161,22 @@ def test_holder_scalar_case_p2():
 def test_holder_zero_factor():
     Z = np.zeros((3, 3))
     B = np.diag([0.5, 0.4, 0.1]).astype(complex)
-    geo, _ = holder(EXP, Z, B, 2.0)
-    # f_a(0)^(1/2) f_a(r(B)^2)^(1/2) >= |a_0| = oracle
-    assert geo.value == pytest.approx(math.exp(0.125), abs=1e-9)
-    assert geo.value >= 1.0
+    factor, geo, _ = holder(EXP, Z, B, 2.0)
+    # f_a(0 * 0.5) = |a_0| = oracle, below f_a(0)^(1/2) f_a(r(B)^2)^(1/2)
+    assert factor.value == pytest.approx(1.0, abs=1e-12)
+    assert oracle_radius(EXP, Z @ B) == pytest.approx(1.0, abs=1e-12)
+    assert rows(EXP, Z, B)["pair-squares"].value == pytest.approx(math.exp(0.125), abs=1e-9)
+    assert geo == pytest.approx(math.exp(0.125), abs=1e-9)
 
 
 def test_holder_ratio_denominator_vanishes():
     # constant-term-free series with r(A) = r(B) = 0: the ratio form gives
-    # no bound, the row it dominates still does
+    # no bound, the rows it dominates still do
     N = as_matrix([[0, 0.5], [0, 0]])
-    geo, ratio = holder(LOG, N, N, 2.0)
-    assert geo.available and geo.value == 0.0
+    factor, geo, ratio = holder(LOG, N, N, 2.0)
+    assert factor.available and factor.value == 0.0
+    assert rows(LOG, N, N)["pair-squares"].value == 0.0
+    assert geo == 0.0
     assert ratio == math.inf
 
 
@@ -185,21 +184,24 @@ def test_holder_ratio_denominator_vanishes():
 def test_holder_soundness_random_pairs(p):
     for seed in range(12):
         A, B = commuting_pair(seed)
-        geo, ratio = holder(GEO, A, B, p)
+        factor, geo, ratio = holder(GEO, A, B, p)
         oracle, slack = oracle_with_slack(GEO, A @ B)
-        assert geo.available, (seed, p)
-        assert oracle - slack <= geo.value <= ratio * (1 + 1e-10), (seed, p)
+        assert factor.available, (seed, p)
+        assert oracle - slack <= factor.value <= geo * (1 + 1e-10), (seed, p)
+        assert geo <= ratio * (1 + 1e-10), (seed, p)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_holder_exp_closed_forms(p):
-    # for the exponential the two forms reduce to
-    # exp(r(A)^p/p + r(B)^q/q) and exp(r(A)^p + r(B)^q - r(A)^(p-1) r(B)^(q-1))
+    # for the exponential the factor row is exp(r(A) r(B)), and the two
+    # Hölder forms reduce to exp(r(A)^p/p + r(B)^q/q) and
+    # exp(r(A)^p + r(B)^q - r(A)^(p-1) r(B)^(q-1))
     A, B = commuting_pair(23)
     rA, rB = spectral_radius(A), spectral_radius(B)
     q = p / (p - 1.0)
-    geo, ratio = holder(EXP, A, B, p)
-    assert geo.value == pytest.approx(
+    factor, geo, ratio = holder(EXP, A, B, p)
+    assert factor.value == pytest.approx(math.exp(rA * rB), rel=1e-9)
+    assert geo == pytest.approx(
         math.exp(rA**p / p + rB**q / q), rel=1e-9
     )
     assert ratio == pytest.approx(
@@ -209,13 +211,15 @@ def test_holder_exp_closed_forms(p):
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_holder_geometric_closed_forms(p):
-    # for the geometric companion: (1-r(A)^p)^(-1/p) (1-r(B)^q)^(-1/q) and
+    # for the geometric companion: 1/(1 - r(A) r(B)) for the factor row,
+    # (1-r(A)^p)^(-1/p) (1-r(B)^q)^(-1/q) and
     # (1 - r(A)^(p-1) r(B)^(q-1)) / ((1-r(A)^p)(1-r(B)^q))
     A, B = commuting_pair(29, target=0.6)
     rA, rB = spectral_radius(A), spectral_radius(B)
     q = p / (p - 1.0)
-    geo, ratio = holder(GEO, A, B, p)
-    assert geo.value == pytest.approx(
+    factor, geo, ratio = holder(GEO, A, B, p)
+    assert factor.value == pytest.approx(1 / (1 - rA * rB), rel=1e-9)
+    assert geo == pytest.approx(
         (1 - rA**p) ** (-1 / p) * (1 - rB**q) ** (-1 / q), rel=1e-9
     )
     assert ratio == pytest.approx(
@@ -227,8 +231,55 @@ def test_holder_geometric_closed_forms(p):
 def test_pair_squares_matches_holder_at_p2():
     A, B = commuting_pair(7)
     sq = rows(GEO, A, B)["pair-squares"]
-    geo, _ = holder(GEO, A, B, 2.0)
-    assert sq.value == pytest.approx(geo.value, rel=1e-12)
+    _, geo, _ = holder(GEO, A, B, 2.0)
+    assert sq.value == pytest.approx(geo, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f=st.sampled_from([*catalog(), lookup("2F1:0.5,0.75,1.25")]),
+    family=st.sampled_from(FAMILIES_PAIR),
+    n=st.sampled_from((2, 4, 8)),
+    fraction=st.floats(0.3, 1.0),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_product_and_factor_rows_sit_below_the_holder_chain(f, family, n, fraction,
+                                                             seed):
+    # On the sweep's pairs, at its norm targets: product-radius <=
+    # factor-radius <= holder_geo(p) <= holder_ratio(p) for every p,
+    # factor-radius <= pair-squares, and product-radius below both norm
+    # rows. The Hölder forms take f_a from its closed form, above every
+    # truncated sum.
+    top = 0.8 * math.sqrt(f.radius) if math.isfinite(f.radius) else 1.0
+    A, B = commuting_pair(seed, n, family, top * fraction)
+    by_name = rows(f, A, B)
+    product, factor = by_name["product-radius"], by_name["factor-radius"]
+    assert product.available and factor.available, (product.reason, factor.reason)
+
+    def below(lhs, rhs, what):
+        assert lhs <= rhs + 1e-12 * max(1.0, rhs), what
+
+    rA, rB = factor.intermediates["r(A)"], factor.intermediates["r(B)"]
+    below(product.value, factor.value, "factor-radius")
+    for p in (1.25, 1.5, 2.0, 3.0, 6.0):
+        geo = holder_geo(f.closed_form, rA, rB, p)
+        below(factor.value, geo, ("holder_geo", p))
+        below(geo, holder_ratio(f.closed_form, rA, rB, p), ("holder_ratio", p))
+    below(factor.value, by_name["pair-squares"].value, "pair-squares")
+    for name in ("norm-split", "mixed-split"):
+        below(product.value, by_name[name].value, name)
+
+
+def test_product_radius_needs_the_norm_of_ab_inside_the_disk():
+    # r(AB) = 0.45 < R = 1 <= ||AB||: no f(AB) row, and no f(AB) oracle
+    A = as_matrix([[0.5, 10], [0, 0.5]])
+    report = best_bound(GEO, A, 0.9 * np.eye(2))
+    for name in ("product-radius", "factor-radius"):
+        b = next(r for r in report.results if r.name == name)
+        assert not b.available
+        assert b.reason.startswith("precondition failed: ||AB|| < R"), name
+    assert report.minimum is None
+    assert "f(AB)" not in oracle_radii(GEO, report.invariants, TOL)
 
 
 def test_pair_squares_zero_pair():
@@ -533,8 +584,10 @@ def test_dropped_corollaries_dominate_their_rows(f, u, p, kind, seed):
 
     q = p / (p - 1.0)
     rA, rB = (u[0] * top * top) ** (1 / p), (u[1] * top * top) ** (1 / q)
-    v = _scalar_pair({"||A||": rA, "||B||": rB}, (rA, rB))
-    check(_holder_row(p), _holder_scope(v, p), holder_ratio(fa, rA, rB, p))
+    v = _scalar_pair({"||AB||": rA * rB}, (rA, rB))  # rA rB < R by Young
+    geo = holder_geo(fa, rA, rB, p)
+    check(_ROW["factor-radius"], v, geo)
+    assert holder_ratio(fa, rA, rB, p) >= geo - 1e-12 * max(1.0, geo)
 
     # triple_split and its Cauchy-Schwarz form on the norms of one pair,
     # commuting or not: submultiplicativity need not hold for other numbers
@@ -573,7 +626,9 @@ def test_best_bound_pair_example():
 
 def test_best_bound_noncommuting_gating():
     report = best_bound(GEO, SHIFT, SHIFT_T)
-    gated = [r for r in report.results if r.target in ("f(AB)", "AB")]
+    product, *gated = [r for r in report.results if r.target in ("f(AB)", "AB")]
+    assert product.name == "product-radius"  # not gated: ||AB|| = 1 = R fails
+    assert not product.available and "||AB|| < R" in product.reason
     assert gated and all(not r.available for r in gated)
     assert all("commutator test failed" in r.reason for r in gated)
     free = [r for r in report.results if r.target in ("AB+BA", "AB-BA")]
@@ -651,9 +706,8 @@ def test_preconditions_are_hypotheses_then_arguments_once():
     assert pre["mixed-split"] == sq + [
         "||AB|| < R", "sqrt(||A|| ||AB^2||) < R", "sqrt(||A^2B|| ||B||) < R",
     ]
-    assert pre["holder-geo(p=1.5)"] == [
-        "||A||^p < R", "||B||^q < R", "r(A)^p < R", "r(B)^q < R",
-    ]
+    assert pre["product-radius"] == ["||AB|| < R"]
+    assert pre["factor-radius"] == ["||AB|| < R", "r(A) r(B) < R"]
     for name, descriptions in pre.items():
         assert len(descriptions) == len(set(descriptions)), name
 
@@ -674,13 +728,13 @@ def _count_companion(monkeypatch):
 
 @pytest.mark.parametrize("f", [EXP, GEO])
 def test_best_bound_pair_computes_each_invariant_once(monkeypatch, lapack_work, f):
-    # Nine norms from one SVD call, r(A) and r(B) from one eigensolve call.
+    # Nine norms from one SVD call, r(A), r(B) and r(AB) from one eigensolve call.
     A, B = commuting_pair(5, n=8)
     lapack_work.update(dict.fromkeys(lapack_work, 0))  # the generator's norms
     companion = _count_companion(monkeypatch)
     report = best_bound(f, A, B)
     assert report.minimum is not None
-    assert lapack_work == {"svd": 9, "svd_calls": 1, "eig": 2, "eig_calls": 1}
+    assert lapack_work == {"svd": 9, "svd_calls": 1, "eig": 3, "eig_calls": 1}
     assert companion and len(companion) == len(set(companion))
 
 
@@ -691,11 +745,12 @@ def test_best_bound_single_computes_each_invariant_once(monkeypatch, lapack_work
     assert len(companion) == 1
 
 
-def test_best_bound_noncommuting_pair_runs_no_eigensolve(monkeypatch, lapack_work):
+def test_best_bound_noncommuting_pair_runs_one_eigensolve(monkeypatch, lapack_work):
+    # product-radius needs r(AB), which comes with r(A) and r(B)
     companion = _count_companion(monkeypatch)
-    best_bound(GEO, SHIFT, SHIFT_T)
-    assert lapack_work == {"svd": 9, "svd_calls": 1, "eig": 0, "eig_calls": 0}
-    assert companion == []
+    best_bound(GEO, 0.9 * SHIFT, 0.9 * SHIFT_T)
+    assert lapack_work == {"svd": 9, "svd_calls": 1, "eig": 3, "eig_calls": 1}
+    assert len(companion) == 1
 
 
 # Each pair invariant as one matrix formula: the per-label reference the
@@ -712,6 +767,7 @@ _PAIR_REFERENCE = {
     "||AB-BA||": lambda A, B: operator_norm(A @ B - B @ A),
     "r(A)": lambda A, B: spectral_radius(A),
     "r(B)": lambda A, B: spectral_radius(B),
+    "r(AB)": lambda A, B: spectral_radius(A @ B),
 }
 
 _PRODUCT_REFERENCE = {

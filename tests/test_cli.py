@@ -15,6 +15,7 @@ from specbound import (
     lookup,
     oracle_radii,
     save_matrix,
+    spectral_radius,
 )
 from specbound.cli import _parse_series, _sweep_config, build_parser, main
 
@@ -37,11 +38,32 @@ def diag_pair(tmp_path):
 
 @pytest.fixture
 def shift_pair(tmp_path):
+    """0.9 S and 0.9 S^T, S the 2x2 shift: AB = diag(0.81, 0)."""
     a = tmp_path / "s.mat"
     b = tmp_path / "st.mat"
-    save_matrix(a, np.array([[0, 1], [0, 0]], dtype=complex))
-    save_matrix(b, np.array([[0, 0], [1, 0]], dtype=complex))
+    save_matrix(a, np.array([[0, 0.9], [0, 0]], dtype=complex))
+    save_matrix(b, np.array([[0, 0], [0.9, 0]], dtype=complex))
     return str(a), str(b)
+
+
+def exit_code(argv):
+    """`main`'s exit code, also when argparse exits on a bad option."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def table_values(out):
+    """The value of each available bound and oracle of a table report."""
+    values = {}
+    for line in out.splitlines():
+        if line.startswith("oracle r["):
+            values[line.split(" = ")[0][7:]] = float(line.split(" = ")[1].split()[0])
+        elif "unavailable" not in line and not line.startswith("minimum"):
+            name, _, value = line.split()
+            values[name] = float(value)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +86,8 @@ def test_bound_pair_geometric(diag_pair, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "pair-squares" in out
-    assert "holder-geo(p=1.5)" in out and "holder-geo(p=3)" in out
-    assert "holder-geo(p=2)" not in out  # pair-squares is that row
+    assert "product-radius" in out and "factor-radius" in out
+    assert "holder-geo" not in out  # the Hölder forms are not rows
     assert "1.44337567" in out
     assert "1.42857142" in out  # oracle r[f(AB)]
 
@@ -77,8 +99,15 @@ def test_bound_noncommuting_pair_exits_3(shift_pair, capsys):
     assert code == 3
     assert "does not commute" in captured.err
     assert "||AB-BA||" in captured.err
-    # the norm-only results are still reported
+    assert "below oracle" not in captured.err
+    # the norm-only results are still reported, and the product row bounds
+    # r[f(AB)] with r(AB) = 0.81: the minimum names it
     assert "pm-quadratic(+)" in captured.out
+    values = table_values(captured.out)
+    assert values["product-radius"] >= values["r[f(AB)]"] - 1e-8
+    assert values["product-radius"] == pytest.approx(1 / (1 - 0.81), abs=1e-9)
+    assert "minimum [f(AB)] = 5.263157894" in captured.out
+    assert captured.out.rstrip().endswith("from product-radius")
 
 
 @pytest.mark.parametrize("n", [20, 40])
@@ -86,7 +115,8 @@ def test_bound_below_its_own_oracle_exits_1(tmp_path, capsys, n):
     # A = 0.99 J and B = 0.99 (J + E), J the upper shift and E = 1e-11 in
     # entry (n, 1), pass the commutator test but do not commute: r(A) = 0
     # while r(B) is about 0.99 * 1e-11^(1/n), so the rows built on the radii
-    # fall below r[f(AB)] (1.0844 at n = 20, 1.3817 at n = 40).
+    # fall below r[f(AB)] (1.0844 at n = 20, 1.3817 at n = 40). The product
+    # row, on r(AB), meets r[f(AB)] from 80-digit mpmath eigenvalues of AB.
     J = np.diag(np.ones(n - 1), 1).astype(complex)
     E = np.zeros((n, n), dtype=complex)
     E[n - 1, 0] = 1e-11
@@ -98,9 +128,12 @@ def test_bound_below_its_own_oracle_exits_1(tmp_path, capsys, n):
     captured = capsys.readouterr()
     assert code == 1
     assert "oracle r[f(AB)]" in captured.out  # the report is written first
+    assert "error: factor-radius = " in captured.err
     assert "error: pair-squares = " in captured.err
     assert "is below oracle r[f(AB)]" in captured.err
     assert "norm-split" not in captured.err
+    exact = {20: 1.0844247557, 40: 1.3816538415}[n]
+    assert table_values(captured.out)["product-radius"] == pytest.approx(exact, rel=1e-9)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -198,6 +231,24 @@ def test_bound_oracle_reuses_the_report_norm(lapack_work, diag_pair, capsys,
     assert lapack_work["svd_calls"] == 1
 
 
+def test_bound_pair_shares_the_eigensolve_of_ab(lapack_work, tmp_path, capsys):
+    # r(A), r(B) and r(AB) in best_bound's eigensolve; r(AB+BA), r(AB-BA)
+    # and r of f(AB)'s truncation in the oracle's. The oracle of AB is the
+    # product row's r(AB), bit for bit, and a lone eigensolve of AB gives it.
+    A, B = gen_commuting_pair(InstanceSpec(11, "commuting-polynomial-pair", 6, 0.7))
+    paths = [str(tmp_path / "a.mat"), str(tmp_path / "b.mat")]
+    for path, M in zip(paths, (A, B)):
+        save_matrix(path, M)
+    code = main(["bound", "--series", "exp", "--format", "structured",
+                 "--matrix", paths[0], "--matrix", paths[1]])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert lapack_work["eig"] == 6 and lapack_work["eig_calls"] == 2
+    product = next(r for r in doc["results"] if r["name"] == "product-radius")
+    assert doc["oracles"]["AB"][0] == product["intermediates"]["r(AB)"]
+    assert doc["oracles"]["AB"] == [spectral_radius(A @ B), 0.0]
+
+
 def test_bound_product_overflow_exits_2(tmp_path, capsys):
     a, b = tmp_path / "a.mat", tmp_path / "b.mat"
     save_matrix(a, np.diag([1e160, 1.0]).astype(complex))
@@ -257,11 +308,12 @@ def test_bound_too_many_matrices_exits_2(zero2, capsys):
     (["--tol", "inf"], (1, 2)),
 ], ids=["p=1", "p=inf", "p=nan", "tol=-1", "tol=nan", "p=2,2.0", "tol=inf"])
 def test_bound_bad_exponent_or_tolerance_exits_2(tmp_path, capsys, option, modes, scale):
+    # --p is no longer an option: argparse rejects it
     path = str(tmp_path / "d.mat")
     save_matrix(path, np.diag([scale, 0.5]).astype(complex))
     for count in modes:
-        code = main(["bound", "--series", "geometric", *option,
-                     *["--matrix", path] * count])
+        code = exit_code(["bound", "--series", "geometric", *option,
+                          *["--matrix", path] * count])
         assert code == 2, (option, count)
         assert "error" in capsys.readouterr().err
 
@@ -303,11 +355,12 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["--dims", ","], ["--series", ","], ["--trials", "-3"], ["--families", ","],
     ["--families", "bogus"], ["--dims", "0"], ["--trials", "0"], ["--p", "0.5"],
-    ["--p", "2,2.0"], ["--tol", "-1"], ["--tol", "0"], ["--tol", "nan"],
+    ["--p", "2"], ["--tol", "-1"], ["--tol", "0"], ["--tol", "nan"],
     ["--tol", "inf"], ["--seed", "-1"],
 ])
 def test_sweep_with_nothing_to_cycle_exits_2(tmp_path, capsys, command, args):
-    code = main([command, *args, "--out", str(tmp_path / "r")])
+    # --p, no longer an option, is rejected by argparse
+    code = exit_code([command, *args, "--out", str(tmp_path / "r")])
     assert code == 2
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()  # fails before writing anything

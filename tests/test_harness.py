@@ -7,7 +7,6 @@ import pytest
 
 from specbound import (
     FAMILIES_PAIR,
-    BadExponent,
     BoundResult,
     FAMILIES_SINGLE,
     GenerationFailure,
@@ -129,20 +128,25 @@ def test_pair_generator_computes_each_norm_once(lapack_work, family, svds):
 def test_pair_trial_svd_count(lapack_work, family, svds):
     # The generator's norms, then best_bound's 9 in one call, whose
     # commutator test is the only one the trial runs; the oracle reads
-    # ||AB|| from the report and takes its four radii in one call.
+    # ||AB|| and r(AB) from the report and takes its other three radii in
+    # one call.
     config = SweepConfig(families=(family,), trials=20, dims=(8,), seed=5)
     for i in range(config.trials):
         run_trial(config, family, 0, i)
     assert lapack_work["svd"] == 20 * svds
     assert lapack_work["svd_calls"] == 20 * (svds - 8)
     assert lapack_work["eig_calls"] == 20 * 2  # best_bound's, the oracle's
+    assert lapack_work["eig"] == 20 * 6
 
 
 def test_pair_oracle_is_one_eigensolve_call(lapack_work):
     A, B = gen_commuting_pair(spec("commuting-polynomial-pair", dim=8))
     f = lookup("exp")
-    oracles = oracle_radii(f, Invariants(A, B))
-    assert lapack_work["eig"] == 4 and lapack_work["eig_calls"] == 1
+    v = Invariants(A, B)
+    v["r(AB)"]  # best_bound's eigensolve, with r(A) and r(B)
+    lapack_work.update(dict.fromkeys(lapack_work, 0))
+    oracles = oracle_radii(f, v)
+    assert lapack_work["eig"] == 3 and lapack_work["eig_calls"] == 1
     # Bit for bit the one-target-at-a-time formulas.
     AB, BA = A @ B, B @ A
     S, tail = _series_at_norm(f, AB, operator_norm(AB), DEFAULT_TOL)
@@ -257,14 +261,6 @@ def test_sweep_config_rejects_dims_instance_spec_rejects(dims):
         small_config(dims=dims)
 
 
-@pytest.mark.parametrize("p_grid, match", [
-    ((0.5,), "1 < p < inf"), ((2.0, 3.0, 2), "p=2 is given twice"),
-])
-def test_sweep_config_checks_the_exponent_grid(p_grid, match):
-    with pytest.raises(BadExponent, match=match):
-        small_config(p_grid=p_grid)
-
-
 def test_sweep_has_no_violations_and_full_records():
     records = run_sweep(small_config())
     assert len(records) == 20
@@ -272,7 +268,8 @@ def test_sweep_has_no_violations_and_full_records():
         assert not record.violation
         assert "f(AB)" in record.oracles
         names = {b.name for b in record.bounds}
-        assert "pair-squares" in names and "pm-quadratic(+)" in names
+        assert {"pair-squares", "pm-quadratic(+)", "product-radius",
+                "factor-radius"} <= names
         for b in record.bounds:
             if b.available:
                 assert b.value >= 0
