@@ -6,6 +6,11 @@ Subcommands:
            truncation certificates and the norm-only bounds
   compare  emit per-bound tightness statistics as plot-ready CSV
 
+`verify` and `compare` run their trials (and `verify` its checks) on
+one worker process per CPU the process's affinity allows;
+`taskset -c 0` runs them in-process. The reports, exit codes and error
+messages are the same either way.
+
 Exit codes: 0 success, 1 a violation or failed check (verify, compare),
 or a bound below its oracle (bound, which names each such bound after
 writing its report), 2 structural error (bad file or option value,
@@ -179,22 +184,26 @@ def _sweep_config(args) -> harness.SweepConfig:
     )
 
 
-def _sweep(args) -> tuple[harness.SweepConfig, Path, list[harness.TrialRecord]]:
-    """The config of `verify` or `compare`, its --out directory (made only
-    once the options are valid) and the sweep's records."""
+def _sweep(args) -> tuple[harness.SweepConfig, Path]:
+    """The config of `verify` or `compare` and its --out directory, made
+    only once the options are valid."""
     config = _sweep_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return config, out_dir, harness.run_sweep(config)
+    return config, out_dir
 
 
 def cmd_verify(args) -> int:
-    config, out_dir, records = _sweep(args)
+    config, out_dir = _sweep(args)
+    # The checks run with the trials, on the same workers.
+    *records, limit_checks, pm_checks = harness.run_sweep(
+        config,
+        (harness.run_limit_checks, (args.seed, min(args.trials, 300), config.dims)),
+        (harness.run_pm_checks, (args.seed, 500, config.dims)),
+    )
     harness.write_trials_csv(records, out_dir / "trials.csv")
     sweep_summary = harness.summarize(records)
-    check_trials = min(args.trials, 300)
-    checks = harness.run_limit_checks(args.seed, check_trials, config.dims)
-    checks.update(harness.run_pm_checks(args.seed, dims=config.dims))  # 500 trials
+    checks = {**limit_checks, **pm_checks}
     all_checks_pass = all(c.passed for c in checks.values())
     passed = sweep_summary["violations"] == 0 and all_checks_pass
     summary = {
@@ -213,8 +222,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _, out_dir, records = _sweep(args)
-    summary = harness.summarize(records)
+    config, out_dir = _sweep(args)
+    summary = harness.summarize(harness.run_sweep(config))
     path = out_dir / "compare.csv"
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")

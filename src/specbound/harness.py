@@ -9,6 +9,11 @@ A sweep evaluates every applicable bound against a brute-force oracle
 (dense eigensolve of the certified truncated series) and flags any bound
 that dips below oracle minus slack, where slack accounts for both
 floating-point rounding and the oracle's own truncation error.
+
+`run_jobs` runs a sweep's trials, in chunks, and `verify`'s checks on one
+forked worker process per CPU the process's affinity allows. With one
+CPU (`taskset -c 0`) or off Linux it runs them in-process, the only mode
+in which a tracer that wraps this package's functions sees their work.
 """
 
 from __future__ import annotations
@@ -16,10 +21,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import statistics
+import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,13 +37,13 @@ from .matrices import (
     Matrix,
     _series_at_norm,
     operator_norm,
+    operator_norms,
     series_partial_sum,
     spectral_radii,
 )
 from .series import (
     DEFAULT_TOL,
     PowerSeries,
-    from_coefficients,
     lookup,
     truncation_order,
 )
@@ -121,6 +129,15 @@ def gen_matrix(spec: InstanceSpec) -> Matrix:
     raise UnknownFamily(f"unknown single-matrix family {spec.family!r}")
 
 
+def _cubic(c: np.ndarray, M: Matrix) -> Matrix:
+    """c[0] I + c[1] M + c[2] M^2 + c[3] M^3 by Horner's rule."""
+    eye = np.eye(len(M), dtype=np.complex128)
+    S = c[3] * eye
+    for ck in c[2::-1]:
+        S = ck * eye + M @ S
+    return S
+
+
 def gen_commuting_pair(spec: InstanceSpec) -> tuple[Matrix, Matrix]:
     """A commuting pair, each factor scaled to the target norm.
 
@@ -137,8 +154,7 @@ def gen_commuting_pair(spec: InstanceSpec) -> tuple[Matrix, Matrix]:
         M = _scaled(_ginibre(rng, n), 1.0)
         ca = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         cb = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        A = series_partial_sum(from_coefficients(ca), M, len(ca) - 1)
-        B = series_partial_sum(from_coefficients(cb), M, len(cb) - 1)
+        A, B = _cubic(ca, M), _cubic(cb, M)
     else:
         U = _haar_unitary(rng, n)
         da = rng.uniform(0.2, 1.0, n) * np.exp(
@@ -149,7 +165,8 @@ def gen_commuting_pair(spec: InstanceSpec) -> tuple[Matrix, Matrix]:
         )
         A = U @ np.diag(da) @ U.conj().T
         B = U @ np.diag(db) @ U.conj().T
-    return _scaled(A, spec.norm_target), _scaled(B, spec.norm_target)
+    norm_A, norm_B = operator_norms(np.stack((A, B))).tolist()
+    return A * (spec.norm_target / norm_A), B * (spec.norm_target / norm_B)
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +192,19 @@ class SweepConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if not (self.series_names and self.families and self.dims) or self.trials < 0:
-            raise ValueError(
-                "a sweep needs a series, a family, a dimension and trials >= 0"
-            )
+        if not (self.series_names and self.families and self.dims):
+            raise ValueError("a sweep needs a series, a family and a dimension")
+        # type() is int, as for dims: True is a bool, not 1 trial or seed 1.
+        if not all(type(x) is int and x >= 0 for x in (self.trials, self.seed)):
+            raise ValueError(f"trials and seed must be ints >= 0, got "
+                             f"trials={self.trials!r}, seed={self.seed!r}")
         unknown = [f for f in self.families if f not in FAMILIES_SINGLE + FAMILIES_PAIR]
         if unknown:
             raise UnknownFamily(f"unknown families {unknown}")
         if not all(type(d) is int and d >= 1 for d in self.dims):  # as InstanceSpec
             raise ValueError(f"dimensions must be ints >= 1, got {self.dims}")
-        if not (0 < self.tol < math.inf) or self.seed < 0:
-            raise ValueError(f"need 0 < tol < inf and seed >= 0, got tol={self.tol}, "
-                             f"seed={self.seed}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"need 0 < tol < inf, got tol={self.tol}")
         for name in self.series_names:  # ValueError on a bad series name
             lookup(name)
 
@@ -296,13 +314,110 @@ def run_trial(
     return TrialRecord(spec, name, oracles, report.results, tightness, bool(low))
 
 
-def run_sweep(config: SweepConfig) -> list[TrialRecord]:
-    """Run every trial of the sweep; records come back in seed order."""
-    return [
-        run_trial(config, family, fi, i)
-        for fi, family in enumerate(config.families)
-        for i in range(config.trials)
-    ]
+# ---------------------------------------------------------------------------
+# Running jobs on every CPU
+# ---------------------------------------------------------------------------
+
+# One unit of work: fn(*args).
+Job = tuple[Callable[..., Any], tuple]
+
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 off Linux, which runs jobs in-process."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+
+
+def _worker(conn, jobs: Sequence[Job]) -> None:
+    """Run the jobs whose indices arrive on `conn` and send back (exception,
+    result) for each. The jobs come with the fork, so only indices and
+    results cross the pipe. Ctrl-C is the parent's to handle."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        fn, args = jobs[conn.recv()]
+        try:
+            conn.send((None, fn(*args)))
+        except Exception as exc:
+            conn.send((exc, None))
+
+
+def run_jobs(jobs: Sequence[Job]) -> list:
+    """[fn(*args) for fn, args in jobs], with the jobs spread over
+    `fork`-started worker processes, one per CPU of the process's affinity
+    set. With one CPU (`taskset -c 0`), off Linux or with other threads
+    running they run in-process, where a failing job also shows its whole
+    traceback.
+
+    Jobs start from the end of the list, so callers put their longest jobs
+    last. Results are pickled back and keep the jobs' order. A job that
+    raises re-raises here with its type and message; when several do, the
+    first in list order wins, as in-process. Every worker has exited when
+    this returns or raises.
+    """
+    workers = min(_cpus(), len(jobs))
+    # A fork copies only this thread, so a lock another thread holds would
+    # stay held in the workers. Fork, not spawn: a spawned worker would
+    # import numpy and this package again, with cold series caches.
+    if workers <= 1 or threading.active_count() > 1:
+        return [fn(*args) for fn, args in jobs]
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    todo = list(range(len(jobs)))
+    done, busy, procs, conns = {}, {}, [], []
+    try:
+        for _ in range(workers):
+            conn, child_conn = ctx.Pipe()
+            procs.append(ctx.Process(target=_worker, args=(child_conn, jobs)))
+            procs[-1].start()
+            child_conn.close()
+            conns.append(conn)
+        idle = conns
+        while todo or busy:
+            for conn in idle[:len(todo)]:
+                busy[conn] = todo.pop()
+                conn.send(busy[conn])
+            idle = wait(list(busy))
+            for conn in idle:
+                try:
+                    done[busy.pop(conn)] = conn.recv()
+                except EOFError:
+                    raise RuntimeError("a worker process died") from None
+    finally:
+        # Idle workers wait for an index that never comes; after an error
+        # here, busy ones run jobs whose results no one reads.
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+        for conn in conns:
+            conn.close()
+    outcomes = [done[i] for i in range(len(jobs))]
+    for exc, _ in outcomes:
+        if exc is not None:
+            raise exc
+    return [result for _, result in outcomes]
+
+
+def _run_trials(config: SweepConfig, family: str, family_index: int,
+                indices: range) -> list[TrialRecord]:
+    return [run_trial(config, family, family_index, i) for i in indices]
+
+
+_CHUNK_TRIALS = 25
+
+
+def run_sweep(config: SweepConfig, *extra: Job) -> list:
+    """Run every trial of the sweep with `run_jobs`, in chunks of one
+    family's trials; records come back in seed order. The results of the
+    `extra` jobs, run in the same call after the trials, follow them."""
+    trials = range(config.trials)
+    chunks = [(_run_trials, (config, family, fi, trials[start:start + _CHUNK_TRIALS]))
+              for fi, family in enumerate(config.families)
+              for start in trials[::_CHUNK_TRIALS]]
+    results = run_jobs([*chunks, *extra])
+    return [r for chunk in results[:len(chunks)] for r in chunk] + results[len(chunks):]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,17 @@
 
 import csv
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specbound
+import specbound.harness as harness_mod
 from specbound import (
     InstanceSpec,
     SweepConfig,
@@ -349,6 +356,39 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
     assert main(["verify", *_VERIFY_ARGS, "--out", str(out2)]) == 0
     assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+@pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                    reason="worker processes need Linux and two CPUs")
+def test_verify_reports_match_on_one_cpu(tmp_path, capsys):
+    # Worker processes here; in-process in a subprocess pinned to one CPU.
+    args = ["verify", *_VERIFY_ARGS, "--trials", "30"]
+    assert main([*args, "--out", str(tmp_path / "many")]) == 0
+    assert multiprocessing.active_children() == []
+    pin_and_run = ("import os, sys; from specbound.cli import main; "
+                   "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                   "sys.exit(main(sys.argv[1:]))")
+    src = str(Path(specbound.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", pin_and_run, *args,
+                    "--out", str(tmp_path / "one")],
+                   check=True, capture_output=True, env={**os.environ, "PYTHONPATH": src})
+    for name in ("trials.csv", "summary.json"):
+        assert (tmp_path / "many" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_verify_generation_failure_exits_2_with_the_in_process_message(
+        tmp_path, capsys, monkeypatch):
+    # Patched before the workers fork, so they inherit it.
+    S = np.array([[0, 1], [0, 0]], dtype=complex)
+    monkeypatch.setattr(harness_mod, "gen_commuting_pair", lambda spec: (S, S.T))
+    args = ["verify", *_VERIFY_ARGS, "--out", str(tmp_path / "r")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InstanceSpec(") and "not a commuting pair" in err
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(harness_mod, "_cpus", lambda: 1)
+    assert main(args) == 2
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("command", ["verify", "compare"])

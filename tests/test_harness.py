@@ -1,6 +1,10 @@
-"""Instance generation, sweeps, and report determinism."""
+"""Instance generation, sweeps, the job runner, and report determinism."""
 
 import math
+import multiprocessing
+import os
+import signal
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from specbound.harness import (
     _judged,
     _scaled,
     oracle_radii,
+    run_jobs,
     run_limit_checks,
     run_pm_checks,
     run_trial,
@@ -115,11 +120,12 @@ def test_pair_families_commute_and_hit_target(family):
     "family, svds", [("commuting-polynomial-pair", 3), ("commuting-triangular-pair", 2)]
 )
 def test_pair_generator_computes_each_norm_once(lapack_work, family, svds):
-    # M's norm (polynomial only), then ||A|| and ||B|| once each; the
-    # commutator test is left to best_bound.
+    # M's norm (polynomial only), then ||A|| and ||B|| once each, in one
+    # call; the commutator test is left to best_bound.
     for seed in range(20):
         gen_commuting_pair(spec(family, seed=seed, dim=8))
     assert lapack_work["svd"] == 20 * svds
+    assert lapack_work["svd_calls"] == 20 * (svds - 1)
 
 
 @pytest.mark.parametrize(
@@ -134,7 +140,7 @@ def test_pair_trial_svd_count(lapack_work, family, svds):
     for i in range(config.trials):
         run_trial(config, family, 0, i)
     assert lapack_work["svd"] == 20 * svds
-    assert lapack_work["svd_calls"] == 20 * (svds - 8)
+    assert lapack_work["svd_calls"] == 20 * (svds - 9)
     assert lapack_work["eig_calls"] == 20 * 2  # best_bound's, the oracle's
     assert lapack_work["eig"] == 20 * 6
 
@@ -261,6 +267,16 @@ def test_sweep_config_rejects_dims_instance_spec_rejects(dims):
         small_config(dims=dims)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("trials", 2.5), ("trials", True), ("trials", -1), ("trials", np.int64(2)),
+    ("seed", 1.5), ("seed", True), ("seed", -1), ("seed", np.int64(2)),
+])
+def test_sweep_config_rejects_non_int_trials_and_seed(field, value):
+    # at construction, as for dims: not at the first trial, inside a worker
+    with pytest.raises(ValueError, match="trials and seed must be ints >= 0"):
+        small_config(**{field: value})
+
+
 def test_sweep_has_no_violations_and_full_records():
     records = run_sweep(small_config())
     assert len(records) == 20
@@ -282,6 +298,14 @@ def test_single_mode_sweep():
         assert not record.violation
         assert set(record.oracles) == {"f(T)"}
         assert [b.name for b in record.bounds] == ["companion-radius"]
+
+
+def test_sweep_records_come_back_in_seed_order():
+    # two chunks per family, against the trials run one by one in-process
+    config = small_config(trials=30, dims=(2,))
+    expected = [run_trial(config, family, fi, i)
+                for fi, family in enumerate(config.families) for i in range(30)]
+    assert run_sweep(config) == expected
 
 
 def test_sweep_determinism_and_csv_bytes(tmp_path):
@@ -363,6 +387,76 @@ def test_judge_flags_a_non_finite_oracle(oracle, violation):
         violation=bool(low),
     )
     assert summarize([record])["violations"] == int(violation)
+
+
+# ---------------------------------------------------------------------------
+# Job runner
+# ---------------------------------------------------------------------------
+
+needs_cpus = pytest.mark.skipif(
+    sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+    reason="worker processes need Linux and two CPUs",
+)
+
+
+def _fail(message):
+    raise GenerationFailure(message)
+
+
+def _interrupt_self():
+    os.kill(os.getpid(), signal.SIGINT)
+    return "ignored"
+
+
+@needs_cpus
+def test_run_jobs_forks_workers_and_keeps_order():
+    assert os.getpid() not in run_jobs([(os.getpid, ())] * 4)
+    assert run_jobs([(pow, (i, 2)) for i in range(9)]) == [i * i for i in range(9)]
+    assert multiprocessing.active_children() == []
+
+
+def test_run_jobs_on_one_cpu_runs_in_process(monkeypatch):
+    import specbound.harness as harness_mod
+
+    monkeypatch.setattr(harness_mod, "_cpus", lambda: 1)
+    assert run_jobs([(os.getpid, ())] * 3) == [os.getpid()] * 3
+
+
+def test_run_jobs_with_another_thread_runs_in_process():
+    # a fork copies only the calling thread, not the locks the other one holds
+    import threading
+
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert run_jobs([(os.getpid, ())] * 3) == [os.getpid()] * 3
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@needs_cpus
+def test_run_jobs_raises_the_first_failure_in_list_order():
+    # The last job starts first, yet the first failing job in list order
+    # is the one raised, with its own type and message.
+    jobs = [(pow, (2, 3)), (_fail, ("first",)), (pow, (2, 4)), (_fail, ("last",))]
+    with pytest.raises(GenerationFailure, match="^first$"):
+        run_jobs(jobs)
+    assert multiprocessing.active_children() == []
+
+
+@needs_cpus
+def test_run_jobs_workers_ignore_sigint():
+    assert run_jobs([(_interrupt_self, ())] * 3) == ["ignored"] * 3
+
+
+@needs_cpus
+def test_run_jobs_reports_a_dead_worker():
+    with pytest.raises(RuntimeError, match="a worker process died"):
+        run_jobs([(os._exit, (3,)), (pow, (2, 2))])
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
