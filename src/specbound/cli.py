@@ -15,14 +15,16 @@ Exit codes: 0 success, 1 a violation or failed check (verify, compare),
 or a bound below its oracle (bound, which names each such bound after
 writing its report), 2 structural error (bad file or option value,
 dimension mismatch, unknown or malformed name, a series truncation out
-of floating-point range), 3 non-commuting pair given to bound (its report
-is written first, with each bound that needs AB = BA unavailable).
+of floating-point range, a worker process that died), 3 non-commuting
+pair given to bound (its report is written first, with each bound that
+needs AB = BA unavailable).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -80,10 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--format", choices=("table", "csv", "structured"),
                     default="table")
     pb.add_argument("--out", default=None, help="write the report here instead of stdout")
-    pb.set_defaults(func=cmd_bound)
 
     sweep = harness.SweepConfig  # the defaults of both sweep commands
-    for name, func in (("verify", cmd_verify), ("compare", cmd_compare)):
+    for name in ("verify", "compare"):
         ps = sub.add_parser(name)
         ps.add_argument("--series", default=",".join(sweep.series_names),
                         help="comma-separated catalog names, 2F1:alpha,beta,gamma "
@@ -95,8 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
         ps.add_argument("--families", default=",".join(sweep.families))
         ps.add_argument("--seed", type=int, default=sweep.seed)
         ps.add_argument("--out", required=True, help="output directory")
-        ps.set_defaults(func=func)
     return parser
+
+
+# `main` only parses with it, so one parser serves every call.
+_parser = functools.cache(build_parser)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -195,14 +199,17 @@ def _sweep(args) -> tuple[harness.SweepConfig, Path]:
 
 def cmd_verify(args) -> int:
     config, out_dir = _sweep(args)
-    # The checks run with the trials, on the same workers.
-    *records, limit_checks, pm_checks = harness.run_sweep(
+    # The checks run with the trials, on the same workers, which send back
+    # report pieces, not records.
+    *pieces, limit_checks, pm_checks = harness.run_sweep(
         config,
         (harness.run_limit_checks, (args.seed, min(args.trials, 300), config.dims)),
         (harness.run_pm_checks, (args.seed, 500, config.dims)),
+        reduce=harness.report_piece,
     )
-    harness.write_trials_csv(records, out_dir / "trials.csv")
-    sweep_summary = harness.summarize(records)
+    harness.write_trials_csv("".join(rows for rows, _ in pieces),
+                             out_dir / "trials.csv")
+    sweep_summary = harness.summarize_tallies(tally for _, tally in pieces)
     checks = {**limit_checks, **pm_checks}
     all_checks_pass = all(c.passed for c in checks.values())
     passed = sweep_summary["violations"] == 0 and all_checks_pass
@@ -223,7 +230,8 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     config, out_dir = _sweep(args)
-    summary = harness.summarize(harness.run_sweep(config))
+    pieces = harness.run_sweep(config, reduce=harness.report_piece)
+    summary = harness.summarize_tallies(tally for _, tally in pieces)
     path = out_dir / "compare.csv"
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -237,10 +245,10 @@ def cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up now, so a wrapper bound in this module later is called
+        return globals()[f"cmd_{args.subcommand}"](args)
     except (SpecboundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ in which a tracer that wraps this package's functions sees their work.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -27,12 +28,12 @@ import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .bounds import BoundResult, Invariants, _PM_ROWS, _evaluate, best_bound
-from .errors import GenerationFailure, OutOfDisk, UnknownFamily
+from .errors import GenerationFailure, OutOfDisk, SpecboundError, UnknownFamily
 from .matrices import (
     Matrix,
     _series_at_norm,
@@ -383,8 +384,11 @@ def run_jobs(jobs: Sequence[Job]) -> list:
             for conn in idle:
                 try:
                     done[busy.pop(conn)] = conn.recv()
-                except EOFError:
-                    raise RuntimeError("a worker process died") from None
+                except EOFError:  # an OOM kill or a signal, say
+                    proc = procs[conns.index(conn)]
+                    proc.join()
+                    raise SpecboundError(
+                        f"a worker process died with exit code {proc.exitcode}") from None
     finally:
         # Idle workers wait for an index that never comes; after an error
         # here, busy ones run jobs whose results no one reads.
@@ -401,19 +405,23 @@ def run_jobs(jobs: Sequence[Job]) -> list:
 
 
 def _run_trials(config: SweepConfig, family: str, family_index: int,
-                indices: range) -> list[TrialRecord]:
-    return [run_trial(config, family, family_index, i) for i in indices]
+                indices: range, reduce: Callable[[Iterator], list]) -> list:
+    return reduce(run_trial(config, family, family_index, i) for i in indices)
 
 
 _CHUNK_TRIALS = 25
 
 
-def run_sweep(config: SweepConfig, *extra: Job) -> list:
+def run_sweep(config: SweepConfig, *extra: Job,
+              reduce: Callable[[Iterator], list] = list) -> list:
     """Run every trial of the sweep with `run_jobs`, in chunks of one
-    family's trials; records come back in seed order. The results of the
-    `extra` jobs, run in the same call after the trials, follow them."""
+    family's trials. Each chunk's records go to `reduce` in the worker,
+    which sends back only the list it returns; the lists come back joined
+    in seed order: the records themselves with `list`, or each chunk's
+    `report_piece`. The `extra` jobs' results, run after the trials, follow."""
     trials = range(config.trials)
-    chunks = [(_run_trials, (config, family, fi, trials[start:start + _CHUNK_TRIALS]))
+    chunks = [(_run_trials, (config, family, fi, trials[start:start + _CHUNK_TRIALS],
+                             reduce))
               for fi, family in enumerate(config.families)
               for start in trials[::_CHUNK_TRIALS]]
     results = run_jobs([*chunks, *extra])
@@ -456,68 +464,72 @@ def trial_rows(record: TrialRecord) -> list[list[str]]:
              _fmt(record.tightness.get(b.name)), violation] for b in record.bounds]
 
 
-def write_trials_csv(records: Sequence[TrialRecord], path: Union[str, Path]) -> None:
+def write_trials_csv(records: Union[str, Iterable[TrialRecord]],
+                     path: Union[str, Path]) -> None:
+    """Write `trials.csv`: the header, then the rows of `records`, or
+    `records` itself when it is the rows' text (joined `report_piece`s)."""
+    rows = records if isinstance(records, str) else report_piece(records)[0][0]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for record in records:
-            writer.writerows(trial_rows(record))
+        handle.write(",".join(_CSV_COLUMNS) + "\n" + rows)
 
 
-def summarize(records: Sequence[TrialRecord]) -> dict:
-    """Aggregate availability, tightness, and win statistics per bound.
-
-    A bound "wins" a trial when it attains the minimum among the
-    available bounds sharing its target quantity (ties count for all).
-    """
-    per_bound: dict[str, dict] = {}
-    violations = 0
-    for record in records:
-        if record.violation:
-            violations += 1
+def report_piece(records: Iterable[TrialRecord]) -> list[tuple[str, tuple]]:
+    """`run_sweep`'s reduction for the reports, strings and numbers only:
+    [(`trials.csv` rows, (trials, violations, {bound: [target, evaluated,
+    available, wins, tightness values]}))], made in one pass per record.
+    A bound "wins" a trial when it attains the minimum among the available
+    bounds sharing its target quantity (ties count for all)."""
+    rows = io.StringIO()
+    writer = csv.writer(rows, lineterminator="\n")
+    trials = violations = 0
+    per_bound: dict[str, list] = {}
+    for trials, record in enumerate(records, 1):
+        violations += record.violation
+        writer.writerows(trial_rows(record))
         floors: dict[str, float] = {}
         for b in record.bounds:
             if b.available:
-                cur = floors.get(b.target)
-                floors[b.target] = (
-                    b.value if cur is None else min(cur, b.value)
-                )
+                floors[b.target] = min(floors.get(b.target, math.inf), b.value)
         for b in record.bounds:
-            stat = per_bound.setdefault(b.name, {
-                "target": b.target,
-                "evaluated": 0,
-                "available": 0,
-                "wins": 0,
-                "tightness": [],
-            })
-            stat["evaluated"] += 1
+            stat = per_bound.setdefault(b.name, [b.target, 0, 0, 0, []])
+            stat[1] += 1
             if b.available:
-                stat["available"] += 1
+                stat[2] += 1
                 t = record.tightness.get(b.name)
                 if t is not None:
-                    stat["tightness"].append(t)
+                    stat[4].append(t)
                 if b.value <= floors[b.target] * (1.0 + _WIN_TIE_REL):
-                    stat["wins"] += 1
+                    stat[3] += 1
+    return [(rows.getvalue(), (trials, violations, per_bound))]
+
+
+def summarize_tallies(tallies: Iterable[tuple]) -> dict:
+    """Per-bound statistics of the trials whose `report_piece` tallies are `tallies`."""
+    trials = violations = 0
+    per_bound: dict[str, list] = {}
+    for chunk_trials, chunk_violations, bounds in tallies:
+        trials, violations = trials + chunk_trials, violations + chunk_violations
+        for name, stat in bounds.items():
+            total = per_bound.setdefault(name, [stat[0], 0, 0, 0, []])
+            for k in range(1, 5):  # the counts add, the tightness lists join
+                total[k] += stat[k]
     summary_bounds = {}
     for name in sorted(per_bound):
-        stat = per_bound[name]
-        ts = stat["tightness"]
+        target, evaluated, available, wins, ts = per_bound[name]
         summary_bounds[name] = {
-            "target": stat["target"],
-            "evaluated": stat["evaluated"],
-            "available": stat["available"],
-            "availability_rate": stat["available"] / stat["evaluated"],
-            "wins": stat["wins"],
-            "win_rate": stat["wins"] / stat["evaluated"],
+            "target": target, "evaluated": evaluated, "available": available,
+            "availability_rate": available / evaluated,
+            "wins": wins, "win_rate": wins / evaluated,
             "tightness_mean": statistics.fmean(ts) if ts else None,
             "tightness_median": statistics.median(ts) if ts else None,
             "tightness_max": max(ts) if ts else None,
         }
-    return {
-        "trials": len(records),
-        "violations": violations,
-        "bounds": summary_bounds,
-    }
+    return {"trials": trials, "violations": violations, "bounds": summary_bounds}
+
+
+def summarize(records: Iterable[TrialRecord]) -> dict:
+    """The `summary.json` statistics of `records`, as `verify` writes them."""
+    return summarize_tallies(tally for _, tally in report_piece(records))
 
 
 def write_summary_json(summary: dict, path: Union[str, Path]) -> None:

@@ -24,6 +24,7 @@ from specbound import (
     save_matrix,
     spectral_radius,
 )
+from specbound import cli
 from specbound.cli import _parse_series, _sweep_config, build_parser, main
 
 
@@ -462,6 +463,43 @@ def test_bound_csv_is_the_bound_columns_of_trials_csv(tmp_path, capsys):
                  "--matrix", paths[0], "--matrix", paths[1]]) == 0
     expected = [header[first:last]] + [row[first:last] for row in rows]
     assert list(csv.reader(capsys.readouterr().out.splitlines())) == expected
+
+
+def test_back_to_back_main_calls_match_fresh_ones(diag_pair, zero2, tmp_path, capsys):
+    # `main` parses every call with one parser: nothing of a call may leak
+    # into the next, such as a --matrix list appended to.
+    calls = [["bound", "--series", "exp", "--matrix", diag_pair[0],
+              "--matrix", diag_pair[1]],
+             ["bound", "--series", "exp", "--matrix", zero2],
+             ["verify", *_VERIFY_ARGS]]
+
+    def run(argv, out, fresh):
+        if fresh:
+            cli._parser.cache_clear()
+        code = main([*argv, "--out", str(out)])
+        text = (out / "trials.csv").read_bytes() if out.is_dir() else out.read_bytes()
+        return code, capsys.readouterr(), text
+
+    back_to_back = [run(argv, tmp_path / f"b{i}", False) for i, argv in enumerate(calls)]
+    assert cli._parser() is cli._parser()
+    fresh = [run(argv, tmp_path / f"f{i}", True) for i, argv in enumerate(calls)]
+    assert [code for code, *_ in back_to_back] == [0, 0, 0]
+    assert [(code, text) for code, _, text in back_to_back] == [
+        (code, text) for code, _, text in fresh]
+    assert [out.err for _, out, _ in back_to_back] == [out.err for _, out, _ in fresh]
+    # a caller may change what build_parser returns without changing main's
+    assert build_parser() is not build_parser()
+    assert build_parser() is not cli._parser()
+
+
+@pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                    reason="worker processes need Linux and two CPUs")
+def test_verify_dead_worker_exits_2_naming_its_exit_code(tmp_path, capsys, monkeypatch):
+    # An OOM kill or a signal: the worker is gone without a word.
+    monkeypatch.setattr(harness_mod, "run_trial", lambda *args: os._exit(9))
+    assert main(["verify", *_VERIFY_ARGS, "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == "error: a worker process died with exit code 9\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_defaults_match_sweep_config():

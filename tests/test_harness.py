@@ -3,7 +3,9 @@
 import math
 import multiprocessing
 import os
+import pickle
 import signal
+import statistics
 import sys
 
 import numpy as np
@@ -15,6 +17,7 @@ from specbound import (
     FAMILIES_SINGLE,
     GenerationFailure,
     InstanceSpec,
+    SpecboundError,
     SweepConfig,
     TrialRecord,
     UnknownFamily,
@@ -37,10 +40,12 @@ from specbound.harness import (
     _judged,
     _scaled,
     oracle_radii,
+    report_piece,
     run_jobs,
     run_limit_checks,
     run_pm_checks,
     run_trial,
+    summarize_tallies,
 )
 from specbound.matrices import _series_at_norm
 from specbound.series import DEFAULT_TOL
@@ -371,6 +376,93 @@ def test_summarize_statistics():
     assert wins >= 20  # every trial has at least one winner (ties allowed)
 
 
+def _report_records():
+    """Sweep records with unavailable rows and None tightness (the zero
+    oracle of log-resolvent on nilpotent input), and hand-made trials
+    whose rows tie for a win, one of them a violation."""
+    records = run_sweep(small_config(
+        series_names=("log-resolvent", "geometric"),
+        families=("nilpotent", *FAMILIES_PAIR), trials=8))
+    oracles = {"AB": (0.5, 0.0), "f(AB)": (0.0, 0.0)}
+    for k, value in enumerate((1.0, 0.25, 0.6)):
+        bounds = [BoundResult("x", value, "AB"),
+                  BoundResult("y", value * (1 + 1e-13), "AB"),
+                  BoundResult("z", None, "f(AB)", reason="outside the disk")]
+        tightness, low = _judged(bounds, oracles)
+        records.append(TrialRecord(spec(FAMILIES_PAIR[0], seed=k), "exp",
+                                   oracles, bounds, tightness, bool(low)))
+    return records
+
+
+def _case_counts(records):
+    available = [(r, b) for r in records for b in r.bounds if b.available]
+    return (sum(not b.available for r in records for b in r.bounds),
+            sum(r.tightness.get(b.name) is None for r, b in available),
+            sum(r.violation for r in records))
+
+
+def _assert_summary_of(summary, records):
+    """Counts and tightness statistics read off the records one by one."""
+    assert (summary["trials"], summary["violations"]) == (
+        len(records), sum(r.violation for r in records))
+    for name, stat in summary["bounds"].items():
+        rows = [(r, b) for r in records for b in r.bounds if b.name == name]
+        ts = [r.tightness[name] for r, b in rows
+              if b.available and r.tightness.get(name) is not None]
+        assert (stat["evaluated"], stat["available"]) == (
+            len(rows), sum(b.available for _, b in rows))
+        assert (stat["tightness_median"], stat["tightness_max"]) == (
+            (statistics.median(ts), max(ts)) if ts else (None, None))
+
+
+@pytest.mark.parametrize("size", [1, 7, 25])
+def test_report_pieces_join_to_the_records_reports(size, tmp_path):
+    records = _report_records()
+    unavailable, no_tightness, violations = _case_counts(records)
+    assert unavailable and no_tightness and violations == 1
+    summary = summarize(records)
+    _assert_summary_of(summary, records)
+    assert summary["bounds"]["x"]["wins"] == summary["bounds"]["y"]["wins"] == 3
+    pieces = [piece for start in range(0, len(records), size)
+              for piece in report_piece(records[start:start + size])]
+    assert len(pieces) == math.ceil(len(records) / size)
+    assert summarize_tallies(tally for _, tally in pieces) == summary
+    write_trials_csv(records, tmp_path / "records.csv")
+    write_trials_csv("".join(rows for rows, _ in pieces), tmp_path / "pieces.csv")
+    assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "pieces.csv").read_bytes()
+
+
+@pytest.mark.parametrize("size", [1, 7, 25])
+def test_sweep_report_reduction_matches_records(size, monkeypatch):
+    # Chunks of `size` trials, run by the workers when there are CPUs for them.
+    import specbound.harness as harness_mod
+
+    monkeypatch.setattr(harness_mod, "_CHUNK_TRIALS", size)
+    config = small_config(series_names=("log-resolvent", "geometric"),
+                          families=("nilpotent", *FAMILIES_PAIR), trials=8)
+    records = run_sweep(config)
+    pieces = run_sweep(config, reduce=report_piece)
+    assert len(pieces) == 3 * math.ceil(8 / size)
+    assert summarize_tallies(tally for _, tally in pieces) == summarize(records)
+    assert "".join(rows for rows, _ in pieces) == report_piece(records)[0][0]
+    assert multiprocessing.active_children() == []
+
+
+def test_report_piece_holds_only_strings_and_numbers():
+    (piece,) = report_piece(_report_records())
+
+    def leaves(x):
+        if isinstance(x, (list, tuple)):
+            return [leaf for item in x for leaf in leaves(item)]
+        if isinstance(x, dict):
+            return leaves(list(x)) + leaves(list(x.values()))
+        return [x]
+
+    assert {type(leaf) for leaf in leaves(piece)} <= {str, int, float}
+    # so its pickle names no class of this package (no TrialRecord, no BoundResult)
+    assert b"specbound" not in pickle.dumps(piece)
+
+
 @pytest.mark.parametrize("oracle, violation", [
     ((1.0, 0.0), False), ((float("nan"), 0.0), True),
     ((float("inf"), 0.0), True), ((1.0, float("nan")), True),
@@ -454,7 +546,8 @@ def test_run_jobs_workers_ignore_sigint():
 
 @needs_cpus
 def test_run_jobs_reports_a_dead_worker():
-    with pytest.raises(RuntimeError, match="a worker process died"):
+    # an error of this package, so `main` prints it and exits 2
+    with pytest.raises(SpecboundError, match="^a worker process died with exit code 3$"):
         run_jobs([(os._exit, (3,)), (pow, (2, 2))])
     assert multiprocessing.active_children() == []
 
