@@ -99,8 +99,8 @@ class Invariants(dict):
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")  # checked below, by name
     def products(self) -> np.ndarray:
-        """A, B, AB, BA, A^2, B^2, AB^2, A^2B and AB-BA as one stack, in
-        the order of `_PRODUCTS`; NormOverflow if one is not finite."""
+        """A, B, AB, BA, A^2, B^2, AB^2, A^2B and AB-BA (stacks for stacked A, B)
+        as one stack, in the order of `_PRODUCTS`; NormOverflow if one is not finite."""
         A, B = self.A, self.B
         P = np.empty((len(_PRODUCTS), *A.shape), dtype=np.result_type(A, B))
         P[0], P[1] = A, B
@@ -108,7 +108,7 @@ class Invariants(dict):
             np.matmul(X, Y, out=P[i])
         np.matmul(P[2:5:2], B, out=P[6:8])  # AB^2 = (AB)B, A^2B = (AA)B
         np.subtract(P[2], P[3], out=P[8])
-        finite = np.isfinite(P).all(axis=(1, 2))
+        finite = np.isfinite(P.reshape(len(_PRODUCTS), -1)).all(axis=1)
         if not finite.all():
             bad = ", ".join(x for x, ok in zip(_PRODUCTS, finite) if not ok)
             raise NormOverflow(f"not finite: {bad}; normalize the pair first")

@@ -230,7 +230,8 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     config, out_dir = _sweep(args)
-    pieces = harness.run_sweep(config, reduce=harness.report_piece)
+    pieces = harness.run_sweep(  # tallies only: compare writes no trials.csv
+        config, reduce=functools.partial(harness.report_piece, rows=False))
     summary = harness.summarize_tallies(tally for _, tally in pieces)
     path = out_dir / "compare.csv"
     with open(path, "w", newline="", encoding="utf-8") as handle:

@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import BoundResult, Invariants, _PM_ROWS, _evaluate, best_bound
+from .bounds import BoundResult, Invariants, _PAIR_NORMS, _PM_ROWS, _evaluate, best_bound
 from .errors import GenerationFailure, OutOfDisk, SpecboundError, UnknownFamily
 from .matrices import (
     Matrix,
@@ -92,11 +92,12 @@ def _haar_unitary(rng: np.random.Generator, n: int) -> Matrix:
     return Q * (d / np.abs(d))
 
 
-def _scaled(M: Matrix, norm_target: float) -> Matrix:
-    nrm = operator_norm(M)
-    if nrm == 0.0:
-        return M
-    return M * (norm_target / nrm)
+def _scaled(M: Matrix, norm_target) -> Matrix:
+    """M times norm_target / ||M||, or each matrix of a (k, n, n) stack
+    times its own of k targets, from one SVD call; a zero matrix stays."""
+    nrm = operator_norms(M)
+    scale = np.divide(norm_target, nrm, out=np.ones_like(nrm), where=nrm != 0.0)
+    return M * scale[..., None, None]
 
 
 def gen_matrix(spec: InstanceSpec) -> Matrix:
@@ -473,19 +474,20 @@ def write_trials_csv(records: Union[str, Iterable[TrialRecord]],
         handle.write(",".join(_CSV_COLUMNS) + "\n" + rows)
 
 
-def report_piece(records: Iterable[TrialRecord]) -> list[tuple[str, tuple]]:
+def report_piece(records: Iterable[TrialRecord], rows=True) -> list[tuple[str, tuple]]:
     """`run_sweep`'s reduction for the reports, strings and numbers only:
-    [(`trials.csv` rows, (trials, violations, {bound: [target, evaluated,
-    available, wins, tightness values]}))], made in one pass per record.
-    A bound "wins" a trial when it attains the minimum among the available
-    bounds sharing its target quantity (ties count for all)."""
-    rows = io.StringIO()
-    writer = csv.writer(rows, lineterminator="\n")
+    [(`trials.csv` rows or "" if not `rows`, (trials, violations, {bound:
+    [target, evaluated, available, wins, tightness values]}))], in one pass
+    per record. A bound "wins" a trial when it attains the minimum among the
+    available bounds sharing its target quantity (ties count for all)."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
     trials = violations = 0
     per_bound: dict[str, list] = {}
     for trials, record in enumerate(records, 1):
         violations += record.violation
-        writer.writerows(trial_rows(record))
+        if rows:
+            writer.writerows(trial_rows(record))
         floors: dict[str, float] = {}
         for b in record.bounds:
             if b.available:
@@ -500,7 +502,7 @@ def report_piece(records: Iterable[TrialRecord]) -> list[tuple[str, tuple]]:
                     stat[4].append(t)
                 if b.value <= floors[b.target] * (1.0 + _WIN_TIE_REL):
                     stat[3] += 1
-    return [(rows.getvalue(), (trials, violations, per_bound))]
+    return [(text.getvalue(), (trials, violations, per_bound))]
 
 
 def summarize_tallies(tallies: Iterable[tuple]) -> dict:
@@ -597,19 +599,28 @@ def run_pm_checks(
     seed: int = 0, trials: int = 500, dims: Sequence[int] = (2, 4, 8)
 ) -> dict[str, CheckResult]:
     """Soundness of the norm-only bounds on r(AB +/- BA) for arbitrary
-    (generically non-commuting) random pairs, both signs."""
+    (generically non-commuting) random pairs, both signs. The pairs of one
+    dimension are scaled, multiplied and solved as one stack."""
     results = {"pm-quadratic": CheckResult(), "pm-mixed": CheckResult()}
+    drawn: dict[int, list] = {}  # dim -> [(G, norm target)], A then B of each pair
     for i in range(trials):
         rng = np.random.default_rng([seed, i, 4])
         n = dims[i % len(dims)]
-        A = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
-        B = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
-        # Both bounds are the same for either sign.
-        v = Invariants(A, B)
-        quad, mixed = (_evaluate(row, None, v, 0.0, {}) for row in _PM_ROWS[:2])
+        drawn.setdefault(n, []).extend(
+            (_ginibre(rng, n), rng.uniform(0.2, 2.0)) for _ in "AB")
+    for draws in drawn.values():
+        G, targets = zip(*draws)
+        AB = _scaled(np.stack(G), np.array(targets))
+        v = Invariants(AB[0::2], AB[1::2])  # a stack of pairs
         plus, minus = v.matrix("AB") + v.matrix("BA"), v.matrix("AB-BA")
-        for oracle in spectral_radii(np.stack((plus, minus))).tolist():
-            slack = _SLACK_REL * max(1.0, oracle)
-            results["pm-quadratic"].record(oracle - quad.value - slack)
-            results["pm-mixed"].record(oracle - mixed.value - slack)
+        radii = spectral_radii(np.stack((plus, minus))).T.tolist()
+        for k, oracles in enumerate(radii):
+            w = Invariants(v.A[k], v.B[k])
+            w.update((x, v[x][k]) for x in _PAIR_NORMS)  # one SVD call for all k
+            # Both bounds are the same for either sign.
+            quad, mixed = (_evaluate(row, None, w, 0.0, {}) for row in _PM_ROWS[:2])
+            for oracle in oracles:
+                slack = _SLACK_REL * max(1.0, oracle)
+                results["pm-quadratic"].record(oracle - quad.value - slack)
+                results["pm-mixed"].record(oracle - mixed.value - slack)
     return results

@@ -18,6 +18,7 @@ Each series is one `PowerSeries` named by one string: a catalog name,
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
@@ -41,11 +42,12 @@ class PowerSeries:
     is required and must return a certified upper bound on
     sum_{j>m} |a_j| x^j (math.inf when no certificate holds at that
     order). The order search finds the smallest certified order when that
-    bound is nonincreasing in m once finite, as every catalog tail is, and
-    a certified but maybe larger one otherwise. A catalog tail reads ln|a_n|
-    of the series it was built with (`log_abs`), so a copy given other
-    coefficients needs its own tail. `closed_form(x)`, when given, is the
-    companion's value in closed form.
+    bound is nonincreasing in m once finite and nondecreasing in x, as
+    every catalog tail is, and a certified but maybe larger one otherwise;
+    each object keeps the orders it certified (`_orders`) to bracket later
+    searches. A catalog tail reads ln|a_n| of the series it was built with
+    (`log_abs`), so a copy given other coefficients needs its own tail.
+    `closed_form(x)`, when given, is the companion's value in closed form.
     """
 
     coefficients: Callable[[int], tuple[np.ndarray, np.ndarray]]
@@ -55,6 +57,8 @@ class PowerSeries:
     closed_form: Optional[Callable[[float], float]] = field(default=None, repr=False)
     _prefix: list = field(init=False, repr=False, compare=False,
                           default_factory=lambda: [np.empty(0, complex), np.empty(0)])
+    # (tol, max_terms) -> (sorted [(x, order)], {order: (smallest x, largest x)})
+    _orders: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def prefix(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """a_0..a_m and ln|a_0|..ln|a_m|, kept on the object: `coefficients`
@@ -92,10 +96,15 @@ def _check_eval_args(f: PowerSeries, x: float, tol: float) -> None:
 def _order_and_tail(
     f: PowerSeries, x: float, tol: float, max_terms: int
 ) -> tuple[int, float]:
-    """Gallop over m = 0, 1, 3, 7, ..., max_terms to a tail <= tol, then
-    bisect; the arguments are checked first (OutOfDisk, ValueError)."""
+    """Gallop to a tail <= tol, then bisect, and record the order in
+    `f._orders`; the arguments are checked first (OutOfDisk, ValueError).
+    The order recorded at the nearest x below, less one, misses tol here too
+    (tails grow with x); the gallop starts at the one at the nearest x above."""
     _check_eval_args(f, x, tol)
-    fail, m = -1, 0  # fail: the largest order known to miss tol
+    seen, ends = f._orders.setdefault((tol, max_terms), ([], {}))
+    i, j = bisect.bisect(seen, (x, math.inf)), bisect.bisect(seen, (x, -1))
+    fail = seen[i - 1][1] - 1 if i else -1  # the largest order known to miss tol
+    m = seen[j][1] if j < len(seen) else fail + 1
     while not (t := f.tail_bound(m, x)) <= tol:
         if m >= max_terms:
             raise NoConvergence(f"{f.name}: no order up to {max_terms} "
@@ -107,14 +116,22 @@ def _order_and_tail(
             m, t = mid, t_mid
         else:
             fail = mid
+    lo, hi = ends.get(m, (math.inf, -math.inf))
+    if not lo <= x <= hi:
+        if lo < hi:  # the old end on x's side is now inside the range
+            seen.remove((lo if x < lo else hi, m))
+        ends[m] = (min(lo, x), max(hi, x))
+        bisect.insort(seen, (x, m))
     return m, t
 
 
 def truncation_order(
     f: PowerSeries, x: float, tol: float, max_terms: int = DEFAULT_MAX_TERMS
 ) -> int:
-    """Smallest m whose certified tail majorant at x is <= tol (see
-    `PowerSeries`), found in O(log m) tail evaluations."""
+    """Smallest m whose certified tail majorant at x is <= tol when that
+    majorant is nonincreasing in m and nondecreasing in x, as every catalog
+    tail is, else a certified m that may be larger (see `PowerSeries`);
+    found in O(log m) tail evaluations."""
     return _order_and_tail(f, x, tol, max_terms)[0]
 
 

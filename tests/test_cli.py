@@ -539,3 +539,13 @@ def test_compare_emits_plot_ready_csv(tmp_path, capsys):
     assert lines[0].startswith("bound,target,evaluated,available")
     assert any(line.startswith("pair-squares") for line in lines)
     assert any(line.startswith("companion-radius") for line in lines)
+
+
+def test_compare_formats_no_trial_rows(tmp_path, monkeypatch):
+    # compare writes only compare.csv, so its workers send back tallies and
+    # format no trials.csv row (the fork carries the patch into them).
+    def no_rows(record):
+        raise AssertionError("compare formatted a trials.csv row")
+
+    monkeypatch.setattr(harness_mod, "trial_rows", no_rows)
+    assert main(["compare", *_VERIFY_ARGS, "--out", str(tmp_path / "cmp")]) == 0

@@ -36,6 +36,7 @@ from specbound import (
 from specbound.bounds import Invariants
 from specbound.harness import (
     _SLACK_REL,
+    CheckResult,
     _ginibre,
     _judged,
     _scaled,
@@ -66,6 +67,14 @@ def test_single_families_hit_norm_target(family):
     T = gen_matrix(spec(family))
     assert T.shape == (4, 4)
     assert operator_norm(T) == pytest.approx(0.8, rel=1e-12)
+
+
+def test_scaled_scales_each_matrix_of_a_stack_and_leaves_zero_ones():
+    G = _ginibre(np.random.default_rng(0), 3)
+    S = _scaled(np.stack((G, 0 * G, 2 * G)), np.array([0.5, 0.7, 0.9]))
+    assert S[0].tobytes() == (G * (0.5 / operator_norm(G))).tobytes()
+    assert [operator_norm(M) for M in S] == pytest.approx([0.5, 0.0, 0.9])
+    assert np.array_equal(_scaled(np.zeros((1, 1), complex), 0.5), [[0]])
 
 
 def test_diagonal_positive_structure():
@@ -169,21 +178,37 @@ def test_pair_oracle_is_one_eigensolve_call(lapack_work):
     }
 
 
-def test_pm_check_oracles_match_the_per_sign_formula():
-    # The reference loop: r(AB + sign BA), one sign and one call at a time.
-    seed, trials, dims = 3, 12, (2, 4, 8)
-    worst = -math.inf
+def scaled_as_drawn(G, norm_target):
+    return G * (norm_target / operator_norm(G))
+
+
+def per_pair_pm_checks(seed, trials, dims):
+    """The pm check as a reference loop: one pair at a time, each factor
+    scaled by its own SVD call, both bounds from `best_bound` and each
+    r(AB + sign BA) from its own eigensolve."""
+    results = {"pm-quadratic": CheckResult(), "pm-mixed": CheckResult()}
     for i in range(trials):
         rng = np.random.default_rng([seed, i, 4])
         n = dims[i % len(dims)]
-        A = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
-        B = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
-        results = best_bound(lookup("exp"), A, B).results
-        quad = {r.name: r for r in results}["pm-quadratic(+)"]
+        A, B = (scaled_as_drawn(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
+                for _ in "AB")
+        bounds = {r.name: r for r in best_bound(lookup("exp"), A, B).results}
         for sign in (+1, -1):
             oracle = spectral_radius(A @ B + sign * (B @ A))
-            worst = max(worst, oracle - quad.value - _SLACK_REL * max(1.0, oracle))
-    assert run_pm_checks(seed, trials, dims)["pm-quadratic"].worst_margin == worst
+            slack = _SLACK_REL * max(1.0, oracle)
+            for check in results:
+                results[check].record(oracle - bounds[f"{check}(+)"].value - slack)
+    return results
+
+
+def test_pm_check_oracles_match_the_per_sign_formula():
+    # Drawn pair by pair, stacked by dimension: the same CheckResults.
+    seed = 3
+    for dims in ((2, 4, 8), (1,), (3, 5)):
+        for trials in (0, 1, 12, 500):
+            want = per_pair_pm_checks(seed, trials, dims)
+            assert run_pm_checks(seed, trials, dims) == want, (dims, trials)
+            assert want["pm-mixed"].trials == 2 * trials
 
 
 def test_limit_checks_match_the_one_matrix_formulas():
@@ -210,11 +235,13 @@ def test_limit_checks_match_the_one_matrix_formulas():
 
 
 def test_pm_check_trial_is_one_stacked_svd_call(lapack_work):
-    # Per trial: ||A|| and ||B|| to scale the pair, then both pm bounds
-    # from one call on the pair's nine norms.
-    run_pm_checks(seed=3, trials=12)
-    assert lapack_work["svd_calls"] == 12 * 3
+    # Per trial ||A|| and ||B|| to scale the pair, then the pair's nine
+    # norms for both pm bounds: two SVD calls per dimension in all, and one
+    # eigensolve call per dimension for r(AB + BA) and r(AB - BA).
+    run_pm_checks(seed=3, trials=12, dims=(2, 4, 8))
+    assert lapack_work["svd_calls"] == 3 * 2
     assert lapack_work["svd"] == 12 * (2 + 9)
+    assert lapack_work["eig_calls"] == 3 and lapack_work["eig"] == 12 * 2
 
 
 def test_trial_on_non_commuting_pair_fails_loudly(monkeypatch):

@@ -464,6 +464,81 @@ def test_order_search_makes_logarithmically_many_tail_calls():
     assert len(calls) <= 2 * math.ceil(math.log2(m + 1)) + 2
 
 
+@pytest.mark.parametrize("name", SEARCH_SERIES)
+def test_order_memo_matches_a_fresh_search_in_any_order(name):
+    # A series object that has certified orders before brackets its next
+    # search with them; whatever it has seen, each (m, tail) is a fresh
+    # object's and the linear scan's, bit for bit, or fails where they fail.
+    f = search_series(name)
+    points = grid(f, 25, 0.99) + [x for x in search_points(f) if x < 0.999 * f.radius]
+    for tol in (1e-3, 1e-10, 1e-14):
+        for max_terms in (100, 10**6):
+            want = {}
+            for x in points:
+                try:
+                    want[x] = linear_order_and_tail(f, x, tol, max_terms)
+                except NoConvergence:
+                    with pytest.raises(NoConvergence):
+                        _order_and_tail(replace(f), x, tol, max_terms)
+                    continue
+                assert _order_and_tail(replace(f), x, tol, max_terms) == want[x]
+            shuffled = np.random.default_rng(1).permutation(points).tolist()
+            warm = replace(f)  # an empty memo, kept through the last order
+            for order in (sorted(points), sorted(points, reverse=True), shuffled):
+                for g in (replace(f), warm):
+                    for x in order:
+                        if x not in want:
+                            with pytest.raises(NoConvergence):
+                                _order_and_tail(g, x, tol, max_terms)
+                        else:
+                            assert _order_and_tail(g, x, tol, max_terms) == want[x], x
+
+
+def test_order_memo_makes_a_repeated_search_one_tail_call():
+    # The order recorded at x brackets the search at x from both sides.
+    f, calls = counted_tail(lookup("geometric"))  # an empty memo
+    xs = [0.99, 0.3, 0.9, 0.6, 0.0]
+    orders = [truncation_order(f, x, 1e-10) for x in xs]
+    calls.clear()
+    assert [truncation_order(f, x, 1e-10) for x in xs] == orders
+    assert calls == orders
+
+
+def test_order_memo_keeps_the_smallest_and_largest_x_of_each_order():
+    f = replace(lookup("geometric"))  # an empty memo
+    found = {}
+    for x in np.random.default_rng(2).uniform(0.0, 0.999, 400).tolist():
+        found.setdefault(truncation_order(f, x, 1e-10), []).append(x)
+    [(seen, ends)] = f._orders.values()
+    assert ends == {m: (min(xs), max(xs)) for m, xs in found.items()}
+    assert seen == sorted({(x, m) for m, ends_m in ends.items() for x in ends_m})
+
+
+def test_failed_order_search_records_no_order():
+    f = replace(lookup("geometric"))  # an empty memo
+    for x in (0.5, 0.9, 0.99, 0.0):
+        _order_and_tail(f, x, 1e-10, 10**4)
+    before = {key: (list(seen), dict(ends)) for key, (seen, ends) in f._orders.items()}
+    for x in (0.9995, 0.999, 0.9999):  # each above every recorded x
+        with pytest.raises(NoConvergence):
+            _order_and_tail(f, x, 1e-10, 10**4)
+    assert f._orders == before
+
+
+def test_order_memo_certifies_a_tail_that_grows_and_shrinks_with_x():
+    # A certified majorant, ten times the geometric tail on every other
+    # band of x: the memo's brackets can be wrong, the order found cannot.
+    geometric = lookup("geometric")
+
+    def tail(m, x):
+        return geometric.tail_bound(m, x) * (10.0 if int(x * 50) % 2 else 1.0)
+
+    f = PowerSeries(geometric.coefficients, 1.0, "banded", tail)
+    for x in np.random.default_rng(3).uniform(0.0, 0.99, 300).tolist():
+        m, t = _order_and_tail(f, x, 1e-8, 10**6)
+        assert t == tail(m, x) <= 1e-8, x
+
+
 def test_failed_order_search_keeps_a_short_prefix():
     # A failing search reads coefficients up to max_terms = 10**6; past
     # 2**16 terms they are read without being kept on the series.
