@@ -16,11 +16,12 @@ at scalar arguments built from spectral radii and operator norms:
   series at all.
 
 `Invariants` computes each norm and radius of an instance once, on first
-use; each bound is a `Row` of a table, turned into a `BoundResult` by one
-evaluator. A bound that cannot apply, a commutativity-gated one on a
-non-commuting pair included, comes back Unavailable with the reason;
-only structural problems (dimension mismatch, a bad tolerance, products
-out of range) raise.
+use, or of a whole stack of instances in one LAPACK call; each bound is a
+`Row` of a table, turned into a `BoundResult` by one evaluator. A bound
+that cannot apply, a commutativity-gated one on a non-commuting pair
+included, comes back Unavailable with the reason; only structural
+problems (dimension mismatch, a bad tolerance, products out of range)
+raise.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import DimMismatch, NormOverflow
-from .matrices import (Matrix, commutes, operator_norm, operator_norms,
-                       spectral_radii, spectral_radius)
+from .matrices import Matrix, commutes, operator_norms, spectral_radii
 from .series import DEFAULT_TOL, PowerSeries, eval_companion
 
 Precondition = tuple[str, bool, float]
@@ -70,8 +70,8 @@ _PAIR_RADII = ("r(A)", "r(B)", "r(AB)")
 
 # Every other quantity a bound uses, by label; A is T in single mode.
 _QUANTITIES: dict[str, Callable[["Invariants"], float]] = {
-    "||T||": lambda v: operator_norm(v.A),
-    "r(T)": lambda v: spectral_radius(v.A),
+    "||T||": lambda v: operator_norms(v.A).tolist(),  # a list for stacked T
+    "r(T)": lambda v: spectral_radii(v.A).tolist(),
     "||A||^2": lambda v: v["||A||"] ** 2,
     "||B||^2": lambda v: v["||B||"] ** 2,
     "r(A)^2": lambda v: v["r(A)"] ** 2,
@@ -88,19 +88,19 @@ class Invariants(dict):
     first use (||T||, r(T) for one operator; ||A||, r(A), ||AB-BA||, ... for
     a pair), and the quantities derived from them. A pair's nine norms come
     from one SVD call on `products`, r(A), r(B) and r(AB) from one
-    eigensolve."""
+    eigensolve. For stacked A (and B) each value is a list with one entry
+    per instance, and `instances` splits the stack."""
 
     def __init__(self, A: Matrix, B: Optional[Matrix] = None):
         if B is not None and A.shape != B.shape:
-            raise DimMismatch(f"dimension mismatch: {A.shape} vs {B.shape}")
+            raise DimMismatch(f"dimension mismatch: {A.shape[-2:]} vs {B.shape[-2:]}")
         super().__init__()
         self.A, self.B = A, B
 
     @cached_property
-    @np.errstate(over="ignore", invalid="ignore")  # checked below, by name
-    def products(self) -> np.ndarray:
-        """A, B, AB, BA, A^2, B^2, AB^2, A^2B and AB-BA (stacks for stacked A, B)
-        as one stack, in the order of `_PRODUCTS`; NormOverflow if one is not finite."""
+    @np.errstate(over="ignore", invalid="ignore")  # checked by `products` and `instances`
+    def _products(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the stack `products`, unchecked; whether each of its matrices is finite)."""
         A, B = self.A, self.B
         P = np.empty((len(_PRODUCTS), *A.shape), dtype=np.result_type(A, B))
         P[0], P[1] = A, B
@@ -108,8 +108,15 @@ class Invariants(dict):
             np.matmul(X, Y, out=P[i])
         np.matmul(P[2:5:2], B, out=P[6:8])  # AB^2 = (AB)B, A^2B = (AA)B
         np.subtract(P[2], P[3], out=P[8])
-        finite = np.isfinite(P.reshape(len(_PRODUCTS), -1)).all(axis=1)
+        return P, np.isfinite(P).all(axis=(-2, -1))
+
+    @property
+    def products(self) -> np.ndarray:
+        """A, B, AB, BA, A^2, B^2, AB^2, A^2B and AB-BA (stacks for stacked A, B)
+        as one stack, in the order of `_PRODUCTS`; NormOverflow if one is not finite."""
+        P, finite = self._products
         if not finite.all():
+            finite = finite.reshape(len(_PRODUCTS), -1).all(axis=1)
             bad = ", ".join(x for x, ok in zip(_PRODUCTS, finite) if not ok)
             raise NormOverflow(f"not finite: {bad}; normalize the pair first")
         return P
@@ -126,6 +133,28 @@ class Invariants(dict):
         else:
             self[label] = _QUANTITIES[label](self)
         return self[label]
+
+    def instances(self, labels: Optional[tuple[str, ...]] = None) -> list["Invariants"]:
+        """One Invariants per instance of stacked A (and B), filled with its
+        values of `labels` (by default every norm and radius a bound reads),
+        each label computed for the whole stack at once. If a pair's products
+        are not finite, every instance is left to compute its own values, so
+        reading that pair raises its own NormOverflow."""
+        pair = self.B is not None
+        if labels is None:
+            labels = _PAIR_NORMS + _PAIR_RADII if pair else ("||T||", "r(T)")
+        if pair:
+            P, finite = self._products
+            if not finite.all():
+                return [Invariants(A, B) for A, B in zip(self.A, self.B)]
+        out = []
+        for k, values in enumerate(zip(*(self[x] for x in labels))):
+            w = Invariants(self.A[k], self.B[k] if pair else None)
+            if pair:  # its slice of the stack's products
+                w._products = P[:, k], finite[:, k]
+            w.update(zip(labels, values))
+            out.append(w)
+        return out
 
     @property
     def commuting(self) -> bool:
@@ -247,12 +276,21 @@ def best_bound(f: PowerSeries, A: Matrix, B: Optional[Matrix] = None,
     norm-only targets; report all plus the minimum over the available
     bounds on the series target (None if there are none). A non-commuting
     pair makes each commutativity-gated bound Unavailable instead of
-    raising, so the report always describes the full menu.
+    raising, so the report always describes the full menu. The instance is
+    a stack of one for `Invariants.instances` and `bound_report`, the code a
+    sweep runs on each stack of instances.
     """
     if not (0 < tol < math.inf):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    v, fa = Invariants(A, B), {}
-    if B is None:
+    A = np.asarray(A)
+    (v,) = Invariants(A[None], None if B is None else np.asarray(B)[None]).instances()
+    return bound_report(f, v, tol)
+
+
+def bound_report(f: PowerSeries, v: Invariants, tol: float) -> BestBoundReport:
+    """`best_bound` of the instance whose invariants are `v`."""
+    fa: dict[float, float] = {}
+    if v.B is None:
         results = [_evaluate(_SINGLE, f, v, tol, fa)]
     else:
         results = [_evaluate(row, f, v, tol, fa) for row in (*_PM_ROWS, _PRODUCT)]
@@ -264,7 +302,7 @@ def best_bound(f: PowerSeries, A: Matrix, B: Optional[Matrix] = None,
             results += [BoundResult(row.name, None, row.target, reason,
                                     [("AB = BA", False, cnorm)])
                         for row in _COMMUTING_ROWS]
-    target = "f(T)" if B is None else "f(AB)"
+    target = "f(T)" if v.B is None else "f(AB)"
     candidates = [r for r in results if r.available and r.target == target]
     minimum = min(candidates, key=lambda r: r.value) if candidates else None
     return BestBoundReport(results, minimum, v)

@@ -8,7 +8,9 @@ reproduce byte-identical reports.
 A sweep evaluates every applicable bound against a brute-force oracle
 (dense eigensolve of the certified truncated series) and flags any bound
 that dips below oracle minus slack, where slack accounts for both
-floating-point rounding and the oracle's own truncation error.
+floating-point rounding and the oracle's own truncation error. It runs in
+chunks of one family's trials; a chunk's trials of one dimension are
+generated, factored and solved as one stack, one LAPACK call per step.
 
 `run_jobs` runs a sweep's trials, in chunks, and `verify`'s checks on one
 forked worker process per CPU the process's affinity allows. With one
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -28,16 +31,15 @@ import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import BoundResult, Invariants, _PAIR_NORMS, _PM_ROWS, _evaluate, best_bound
+from .bounds import BoundResult, Invariants, _PAIR_NORMS, _PM_ROWS, _evaluate, bound_report
 from .errors import GenerationFailure, OutOfDisk, SpecboundError, UnknownFamily
 from .matrices import (
     Matrix,
     _series_at_norm,
-    operator_norm,
     operator_norms,
     series_partial_sum,
     spectral_radii,
@@ -100,17 +102,16 @@ def _scaled(M: Matrix, norm_target) -> Matrix:
     return M * scale[..., None, None]
 
 
-def gen_matrix(spec: InstanceSpec) -> Matrix:
-    """One matrix of the requested family, scaled to the target norm."""
-    rng = np.random.default_rng(np.random.PCG64(spec.seed))
-    n = spec.dim
-    if spec.family == "diagonal-positive":
-        d = rng.uniform(0.05, 1.0, n)
-        return np.diag(d * (spec.norm_target / d.max())).astype(np.complex128)
-    if spec.family == "hermitian":
+def _draw(family: str, rng: np.random.Generator, n: int):
+    """One instance's draws from its own stream, before any SVD: the matrix
+    to scale (a single family; the diagonal for "diagonal-positive"), or
+    (M, ca, cb) and (U, da, db) for the pair families."""
+    if family == "diagonal-positive":
+        return rng.uniform(0.05, 1.0, n)
+    if family == "hermitian":
         G = _ginibre(rng, n)
-        return _scaled((G + G.conj().T) / 2.0, spec.norm_target)
-    if spec.family == "unitary-conjugated-jordan":
+        return (G + G.conj().T) / 2.0
+    if family == "unitary-conjugated-jordan":
         # Well-separated eigenvalues plus short superdiagonal chains keep
         # the instance strongly non-normal but still numerically
         # diagonalizable, so the eigensolver oracle stays trustworthy.
@@ -122,53 +123,73 @@ def gen_matrix(spec: InstanceSpec) -> Matrix:
         for j in range(0, n - 1, 2):
             D[j, j + 1] = coupling
         U = _haar_unitary(rng, n)
-        return _scaled(U @ D @ U.conj().T, spec.norm_target)
-    if spec.family == "nilpotent":
-        N = np.triu(_ginibre(rng, n), 1)
-        return _scaled(N, spec.norm_target)
-    if spec.family == "dense-random":
-        return _scaled(_ginibre(rng, n), spec.norm_target)
-    raise UnknownFamily(f"unknown single-matrix family {spec.family!r}")
+        return U @ D @ U.conj().T
+    if family == "nilpotent":
+        return np.triu(_ginibre(rng, n), 1)
+    if family == "dense-random":
+        return _ginibre(rng, n)
+    if family == "commuting-polynomial-pair":
+        G = _ginibre(rng, n)
+        return G, *(rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in "ab")
+    U = _haar_unitary(rng, n)
+    return U, *(rng.uniform(0.2, 1.0, n) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))
+                for _ in "ab")
 
 
 def _cubic(c: np.ndarray, M: Matrix) -> Matrix:
-    """c[0] I + c[1] M + c[2] M^2 + c[3] M^3 by Horner's rule."""
-    eye = np.eye(len(M), dtype=np.complex128)
-    S = c[3] * eye
-    for ck in c[2::-1]:
-        S = ck * eye + M @ S
+    """c[k, 0] I + c[k, 1] M_k + c[k, 2] M_k^2 + c[k, 3] M_k^3 by Horner's
+    rule, for each matrix M_k of a stack."""
+    eye = np.eye(M.shape[-1], dtype=np.complex128)
+    S = c[:, 3, None, None] * eye
+    for j in (2, 1, 0):
+        S = c[:, j, None, None] * eye + M @ S
     return S
 
 
-def gen_commuting_pair(spec: InstanceSpec) -> tuple[Matrix, Matrix]:
-    """A commuting pair, each factor scaled to the target norm.
+def _generate(specs: Sequence[InstanceSpec]) -> tuple[Matrix, ...]:
+    """The instances of `specs`, all of one family and one dimension, as
+    (T,) with T a (k, n, n) stack, or (A, B) for a pair family. Each is
+    drawn from its own seed and scaled to its own norm target, each scaling
+    of the stack by one SVD call.
 
-    Polynomial pairs (p(M), q(M)) of a common dense M cover the
-    non-normal regime; two diagonal matrices conjugated by one unitary
-    cover the normal regime. Both commute by construction; `run_trial`
-    fails on a pair that fails `best_bound`'s commutator test.
+    Polynomial pairs (p(M), q(M)) of a common dense M cover the non-normal
+    regime; two diagonal matrices conjugated by one unitary cover the
+    normal regime. Both commute by construction; a sweep fails on a pair
+    that fails `best_bound`'s commutator test.
     """
+    family, n = specs[0].family, specs[0].dim
+    draws = [_draw(family, np.random.default_rng(np.random.PCG64(s.seed)), n)
+             for s in specs]
+    targets = np.array([s.norm_target for s in specs])
+    if family == "diagonal-positive":
+        D = np.stack([np.diag(d * (t / d.max())) for d, t in zip(draws, targets)])
+        return (D.astype(np.complex128),)
+    if family in FAMILIES_SINGLE:
+        return (_scaled(np.stack(draws), targets),)
+    X, ca, cb = map(np.stack, zip(*draws))
+    if family == "commuting-polynomial-pair":
+        M = _scaled(X, 1.0)
+        pair = _cubic(ca, M), _cubic(cb, M)
+    else:  # U, then the diagonals of A and B in U's basis
+        D = np.zeros((2, *X.shape), dtype=np.complex128)
+        D[..., range(n), range(n)] = ca, cb
+        pair = X @ D @ X.conj().swapaxes(-1, -2)
+    return tuple(_scaled(np.stack(pair), targets))
+
+
+def gen_matrix(spec: InstanceSpec) -> Matrix:
+    """One matrix of the requested family, scaled to the target norm."""
+    if spec.family not in FAMILIES_SINGLE:
+        raise UnknownFamily(f"unknown single-matrix family {spec.family!r}")
+    return _generate([spec])[0][0]
+
+
+def gen_commuting_pair(spec: InstanceSpec) -> tuple[Matrix, Matrix]:
+    """A commuting pair, each factor scaled to the target norm (see `_generate`)."""
     if spec.family not in FAMILIES_PAIR:
         raise UnknownFamily(f"unknown pair family {spec.family!r}")
-    rng = np.random.default_rng(np.random.PCG64(spec.seed))
-    n = spec.dim
-    if spec.family == "commuting-polynomial-pair":
-        M = _scaled(_ginibre(rng, n), 1.0)
-        ca = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        cb = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        A, B = _cubic(ca, M), _cubic(cb, M)
-    else:
-        U = _haar_unitary(rng, n)
-        da = rng.uniform(0.2, 1.0, n) * np.exp(
-            2j * math.pi * rng.uniform(0.0, 1.0, n)
-        )
-        db = rng.uniform(0.2, 1.0, n) * np.exp(
-            2j * math.pi * rng.uniform(0.0, 1.0, n)
-        )
-        A = U @ np.diag(da) @ U.conj().T
-        B = U @ np.diag(db) @ U.conj().T
-    norm_A, norm_B = operator_norms(np.stack((A, B))).tolist()
-    return A * (spec.norm_target / norm_A), B * (spec.norm_target / norm_B)
+    A, B = _generate([spec])
+    return A[0], B[0]
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +273,32 @@ def _judged(bounds: Sequence[BoundResult], oracles: dict[str, tuple[float, float
     return tightness, low
 
 
+def _oracle_terms(f: PowerSeries, v: Invariants, tol: float) -> tuple[dict, dict]:
+    """The oracles of `oracle_radii` read from `v`, and {target: (matrix,
+    error)} for those whose radius is still to solve. NormOverflow if the
+    truncation is not finite."""
+    if v.B is None:
+        M, nrm, target, read, terms = v.A, v["||T||"], "f(T)", {}, {}
+    else:
+        M, nrm, target = v.matrix("AB"), v["||AB||"], "f(AB)"
+        read = {"AB": (v["r(AB)"], 0.0)}
+        terms = {"AB+BA": (M + v.matrix("BA"), 0.0), "AB-BA": (v.matrix("AB-BA"), 0.0)}
+    try:
+        terms[target] = _series_at_norm(f, M, nrm, tol)
+    except OutOfDisk:
+        pass
+    return read, terms
+
+
+def _solved(terms: Sequence[tuple[dict, dict]]) -> list[dict[str, tuple[float, float]]]:
+    """The oracles of instances of one dimension from their `_oracle_terms`:
+    the radii of all their matrices from one eigensolve call."""
+    stack = [M for _, pending in terms for M, _ in pending.values()]
+    radii = iter(spectral_radii(np.stack(stack)).tolist() if stack else ())
+    return [{**read, **{k: (next(radii), err) for k, (_, err) in pending.items()}}
+            for read, pending in terms]
+
+
 def oracle_radii(
     f: PowerSeries, v: Invariants, tol: float = DEFAULT_TOL
 ) -> dict[str, tuple[float, float]]:
@@ -263,57 +310,76 @@ def oracle_radii(
     its certified truncation, with the truncation's remainder bound as
     error, when its argument lies inside the disk; the norm of that
     argument is read from `v`. The radii not read from `v` take one
-    eigensolve call.
+    eigensolve call, as a sweep's do for a whole stack of instances.
     """
-    oracles = {}
-    if v.B is None:
-        M, nrm, target, terms = v.A, v["||T||"], "f(T)", {}
-    else:
-        M, nrm, target = v.matrix("AB"), v["||AB||"], "f(AB)"
-        oracles["AB"] = (v["r(AB)"], 0.0)
-        terms = {"AB+BA": (M + v.matrix("BA"), 0.0),
-                 "AB-BA": (v.matrix("AB-BA"), 0.0)}
-    try:
-        terms[target] = _series_at_norm(f, M, nrm, tol)
-    except OutOfDisk:
-        pass
-    stack = [S for S, _ in terms.values()]  # empty: one matrix outside the disk
-    radii = spectral_radii(np.stack(stack)).tolist() if stack else []
-    oracles.update((k, (r, err)) for (k, (_, err)), r in zip(terms.items(), radii))
-    return oracles
+    return _solved([_oracle_terms(f, v, tol)])[0]
 
 
-def run_trial(
-    config: SweepConfig, family: str, family_index: int, index: int
-) -> TrialRecord:
-    """One deterministic trial; pure function of (config, family, index)."""
+def _trial_spec(config: SweepConfig, family: str, family_index: int,
+                index: int) -> tuple[PowerSeries, InstanceSpec]:
+    """The series and instance of one trial, drawn from its own stream."""
     trial_rng = np.random.default_rng([config.seed, family_index, index])
     name = config.series_names[index % len(config.series_names)]
     f = lookup(name)
     dim = config.dims[index % len(config.dims)]
-    pair_mode = family in FAMILIES_PAIR
-    if pair_mode:
+    if family in FAMILIES_PAIR:
         base = 0.8 * math.sqrt(f.radius) if math.isfinite(f.radius) else 1.0
         fraction = trial_rng.uniform(0.3, 1.0)
     else:
         base = 0.9 * min(f.radius, 10.0)
         fraction = trial_rng.uniform(0.05, 1.0)
-    spec = InstanceSpec(
+    return f, InstanceSpec(
         seed=int(trial_rng.integers(0, 2**63)),
         family=family,
         dim=dim,
         norm_target=float(base * fraction),
     )
-    matrices = gen_commuting_pair(spec) if pair_mode else (gen_matrix(spec),)
-    report = best_bound(f, *matrices, tol=config.tol)
-    if pair_mode and not report.invariants.commuting:
-        raise GenerationFailure(
-            f"{spec} is not a commuting pair "
-            f"(||AB-BA|| = {report.invariants['||AB-BA||']:.6e})"
-        )
-    oracles = oracle_radii(f, report.invariants, tol=config.tol)
-    tightness, low = _judged(report.results, oracles)
-    return TrialRecord(spec, name, oracles, report.results, tightness, bool(low))
+
+
+def _trials(config: SweepConfig, family: str, family_index: int,
+            indices: Iterable[int], reduce: Callable[[list], list] = list) -> list:
+    """`reduce` of the records of the trials `indices` of one family. Each
+    trial is drawn from its own stream; then the trials of each dimension
+    are generated, factored and solved as one stack, and only the
+    truncation order, the truncation and the bound rows are per trial. A
+    failing trial raises what it would raise alone; the first in index
+    order wins."""
+    trials = [_trial_spec(config, family, family_index, i) for i in indices]
+    groups: dict[int, list[int]] = {}  # dim -> positions in `trials`
+    for k, (_, spec) in enumerate(trials):
+        groups.setdefault(spec.dim, []).append(k)
+    invariants: list = [None] * len(trials)
+    for ks in groups.values():
+        stack = Invariants(*_generate([trials[k][1] for k in ks]))
+        for k, v in zip(ks, stack.instances()):
+            invariants[k] = v
+    reports, terms = [], []
+    for (f, spec), v in zip(trials, invariants):
+        reports.append(bound_report(f, v, config.tol))
+        if v.B is not None and not v.commuting:
+            raise GenerationFailure(
+                f"{spec} is not a commuting pair "
+                f"(||AB-BA|| = {v['||AB-BA||']:.6e})"
+            )
+        terms.append(_oracle_terms(f, v, config.tol))
+    oracles: list = [None] * len(trials)
+    for ks in groups.values():
+        for k, solved in zip(ks, _solved([terms[k] for k in ks])):
+            oracles[k] = solved
+    records = []
+    for (f, spec), report, trial_oracles in zip(trials, reports, oracles):
+        tightness, low = _judged(report.results, trial_oracles)
+        records.append(TrialRecord(spec, f.name, trial_oracles, report.results,
+                                   tightness, bool(low)))
+    return reduce(records)
+
+
+def run_trial(
+    config: SweepConfig, family: str, family_index: int, index: int
+) -> TrialRecord:
+    """One deterministic trial; pure function of (config, family, index).
+    It is a sweep chunk of one trial."""
+    return _trials(config, family, family_index, [index])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -405,23 +471,19 @@ def run_jobs(jobs: Sequence[Job]) -> list:
     return [result for _, result in outcomes]
 
 
-def _run_trials(config: SweepConfig, family: str, family_index: int,
-                indices: range, reduce: Callable[[Iterator], list]) -> list:
-    return reduce(run_trial(config, family, family_index, i) for i in indices)
-
-
 _CHUNK_TRIALS = 25
 
 
 def run_sweep(config: SweepConfig, *extra: Job,
-              reduce: Callable[[Iterator], list] = list) -> list:
+              reduce: Callable[[list], list] = list) -> list:
     """Run every trial of the sweep with `run_jobs`, in chunks of one
-    family's trials. Each chunk's records go to `reduce` in the worker,
-    which sends back only the list it returns; the lists come back joined
-    in seed order: the records themselves with `list`, or each chunk's
-    `report_piece`. The `extra` jobs' results, run after the trials, follow."""
+    family's trials, each solved as stacks by dimension (see `_trials`).
+    Each chunk's records go to `reduce` in the worker, which sends back
+    only the list it returns; the lists come back joined in seed order:
+    the records themselves with `list`, or each chunk's `report_piece`.
+    The `extra` jobs' results, run after the trials, follow."""
     trials = range(config.trials)
-    chunks = [(_run_trials, (config, family, fi, trials[start:start + _CHUNK_TRIALS],
+    chunks = [(_trials, (config, family, fi, trials[start:start + _CHUNK_TRIALS],
                              reduce))
               for fi, family in enumerate(config.families)
               for start in trials[::_CHUNK_TRIALS]]
@@ -573,25 +635,30 @@ def run_limit_checks(
 ) -> dict[str, CheckResult]:
     """The Cauchy behaviour of the truncated-series radius: radii of
     truncations certified to different tolerances differ by at most the
-    coarser one's tail bound."""
+    coarser one's tail bound. The instances of one dimension are scaled,
+    normed and solved as one stack."""
     result = CheckResult()
     cauchy_series = [lookup("exp"), lookup("geometric")]
+    drawn: dict[int, list] = {}  # dim -> [(f, G, norm target)]
     for i in range(trials):
         rng = np.random.default_rng([seed, i, 3])
         n = dims[i % len(dims)]
         f = cauchy_series[i % len(cauchy_series)]
         norm_cap = 1.5 if math.isinf(f.radius) else 0.7 * f.radius
-        T = _scaled(_ginibre(rng, n), float(rng.uniform(0.3, 1.0)) * norm_cap)
-        x = operator_norm(T)
-        orders = sorted({
-            truncation_order(f, x, t) for t in (1e-3, 1e-5, 1e-7, 1e-9)
-        })
-        sums = np.stack([series_partial_sum(f, T, m) for m in orders])
-        radii = spectral_radii(sums).tolist()
-        for a in range(len(orders)):
-            for b in range(a + 1, len(orders)):
-                allowed = f.tail_bound(orders[a], x) + 1e-8
-                result.record(abs(radii[a] - radii[b]) - allowed)
+        G = _ginibre(rng, n)
+        drawn.setdefault(n, []).append((f, G, float(rng.uniform(0.3, 1.0)) * norm_cap))
+    for draws in drawn.values():
+        fs, G, targets = zip(*draws)
+        T = _scaled(np.stack(G), np.array(targets))
+        xs = operator_norms(T).tolist()
+        orders = [sorted({truncation_order(f, x, t) for t in (1e-3, 1e-5, 1e-7, 1e-9)})
+                  for f, x in zip(fs, xs)]
+        sums = [series_partial_sum(f, Tk, m) for f, Tk, ms in zip(fs, T, orders) for m in ms]
+        radii = iter(spectral_radii(np.stack(sums)).tolist())
+        for f, x, ms in zip(fs, xs, orders):
+            r = [next(radii) for _ in ms]
+            for a, b in itertools.combinations(range(len(ms)), 2):
+                result.record(abs(r[a] - r[b]) - (f.tail_bound(ms[a], x) + 1e-8))
     return {"truncation-cauchy": result}
 
 
@@ -614,9 +681,7 @@ def run_pm_checks(
         v = Invariants(AB[0::2], AB[1::2])  # a stack of pairs
         plus, minus = v.matrix("AB") + v.matrix("BA"), v.matrix("AB-BA")
         radii = spectral_radii(np.stack((plus, minus))).T.tolist()
-        for k, oracles in enumerate(radii):
-            w = Invariants(v.A[k], v.B[k])
-            w.update((x, v[x][k]) for x in _PAIR_NORMS)  # one SVD call for all k
+        for w, oracles in zip(v.instances(_PAIR_NORMS), radii):  # one SVD call
             # Both bounds are the same for either sign.
             quad, mixed = (_evaluate(row, None, w, 0.0, {}) for row in _PM_ROWS[:2])
             for oracle in oracles:

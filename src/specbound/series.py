@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -280,12 +281,15 @@ def _literals(name: str, what: str) -> list[complex]:
     return values
 
 
+@functools.cache
 def lookup(name: str) -> PowerSeries:
     """The series called `name`: a catalog name, "2F1:alpha,beta,gamma"
     with three positive finite reals ("2F1" alone: all three 1), or a
     finite polynomial "poly:c0,c1,..." whose coefficients are finite
     complex literals (e.g. "poly:1,-0.5,0.25j"); its `.name` is `name`.
-    ValueError names a malformed or unknown name.
+    ValueError names a malformed or unknown name. Each name's object is
+    built once per process, so its coefficient prefix and certified orders
+    serve every later caller.
     """
     if name == "2F1" or name.startswith("2F1:"):
         params = _literals(name, "parameter") if name != "2F1" else [1.0] * 3

@@ -29,3 +29,26 @@ def lapack_work(monkeypatch):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, wrapper)
     return work
+
+
+@pytest.fixture
+def non_commuting_pairs(monkeypatch):
+    """Call with {spec: scale} (by default every pair at scale 1): the
+    instance generator then gives each of those pairs as (scale J, scale J^T),
+    J the upper shift. They do not commute at n >= 2, and at scale 1e200
+    their products are not finite. The fork carries the patch into the
+    workers."""
+    generate = harness_mod._generate
+
+    def patch(scales=None):
+        def patched(batch):
+            stacks = generate(batch)
+            for k, spec in enumerate(batch):
+                scale = 1.0 if scales is None else scales.get(spec)
+                if len(stacks) == 2 and scale is not None:
+                    J = scale * np.eye(spec.dim, k=1, dtype=complex)
+                    stacks[0][k], stacks[1][k] = J, J.T
+            return stacks
+        monkeypatch.setattr(harness_mod, "_generate", patched)
+
+    return patch

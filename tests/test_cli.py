@@ -378,10 +378,9 @@ def test_verify_reports_match_on_one_cpu(tmp_path, capsys):
 
 
 def test_verify_generation_failure_exits_2_with_the_in_process_message(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys, monkeypatch, non_commuting_pairs):
     # Patched before the workers fork, so they inherit it.
-    S = np.array([[0, 1], [0, 0]], dtype=complex)
-    monkeypatch.setattr(harness_mod, "gen_commuting_pair", lambda spec: (S, S.T))
+    non_commuting_pairs()
     args = ["verify", *_VERIFY_ARGS, "--out", str(tmp_path / "r")]
     assert main(args) == 2
     err = capsys.readouterr().err
@@ -496,7 +495,7 @@ def test_back_to_back_main_calls_match_fresh_ones(diag_pair, zero2, tmp_path, ca
                     reason="worker processes need Linux and two CPUs")
 def test_verify_dead_worker_exits_2_naming_its_exit_code(tmp_path, capsys, monkeypatch):
     # An OOM kill or a signal: the worker is gone without a word.
-    monkeypatch.setattr(harness_mod, "run_trial", lambda *args: os._exit(9))
+    monkeypatch.setattr(harness_mod, "_trials", lambda *args: os._exit(9))
     assert main(["verify", *_VERIFY_ARGS, "--out", str(tmp_path / "r")]) == 2
     assert capsys.readouterr().err == "error: a worker process died with exit code 9\n"
     assert multiprocessing.active_children() == []

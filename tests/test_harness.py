@@ -17,6 +17,7 @@ from specbound import (
     FAMILIES_SINGLE,
     GenerationFailure,
     InstanceSpec,
+    NormOverflow,
     SpecboundError,
     SweepConfig,
     TrialRecord,
@@ -40,6 +41,7 @@ from specbound.harness import (
     _ginibre,
     _judged,
     _scaled,
+    _trial_spec,
     oracle_radii,
     report_piece,
     run_jobs,
@@ -49,7 +51,7 @@ from specbound.harness import (
     summarize_tallies,
 )
 from specbound.matrices import _series_at_norm
-from specbound.series import DEFAULT_TOL
+from specbound.series import DEFAULT_TOL, truncation_order
 from textbook import run_identity_checks, run_limit_laws, run_mixed_chain
 
 
@@ -244,14 +246,44 @@ def test_pm_check_trial_is_one_stacked_svd_call(lapack_work):
     assert lapack_work["eig_calls"] == 3 and lapack_work["eig"] == 12 * 2
 
 
-def test_trial_on_non_commuting_pair_fails_loudly(monkeypatch):
-    import specbound.harness as harness_mod
-
-    S = np.array([[0, 1], [0, 0]], dtype=complex)
-    monkeypatch.setattr(harness_mod, "gen_commuting_pair", lambda spec: (S, S.T))
+def test_trial_on_non_commuting_pair_fails_loudly(non_commuting_pairs):
+    non_commuting_pairs()
     config = SweepConfig(trials=1, dims=(2,))
     with pytest.raises(GenerationFailure, match="not a commuting pair"):
         run_trial(config, FAMILIES_PAIR[0], 0, 0)
+
+
+def test_limit_checks_match_the_per_instance_loop():
+    # Drawn one by one, stacked by dimension: the same CheckResult as the
+    # loop over instances, one eigensolve per truncation.
+    def per_instance(seed, trials, dims):
+        result, series = CheckResult(), [lookup("exp"), lookup("geometric")]
+        for i in range(trials):
+            rng = np.random.default_rng([seed, i, 3])
+            n, f = dims[i % len(dims)], series[i % 2]
+            cap = 1.5 if math.isinf(f.radius) else 0.7 * f.radius
+            T = scaled_as_drawn(_ginibre(rng, n), float(rng.uniform(0.3, 1.0)) * cap)
+            x = operator_norm(T)
+            orders = sorted({truncation_order(f, x, t) for t in (1e-3, 1e-5, 1e-7, 1e-9)})
+            radii = [spectral_radius(series_partial_sum(f, T, m)) for m in orders]
+            for a in range(len(orders)):
+                for b in range(a + 1, len(orders)):
+                    allowed = f.tail_bound(orders[a], x) + 1e-8
+                    result.record(abs(radii[a] - radii[b]) - allowed)
+        return {"truncation-cauchy": result}
+
+    for dims in ((2, 4, 8), (1,), (3, 5)):
+        for trials in (0, 1, 12, 200):
+            want = per_instance(2, trials, dims)
+            assert run_limit_checks(2, trials, dims) == want, (dims, trials)
+
+
+def test_limit_check_is_three_calls_per_dimension(lapack_work):
+    # Per dimension: one SVD call to scale, one for ||T||, one eigensolve
+    # for every truncation of every instance.
+    run_limit_checks(seed=3, trials=12, dims=(2, 4, 8))
+    assert lapack_work["svd_calls"] == 3 * 2 and lapack_work["svd"] == 12 * 2
+    assert lapack_work["eig_calls"] == 3 and lapack_work["eig"] >= 12
 
 
 def test_pair_generator_determinism():
@@ -338,6 +370,63 @@ def test_sweep_records_come_back_in_seed_order():
     expected = [run_trial(config, family, fi, i)
                 for fi, family in enumerate(config.families) for i in range(30)]
     assert run_sweep(config) == expected
+
+
+def test_sweep_of_mixed_stacks_equals_trials_run_one_by_one():
+    # Each dimension's stack mixes series (4 names, 3 dims), and every
+    # family has a full chunk and a short one.
+    config = SweepConfig(
+        series_names=("exp", "geometric", "2F1:0.5,1,2", "poly:1,-0.5+0.3j"),
+        trials=30, dims=(2, 3, 5), seed=17)
+    assert len(config.families) == 7
+    expected = [run_trial(config, family, fi, i)
+                for fi, family in enumerate(config.families) for i in range(30)]
+    assert len({(r.spec.dim, r.series_name) for r in expected[:25]}) == 12
+    assert run_sweep(config) == expected
+
+
+# Within one chunk: pairs not commuting (scale 1) or with products out of
+# range (1e200) at the given indices, and a series whose truncation is not
+# finite at trials 1, 3, 4, ...
+@pytest.mark.parametrize("series, scales, index, error", [
+    ("exp", {13: 1.0, 20: 1.0}, 13, GenerationFailure),
+    ("exp", {4: 1.0, 9: 1e200}, 4, GenerationFailure),
+    ("exp", {2: 1e200, 4: 1.0}, 2, NormOverflow),
+    ("poly:1.7e308,1.7e308", {2: 1.0}, 1, NormOverflow),
+    ("poly:1.7e308,1.7e308", {0: 1.0}, 0, GenerationFailure),
+])
+def test_sweep_raises_what_its_first_failing_trial_raises_alone(
+        non_commuting_pairs, series, scales, index, error):
+    family = FAMILIES_PAIR[0]
+    config = SweepConfig(series_names=(series,), families=(family,), trials=25,
+                         dims=(2, 3, 5), seed=4)
+    non_commuting_pairs({_trial_spec(config, family, 0, i)[1]: scale
+                         for i, scale in scales.items()})
+    for i in range(index):
+        run_trial(config, family, 0, i)
+    with pytest.raises(error) as alone:
+        run_trial(config, family, 0, index)
+    with pytest.raises(error) as swept:
+        run_sweep(config)
+    assert str(swept.value) == str(alone.value)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("family", FAMILIES_SINGLE + FAMILIES_PAIR)
+def test_a_chunk_is_solved_as_one_stack_per_dimension(lapack_work, monkeypatch, family):
+    # One 25-trial chunk factors 25 times one trial's matrices, in one call
+    # per scaling, per invariant kind and for the oracle, per dimension.
+    import specbound.harness as harness_mod
+
+    monkeypatch.setattr(harness_mod, "_cpus", lambda: 1)  # counted in-process
+    config = SweepConfig(families=(family,), trials=25, dims=(2, 4, 8), seed=5)
+    run_trial(config, family, 0, 0)
+    one = dict(lapack_work)
+    lapack_work.update(dict.fromkeys(lapack_work, 0))
+    run_sweep(config)
+    assert lapack_work["svd"] == 25 * one["svd"] and lapack_work["eig"] == 25 * one["eig"]
+    assert lapack_work["svd_calls"] == 3 * one["svd_calls"] <= 3 * 3
+    assert lapack_work["eig_calls"] == 3 * one["eig_calls"] <= 3 * 2
 
 
 def test_sweep_determinism_and_csv_bytes(tmp_path):

@@ -590,3 +590,13 @@ def test_prefix_calls_coefficients_only_to_grow_and_is_not_a_field():
     g = replace(f)
     g.prefix(2)
     assert calls == [10, 30, 62, 2]
+
+
+@pytest.mark.parametrize("name", ["2F1:0.5,1,2", "2F1", "poly:1,-0.5+0.3j", "exp"])
+def test_lookup_builds_each_series_once(name):
+    # One object per name, as for catalog names: a sweep's trials then share
+    # its coefficient prefix and the orders it has certified.
+    f = lookup(name)
+    assert lookup(name) is f
+    truncation_order(f, 0.5, 1e-10)
+    assert lookup(name)._orders[1e-10, 10**6]
