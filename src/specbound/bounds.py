@@ -15,13 +15,13 @@ at scalar arguments built from spectral radii and operator norms:
 * norm-only quadratic bounds for r(AB +/- BA) and r(AB) that need no
   series at all.
 
-`Invariants` computes each norm and radius of an instance once, on first
-use, or of a whole stack of instances in one LAPACK call; each bound is a
-`Row` of a table, turned into a `BoundResult` by one evaluator. A bound
-that cannot apply, a commutativity-gated one on a non-commuting pair
-included, comes back Unavailable with the reason; only structural
-problems (dimension mismatch, a bad tolerance, products out of range)
-raise.
+`invariants` fills the norms, radii and derived quantities of a whole
+stack of instances at once, all norms from one SVD call and all radii from
+one eigensolve; each bound is a `Row` of a table, turned into a
+`BoundResult` by one evaluator. A bound that cannot apply, a
+commutativity-gated one on a non-commuting pair included, comes back
+Unavailable with the reason; only structural problems (dimension
+mismatch, a bad tolerance, products out of range) raise.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -62,104 +61,93 @@ class BoundResult:
         return self.value is not None
 
 
-# A pair's products, in the order of `Invariants.products`, and their norms.
+# A pair's products, in the order of `products`, and their norms.
 _PRODUCTS = ("A", "B", "AB", "BA", "A^2", "B^2", "AB^2", "A^2B", "AB-BA")
 _PAIR_NORMS = tuple(f"||{x}||" for x in _PRODUCTS)
 # The radii of the first three products, from one eigensolve.
 _PAIR_RADII = ("r(A)", "r(B)", "r(AB)")
-
-# Every other quantity a bound uses, by label; A is T in single mode.
-_QUANTITIES: dict[str, Callable[["Invariants"], float]] = {
-    "||T||": lambda v: operator_norms(v.A).tolist(),  # a list for stacked T
-    "r(T)": lambda v: spectral_radii(v.A).tolist(),
-    "||A||^2": lambda v: v["||A||"] ** 2,
-    "||B||^2": lambda v: v["||B||"] ** 2,
-    "r(A)^2": lambda v: v["r(A)"] ** 2,
-    "r(B)^2": lambda v: v["r(B)"] ** 2,
-    "r(A) r(B)": lambda v: v["r(A)"] * v["r(B)"],
-    "sqrt(||A^2|| ||B^2||)": lambda v: math.sqrt(v["||A^2||"] * v["||B^2||"]),
-    "sqrt(||A|| ||AB^2||)": lambda v: math.sqrt(v["||A||"] * v["||AB^2||"]),
-    "sqrt(||A^2B|| ||B||)": lambda v: math.sqrt(v["||A^2B||"] * v["||B||"]),
-}
+_MIXED = ("sqrt(||A|| ||AB^2||)", "sqrt(||A^2B|| ||B||)")
 
 
-class Invariants(dict):
-    """Norms and spectral radii of one instance by label, each computed on
-    first use (||T||, r(T) for one operator; ||A||, r(A), ||AB-BA||, ... for
-    a pair), and the quantities derived from them. A pair's nine norms come
-    from one SVD call on `products`, r(A), r(B) and r(AB) from one
-    eigensolve. For stacked A (and B) each value is a list with one entry
-    per instance, and `instances` splits the stack."""
-
-    def __init__(self, A: Matrix, B: Optional[Matrix] = None):
-        if B is not None and A.shape != B.shape:
-            raise DimMismatch(f"dimension mismatch: {A.shape[-2:]} vs {B.shape[-2:]}")
-        super().__init__()
-        self.A, self.B = A, B
-
-    @cached_property
-    @np.errstate(over="ignore", invalid="ignore")  # checked by `products` and `instances`
-    def _products(self) -> tuple[np.ndarray, np.ndarray]:
-        """(the stack `products`, unchecked; whether each of its matrices is finite)."""
-        A, B = self.A, self.B
-        P = np.empty((len(_PRODUCTS), *A.shape), dtype=np.result_type(A, B))
-        P[0], P[1] = A, B
+def products(A: Matrix, B: Matrix) -> np.ndarray:
+    """A, B, AB, BA, A^2, B^2, AB^2, A^2B and AB-BA of (k, n, n) stacks A
+    and B as one (9, k, n, n) stack, in the order of `_PRODUCTS`. A product
+    past double range holds inf or nan."""
+    P = np.empty((len(_PRODUCTS), *A.shape), dtype=np.result_type(A, B))
+    P[0], P[1] = A, B
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by `invariants`
         for i, (X, Y) in enumerate(((A, B), (B, A), (A, A), (B, B)), 2):
             np.matmul(X, Y, out=P[i])
         np.matmul(P[2:5:2], B, out=P[6:8])  # AB^2 = (AB)B, A^2B = (AA)B
         np.subtract(P[2], P[3], out=P[8])
-        return P, np.isfinite(P).all(axis=(-2, -1))
+    return P
 
-    @property
-    def products(self) -> np.ndarray:
-        """A, B, AB, BA, A^2, B^2, AB^2, A^2B and AB-BA (stacks for stacked A, B)
-        as one stack, in the order of `_PRODUCTS`; NormOverflow if one is not finite."""
-        P, finite = self._products
-        if not finite.all():
-            finite = finite.reshape(len(_PRODUCTS), -1).all(axis=1)
-            bad = ", ".join(x for x, ok in zip(_PRODUCTS, finite) if not ok)
-            raise NormOverflow(f"not finite: {bad}; normalize the pair first")
-        return P
+
+def _arms(s: Mapping[str, float]) -> tuple[float, float]:
+    """The mixed arms `_MIXED` from a pair's norms."""
+    return (math.sqrt(s["||A||"] * s["||AB^2||"]),
+            math.sqrt(s["||A^2B||"] * s["||B||"]))
+
+
+def _pair_values(norms: list[float], radii: list[float]) -> dict[str, float]:
+    """A pair's quantities by label from its norms (`_PAIR_NORMS` order) and
+    radii (`_PAIR_RADII` order): those, and the ones derived from them."""
+    s = dict(zip(_PAIR_NORMS, norms))
+    s.update(zip(_PAIR_RADII, radii))
+    for x in ("||A||", "||B||", "r(A)", "r(B)"):
+        try:  # x ** 2, not x * x, which can round otherwise; it raises past double range
+            s[f"{x}^2"] = s[x] ** 2
+        except OverflowError:
+            s[f"{x}^2"] = math.inf
+    s["r(A) r(B)"] = s["r(A)"] * s["r(B)"]
+    s["sqrt(||A^2|| ||B^2||)"] = math.sqrt(s["||A^2||"] * s["||B^2||"])
+    s.update(zip(_MIXED, _arms(s)))
+    return s
+
+
+class Invariants(dict):
+    """Norms and spectral radii of one instance by label (||T||, r(T) for one
+    operator; ||A||, r(A), ||AB-BA||, ... for a pair) and the quantities
+    derived from them, as `invariants` fills them; a pair keeps its
+    `products` for the oracle."""
+
+    def __init__(self, values: dict[str, float], A: Matrix,
+                 B: Optional[Matrix] = None, products: Optional[np.ndarray] = None):
+        super().__init__(values)
+        self.A, self.B, self.products = A, B, products
 
     def matrix(self, label: str) -> np.ndarray:
         """The pair's product called `label`, one of `_PRODUCTS` (e.g. "AB-BA")."""
         return self.products[_PRODUCTS.index(label)]
 
-    def __missing__(self, label: str) -> float:
-        if label in _PAIR_NORMS:
-            self.update(zip(_PAIR_NORMS, operator_norms(self.products).tolist()))
-        elif label in _PAIR_RADII:
-            self.update(zip(_PAIR_RADII, spectral_radii(self.products[:3]).tolist()))
-        else:
-            self[label] = _QUANTITIES[label](self)
-        return self[label]
-
-    def instances(self, labels: Optional[tuple[str, ...]] = None) -> list["Invariants"]:
-        """One Invariants per instance of stacked A (and B), filled with its
-        values of `labels` (by default every norm and radius a bound reads),
-        each label computed for the whole stack at once. If a pair's products
-        are not finite, every instance is left to compute its own values, so
-        reading that pair raises its own NormOverflow."""
-        pair = self.B is not None
-        if labels is None:
-            labels = _PAIR_NORMS + _PAIR_RADII if pair else ("||T||", "r(T)")
-        if pair:
-            P, finite = self._products
-            if not finite.all():
-                return [Invariants(A, B) for A, B in zip(self.A, self.B)]
-        out = []
-        for k, values in enumerate(zip(*(self[x] for x in labels))):
-            w = Invariants(self.A[k], self.B[k] if pair else None)
-            if pair:  # its slice of the stack's products
-                w._products = P[:, k], finite[:, k]
-            w.update(zip(labels, values))
-            out.append(w)
-        return out
-
     @property
     def commuting(self) -> bool:
         """The commutator test `matrices.commutes` on this pair's norms."""
         return commutes(self["||AB-BA||"], self["||A||"], self["||B||"])
+
+
+def invariants(A: Matrix, B: Optional[Matrix] = None) -> list[Invariants | NormOverflow]:
+    """The `Invariants` of each instance of the (k, n, n) stack A, or of
+    each pair of stacks A and B: every norm from one SVD call and every
+    radius from one eigensolve. A pair whose products are not finite gets,
+    in its place, the NormOverflow naming them, for the caller to raise."""
+    if B is None:
+        return [Invariants({"||T||": x, "r(T)": r}, T) for T, x, r in
+                zip(A, operator_norms(A).tolist(), spectral_radii(A).tolist())]
+    if A.shape != B.shape:
+        raise DimMismatch(f"dimension mismatch: {A.shape[-2:]} vs {B.shape[-2:]}")
+    P = products(A, B)
+    finite = np.isfinite(P).all(axis=(-2, -1))
+    ok = finite.all(axis=0)
+    good = P if ok.all() else P[:, ok]
+    values = map(_pair_values, operator_norms(good).T.tolist(),
+                 spectral_radii(good[:3]).T.tolist())
+    out: list = []
+    for k, pair_finite in enumerate(finite.T):
+        bad = ", ".join(x for x, fine in zip(_PRODUCTS, pair_finite) if not fine)
+        out.append(NormOverflow(f"not finite: {bad}; normalize the pair first") if bad
+                   else Invariants(next(values), A[k], B[k], P[:, k]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -198,18 +186,17 @@ def _evaluate(row: Row, f: Optional[PowerSeries], s: Mapping[str, float],
             fa[s[x]] = eval_companion(f, s[x], tol)
     F = [fa[s[x]] for x in row.args]
     value, extra = row.combine(F, s)
-    notes.update(extra)
     for name, y in [*zip((f"f_a({x})" for x in row.args), F), ("value", value)]:
         if not math.isfinite(y):
             out.reason = f"not finite: {name} = {y!r}"
             return out
+    notes.update(extra)
     out.value = value
     return out
 
 
 _SQ = ("||A||^2", "||B||^2")
 _NORMS = ("||A||", "||B||", "||AB||", "||A^2||", "||B^2||", "||AB^2||", "||A^2B||")
-_MIXED = ("sqrt(||A|| ||AB^2||)", "sqrt(||A^2B|| ||B||)")
 
 
 def _mixed(u: float, left: float, right: float) -> tuple[float, dict]:
@@ -218,8 +205,8 @@ def _mixed(u: float, left: float, right: float) -> tuple[float, dict]:
 
 
 def _chain(s: Mapping[str, float], half: bool) -> tuple[float, dict]:
-    """||AB|| + min of the mixed arms; halved for r(AB)."""
-    value = s["||AB||"] + min(s[_MIXED[0]], s[_MIXED[1]])
+    """||AB|| + min of the mixed arms, from the norms; halved for r(AB)."""
+    value = s["||AB||"] + min(_arms(s))
     return (0.5 * value if half else value), {}
 
 
@@ -277,13 +264,14 @@ def best_bound(f: PowerSeries, A: Matrix, B: Optional[Matrix] = None,
     bounds on the series target (None if there are none). A non-commuting
     pair makes each commutativity-gated bound Unavailable instead of
     raising, so the report always describes the full menu. The instance is
-    a stack of one for `Invariants.instances` and `bound_report`, the code a
-    sweep runs on each stack of instances.
+    a stack of one for `invariants` and `bound_report`, the code a sweep
+    runs on each stack of instances.
     """
     if not (0 < tol < math.inf):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    A = np.asarray(A)
-    (v,) = Invariants(A[None], None if B is None else np.asarray(B)[None]).instances()
+    (v,) = invariants(np.asarray(A)[None], None if B is None else np.asarray(B)[None])
+    if isinstance(v, NormOverflow):
+        raise v
     return bound_report(f, v, tol)
 
 

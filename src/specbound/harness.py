@@ -35,8 +35,10 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import BoundResult, Invariants, _PAIR_NORMS, _PM_ROWS, _evaluate, bound_report
-from .errors import GenerationFailure, OutOfDisk, SpecboundError, UnknownFamily
+from .bounds import (BoundResult, Invariants, _PAIR_NORMS, _PM_ROWS, _evaluate,
+                     bound_report, invariants, products)
+from .errors import (GenerationFailure, NormOverflow, OutOfDisk, SpecboundError,
+                     UnknownFamily)
 from .matrices import (
     Matrix,
     _series_at_norm,
@@ -348,13 +350,14 @@ def _trials(config: SweepConfig, family: str, family_index: int,
     groups: dict[int, list[int]] = {}  # dim -> positions in `trials`
     for k, (_, spec) in enumerate(trials):
         groups.setdefault(spec.dim, []).append(k)
-    invariants: list = [None] * len(trials)
+    filled: list = [None] * len(trials)
     for ks in groups.values():
-        stack = Invariants(*_generate([trials[k][1] for k in ks]))
-        for k, v in zip(ks, stack.instances()):
-            invariants[k] = v
+        for k, v in zip(ks, invariants(*_generate([trials[k][1] for k in ks]))):
+            filled[k] = v
     reports, terms = [], []
-    for (f, spec), v in zip(trials, invariants):
+    for (f, spec), v in zip(trials, filled):
+        if isinstance(v, NormOverflow):
+            raise v
         reports.append(bound_report(f, v, config.tol))
         if v.B is not None and not v.commuting:
             raise GenerationFailure(
@@ -678,11 +681,11 @@ def run_pm_checks(
     for draws in drawn.values():
         G, targets = zip(*draws)
         AB = _scaled(np.stack(G), np.array(targets))
-        v = Invariants(AB[0::2], AB[1::2])  # a stack of pairs
-        plus, minus = v.matrix("AB") + v.matrix("BA"), v.matrix("AB-BA")
-        radii = spectral_radii(np.stack((plus, minus))).T.tolist()
-        for w, oracles in zip(v.instances(_PAIR_NORMS), radii):  # one SVD call
-            # Both bounds are the same for either sign.
+        P = products(AB[0::2], AB[1::2])  # a stack of pairs
+        radii = spectral_radii(np.stack((P[2] + P[3], P[8]))).T.tolist()  # AB +/- BA
+        for norms, oracles in zip(operator_norms(P).T.tolist(), radii):
+            # Both bounds are the same for either sign, and read only norms.
+            w = dict(zip(_PAIR_NORMS, norms))
             quad, mixed = (_evaluate(row, None, w, 0.0, {}) for row in _PM_ROWS[:2])
             for oracle in oracles:
                 slack = _SLACK_REL * max(1.0, oracle)

@@ -28,7 +28,8 @@ from specbound import (
     oracle_radii,
     spectral_radius,
 )
-from specbound.bounds import _COMMUTING_ROWS, Invariants, _evaluate
+from specbound.bounds import (_COMMUTING_ROWS, _PAIR_NORMS, _evaluate, _pair_values,
+                              invariants)
 from specbound.harness import InstanceSpec, _ginibre
 from specbound.matrices import _series_at_norm
 
@@ -80,7 +81,7 @@ def pm(name, A, B, sign=+1):
 
 def oracle_radius(f, T):
     """r of f(T)'s certified truncation, as the harness computes it."""
-    return oracle_radii(f, Invariants(T), TOL)["f(T)"][0]
+    return oracle_radii(f, invariants(T[None])[0], TOL)["f(T)"][0]
 
 
 def oracle_with_slack(f, T):
@@ -532,13 +533,10 @@ _SERIES = [*catalog(), lookup("2F1:0.5,0.75,1.25")]
 _ROW = {row.name: row for row in _COMMUTING_ROWS}
 
 
-def _scalar_pair(norms, radii=None):
-    """Invariants of a pair given by its norms (and radii) alone."""
-    v = Invariants(np.zeros((1, 1)), np.zeros((1, 1)))
-    v.update(norms)
-    if radii is not None:
-        v["r(A)"], v["r(B)"] = radii
-    return v
+def _scalar_pair(norms, radii=(0.0, 0.0)):
+    """The quantities of a pair given by its norms (and r(A), r(B)) alone,
+    as `invariants` derives them; the norms and radii not given are 0."""
+    return _pair_values([norms.get(x, 0.0) for x in _PAIR_NORMS], [*radii, 0.0])
 
 
 def _real_pair(kind, seed, a, b):
@@ -591,7 +589,8 @@ def test_dropped_corollaries_dominate_their_rows(f, u, p, kind, seed):
 
     # triple_split and its Cauchy-Schwarz form on the norms of one pair,
     # commuting or not: submultiplicativity need not hold for other numbers
-    v = Invariants(*_real_pair(kind, seed, u[0] * top, u[1] * top))
+    A, B = _real_pair(kind, seed, u[0] * top, u[1] * top)
+    (v,) = invariants(A[None], B[None])
     s = _evaluate(_ROW["mixed-split"], f, v, TOL, {}).intermediates
     triple = triple_split(fa, s)
     check(_ROW["mixed-split"], v, triple)
@@ -753,8 +752,9 @@ def test_best_bound_noncommuting_pair_runs_one_eigensolve(monkeypatch, lapack_wo
     assert len(companion) == 1
 
 
-# Each pair invariant as one matrix formula: the per-label reference the
-# stacked `Invariants` must match bit for bit.
+# Each pair invariant as one matrix formula, the derived quantities as
+# Python float arithmetic on those: the per-label reference `invariants`
+# must match bit for bit.
 _PAIR_REFERENCE = {
     "||A||": lambda A, B: operator_norm(A),
     "||B||": lambda A, B: operator_norm(B),
@@ -768,6 +768,17 @@ _PAIR_REFERENCE = {
     "r(A)": lambda A, B: spectral_radius(A),
     "r(B)": lambda A, B: spectral_radius(B),
     "r(AB)": lambda A, B: spectral_radius(A @ B),
+    "||A||^2": lambda A, B: operator_norm(A) ** 2,
+    "||B||^2": lambda A, B: operator_norm(B) ** 2,
+    "r(A)^2": lambda A, B: spectral_radius(A) ** 2,
+    "r(B)^2": lambda A, B: spectral_radius(B) ** 2,
+    "r(A) r(B)": lambda A, B: spectral_radius(A) * spectral_radius(B),
+    "sqrt(||A^2|| ||B^2||)": lambda A, B: math.sqrt(
+        operator_norm(A @ A) * operator_norm(B @ B)),
+    "sqrt(||A|| ||AB^2||)": lambda A, B: math.sqrt(
+        operator_norm(A) * operator_norm(A @ B @ B)),
+    "sqrt(||A^2B|| ||B||)": lambda A, B: math.sqrt(
+        operator_norm(A @ A @ B) * operator_norm(B)),
 }
 
 _PRODUCT_REFERENCE = {
@@ -784,15 +795,47 @@ _PRODUCT_REFERENCE = {
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
-def test_pair_invariants_match_per_label_formulas(n):
+def test_pair_invariants_match_per_label_formulas(lapack_work, n):
+    # A stack of complex pairs, then one of real pairs, each with a pair
+    # whose products are not finite in the middle: that pair gets the
+    # NormOverflow best_bound raises on it alone, and the others what they
+    # get without it, from one SVD call and one eigensolve call.
     g = np.random.default_rng(n)
-    for imag in (1j, 1j, 1j, 0.0):  # complex pairs, then a real one
-        A, B = g.standard_normal((2, n, n)) + imag * g.standard_normal((2, n, n))
-        v = Invariants(A, B)
-        for label, ref in _PAIR_REFERENCE.items():
-            assert v[label] == ref(A, B), (n, label)
-        for label, ref in _PRODUCT_REFERENCE.items():
-            assert np.array_equal(v.matrix(label), ref(A, B)), (n, label)
+    huge = 1e160 * np.eye(n), np.eye(n)  # A^2 and A^2B overflow
+    with pytest.raises(NormOverflow) as alone:
+        best_bound(EXP, *huge)
+    for imag in (1j, 0.0):
+        A, B = g.standard_normal((2, 4, n, n)) + imag * g.standard_normal((2, 4, n, n))
+        lapack_work.update(dict.fromkeys(lapack_work, 0))
+        stacks = (np.insert(X, 3, H, axis=0) for X, H in zip((A, B), huge))
+        *left, bad, right = invariants(*stacks)
+        assert lapack_work == {"svd": 4 * 9, "svd_calls": 1, "eig": 4 * 3, "eig_calls": 1}
+        assert isinstance(bad, NormOverflow) and str(bad) == str(alone.value)
+        filled = [*left, right]
+        for v, w in zip(filled, invariants(A, B)):
+            assert v == w and np.array_equal(v.products, w.products), n
+        for v, a, b in zip(filled, A, B):
+            assert v.keys() == _PAIR_REFERENCE.keys(), n
+            for label, ref in _PAIR_REFERENCE.items():
+                assert v[label] == ref(a, b), (n, label)
+            for label, ref in _PRODUCT_REFERENCE.items():
+                assert np.array_equal(v.matrix(label), ref(a, b)), (n, label)
+
+
+def test_pair_squares_round_as_python_floats_and_overflow_to_inf():
+    # x ** 2, not x * x: they differ at this x, and the reports carry x ** 2.
+    x = 0.25507036666599964
+    assert x ** 2 != x * x
+    v = best_bound(GEO, np.diag([x, 0.1]), np.eye(2)).invariants
+    assert v["||A||"] == v["r(A)"] == x and v["||A||^2"] == v["r(A)^2"] == x ** 2
+    # ||A|| = 1e200 with every product finite: ||A||^2 is inf, where
+    # x ** 2 raises, and each row that needs ||A||^2 < R is Unavailable.
+    report = best_bound(GEO, as_matrix([[0, 1e200], [0, 0]]), np.eye(2))
+    assert report.invariants["||A||^2"] == math.inf
+    gated = {r.name: r.reason for r in report.results if "||A||^2" in (r.reason or "")}
+    assert gated == dict.fromkeys(("pair-squares", "norm-split", "mixed-split"),
+                                  "precondition failed: ||A||^2 < R (measured inf)")
+    assert report.minimum is None
 
 
 def test_pair_product_overflow_is_named():

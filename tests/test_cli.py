@@ -266,6 +266,44 @@ def test_bound_product_overflow_exits_2(tmp_path, capsys):
     assert "not finite: A^2, A^2B" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bound_square_past_double_range(tmp_path, capsys):
+    # ||A|| = 1e200 with every product finite: ||A||^2 is inf, no traceback.
+    # geometric makes each row that needs ||A||^2 < R Unavailable; exp
+    # finds no truncation order for the oracle of f(AB) at ||AB|| = 1e200.
+    a, b = tmp_path / "a.mat", tmp_path / "b.mat"
+    save_matrix(a, np.array([[0, 1e200], [0, 0]], dtype=complex))
+    save_matrix(b, np.eye(2, dtype=complex))
+    argv = ["bound", "--matrix", str(a), "--matrix", str(b), "--series"]
+    assert main([*argv, "geometric"]) == 0
+    reasons = {line.split()[0]: line.split(None, 2)[2]
+               for line in capsys.readouterr().out.splitlines() if "||A||^2" in line}
+    assert reasons == dict.fromkeys(
+        ("pair-squares", "norm-split", "mixed-split"),
+        "unavailable: precondition failed: ||A||^2 < R (measured inf)")
+    assert main([*argv, "exp"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: exp: no order up to 1000000 certifies")
+    assert err.count("\n") == 1
+
+
+def test_bound_structured_output_is_strict_json(tmp_path, capsys):
+    # Every f(AB) row of exp on diag(27, 1) is not finite (e^729); the
+    # Unavailable rows carry no infinite intermediates, so no Infinity.
+    path = tmp_path / "d.mat"
+    save_matrix(path, np.diag([27.0, 1.0]).astype(complex))
+    code = main(["bound", "--series", "exp", "--format", "structured",
+                 "--matrix", str(path), "--matrix", str(path)])
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} in the structured report")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    mixed = next(r for r in doc["results"] if r["name"] == "mixed-split")
+    assert mixed["value"] is None and mixed["reason"].startswith("not finite: ")
+
+
 def test_bound_missing_file_exits_2(capsys):
     code = main(["bound", "--series", "exp", "--matrix", "/nonexistent.mat"])
     assert code == 2

@@ -20,7 +20,7 @@ from specbound import (
     series_partial_sum,
     spectral_radius,
 )
-from specbound.bounds import Invariants
+from specbound.bounds import invariants
 from specbound.matrices import _series_at_norm, operator_norms, spectral_radii
 from textbook import gelfand_sequence
 
@@ -207,7 +207,7 @@ def test_polynomials_of_same_matrix_commute():
     M = random_complex(5, 4)
     A = 0.3 * M @ M + M + np.eye(4)
     B = M @ M @ M - 2.0 * M
-    v = Invariants(A, B)
+    (v,) = invariants(A[None], B[None])
     assert v["||AB-BA||"] <= 1e-12 * operator_norm(A) * operator_norm(B)
     assert v.commuting
 
@@ -215,19 +215,19 @@ def test_polynomials_of_same_matrix_commute():
 def test_shift_pair_commutator():
     A = as_matrix([[0, 1], [0, 0]])
     B = as_matrix([[0, 0], [1, 0]])
-    v = Invariants(A, B)
+    (v,) = invariants(A[None], B[None])
     assert v["||AB-BA||"] == pytest.approx(1.0)
     assert not v.commuting
 
 
 def test_self_commutator_is_zero():
     A = random_complex(9, 3)
-    assert Invariants(A, A)["||AB-BA||"] == 0.0
+    assert invariants(A[None], A[None])[0]["||AB-BA||"] == 0.0
 
 
 def test_commutator_dim_mismatch():
     with pytest.raises(DimMismatch):
-        Invariants(np.eye(2), np.eye(3))
+        invariants(np.eye(2)[None], np.eye(3)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +340,14 @@ def test_partial_sum_matches_mpmath(ps_reference, m):
 
 def test_oracle_exp_of_diagonal():
     f = lookup("exp")
-    value = oracle_radii(f, Invariants(np.diag([0.5, 0.2])), 1e-10)["f(T)"][0]
+    value = oracle_radii(f, invariants(np.diag([0.5, 0.2])[None])[0], 1e-10)["f(T)"][0]
     assert value == pytest.approx(math.exp(0.5), abs=1e-10)
 
 
 def test_oracle_geometric_of_nilpotent():
     f = lookup("geometric")
     T = as_matrix([[0, 0.5], [0, 0]])
-    value = oracle_radii(f, Invariants(T), 1e-10)["f(T)"][0]
+    value = oracle_radii(f, invariants(T[None])[0], 1e-10)["f(T)"][0]
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -356,6 +356,6 @@ def test_oracle_log_resolvent_below_scalar_bound():
     G = random_complex(31, 4)
     T = 0.8 * G / operator_norm(G)
     tol = 1e-10
-    value = oracle_radii(f, Invariants(T), tol)["f(T)"][0]
+    value = oracle_radii(f, invariants(T[None])[0], tol)["f(T)"][0]
     r = spectral_radius(T)
     assert value <= -math.log1p(-r) + tol + 1e-10

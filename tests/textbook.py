@@ -12,7 +12,7 @@ import numpy as np
 
 from inequalities import relaxed_arms
 from specbound import NormOverflow, from_coefficients, operator_norm, series_partial_sum
-from specbound.bounds import _PM_ROWS, Invariants, _evaluate
+from specbound.bounds import _PM_ROWS, _evaluate, invariants
 from specbound.harness import (
     FAMILIES_SINGLE,
     CheckResult,
@@ -153,7 +153,7 @@ def run_mixed_chain(
         n = dims[i % len(dims)]
         A = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
         B = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
-        mixed = _evaluate(_PM_ROWS[1], None, Invariants(A, B), 0.0, {})
+        mixed = _evaluate(_PM_ROWS[1], None, invariants(A[None], B[None])[0], 0.0, {})
         for arm in relaxed_arms(mixed.intermediates):
             result.record(mixed.value - arm - 1e-10 * max(1.0, arm))
     return {"pm-mixed-chain": result}
