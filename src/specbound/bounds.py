@@ -64,8 +64,8 @@ class BoundResult:
 # A pair's products, in the order of `products`, and their norms.
 _PRODUCTS = ("A", "B", "AB", "BA", "A^2", "B^2", "AB^2", "A^2B", "AB-BA")
 _PAIR_NORMS = tuple(f"||{x}||" for x in _PRODUCTS)
-# The radii of the first three products, from one eigensolve.
-_PAIR_RADII = ("r(A)", "r(B)", "r(AB)")
+# The radii of A, B, AB and of `_pm_terms`, from one eigensolve.
+_PAIR_RADII = ("r(A)", "r(B)", "r(AB)", "r(AB+BA)", "r(AB-BA)")
 _MIXED = ("sqrt(||A|| ||AB^2||)", "sqrt(||A^2B|| ||B||)")
 
 
@@ -81,6 +81,11 @@ def products(A: Matrix, B: Matrix) -> np.ndarray:
         np.matmul(P[2:5:2], B, out=P[6:8])  # AB^2 = (AB)B, A^2B = (AA)B
         np.subtract(P[2], P[3], out=P[8])
     return P
+
+
+def _pm_terms(P: np.ndarray) -> np.ndarray:
+    """AB+BA and AB-BA of a `products` stack P as one (2, k, n, n) stack."""
+    return np.stack((P[2] + P[3], P[8]))
 
 
 def _arms(s: Mapping[str, float]) -> tuple[float, float]:
@@ -107,18 +112,13 @@ def _pair_values(norms: list[float], radii: list[float]) -> dict[str, float]:
 
 class Invariants(dict):
     """Norms and spectral radii of one instance by label (||T||, r(T) for one
-    operator; ||A||, r(A), ||AB-BA||, ... for a pair) and the quantities
-    derived from them, as `invariants` fills them; a pair keeps its
-    `products` for the oracle."""
+    operator; ||A||, r(A), r(AB+BA), ... for a pair) and the quantities
+    derived from them, as `invariants` fills them, plus `arg`, the series
+    argument: T, or AB for a pair."""
 
-    def __init__(self, values: dict[str, float], A: Matrix,
-                 B: Optional[Matrix] = None, products: Optional[np.ndarray] = None):
+    def __init__(self, values: dict[str, float], arg: Matrix):
         super().__init__(values)
-        self.A, self.B, self.products = A, B, products
-
-    def matrix(self, label: str) -> np.ndarray:
-        """The pair's product called `label`, one of `_PRODUCTS` (e.g. "AB-BA")."""
-        return self.products[_PRODUCTS.index(label)]
+        self.arg = arg
 
     @property
     def commuting(self) -> bool:
@@ -140,13 +140,13 @@ def invariants(A: Matrix, B: Optional[Matrix] = None) -> list[Invariants | NormO
     finite = np.isfinite(P).all(axis=(-2, -1))
     ok = finite.all(axis=0)
     good = P if ok.all() else P[:, ok]
-    values = map(_pair_values, operator_norms(good).T.tolist(),
-                 spectral_radii(good[:3]).T.tolist())
+    radii = spectral_radii(np.concatenate((good[:3], _pm_terms(good))))
+    values = map(_pair_values, operator_norms(good).T.tolist(), radii.T.tolist())
     out: list = []
     for k, pair_finite in enumerate(finite.T):
         bad = ", ".join(x for x, fine in zip(_PRODUCTS, pair_finite) if not fine)
         out.append(NormOverflow(f"not finite: {bad}; normalize the pair first") if bad
-                   else Invariants(next(values), A[k], B[k], P[:, k]))
+                   else Invariants(next(values), P[2, k]))
     return out
 
 
@@ -278,7 +278,8 @@ def best_bound(f: PowerSeries, A: Matrix, B: Optional[Matrix] = None,
 def bound_report(f: PowerSeries, v: Invariants, tol: float) -> BestBoundReport:
     """`best_bound` of the instance whose invariants are `v`."""
     fa: dict[float, float] = {}
-    if v.B is None:
+    target = "f(T)" if "r(T)" in v else "f(AB)"
+    if target == "f(T)":
         results = [_evaluate(_SINGLE, f, v, tol, fa)]
     else:
         results = [_evaluate(row, f, v, tol, fa) for row in (*_PM_ROWS, _PRODUCT)]
@@ -290,7 +291,6 @@ def bound_report(f: PowerSeries, v: Invariants, tol: float) -> BestBoundReport:
             results += [BoundResult(row.name, None, row.target, reason,
                                     [("AB = BA", False, cnorm)])
                         for row in _COMMUTING_ROWS]
-    target = "f(T)" if v.B is None else "f(AB)"
     candidates = [r for r in results if r.available and r.target == target]
     minimum = min(candidates, key=lambda r: r.value) if candidates else None
     return BestBoundReport(results, minimum, v)

@@ -154,11 +154,13 @@ def cmd_bound(args) -> int:
     else:
         doc = {
             "series": args.series,
-            "oracles": {k: list(v) for k, v in oracles.items()},
+            "oracles": oracles,
             "results": [asdict(r) for r in report.results],
             "minimum": None if report.minimum is None else report.minimum.name,
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        # Strict JSON: each non-finite number (repr round-trips) becomes null.
+        doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
+        _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", args.out)
 
     _, low = harness._judged(report.results, oracles)
     for r in low:

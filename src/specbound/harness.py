@@ -36,22 +36,12 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .bounds import (BoundResult, Invariants, _PAIR_NORMS, _PM_ROWS, _evaluate,
-                     bound_report, invariants, products)
+                     _pm_terms, bound_report, invariants, products)
 from .errors import (GenerationFailure, NormOverflow, OutOfDisk, SpecboundError,
                      UnknownFamily)
-from .matrices import (
-    Matrix,
-    _series_at_norm,
-    operator_norms,
-    series_partial_sum,
-    spectral_radii,
-)
-from .series import (
-    DEFAULT_TOL,
-    PowerSeries,
-    lookup,
-    truncation_order,
-)
+from .matrices import Matrix, operator_norms, series_partial_sum, spectral_radii
+from .series import (DEFAULT_MAX_TERMS, DEFAULT_TOL, PowerSeries, _order_and_tail, lookup,
+                     truncation_order)
 
 FAMILIES_SINGLE = (
     "diagonal-positive",
@@ -275,26 +265,41 @@ def _judged(bounds: Sequence[BoundResult], oracles: dict[str, tuple[float, float
     return tightness, low
 
 
+def _series_at_norm(f: PowerSeries, T: Matrix, nrm: float, tol: float
+                    ) -> tuple[Matrix, float]:
+    """(S_m(T), tail): f(T) truncated at the order m whose scalar majorant
+    tail = sum_{j>m} |a_j| nrm^j is <= tol, given nrm = ||T||. That tail
+    dominates the matrix remainder's operator norm. NormOverflow if the
+    truncation is not finite.
+    """
+    m, tail = _order_and_tail(f, nrm, tol, DEFAULT_MAX_TERMS)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        value = series_partial_sum(f, T, m)
+    if not np.isfinite(value).all():
+        raise NormOverflow(f"{f.name}: the order-{m} truncation at ||T|| = {nrm:g} "
+                           "is not finite; normalize the matrix first")
+    return value, tail
+
+
 def _oracle_terms(f: PowerSeries, v: Invariants, tol: float) -> tuple[dict, dict]:
-    """The oracles of `oracle_radii` read from `v`, and {target: (matrix,
-    error)} for those whose radius is still to solve. NormOverflow if the
-    truncation is not finite."""
-    if v.B is None:
-        M, nrm, target, read, terms = v.A, v["||T||"], "f(T)", {}, {}
+    """The oracles of `oracle_radii` read from `v`, and {target: (S_m,
+    tail)} for the series target, whose truncation's radius is still to
+    solve; empty when its argument lies outside the disk. NormOverflow if
+    the truncation is not finite."""
+    if "r(T)" in v:
+        target, nrm, read = "f(T)", v["||T||"], {}
     else:
-        M, nrm, target = v.matrix("AB"), v["||AB||"], "f(AB)"
-        read = {"AB": (v["r(AB)"], 0.0)}
-        terms = {"AB+BA": (M + v.matrix("BA"), 0.0), "AB-BA": (v.matrix("AB-BA"), 0.0)}
+        target, nrm = "f(AB)", v["||AB||"]
+        read = {x: (v[f"r({x})"], 0.0) for x in ("AB", "AB+BA", "AB-BA")}
     try:
-        terms[target] = _series_at_norm(f, M, nrm, tol)
+        return read, {target: _series_at_norm(f, v.arg, nrm, tol)}
     except OutOfDisk:
-        pass
-    return read, terms
+        return read, {}
 
 
 def _solved(terms: Sequence[tuple[dict, dict]]) -> list[dict[str, tuple[float, float]]]:
     """The oracles of instances of one dimension from their `_oracle_terms`:
-    the radii of all their matrices from one eigensolve call."""
+    the radii of all their truncations from one eigensolve call."""
     stack = [M for _, pending in terms for M, _ in pending.values()]
     radii = iter(spectral_radii(np.stack(stack)).tolist() if stack else ())
     return [{**read, **{k: (next(radii), err) for k, (_, err) in pending.items()}}
@@ -307,12 +312,12 @@ def oracle_radii(
     """(value, error) of the oracle for each target quantity of the
     instance whose invariants are `v` (as `best_bound` reports them).
 
-    Pair mode gives r(AB), read from `v`, and r(AB+BA) and r(AB-BA), with
-    no error. The series target f(T) or f(AB) gets the spectral radius of
-    its certified truncation, with the truncation's remainder bound as
-    error, when its argument lies inside the disk; the norm of that
-    argument is read from `v`. The radii not read from `v` take one
-    eigensolve call, as a sweep's do for a whole stack of instances.
+    Pair mode gives r(AB), r(AB+BA) and r(AB-BA), read from `v`, with no
+    error. The series target f(T) or f(AB) gets the spectral radius of its
+    certified truncation, with the truncation's remainder bound as error,
+    when its argument lies inside the disk; the norm of that argument is
+    read from `v`. That radius takes one eigensolve call, as a sweep's
+    truncations do for a whole stack of instances.
     """
     return _solved([_oracle_terms(f, v, tol)])[0]
 
@@ -359,7 +364,7 @@ def _trials(config: SweepConfig, family: str, family_index: int,
         if isinstance(v, NormOverflow):
             raise v
         reports.append(bound_report(f, v, config.tol))
-        if v.B is not None and not v.commuting:
+        if "r(T)" not in v and not v.commuting:
             raise GenerationFailure(
                 f"{spec} is not a commuting pair "
                 f"(||AB-BA|| = {v['||AB-BA||']:.6e})"
@@ -682,7 +687,7 @@ def run_pm_checks(
         G, targets = zip(*draws)
         AB = _scaled(np.stack(G), np.array(targets))
         P = products(AB[0::2], AB[1::2])  # a stack of pairs
-        radii = spectral_radii(np.stack((P[2] + P[3], P[8]))).T.tolist()  # AB +/- BA
+        radii = spectral_radii(_pm_terms(P)).T.tolist()  # AB +/- BA
         for norms, oracles in zip(operator_norms(P).T.tolist(), radii):
             # Both bounds are the same for either sign, and read only norms.
             w = dict(zip(_PAIR_NORMS, norms))

@@ -16,8 +16,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimMismatch, EigenFailure, NormOverflow
-from .series import DEFAULT_MAX_TERMS, PowerSeries, _order_and_tail
+from .errors import DimMismatch, EigenFailure
+from .series import PowerSeries
 
 Matrix = np.ndarray
 
@@ -101,23 +101,6 @@ def series_partial_sum(f: PowerSeries, T: Matrix, m: int) -> Matrix:
     for k in range(blocks - 2, -1, -1):
         S = block(k) + Ts @ S
     return S
-
-
-def _series_at_norm(
-    f: PowerSeries, T: Matrix, nrm: float, tol: float
-) -> tuple[Matrix, float]:
-    """(S_m(T), tail): f(T) truncated at the order m whose scalar majorant
-    tail = sum_{j>m} |a_j| nrm^j is <= tol, given nrm = ||T||. That tail
-    dominates the matrix remainder's operator norm. NormOverflow if the
-    truncation is not finite.
-    """
-    m, tail = _order_and_tail(f, nrm, tol, DEFAULT_MAX_TERMS)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        value = series_partial_sum(f, T, m)
-    if not np.isfinite(value).all():
-        raise NormOverflow(f"{f.name}: the order-{m} truncation at ||T|| = {nrm:g} "
-                           "is not finite; normalize the matrix first")
-    return value, tail
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,12 @@ from specbound.harness import (
     FAMILIES_PAIR,
     FAMILIES_SINGLE,
     InstanceSpec,
+    _series_at_norm,
     gen_matrix,
     oracle_radii,
     run_limit_checks,
     run_pm_checks,
 )
-from specbound.matrices import _series_at_norm
 from textbook import run_identity_checks, run_limit_laws, run_mixed_chain
 
 TOL = 1e-10

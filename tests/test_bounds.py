@@ -29,9 +29,8 @@ from specbound import (
     spectral_radius,
 )
 from specbound.bounds import (_COMMUTING_ROWS, _PAIR_NORMS, _evaluate, _pair_values,
-                              invariants)
-from specbound.harness import InstanceSpec, _ginibre
-from specbound.matrices import _series_at_norm
+                              invariants, products)
+from specbound.harness import InstanceSpec, _ginibre, _series_at_norm
 
 TOL = 1e-10
 
@@ -727,13 +726,14 @@ def _count_companion(monkeypatch):
 
 @pytest.mark.parametrize("f", [EXP, GEO])
 def test_best_bound_pair_computes_each_invariant_once(monkeypatch, lapack_work, f):
-    # Nine norms from one SVD call, r(A), r(B) and r(AB) from one eigensolve call.
+    # Nine norms from one SVD call; r(A), r(B), r(AB), r(AB+BA) and r(AB-BA)
+    # from one eigensolve call.
     A, B = commuting_pair(5, n=8)
     lapack_work.update(dict.fromkeys(lapack_work, 0))  # the generator's norms
     companion = _count_companion(monkeypatch)
     report = best_bound(f, A, B)
     assert report.minimum is not None
-    assert lapack_work == {"svd": 9, "svd_calls": 1, "eig": 3, "eig_calls": 1}
+    assert lapack_work == {"svd": 9, "svd_calls": 1, "eig": 5, "eig_calls": 1}
     assert companion and len(companion) == len(set(companion))
 
 
@@ -745,10 +745,10 @@ def test_best_bound_single_computes_each_invariant_once(monkeypatch, lapack_work
 
 
 def test_best_bound_noncommuting_pair_runs_one_eigensolve(monkeypatch, lapack_work):
-    # product-radius needs r(AB), which comes with r(A) and r(B)
+    # product-radius needs r(AB), which comes with the pair's other radii
     companion = _count_companion(monkeypatch)
     best_bound(GEO, 0.9 * SHIFT, 0.9 * SHIFT_T)
-    assert lapack_work == {"svd": 9, "svd_calls": 1, "eig": 3, "eig_calls": 1}
+    assert lapack_work == {"svd": 9, "svd_calls": 1, "eig": 5, "eig_calls": 1}
     assert len(companion) == 1
 
 
@@ -768,6 +768,8 @@ _PAIR_REFERENCE = {
     "r(A)": lambda A, B: spectral_radius(A),
     "r(B)": lambda A, B: spectral_radius(B),
     "r(AB)": lambda A, B: spectral_radius(A @ B),
+    "r(AB+BA)": lambda A, B: spectral_radius(A @ B + B @ A),
+    "r(AB-BA)": lambda A, B: spectral_radius(A @ B - B @ A),
     "||A||^2": lambda A, B: operator_norm(A) ** 2,
     "||B||^2": lambda A, B: operator_norm(B) ** 2,
     "r(A)^2": lambda A, B: spectral_radius(A) ** 2,
@@ -799,7 +801,8 @@ def test_pair_invariants_match_per_label_formulas(lapack_work, n):
     # A stack of complex pairs, then one of real pairs, each with a pair
     # whose products are not finite in the middle: that pair gets the
     # NormOverflow best_bound raises on it alone, and the others what they
-    # get without it, from one SVD call and one eigensolve call.
+    # get without it, from one SVD call and one eigensolve call. Each keeps
+    # its AB, the series argument.
     g = np.random.default_rng(n)
     huge = 1e160 * np.eye(n), np.eye(n)  # A^2 and A^2B overflow
     with pytest.raises(NormOverflow) as alone:
@@ -809,17 +812,21 @@ def test_pair_invariants_match_per_label_formulas(lapack_work, n):
         lapack_work.update(dict.fromkeys(lapack_work, 0))
         stacks = (np.insert(X, 3, H, axis=0) for X, H in zip((A, B), huge))
         *left, bad, right = invariants(*stacks)
-        assert lapack_work == {"svd": 4 * 9, "svd_calls": 1, "eig": 4 * 3, "eig_calls": 1}
+        assert lapack_work == {"svd": 4 * 9, "svd_calls": 1, "eig": 4 * 5, "eig_calls": 1}
         assert isinstance(bad, NormOverflow) and str(bad) == str(alone.value)
         filled = [*left, right]
         for v, w in zip(filled, invariants(A, B)):
-            assert v == w and np.array_equal(v.products, w.products), n
+            assert v == w and np.array_equal(v.arg, w.arg), n
         for v, a, b in zip(filled, A, B):
             assert v.keys() == _PAIR_REFERENCE.keys(), n
             for label, ref in _PAIR_REFERENCE.items():
                 assert v[label] == ref(a, b), (n, label)
-            for label, ref in _PRODUCT_REFERENCE.items():
-                assert np.array_equal(v.matrix(label), ref(a, b)), (n, label)
+            assert np.array_equal(v.arg, a @ b), n
+        # `products`, in the order of the norm labels, against its formulas.
+        assert _PAIR_NORMS == tuple(f"||{x}||" for x in _PRODUCT_REFERENCE)
+        for Pk, ref in zip(products(A, B), _PRODUCT_REFERENCE.values(), strict=True):
+            for M, a, b in zip(Pk, A, B):
+                assert M.dtype == A.dtype and np.array_equal(M, ref(a, b)), n
 
 
 def test_pair_squares_round_as_python_floats_and_overflow_to_inf():

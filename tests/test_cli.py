@@ -16,6 +16,7 @@ import specbound.harness as harness_mod
 from specbound import (
     InstanceSpec,
     SweepConfig,
+    as_matrix,
     best_bound,
     gen_commuting_pair,
     gen_matrix,
@@ -240,8 +241,8 @@ def test_bound_oracle_reuses_the_report_norm(lapack_work, diag_pair, capsys,
 
 
 def test_bound_pair_shares_the_eigensolve_of_ab(lapack_work, tmp_path, capsys):
-    # r(A), r(B) and r(AB) in best_bound's eigensolve; r(AB+BA), r(AB-BA)
-    # and r of f(AB)'s truncation in the oracle's. The oracle of AB is the
+    # r(A), r(B), r(AB), r(AB+BA) and r(AB-BA) in best_bound's eigensolve;
+    # r of f(AB)'s truncation in the oracle's. The oracle of AB is the
     # product row's r(AB), bit for bit, and a lone eigensolve of AB gives it.
     A, B = gen_commuting_pair(InstanceSpec(11, "commuting-polynomial-pair", 6, 0.7))
     paths = [str(tmp_path / "a.mat"), str(tmp_path / "b.mat")]
@@ -288,20 +289,33 @@ def test_bound_square_past_double_range(tmp_path, capsys):
 
 
 def test_bound_structured_output_is_strict_json(tmp_path, capsys):
-    # Every f(AB) row of exp on diag(27, 1) is not finite (e^729); the
-    # Unavailable rows carry no infinite intermediates, so no Infinity.
-    path = tmp_path / "d.mat"
-    save_matrix(path, np.diag([27.0, 1.0]).astype(complex))
-    code = main(["bound", "--series", "exp", "--format", "structured",
-                 "--matrix", str(path), "--matrix", str(path)])
-    assert code == 0
-
     def reject(constant):
         raise ValueError(f"{constant} in the structured report")
 
-    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
-    mixed = next(r for r in doc["results"] if r["name"] == "mixed-split")
+    def structured(series, A, B):
+        paths = [tmp_path / "a.mat", tmp_path / "b.mat"]
+        for path, M in zip(paths, (A, B)):
+            save_matrix(path, as_matrix(M))
+        code = main(["bound", "--series", series, "--format", "structured",
+                     "--matrix", str(paths[0]), "--matrix", str(paths[1])])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        return {r["name"]: r for r in doc["results"]}
+
+    # Every f(AB) row of exp on diag(27, 1) is not finite (e^729); the
+    # Unavailable rows carry no infinite intermediates, so no Infinity.
+    D = np.diag([27.0, 1.0])
+    mixed = structured("exp", D, D)["mixed-split"]
     assert mixed["value"] is None and mixed["reason"].startswith("not finite: ")
+    # ||A||^2 and the mixed arm sqrt(||A|| ||AB^2||) are inf: their measured
+    # values and the arm's intermediate are null; the reasons say inf.
+    rows = structured("geometric", [[0, 1e200], [0, 0]], np.eye(2))
+    for name in ("pair-squares", "norm-split", "mixed-split"):
+        assert rows[name]["reason"] == "precondition failed: ||A||^2 < R (measured inf)"
+        assert ["||A||^2 < R", False, None] in rows[name]["preconditions"], name
+    mixed = rows["mixed-split"]
+    assert ["sqrt(||A|| ||AB^2||) < R", False, None] in mixed["preconditions"]
+    assert mixed["intermediates"]["sqrt(||A|| ||AB^2||)"] is None
 
 
 def test_bound_missing_file_exits_2(capsys):

@@ -41,6 +41,7 @@ from specbound.harness import (
     _ginibre,
     _judged,
     _scaled,
+    _series_at_norm,
     _trial_spec,
     oracle_radii,
     report_piece,
@@ -50,7 +51,6 @@ from specbound.harness import (
     run_trial,
     summarize_tallies,
 )
-from specbound.matrices import _series_at_norm
 from specbound.series import DEFAULT_TOL, truncation_order
 from textbook import run_identity_checks, run_limit_laws, run_mixed_chain
 
@@ -149,9 +149,9 @@ def test_pair_generator_computes_each_norm_once(lapack_work, family, svds):
 )
 def test_pair_trial_svd_count(lapack_work, family, svds):
     # The generator's norms, then best_bound's 9 in one call, whose
-    # commutator test is the only one the trial runs; the oracle reads
-    # ||AB|| and r(AB) from the report and takes its other three radii in
-    # one call.
+    # commutator test is the only one the trial runs; best_bound's five
+    # radii in one call, and the oracle's radius of f(AB)'s truncation in
+    # another: it reads ||AB|| and the other radii from the report.
     config = SweepConfig(families=(family,), trials=20, dims=(8,), seed=5)
     for i in range(config.trials):
         run_trial(config, family, 0, i)
@@ -166,8 +166,8 @@ def test_pair_oracle_is_one_eigensolve_call(lapack_work):
     f = lookup("exp")
     (v,) = invariants(A[None], B[None])  # best_bound's SVD call and eigensolve
     lapack_work.update(dict.fromkeys(lapack_work, 0))
-    oracles = oracle_radii(f, v)
-    assert lapack_work["eig"] == 3 and lapack_work["eig_calls"] == 1
+    oracles = oracle_radii(f, v)  # r(AB), r(AB+BA) and r(AB-BA) are read from v
+    assert lapack_work["eig"] == 1 and lapack_work["eig_calls"] == 1
     # Bit for bit the one-target-at-a-time formulas.
     AB, BA = A @ B, B @ A
     S, tail = _series_at_norm(f, AB, operator_norm(AB), DEFAULT_TOL)

@@ -21,7 +21,8 @@ from specbound import (
     spectral_radius,
 )
 from specbound.bounds import invariants
-from specbound.matrices import _series_at_norm, operator_norms, spectral_radii
+from specbound.harness import _series_at_norm
+from specbound.matrices import operator_norms, spectral_radii
 from textbook import gelfand_sequence
 
 
