@@ -17,11 +17,12 @@ at scalar arguments built from spectral radii and operator norms:
 
 `invariants` fills the norms, radii and derived quantities of a whole
 stack of instances at once, all norms from one SVD call and all radii from
-one eigensolve; each bound is a `Row` of a table, turned into a
-`BoundResult` by one evaluator. A bound that cannot apply, a
-commutativity-gated one on a non-commuting pair included, comes back
-Unavailable with the reason; only structural problems (dimension
-mismatch, a bad tolerance, products out of range) raise.
+one eigensolve, and keeps the eigenvalues of T or AB for the oracle; each
+bound is a `Row` of a table, turned into a `BoundResult` by one evaluator.
+A bound that cannot apply, a commutativity-gated one on a non-commuting
+pair included, comes back Unavailable with the reason; only structural
+problems (dimension mismatch, a bad tolerance, products out of range)
+raise.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import DimMismatch, NormOverflow
-from .matrices import Matrix, commutes, operator_norms, spectral_radii
+from .matrices import Matrix, commutes, eigenvalues, operator_norms
 from .series import DEFAULT_TOL, PowerSeries, eval_companion
 
 Precondition = tuple[str, bool, float]
@@ -113,12 +114,13 @@ def _pair_values(norms: list[float], radii: list[float]) -> dict[str, float]:
 class Invariants(dict):
     """Norms and spectral radii of one instance by label (||T||, r(T) for one
     operator; ||A||, r(A), r(AB+BA), ... for a pair) and the quantities
-    derived from them, as `invariants` fills them, plus `arg`, the series
-    argument: T, or AB for a pair."""
+    derived from them, as `invariants` fills them, plus `spectrum`, the
+    eigenvalues of the series argument (T, or AB for a pair) whose largest
+    modulus is r(T) or r(AB)."""
 
-    def __init__(self, values: dict[str, float], arg: Matrix):
+    def __init__(self, values: dict[str, float], spectrum: np.ndarray):
         super().__init__(values)
-        self.arg = arg
+        self.spectrum = spectrum
 
     @property
     def commuting(self) -> bool:
@@ -129,24 +131,29 @@ class Invariants(dict):
 def invariants(A: Matrix, B: Optional[Matrix] = None) -> list[Invariants | NormOverflow]:
     """The `Invariants` of each instance of the (k, n, n) stack A, or of
     each pair of stacks A and B: every norm from one SVD call and every
-    radius from one eigensolve. A pair whose products are not finite gets,
-    in its place, the NormOverflow naming them, for the caller to raise."""
+    radius from one eigensolve, which also gives each `spectrum`. A pair
+    whose products are not finite gets, in its place, the NormOverflow
+    naming them, for the caller to raise."""
     if B is None:
-        return [Invariants({"||T||": x, "r(T)": r}, T) for T, x, r in
-                zip(A, operator_norms(A).tolist(), spectral_radii(A).tolist())]
+        eigs = eigenvalues(A)
+        radii = np.abs(eigs).max(axis=-1).tolist()
+        return [Invariants({"||T||": x, "r(T)": r}, spectrum)
+                for spectrum, x, r in zip(eigs, operator_norms(A).tolist(), radii)]
     if A.shape != B.shape:
         raise DimMismatch(f"dimension mismatch: {A.shape[-2:]} vs {B.shape[-2:]}")
     P = products(A, B)
     finite = np.isfinite(P).all(axis=(-2, -1))
     ok = finite.all(axis=0)
     good = P if ok.all() else P[:, ok]
-    radii = spectral_radii(np.concatenate((good[:3], _pm_terms(good))))
+    eigs = eigenvalues(np.concatenate((good[:3], _pm_terms(good))))
+    radii = np.abs(eigs).max(axis=-1)
     values = map(_pair_values, operator_norms(good).T.tolist(), radii.T.tolist())
+    spectra = iter(eigs[2])  # of AB
     out: list = []
     for k, pair_finite in enumerate(finite.T):
         bad = ", ".join(x for x, fine in zip(_PRODUCTS, pair_finite) if not fine)
         out.append(NormOverflow(f"not finite: {bad}; normalize the pair first") if bad
-                   else Invariants(next(values), P[2, k]))
+                   else Invariants(next(values), next(spectra)))
     return out
 
 

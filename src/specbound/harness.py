@@ -5,8 +5,8 @@ default_rng), so identical (seed, family, dim, norm_target) specs
 reproduce bit-identical matrices and identical sweep configurations
 reproduce byte-identical reports.
 
-A sweep evaluates every applicable bound against a brute-force oracle
-(dense eigensolve of the certified truncated series) and flags any bound
+A sweep evaluates every applicable bound against an oracle (the certified
+truncated series at the instance's eigenvalues) and flags any bound
 that dips below oracle minus slack, where slack accounts for both
 floating-point rounding and the oracle's own truncation error. It runs in
 chunks of one family's trials; a chunk's trials of one dimension are
@@ -41,7 +41,7 @@ from .errors import (GenerationFailure, NormOverflow, OutOfDisk, SpecboundError,
                      UnknownFamily)
 from .matrices import Matrix, operator_norms, series_partial_sum, spectral_radii
 from .series import (DEFAULT_MAX_TERMS, DEFAULT_TOL, PowerSeries, _order_and_tail, lookup,
-                     truncation_order)
+                     partial_sums, truncation_order)
 
 FAMILIES_SINGLE = (
     "diagonal-positive",
@@ -265,47 +265,6 @@ def _judged(bounds: Sequence[BoundResult], oracles: dict[str, tuple[float, float
     return tightness, low
 
 
-def _series_at_norm(f: PowerSeries, T: Matrix, nrm: float, tol: float
-                    ) -> tuple[Matrix, float]:
-    """(S_m(T), tail): f(T) truncated at the order m whose scalar majorant
-    tail = sum_{j>m} |a_j| nrm^j is <= tol, given nrm = ||T||. That tail
-    dominates the matrix remainder's operator norm. NormOverflow if the
-    truncation is not finite.
-    """
-    m, tail = _order_and_tail(f, nrm, tol, DEFAULT_MAX_TERMS)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        value = series_partial_sum(f, T, m)
-    if not np.isfinite(value).all():
-        raise NormOverflow(f"{f.name}: the order-{m} truncation at ||T|| = {nrm:g} "
-                           "is not finite; normalize the matrix first")
-    return value, tail
-
-
-def _oracle_terms(f: PowerSeries, v: Invariants, tol: float) -> tuple[dict, dict]:
-    """The oracles of `oracle_radii` read from `v`, and {target: (S_m,
-    tail)} for the series target, whose truncation's radius is still to
-    solve; empty when its argument lies outside the disk. NormOverflow if
-    the truncation is not finite."""
-    if "r(T)" in v:
-        target, nrm, read = "f(T)", v["||T||"], {}
-    else:
-        target, nrm = "f(AB)", v["||AB||"]
-        read = {x: (v[f"r({x})"], 0.0) for x in ("AB", "AB+BA", "AB-BA")}
-    try:
-        return read, {target: _series_at_norm(f, v.arg, nrm, tol)}
-    except OutOfDisk:
-        return read, {}
-
-
-def _solved(terms: Sequence[tuple[dict, dict]]) -> list[dict[str, tuple[float, float]]]:
-    """The oracles of instances of one dimension from their `_oracle_terms`:
-    the radii of all their truncations from one eigensolve call."""
-    stack = [M for _, pending in terms for M, _ in pending.values()]
-    radii = iter(spectral_radii(np.stack(stack)).tolist() if stack else ())
-    return [{**read, **{k: (next(radii), err) for k, (_, err) in pending.items()}}
-            for read, pending in terms]
-
-
 def oracle_radii(
     f: PowerSeries, v: Invariants, tol: float = DEFAULT_TOL
 ) -> dict[str, tuple[float, float]]:
@@ -313,13 +272,30 @@ def oracle_radii(
     instance whose invariants are `v` (as `best_bound` reports them).
 
     Pair mode gives r(AB), r(AB+BA) and r(AB-BA), read from `v`, with no
-    error. The series target f(T) or f(AB) gets the spectral radius of its
-    certified truncation, with the truncation's remainder bound as error,
-    when its argument lies inside the disk; the norm of that argument is
-    read from `v`. That radius takes one eigensolve call, as a sweep's
-    truncations do for a whole stack of instances.
+    error. When its argument lies inside the disk, the series target f(T)
+    or f(AB) gets r[S_m] = max |S_m(lambda)| over the eigenvalues
+    `v.spectrum` of T or AB (spectral mapping), with the truncation's
+    remainder bound as error: m is the order whose scalar majorant tail
+    sum_{j>m} |a_j| x^j at x = ||T|| or ||AB||, read from `v`, is <= tol,
+    and that tail dominates the matrix remainder's operator norm. No SVD
+    or eigensolve runs. NormOverflow if S_m is not finite at an eigenvalue.
     """
-    return _solved([_oracle_terms(f, v, tol)])[0]
+    if "r(T)" in v:
+        target, nrm, oracles = "f(T)", v["||T||"], {}
+    else:
+        target, nrm = "f(AB)", v["||AB||"]
+        oracles = {x: (v[f"r({x})"], 0.0) for x in ("AB", "AB+BA", "AB-BA")}
+    try:
+        m, tail = _order_and_tail(f, nrm, tol, DEFAULT_MAX_TERMS)
+    except OutOfDisk:
+        return oracles
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        radius = float(np.abs(partial_sums(f, v.spectrum, m)).max())
+    if not math.isfinite(radius):
+        raise NormOverflow(f"{f.name}: the order-{m} truncation at ||T|| = {nrm:g} "
+                           "is not finite; normalize the matrix first")
+    oracles[target] = (radius, tail)
+    return oracles
 
 
 def _trial_spec(config: SweepConfig, family: str, family_index: int,
@@ -347,9 +323,9 @@ def _trials(config: SweepConfig, family: str, family_index: int,
             indices: Iterable[int], reduce: Callable[[list], list] = list) -> list:
     """`reduce` of the records of the trials `indices` of one family. Each
     trial is drawn from its own stream; then the trials of each dimension
-    are generated, factored and solved as one stack, and only the
-    truncation order, the truncation and the bound rows are per trial. A
-    failing trial raises what it would raise alone; the first in index
+    are generated, factored and solved as one stack, and only the bound
+    rows and the oracle, read off the trial's eigenvalues, are per trial.
+    A failing trial raises what it would raise alone; the first in index
     order wins."""
     trials = [_trial_spec(config, family, family_index, i) for i in indices]
     groups: dict[int, list[int]] = {}  # dim -> positions in `trials`
@@ -359,25 +335,19 @@ def _trials(config: SweepConfig, family: str, family_index: int,
     for ks in groups.values():
         for k, v in zip(ks, invariants(*_generate([trials[k][1] for k in ks]))):
             filled[k] = v
-    reports, terms = [], []
+    records = []
     for (f, spec), v in zip(trials, filled):
         if isinstance(v, NormOverflow):
             raise v
-        reports.append(bound_report(f, v, config.tol))
+        report = bound_report(f, v, config.tol)
         if "r(T)" not in v and not v.commuting:
             raise GenerationFailure(
                 f"{spec} is not a commuting pair "
                 f"(||AB-BA|| = {v['||AB-BA||']:.6e})"
             )
-        terms.append(_oracle_terms(f, v, config.tol))
-    oracles: list = [None] * len(trials)
-    for ks in groups.values():
-        for k, solved in zip(ks, _solved([terms[k] for k in ks])):
-            oracles[k] = solved
-    records = []
-    for (f, spec), report, trial_oracles in zip(trials, reports, oracles):
-        tightness, low = _judged(report.results, trial_oracles)
-        records.append(TrialRecord(spec, f.name, trial_oracles, report.results,
+        oracles = oracle_radii(f, v, config.tol)
+        tightness, low = _judged(report.results, oracles)
+        records.append(TrialRecord(spec, f.name, oracles, report.results,
                                    tightness, bool(low)))
     return reduce(records)
 

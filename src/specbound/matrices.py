@@ -1,4 +1,4 @@
-"""Dense complex matrices: spectral radius, operator norm, matrix series.
+"""Dense complex matrices: eigenvalues, spectral radii, operator norms, series.
 
 Matrices are plain numpy arrays (complex128, square). `as_matrix` is the
 validating constructor; the file format is a JSON document with fields
@@ -36,13 +36,17 @@ def as_matrix(entries) -> Matrix:
     return T
 
 
-def spectral_radii(S: np.ndarray) -> np.ndarray:
-    """max |eigenvalue| of each matrix of a (..., n, n) stack, one eigensolve."""
+def eigenvalues(S: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix of a (..., n, n) stack, as (..., n), one eigensolve."""
     try:
-        eigs = np.linalg.eigvals(np.asarray(S, dtype=np.complex128))
+        return np.linalg.eigvals(np.asarray(S, dtype=np.complex128))
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"eigenvalue solve failed: {exc}") from exc
-    return np.abs(eigs).max(axis=-1)
+
+
+def spectral_radii(S: np.ndarray) -> np.ndarray:
+    """max |eigenvalue| of each matrix of a (..., n, n) stack, one eigensolve."""
+    return np.abs(eigenvalues(S)).max(axis=-1)
 
 
 def operator_norms(S: np.ndarray) -> np.ndarray:

@@ -159,6 +159,29 @@ def eval_companion(
         return math.inf
 
 
+def partial_sums(f: PowerSeries, z: np.ndarray, m: int) -> np.ndarray:
+    """S_m(z) = sum_{j<=m} a_j z^j at each point of the 1-D array z.
+
+    Paterson-Stockmeyer over the points, as `matrices.series_partial_sum`
+    does over a matrix: with s = max(1, isqrt(m)), the blocks
+    B_k(z) = sum_{i<s} a_{ks+i} z^i are one (m/s, s) by (s, len(z)) product
+    and nest by Horner in z^s, so no power past z^s is formed and the work
+    and memory are O(sqrt(m) len(z)) beyond the coefficients. A point where
+    the sum leaves double range gives inf or nan, with no warning.
+    """
+    a = f.prefix(m)[0]
+    s = max(1, math.isqrt(m))
+    top = m // s * s  # the last block, a_top..a_m, has 1 to s coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.ones((s + 1, len(z)), dtype=np.complex128)  # z^0..z^s
+        np.cumprod(np.broadcast_to(z, (s, len(z))), axis=0, out=powers[1:])
+        blocks = a[:top].reshape(-1, s) @ powers[:s]
+        S = a[top:] @ powers[: m + 1 - top]
+        for block in blocks[::-1]:
+            S = block + powers[s] * S
+    return S
+
+
 def from_coefficients(
     coeffs: Sequence[complex], name: str = "polynomial"
 ) -> PowerSeries:

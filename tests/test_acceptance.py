@@ -22,7 +22,6 @@ from specbound import (
     best_bound,
     eval_companion,
     lookup,
-    operator_norm,
     run_sweep,
     spectral_radius,
     truncation_order,
@@ -33,13 +32,13 @@ from specbound.harness import (
     FAMILIES_PAIR,
     FAMILIES_SINGLE,
     InstanceSpec,
-    _series_at_norm,
     gen_matrix,
     oracle_radii,
     run_limit_checks,
     run_pm_checks,
 )
-from textbook import run_identity_checks, run_limit_laws, run_mixed_chain
+from textbook import (certified_truncation, run_identity_checks, run_limit_laws,
+                      run_mixed_chain)
 
 TOL = 1e-10
 
@@ -234,7 +233,7 @@ def test_a7_equality_cases():
             )
             T = gen_matrix(spec)
             bound = best_bound(f, T, tol=TOL).results[0]
-            value, tail = _series_at_norm(f, T, operator_norm(T), TOL)
+            value, tail = certified_truncation(f, T, TOL)
             oracle = spectral_radius(value)
             ratio = bound.value / oracle
             allowance = (3 * TOL + tail) / oracle + 1e-12

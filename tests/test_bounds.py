@@ -30,7 +30,8 @@ from specbound import (
 )
 from specbound.bounds import (_COMMUTING_ROWS, _PAIR_NORMS, _evaluate, _pair_values,
                               invariants, products)
-from specbound.harness import InstanceSpec, _ginibre, _series_at_norm
+from specbound.harness import InstanceSpec, _ginibre
+from textbook import certified_truncation
 
 TOL = 1e-10
 
@@ -84,7 +85,7 @@ def oracle_radius(f, T):
 
 
 def oracle_with_slack(f, T):
-    value, tail = _series_at_norm(f, T, operator_norm(T), TOL)
+    value, tail = certified_truncation(f, T, TOL)
     oracle = spectral_radius(value)
     return oracle, 1e-8 * max(1.0, oracle) + tail
 
@@ -752,6 +753,15 @@ def test_best_bound_noncommuting_pair_runs_one_eigensolve(monkeypatch, lapack_wo
     assert len(companion) == 1
 
 
+def test_single_invariants_keep_the_eigenvalues_behind_r(lapack_work):
+    T = np.random.default_rng(8).standard_normal((3, 5, 5)) * (1 + 0.5j)
+    filled = invariants(T)
+    assert lapack_work == {"svd": 3, "svd_calls": 1, "eig": 3, "eig_calls": 1}
+    for v, t in zip(filled, T):
+        assert np.array_equal(v.spectrum, np.linalg.eigvals(t))
+        assert np.abs(v.spectrum).max() == v["r(T)"] == spectral_radius(t)
+
+
 # Each pair invariant as one matrix formula, the derived quantities as
 # Python float arithmetic on those: the per-label reference `invariants`
 # must match bit for bit.
@@ -802,7 +812,7 @@ def test_pair_invariants_match_per_label_formulas(lapack_work, n):
     # whose products are not finite in the middle: that pair gets the
     # NormOverflow best_bound raises on it alone, and the others what they
     # get without it, from one SVD call and one eigensolve call. Each keeps
-    # its AB, the series argument.
+    # the eigenvalues of AB, the series argument, that gave its r(AB).
     g = np.random.default_rng(n)
     huge = 1e160 * np.eye(n), np.eye(n)  # A^2 and A^2B overflow
     with pytest.raises(NormOverflow) as alone:
@@ -816,12 +826,14 @@ def test_pair_invariants_match_per_label_formulas(lapack_work, n):
         assert isinstance(bad, NormOverflow) and str(bad) == str(alone.value)
         filled = [*left, right]
         for v, w in zip(filled, invariants(A, B)):
-            assert v == w and np.array_equal(v.arg, w.arg), n
+            assert v == w and np.array_equal(v.spectrum, w.spectrum), n
         for v, a, b in zip(filled, A, B):
             assert v.keys() == _PAIR_REFERENCE.keys(), n
             for label, ref in _PAIR_REFERENCE.items():
                 assert v[label] == ref(a, b), (n, label)
-            assert np.array_equal(v.arg, a @ b), n
+            spectrum = np.linalg.eigvals((a @ b).astype(complex))
+            assert np.array_equal(v.spectrum, spectrum), n
+            assert np.abs(v.spectrum).max() == v["r(AB)"], n
         # `products`, in the order of the norm labels, against its formulas.
         assert _PAIR_NORMS == tuple(f"||{x}||" for x in _PRODUCT_REFERENCE)
         for Pk, ref in zip(products(A, B), _PRODUCT_REFERENCE.values(), strict=True):

@@ -126,6 +126,10 @@ def test_bound_below_its_own_oracle_exits_1(tmp_path, capsys, n):
     # while r(B) is about 0.99 * 1e-11^(1/n), so the rows built on the radii
     # fall below r[f(AB)] (1.0844 at n = 20, 1.3817 at n = 40). The product
     # row, on r(AB), meets r[f(AB)] from 80-digit mpmath eigenvalues of AB.
+    # AB = 0.9801 (J^2 + 1e-11 e_(n-1) e_1^T): its odd-index chain closes
+    # into a cycle of length n/2 whose eigenvalues have modulus
+    # 0.9801 * 10^(-22/n), the others are 0, so r[f(AB)] = 1/(1 - that).
+    # The oracle, f's truncation at AB's eigenvalues, meets it to 1e-13.
     J = np.diag(np.ones(n - 1), 1).astype(complex)
     E = np.zeros((n, n), dtype=complex)
     E[n - 1, 0] = 1e-11
@@ -141,8 +145,14 @@ def test_bound_below_its_own_oracle_exits_1(tmp_path, capsys, n):
     assert "error: pair-squares = " in captured.err
     assert "is below oracle r[f(AB)]" in captured.err
     assert "norm-split" not in captured.err
+    assert "product-radius" not in captured.err
     exact = {20: 1.0844247557, 40: 1.3816538415}[n]
     assert table_values(captured.out)["product-radius"] == pytest.approx(exact, rel=1e-9)
+    closed = 1.0 / (1.0 - 0.9801 * 10.0 ** (-22.0 / n))
+    assert closed == pytest.approx(exact, rel=1e-9)
+    report = best_bound(lookup("geometric"), 0.99 * J, 0.99 * (J + E))
+    oracle, _ = oracle_radii(lookup("geometric"), report.invariants)["f(AB)"]
+    assert abs(oracle - closed) <= 1e-13 * closed
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -154,7 +164,8 @@ def test_bound_polynomial_overflow_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "not finite" in err
+    assert err == ("error: poly:1,1,1: the order-2 truncation at ||T|| = 1e+200 "
+                   "is not finite; normalize the matrix first\n")
 
 
 def test_bound_structured_output(zero2, capsys):
@@ -241,9 +252,10 @@ def test_bound_oracle_reuses_the_report_norm(lapack_work, diag_pair, capsys,
 
 
 def test_bound_pair_shares_the_eigensolve_of_ab(lapack_work, tmp_path, capsys):
-    # r(A), r(B), r(AB), r(AB+BA) and r(AB-BA) in best_bound's eigensolve;
-    # r of f(AB)'s truncation in the oracle's. The oracle of AB is the
-    # product row's r(AB), bit for bit, and a lone eigensolve of AB gives it.
+    # r(A), r(B), r(AB), r(AB+BA) and r(AB-BA) in best_bound's eigensolve,
+    # the only one: the oracle of f(AB) reads AB's eigenvalues from it. The
+    # oracle of AB is the product row's r(AB), bit for bit, and a lone
+    # eigensolve of AB gives it.
     A, B = gen_commuting_pair(InstanceSpec(11, "commuting-polynomial-pair", 6, 0.7))
     paths = [str(tmp_path / "a.mat"), str(tmp_path / "b.mat")]
     for path, M in zip(paths, (A, B)):
@@ -252,7 +264,7 @@ def test_bound_pair_shares_the_eigensolve_of_ab(lapack_work, tmp_path, capsys):
                  "--matrix", paths[0], "--matrix", paths[1]])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert lapack_work["eig"] == 6 and lapack_work["eig_calls"] == 2
+    assert lapack_work["eig"] == 5 and lapack_work["eig_calls"] == 1
     product = next(r for r in doc["results"] if r["name"] == "product-radius")
     assert doc["oracles"]["AB"][0] == product["intermediates"]["r(AB)"]
     assert doc["oracles"]["AB"] == [spectral_radius(A @ B), 0.0]

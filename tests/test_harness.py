@@ -40,8 +40,8 @@ from specbound.harness import (
     CheckResult,
     _ginibre,
     _judged,
+    _generate,
     _scaled,
-    _series_at_norm,
     _trial_spec,
     oracle_radii,
     report_piece,
@@ -51,8 +51,10 @@ from specbound.harness import (
     run_trial,
     summarize_tallies,
 )
-from specbound.series import DEFAULT_TOL, truncation_order
-from textbook import run_identity_checks, run_limit_laws, run_mixed_chain
+from specbound.series import (DEFAULT_MAX_TERMS, DEFAULT_TOL, _order_and_tail,
+                              partial_sums, truncation_order)
+from textbook import (certified_truncation, run_identity_checks, run_limit_laws,
+                      run_mixed_chain)
 
 
 def spec(family, seed=1, dim=4, target=0.8):
@@ -150,33 +152,94 @@ def test_pair_generator_computes_each_norm_once(lapack_work, family, svds):
 def test_pair_trial_svd_count(lapack_work, family, svds):
     # The generator's norms, then best_bound's 9 in one call, whose
     # commutator test is the only one the trial runs; best_bound's five
-    # radii in one call, and the oracle's radius of f(AB)'s truncation in
-    # another: it reads ||AB|| and the other radii from the report.
+    # radii in one eigensolve call, the trial's only one: the oracle reads
+    # ||AB||, the other radii and AB's eigenvalues from the report.
     config = SweepConfig(families=(family,), trials=20, dims=(8,), seed=5)
     for i in range(config.trials):
         run_trial(config, family, 0, i)
     assert lapack_work["svd"] == 20 * svds
     assert lapack_work["svd_calls"] == 20 * (svds - 9)
-    assert lapack_work["eig_calls"] == 20 * 2  # best_bound's, the oracle's
-    assert lapack_work["eig"] == 20 * 6
+    assert lapack_work["eig_calls"] == 20  # best_bound's
+    assert lapack_work["eig"] == 20 * 5
 
 
-def test_pair_oracle_is_one_eigensolve_call(lapack_work):
+def test_pair_oracle_makes_no_lapack_call(lapack_work):
     A, B = gen_commuting_pair(spec("commuting-polynomial-pair", dim=8))
+    T = gen_matrix(spec("dense-random", dim=8))
     f = lookup("exp")
     (v,) = invariants(A[None], B[None])  # best_bound's SVD call and eigensolve
+    (w,) = invariants(T[None])
     lapack_work.update(dict.fromkeys(lapack_work, 0))
-    oracles = oracle_radii(f, v)  # r(AB), r(AB+BA) and r(AB-BA) are read from v
-    assert lapack_work["eig"] == 1 and lapack_work["eig_calls"] == 1
-    # Bit for bit the one-target-at-a-time formulas.
+    oracles = oracle_radii(f, v)  # everything is read from v
+    single = oracle_radii(f, w)
+    assert lapack_work == dict.fromkeys(lapack_work, 0)
+    # Bit for bit the one-target-at-a-time formulas: f(AB) is S_m at the
+    # eigenvalues of AB, m the order certified at ||AB||.
     AB, BA = A @ B, B @ A
-    S, tail = _series_at_norm(f, AB, operator_norm(AB), DEFAULT_TOL)
+    m, tail = _order_and_tail(f, operator_norm(AB), DEFAULT_TOL, DEFAULT_MAX_TERMS)
+    fab = np.abs(partial_sums(f, np.linalg.eigvals(AB), m)).max()
     assert oracles == {
         "AB": (spectral_radius(AB), 0.0),
         "AB+BA": (spectral_radius(AB + BA), 0.0),
         "AB-BA": (spectral_radius(AB - BA), 0.0),
-        "f(AB)": (spectral_radius(S), tail),
+        "f(AB)": (fab, tail),
     }
+    m, tail = _order_and_tail(f, operator_norm(T), DEFAULT_TOL, DEFAULT_MAX_TERMS)
+    ft = np.abs(partial_sums(f, np.linalg.eigvals(T), m)).max()
+    assert single == {"f(T)": (ft, tail)}
+
+
+_ORACLE_SERIES = ("exp", "geometric", "log-resolvent", "2F1:0.5,1,2",
+                  "poly:1,-0.5+0.3j,0.25j")
+
+
+@pytest.mark.parametrize("name", _ORACLE_SERIES)
+@pytest.mark.parametrize("family", FAMILIES_SINGLE + FAMILIES_PAIR)
+def test_oracle_matches_the_matrix_truncation(family, name):
+    # Spectral mapping: r[S_m(T)] = max |S_m(lambda)| over T's eigenvalues.
+    # The oracle reads S_m off the eigenvalues of T or AB; the matrix
+    # truncation of the same order, solved on its own, is the path it
+    # replaced. The sweep's norm targets, the top of their range included.
+    f = lookup(name)
+    config = SweepConfig(series_names=(name,), families=(family,), trials=12,
+                         dims=(2, 4, 8), seed=19)
+    specs = [_trial_spec(config, family, 0, i)[1] for i in range(config.trials)]
+    if family in FAMILIES_PAIR:
+        top = 0.8 * math.sqrt(f.radius) if math.isfinite(f.radius) else 1.0
+    else:
+        top = 0.9 * min(f.radius, 10.0)
+    specs += [spec(family, seed=s.seed, dim=s.dim, target=top) for s in specs[:3]]
+    for s in specs:
+        stacks = _generate([s])
+        (v,) = invariants(*stacks)
+        arg = stacks[0][0] if len(stacks) == 1 else stacks[0][0] @ stacks[1][0]
+        value, err = oracle_radii(f, v)["f(T)" if len(stacks) == 1 else "f(AB)"]
+        S, tail = certified_truncation(f, arg)
+        reference = spectral_radius(S)
+        assert err == tail, s
+        assert abs(value - reference) <= tail + 1e-12 * max(1.0, reference), s
+
+
+def test_oracle_memory_is_far_below_a_table_of_powers():
+    # geometric at ||T|| = 0.9999 and n = 32 certifies an order m of about
+    # 3.2e5. A repeated oracle call (the coefficients are kept) sums in
+    # O(sqrt(m) n) memory, far below the 16 m n bytes of a table of every
+    # power of every eigenvalue; its order search's tail reads one
+    # coefficient past the kept ones and recomputes them all (48 m bytes).
+    import tracemalloc
+
+    f = lookup("geometric")
+    (v,) = invariants(_scaled(_ginibre(np.random.default_rng(3), 32), 0.9999)[None])
+    first = oracle_radii(f, v)
+    m = truncation_order(f, v["||T||"], DEFAULT_TOL)
+    assert m > 3 * 10**5
+    tracemalloc.start()
+    try:
+        assert oracle_radii(f, v) == first
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * m
 
 
 def scaled_as_drawn(G, norm_target):
@@ -414,7 +477,7 @@ def test_sweep_raises_what_its_first_failing_trial_raises_alone(
 @pytest.mark.parametrize("family", FAMILIES_SINGLE + FAMILIES_PAIR)
 def test_a_chunk_is_solved_as_one_stack_per_dimension(lapack_work, monkeypatch, family):
     # One 25-trial chunk factors 25 times one trial's matrices, in one call
-    # per scaling, per invariant kind and for the oracle, per dimension.
+    # per scaling and per invariant kind, per dimension; the oracle makes none.
     import specbound.harness as harness_mod
 
     monkeypatch.setattr(harness_mod, "_cpus", lambda: 1)  # counted in-process
@@ -423,9 +486,10 @@ def test_a_chunk_is_solved_as_one_stack_per_dimension(lapack_work, monkeypatch, 
     one = dict(lapack_work)
     lapack_work.update(dict.fromkeys(lapack_work, 0))
     run_sweep(config)
+    assert one["eig"] == (5 if family in FAMILIES_PAIR else 1)  # the invariants' own
     assert lapack_work["svd"] == 25 * one["svd"] and lapack_work["eig"] == 25 * one["eig"]
     assert lapack_work["svd_calls"] == 3 * one["svd_calls"] <= 3 * 3
-    assert lapack_work["eig_calls"] == 3 * one["eig_calls"] <= 3 * 2
+    assert lapack_work["eig_calls"] == 3 * one["eig_calls"] == 3
 
 
 def test_sweep_determinism_and_csv_bytes(tmp_path):

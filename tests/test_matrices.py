@@ -21,9 +21,8 @@ from specbound import (
     spectral_radius,
 )
 from specbound.bounds import invariants
-from specbound.harness import _series_at_norm
 from specbound.matrices import operator_norms, spectral_radii
-from textbook import gelfand_sequence
+from textbook import certified_truncation, gelfand_sequence
 
 
 def rng(seed=0):
@@ -33,12 +32,6 @@ def rng(seed=0):
 def random_complex(seed, n):
     g = rng(seed)
     return (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / math.sqrt(2)
-
-
-def certified_sum(f, T, tol):
-    """(S_m(T), tail): f(T) truncated and certified to tol, as the oracle
-    evaluates it."""
-    return _series_at_norm(f, T, operator_norm(T), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +231,7 @@ def test_commutator_dim_mismatch():
 
 def test_series_of_zero_matrix_is_identity_coefficient():
     f = lookup("exp")
-    value, tail = certified_sum(f, np.zeros((2, 2)), 1e-12)
+    value, tail = certified_truncation(f, np.zeros((2, 2)), 1e-12)
     assert np.allclose(value, np.eye(2), atol=1e-14)
     assert tail <= 1e-12
 
@@ -246,7 +239,7 @@ def test_series_of_zero_matrix_is_identity_coefficient():
 def test_geometric_series_of_nilpotent_matches_resolvent():
     f = lookup("geometric")
     T = as_matrix([[0, 0.5], [0, 0]])
-    value, _ = certified_sum(f, T, 1e-10)
+    value, _ = certified_truncation(f, T, 1e-10)
     expected = np.linalg.inv(np.eye(2) - T)
     assert np.array_equal(value, np.eye(2) + T)
     assert np.allclose(value, expected, atol=1e-14)
@@ -256,14 +249,14 @@ def test_exp_of_nilpotent():
     # two terms of the series are exact here: I + T
     f = lookup("exp")
     T = as_matrix([[0, 1], [0, 0]])
-    value, _ = certified_sum(f, T, 1e-12)
+    value, _ = certified_truncation(f, T, 1e-12)
     assert np.allclose(value, [[1, 1], [0, 1]], atol=1e-12)
 
 
 def test_series_rejects_norm_outside_disk():
     f = lookup("geometric")
     with pytest.raises(OutOfDisk):
-        certified_sum(f, np.diag([1.5, 0.1]), 1e-10)
+        certified_truncation(f, np.diag([1.5, 0.1]), 1e-10)
 
 
 def test_truncation_certificate_consistency():
@@ -272,8 +265,8 @@ def test_truncation_certificate_consistency():
     f = lookup("log-resolvent")
     T = 0.8 * random_complex(17, 4) / operator_norm(random_complex(17, 4))
     tol = 1e-8
-    a, _ = certified_sum(f, T, tol)
-    b, _ = certified_sum(f, T, tol / 10)
+    a, _ = certified_truncation(f, T, tol)
+    b, _ = certified_truncation(f, T, tol / 10)
     assert operator_norm(a - b) <= 1.1 * (tol + tol / 10)
 
 

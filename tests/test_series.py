@@ -24,7 +24,7 @@ from specbound import (
     truncation_order,
 )
 from specbound.cli import _parse_series
-from specbound.series import _order_and_tail
+from specbound.series import _order_and_tail, partial_sums
 
 ALL_NAMES = [
     "log-resolvent", "cos", "sin", "resolvent", "exp", "half-log-ratio",
@@ -600,3 +600,69 @@ def test_lookup_builds_each_series_once(name):
     assert lookup(name) is f
     truncation_order(f, 0.5, 1e-10)
     assert lookup(name)._orders[1e-10, 10**6]
+
+
+# ---------------------------------------------------------------------------
+# Partial sums at points
+# ---------------------------------------------------------------------------
+
+_POINT_ORDERS = (0, 1, 2, 3, 4, 8, 9, 15, 16, 17, 63, 64, 65, 200)
+
+
+@pytest.fixture(scope="module")
+def point_reference():
+    """Complex points of modulus up to 1.1 (0 among them), a complex
+    polynomial of degree 200, and its partial sums at the points in
+    40-digit arithmetic."""
+    g = np.random.default_rng(46)
+    z = g.standard_normal(12) + 1j * g.standard_normal(12)
+    z *= 1.1 * g.uniform(0.0, 1.0, 12) / np.abs(z)
+    z[0], z[1] = 0.0, 1.1
+    top = max(_POINT_ORDERS)
+    f = from_coefficients(g.standard_normal(top + 1) + 1j * g.standard_normal(top + 1))
+    with mpmath.workdps(40):
+        S, P, sums = [mpmath.mpc(0)] * len(z), [mpmath.mpc(1)] * len(z), []
+        for k in range(top + 1):
+            a = mpmath.mpc(f.coeff(k))
+            S = [s + a * p for s, p in zip(S, P)]
+            sums.append(np.array(S, dtype=np.complex128))
+            P = [p * mpmath.mpc(x) for p, x in zip(P, z.tolist())]
+    return f, z, sums
+
+
+@pytest.mark.parametrize("m", _POINT_ORDERS)
+def test_partial_sums_match_mpmath(point_reference, m):
+    # Rounding error of Horner's form: a small multiple of u sum |a_k| |z|^k.
+    f, z, sums = point_reference
+    majorant = sum(abs(f.coeff(k)) * np.abs(z) ** k for k in range(m + 1))
+    assert np.all(np.abs(partial_sums(f, z, m) - sums[m]) <= 1e-13 * majorant)
+
+
+def test_partial_sums_low_order_is_horner():
+    # m <= 3 has block size 1: the Horner loop below, bit for bit.
+    f = lookup("exp")
+    z = np.array([0.3 - 0.7j, -2.5 + 0.1j, 4.0 + 0j])
+    for m in range(4):
+        S = np.full(3, f.coeff(m))
+        for j in range(m - 1, -1, -1):
+            S = f.coeff(j) + z * S
+        assert np.array_equal(partial_sums(f, z, m), S), m
+
+
+def test_partial_sums_reach_the_closed_form_near_the_radius():
+    # geometric at |z| = 0.9999 needs m of about 3.2e5: the blocks' Horner
+    # nesting never forms z^m, and S_m meets 1/(1 - z) within the tail.
+    f = lookup("geometric")
+    z = 0.9999 * np.exp(1j * np.array([0.0, 0.5, 2.0, np.pi]))
+    m, tail = _order_and_tail(f, 0.9999, 1e-10, 10**6)
+    assert m > 3 * 10**5
+    assert np.all(np.abs(partial_sums(f, z, m) - 1.0 / (1.0 - z)) <= tail + 1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_partial_sums_past_double_range_are_not_finite_without_a_warning():
+    f = from_coefficients([1.0] * 17)
+    for m in (2, 16):  # block sizes 1 and 4
+        values = partial_sums(f, np.array([0.5, 1e200, -1e200 + 1e200j]), m)
+        assert values[0] == pytest.approx(2.0 - 0.5**m, rel=1e-15)
+        assert not np.isfinite(values[1:]).any()

@@ -1,5 +1,6 @@
 """Textbook facts about spectral radii and operator norms, checked on the
-harness's random instances.
+harness's random instances, and the certified matrix truncation S_m(T)
+that the oracle's spectral mapping replaces, as a reference.
 
 These checks exercise LAPACK and the instance generators rather than any
 bound of the package, so they run in the test suite, not in `verify`.
@@ -23,9 +24,18 @@ from specbound.harness import (
     gen_matrix,
 )
 from specbound.matrices import operator_norms, spectral_radii
+from specbound.series import DEFAULT_MAX_TERMS, DEFAULT_TOL, _order_and_tail
 
 # Squaring past this norm risks leaving double range within a few steps.
 _SQUARING_NORM_CAP = 1e120
+
+
+def certified_truncation(f, T, tol=DEFAULT_TOL):
+    """(S_m(T), tail): f(T) truncated at the order the oracle certifies at
+    ||T||, as a matrix, with that order's tail bound, which dominates the
+    matrix remainder's operator norm. OutOfDisk when ||T|| >= R."""
+    m, tail = _order_and_tail(f, operator_norm(T), tol, DEFAULT_MAX_TERMS)
+    return series_partial_sum(f, T, m), tail
 
 
 def gelfand_sequence(T, k_max: int) -> list[float]:
