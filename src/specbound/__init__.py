@@ -30,7 +30,6 @@ from .matrices import (
     load_matrix,
     operator_norm,
     save_matrix,
-    series_partial_sum,
     spectral_radius,
 )
 from .series import (

@@ -39,9 +39,9 @@ from .bounds import (BoundResult, Invariants, _PAIR_NORMS, _PM_ROWS, _evaluate,
                      _pm_terms, bound_report, invariants, products)
 from .errors import (GenerationFailure, NormOverflow, OutOfDisk, SpecboundError,
                      UnknownFamily)
-from .matrices import Matrix, operator_norms, series_partial_sum, spectral_radii
+from .matrices import Matrix, operator_norms, spectral_radii
 from .series import (DEFAULT_MAX_TERMS, DEFAULT_TOL, PowerSeries, _order_and_tail, lookup,
-                     partial_sums, truncation_order)
+                     partial_sums)
 
 FAMILIES_SINGLE = (
     "diagonal-positive",
@@ -611,10 +611,10 @@ class CheckResult:
 def run_limit_checks(
     seed: int = 0, trials: int = 300, dims: Sequence[int] = (2, 4, 8)
 ) -> dict[str, CheckResult]:
-    """The Cauchy behaviour of the truncated-series radius: radii of
-    truncations certified to different tolerances differ by at most the
-    coarser one's tail bound. The instances of one dimension are scaled,
-    normed and solved as one stack."""
+    """The Cauchy behaviour of the oracle: its radii at different
+    tolerances differ by at most the coarser one's error. The instances of
+    one dimension are scaled and get their `invariants` as one stack; each
+    radius is `oracle_radii`'s, the one every trial is judged against."""
     result = CheckResult()
     cauchy_series = [lookup("exp"), lookup("geometric")]
     drawn: dict[int, list] = {}  # dim -> [(f, G, norm target)]
@@ -627,16 +627,10 @@ def run_limit_checks(
         drawn.setdefault(n, []).append((f, G, float(rng.uniform(0.3, 1.0)) * norm_cap))
     for draws in drawn.values():
         fs, G, targets = zip(*draws)
-        T = _scaled(np.stack(G), np.array(targets))
-        xs = operator_norms(T).tolist()
-        orders = [sorted({truncation_order(f, x, t) for t in (1e-3, 1e-5, 1e-7, 1e-9)})
-                  for f, x in zip(fs, xs)]
-        sums = [series_partial_sum(f, Tk, m) for f, Tk, ms in zip(fs, T, orders) for m in ms]
-        radii = iter(spectral_radii(np.stack(sums)).tolist())
-        for f, x, ms in zip(fs, xs, orders):
-            r = [next(radii) for _ in ms]
-            for a, b in itertools.combinations(range(len(ms)), 2):
-                result.record(abs(r[a] - r[b]) - (f.tail_bound(ms[a], x) + 1e-8))
+        for f, v in zip(fs, invariants(_scaled(np.stack(G), np.array(targets)))):
+            oracles = [oracle_radii(f, v, t)["f(T)"] for t in (1e-3, 1e-5, 1e-7, 1e-9)]
+            for (r_a, err_a), (r_b, _) in itertools.combinations(oracles, 2):
+                result.record(abs(r_a - r_b) - (err_a + 1e-8))
     return {"truncation-cauchy": result}
 
 

@@ -1,4 +1,4 @@
-"""Dense complex matrices: eigenvalues, spectral radii, operator norms, series.
+"""Dense complex matrices: eigenvalues, spectral radii, operator norms.
 
 Matrices are plain numpy arrays (complex128, square). `as_matrix` is the
 validating constructor; the file format is a JSON document with fields
@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from .errors import DimMismatch, EigenFailure
-from .series import PowerSeries
 
 Matrix = np.ndarray
 
@@ -70,41 +68,6 @@ def operator_norm(T: Matrix) -> float:
 def commutes(cnorm: float, nA: float, nB: float) -> bool:
     """Commutator test on given norms: ||AB-BA|| <= tol (||A|| ||B|| + floor)."""
     return cnorm <= _COMMUTE_REL_TOL * (nA * nB + _COMMUTE_FLOOR)
-
-
-def series_partial_sum(f: PowerSeries, T: Matrix, m: int) -> Matrix:
-    """S_m(T) = sum_{j<=m} a_j T^j by Paterson-Stockmeyer evaluation.
-
-    With s = max(1, isqrt(m)), the coefficients split into blocks of s,
-    B_k = sum_{i<s} a_{ks+i} T^i, nested by Horner in T^s: about 2 sqrt(m)
-    matrix products instead of m. Its rounding error bound has Horner's
-    form, proportional to sum_k |a_k| ||T||^k (Higham, Functions of
-    Matrices, sec. 4.2). At s = 1 (m <= 3) this is plain Horner nesting.
-    """
-    if m < 0:
-        raise ValueError(f"order must be nonnegative, got {m}")
-    T = np.asarray(T, dtype=np.complex128)
-    n = T.shape[0]
-    s = max(1, math.isqrt(m))
-    blocks = m // s + 1
-    c = np.zeros(blocks * s, dtype=np.complex128)
-    c[: m + 1] = f.prefix(m)[0]
-    # powers[i] = T^i for i <= s, the one O(s n^2) buffer: blocks are
-    # formed one at a time inside the Horner loop, never all at once.
-    powers = np.empty((s + 1, n, n), dtype=np.complex128)
-    powers[0] = np.eye(n, dtype=np.complex128)
-    powers[1] = T
-    for i in range(2, s + 1):
-        np.matmul(powers[i - 1], T, out=powers[i])
-    basis, Ts = powers[:s].reshape(s, n * n), powers[s]
-
-    def block(k: int) -> Matrix:
-        return (c[k * s:(k + 1) * s] @ basis).reshape(n, n)
-
-    S = block(blocks - 1)
-    for k in range(blocks - 2, -1, -1):
-        S = block(k) + Ts @ S
-    return S
 
 
 # ---------------------------------------------------------------------------

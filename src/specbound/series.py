@@ -64,9 +64,10 @@ class PowerSeries:
     def prefix(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """a_0..a_m and ln|a_0|..ln|a_m|, kept on the object: `coefficients`
         runs only when m is past the stored prefix, which then at least
-        doubles, so reading m = 0, 1, 2, ... costs O(m) in all."""
+        doubles, so reading m = 0, 1, 2, ... costs O(m) in all. It keeps
+        a_{m+1} and a_{m+2} too, the furthest a catalog tail at order m reads."""
         if len(self._prefix[0]) <= m:
-            self._prefix[:] = self.coefficients(max(m, 2 * len(self._prefix[0])))
+            self._prefix[:] = self.coefficients(max(m + 2, 2 * len(self._prefix[0])))
         a, logs = self._prefix
         return a[: m + 1], logs[: m + 1]
 
@@ -162,12 +163,11 @@ def eval_companion(
 def partial_sums(f: PowerSeries, z: np.ndarray, m: int) -> np.ndarray:
     """S_m(z) = sum_{j<=m} a_j z^j at each point of the 1-D array z.
 
-    Paterson-Stockmeyer over the points, as `matrices.series_partial_sum`
-    does over a matrix: with s = max(1, isqrt(m)), the blocks
-    B_k(z) = sum_{i<s} a_{ks+i} z^i are one (m/s, s) by (s, len(z)) product
-    and nest by Horner in z^s, so no power past z^s is formed and the work
-    and memory are O(sqrt(m) len(z)) beyond the coefficients. A point where
-    the sum leaves double range gives inf or nan, with no warning.
+    Paterson-Stockmeyer over the points: with s = max(1, isqrt(m)), the
+    blocks B_k(z) = sum_{i<s} a_{ks+i} z^i are one (m/s, s) by (s, len(z))
+    product and nest by Horner in z^s, so no power past z^s is formed and
+    the work and memory are O(sqrt(m) len(z)) beyond the coefficients. A
+    point where the sum leaves double range gives inf or nan, with no warning.
     """
     a = f.prefix(m)[0]
     s = max(1, math.isqrt(m))

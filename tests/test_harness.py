@@ -29,7 +29,6 @@ from specbound import (
     lookup,
     operator_norm,
     run_sweep,
-    series_partial_sum,
     spectral_radius,
     summarize,
     write_trials_csv,
@@ -53,8 +52,8 @@ from specbound.harness import (
 )
 from specbound.series import (DEFAULT_MAX_TERMS, DEFAULT_TOL, _order_and_tail,
                               partial_sums, truncation_order)
-from textbook import (certified_truncation, run_identity_checks, run_limit_laws,
-                      run_mixed_chain)
+from textbook import (certified_truncation, matrix_partial_sum, run_identity_checks,
+                      run_limit_laws, run_mixed_chain)
 
 
 def spec(family, seed=1, dim=4, target=0.8):
@@ -197,9 +196,9 @@ _ORACLE_SERIES = ("exp", "geometric", "log-resolvent", "2F1:0.5,1,2",
 @pytest.mark.parametrize("family", FAMILIES_SINGLE + FAMILIES_PAIR)
 def test_oracle_matches_the_matrix_truncation(family, name):
     # Spectral mapping: r[S_m(T)] = max |S_m(lambda)| over T's eigenvalues.
-    # The oracle reads S_m off the eigenvalues of T or AB; the matrix
-    # truncation of the same order, solved on its own, is the path it
-    # replaced. The sweep's norm targets, the top of their range included.
+    # The oracle reads S_m off the eigenvalues of T or AB; the reference is
+    # the matrix truncation of the same order, by Horner's rule, solved on
+    # its own. The sweep's norm targets, the top of their range included.
     f = lookup(name)
     config = SweepConfig(series_names=(name,), families=(family,), trials=12,
                          dims=(2, 4, 8), seed=19)
@@ -224,8 +223,8 @@ def test_oracle_memory_is_far_below_a_table_of_powers():
     # geometric at ||T|| = 0.9999 and n = 32 certifies an order m of about
     # 3.2e5. A repeated oracle call (the coefficients are kept) sums in
     # O(sqrt(m) n) memory, far below the 16 m n bytes of a table of every
-    # power of every eigenvalue; its order search's tail reads one
-    # coefficient past the kept ones and recomputes them all (48 m bytes).
+    # power of every eigenvalue; recomputing the coefficients would take
+    # 48 m bytes.
     import tracemalloc
 
     f = lookup("geometric")
@@ -239,7 +238,23 @@ def test_oracle_memory_is_far_below_a_table_of_powers():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * m
+    assert peak < 4 * m
+
+
+@pytest.mark.parametrize("name, norm", [("geometric", 0.9999), ("artanh", 0.99995)])
+def test_repeated_oracle_computes_no_coefficient(monkeypatch, name, norm):
+    # Orders past 2**16: the tail at order m reads a_{m+1} (geometric) or
+    # a_{m+2} (artanh, odd terms only), which the kept prefix holds.
+    f = lookup(name)
+    (v,) = invariants(_scaled(_ginibre(np.random.default_rng(3), 32), norm)[None])
+    first = oracle_radii(f, v)
+    assert truncation_order(f, v["||T||"], DEFAULT_TOL) > 2**16
+    orders = []
+    coefficients = f.coefficients
+    monkeypatch.setitem(vars(f), "coefficients",
+                        lambda m: (orders.append(m), coefficients(m))[1])
+    assert oracle_radii(f, v) == first
+    assert orders == []
 
 
 def scaled_as_drawn(G, norm_target):
@@ -289,8 +304,8 @@ def test_limit_checks_match_the_one_matrix_formulas():
         rhs = sum(spectral_radius(V) for V in terms)
         sub = max(sub, spectral_radius(sum(terms)) - rhs - 1e-8)
         ca, cb = (rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in "ab")
-        V = series_partial_sum(from_coefficients(ca), M, 3)
-        S = series_partial_sum(from_coefficients(cb), M, 3)
+        V = matrix_partial_sum(from_coefficients(ca), M, 3)
+        S = matrix_partial_sum(from_coefficients(cb), M, 3)
         gap = abs(spectral_radius(V) - spectral_radius(S)) - spectral_radius(V - S)
         cont = max(cont, gap - 1e-8)
     checks = run_limit_laws(seed, trials, dims)
@@ -317,7 +332,7 @@ def test_trial_on_non_commuting_pair_fails_loudly(non_commuting_pairs):
 
 def test_limit_checks_match_the_per_instance_loop():
     # Drawn one by one, stacked by dimension: the same CheckResult as the
-    # loop over instances, one eigensolve per truncation.
+    # loop over instances, each with its own invariants and oracle calls.
     def per_instance(seed, trials, dims):
         result, series = CheckResult(), [lookup("exp"), lookup("geometric")]
         for i in range(trials):
@@ -325,13 +340,13 @@ def test_limit_checks_match_the_per_instance_loop():
             n, f = dims[i % len(dims)], series[i % 2]
             cap = 1.5 if math.isinf(f.radius) else 0.7 * f.radius
             T = scaled_as_drawn(_ginibre(rng, n), float(rng.uniform(0.3, 1.0)) * cap)
-            x = operator_norm(T)
-            orders = sorted({truncation_order(f, x, t) for t in (1e-3, 1e-5, 1e-7, 1e-9)})
-            radii = [spectral_radius(series_partial_sum(f, T, m)) for m in orders]
-            for a in range(len(orders)):
-                for b in range(a + 1, len(orders)):
-                    allowed = f.tail_bound(orders[a], x) + 1e-8
-                    result.record(abs(radii[a] - radii[b]) - allowed)
+            (v,) = invariants(T[None])
+            tols = (1e-3, 1e-5, 1e-7, 1e-9)
+            for a in range(len(tols)):
+                for b in range(a + 1, len(tols)):
+                    r_a, err_a = oracle_radii(f, v, tols[a])["f(T)"]
+                    r_b, _ = oracle_radii(f, v, tols[b])["f(T)"]
+                    result.record(abs(r_a - r_b) - (err_a + 1e-8))
         return {"truncation-cauchy": result}
 
     for dims in ((2, 4, 8), (1,), (3, 5)):
@@ -341,11 +356,24 @@ def test_limit_checks_match_the_per_instance_loop():
 
 
 def test_limit_check_is_three_calls_per_dimension(lapack_work):
-    # Per dimension: one SVD call to scale, one for ||T||, one eigensolve
-    # for every truncation of every instance.
+    # Per dimension: one SVD call to scale, one for ||T||, and one
+    # eigensolve of T, whose eigenvalues every oracle call reads.
     run_limit_checks(seed=3, trials=12, dims=(2, 4, 8))
     assert lapack_work["svd_calls"] == 3 * 2 and lapack_work["svd"] == 12 * 2
-    assert lapack_work["eig_calls"] == 3 and lapack_work["eig"] >= 12
+    assert lapack_work["eig_calls"] == 3 and lapack_work["eig"] == 12
+
+
+def test_limit_check_catches_a_short_oracle_sum(monkeypatch):
+    # The check runs the oracle's own scalar sums: one that stops a term
+    # early, at m - 1, breaks the Cauchy bound between tolerances.
+    import specbound.harness as harness_mod
+
+    def short(f, z, m):
+        return partial_sums(f, z, max(m - 1, 0))
+
+    assert run_limit_checks(1, 60)["truncation-cauchy"].passed
+    monkeypatch.setattr(harness_mod, "partial_sums", short)
+    assert run_limit_checks(1, 60)["truncation-cauchy"].violations > 0
 
 
 def test_pair_generator_determinism():

@@ -1,4 +1,5 @@
-"""Spectral radius, operator norm, matrix series, and the file format."""
+"""Spectral radius, operator norm, the tests' matrix series reference, and
+the file format."""
 
 import math
 
@@ -17,12 +18,11 @@ from specbound import (
     operator_norm,
     oracle_radii,
     save_matrix,
-    series_partial_sum,
     spectral_radius,
 )
 from specbound.bounds import invariants
 from specbound.matrices import operator_norms, spectral_radii
-from textbook import certified_truncation, gelfand_sequence
+from textbook import certified_truncation, gelfand_sequence, matrix_partial_sum
 
 
 def rng(seed=0):
@@ -270,32 +270,23 @@ def test_truncation_certificate_consistency():
     assert operator_norm(a - b) <= 1.1 * (tol + tol / 10)
 
 
+# The tests' reference S_m(T), which the oracle is compared with, checked
+# on its own.
+
+
 def test_partial_sum_matches_direct_powers():
     f = lookup("exp")
     T = 0.5 * random_complex(23, 3)
     direct = sum(
         f.coeff(j) * np.linalg.matrix_power(T, j) for j in range(6)
     )
-    assert np.allclose(series_partial_sum(f, T, 5), direct, atol=1e-13)
+    assert np.allclose(matrix_partial_sum(f, T, 5), direct, atol=1e-13)
 
 
 def _complex_poly(seed, degree):
     g = rng(seed)
     return from_coefficients(g.standard_normal(degree + 1)
                              + 1j * g.standard_normal(degree + 1))
-
-
-@pytest.mark.parametrize("f", [lookup("exp"), lookup("geometric"),
-                               _complex_poly(3, 3)], ids=["exp", "geometric", "poly"])
-def test_partial_sum_low_order_is_horner(f):
-    # m <= 3 has block size 1: exactly the Horner loop below, bit for bit.
-    T = random_complex(41, 5)
-    eye = np.eye(5, dtype=np.complex128)
-    for m in range(4):
-        S = f.coeff(m) * eye
-        for j in range(m - 1, -1, -1):
-            S = f.coeff(j) * eye + T @ S
-        assert np.array_equal(series_partial_sum(f, T, m), S), m
 
 
 _PS_ORDERS = (0, 1, 2, 3, 4, 8, 9, 15, 16, 17, 63, 64, 65, 200)
@@ -323,7 +314,7 @@ def test_partial_sum_matches_mpmath(ps_reference, m):
     # Rounding error of Horner's form: a small multiple of u sum |a_k| ||T||^k.
     f, T, sums = ps_reference
     majorant = sum(abs(f.coeff(k)) * operator_norm(T) ** k for k in range(m + 1))
-    err = operator_norm(series_partial_sum(f, T, m) - sums[m])
+    err = operator_norm(matrix_partial_sum(f, T, m) - sums[m])
     assert err <= 1e-13 * majorant
 
 

@@ -582,14 +582,15 @@ def test_prefix_calls_coefficients_only_to_grow_and_is_not_a_field():
         return base.coefficients(m)
 
     f = replace(base, coefficients=coefficients)  # a fresh, empty prefix
-    for m in (10, 5, 30, 30, 31, 62):  # past the prefix, it at least doubles
+    # Past the prefix, it grows to a_{m+2} at least, and at least doubles.
+    for m in (10, 5, 30, 30, 31, 62):
         f.prefix(m)
     f.coeff(7)
-    assert calls == [10, 30, 62]
+    assert calls == [12, 32, 66]
     assert f == replace(f) and "_prefix=" not in repr(f)
     g = replace(f)
     g.prefix(2)
-    assert calls == [10, 30, 62, 2]
+    assert calls == [12, 32, 66, 4]
 
 
 @pytest.mark.parametrize("name", ["2F1:0.5,1,2", "2F1", "poly:1,-0.5+0.3j", "exp"])
