@@ -17,7 +17,8 @@ at scalar arguments built from spectral radii and operator norms:
 
 `invariants` fills the norms, radii and derived quantities of a whole
 stack of instances at once, all norms from one SVD call and all radii from
-one eigensolve, and keeps the eigenvalues of T or AB for the oracle; each
+one eigensolve (for a pair of n >= 96, one per product, run on every CPU
+with the SVD), and keeps the eigenvalues of T or AB for the oracle; each
 bound is a `Row` of a table, turned into a `BoundResult` by one evaluator.
 A bound that cannot apply, a commutativity-gated one on a non-commuting
 pair included, comes back Unavailable with the reason; only structural
@@ -34,6 +35,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
+from . import jobs
 from .errors import DimMismatch, NormOverflow
 from .matrices import Matrix, commutes, eigenvalues, operator_norms
 from .series import DEFAULT_TOL, PowerSeries, eval_companion
@@ -68,6 +70,10 @@ _PAIR_NORMS = tuple(f"||{x}||" for x in _PRODUCTS)
 # The radii of A, B, AB and of `_pm_terms`, from one eigensolve.
 _PAIR_RADII = ("r(A)", "r(B)", "r(AB)", "r(AB+BA)", "r(AB-BA)")
 _MIXED = ("sqrt(||A|| ||AB^2||)", "sqrt(||A^2B|| ||B||)")
+# From this size on, a pair's five eigensolves and its SVD stack run as
+# `jobs.run_jobs` jobs, on every CPU. Starting the workers takes about 10 ms
+# on a 2-CPU host, where the split won at n = 96 and 128 but lost at n = 64.
+_SPLIT_MIN_DIM = 96
 
 
 def products(A: Matrix, B: Matrix) -> np.ndarray:
@@ -131,9 +137,11 @@ class Invariants(dict):
 def invariants(A: Matrix, B: Optional[Matrix] = None) -> list[Invariants | NormOverflow]:
     """The `Invariants` of each instance of the (k, n, n) stack A, or of
     each pair of stacks A and B: every norm from one SVD call and every
-    radius from one eigensolve, which also gives each `spectrum`. A pair
-    whose products are not finite gets, in its place, the NormOverflow
-    naming them, for the caller to raise."""
+    radius from one eigensolve, which also gives each `spectrum`. From
+    n = `_SPLIT_MIN_DIM` on, a pair's eigensolve is one call per product and
+    runs with its SVD call as `jobs.run_jobs` jobs, with the same results.
+    A pair whose products are not finite gets, in its place, the
+    NormOverflow naming them, for the caller to raise."""
     if B is None:
         eigs = eigenvalues(A)
         radii = np.abs(eigs).max(axis=-1).tolist()
@@ -145,9 +153,15 @@ def invariants(A: Matrix, B: Optional[Matrix] = None) -> list[Invariants | NormO
     finite = np.isfinite(P).all(axis=(-2, -1))
     ok = finite.all(axis=0)
     good = P if ok.all() else P[:, ok]
-    eigs = eigenvalues(np.concatenate((good[:3], _pm_terms(good))))
+    terms = (*good[:3], *_pm_terms(good))  # in `_PAIR_RADII` order
+    if A.shape[-1] < _SPLIT_MIN_DIM:
+        eigs, norms = eigenvalues(np.stack(terms)), operator_norms(good)
+    else:  # LAPACK solves each matrix alone: the same bits from every process
+        *parts, norms = jobs.run_jobs([*((eigenvalues, (X,)) for X in terms),
+                                       (operator_norms, (good,))])  # longest last
+        eigs = np.stack(parts)
     radii = np.abs(eigs).max(axis=-1)
-    values = map(_pair_values, operator_norms(good).T.tolist(), radii.T.tolist())
+    values = map(_pair_values, norms.T.tolist(), radii.T.tolist())
     spectra = iter(eigs[2])  # of AB
     out: list = []
     for k, pair_finite in enumerate(finite.T):

@@ -7,9 +7,10 @@ Subcommands:
   compare  emit per-bound tightness statistics as plot-ready CSV
 
 `verify` and `compare` run their trials (and `verify` its checks) on
-one worker process per CPU the process's affinity allows;
+one worker process per CPU the process's affinity allows, and `bound`
+runs a pair's eigensolves and SVDs that way from n = 96 on;
 `taskset -c 0` runs them in-process. The reports, exit codes and error
-messages are the same either way.
+messages are the same either way, at one BLAS thread count.
 
 Exit codes: 0 success, 1 a violation or failed check (verify, compare),
 or a bound below its oracle (bound, which names each such bound after

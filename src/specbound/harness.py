@@ -12,10 +12,11 @@ floating-point rounding and the oracle's own truncation error. It runs in
 chunks of one family's trials; a chunk's trials of one dimension are
 generated, factored and solved as one stack, one LAPACK call per step.
 
-`run_jobs` runs a sweep's trials, in chunks, and `verify`'s checks on one
-forked worker process per CPU the process's affinity allows. With one
+`jobs.run_jobs` runs a sweep's trials, in chunks, and `verify`'s checks on
+one forked worker process per CPU the process's affinity allows. With one
 CPU (`taskset -c 0`) or off Linux it runs them in-process, the only mode
 in which a tracer that wraps this package's functions sees their work.
+In a worker, a chunk's large pairs are solved in-process too.
 """
 
 from __future__ import annotations
@@ -25,20 +26,17 @@ import io
 import itertools
 import json
 import math
-import os
 import statistics
-import sys
-import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .bounds import (BoundResult, Invariants, _PAIR_NORMS, _PM_ROWS, _evaluate,
                      _pm_terms, bound_report, invariants, products)
-from .errors import (GenerationFailure, NormOverflow, OutOfDisk, SpecboundError,
-                     UnknownFamily)
+from .errors import GenerationFailure, NormOverflow, OutOfDisk, UnknownFamily
+from .jobs import Job, run_jobs
 from .matrices import Matrix, operator_norms, spectral_radii
 from .series import (DEFAULT_MAX_TERMS, DEFAULT_TOL, PowerSeries, _order_and_tail, lookup,
                      partial_sums)
@@ -358,95 +356,6 @@ def run_trial(
     """One deterministic trial; pure function of (config, family, index).
     It is a sweep chunk of one trial."""
     return _trials(config, family, family_index, [index])[0]
-
-
-# ---------------------------------------------------------------------------
-# Running jobs on every CPU
-# ---------------------------------------------------------------------------
-
-# One unit of work: fn(*args).
-Job = tuple[Callable[..., Any], tuple]
-
-
-def _cpus() -> int:
-    """CPUs this process may run on; 1 off Linux, which runs jobs in-process."""
-    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
-
-
-def _worker(conn, jobs: Sequence[Job]) -> None:
-    """Run the jobs whose indices arrive on `conn` and send back (exception,
-    result) for each. The jobs come with the fork, so only indices and
-    results cross the pipe. Ctrl-C is the parent's to handle."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        fn, args = jobs[conn.recv()]
-        try:
-            conn.send((None, fn(*args)))
-        except Exception as exc:
-            conn.send((exc, None))
-
-
-def run_jobs(jobs: Sequence[Job]) -> list:
-    """[fn(*args) for fn, args in jobs], with the jobs spread over
-    `fork`-started worker processes, one per CPU of the process's affinity
-    set. With one CPU (`taskset -c 0`), off Linux or with other threads
-    running they run in-process, where a failing job also shows its whole
-    traceback.
-
-    Jobs start from the end of the list, so callers put their longest jobs
-    last. Results are pickled back and keep the jobs' order. A job that
-    raises re-raises here with its type and message; when several do, the
-    first in list order wins, as in-process. Every worker has exited when
-    this returns or raises.
-    """
-    workers = min(_cpus(), len(jobs))
-    # A fork copies only this thread, so a lock another thread holds would
-    # stay held in the workers. Fork, not spawn: a spawned worker would
-    # import numpy and this package again, with cold series caches.
-    if workers <= 1 or threading.active_count() > 1:
-        return [fn(*args) for fn, args in jobs]
-    import multiprocessing
-    from multiprocessing.connection import wait
-
-    ctx = multiprocessing.get_context("fork")
-    todo = list(range(len(jobs)))
-    done, busy, procs, conns = {}, {}, [], []
-    try:
-        for _ in range(workers):
-            conn, child_conn = ctx.Pipe()
-            procs.append(ctx.Process(target=_worker, args=(child_conn, jobs)))
-            procs[-1].start()
-            child_conn.close()
-            conns.append(conn)
-        idle = conns
-        while todo or busy:
-            for conn in idle[:len(todo)]:
-                busy[conn] = todo.pop()
-                conn.send(busy[conn])
-            idle = wait(list(busy))
-            for conn in idle:
-                try:
-                    done[busy.pop(conn)] = conn.recv()
-                except EOFError:  # an OOM kill or a signal, say
-                    proc = procs[conns.index(conn)]
-                    proc.join()
-                    raise SpecboundError(
-                        f"a worker process died with exit code {proc.exitcode}") from None
-    finally:
-        # Idle workers wait for an index that never comes; after an error
-        # here, busy ones run jobs whose results no one reads.
-        for proc in procs:
-            proc.terminate()
-            proc.join()
-        for conn in conns:
-            conn.close()
-    outcomes = [done[i] for i in range(len(jobs))]
-    for exc, _ in outcomes:
-        if exc is not None:
-            raise exc
-    return [result for _, result in outcomes]
 
 
 _CHUNK_TRIALS = 25

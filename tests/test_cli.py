@@ -13,6 +13,7 @@ import pytest
 
 import specbound
 import specbound.harness as harness_mod
+import specbound.jobs as jobs_mod
 from specbound import (
     InstanceSpec,
     SweepConfig,
@@ -450,7 +451,7 @@ def test_verify_generation_failure_exits_2_with_the_in_process_message(
     err = capsys.readouterr().err
     assert err.startswith("error: InstanceSpec(") and "not a commuting pair" in err
     assert multiprocessing.active_children() == []
-    monkeypatch.setattr(harness_mod, "_cpus", lambda: 1)
+    monkeypatch.setattr(jobs_mod, "_cpus", lambda: 1)
     assert main(args) == 2
     assert capsys.readouterr().err == err
 

@@ -506,9 +506,9 @@ def test_sweep_raises_what_its_first_failing_trial_raises_alone(
 def test_a_chunk_is_solved_as_one_stack_per_dimension(lapack_work, monkeypatch, family):
     # One 25-trial chunk factors 25 times one trial's matrices, in one call
     # per scaling and per invariant kind, per dimension; the oracle makes none.
-    import specbound.harness as harness_mod
+    import specbound.jobs as jobs_mod
 
-    monkeypatch.setattr(harness_mod, "_cpus", lambda: 1)  # counted in-process
+    monkeypatch.setattr(jobs_mod, "_cpus", lambda: 1)  # counted in-process
     config = SweepConfig(families=(family,), trials=25, dims=(2, 4, 8), seed=5)
     run_trial(config, family, 0, 0)
     one = dict(lapack_work)
@@ -715,9 +715,9 @@ def test_run_jobs_forks_workers_and_keeps_order():
 
 
 def test_run_jobs_on_one_cpu_runs_in_process(monkeypatch):
-    import specbound.harness as harness_mod
+    import specbound.jobs as jobs_mod
 
-    monkeypatch.setattr(harness_mod, "_cpus", lambda: 1)
+    monkeypatch.setattr(jobs_mod, "_cpus", lambda: 1)
     assert run_jobs([(os.getpid, ())] * 3) == [os.getpid()] * 3
 
 
@@ -757,6 +757,66 @@ def test_run_jobs_reports_a_dead_worker():
     with pytest.raises(SpecboundError, match="^a worker process died with exit code 3$"):
         run_jobs([(os._exit, (3,)), (pow, (2, 2))])
     assert multiprocessing.active_children() == []
+
+
+def _pid_and_nested_pids():
+    return os.getpid(), run_jobs([(os.getpid, ())] * 2)
+
+
+@needs_cpus
+def test_run_jobs_in_a_worker_runs_in_process():
+    # A job that calls run_jobs again forks no grandchildren: a sweep chunk
+    # whose pairs are large enough for `invariants` to split them, say.
+    (pid, nested), other = run_jobs([(_pid_and_nested_pids, ()), (os.getpid, ())])
+    assert nested == [pid, pid] and os.getpid() not in (pid, other)
+    assert multiprocessing.active_children() == []
+
+
+def _bits(report):
+    """Everything a `best_bound` report holds, the invariants bit for bit."""
+    v = report.invariants
+    return ({x: float(y).hex() for x, y in v.items()}, v.spectrum.tobytes(),
+            report.results, report.minimum)
+
+
+@needs_cpus
+def test_a_large_pair_solved_on_every_cpu_changes_no_bit(monkeypatch):
+    # From `_SPLIT_MIN_DIM` on, a pair's five eigensolves and its SVD stack
+    # are jobs, which LAPACK solves matrix by matrix in any process; BLAS
+    # threads are left as the environment sets them.
+    import specbound.bounds as bounds_mod
+    import specbound.jobs as jobs_mod
+
+    n, rng = bounds_mod._SPLIT_MIN_DIM, np.random.default_rng(6)
+    pairs = [gen_commuting_pair(spec("commuting-polynomial-pair", dim=128)),
+             (_ginibre(rng, n) / 8, _ginibre(rng, n) / 8)]  # not commuting
+    run, ran = jobs_mod.run_jobs, []
+    monkeypatch.setattr(jobs_mod, "run_jobs", lambda jobs: ran.append(len(jobs)) or run(jobs))
+    reports = [best_bound(lookup("exp"), A, B) for A, B in pairs]
+    assert ran == [6, 6] and multiprocessing.active_children() == []
+    assert [r.invariants.commuting for r in reports] == [True, False]
+    split = list(map(_bits, reports))
+    # in-process, then as one eigensolve call, the path of smaller pairs
+    for mod, name, value in ((jobs_mod, "_cpus", lambda: 1),
+                             (bounds_mod, "_SPLIT_MIN_DIM", 129)):
+        monkeypatch.setattr(mod, name, value)
+        assert [_bits(best_bound(lookup("exp"), A, B)) for A, B in pairs] == split
+
+
+def test_a_pair_below_the_split_size_runs_no_job(monkeypatch):
+    import specbound.bounds as bounds_mod
+    import specbound.jobs as jobs_mod
+
+    def refuse(jobs):
+        raise RuntimeError("a job ran")
+
+    monkeypatch.setattr(jobs_mod, "run_jobs", refuse)
+    for dim in (32, bounds_mod._SPLIT_MIN_DIM - 1):
+        A, B = gen_commuting_pair(spec("commuting-polynomial-pair", dim=dim))
+        assert best_bound(lookup("exp"), A, B).minimum is not None
+    A, B = gen_commuting_pair(spec("commuting-polynomial-pair", dim=bounds_mod._SPLIT_MIN_DIM))
+    with pytest.raises(RuntimeError, match="^a job ran$"):
+        best_bound(lookup("exp"), A, B)
 
 
 # ---------------------------------------------------------------------------
