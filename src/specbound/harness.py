@@ -9,8 +9,10 @@ A sweep evaluates every applicable bound against an oracle (the certified
 truncated series at the instance's eigenvalues) and flags any bound
 that dips below oracle minus slack, where slack accounts for both
 floating-point rounding and the oracle's own truncation error. It runs in
-chunks of one family's trials; a chunk's trials of one dimension are
-generated, factored and solved as one stack, one LAPACK call per step.
+chunks of up to `_CHUNK_TRIALS` (100) of one family's trials; a chunk's
+trials of one dimension are generated, factored and solved as one stack,
+one LAPACK call per step: the Haar unitaries' QR, each scaling's SVD, the
+invariants' SVD and their eigensolve.
 
 `jobs.run_jobs` runs a sweep's trials, in chunks, and `verify`'s checks on
 one forked worker process per CPU the process's affinity allows. With one
@@ -78,10 +80,18 @@ def _ginibre(rng: np.random.Generator, n: int) -> Matrix:
     ) / math.sqrt(2.0)
 
 
-def _haar_unitary(rng: np.random.Generator, n: int) -> Matrix:
-    Q, R = np.linalg.qr(_ginibre(rng, n))
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))
+def _haar_unitary(G: Matrix) -> Matrix:
+    """The Haar unitary Q diag(R_jj / |R_jj|) of each Ginibre matrix G = QR
+    of a (..., n, n) stack, from one QR call."""
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]
+
+
+def _conjugated(G: Matrix, D: Matrix) -> Matrix:
+    """U D U^H, U the Haar unitary of each Ginibre matrix of the stack G."""
+    U = _haar_unitary(G)
+    return U @ D @ U.conj().swapaxes(-1, -2)
 
 
 def _scaled(M: Matrix, norm_target) -> Matrix:
@@ -93,9 +103,10 @@ def _scaled(M: Matrix, norm_target) -> Matrix:
 
 
 def _draw(family: str, rng: np.random.Generator, n: int):
-    """One instance's draws from its own stream, before any SVD: the matrix
-    to scale (a single family; the diagonal for "diagonal-positive"), or
-    (M, ca, cb) and (U, da, db) for the pair families."""
+    """One instance's draws from its own stream, before any QR or SVD: the
+    matrix to scale (a single family; the diagonal for "diagonal-positive";
+    (G, D) for "unitary-conjugated-jordan"), or (M, ca, cb) and (G, da, db)
+    for the pair families, G the Ginibre matrix of a Haar unitary."""
     if family == "diagonal-positive":
         return rng.uniform(0.05, 1.0, n)
     if family == "hermitian":
@@ -112,8 +123,7 @@ def _draw(family: str, rng: np.random.Generator, n: int):
         coupling = rng.uniform(2.0, 4.0)
         for j in range(0, n - 1, 2):
             D[j, j + 1] = coupling
-        U = _haar_unitary(rng, n)
-        return U @ D @ U.conj().T
+        return _ginibre(rng, n), D
     if family == "nilpotent":
         return np.triu(_ginibre(rng, n), 1)
     if family == "dense-random":
@@ -121,8 +131,8 @@ def _draw(family: str, rng: np.random.Generator, n: int):
     if family == "commuting-polynomial-pair":
         G = _ginibre(rng, n)
         return G, *(rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in "ab")
-    U = _haar_unitary(rng, n)
-    return U, *(rng.uniform(0.2, 1.0, n) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))
+    G = _ginibre(rng, n)
+    return G, *(rng.uniform(0.2, 1.0, n) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))
                 for _ in "ab")
 
 
@@ -139,8 +149,8 @@ def _cubic(c: np.ndarray, M: Matrix) -> Matrix:
 def _generate(specs: Sequence[InstanceSpec]) -> tuple[Matrix, ...]:
     """The instances of `specs`, all of one family and one dimension, as
     (T,) with T a (k, n, n) stack, or (A, B) for a pair family. Each is
-    drawn from its own seed and scaled to its own norm target, each scaling
-    of the stack by one SVD call.
+    drawn from its own seed and scaled to its own norm target; the stack's
+    Haar unitaries come from one QR call and each scaling from one SVD call.
 
     Polynomial pairs (p(M), q(M)) of a common dense M cover the non-normal
     regime; two diagonal matrices conjugated by one unitary cover the
@@ -154,16 +164,18 @@ def _generate(specs: Sequence[InstanceSpec]) -> tuple[Matrix, ...]:
     if family == "diagonal-positive":
         D = np.stack([np.diag(d * (t / d.max())) for d, t in zip(draws, targets)])
         return (D.astype(np.complex128),)
+    if family == "unitary-conjugated-jordan":
+        return (_scaled(_conjugated(*map(np.stack, zip(*draws))), targets),)
     if family in FAMILIES_SINGLE:
         return (_scaled(np.stack(draws), targets),)
     X, ca, cb = map(np.stack, zip(*draws))
     if family == "commuting-polynomial-pair":
         M = _scaled(X, 1.0)
         pair = _cubic(ca, M), _cubic(cb, M)
-    else:  # U, then the diagonals of A and B in U's basis
+    else:  # the diagonals of A and B in the basis of X's Haar unitaries
         D = np.zeros((2, *X.shape), dtype=np.complex128)
         D[..., range(n), range(n)] = ca, cb
-        pair = X @ D @ X.conj().swapaxes(-1, -2)
+        pair = _conjugated(X, D)
     return tuple(_scaled(np.stack(pair), targets))
 
 
@@ -358,7 +370,11 @@ def run_trial(
     return _trials(config, family, family_index, [index])[0]
 
 
-_CHUNK_TRIALS = 25
+# Trials per sweep chunk: about 33 per dimension's stack at the default
+# three dimensions. A fixed cap, not trials / CPUs, bounds what a worker
+# stacks: a chunk of n = 64 pairs holds 9 products and a 5-matrix
+# eigensolve stack per pair, 92 MB at 100 trials.
+_CHUNK_TRIALS = 100
 
 
 def run_sweep(config: SweepConfig, *extra: Job,
@@ -561,7 +577,8 @@ def run_pm_checks(
         AB = _scaled(np.stack(G), np.array(targets))
         P = products(AB[0::2], AB[1::2])  # a stack of pairs
         radii = spectral_radii(_pm_terms(P)).T.tolist()  # AB +/- BA
-        for norms, oracles in zip(operator_norms(P).T.tolist(), radii):
+        # The rows read no ||AB-BA||, the last product.
+        for norms, oracles in zip(operator_norms(P[:-1]).T.tolist(), radii):
             # Both bounds are the same for either sign, and read only norms.
             w = dict(zip(_PAIR_NORMS, norms))
             quad, mixed = (_evaluate(row, None, w, 0.0, {}) for row in _PM_ROWS[:2])

@@ -83,7 +83,10 @@ def format_matrix(T: Matrix) -> str:
 
 
 def parse_matrix(text: str) -> Matrix:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("the matrix document is nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
     missing = [key for key in ("dim", "entries") if key not in doc]

@@ -10,17 +10,18 @@ import specbound.matrices as matrices_mod
 
 @pytest.fixture
 def lapack_work(monkeypatch):
-    """Count the package's SVD and eigensolve work: "svd" and "eig" count
-    matrices (k for a (k, n, n) stack, 1 for one matrix), "svd_calls" and
-    "eig_calls" count calls. Every operator norm goes through
-    `operator_norms`, and every eigensolve, `spectral_radii` included,
-    through `eigenvalues`."""
+    """Count the package's SVD, eigensolve and QR work: "svd", "eig" and
+    "qr" count matrices (k for a (k, n, n) stack, 1 for one matrix),
+    "svd_calls", "eig_calls" and "qr_calls" count calls. Every operator
+    norm goes through `operator_norms`, every eigensolve, `spectral_radii`
+    included, through `eigenvalues`, and every QR (the Haar unitaries')
+    through `np.linalg.qr`. The "qr" keys appear with the first QR call."""
     work = {"svd": 0, "svd_calls": 0, "eig": 0, "eig_calls": 0}
 
     def counted(kind, fn):
         def wrapper(S):
-            work[kind] += int(np.prod(np.shape(S)[:-2]))
-            work[f"{kind}_calls"] += 1
+            work[kind] = work.get(kind, 0) + int(np.prod(np.shape(S)[:-2]))
+            work[f"{kind}_calls"] = work.get(f"{kind}_calls", 0) + 1
             return fn(S)
         return wrapper
 
@@ -29,6 +30,7 @@ def lapack_work(monkeypatch):
         for mod in (bounds_mod, harness_mod, matrices_mod):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, wrapper)
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
     return work
 
 

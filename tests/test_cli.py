@@ -356,6 +356,15 @@ def test_bound_malformed_file_exits_2(tmp_path, capsys):
         assert code == 2, text
 
 
+def test_bound_deeply_nested_file_exits_2(tmp_path, capsys):
+    # Exit 1 would mean a bound below its oracle.
+    deep = tmp_path / "deep.mat"
+    deep.write_text('{"dim": 1, "entries": %s%s}' % ("[" * 200000, "]" * 200000))
+    code = main(["bound", "--series", "exp", "--matrix", str(deep)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: the matrix document is nested")
+
+
 def test_bound_dim_mismatch_exits_2(tmp_path, capsys):
     a = tmp_path / "a2.mat"
     b = tmp_path / "b3.mat"

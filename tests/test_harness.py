@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import specbound.harness as harness_mod
 from specbound import (
     FAMILIES_PAIR,
     BoundResult,
@@ -314,12 +315,13 @@ def test_limit_checks_match_the_one_matrix_formulas():
 
 
 def test_pm_check_trial_is_one_stacked_svd_call(lapack_work):
-    # Per trial ||A|| and ||B|| to scale the pair, then the pair's nine
-    # norms for both pm bounds: two SVD calls per dimension in all, and one
-    # eigensolve call per dimension for r(AB + BA) and r(AB - BA).
+    # Per trial ||A|| and ||B|| to scale the pair, then the eight norms
+    # both pm bounds read (not ||AB-BA||): two SVD calls per dimension in
+    # all, and one eigensolve call per dimension for r(AB + BA) and
+    # r(AB - BA).
     run_pm_checks(seed=3, trials=12, dims=(2, 4, 8))
     assert lapack_work["svd_calls"] == 3 * 2
-    assert lapack_work["svd"] == 12 * (2 + 9)
+    assert lapack_work["svd"] == 12 * (2 + 8)
     assert lapack_work["eig_calls"] == 3 and lapack_work["eig"] == 12 * 2
 
 
@@ -454,17 +456,19 @@ def test_single_mode_sweep():
         assert [b.name for b in record.bounds] == ["companion-radius"]
 
 
-def test_sweep_records_come_back_in_seed_order():
+def test_sweep_records_come_back_in_seed_order(monkeypatch):
     # two chunks per family, against the trials run one by one in-process
+    monkeypatch.setattr(harness_mod, "_CHUNK_TRIALS", 25)
     config = small_config(trials=30, dims=(2,))
     expected = [run_trial(config, family, fi, i)
                 for fi, family in enumerate(config.families) for i in range(30)]
     assert run_sweep(config) == expected
 
 
-def test_sweep_of_mixed_stacks_equals_trials_run_one_by_one():
+def test_sweep_of_mixed_stacks_equals_trials_run_one_by_one(monkeypatch):
     # Each dimension's stack mixes series (4 names, 3 dims), and every
     # family has a full chunk and a short one.
+    monkeypatch.setattr(harness_mod, "_CHUNK_TRIALS", 25)
     config = SweepConfig(
         series_names=("exp", "geometric", "2F1:0.5,1,2", "poly:1,-0.5+0.3j"),
         trials=30, dims=(2, 3, 5), seed=17)
@@ -504,20 +508,27 @@ def test_sweep_raises_what_its_first_failing_trial_raises_alone(
 
 @pytest.mark.parametrize("family", FAMILIES_SINGLE + FAMILIES_PAIR)
 def test_a_chunk_is_solved_as_one_stack_per_dimension(lapack_work, monkeypatch, family):
-    # One 25-trial chunk factors 25 times one trial's matrices, in one call
-    # per scaling and per invariant kind, per dimension; the oracle makes none.
+    # Chunks of 100 trials (250 trials: 100, 100 and 50) factor `trials`
+    # times one trial's matrices, in one call per Haar QR, per scaling and
+    # per invariant kind, per dimension and chunk; the oracle makes none.
     import specbound.jobs as jobs_mod
 
     monkeypatch.setattr(jobs_mod, "_cpus", lambda: 1)  # counted in-process
-    config = SweepConfig(families=(family,), trials=25, dims=(2, 4, 8), seed=5)
-    run_trial(config, family, 0, 0)
-    one = dict(lapack_work)
-    lapack_work.update(dict.fromkeys(lapack_work, 0))
-    run_sweep(config)
-    assert one["eig"] == (5 if family in FAMILIES_PAIR else 1)  # the invariants' own
-    assert lapack_work["svd"] == 25 * one["svd"] and lapack_work["eig"] == 25 * one["eig"]
-    assert lapack_work["svd_calls"] == 3 * one["svd_calls"] <= 3 * 3
-    assert lapack_work["eig_calls"] == 3 * one["eig_calls"] == 3
+    haar = family in ("unitary-conjugated-jordan", "commuting-triangular-pair")
+    for trials, chunks in ((100, 1), (250, 3)):
+        config = SweepConfig(families=(family,), trials=trials, dims=(2, 4, 8), seed=5)
+        lapack_work.update(dict.fromkeys(lapack_work, 0))
+        run_trial(config, family, 0, 0)
+        one = dict(lapack_work)
+        lapack_work.update(dict.fromkeys(lapack_work, 0))
+        run_sweep(config)
+        assert one["eig"] == (5 if family in FAMILIES_PAIR else 1)  # the invariants' own
+        assert one.get("qr", 0) == one.get("qr_calls", 0) == haar
+        assert one["svd_calls"] <= 3 and one["eig_calls"] == 1
+        for kind in ("svd", "eig", "qr"):
+            assert lapack_work.get(kind, 0) == trials * one.get(kind, 0)
+            assert (lapack_work.get(f"{kind}_calls", 0)
+                    == 3 * chunks * one.get(f"{kind}_calls", 0))
 
 
 def test_sweep_determinism_and_csv_bytes(tmp_path):
@@ -652,6 +663,24 @@ def test_sweep_report_reduction_matches_records(size, monkeypatch):
     assert len(pieces) == 3 * math.ceil(8 / size)
     assert summarize_tallies(tally for _, tally in pieces) == summarize(records)
     assert "".join(rows for rows, _ in pieces) == report_piece(records)[0][0]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("family", ["unitary-conjugated-jordan", "commuting-triangular-pair"])
+def test_a_long_sweep_is_the_same_at_every_chunk_size(monkeypatch, family):
+    # 250 trials of one family, whose Haar unitaries are factored as one
+    # stack per chunk and dimension: at 100 the last chunk is a short one.
+    config = SweepConfig(families=(family,), trials=250, dims=(2, 3, 5), seed=11)
+    swept = []
+    for size in (7, 25, 100):
+        monkeypatch.setattr(harness_mod, "_CHUNK_TRIALS", size)
+        pieces = run_sweep(config, reduce=report_piece)
+        assert len(pieces) == math.ceil(250 / size)
+        swept.append((run_sweep(config), "".join(rows for rows, _ in pieces),
+                      summarize_tallies(tally for _, tally in pieces)))
+    assert swept[0] == swept[1] == swept[2]
+    records = swept[2][0]
+    assert swept[2][1:] == (report_piece(records)[0][0], summarize(records))
     assert multiprocessing.active_children() == []
 
 

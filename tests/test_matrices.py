@@ -87,6 +87,14 @@ def test_load_rejects_malformed_documents(tmp_path):
             load_matrix(bad_doc)
 
 
+def test_load_rejects_a_deeply_nested_document(tmp_path):
+    # json.loads raises RecursionError on it, which is not a malformed-input error.
+    deep = tmp_path / "deep.mat"
+    deep.write_text('{"dim": 1, "entries": %s%s}' % ("[" * 200000, "]" * 200000))
+    with pytest.raises(ValueError, match="nested too deeply"):
+        load_matrix(deep)
+
+
 # ---------------------------------------------------------------------------
 # Spectral radius and operator norm
 # ---------------------------------------------------------------------------

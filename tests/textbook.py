@@ -129,7 +129,7 @@ def run_identity_checks(
             seed=int(normal_rng.integers(0, 2**63)),
             family="hermitian", dim=n, norm_target=1.0,
         ))
-        HU = np.stack((H, _haar_unitary(normal_rng, n)))
+        HU = np.stack((H, _haar_unitary(_ginibre(normal_rng, n))))
         for r, nrm in zip(spectral_radii(HU).tolist(), operator_norms(HU).tolist()):
             results["normal-equality"].record(abs(r - nrm) - 1e-10)
     return results
