@@ -67,7 +67,7 @@ class BoundResult:
 # A pair's products, in the order of `products`, and their norms.
 _PRODUCTS = ("A", "B", "AB", "BA", "A^2", "B^2", "AB^2", "A^2B", "AB-BA")
 _PAIR_NORMS = tuple(f"||{x}||" for x in _PRODUCTS)
-# The radii of A, B, AB and of `_pm_terms`, from one eigensolve.
+# The radii of A, B, AB, AB+BA and AB-BA, from one eigensolve.
 _PAIR_RADII = ("r(A)", "r(B)", "r(AB)", "r(AB+BA)", "r(AB-BA)")
 _MIXED = ("sqrt(||A|| ||AB^2||)", "sqrt(||A^2B|| ||B||)")
 # From this size on, a pair's five eigensolves and its SVD stack run as
@@ -88,11 +88,6 @@ def products(A: Matrix, B: Matrix) -> np.ndarray:
         np.matmul(P[2:5:2], B, out=P[6:8])  # AB^2 = (AB)B, A^2B = (AA)B
         np.subtract(P[2], P[3], out=P[8])
     return P
-
-
-def _pm_terms(P: np.ndarray) -> np.ndarray:
-    """AB+BA and AB-BA of a `products` stack P as one (2, k, n, n) stack."""
-    return np.stack((P[2] + P[3], P[8]))
 
 
 def _arms(s: Mapping[str, float]) -> tuple[float, float]:
@@ -153,7 +148,7 @@ def invariants(A: Matrix, B: Optional[Matrix] = None) -> list[Invariants | NormO
     finite = np.isfinite(P).all(axis=(-2, -1))
     ok = finite.all(axis=0)
     good = P if ok.all() else P[:, ok]
-    terms = (*good[:3], *_pm_terms(good))  # in `_PAIR_RADII` order
+    terms = (*good[:3], good[2] + good[3], good[8])  # in `_PAIR_RADII` order
     if A.shape[-1] < _SPLIT_MIN_DIM:
         eigs, norms = eigenvalues(np.stack(terms)), operator_norms(good)
     else:  # LAPACK solves each matrix alone: the same bits from every process
@@ -186,7 +181,7 @@ class Row:
     check_args: bool = True  # False when the hypotheses imply args < R
 
 
-def _evaluate(row: Row, f: Optional[PowerSeries], s: Mapping[str, float],
+def _evaluate(row: Row, f: PowerSeries, s: Mapping[str, float],
               tol: float, fa: dict[float, float]) -> BoundResult:
     """Check the preconditions on the quantities `s`, then evaluate f_a
     (memoised in `fa` by argument across the rows of one instance) and

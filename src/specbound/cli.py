@@ -2,11 +2,11 @@
 
 Subcommands:
   bound    evaluate every applicable bound for one or two matrices
-  verify   run a randomized verification sweep plus the checks of the
-           truncation certificates and the norm-only bounds
+  verify   run a randomized verification sweep plus the check of the
+           truncation certificates
   compare  emit per-bound tightness statistics as plot-ready CSV
 
-`verify` and `compare` run their trials (and `verify` its checks) on
+`verify` and `compare` run their trials (and `verify` its check) on
 one worker process per CPU the process's affinity allows, and `bound`
 runs a pair's eigensolves and SVDs that way from n = 96 on;
 `taskset -c 0` runs them in-process. The reports, exit codes and error
@@ -179,7 +179,7 @@ def cmd_bound(args) -> int:
 
 
 def _sweep_config(args) -> harness.SweepConfig:
-    if args.trials == 0:  # verify's checks would still run and report a pass
+    if args.trials == 0:  # verify's check would still run and report a pass
         raise ValueError("--trials 0 sweeps nothing; give at least 1")
     return harness.SweepConfig(
         series_names=_parse_series(args.series),
@@ -202,18 +202,16 @@ def _sweep(args) -> tuple[harness.SweepConfig, Path]:
 
 def cmd_verify(args) -> int:
     config, out_dir = _sweep(args)
-    # The checks run with the trials, on the same workers, which send back
+    # The check runs with the trials, on the same workers, which send back
     # report pieces, not records.
-    *pieces, limit_checks, pm_checks = harness.run_sweep(
+    *pieces, checks = harness.run_sweep(
         config,
         (harness.run_limit_checks, (args.seed, min(args.trials, 300), config.dims)),
-        (harness.run_pm_checks, (args.seed, 500, config.dims)),
         reduce=harness.report_piece,
     )
     harness.write_trials_csv("".join(rows for rows, _ in pieces),
                              out_dir / "trials.csv")
     sweep_summary = harness.summarize_tallies(tally for _, tally in pieces)
-    checks = {**limit_checks, **pm_checks}
     all_checks_pass = all(c.passed for c in checks.values())
     passed = sweep_summary["violations"] == 0 and all_checks_pass
     summary = {

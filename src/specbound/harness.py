@@ -12,9 +12,11 @@ floating-point rounding and the oracle's own truncation error. It runs in
 chunks of up to `_CHUNK_TRIALS` (100) of one family's trials; a chunk's
 trials of one dimension are generated, factored and solved as one stack,
 one LAPACK call per step: the Haar unitaries' QR, each scaling's SVD, the
-invariants' SVD and their eigensolve.
+invariants' SVD and their eigensolve. Its judge is the only one: the
+norm-only rows on r(AB +/- BA) and product-radius meet non-commuting
+pairs in the "generic-pair" family.
 
-`jobs.run_jobs` runs a sweep's trials, in chunks, and `verify`'s checks on
+`jobs.run_jobs` runs a sweep's trials, in chunks, and `verify`'s check on
 one forked worker process per CPU the process's affinity allows. With one
 CPU (`taskset -c 0`) or off Linux it runs them in-process, the only mode
 in which a tracer that wraps this package's functions sees their work.
@@ -35,11 +37,10 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import (BoundResult, Invariants, _PAIR_NORMS, _PM_ROWS, _evaluate,
-                     _pm_terms, bound_report, invariants, products)
+from .bounds import BoundResult, Invariants, bound_report, invariants
 from .errors import GenerationFailure, NormOverflow, OutOfDisk, UnknownFamily
 from .jobs import Job, run_jobs
-from .matrices import Matrix, operator_norms, spectral_radii
+from .matrices import Matrix, operator_norms
 from .series import (DEFAULT_MAX_TERMS, DEFAULT_TOL, PowerSeries, _order_and_tail, lookup,
                      partial_sums)
 
@@ -54,6 +55,9 @@ FAMILIES_PAIR = (
     "commuting-polynomial-pair",
     "commuting-triangular-pair",
 )
+# Pairs that do not commute: the rows that hold for any pair are judged on them.
+FAMILIES_GENERIC = ("generic-pair",)
+_FAMILIES = FAMILIES_SINGLE + FAMILIES_PAIR + FAMILIES_GENERIC
 
 _SLACK_REL = 1e-8
 _WIN_TIE_REL = 1e-12
@@ -105,8 +109,9 @@ def _scaled(M: Matrix, norm_target) -> Matrix:
 def _draw(family: str, rng: np.random.Generator, n: int):
     """One instance's draws from its own stream, before any QR or SVD: the
     matrix to scale (a single family; the diagonal for "diagonal-positive";
-    (G, D) for "unitary-conjugated-jordan"), or (M, ca, cb) and (G, da, db)
-    for the pair families, G the Ginibre matrix of a Haar unitary."""
+    (G, D) for "unitary-conjugated-jordan"), (M, ca, cb) and (G, da, db)
+    for the commuting pair families, G the Ginibre matrix of a Haar
+    unitary, or the two Ginibre factors of a "generic-pair"."""
     if family == "diagonal-positive":
         return rng.uniform(0.05, 1.0, n)
     if family == "hermitian":
@@ -131,6 +136,8 @@ def _draw(family: str, rng: np.random.Generator, n: int):
     if family == "commuting-polynomial-pair":
         G = _ginibre(rng, n)
         return G, *(rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in "ab")
+    if family == "generic-pair":
+        return _ginibre(rng, n), _ginibre(rng, n)
     G = _ginibre(rng, n)
     return G, *(rng.uniform(0.2, 1.0, n) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))
                 for _ in "ab")
@@ -155,7 +162,8 @@ def _generate(specs: Sequence[InstanceSpec]) -> tuple[Matrix, ...]:
     Polynomial pairs (p(M), q(M)) of a common dense M cover the non-normal
     regime; two diagonal matrices conjugated by one unitary cover the
     normal regime. Both commute by construction; a sweep fails on a pair
-    that fails `best_bound`'s commutator test.
+    that fails `best_bound`'s commutator test. A generic pair is two
+    independent Ginibre matrices, each scaled to the target.
     """
     family, n = specs[0].family, specs[0].dim
     draws = [_draw(family, np.random.default_rng(np.random.PCG64(s.seed)), n)
@@ -168,6 +176,8 @@ def _generate(specs: Sequence[InstanceSpec]) -> tuple[Matrix, ...]:
         return (_scaled(_conjugated(*map(np.stack, zip(*draws))), targets),)
     if family in FAMILIES_SINGLE:
         return (_scaled(np.stack(draws), targets),)
+    if family in FAMILIES_GENERIC:
+        return tuple(_scaled(np.stack(draws, axis=1), targets))
     X, ca, cb = map(np.stack, zip(*draws))
     if family == "commuting-polynomial-pair":
         M = _scaled(X, 1.0)
@@ -205,12 +215,16 @@ class SweepConfig:
 
     `trials` counts instances per family; dims and series cycle across
     trials. Norm targets default to 0.9*min(R, 10) for single families
-    and 0.8*sqrt(R) (1.0 when R is infinite) for pairs, each times a
-    per-trial fraction drawn from the trial's own seed.
+    and 0.8*sqrt(R) (1.0 when R is infinite) for commuting pairs, each
+    times a per-trial fraction drawn from the trial's own seed. A generic
+    pair's target is min(2, 0.95*sqrt(R)) times a fraction in (0.1, 1):
+    U(0.2, 2.0) when R is infinite, the range the norm-only rows on
+    r(AB +/- BA) need, and ||AB|| <= 0.9025*R otherwise, whose truncation
+    orders stay small.
     """
 
     series_names: tuple[str, ...] = ("exp", "geometric", "log-resolvent")
-    families: tuple[str, ...] = FAMILIES_SINGLE + FAMILIES_PAIR
+    families: tuple[str, ...] = _FAMILIES
     trials: int = 500
     dims: tuple[int, ...] = (2, 4, 8)
     seed: int = 0
@@ -223,7 +237,7 @@ class SweepConfig:
         if not all(type(x) is int and x >= 0 for x in (self.trials, self.seed)):
             raise ValueError(f"trials and seed must be ints >= 0, got "
                              f"trials={self.trials!r}, seed={self.seed!r}")
-        unknown = [f for f in self.families if f not in FAMILIES_SINGLE + FAMILIES_PAIR]
+        unknown = [f for f in self.families if f not in _FAMILIES]
         if unknown:
             raise UnknownFamily(f"unknown families {unknown}")
         if not all(type(d) is int and d >= 1 for d in self.dims):  # as InstanceSpec
@@ -246,13 +260,16 @@ class TrialRecord:
     violation: bool
 
 
-def _below_oracle(value: float, oracle: float, oracle_err: float) -> bool:
-    """True when a bound's `value` is below its oracle by more than the
-    oracle's error plus `_SLACK_REL` * max(1, oracle). A non-finite oracle
-    or oracle error checks nothing, so any value meeting one fails."""
+def _margin(value: float, oracle: float, oracle_err: float) -> float:
+    """How far a bound's `value` is below its oracle beyond the oracle's
+    error plus `_SLACK_REL` * max(1, oracle), relative to max(1, oracle):
+    positive exactly when the bound is below its oracle. A non-finite
+    oracle or oracle error checks nothing, so any value meeting one is
+    below it by inf."""
     if not (math.isfinite(oracle) and math.isfinite(oracle_err)):
-        return True
-    return value < oracle - (_SLACK_REL * max(1.0, oracle) + oracle_err)
+        return math.inf
+    scale = max(1.0, oracle)
+    return (oracle - (_SLACK_REL * scale + oracle_err) - value) / scale
 
 
 def _judged(bounds: Sequence[BoundResult], oracles: dict[str, tuple[float, float]]
@@ -268,7 +285,7 @@ def _judged(bounds: Sequence[BoundResult], oracles: dict[str, tuple[float, float
         if not b.available or b.target not in oracles:
             continue
         oracle, oracle_err = oracles[b.target]
-        if _below_oracle(b.value, oracle, oracle_err):
+        if _margin(b.value, oracle, oracle_err) > 0:
             low.append(b)
         trusted = math.isfinite(oracle) and math.isfinite(oracle_err)
         tightness[b.name] = b.value / oracle if trusted and oracle > 1e-12 else None
@@ -315,7 +332,10 @@ def _trial_spec(config: SweepConfig, family: str, family_index: int,
     name = config.series_names[index % len(config.series_names)]
     f = lookup(name)
     dim = config.dims[index % len(config.dims)]
-    if family in FAMILIES_PAIR:
+    if family in FAMILIES_GENERIC:  # ||AB|| <= target^2 <= 0.9025 R
+        base = min(2.0, 0.95 * math.sqrt(f.radius))
+        fraction = trial_rng.uniform(0.1, 1.0)
+    elif family in FAMILIES_PAIR:
         base = 0.8 * math.sqrt(f.radius) if math.isfinite(f.radius) else 1.0
         fraction = trial_rng.uniform(0.3, 1.0)
     else:
@@ -336,7 +356,9 @@ def _trials(config: SweepConfig, family: str, family_index: int,
     are generated, factored and solved as one stack, and only the bound
     rows and the oracle, read off the trial's eigenvalues, are per trial.
     A failing trial raises what it would raise alone; the first in index
-    order wins."""
+    order wins. A pair of a commuting family that fails the commutator
+    test raises GenerationFailure; a generic pair gets the commuting rows
+    Unavailable, as `bound` does."""
     trials = [_trial_spec(config, family, family_index, i) for i in indices]
     groups: dict[int, list[int]] = {}  # dim -> positions in `trials`
     for k, (_, spec) in enumerate(trials):
@@ -350,7 +372,7 @@ def _trials(config: SweepConfig, family: str, family_index: int,
         if isinstance(v, NormOverflow):
             raise v
         report = bound_report(f, v, config.tol)
-        if "r(T)" not in v and not v.commuting:
+        if family in FAMILIES_PAIR and not v.commuting:
             raise GenerationFailure(
                 f"{spec} is not a commuting pair "
                 f"(||AB-BA|| = {v['||AB-BA||']:.6e})"
@@ -442,9 +464,11 @@ def write_trials_csv(records: Union[str, Iterable[TrialRecord]],
 def report_piece(records: Iterable[TrialRecord], rows=True) -> list[tuple[str, tuple]]:
     """`run_sweep`'s reduction for the reports, strings and numbers only:
     [(`trials.csv` rows or "" if not `rows`, (trials, violations, {bound:
-    [target, evaluated, available, wins, tightness values]}))], in one pass
-    per record. A bound "wins" a trial when it attains the minimum among the
-    available bounds sharing its target quantity (ties count for all)."""
+    [target, evaluated, available, wins, tightness values, worst margin]}))],
+    in one pass per record. A bound "wins" a trial when it attains the
+    minimum among the available bounds sharing its target quantity (ties
+    count for all). Its worst margin is the largest `_margin` over the
+    trials where `_judged` compared it (-inf if none)."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     trials = violations = 0
@@ -458,7 +482,7 @@ def report_piece(records: Iterable[TrialRecord], rows=True) -> list[tuple[str, t
             if b.available:
                 floors[b.target] = min(floors.get(b.target, math.inf), b.value)
         for b in record.bounds:
-            stat = per_bound.setdefault(b.name, [b.target, 0, 0, 0, []])
+            stat = per_bound.setdefault(b.name, [b.target, 0, 0, 0, [], -math.inf])
             stat[1] += 1
             if b.available:
                 stat[2] += 1
@@ -467,6 +491,8 @@ def report_piece(records: Iterable[TrialRecord], rows=True) -> list[tuple[str, t
                     stat[4].append(t)
                 if b.value <= floors[b.target] * (1.0 + _WIN_TIE_REL):
                     stat[3] += 1
+                if b.target in record.oracles:  # as `_judged` compares it
+                    stat[5] = max(stat[5], _margin(b.value, *record.oracles[b.target]))
     return [(text.getvalue(), (trials, violations, per_bound))]
 
 
@@ -477,12 +503,13 @@ def summarize_tallies(tallies: Iterable[tuple]) -> dict:
     for chunk_trials, chunk_violations, bounds in tallies:
         trials, violations = trials + chunk_trials, violations + chunk_violations
         for name, stat in bounds.items():
-            total = per_bound.setdefault(name, [stat[0], 0, 0, 0, []])
+            total = per_bound.setdefault(name, [stat[0], 0, 0, 0, [], -math.inf])
             for k in range(1, 5):  # the counts add, the tightness lists join
                 total[k] += stat[k]
+            total[5] = max(total[5], stat[5])
     summary_bounds = {}
     for name in sorted(per_bound):
-        target, evaluated, available, wins, ts = per_bound[name]
+        target, evaluated, available, wins, ts, worst = per_bound[name]
         summary_bounds[name] = {
             "target": target, "evaluated": evaluated, "available": available,
             "availability_rate": available / evaluated,
@@ -490,6 +517,8 @@ def summarize_tallies(tallies: Iterable[tuple]) -> dict:
             "tightness_mean": statistics.fmean(ts) if ts else None,
             "tightness_median": statistics.median(ts) if ts else None,
             "tightness_max": max(ts) if ts else None,
+            # null if never judged, or if judged against a non-finite oracle
+            "worst_margin": worst if math.isfinite(worst) else None,
         }
     return {"trials": trials, "violations": violations, "bounds": summary_bounds}
 
@@ -557,33 +586,3 @@ def run_limit_checks(
             for (r_a, err_a), (r_b, _) in itertools.combinations(oracles, 2):
                 result.record(abs(r_a - r_b) - (err_a + 1e-8))
     return {"truncation-cauchy": result}
-
-
-def run_pm_checks(
-    seed: int = 0, trials: int = 500, dims: Sequence[int] = (2, 4, 8)
-) -> dict[str, CheckResult]:
-    """Soundness of the norm-only bounds on r(AB +/- BA) for arbitrary
-    (generically non-commuting) random pairs, both signs. The pairs of one
-    dimension are scaled, multiplied and solved as one stack."""
-    results = {"pm-quadratic": CheckResult(), "pm-mixed": CheckResult()}
-    drawn: dict[int, list] = {}  # dim -> [(G, norm target)], A then B of each pair
-    for i in range(trials):
-        rng = np.random.default_rng([seed, i, 4])
-        n = dims[i % len(dims)]
-        drawn.setdefault(n, []).extend(
-            (_ginibre(rng, n), rng.uniform(0.2, 2.0)) for _ in "AB")
-    for draws in drawn.values():
-        G, targets = zip(*draws)
-        AB = _scaled(np.stack(G), np.array(targets))
-        P = products(AB[0::2], AB[1::2])  # a stack of pairs
-        radii = spectral_radii(_pm_terms(P)).T.tolist()  # AB +/- BA
-        # The rows read no ||AB-BA||, the last product.
-        for norms, oracles in zip(operator_norms(P[:-1]).T.tolist(), radii):
-            # Both bounds are the same for either sign, and read only norms.
-            w = dict(zip(_PAIR_NORMS, norms))
-            quad, mixed = (_evaluate(row, None, w, 0.0, {}) for row in _PM_ROWS[:2])
-            for oracle in oracles:
-                slack = _SLACK_REL * max(1.0, oracle)
-                results["pm-quadratic"].record(oracle - quad.value - slack)
-                results["pm-mixed"].record(oracle - mixed.value - slack)
-    return results

@@ -35,7 +35,6 @@ from specbound.harness import (
     gen_matrix,
     oracle_radii,
     run_limit_checks,
-    run_pm_checks,
 )
 from textbook import (certified_truncation, run_identity_checks, run_limit_laws,
                       run_mixed_chain)
@@ -171,10 +170,19 @@ def test_a3_chain_soundness_and_ordering(pair_records):
 
 
 def test_a4_noncommuting_quadratic_bounds():
-    """Norm-only bounds on r(AB +/- BA), plus the 2x2 equality case."""
-    checks = run_pm_checks(seed=77, trials=500, dims=(2, 4, 8))
-    checks.update(run_mixed_chain(seed=77, trials=500, dims=(2, 4, 8)))
-    violations = sum(c.violations for c in checks.values())
+    """Norm-only bounds on r(AB +/- BA), judged by the sweep on 500
+    generic pairs, plus the 2x2 equality case."""
+    records = run_sweep(SweepConfig(families=("generic-pair",), trials=500,
+                                    dims=(2, 4, 8), seed=77))
+    judged = {f"pm-{kind}({sign})": 0 for kind in ("quadratic", "mixed") for sign in "+-"}
+    for record in records:
+        for b in record.bounds:
+            if b.name in judged and b.available and b.target in record.oracles:
+                judged[b.name] += 1
+    assert judged == dict.fromkeys(judged, 500)
+    checks = run_mixed_chain(seed=77, trials=500, dims=(2, 4, 8))
+    violations = (sum(r.violation for r in records)
+                  + sum(c.violations for c in checks.values()))
     shift = as_matrix([[0, 1], [0, 0]])
     shift_t = as_matrix([[0, 0], [1, 0]])
     equality_gap = 0.0

@@ -419,10 +419,36 @@ def test_verify_small_run(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["passed"] is True
     assert summary["sweep"]["violations"] == 0
-    assert sorted(summary["checks"]) == [
-        "pm-mixed", "pm-quadratic", "truncation-cauchy"]
+    assert sorted(summary["checks"]) == ["truncation-cauchy"]
     assert all(c["violations"] == 0 for c in summary["checks"].values())
     assert "violations" in capsys.readouterr().out
+
+
+def test_verify_fails_on_a_low_pm_row_through_the_sweep(tmp_path, capsys, monkeypatch):
+    # pm-quadratic at 0.9 times its value: the sweep's own judge flags it,
+    # and the one check left, of the truncation certificates, passes.
+    import dataclasses
+
+    import specbound.bounds as bounds_mod
+
+    def low(row):
+        return dataclasses.replace(
+            row, combine=lambda F, s: (0.9 * row.combine(F, s)[0], {}))
+
+    monkeypatch.setattr(bounds_mod, "_PM_ROWS", tuple(
+        low(row) if row.name.startswith("pm-quadratic") else row
+        for row in bounds_mod._PM_ROWS))
+    out = tmp_path / "report"
+    assert main(["verify", "--trials", "20", "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] is False and summary["sweep"]["violations"] > 0
+    assert list(summary["checks"]) == ["truncation-cauchy"]
+    assert summary["checks"]["truncation-cauchy"]["violations"] == 0
+    bounds = summary["sweep"]["bounds"]
+    assert bounds["pm-quadratic(+)"]["worst_margin"] > 0
+    assert bounds["pm-mixed(+)"]["worst_margin"] < 0
+    assert "checks pass" in capsys.readouterr().out
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_reports_are_byte_identical(tmp_path, capsys):

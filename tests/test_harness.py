@@ -34,9 +34,10 @@ from specbound import (
     summarize,
     write_trials_csv,
 )
-from specbound.bounds import invariants
+from specbound.bounds import _COMMUTING_ROWS, invariants
 from specbound.harness import (
     _SLACK_REL,
+    FAMILIES_GENERIC,
     CheckResult,
     _ginibre,
     _judged,
@@ -47,7 +48,6 @@ from specbound.harness import (
     report_piece,
     run_jobs,
     run_limit_checks,
-    run_pm_checks,
     run_trial,
     summarize_tallies,
 )
@@ -194,7 +194,7 @@ _ORACLE_SERIES = ("exp", "geometric", "log-resolvent", "2F1:0.5,1,2",
 
 
 @pytest.mark.parametrize("name", _ORACLE_SERIES)
-@pytest.mark.parametrize("family", FAMILIES_SINGLE + FAMILIES_PAIR)
+@pytest.mark.parametrize("family", FAMILIES_SINGLE + FAMILIES_PAIR + FAMILIES_GENERIC)
 def test_oracle_matches_the_matrix_truncation(family, name):
     # Spectral mapping: r[S_m(T)] = max |S_m(lambda)| over T's eigenvalues.
     # The oracle reads S_m off the eigenvalues of T or AB; the reference is
@@ -204,7 +204,9 @@ def test_oracle_matches_the_matrix_truncation(family, name):
     config = SweepConfig(series_names=(name,), families=(family,), trials=12,
                          dims=(2, 4, 8), seed=19)
     specs = [_trial_spec(config, family, 0, i)[1] for i in range(config.trials)]
-    if family in FAMILIES_PAIR:
+    if family in FAMILIES_GENERIC:
+        top = min(2.0, 0.95 * math.sqrt(f.radius))
+    elif family in FAMILIES_PAIR:
         top = 0.8 * math.sqrt(f.radius) if math.isfinite(f.radius) else 1.0
     else:
         top = 0.9 * min(f.radius, 10.0)
@@ -262,35 +264,6 @@ def scaled_as_drawn(G, norm_target):
     return G * (norm_target / operator_norm(G))
 
 
-def per_pair_pm_checks(seed, trials, dims):
-    """The pm check as a reference loop: one pair at a time, each factor
-    scaled by its own SVD call, both bounds from `best_bound` and each
-    r(AB + sign BA) from its own eigensolve."""
-    results = {"pm-quadratic": CheckResult(), "pm-mixed": CheckResult()}
-    for i in range(trials):
-        rng = np.random.default_rng([seed, i, 4])
-        n = dims[i % len(dims)]
-        A, B = (scaled_as_drawn(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
-                for _ in "AB")
-        bounds = {r.name: r for r in best_bound(lookup("exp"), A, B).results}
-        for sign in (+1, -1):
-            oracle = spectral_radius(A @ B + sign * (B @ A))
-            slack = _SLACK_REL * max(1.0, oracle)
-            for check in results:
-                results[check].record(oracle - bounds[f"{check}(+)"].value - slack)
-    return results
-
-
-def test_pm_check_oracles_match_the_per_sign_formula():
-    # Drawn pair by pair, stacked by dimension: the same CheckResults.
-    seed = 3
-    for dims in ((2, 4, 8), (1,), (3, 5)):
-        for trials in (0, 1, 12, 500):
-            want = per_pair_pm_checks(seed, trials, dims)
-            assert run_pm_checks(seed, trials, dims) == want, (dims, trials)
-            assert want["pm-mixed"].trials == 2 * trials
-
-
 def test_limit_checks_match_the_one_matrix_formulas():
     # The reference loop: one spectral radius per call, as the checks state.
     seed, trials, dims = 2, 9, (2, 4, 8)
@@ -314,22 +287,36 @@ def test_limit_checks_match_the_one_matrix_formulas():
     assert checks["radius-continuity"].worst_margin == cont
 
 
-def test_pm_check_trial_is_one_stacked_svd_call(lapack_work):
-    # Per trial ||A|| and ||B|| to scale the pair, then the eight norms
-    # both pm bounds read (not ||AB-BA||): two SVD calls per dimension in
-    # all, and one eigensolve call per dimension for r(AB + BA) and
-    # r(AB - BA).
-    run_pm_checks(seed=3, trials=12, dims=(2, 4, 8))
-    assert lapack_work["svd_calls"] == 3 * 2
-    assert lapack_work["svd"] == 12 * (2 + 8)
-    assert lapack_work["eig_calls"] == 3 and lapack_work["eig"] == 12 * 2
-
-
 def test_trial_on_non_commuting_pair_fails_loudly(non_commuting_pairs):
     non_commuting_pairs()
     config = SweepConfig(trials=1, dims=(2,))
     with pytest.raises(GenerationFailure, match="not a commuting pair"):
         run_trial(config, FAMILIES_PAIR[0], 0, 0)
+
+
+def test_generic_pair_trial_judges_the_rows_of_any_pair():
+    # A generic pair fails the commutator test and raises nothing: its six
+    # commuting rows are Unavailable with the commutator reason, as in
+    # `bound`, and product-radius is judged against the f(AB) oracle.
+    config = SweepConfig(series_names=("exp",), families=FAMILIES_GENERIC, trials=6,
+                         dims=(2, 4, 8), seed=2)
+    for i in range(config.trials):
+        record = run_trial(config, "generic-pair", 0, i)
+        assert 0.2 <= record.spec.norm_target <= 2.0
+        A, B = _generate([record.spec])
+        assert operator_norm(A[0]) == pytest.approx(record.spec.norm_target, rel=1e-12)
+        assert operator_norm(B[0]) == pytest.approx(record.spec.norm_target, rel=1e-12)
+        (v,) = invariants(A, B)
+        assert not v.commuting
+        reason = f"commutator test failed (||AB-BA|| = {v['||AB-BA||']:.6e})"
+        rows = {b.name: b for b in record.bounds}
+        for row in _COMMUTING_ROWS:
+            assert not rows[row.name].available and rows[row.name].reason == reason
+        assert len(rows) == 5 + len(_COMMUTING_ROWS) == 11
+        product = rows["product-radius"]
+        oracle, _ = record.oracles["f(AB)"]
+        assert product.available and record.tightness["product-radius"] == product.value / oracle
+        assert not record.violation
 
 
 def test_limit_checks_match_the_per_instance_loop():
@@ -472,7 +459,7 @@ def test_sweep_of_mixed_stacks_equals_trials_run_one_by_one(monkeypatch):
     config = SweepConfig(
         series_names=("exp", "geometric", "2F1:0.5,1,2", "poly:1,-0.5+0.3j"),
         trials=30, dims=(2, 3, 5), seed=17)
-    assert len(config.families) == 7
+    assert len(config.families) == 8
     expected = [run_trial(config, family, fi, i)
                 for fi, family in enumerate(config.families) for i in range(30)]
     assert len({(r.spec.dim, r.series_name) for r in expected[:25]}) == 12
@@ -506,7 +493,7 @@ def test_sweep_raises_what_its_first_failing_trial_raises_alone(
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("family", FAMILIES_SINGLE + FAMILIES_PAIR)
+@pytest.mark.parametrize("family", FAMILIES_SINGLE + FAMILIES_PAIR + FAMILIES_GENERIC)
 def test_a_chunk_is_solved_as_one_stack_per_dimension(lapack_work, monkeypatch, family):
     # Chunks of 100 trials (250 trials: 100, 100 and 50) factor `trials`
     # times one trial's matrices, in one call per Haar QR, per scaling and
@@ -522,7 +509,7 @@ def test_a_chunk_is_solved_as_one_stack_per_dimension(lapack_work, monkeypatch, 
         one = dict(lapack_work)
         lapack_work.update(dict.fromkeys(lapack_work, 0))
         run_sweep(config)
-        assert one["eig"] == (5 if family in FAMILIES_PAIR else 1)  # the invariants' own
+        assert one["eig"] == (1 if family in FAMILIES_SINGLE else 5)  # the invariants' own
         assert one.get("qr", 0) == one.get("qr_calls", 0) == haar
         assert one["svd_calls"] <= 3 and one["eig_calls"] == 1
         for kind in ("svd", "eig", "qr"):
@@ -717,6 +704,54 @@ def test_judge_flags_a_non_finite_oracle(oracle, violation):
     assert summarize([record])["violations"] == int(violation)
 
 
+def test_worst_margin_is_positive_exactly_on_a_flagged_bound():
+    # The worst margin is the judge's own float, relative to max(1, oracle):
+    # a bound exactly at the slack's floor is not flagged and has margin 0,
+    # the next float below it is, and a bound never compared has null.
+    oracle, err = 2.0, 1e-3
+    floor = oracle - (_SLACK_REL * oracle + err)
+    oracles = {"f(T)": (oracle, err), "AB": (float("inf"), 0.0)}
+    values = {"at-floor": floor, "below": math.nextafter(floor, 0.0),
+              "far-below": 0.5, "above": 3.0}
+    bounds = [BoundResult(name, value, "f(T)") for name, value in values.items()]
+    bounds += [BoundResult("unavailable", None, "f(T)", reason="outside the disk"),
+               BoundResult("no-oracle", 1.0, "AB+BA"),
+               BoundResult("non-finite-oracle", 1.0, "AB")]
+    tightness, low = _judged(bounds, oracles)
+    record = TrialRecord(spec("diagonal-positive"), "exp", oracles, bounds, tightness,
+                         bool(low))
+    worst = {name: stat["worst_margin"]
+             for name, stat in summarize([record])["bounds"].items()}
+    assert [b.name for b in low] == ["below", "far-below", "non-finite-oracle"]
+    for b in bounds:
+        flagged = b in low and b.name != "non-finite-oracle"
+        assert (worst[b.name] is not None and worst[b.name] > 0) is flagged, b.name
+    assert worst["at-floor"] == 0.0
+    assert worst["far-below"] == (floor - 0.5) / oracle
+    assert worst["above"] == (floor - 3.0) / oracle
+    # never compared, or compared with a non-finite oracle: null, strict JSON
+    assert worst["unavailable"] is worst["no-oracle"] is worst["non-finite-oracle"] is None
+
+
+def test_worst_margin_is_null_only_on_rows_a_generic_pair_never_judges(monkeypatch):
+    # Chunks of 7, run by the workers when there are CPUs for them: the
+    # largest margin of each bound is the same as over the records. Every
+    # row a generic pair gets is judged, below its slack's floor; the
+    # commuting rows are never judged.
+    monkeypatch.setattr(harness_mod, "_CHUNK_TRIALS", 7)
+    config = small_config(families=FAMILIES_GENERIC, trials=20)
+    pieces = run_sweep(config, reduce=report_piece)
+    stats = summarize_tallies(tally for _, tally in pieces)["bounds"]
+    assert summarize(run_sweep(config))["bounds"] == stats
+    commuting = {row.name for row in _COMMUTING_ROWS}
+    for name, stat in stats.items():
+        if name in commuting:
+            assert stat["available"] == 0 and stat["worst_margin"] is None, name
+        else:
+            assert stat["available"] > 0 and stat["worst_margin"] < 0, name
+    assert multiprocessing.active_children() == []
+
+
 # ---------------------------------------------------------------------------
 # Job runner
 # ---------------------------------------------------------------------------
@@ -863,11 +898,6 @@ def test_limit_checks_pass():
     assert list(checks) == ["truncation-cauchy"]
     checks.update(run_limit_laws(seed=1, trials=60))
     for name, result in checks.items():
-        assert result.passed, (name, result.worst_margin)
-
-
-def test_pm_checks_pass():
-    for name, result in run_pm_checks(seed=1, trials=100).items():
         assert result.passed, (name, result.worst_margin)
 
 

@@ -14,14 +14,15 @@ import numpy as np
 
 from inequalities import relaxed_arms
 from specbound import NormOverflow, from_coefficients, operator_norm
-from specbound.bounds import _PM_ROWS, _evaluate, invariants
 from specbound.harness import (
     FAMILIES_SINGLE,
     CheckResult,
     InstanceSpec,
+    SweepConfig,
     _ginibre,
     _haar_unitary,
     _scaled,
+    _trials,
     gen_matrix,
 )
 from specbound.matrices import operator_norms, spectral_radii
@@ -167,15 +168,14 @@ def run_mixed_chain(
     seed: int = 0, trials: int = 500, dims: Sequence[int] = (2, 4, 8)
 ) -> dict[str, CheckResult]:
     """pm-mixed is at most each of its `relaxed_arms`, computed from the
-    row's own intermediates, on the pairs of `run_pm_checks` (the same
-    [seed, i, 4] stream). This is submultiplicativity of LAPACK's norms."""
+    row's own intermediates, on the `generic-pair` trials of `verify
+    --seed seed --trials trials --dims dims`. This is submultiplicativity
+    of LAPACK's norms."""
     result = CheckResult()
-    for i in range(trials):
-        rng = np.random.default_rng([seed, i, 4])
-        n = dims[i % len(dims)]
-        A = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
-        B = _scaled(_ginibre(rng, n), float(rng.uniform(0.2, 2.0)))
-        mixed = _evaluate(_PM_ROWS[1], None, invariants(A[None], B[None])[0], 0.0, {})
+    config = SweepConfig(trials=trials, dims=tuple(dims), seed=seed)
+    family = "generic-pair"
+    for record in _trials(config, family, config.families.index(family), range(trials)):
+        (mixed,) = (b for b in record.bounds if b.name == "pm-mixed(+)")
         for arm in relaxed_arms(mixed.intermediates):
             result.record(mixed.value - arm - 1e-10 * max(1.0, arm))
     return {"pm-mixed-chain": result}
