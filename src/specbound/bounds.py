@@ -90,12 +90,6 @@ def products(A: Matrix, B: Matrix) -> np.ndarray:
     return P
 
 
-def _arms(s: Mapping[str, float]) -> tuple[float, float]:
-    """The mixed arms `_MIXED` from a pair's norms."""
-    return (math.sqrt(s["||A||"] * s["||AB^2||"]),
-            math.sqrt(s["||A^2B||"] * s["||B||"]))
-
-
 def _pair_values(norms: list[float], radii: list[float]) -> dict[str, float]:
     """A pair's quantities by label from its norms (`_PAIR_NORMS` order) and
     radii (`_PAIR_RADII` order): those, and the ones derived from them."""
@@ -108,7 +102,8 @@ def _pair_values(norms: list[float], radii: list[float]) -> dict[str, float]:
             s[f"{x}^2"] = math.inf
     s["r(A) r(B)"] = s["r(A)"] * s["r(B)"]
     s["sqrt(||A^2|| ||B^2||)"] = math.sqrt(s["||A^2||"] * s["||B^2||"])
-    s.update(zip(_MIXED, _arms(s)))
+    s["sqrt(||A|| ||AB^2||)"] = math.sqrt(s["||A||"] * s["||AB^2||"])
+    s["sqrt(||A^2B|| ||B||)"] = math.sqrt(s["||A^2B||"] * s["||B||"])
     return s
 
 
@@ -222,7 +217,7 @@ def _mixed(u: float, left: float, right: float) -> tuple[float, dict]:
 
 def _chain(s: Mapping[str, float], half: bool) -> tuple[float, dict]:
     """||AB|| + min of the mixed arms, from the norms; halved for r(AB)."""
-    value = s["||AB||"] + min(_arms(s))
+    value = s["||AB||"] + min(s[x] for x in _MIXED)
     return (0.5 * value if half else value), {}
 
 

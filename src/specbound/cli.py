@@ -16,9 +16,10 @@ Exit codes: 0 success, 1 a violation or failed check (verify, compare),
 or a bound below its oracle (bound, which names each such bound after
 writing its report), 2 structural error (bad file or option value,
 dimension mismatch, unknown or malformed name, a series truncation out
-of floating-point range, a worker process that died), 3 non-commuting
-pair given to bound (its report is written first, with each bound that
-needs AB = BA unavailable).
+of floating-point range, a norm so close to the radius of convergence
+that no truncation order up to 10^6 certifies the tolerance, a worker
+process that died), 3 non-commuting pair given to bound (its report is
+written first, with each bound that needs AB = BA unavailable).
 """
 
 from __future__ import annotations

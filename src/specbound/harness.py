@@ -106,43 +106,6 @@ def _scaled(M: Matrix, norm_target) -> Matrix:
     return M * scale[..., None, None]
 
 
-def _draw(family: str, rng: np.random.Generator, n: int):
-    """One instance's draws from its own stream, before any QR or SVD: the
-    matrix to scale (a single family; the diagonal for "diagonal-positive";
-    (G, D) for "unitary-conjugated-jordan"), (M, ca, cb) and (G, da, db)
-    for the commuting pair families, G the Ginibre matrix of a Haar
-    unitary, or the two Ginibre factors of a "generic-pair"."""
-    if family == "diagonal-positive":
-        return rng.uniform(0.05, 1.0, n)
-    if family == "hermitian":
-        G = _ginibre(rng, n)
-        return (G + G.conj().T) / 2.0
-    if family == "unitary-conjugated-jordan":
-        # Well-separated eigenvalues plus short superdiagonal chains keep
-        # the instance strongly non-normal but still numerically
-        # diagonalizable, so the eigensolver oracle stays trustworthy.
-        radii = rng.uniform(0.4, 1.0, n)
-        turn = rng.uniform(0.0, 1.0)
-        angles = 2.0 * math.pi * (np.arange(n) + turn) / n
-        D = np.diag(radii * np.exp(1j * angles))
-        coupling = rng.uniform(2.0, 4.0)
-        for j in range(0, n - 1, 2):
-            D[j, j + 1] = coupling
-        return _ginibre(rng, n), D
-    if family == "nilpotent":
-        return np.triu(_ginibre(rng, n), 1)
-    if family == "dense-random":
-        return _ginibre(rng, n)
-    if family == "commuting-polynomial-pair":
-        G = _ginibre(rng, n)
-        return G, *(rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in "ab")
-    if family == "generic-pair":
-        return _ginibre(rng, n), _ginibre(rng, n)
-    G = _ginibre(rng, n)
-    return G, *(rng.uniform(0.2, 1.0, n) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))
-                for _ in "ab")
-
-
 def _cubic(c: np.ndarray, M: Matrix) -> Matrix:
     """c[k, 0] I + c[k, 1] M_k + c[k, 2] M_k^2 + c[k, 3] M_k^3 by Horner's
     rule, for each matrix M_k of a stack."""
@@ -153,40 +116,72 @@ def _cubic(c: np.ndarray, M: Matrix) -> Matrix:
     return S
 
 
+def _diagonal(d: np.ndarray) -> Matrix:
+    """The complex matrices whose diagonals are the rows of `d`."""
+    n = d.shape[-1]
+    D = np.zeros((*d.shape, n), dtype=np.complex128)
+    D[..., range(n), range(n)] = d
+    return D
+
+
 def _generate(specs: Sequence[InstanceSpec]) -> tuple[Matrix, ...]:
     """The instances of `specs`, all of one family and one dimension, as
-    (T,) with T a (k, n, n) stack, or (A, B) for a pair family. Each is
-    drawn from its own seed and scaled to its own norm target; the stack's
-    Haar unitaries come from one QR call and each scaling from one SVD call.
+    (T,) with T a (k, n, n) stack, or (A, B) for a pair family. Each
+    instance's values are drawn from its own seed's stream, in the order
+    of its family's branch, and each instance is scaled to its own norm
+    target; the stack's Haar unitaries come from one QR call and each
+    scaling from one SVD call.
 
+    The Jordan family's well-separated eigenvalues plus short
+    superdiagonal chains keep it strongly non-normal but numerically
+    diagonalizable, so the eigensolver oracle stays trustworthy.
     Polynomial pairs (p(M), q(M)) of a common dense M cover the non-normal
-    regime; two diagonal matrices conjugated by one unitary cover the
+    regime; two diagonal matrices conjugated by one Haar unitary cover the
     normal regime. Both commute by construction; a sweep fails on a pair
     that fails `best_bound`'s commutator test. A generic pair is two
-    independent Ginibre matrices, each scaled to the target.
+    independent Ginibre matrices.
     """
     family, n = specs[0].family, specs[0].dim
-    draws = [_draw(family, np.random.default_rng(np.random.PCG64(s.seed)), n)
-             for s in specs]
+    rngs = [np.random.default_rng(np.random.PCG64(s.seed)) for s in specs]
     targets = np.array([s.norm_target for s in specs])
+
+    def stack(draw: Callable[[np.random.Generator], np.ndarray]) -> np.ndarray:
+        """Each instance's `draw` from its own stream, as one stack."""
+        return np.stack([draw(rng) for rng in rngs])
+
+    def ginibre(rng: np.random.Generator) -> Matrix:
+        return _ginibre(rng, n)
+
     if family == "diagonal-positive":
-        D = np.stack([np.diag(d * (t / d.max())) for d, t in zip(draws, targets)])
-        return (D.astype(np.complex128),)
-    if family == "unitary-conjugated-jordan":
-        return (_scaled(_conjugated(*map(np.stack, zip(*draws))), targets),)
-    if family in FAMILIES_SINGLE:
-        return (_scaled(np.stack(draws), targets),)
-    if family in FAMILIES_GENERIC:
-        return tuple(_scaled(np.stack(draws, axis=1), targets))
-    X, ca, cb = map(np.stack, zip(*draws))
-    if family == "commuting-polynomial-pair":
-        M = _scaled(X, 1.0)
-        pair = _cubic(ca, M), _cubic(cb, M)
-    else:  # the diagonals of A and B in the basis of X's Haar unitaries
-        D = np.zeros((2, *X.shape), dtype=np.complex128)
-        D[..., range(n), range(n)] = ca, cb
-        pair = _conjugated(X, D)
-    return tuple(_scaled(np.stack(pair), targets))
+        d = stack(lambda rng: rng.uniform(0.05, 1.0, n))
+        return (_diagonal(d * (targets / d.max(axis=1))[:, None]),)
+    if family == "hermitian":
+        G = stack(ginibre)
+        X = [(G + G.conj().swapaxes(-1, -2)) / 2.0]
+    elif family == "unitary-conjugated-jordan":
+        radii = stack(lambda rng: rng.uniform(0.4, 1.0, n))
+        turn = stack(lambda rng: rng.uniform(0.0, 1.0))
+        coupling = stack(lambda rng: rng.uniform(2.0, 4.0))
+        angles = 2.0 * math.pi * (np.arange(n) + turn[:, None]) / n
+        D = _diagonal(radii * np.exp(1j * angles))
+        D[:, range(0, n - 1, 2), range(1, n, 2)] = coupling[:, None]
+        X = [_conjugated(stack(ginibre), D)]
+    elif family == "nilpotent":
+        X = [np.triu(stack(ginibre), 1)]
+    elif family == "dense-random":
+        X = [stack(ginibre)]
+    elif family == "commuting-polynomial-pair":
+        M = _scaled(stack(ginibre), 1.0)
+        X = [_cubic(stack(lambda rng: rng.standard_normal(4) + 1j * rng.standard_normal(4)), M)
+             for _ in "ab"]
+    elif family == "commuting-triangular-pair":
+        G = stack(ginibre)  # then the diagonals of A and B in the basis of its Haar unitary
+        D = [stack(lambda rng: rng.uniform(0.2, 1.0, n)
+                   * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))) for _ in "ab"]
+        X = _conjugated(G, _diagonal(np.stack(D)))
+    else:  # "generic-pair"
+        X = [stack(ginibre), stack(ginibre)]
+    return tuple(_scaled(np.stack(X), targets))
 
 
 def gen_matrix(spec: InstanceSpec) -> Matrix:
@@ -308,10 +303,11 @@ def oracle_radii(
     or eigensolve runs. NormOverflow if S_m is not finite at an eigenvalue.
     """
     if "r(T)" in v:
-        target, nrm, oracles = "f(T)", v["||T||"], {}
+        arg, given, oracles = "T", "matrix", {}
     else:
-        target, nrm = "f(AB)", v["||AB||"]
+        arg, given = "AB", "pair"
         oracles = {x: (v[f"r({x})"], 0.0) for x in ("AB", "AB+BA", "AB-BA")}
+    nrm = v[f"||{arg}||"]
     try:
         m, tail = _order_and_tail(f, nrm, tol, DEFAULT_MAX_TERMS)
     except OutOfDisk:
@@ -319,9 +315,9 @@ def oracle_radii(
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         radius = float(np.abs(partial_sums(f, v.spectrum, m)).max())
     if not math.isfinite(radius):
-        raise NormOverflow(f"{f.name}: the order-{m} truncation at ||T|| = {nrm:g} "
-                           "is not finite; normalize the matrix first")
-    oracles[target] = (radius, tail)
+        raise NormOverflow(f"{f.name}: the order-{m} truncation at ||{arg}|| = {nrm:g} "
+                           f"is not finite; normalize the {given} first")
+    oracles[f"f({arg})"] = (radius, tail)
     return oracles
 
 

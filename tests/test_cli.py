@@ -169,6 +169,18 @@ def test_bound_polynomial_overflow_exits_2(tmp_path, capsys):
                    "is not finite; normalize the matrix first\n")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bound_pair_polynomial_overflow_names_the_product(tmp_path, capsys):
+    # The pair's series argument is AB = 1e200 I: its norm, not a factor's.
+    m = tmp_path / "big.mat"
+    save_matrix(m, 1e100 * np.eye(2, dtype=complex))
+    code = main(["bound", "--series", "poly:1,1,1", "--matrix", str(m), "--matrix", str(m)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: poly:1,1,1: the order-2 truncation at ||AB|| = 1e+200 "
+        "is not finite; normalize the pair first\n")
+
+
 def test_bound_structured_output(zero2, capsys):
     code = main([
         "bound", "--series", "exp", "--matrix", zero2, "--format", "structured",

@@ -39,7 +39,9 @@ from specbound.harness import (
     _SLACK_REL,
     FAMILIES_GENERIC,
     CheckResult,
+    _cubic,
     _ginibre,
+    _haar_unitary,
     _judged,
     _generate,
     _scaled,
@@ -101,6 +103,58 @@ def test_generator_determinism():
     assert np.array_equal(a, b)
     c = gen_matrix(spec("dense-random", seed=12))
     assert not np.array_equal(a, c)
+
+
+def drawn_alone(s):
+    """The matrices of instance `s` built alone, each value drawn from the
+    instance's own stream in the order written here."""
+    rng = np.random.default_rng(np.random.PCG64(s.seed))
+    n, t = s.dim, s.norm_target
+
+    def haar():
+        return _haar_unitary(_ginibre(rng, n))
+
+    if s.family == "diagonal-positive":
+        d = rng.uniform(0.05, 1.0, n)
+        return [np.diag(d * (t / d.max())).astype(complex)]
+    if s.family == "hermitian":
+        G = _ginibre(rng, n)
+        X = [(G + G.conj().T) / 2.0]
+    elif s.family == "unitary-conjugated-jordan":
+        radii = rng.uniform(0.4, 1.0, n)
+        angles = 2.0 * math.pi * (np.arange(n) + rng.uniform(0.0, 1.0)) / n
+        D = np.diag(radii * np.exp(1j * angles))
+        D[range(0, n - 1, 2), range(1, n, 2)] = rng.uniform(2.0, 4.0)  # drawn at n = 1 too
+        U = haar()
+        X = [U @ D @ U.conj().T]
+    elif s.family == "nilpotent":
+        X = [np.triu(_ginibre(rng, n), 1)]
+    elif s.family == "dense-random":
+        X = [_ginibre(rng, n)]
+    elif s.family == "commuting-polynomial-pair":
+        M = _scaled(_ginibre(rng, n), 1.0)
+        X = [_cubic((rng.standard_normal(4) + 1j * rng.standard_normal(4))[None], M[None])[0]
+             for _ in "ab"]
+    elif s.family == "commuting-triangular-pair":
+        U = haar()
+        X = [U @ np.diag(rng.uniform(0.2, 1.0, n)
+                         * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))) @ U.conj().T
+             for _ in "ab"]
+    else:
+        assert s.family == "generic-pair"
+        X = [_ginibre(rng, n), _ginibre(rng, n)]
+    return [_scaled(M, t) for M in X]
+
+
+@pytest.mark.parametrize("family", FAMILIES_SINGLE + FAMILIES_PAIR + FAMILIES_GENERIC)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_generated_stacks_match_each_instance_drawn_alone(family, n):
+    # A pin on the draws: a changed draw order or stacking changes the bits.
+    specs = [spec(family, seed=seed, dim=n, target=target)
+             for seed, target in ((3, 0.3), (17, 0.8), (2**62 + 5, 1.7))]
+    stacks = _generate(specs)
+    for k, s in enumerate(specs):
+        assert [S[k].tobytes() for S in stacks] == [M.tobytes() for M in drawn_alone(s)], s
 
 
 @pytest.mark.parametrize("dim, target", [
