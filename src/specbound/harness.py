@@ -12,7 +12,9 @@ floating-point rounding and the oracle's own truncation error. It runs in
 chunks of up to `_CHUNK_TRIALS` (100) of one family's trials; a chunk's
 trials of one dimension are generated, factored and solved as one stack,
 one LAPACK call per step: the Haar unitaries' QR, each scaling's SVD, the
-invariants' SVD and their eigensolve. Its judge is the only one: the
+invariants' SVD and their eigensolve; then the oracle sums the stack's
+truncations of each series in one `series.partial_sums` call, each with
+the bits it has alone. Its judge is the only one: the
 norm-only rows on r(AB +/- BA) and product-radius meet non-commuting
 pairs in the "generic-pair" family.
 
@@ -38,7 +40,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .bounds import BoundResult, Invariants, bound_report, invariants
-from .errors import GenerationFailure, NormOverflow, OutOfDisk, UnknownFamily
+from .errors import GenerationFailure, NoConvergence, NormOverflow, OutOfDisk, UnknownFamily
 from .jobs import Job, run_jobs
 from .matrices import Matrix, operator_norms
 from .series import (DEFAULT_MAX_TERMS, DEFAULT_TOL, PowerSeries, _order_and_tail, lookup,
@@ -288,10 +290,13 @@ def _judged(bounds: Sequence[BoundResult], oracles: dict[str, tuple[float, float
 
 
 def oracle_radii(
-    f: PowerSeries, v: Invariants, tol: float = DEFAULT_TOL
-) -> dict[str, tuple[float, float]]:
-    """(value, error) of the oracle for each target quantity of the
-    instance whose invariants are `v` (as `best_bound` reports them).
+    f: PowerSeries, vs: Sequence[Invariants], tol: float = DEFAULT_TOL
+) -> list[Union[dict[str, tuple[float, float]], NoConvergence, NormOverflow]]:
+    """(value, error) of the oracle for each target quantity of each
+    instance whose invariants (as `best_bound` reports them) are in the
+    stack `vs`, all of one dimension; an instance whose oracle fails gets,
+    in its place, the NoConvergence or NormOverflow naming it, for the
+    caller to raise.
 
     Pair mode gives r(AB), r(AB+BA) and r(AB-BA), read from `v`, with no
     error. When its argument lies inside the disk, the series target f(T)
@@ -299,26 +304,44 @@ def oracle_radii(
     `v.spectrum` of T or AB (spectral mapping), with the truncation's
     remainder bound as error: m is the order whose scalar majorant tail
     sum_{j>m} |a_j| x^j at x = ||T|| or ||AB||, read from `v`, is <= tol,
-    and that tail dominates the matrix remainder's operator norm. No SVD
-    or eigensolve runs. NormOverflow if S_m is not finite at an eigenvalue.
+    and that tail dominates the matrix remainder's operator norm.
+    NoConvergence if no order up to DEFAULT_MAX_TERMS is certified, and
+    NormOverflow if S_m is not finite at an eigenvalue. Every instance's
+    order is found first; then one `partial_sums` call sums every
+    truncation, each with the bits it has alone. No SVD or eigensolve runs.
     """
-    if "r(T)" in v:
-        arg, given, oracles = "T", "matrix", {}
-    else:
-        arg, given = "AB", "pair"
-        oracles = {x: (v[f"r({x})"], 0.0) for x in ("AB", "AB+BA", "AB-BA")}
-    nrm = v[f"||{arg}||"]
-    try:
-        m, tail = _order_and_tail(f, nrm, tol, DEFAULT_MAX_TERMS)
-    except OutOfDisk:
-        return oracles
+    out: list = []
+    summed = []  # (place in `out`, argument, order, tail) of each truncation
+    for v in vs:
+        if "r(T)" in v:
+            arg, oracles = "T", {}
+        else:
+            arg = "AB"
+            oracles = {x: (v[f"r({x})"], 0.0) for x in ("AB", "AB+BA", "AB-BA")}
+        try:
+            m, tail = _order_and_tail(f, v[f"||{arg}||"], tol, DEFAULT_MAX_TERMS)
+        except OutOfDisk:
+            pass
+        except NoConvergence as e:
+            oracles = e
+        else:
+            summed.append((len(out), arg, m, tail))
+        out.append(oracles)
+    if not summed:
+        return out
+    places, _, orders, _ = zip(*summed)
+    spectra = np.array([vs[k].spectrum for k in places])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        radius = float(np.abs(partial_sums(f, v.spectrum, m)).max())
-    if not math.isfinite(radius):
-        raise NormOverflow(f"{f.name}: the order-{m} truncation at ||{arg}|| = {nrm:g} "
-                           f"is not finite; normalize the {given} first")
-    oracles[f"f({arg})"] = (radius, tail)
-    return oracles
+        radii = np.abs(partial_sums(f, spectra, orders)).max(axis=1).tolist()
+    for (k, arg, m, tail), radius in zip(summed, radii):
+        if math.isfinite(radius):
+            out[k][f"f({arg})"] = (radius, tail)
+        else:
+            given = "matrix" if arg == "T" else "pair"
+            out[k] = NormOverflow(
+                f"{f.name}: the order-{m} truncation at ||{arg}|| = {vs[k][f'||{arg}||']:g} "
+                f"is not finite; normalize the {given} first")
+    return out
 
 
 def _trial_spec(config: SweepConfig, family: str, family_index: int,
@@ -349,8 +372,8 @@ def _trials(config: SweepConfig, family: str, family_index: int,
             indices: Iterable[int], reduce: Callable[[list], list] = list) -> list:
     """`reduce` of the records of the trials `indices` of one family. Each
     trial is drawn from its own stream; then the trials of each dimension
-    are generated, factored and solved as one stack, and only the bound
-    rows and the oracle, read off the trial's eigenvalues, are per trial.
+    are generated, factored and solved as one stack, their oracles are
+    summed as one stack per series, and only the bound rows are per trial.
     A failing trial raises what it would raise alone; the first in index
     order wins. A pair of a commuting family that fails the commutator
     test raises GenerationFailure; a generic pair gets the commuting rows
@@ -363,8 +386,17 @@ def _trials(config: SweepConfig, family: str, family_index: int,
     for ks in groups.values():
         for k, v in zip(ks, invariants(*_generate([trials[k][1] for k in ks]))):
             filled[k] = v
+    stacks: dict[tuple[int, str], list[int]] = {}  # (dim, series) -> positions
+    for k, ((f, spec), v) in enumerate(zip(trials, filled)):
+        if not isinstance(v, NormOverflow):
+            stacks.setdefault((spec.dim, f.name), []).append(k)
+    found: list = [None] * len(trials)
+    for ks in stacks.values():
+        for k, oracles in zip(ks, oracle_radii(trials[ks[0]][0], [filled[k] for k in ks],
+                                               config.tol)):
+            found[k] = oracles
     records = []
-    for (f, spec), v in zip(trials, filled):
+    for (f, spec), v, oracles in zip(trials, filled, found):
         if isinstance(v, NormOverflow):
             raise v
         report = bound_report(f, v, config.tol)
@@ -373,7 +405,8 @@ def _trials(config: SweepConfig, family: str, family_index: int,
                 f"{spec} is not a commuting pair "
                 f"(||AB-BA|| = {v['||AB-BA||']:.6e})"
             )
-        oracles = oracle_radii(f, v, config.tol)
+        if not isinstance(oracles, dict):
+            raise oracles
         tightness, low = _judged(report.results, oracles)
         records.append(TrialRecord(spec, f.name, oracles, report.results,
                                    tightness, bool(low)))
@@ -564,7 +597,8 @@ def run_limit_checks(
     """The Cauchy behaviour of the oracle: its radii at different
     tolerances differ by at most the coarser one's error. The instances of
     one dimension are scaled and get their `invariants` as one stack; each
-    radius is `oracle_radii`'s, the one every trial is judged against."""
+    radius is `oracle_radii`'s, the one every trial is judged against,
+    from one call per dimension, tolerance and series."""
     result = CheckResult()
     cauchy_series = [lookup("exp"), lookup("geometric")]
     drawn: dict[int, list] = {}  # dim -> [(f, G, norm target)]
@@ -577,8 +611,12 @@ def run_limit_checks(
         drawn.setdefault(n, []).append((f, G, float(rng.uniform(0.3, 1.0)) * norm_cap))
     for draws in drawn.values():
         fs, G, targets = zip(*draws)
-        for f, v in zip(fs, invariants(_scaled(np.stack(G), np.array(targets)))):
-            oracles = [oracle_radii(f, v, t)["f(T)"] for t in (1e-3, 1e-5, 1e-7, 1e-9)]
-            for (r_a, err_a), (r_b, _) in itertools.combinations(oracles, 2):
-                result.record(abs(r_a - r_b) - (err_a + 1e-8))
+        vs = invariants(_scaled(np.stack(G), np.array(targets)))
+        for f in cauchy_series:
+            stack = [v for g, v in zip(fs, vs) if g is f]
+            by_tol = [oracle_radii(f, stack, t) for t in (1e-3, 1e-5, 1e-7, 1e-9)]
+            for oracles in zip(*by_tol):
+                radii = [o["f(T)"] for o in oracles]
+                for (r_a, err_a), (r_b, _) in itertools.combinations(radii, 2):
+                    result.record(abs(r_a - r_b) - (err_a + 1e-8))
     return {"truncation-cauchy": result}

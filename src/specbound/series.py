@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -160,26 +161,67 @@ def eval_companion(
         return math.inf
 
 
-def partial_sums(f: PowerSeries, z: np.ndarray, m: int) -> np.ndarray:
-    """S_m(z) = sum_{j<=m} a_j z^j at each point of the 1-D array z.
+def partial_sums(f: PowerSeries, z: np.ndarray, orders: Sequence[int]) -> np.ndarray:
+    """S_m(z) = sum_{j<=m} a_j z^j at each point of row k of the (k, n)
+    array z, with m = orders[k].
 
-    Paterson-Stockmeyer over the points: with s = max(1, isqrt(m)), the
-    blocks B_k(z) = sum_{i<s} a_{ks+i} z^i are one (m/s, s) by (s, len(z))
-    product and nest by Horner in z^s, so no power past z^s is formed and
-    the work and memory are O(sqrt(m) len(z)) beyond the coefficients. A
-    point where the sum leaves double range gives inf or nan, with no warning.
+    Paterson-Stockmeyer: with s = max(1, isqrt(m)), a row's blocks
+    B_i(z) = sum_{j<s} a_{is+j} z^j are one (m/s, s) by (s, n) product of
+    its powers z^0..z^(s-1), and nest by Horner in z^s, so no power past
+    z^s is formed and the work and memory are O(sqrt(m) n) per row beyond
+    the coefficients. A point where the sum leaves double range gives inf
+    or nan, with no warning.
+
+    Every row gets the bits it gets alone, in a stack of one: the rows of
+    one s share one cumprod of length s, the rows of one s and block count
+    one block product, and the rows of one m one tail product, each a
+    stack of the products a row alone makes. Sorted by block count, the
+    rows still nesting at each Horner step are a prefix of the stack, so
+    each step is one multiply and one add.
     """
-    a = f.prefix(m)[0]
-    s = max(1, math.isqrt(m))
-    top = m // s * s  # the last block, a_top..a_m, has 1 to s coefficients
+    z = np.asarray(z, dtype=np.complex128)  # the powers' buffer below
+    k, n = z.shape
+    # (-block count, s, m, row), most blocks first
+    rows = sorted((-(m // s), s, m, r) for r, m in enumerate(orders)
+                  for s in (max(1, math.isqrt(m)),))
+    a = f.prefix(max(orders, default=0))[0]
+    S = np.empty((k, n), np.complex128)  # the sum of rows[i] at S[i]
+    zs = np.empty((k, n), np.complex128)  # its z^s
+    blocks = np.empty((k, -rows[0][0] if rows else 0, n), np.complex128)  # [i, j]: B_j of rows[i]
+    members: dict[int, list[int]] = {}  # s -> the places of its rows in `rows`
+    for i, row in enumerate(rows):
+        members.setdefault(row[1], []).append(i)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.ones((s + 1, len(z)), dtype=np.complex128)  # z^0..z^s
-        np.cumprod(np.broadcast_to(z, (s, len(z))), axis=0, out=powers[1:])
-        blocks = a[:top].reshape(-1, s) @ powers[:s]
-        S = a[top:] @ powers[: m + 1 - top]
-        for block in blocks[::-1]:
-            S = block + powers[s] * S
-    return S
+        for s, places in members.items():
+            points = z[[rows[i][3] for i in places]]
+            powers = np.ones((len(places), s + 1, n), np.complex128)  # z^0..z^s
+            # each point s times, as np.broadcast_to repeats it, at less cost
+            repeated = np.ndarray((len(places), s, n), np.complex128, points,
+                                  strides=(points.strides[0], 0, points.strides[1]))
+            np.multiply.accumulate(repeated, axis=1, out=powers[:, 1:])
+            zs[places] = powers[:, s]
+            for nb, run in itertools.groupby(places, key=lambda i: rows[i][0]):
+                run = list(run)
+                i, top = run[0], -nb * s
+                table = powers[places.index(i):][:len(run)]
+                if top:
+                    np.matmul(a[:top].reshape(-nb, s), table[:, :s],
+                              blocks[i:i + len(run), :-nb])
+                for m, same in itertools.groupby(run, key=lambda j: rows[j][2]):
+                    same = list(same)
+                    j, end = same[0], same[-1] + 1
+                    np.matmul(a[top:m + 1], table[j - i:end - i, :m + 1 - top], S[j:end])
+        live = 0
+        counts = [(-nb, len(list(run))) for nb, run in itertools.groupby(r[0] for r in rows)]
+        for (nb, count), (below, _) in zip(counts, counts[1:] + [(0, 0)]):
+            live += count  # the rows with more than `below` blocks
+            nested, power = S[:live], zs[:live]
+            # new arrays, as alone: an in-place product of one point differs
+            for block in blocks[:live].swapaxes(0, 1)[below:nb][::-1]:
+                nested = block + power * nested
+            S[:live] = nested
+    order = [row[3] for row in rows]
+    return S if order == list(range(k)) else S[np.argsort(order)]  # in `orders`' order
 
 
 def from_coefficients(

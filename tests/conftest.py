@@ -39,7 +39,8 @@ def non_commuting_pairs(monkeypatch):
     """Call with {spec: scale} (by default every pair at scale 1): the
     instance generator then gives each of those pairs as (scale J, scale J^T),
     J the upper shift. They do not commute at n >= 2, and at scale 1e200
-    their products are not finite. The fork carries the patch into the
+    their products are not finite. A pair of matrices (A, B) given in place
+    of a scale is that spec's pair. The fork carries the patch into the
     workers."""
     generate = harness_mod._generate
 
@@ -48,7 +49,9 @@ def non_commuting_pairs(monkeypatch):
             stacks = generate(batch)
             for k, spec in enumerate(batch):
                 scale = 1.0 if scales is None else scales.get(spec)
-                if len(stacks) == 2 and scale is not None:
+                if len(stacks) == 2 and isinstance(scale, tuple):
+                    stacks[0][k], stacks[1][k] = scale
+                elif len(stacks) == 2 and scale is not None:
                     J = scale * np.eye(spec.dim, k=1, dtype=complex)
                     stacks[0][k], stacks[1][k] = J, J.T
             return stacks

@@ -81,7 +81,7 @@ def pm(name, A, B, sign=+1):
 
 def oracle_radius(f, T):
     """r of f(T)'s certified truncation, as the harness computes it."""
-    return oracle_radii(f, invariants(T[None])[0], TOL)["f(T)"][0]
+    return oracle_radii(f, invariants(T[None]), TOL)[0]["f(T)"][0]
 
 
 def oracle_with_slack(f, T):
@@ -280,7 +280,7 @@ def test_product_radius_needs_the_norm_of_ab_inside_the_disk():
         assert not b.available
         assert b.reason.startswith("precondition failed: ||AB|| < R"), name
     assert report.minimum is None
-    assert "f(AB)" not in oracle_radii(GEO, report.invariants, TOL)
+    assert "f(AB)" not in oracle_radii(GEO, [report.invariants], TOL)[0]
 
 
 def test_pair_squares_zero_pair():

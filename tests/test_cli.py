@@ -152,7 +152,7 @@ def test_bound_below_its_own_oracle_exits_1(tmp_path, capsys, n):
     closed = 1.0 / (1.0 - 0.9801 * 10.0 ** (-22.0 / n))
     assert closed == pytest.approx(exact, rel=1e-9)
     report = best_bound(lookup("geometric"), 0.99 * J, 0.99 * (J + E))
-    oracle, _ = oracle_radii(lookup("geometric"), report.invariants)["f(AB)"]
+    oracle, _ = oracle_radii(lookup("geometric"), [report.invariants])[0]["f(AB)"]
     assert abs(oracle - closed) <= 1e-13 * closed
 
 
@@ -636,7 +636,7 @@ def test_sweep_records_each_series_own_params(tmp_path, capsys):
 
         def oracle(series):
             f = lookup(series)
-            return repr(oracle_radii(f, best_bound(f, T).invariants)["f(T)"][0])
+            return repr(oracle_radii(f, [best_bound(f, T).invariants])[0]["f(T)"][0])
 
         assert oracle(name) == row["oracle"]
         assert oracle(other) != row["oracle"]

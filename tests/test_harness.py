@@ -18,6 +18,7 @@ from specbound import (
     FAMILIES_SINGLE,
     GenerationFailure,
     InstanceSpec,
+    NoConvergence,
     NormOverflow,
     SpecboundError,
     SweepConfig,
@@ -55,8 +56,8 @@ from specbound.harness import (
 )
 from specbound.series import (DEFAULT_MAX_TERMS, DEFAULT_TOL, _order_and_tail,
                               partial_sums, truncation_order)
-from textbook import (certified_truncation, matrix_partial_sum, run_identity_checks,
-                      run_limit_laws, run_mixed_chain)
+from textbook import (certified_truncation, matrix_partial_sum, partial_sums_alone,
+                      run_identity_checks, run_limit_laws, run_mixed_chain)
 
 
 def spec(family, seed=1, dim=4, target=0.8):
@@ -224,14 +225,14 @@ def test_pair_oracle_makes_no_lapack_call(lapack_work):
     (v,) = invariants(A[None], B[None])  # best_bound's SVD call and eigensolve
     (w,) = invariants(T[None])
     lapack_work.update(dict.fromkeys(lapack_work, 0))
-    oracles = oracle_radii(f, v)  # everything is read from v
-    single = oracle_radii(f, w)
+    (oracles,) = oracle_radii(f, [v])  # everything is read from v
+    (single,) = oracle_radii(f, [w])
     assert lapack_work == dict.fromkeys(lapack_work, 0)
     # Bit for bit the one-target-at-a-time formulas: f(AB) is S_m at the
     # eigenvalues of AB, m the order certified at ||AB||.
     AB, BA = A @ B, B @ A
     m, tail = _order_and_tail(f, operator_norm(AB), DEFAULT_TOL, DEFAULT_MAX_TERMS)
-    fab = np.abs(partial_sums(f, np.linalg.eigvals(AB), m)).max()
+    fab = np.abs(partial_sums(f, np.linalg.eigvals(AB)[None], [m])[0]).max()
     assert oracles == {
         "AB": (spectral_radius(AB), 0.0),
         "AB+BA": (spectral_radius(AB + BA), 0.0),
@@ -239,7 +240,7 @@ def test_pair_oracle_makes_no_lapack_call(lapack_work):
         "f(AB)": (fab, tail),
     }
     m, tail = _order_and_tail(f, operator_norm(T), DEFAULT_TOL, DEFAULT_MAX_TERMS)
-    ft = np.abs(partial_sums(f, np.linalg.eigvals(T), m)).max()
+    ft = np.abs(partial_sums(f, np.linalg.eigvals(T)[None], [m])[0]).max()
     assert single == {"f(T)": (ft, tail)}
 
 
@@ -269,11 +270,49 @@ def test_oracle_matches_the_matrix_truncation(family, name):
         stacks = _generate([s])
         (v,) = invariants(*stacks)
         arg = stacks[0][0] if len(stacks) == 1 else stacks[0][0] @ stacks[1][0]
-        value, err = oracle_radii(f, v)["f(T)" if len(stacks) == 1 else "f(AB)"]
+        value, err = oracle_radii(f, [v])[0]["f(T)" if len(stacks) == 1 else "f(AB)"]
         S, tail = certified_truncation(f, arg)
         reference = spectral_radius(S)
         assert err == tail, s
         assert abs(value - reference) <= tail + 1e-12 * max(1.0, reference), s
+
+
+@pytest.mark.parametrize("name", ["geometric", "log-resolvent", "artanh"])
+def test_near_radius_stack_keeps_each_oracle(name):
+    # n = 32 at ||T|| in [0.9, 0.995], the orders no sweep reaches (183 to
+    # 5,650 over the three series), in one stack: each instance's
+    # (value, error) is the one it gets alone, and the one-row sum's.
+    f = lookup(name)
+    g = np.random.default_rng(len(name))
+    norms = np.array([0.93, 0.995, 0.9, 0.96, 0.9, 0.98])
+    vs = invariants(_scaled(np.stack([_ginibre(g, 32) for _ in norms]), norms))
+    orders = []
+    for v, oracles in zip(vs, oracle_radii(f, vs)):
+        m, tail = _order_and_tail(f, v["||T||"], DEFAULT_TOL, DEFAULT_MAX_TERMS)
+        orders.append(m)
+        radius = np.abs(partial_sums_alone(f, v.spectrum, m)).max()
+        assert oracle_radii(f, [v]) == [oracles] == [{"f(T)": (radius, tail)}]
+    assert min(orders) < 250 and max(orders) > 3800
+
+
+def test_verify_sums_each_oracle_stack_in_one_kernel_call(monkeypatch, tmp_path):
+    # On one CPU: one call per chunk, dimension and series for the 1,600
+    # sweep trials (8 families, 2 chunks, 3 dimensions with one series
+    # each), and one per dimension, tolerance and series for the 800
+    # truncation-cauchy radii (3 dimensions, 4 tolerances, 2 series).
+    import specbound.jobs as jobs_mod
+    from specbound import cli
+
+    rows = []
+
+    def counted(f, z, orders):
+        rows.append(len(orders))
+        return partial_sums(f, z, orders)
+
+    monkeypatch.setattr(jobs_mod, "_cpus", lambda: 1)
+    monkeypatch.setattr(harness_mod, "partial_sums", counted)
+    assert cli.main(["verify", "--trials", "200", "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert len(rows) == 72 and sum(rows) == 2400
 
 
 def test_oracle_memory_is_far_below_a_table_of_powers():
@@ -286,12 +325,12 @@ def test_oracle_memory_is_far_below_a_table_of_powers():
 
     f = lookup("geometric")
     (v,) = invariants(_scaled(_ginibre(np.random.default_rng(3), 32), 0.9999)[None])
-    first = oracle_radii(f, v)
+    (first,) = oracle_radii(f, [v])
     m = truncation_order(f, v["||T||"], DEFAULT_TOL)
     assert m > 3 * 10**5
     tracemalloc.start()
     try:
-        assert oracle_radii(f, v) == first
+        assert oracle_radii(f, [v]) == [first]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -304,13 +343,13 @@ def test_repeated_oracle_computes_no_coefficient(monkeypatch, name, norm):
     # a_{m+2} (artanh, odd terms only), which the kept prefix holds.
     f = lookup(name)
     (v,) = invariants(_scaled(_ginibre(np.random.default_rng(3), 32), norm)[None])
-    first = oracle_radii(f, v)
+    (first,) = oracle_radii(f, [v])
     assert truncation_order(f, v["||T||"], DEFAULT_TOL) > 2**16
     orders = []
     coefficients = f.coefficients
     monkeypatch.setitem(vars(f), "coefficients",
                         lambda m: (orders.append(m), coefficients(m))[1])
-    assert oracle_radii(f, v) == first
+    assert oracle_radii(f, [v]) == [first]
     assert orders == []
 
 
@@ -387,8 +426,8 @@ def test_limit_checks_match_the_per_instance_loop():
             tols = (1e-3, 1e-5, 1e-7, 1e-9)
             for a in range(len(tols)):
                 for b in range(a + 1, len(tols)):
-                    r_a, err_a = oracle_radii(f, v, tols[a])["f(T)"]
-                    r_b, _ = oracle_radii(f, v, tols[b])["f(T)"]
+                    r_a, err_a = oracle_radii(f, [v], tols[a])[0]["f(T)"]
+                    r_b, _ = oracle_radii(f, [v], tols[b])[0]["f(T)"]
                     result.record(abs(r_a - r_b) - (err_a + 1e-8))
         return {"truncation-cauchy": result}
 
@@ -411,8 +450,8 @@ def test_limit_check_catches_a_short_oracle_sum(monkeypatch):
     # early, at m - 1, breaks the Cauchy bound between tolerances.
     import specbound.harness as harness_mod
 
-    def short(f, z, m):
-        return partial_sums(f, z, max(m - 1, 0))
+    def short(f, z, orders):
+        return partial_sums(f, z, [max(m - 1, 0) for m in orders])
 
     assert run_limit_checks(1, 60)["truncation-cauchy"].passed
     monkeypatch.setattr(harness_mod, "partial_sums", short)
@@ -520,22 +559,38 @@ def test_sweep_of_mixed_stacks_equals_trials_run_one_by_one(monkeypatch):
     assert run_sweep(config) == expected
 
 
+def near_radius_pair(n):
+    """A = B = a (I + J) at n = 2, with ||AB|| = 1 - 5e-6 > r(AB) and
+    ||A||^2 > 1: for log-resolvent (R = 1) every row computes, as none
+    evaluates f_a at ||AB||, but no order up to the term cap certifies
+    the oracle's truncation there."""
+    assert n == 2
+    M = np.eye(2, dtype=complex) + np.eye(2, k=1)
+    A = M * math.sqrt((1.0 - 5e-6) / operator_norm(M @ M))
+    return A, A
+
+
 # Within one chunk: pairs not commuting (scale 1) or with products out of
-# range (1e200) at the given indices, and a series whose truncation is not
-# finite at trials 1, 3, 4, ...
+# range (1e200) at the given indices, a series whose truncation is not
+# finite at trials 1, 3, 4, ..., and a commuting pair near the radius
+# ("near", at n = 2), whose oracle finds no order.
 @pytest.mark.parametrize("series, scales, index, error", [
     ("exp", {13: 1.0, 20: 1.0}, 13, GenerationFailure),
     ("exp", {4: 1.0, 9: 1e200}, 4, GenerationFailure),
     ("exp", {2: 1e200, 4: 1.0}, 2, NormOverflow),
     ("poly:1.7e308,1.7e308", {2: 1.0}, 1, NormOverflow),
     ("poly:1.7e308,1.7e308", {0: 1.0}, 0, GenerationFailure),
+    ("log-resolvent", {6: "near"}, 6, NoConvergence),
+    ("log-resolvent", {4: 1.0, 6: "near"}, 4, GenerationFailure),
+    ("log-resolvent", {9: "near", 4: 1e200}, 4, NormOverflow),
 ])
 def test_sweep_raises_what_its_first_failing_trial_raises_alone(
         non_commuting_pairs, series, scales, index, error):
     family = FAMILIES_PAIR[0]
     config = SweepConfig(series_names=(series,), families=(family,), trials=25,
                          dims=(2, 3, 5), seed=4)
-    non_commuting_pairs({_trial_spec(config, family, 0, i)[1]: scale
+    specs = [_trial_spec(config, family, 0, i)[1] for i in range(config.trials)]
+    non_commuting_pairs({specs[i]: near_radius_pair(specs[i].dim) if scale == "near" else scale
                          for i, scale in scales.items()})
     for i in range(index):
         run_trial(config, family, 0, i)
@@ -585,7 +640,7 @@ def test_sweep_determinism_and_csv_bytes(tmp_path):
 
 def _judged_trial(f, instance, matrices):
     report = best_bound(f, *matrices)
-    oracles = oracle_radii(f, report.invariants)
+    (oracles,) = oracle_radii(f, [report.invariants])
     tightness, low = _judged(report.results, oracles)
     return TrialRecord(instance, f.name, oracles, report.results, tightness,
                        bool(low))

@@ -25,6 +25,7 @@ from specbound import (
 )
 from specbound.cli import _parse_series
 from specbound.series import _order_and_tail, partial_sums
+from textbook import partial_sums_alone
 
 ALL_NAMES = [
     "log-resolvent", "cos", "sin", "resolvent", "exp", "half-log-ratio",
@@ -636,7 +637,7 @@ def test_partial_sums_match_mpmath(point_reference, m):
     # Rounding error of Horner's form: a small multiple of u sum |a_k| |z|^k.
     f, z, sums = point_reference
     majorant = sum(abs(f.coeff(k)) * np.abs(z) ** k for k in range(m + 1))
-    assert np.all(np.abs(partial_sums(f, z, m) - sums[m]) <= 1e-13 * majorant)
+    assert np.all(np.abs(partial_sums(f, z[None], [m])[0] - sums[m]) <= 1e-13 * majorant)
 
 
 def test_partial_sums_low_order_is_horner():
@@ -647,7 +648,7 @@ def test_partial_sums_low_order_is_horner():
         S = np.full(3, f.coeff(m))
         for j in range(m - 1, -1, -1):
             S = f.coeff(j) + z * S
-        assert np.array_equal(partial_sums(f, z, m), S), m
+        assert np.array_equal(partial_sums(f, z[None], [m])[0], S), m
 
 
 def test_partial_sums_reach_the_closed_form_near_the_radius():
@@ -657,13 +658,52 @@ def test_partial_sums_reach_the_closed_form_near_the_radius():
     z = 0.9999 * np.exp(1j * np.array([0.0, 0.5, 2.0, np.pi]))
     m, tail = _order_and_tail(f, 0.9999, 1e-10, 10**6)
     assert m > 3 * 10**5
-    assert np.all(np.abs(partial_sums(f, z, m) - 1.0 / (1.0 - z)) <= tail + 1e-9)
+    assert np.all(np.abs(partial_sums(f, z[None], [m])[0] - 1.0 / (1.0 - z)) <= tail + 1e-9)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_partial_sums_past_double_range_are_not_finite_without_a_warning():
     f = from_coefficients([1.0] * 17)
     for m in (2, 16):  # block sizes 1 and 4
-        values = partial_sums(f, np.array([0.5, 1e200, -1e200 + 1e200j]), m)
+        values = partial_sums(f, np.array([[0.5, 1e200, -1e200 + 1e200j]]), [m])[0]
         assert values[0] == pytest.approx(2.0 - 0.5**m, rel=1e-15)
         assert not np.isfinite(values[1:]).any()
+
+
+# Orders with block sizes s = 1 (m <= 3), s = 2 (m = 4..8), and on to 70,
+# repeated and unsorted, so rows share one s, one block count or one order
+# and block counts run from 0 to 71.
+_STACK_ORDERS = (0, 5000, 2, 4, 8, 1, 5, 5, 3, 9, 16, 15, 40, 40, 24, 183, 8, 999,
+                 1000, 2500, 4, 0, 63)
+_KERNEL_SERIES = ("exp", "geometric", "artanh", "2F1:0.5,1,2", "poly:1,-0.5+0.3j,0.25j,2,-1j")
+
+
+@pytest.mark.parametrize("name", _KERNEL_SERIES)
+@pytest.mark.parametrize("n", (1, 2, 3, 5, 8, 32))
+def test_stacked_partial_sums_keep_each_rows_bits(name, n):
+    # Each row of one stacked call has the bits of the one-row sum, and of
+    # the same row in a stack of one; points up to modulus min(R, 2).
+    f = lookup(name)
+    g = np.random.default_rng([n, len(name)])
+    orders = [*_STACK_ORDERS, *g.integers(0, 5001, 9).tolist()]
+    z = g.standard_normal((len(orders), n)) + 1j * g.standard_normal((len(orders), n))
+    z *= min(f.radius, 2.0) * g.uniform(0.0, 1.0, z.shape) / np.abs(z)
+    stacked = partial_sums(f, z, orders)
+    assert stacked.shape == z.shape
+    for row, m, S in zip(z, orders, stacked):
+        alone = partial_sums_alone(f, row, m)
+        assert S.tobytes() == alone.tobytes(), m
+        assert partial_sums(f, row[None], [m])[0].tobytes() == alone.tobytes(), m
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_row_past_double_range_leaves_its_stack_mates_bits():
+    f = from_coefficients([1.0] * 17)
+    z = np.array([[0.5, -0.3j], [1e200, 0.5], [0.5, 0.25], [-1e200 + 1e200j, 1e200],
+                  [0.5j, 0.7], [0.9, -0.1]])
+    orders = [16, 16, 2, 2, 9, 4]  # block sizes 4, 4, 1, 1, 3 and 2
+    stacked = partial_sums(f, z, orders)
+    assert not np.isfinite(stacked[1, 0]) and not np.isfinite(stacked[3]).any()
+    assert np.isfinite(stacked[[0, 2, 4, 5]]).all()
+    for row, m, S in zip(z, orders, stacked):
+        assert S.tobytes() == partial_sums_alone(f, row, m).tobytes(), m

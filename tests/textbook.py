@@ -1,7 +1,8 @@
 """Textbook facts about spectral radii and operator norms, checked on the
-harness's random instances, and the certified matrix truncation S_m(T),
-by Horner's rule on matrices, as a reference for the oracle's spectral
-mapping that shares no code with it.
+harness's random instances; the certified matrix truncation S_m(T), by
+Horner's rule on matrices, as a reference for the oracle's spectral
+mapping that shares no code with it; and the oracle's scalar sum at one
+row of points, the bit-for-bit reference for its stacked kernel.
 
 These checks exercise LAPACK and the instance generators rather than any
 bound of the package, so they run in the test suite, not in `verify`.
@@ -40,6 +41,25 @@ def matrix_partial_sum(f, T, m: int):
     S = a[m] * eye
     for j in range(m - 1, -1, -1):
         S = a[j] * eye + T @ S
+    return S
+
+
+def partial_sums_alone(f, z, m: int):
+    """S_m(z) at each point of the 1-D array z, by Paterson-Stockmeyer as
+    one row sums alone: s = max(1, isqrt(m)), the powers z^0..z^s from one
+    cumprod, the blocks of s coefficients from one (m/s, s) by (s, n)
+    product and the last block from one more, nested by Horner in z^s.
+    Each row of a stacked `series.partial_sums` call must have these bits."""
+    a = f.prefix(m)[0]
+    s = max(1, math.isqrt(m))
+    top = m // s * s  # the last block, a_top..a_m, has 1 to s coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.ones((s + 1, len(z)), dtype=np.complex128)  # z^0..z^s
+        np.cumprod(np.broadcast_to(z, (s, len(z))), axis=0, out=powers[1:])
+        blocks = a[:top].reshape(-1, s) @ powers[:s]
+        S = a[top:] @ powers[: m + 1 - top]
+        for block in blocks[::-1]:
+            S = block + powers[s] * S
     return S
 
 
