@@ -18,12 +18,14 @@ at scalar arguments built from spectral radii and operator norms:
 `invariants` fills the norms, radii and derived quantities of a whole
 stack of instances at once, all norms from one SVD call and all radii from
 one eigensolve (for a pair of n >= 96, one per product, run on every CPU
-with the SVD), and keeps the eigenvalues of T or AB for the oracle; each
-bound is a `Row` of a table, turned into a `BoundResult` by one evaluator.
-A bound that cannot apply, a commutativity-gated one on a non-commuting
-pair included, comes back Unavailable with the reason; only structural
-problems (dimension mismatch, a bad tolerance, products out of range)
-raise.
+with the SVD), and keeps the eigenvalues of T or AB for the oracle. Each
+bound is a `Row` of a table, and `evaluate` fills every row of a whole
+stack at once, on one float64 column per quantity, with the bits each
+instance gets alone; `Table.results` turns one instance's rows into
+`BoundResult`s for the callers that read them. A bound that cannot apply,
+a commutativity-gated one on a non-commuting pair included, comes back
+Unavailable with the reason; only structural problems (dimension
+mismatch, a bad tolerance, products out of range) raise.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from functools import cached_property
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import jobs
-from .errors import DimMismatch, NormOverflow
+from .errors import DimMismatch, NormOverflow, SpecboundError
 from .matrices import Matrix, commutes, eigenvalues, operator_norms
 from .series import DEFAULT_TOL, PowerSeries, eval_companion
 
@@ -90,16 +93,22 @@ def products(A: Matrix, B: Matrix) -> np.ndarray:
     return P
 
 
+def _square(x: float) -> float:
+    """x ** 2 as Python rounds it (C pow), and inf past double range, where
+    it raises. x * x, and so numpy's square, can round otherwise."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _pair_values(norms: list[float], radii: list[float]) -> dict[str, float]:
     """A pair's quantities by label from its norms (`_PAIR_NORMS` order) and
     radii (`_PAIR_RADII` order): those, and the ones derived from them."""
     s = dict(zip(_PAIR_NORMS, norms))
     s.update(zip(_PAIR_RADII, radii))
     for x in ("||A||", "||B||", "r(A)", "r(B)"):
-        try:  # x ** 2, not x * x, which can round otherwise; it raises past double range
-            s[f"{x}^2"] = s[x] ** 2
-        except OverflowError:
-            s[f"{x}^2"] = math.inf
+        s[f"{x}^2"] = _square(s[x])
     s["r(A) r(B)"] = s["r(A)"] * s["r(B)"]
     s["sqrt(||A^2|| ||B^2||)"] = math.sqrt(s["||A^2||"] * s["||B^2||"])
     s["sqrt(||A|| ||AB^2||)"] = math.sqrt(s["||A||"] * s["||AB^2||"])
@@ -164,64 +173,50 @@ def invariants(A: Matrix, B: Optional[Matrix] = None) -> list[Invariants | NormO
 @dataclass(frozen=True)
 class Row:
     """One bound: f_a is evaluated at `args`, and `combine` maps those
-    values and the quantities to (value, extra intermediates). The
-    preconditions are "x < R" for each of `hyps`, then each argument."""
+    values and the quantities, each a float64 column of a stack, to (value,
+    extra intermediates), columns too. The preconditions are "x < R" for
+    each of `hyps`, then each argument."""
 
     name: str
     target: str
     args: tuple[str, ...]
-    combine: Callable[[list[float], Mapping[str, float]], tuple[float, dict]]
+    combine: Callable[[list[np.ndarray], Mapping[str, np.ndarray]],
+                      tuple[np.ndarray, dict[str, np.ndarray]]]
     hyps: tuple[str, ...] = ()  # below R, like each argument
     notes: tuple[str, ...] = ()  # quantities recorded as intermediates
     check_args: bool = True  # False when the hypotheses imply args < R
+    commuting: bool = False  # Unavailable on a pair that fails the commutator test
 
-
-def _evaluate(row: Row, f: PowerSeries, s: Mapping[str, float],
-              tol: float, fa: dict[float, float]) -> BoundResult:
-    """Check the preconditions on the quantities `s`, then evaluate f_a
-    (memoised in `fa` by argument across the rows of one instance) and
-    combine."""
-    checked = dict.fromkeys(row.hyps + (row.args if row.check_args else ()))
-    # One shared description string per label, as a literal would be.
-    pre = [(sys.intern(f"{x} < R"), s[x] < f.radius, s[x]) for x in checked]
-    notes = {x: s[x] for x in row.notes}
-    if row.args:
-        notes["eval_uncertainty"] = 3 * tol
-    out = BoundResult(row.name, None, row.target, None, pre, notes)
-    for desc, holds, measured in pre:
-        if not holds:
-            out.reason = f"precondition failed: {desc} (measured {measured:.6g})"
-            return out
-    for x in row.args:
-        if s[x] not in fa:
-            fa[s[x]] = eval_companion(f, s[x], tol)
-    F = [fa[s[x]] for x in row.args]
-    value, extra = row.combine(F, s)
-    for name, y in [*zip((f"f_a({x})" for x in row.args), F), ("value", value)]:
-        if not math.isfinite(y):
-            out.reason = f"not finite: {name} = {y!r}"
-            return out
-    notes.update(extra)
-    out.value = value
-    return out
+    @cached_property
+    def checked(self) -> tuple[str, ...]:
+        """The labels the preconditions compare with R, in order, each once."""
+        return tuple(dict.fromkeys(self.hyps + (self.args if self.check_args else ())))
 
 
 _SQ = ("||A||^2", "||B||^2")
 _NORMS = ("||A||", "||B||", "||AB||", "||A^2||", "||B^2||", "||AB^2||", "||A^2B||")
 
 
-def _mixed(u: float, left: float, right: float) -> tuple[float, dict]:
+def _mixed(u: np.ndarray, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, dict]:
     """(1/2) f_a(||AB||) + (1/2) min of the two arms, recording both."""
-    return 0.5 * u + 0.5 * min(left, right), {"arm-left": left, "arm-right": right}
+    return 0.5 * u + 0.5 * np.minimum(left, right), {"arm-left": left, "arm-right": right}
 
 
-def _chain(s: Mapping[str, float], half: bool) -> tuple[float, dict]:
+def _chain(s: Mapping[str, np.ndarray], half: bool) -> tuple[np.ndarray, dict]:
     """||AB|| + min of the mixed arms, from the norms; halved for r(AB)."""
-    value = s["||AB||"] + min(s[x] for x in _MIXED)
+    value = s["||AB||"] + np.minimum(*(s[x] for x in _MIXED))
     return (0.5 * value if half else value), {}
 
 
-def _first(F: list[float], s: Mapping[str, float]) -> tuple[float, dict]:
+def _quadratic(s: Mapping[str, np.ndarray]) -> tuple[np.ndarray, dict]:
+    """(1/2)(||AB|| + ||BA|| + sqrt((||AB|| - ||BA||)^2 + 4 ||A^2|| ||B^2||)),
+    the square by `_square`, one instance at a time."""
+    ab, ba = s["||AB||"], s["||BA||"]
+    gap = np.array([_square(d) for d in (ab - ba).tolist()])
+    return 0.5 * (ab + ba + np.sqrt(gap + 4.0 * s["||A^2||"] * s["||B^2||"])), {}
+
+
+def _first(F: list[np.ndarray], s: Mapping[str, np.ndarray]) -> tuple[np.ndarray, dict]:
     """The row's one f_a value."""
     return F[0], {}
 
@@ -233,9 +228,7 @@ _PRODUCT = Row("product-radius", "f(AB)", ("r(AB)",), _first, ("||AB||",),
                ("r(AB)", "||AB||"), check_args=False)
 # r(AB + BA), then r(AB - BA): each row holds for either sign.
 _PM_ROWS = tuple(row for sign in "+-" for row in (
-    Row(f"pm-quadratic({sign})", f"AB{sign}BA", (), lambda F, s: (0.5 * (
-        s["||AB||"] + s["||BA||"] + math.sqrt(
-            (s["||AB||"] - s["||BA||"]) ** 2 + 4.0 * s["||A^2||"] * s["||B^2||"])), {}),
+    Row(f"pm-quadratic({sign})", f"AB{sign}BA", (), lambda F, s: _quadratic(s),
         notes=("||AB||", "||BA||", "||A^2||", "||B^2||")),
     Row(f"pm-mixed({sign})", f"AB{sign}BA", (), lambda F, s: _chain(s, False),
         notes=_NORMS),
@@ -243,19 +236,132 @@ _PM_ROWS = tuple(row for sign in "+-" for row in (
 # Commuting pairs. ||AB|| < R keeps f(AB)'s oracle for every row.
 _COMMUTING_ROWS = (
     Row("factor-radius", "f(AB)", ("r(A) r(B)",), _first, ("||AB||",),
-        ("r(A)", "r(B)", "||AB||")),  # r(AB) <= r(A) r(B)
-    Row("pair-squares", "f(AB)", ("r(A)^2", "r(B)^2"),
-        lambda F, s: (math.sqrt(F[0] * F[1]), {}), _SQ, ("r(A)", "r(B)", "||A||", "||B||")),
+        ("r(A)", "r(B)", "||AB||"), commuting=True),  # r(AB) <= r(A) r(B)
+    Row("pair-squares", "f(AB)", ("r(A)^2", "r(B)^2"), lambda F, s: (np.sqrt(F[0] * F[1]), {}),
+        _SQ, ("r(A)", "r(B)", "||A||", "||B||"), commuting=True),
     Row("norm-split", "f(AB)", ("||AB||", "sqrt(||A^2|| ||B^2||)"),
-        lambda F, s: (0.5 * (F[0] + F[1]), {}), _SQ, _NORMS),
+        lambda F, s: (0.5 * (F[0] + F[1]), {}), _SQ, _NORMS, commuting=True),
     # (AB)^2 = A AB^2 = A^2B B puts r(AB) below each argument: no ||A||, ||B|| < R
     Row("mixed-split", "f(AB)", ("||AB||", *_MIXED), lambda F, s: _mixed(*F),
-        _SQ, _NORMS + _MIXED),
+        _SQ, _NORMS + _MIXED, commuting=True),
     Row("product-half", "AB", (),
         lambda F, s: (0.5 * (s["||AB||"] + s["sqrt(||A^2|| ||B^2||)"]), {}),
-        notes=("||AB||", "||A^2||", "||B^2||")),
-    Row("product-chain", "AB", (), lambda F, s: _chain(s, True), notes=_NORMS),
+        notes=("||AB||", "||A^2||", "||B^2||"), commuting=True),
+    Row("product-chain", "AB", (), lambda F, s: _chain(s, True), notes=_NORMS,
+        commuting=True),
 )
+
+
+@dataclass
+class Table:
+    """Every row of a stack of instances, as `evaluate` fills it. Row r of
+    instance i has value `values[r, i]`, nan when it is Unavailable, and
+    then the reason `reasons[r][i]`; `extras[r]` holds the columns of the
+    extra intermediates its combination recorded. `errors[i]` is what
+    instance i raised alone (the first, in row order), or None."""
+
+    rows: tuple[Row, ...]
+    series: Sequence[PowerSeries]
+    invariants: Sequence[Invariants]
+    tol: float
+    values: np.ndarray
+    reasons: list[list[Optional[str]]]
+    extras: list[dict[str, np.ndarray]]
+    errors: list[Optional[SpecboundError]]
+
+    def results(self, i: int) -> list[BoundResult]:
+        """The rows of instance i as `BoundResult`s, with their
+        preconditions and intermediates."""
+        f, v = self.series[i], self.invariants[i]
+        out = []
+        for row, value, reasons, extras in zip(self.rows, self.values[:, i].tolist(),
+                                               self.reasons, self.extras):
+            if row.commuting and not v.commuting:
+                out.append(BoundResult(row.name, None, row.target, reasons[i],
+                                       [("AB = BA", False, v["||AB-BA||"])]))
+                continue
+            # One shared description string per label, as a literal would be.
+            pre = [(sys.intern(f"{x} < R"), v[x] < f.radius, v[x]) for x in row.checked]
+            notes = {x: v[x] for x in row.notes}
+            if row.args:
+                notes["eval_uncertainty"] = 3 * self.tol
+            available = not math.isnan(value)
+            if available:
+                notes.update((x, y[i].item()) for x, y in extras.items())
+            out.append(BoundResult(row.name, value if available else None, row.target,
+                                   reasons[i], pre, notes))
+        return out
+
+
+def _fail(why: list[Optional[str]], live: np.ndarray, fail: np.ndarray,
+          measured: np.ndarray, reason: Callable[[float], str]) -> None:
+    """Give each instance that `fail` marks the reason for its `measured`
+    value in `why`, and take it out of `live`."""
+    if fail.any():
+        for i, x in zip(fail.nonzero()[0].tolist(), measured[fail].tolist()):
+            why[i] = reason(x)
+        live[fail] = False
+
+
+def evaluate(fs: Sequence[PowerSeries], vs: Sequence[Invariants], tol: float) -> Table:
+    """Every row of the stack of instances whose invariants are `vs`, each
+    with its own series in `fs`, on one float64 column per quantity. Each
+    "x < R" is a mask, and only a failing instance gets a reason, naming its
+    first failing label. f_a runs through the scalar `eval_companion` once
+    per distinct series and argument, only where the preconditions hold
+    (it raises OutOfDisk elsewhere); its failure is the instance's error.
+    `combine` runs on the columns; a non-finite f_a value, then the value,
+    makes the row Unavailable. Every value, reason and intermediate has the
+    bits its instance gets alone."""
+    if not vs:
+        return Table((), fs, vs, tol, np.empty((0, 0)), [], [], [])
+    k, labels = len(vs), list(vs[0])
+    single = "r(T)" in vs[0]
+    rows = (_SINGLE,) if single else (*_PM_ROWS, _PRODUCT, *_COMMUTING_ROWS)
+    s = dict(zip(labels, np.array([[v[x] for x in labels] for v in vs]).T))
+    radius = np.array([f.radius for f in fs])
+    commuting = None if single else np.array([v.commuting for v in vs])
+    values, reasons, extras = [], [], []
+    errors: list[Optional[SpecboundError]] = [None] * k
+    fa: dict = {}  # (id of the series, argument) -> f_a or its error; `fs` holds the series
+    with np.errstate(all="ignore"):  # a value past double range is a reason
+        for row in rows:
+            why: list[Optional[str]] = [None] * k
+            live = np.array([e is None for e in errors])
+            if row.commuting:
+                _fail(why, live, ~commuting, s["||AB-BA||"],
+                      lambda cnorm: f"commutator test failed (||AB-BA|| = {cnorm:.6e})")
+            for x in row.checked:
+                _fail(why, live, live & ~(s[x] < radius), s[x],
+                      lambda measured: f"precondition failed: {x} < R (measured {measured:.6g})")
+            F, infinite = [], []  # f_a columns; instances with a non-finite one
+            for x in row.args:
+                column = [math.nan] * k
+                for i, arg in zip(live.nonzero()[0].tolist(), s[x][live].tolist()):
+                    key = (id(fs[i]), arg)
+                    if key not in fa:
+                        try:
+                            fa[key] = eval_companion(fs[i], arg, tol)
+                        except SpecboundError as e:
+                            fa[key] = e
+                    y = fa[key]
+                    if isinstance(y, SpecboundError):
+                        errors[i], live[i] = y, False
+                    else:
+                        column[i] = y
+                        if why[i] is None and not math.isfinite(y):  # its first such f_a
+                            why[i] = f"not finite: f_a({x}) = {y!r}"
+                            infinite.append(i)
+                F.append(np.array(column))
+            if infinite:
+                live[infinite] = False
+            value, extra = row.combine(F, s)
+            _fail(why, live, live & ~np.isfinite(value), value,
+                  lambda bad: f"not finite: value = {bad!r}")
+            values.append(np.where(live, value, np.nan))
+            reasons.append(why)
+            extras.append(extra)
+    return Table(rows, fs, vs, tol, np.array(values), reasons, extras, errors)
 
 
 @dataclass
@@ -275,33 +381,19 @@ def best_bound(f: PowerSeries, A: Matrix, B: Optional[Matrix] = None,
     bounds on the series target (None if there are none). A non-commuting
     pair makes each commutativity-gated bound Unavailable instead of
     raising, so the report always describes the full menu. The instance is
-    a stack of one for `invariants` and `bound_report`, the code a sweep
-    runs on each stack of instances.
+    a stack of one for `invariants` and `evaluate`, the code a sweep runs
+    on each stack of instances.
     """
     if not (0 < tol < math.inf):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     (v,) = invariants(np.asarray(A)[None], None if B is None else np.asarray(B)[None])
     if isinstance(v, NormOverflow):
         raise v
-    return bound_report(f, v, tol)
-
-
-def bound_report(f: PowerSeries, v: Invariants, tol: float) -> BestBoundReport:
-    """`best_bound` of the instance whose invariants are `v`."""
-    fa: dict[float, float] = {}
+    table = evaluate([f], [v], tol)
+    if table.errors[0] is not None:
+        raise table.errors[0]
+    results = table.results(0)
     target = "f(T)" if "r(T)" in v else "f(AB)"
-    if target == "f(T)":
-        results = [_evaluate(_SINGLE, f, v, tol, fa)]
-    else:
-        results = [_evaluate(row, f, v, tol, fa) for row in (*_PM_ROWS, _PRODUCT)]
-        if v.commuting:
-            results += [_evaluate(row, f, v, tol, fa) for row in _COMMUTING_ROWS]
-        else:
-            cnorm = v["||AB-BA||"]
-            reason = f"commutator test failed (||AB-BA|| = {cnorm:.6e})"
-            results += [BoundResult(row.name, None, row.target, reason,
-                                    [("AB = BA", False, cnorm)])
-                        for row in _COMMUTING_ROWS]
     candidates = [r for r in results if r.available and r.target == target]
     minimum = min(candidates, key=lambda r: r.value) if candidates else None
     return BestBoundReport(results, minimum, v)

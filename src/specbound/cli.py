@@ -29,8 +29,9 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 from . import harness
@@ -131,11 +132,29 @@ def _bound_report_text(results, oracles, minimum) -> str:
 
 
 def _bound_report_csv(results, oracles) -> str:
+    """The rows of `results` with their oracles, in trials.csv's bound columns."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(harness._BOUND_COLUMNS)
-    writer.writerows(harness._bound_cells(r, oracles) for r in results)
+    for r in results:
+        oracle, oracle_err = oracles.get(r.target, (None, None))
+        writer.writerow([r.name, r.target, "1" if r.available else "0",
+                         *map(harness._fmt, (r.value, r.reason, oracle, oracle_err))])
     return buf.getvalue()
+
+
+def _strict(x):
+    """The report document `x` as strict JSON data, in one walk: each
+    dataclass a dict of its fields and each non-finite float None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {key: _strict(y) for key, y in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict(y) for y in x]
+    if is_dataclass(x):
+        return {f.name: _strict(getattr(x, f.name)) for f in fields(x)}
+    return x
 
 
 def cmd_bound(args) -> int:
@@ -156,14 +175,12 @@ def cmd_bound(args) -> int:
     elif args.format == "csv":
         _emit(_bound_report_csv(report.results, oracles), args.out)
     else:
-        doc = {
+        doc = _strict({
             "series": args.series,
             "oracles": oracles,
-            "results": [asdict(r) for r in report.results],
+            "results": report.results,
             "minimum": None if report.minimum is None else report.minimum.name,
-        }
-        # Strict JSON: each non-finite number (repr round-trips) becomes null.
-        doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
+        })
         _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", args.out)
 
     _, low = harness._judged(report.results, oracles)

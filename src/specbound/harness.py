@@ -14,8 +14,11 @@ trials of one dimension are generated, factored and solved as one stack,
 one LAPACK call per step: the Haar unitaries' QR, each scaling's SVD, the
 invariants' SVD and their eigensolve; then the oracle sums the stack's
 truncations of each series in one `series.partial_sums` call, each with
-the bits it has alone. Its judge is the only one: the
-norm-only rows on r(AB +/- BA) and product-radius meet non-commuting
+the bits it has alone. `bounds.evaluate` fills the chunk's bound rows as
+one stack of columns, and `Judged` judges them there, so the chunk's
+verdicts, `trials.csv` rows and tallies come from arrays; `BoundResult`s
+are built only for the callers that read them. Its judge is the only one:
+the norm-only rows on r(AB +/- BA) and product-radius meet non-commuting
 pairs in the "generic-pair" family.
 
 `jobs.run_jobs` runs a sweep's trials, in chunks, and `verify`'s check on
@@ -33,13 +36,13 @@ import itertools
 import json
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import BoundResult, Invariants, bound_report, invariants
+from .bounds import BoundResult, Invariants, evaluate, invariants
 from .errors import GenerationFailure, NoConvergence, NormOverflow, OutOfDisk, UnknownFamily
 from .jobs import Job, run_jobs
 from .matrices import Matrix, operator_norms
@@ -257,36 +260,116 @@ class TrialRecord:
     violation: bool
 
 
-def _margin(value: float, oracle: float, oracle_err: float) -> float:
-    """How far a bound's `value` is below its oracle beyond the oracle's
-    error plus `_SLACK_REL` * max(1, oracle), relative to max(1, oracle):
-    positive exactly when the bound is below its oracle. A non-finite
-    oracle or oracle error checks nothing, so any value meeting one is
-    below it by inf."""
-    if not (math.isfinite(oracle) and math.isfinite(oracle_err)):
-        return math.inf
-    scale = max(1.0, oracle)
-    return (oracle - (_SLACK_REL * scale + oracle_err) - value) / scale
+_NO_ORACLE = (math.nan, math.nan)  # the (value, error) of a target without an oracle
 
 
-def _judged(bounds: Sequence[BoundResult], oracles: dict[str, tuple[float, float]]
-            ) -> tuple[dict[str, Optional[float]], list[BoundResult]]:
-    """(tightness ratio by bound name, bounds below their oracle), over the
-    available bounds whose target has an oracle.
+def _verdicts(values: np.ndarray, targets: Sequence[str],
+              oracles: Sequence[dict[str, tuple[float, float]]]
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(compared, margins, tightness) of the (rows, trials) bound values
+    `values` (nan where Unavailable), row r on `targets[r]`, trial i judged
+    against `oracles[i]`. A bound is compared with its oracle when it is
+    available and its target has one. Its margin is how far it is below
+    the oracle beyond the oracle's error plus `_SLACK_REL` * max(1,
+    oracle), relative to max(1, oracle): positive exactly when the bound
+    is below its oracle. A non-finite oracle or oracle error checks
+    nothing, so any value meeting one is below it by inf; a bound not
+    compared has margin -inf. The tightness ratio value / oracle is nan
+    where the bound is not compared or the oracle is untrusted or at most
+    1e-12.
 
     A missing oracle (series argument outside the disk) can only happen
     when every bound on that target is unavailable, so skipping is safe.
     """
-    tightness, low = {}, []
-    for b in bounds:
-        if not b.available or b.target not in oracles:
-            continue
-        oracle, oracle_err = oracles[b.target]
-        if _margin(b.value, oracle, oracle_err) > 0:
-            low.append(b)
-        trusted = math.isfinite(oracle) and math.isfinite(oracle_err)
-        tightness[b.name] = b.value / oracle if trusted and oracle > 1e-12 else None
-    return tightness, low
+    pairs = np.array([[o.get(t, _NO_ORACLE) for o in oracles] for t in targets]
+                     ).reshape(*values.shape, 2)
+    oracle, oracle_err = pairs[..., 0], pairs[..., 1]
+    compared = np.array([[t in o for o in oracles] for t in targets]).reshape(values.shape)
+    compared &= values == values
+    trusted = np.isfinite(pairs).all(axis=-1)
+    with np.errstate(all="ignore"):  # in the entries replaced below
+        scale = np.maximum(1.0, oracle)
+        margins = (oracle - (_SLACK_REL * scale + oracle_err) - values) / scale
+        tightness = values / oracle
+    margins[~trusted] = np.inf
+    margins[~compared] = -np.inf
+    tightness[~(compared & trusted & (oracle > 1e-12))] = np.nan
+    return compared, margins, tightness
+
+
+def _judged(bounds: Sequence[BoundResult], oracles: dict[str, tuple[float, float]]
+            ) -> tuple[dict[str, Optional[float]], list[BoundResult]]:
+    """(tightness ratio by bound name, bounds below their oracle) of one
+    trial, as `_verdicts` judges it, over the available bounds whose
+    target has an oracle."""
+    values = np.array([[np.nan if b.value is None else b.value] for b in bounds])
+    compared, margins, tightness = _verdicts(values, [b.target for b in bounds], [oracles])
+    return (_tightness([b.name for b in bounds], compared[:, 0], tightness[:, 0]),
+            [b for b, low in zip(bounds, (margins[:, 0] > 0).tolist()) if low])
+
+
+def _tightness(names: Sequence[str], compared: np.ndarray, tightness: np.ndarray
+               ) -> dict[str, Optional[float]]:
+    """One trial's tightness ratio by bound name, None where untrusted, over
+    its compared bounds."""
+    return {name: None if math.isnan(t) else t
+            for name, c, t in zip(names, compared.tolist(), tightness.tolist()) if c}
+
+
+@dataclass
+class Judged:
+    """Trials that share their bound rows, as columns, and their verdicts:
+    row r of trial i is bound `names[r]` on `targets[r]`, of value
+    `values[r, i]` (nan when Unavailable, with reason `reasons[r][i]`),
+    judged against `oracles[i]` by `_verdicts`; a trial is a violation when
+    one of its bounds is below its oracle. `results(i)` builds trial i's
+    `BoundResult`s."""
+
+    specs: Sequence[InstanceSpec]
+    series: Sequence[str]
+    oracles: Sequence[dict[str, tuple[float, float]]]
+    names: Sequence[str]
+    targets: Sequence[str]
+    values: np.ndarray
+    reasons: list[list[Optional[str]]]
+    results: Callable[[int], list[BoundResult]]
+    compared: np.ndarray = field(init=False)
+    margins: np.ndarray = field(init=False)
+    tightness: np.ndarray = field(init=False)
+    violation: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.compared, self.margins, self.tightness = _verdicts(
+            self.values, self.targets, self.oracles)
+        self.violation = (self.margins > 0).any(axis=0)
+
+
+def as_judged(records: Iterable[TrialRecord]) -> list[Judged]:
+    """`records` as `Judged` stacks for the reports, one per run of
+    consecutive records with the same bound names and targets."""
+    out = []
+    for layout, run in itertools.groupby(
+            records, lambda record: [(b.name, b.target) for b in record.bounds]):
+        run = list(run)
+        names, targets = zip(*layout)
+        out.append(Judged(
+            [r.spec for r in run], [r.series_name for r in run], [r.oracles for r in run],
+            names, targets,
+            np.array([[np.nan if b.value is None else b.value for b in r.bounds]
+                      for r in run]).T,
+            [[r.bounds[j].reason for r in run] for j in range(len(layout))],
+            lambda i, run=run: run[i].bounds))
+    return out
+
+
+def trial_records(chunks: Iterable[Judged]) -> list[TrialRecord]:
+    """The `TrialRecord` of each trial of the judged stacks `chunks`:
+    `run_sweep`'s default reduction."""
+    return [TrialRecord(spec, series, oracles, j.results(i),
+                        _tightness(j.names, j.compared[:, i], j.tightness[:, i]),
+                        bool(j.violation[i]))
+            for j in chunks
+            for i, (spec, series, oracles) in enumerate(zip(j.specs, j.series, j.oracles))]
 
 
 def oracle_radii(
@@ -369,15 +452,15 @@ def _trial_spec(config: SweepConfig, family: str, family_index: int,
 
 
 def _trials(config: SweepConfig, family: str, family_index: int,
-            indices: Iterable[int], reduce: Callable[[list], list] = list) -> list:
-    """`reduce` of the records of the trials `indices` of one family. Each
-    trial is drawn from its own stream; then the trials of each dimension
-    are generated, factored and solved as one stack, their oracles are
-    summed as one stack per series, and only the bound rows are per trial.
-    A failing trial raises what it would raise alone; the first in index
-    order wins. A pair of a commuting family that fails the commutator
-    test raises GenerationFailure; a generic pair gets the commuting rows
-    Unavailable, as `bound` does."""
+            indices: Iterable[int], reduce: Callable[[list], list] = trial_records) -> list:
+    """`reduce` of the trials `indices` of one family, as a list of one
+    `Judged`. Each trial is drawn from its own stream; then the trials of
+    each dimension are generated, factored and solved as one stack, their
+    oracles are summed as one stack per series, and their bound rows are
+    evaluated and judged as one stack. A failing trial raises what it would
+    raise alone; the first in index order wins. A pair of a commuting
+    family that fails the commutator test raises GenerationFailure; a
+    generic pair gets the commuting rows Unavailable, as `bound` does."""
     trials = [_trial_spec(config, family, family_index, i) for i in indices]
     groups: dict[int, list[int]] = {}  # dim -> positions in `trials`
     for k, (_, spec) in enumerate(trials):
@@ -395,11 +478,15 @@ def _trials(config: SweepConfig, family: str, family_index: int,
         for k, oracles in zip(ks, oracle_radii(trials[ks[0]][0], [filled[k] for k in ks],
                                                config.tol)):
             found[k] = oracles
-    records = []
+    valid = [(f, v) for (f, _), v in zip(trials, filled) if not isinstance(v, NormOverflow)]
+    table = evaluate([f for f, _ in valid], [v for _, v in valid], config.tol)
+    errors = iter(table.errors)
     for (f, spec), v, oracles in zip(trials, filled, found):
         if isinstance(v, NormOverflow):
             raise v
-        report = bound_report(f, v, config.tol)
+        error = next(errors)
+        if error is not None:
+            raise error
         if family in FAMILIES_PAIR and not v.commuting:
             raise GenerationFailure(
                 f"{spec} is not a commuting pair "
@@ -407,10 +494,9 @@ def _trials(config: SweepConfig, family: str, family_index: int,
             )
         if not isinstance(oracles, dict):
             raise oracles
-        tightness, low = _judged(report.results, oracles)
-        records.append(TrialRecord(spec, f.name, oracles, report.results,
-                                   tightness, bool(low)))
-    return reduce(records)
+    return reduce([Judged([spec for _, spec in trials], [f.name for f, _ in trials], found,
+                          [row.name for row in table.rows], [row.target for row in table.rows],
+                          table.values, table.reasons, table.results)])
 
 
 def run_trial(
@@ -429,12 +515,12 @@ _CHUNK_TRIALS = 100
 
 
 def run_sweep(config: SweepConfig, *extra: Job,
-              reduce: Callable[[list], list] = list) -> list:
+              reduce: Callable[[list], list] = trial_records) -> list:
     """Run every trial of the sweep with `run_jobs`, in chunks of one
-    family's trials, each solved as stacks by dimension (see `_trials`).
-    Each chunk's records go to `reduce` in the worker, which sends back
-    only the list it returns; the lists come back joined in seed order:
-    the records themselves with `list`, or each chunk's `report_piece`.
+    family's trials, each solved as stacks (see `_trials`). Each chunk's
+    judged trials go to `reduce` in the worker, which sends back only the
+    list it returns; the lists come back joined in seed order: the
+    `TrialRecord`s with `trial_records`, or each chunk's `report_piece`.
     The `extra` jobs' results, run after the trials, follow."""
     trials = range(config.trials)
     chunks = [(_trials, (config, family, fi, trials[start:start + _CHUNK_TRIALS],
@@ -464,65 +550,77 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _bound_cells(b: BoundResult, oracles: dict[str, tuple[float, float]]) -> list[str]:
-    """The `_BOUND_COLUMNS` cells of bound `b` and the oracle of its target."""
-    oracle, oracle_err = oracles.get(b.target, (None, None))
-    return [b.name, b.target, "1" if b.available else "0",
-            *map(_fmt, (b.value, b.reason, oracle, oracle_err))]
+class _Quoted(dict):
+    """Each string as csv's QUOTE_MINIMAL writes it in a row, memoised: a
+    series name such as "poly:1,-0.5+0.3j,0.25j" is quoted."""
+
+    def __missing__(self, text: str) -> str:
+        row = io.StringIO()
+        csv.writer(row, lineterminator="\n").writerow((text, ""))  # alone, "" is quoted
+        self[text] = quoted = row.getvalue()[:-2]
+        return quoted
 
 
-def trial_rows(record: TrialRecord) -> list[list[str]]:
-    """One CSV row per bound of one trial, in `_CSV_COLUMNS` order."""
-    spec = record.spec
-    head = [spec.family, str(spec.seed), str(spec.dim), _fmt(spec.norm_target),
-            record.series_name]
-    violation = "1" if record.violation else "0"
-    return [[*head, *_bound_cells(b, record.oracles),
-             _fmt(record.tightness.get(b.name)), violation] for b in record.bounds]
+def _rows_text(j: Judged, quoted: _Quoted) -> str:
+    """The `trials.csv` rows of the judged stack `j`, in `_CSV_COLUMNS`
+    order, one f-string a row."""
+    bounds = [f"{quoted[name]},{quoted[target]}," for name, target in zip(j.names, j.targets)]
+    lines = []
+    for spec, series, oracles, values, reasons, ratios, low in zip(
+            j.specs, j.series, j.oracles, j.values.T.tolist(), zip(*j.reasons),
+            j.tightness.T.tolist(), j.violation.tolist()):
+        head = (f"{quoted[spec.family]},{spec.seed},{spec.dim},{spec.norm_target!r},"
+                f"{quoted[series]},")
+        tail = ",1\n" if low else ",0\n"
+        oracle = {t: f"{value!r},{err!r}" for t, (value, err) in oracles.items()}
+        for bound, target, value, reason, ratio in zip(bounds, j.targets, values, reasons,
+                                                        ratios):
+            cell = f"1,{value!r}" if value == value else "0,"
+            lines.append(f"{head}{bound}{cell},{quoted[reason] if reason else ''},"
+                         f"{oracle.get(target, ',')},{'' if ratio != ratio else repr(ratio)}"
+                         f"{tail}")
+    return "".join(lines)
 
 
 def write_trials_csv(records: Union[str, Iterable[TrialRecord]],
                      path: Union[str, Path]) -> None:
     """Write `trials.csv`: the header, then the rows of `records`, or
     `records` itself when it is the rows' text (joined `report_piece`s)."""
-    rows = records if isinstance(records, str) else report_piece(records)[0][0]
+    rows = records if isinstance(records, str) else report_piece(as_judged(records))[0][0]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(_CSV_COLUMNS) + "\n" + rows)
 
 
-def report_piece(records: Iterable[TrialRecord], rows=True) -> list[tuple[str, tuple]]:
+def report_piece(chunks: Iterable[Judged], rows=True) -> list[tuple[str, tuple]]:
     """`run_sweep`'s reduction for the reports, strings and numbers only:
     [(`trials.csv` rows or "" if not `rows`, (trials, violations, {bound:
     [target, evaluated, available, wins, tightness values, worst margin]}))],
-    in one pass per record. A bound "wins" a trial when it attains the
-    minimum among the available bounds sharing its target quantity (ties
-    count for all). Its worst margin is the largest `_margin` over the
-    trials where `_judged` compared it (-inf if none)."""
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
+    from the columns of the judged stacks `chunks`, each string quoted
+    once. A bound "wins" a trial when it attains the minimum among the
+    available bounds sharing its target quantity (ties count for all). Its
+    worst margin is the largest of its `_verdicts` margins over the trials
+    where it was compared with its oracle (-inf if none)."""
+    text, quoted = [], _Quoted()
     trials = violations = 0
     per_bound: dict[str, list] = {}
-    for trials, record in enumerate(records, 1):
-        violations += record.violation
+    for j in chunks:
+        trials += len(j.specs)
+        violations += int(j.violation.sum())
         if rows:
-            writer.writerows(trial_rows(record))
-        floors: dict[str, float] = {}
-        for b in record.bounds:
-            if b.available:
-                floors[b.target] = min(floors.get(b.target, math.inf), b.value)
-        for b in record.bounds:
-            stat = per_bound.setdefault(b.name, [b.target, 0, 0, 0, [], -math.inf])
-            stat[1] += 1
-            if b.available:
-                stat[2] += 1
-                t = record.tightness.get(b.name)
-                if t is not None:
-                    stat[4].append(t)
-                if b.value <= floors[b.target] * (1.0 + _WIN_TIE_REL):
-                    stat[3] += 1
-                if b.target in record.oracles:  # as `_judged` compares it
-                    stat[5] = max(stat[5], _margin(b.value, *record.oracles[b.target]))
-    return [(text.getvalue(), (trials, violations, per_bound))]
+            text.append(_rows_text(j, quoted))
+        floors: dict[str, np.ndarray] = {}  # target -> least available value of each trial
+        for target, values in zip(j.targets, j.values):
+            floors[target] = np.fmin(floors.get(target, math.inf), values)
+        for name, target, values, ratios, margins in zip(j.names, j.targets, j.values,
+                                                         j.tightness, j.margins):
+            stat = per_bound.setdefault(name, [target, 0, 0, 0, [], -math.inf])
+            available = ~np.isnan(values)
+            stat[1] += len(j.specs)
+            stat[2] += int(available.sum())
+            stat[3] += int((available & (values <= floors[target] * (1.0 + _WIN_TIE_REL))).sum())
+            stat[4] += ratios[~np.isnan(ratios)].tolist()
+            stat[5] = max(stat[5], margins.max().item())
+    return [("".join(text), (trials, violations, per_bound))]
 
 
 def summarize_tallies(tallies: Iterable[tuple]) -> dict:
@@ -554,7 +652,7 @@ def summarize_tallies(tallies: Iterable[tuple]) -> dict:
 
 def summarize(records: Iterable[TrialRecord]) -> dict:
     """The `summary.json` statistics of `records`, as `verify` writes them."""
-    return summarize_tallies(tally for _, tally in report_piece(records))
+    return summarize_tallies(tally for _, tally in report_piece(as_judged(records)))
 
 
 def write_summary_json(summary: dict, path: Union[str, Path]) -> None:

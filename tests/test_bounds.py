@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import asdict
 
 import mpmath as mp
@@ -28,10 +29,12 @@ from specbound import (
     oracle_radii,
     spectral_radius,
 )
-from specbound.bounds import (_COMMUTING_ROWS, _PAIR_NORMS, _evaluate, _pair_values,
-                              invariants, products)
-from specbound.harness import InstanceSpec, _ginibre
-from textbook import certified_truncation
+from specbound.bounds import (_COMMUTING_ROWS, _PAIR_NORMS, Invariants, _pair_values,
+                              evaluate, invariants, products)
+from specbound.errors import SpecboundError
+from specbound.harness import (FAMILIES_GENERIC, FAMILIES_SINGLE, InstanceSpec, _generate,
+                               _ginibre)
+from textbook import bound_report_alone, certified_truncation
 
 TOL = 1e-10
 
@@ -536,7 +539,16 @@ _ROW = {row.name: row for row in _COMMUTING_ROWS}
 def _scalar_pair(norms, radii=(0.0, 0.0)):
     """The quantities of a pair given by its norms (and r(A), r(B)) alone,
     as `invariants` derives them; the norms and radii not given are 0."""
-    return _pair_values([norms.get(x, 0.0) for x in _PAIR_NORMS], [*radii, 0.0])
+    return Invariants(_pair_values([norms.get(x, 0.0) for x in _PAIR_NORMS], [*radii, 0.0]),
+                      np.empty(0))
+
+
+def _evaluated(row, f, v):
+    """`row` as `evaluate` fills it on the stack of one pair `v`, taken to
+    commute: the row alone, whichever pair its norms come from."""
+    v = Invariants({**v, "||AB-BA||": 0.0}, v.spectrum)
+    (result,) = (b for b in evaluate([f], [v], TOL).results(0) if b.name == row.name)
+    return result
 
 
 def _real_pair(kind, seed, a, b):
@@ -571,7 +583,7 @@ def test_dropped_corollaries_dominate_their_rows(f, u, p, kind, seed):
     top = math.sqrt(0.99 * R) if math.isfinite(R) else 3.0  # every argument < R
 
     def check(row, scope, corollary):
-        kept = _evaluate(row, f, scope, TOL, {})
+        kept = _evaluated(row, f, scope)
         assert kept.available, (row.name, kept.reason)
         assert corollary >= kept.value - 1e-12 * max(1.0, kept.value), row.name
 
@@ -591,10 +603,78 @@ def test_dropped_corollaries_dominate_their_rows(f, u, p, kind, seed):
     # commuting or not: submultiplicativity need not hold for other numbers
     A, B = _real_pair(kind, seed, u[0] * top, u[1] * top)
     (v,) = invariants(A[None], B[None])
-    s = _evaluate(_ROW["mixed-split"], f, v, TOL, {}).intermediates
+    s = _evaluated(_ROW["mixed-split"], f, v).intermediates
     triple = triple_split(fa, s)
     check(_ROW["mixed-split"], v, triple)
     assert triple_split_cs(fa, s) >= triple - 1e-12 * max(1.0, triple)
+
+
+# ---------------------------------------------------------------------------
+# The stacked evaluator against one instance at a time
+# ---------------------------------------------------------------------------
+
+_STACKED_SERIES = [EXP, GEO, LOG, lookup("2F1:0.5,1,2"), lookup("poly:1,-0.5+0.3j,0.25j")]
+# Inside and outside R = 1, and where exp's companion leaves double range.
+_STACKED_TARGETS = (0.3, 0.9, 1.3, 40.0, 800.0)
+
+
+def _stack(families):
+    """The invariants of every family in `families` at n = 1, 2 and 5, at
+    each of `_STACKED_TARGETS`, as one list."""
+    vs = []
+    for family in families:
+        for n in (1, 2, 5):
+            specs = [InstanceSpec(seed, family, n, target)
+                     for seed, target in enumerate(_STACKED_TARGETS)]
+            vs += invariants(*_generate(specs))
+    return vs
+
+
+def _assert_stack_is_alone(vs):
+    """Every instance of `vs` with every series of `_STACKED_SERIES`, all as
+    one stack: each row of each instance has the bits, reason,
+    preconditions and intermediates `bound_report_alone` gives it, and
+    each instance that raises alone has that error in its place. Returns
+    the kinds of reasons and errors met."""
+    fs = [f for _ in vs for f in _STACKED_SERIES]
+    vs = [v for v in vs for _ in _STACKED_SERIES]
+    table = evaluate(fs, vs, TOL)
+    reasons = []
+    for i, (f, v) in enumerate(zip(fs, vs)):
+        try:
+            alone = bound_report_alone(f, v, TOL).results
+        except SpecboundError as e:
+            assert (type(table.errors[i]), str(table.errors[i])) == (type(e), str(e)), i
+            reasons.append("error")
+            continue
+        assert table.errors[i] is None, i
+        stacked = table.results(i)
+        assert repr(stacked) == repr(alone), (i, f.name)
+        reasons += [re.match(r"precondition failed|not finite: (f_a|value)|commutator test",
+                             r.reason)[0] for r in stacked if r.reason]
+    return set(reasons)
+
+
+def test_stacked_singles_match_each_instance_alone():
+    T = np.diag([1 - 1e-9, 0.0])  # ||T|| < R = 1, where no order certifies f_a(r(T))
+    vs = [*_stack(FAMILIES_SINGLE), *invariants(T[None])]
+    assert _assert_stack_is_alone(vs) == {
+        "precondition failed", "not finite: f_a", "error"}
+
+
+def test_stacked_pairs_match_each_pair_alone():
+    # Commuting and generic pairs; a pair whose (||AB|| - ||BA||)^2 is past
+    # double range with every product finite; and one at a difference
+    # where Python's ** 2 and x * x round apart, and so pm-quadratic.
+    x = 0.2553038183126349
+    A, B = np.zeros((2, 2, 2, 2), dtype=complex)
+    A[:, 0, 1], A[1, 0, 0], B[:, 1, 1] = (1e200, x), 0.01, 1.0
+    odd = invariants(A, B)
+    d, c = odd[1]["||AB||"] - odd[1]["||BA||"], 4.0 * odd[1]["||A^2||"] * odd[1]["||B^2||"]
+    assert d == x and d ** 2 != d * d and math.sqrt(d ** 2 + c) != math.sqrt(d * d + c)
+    vs = [*_stack((*FAMILIES_PAIR, *FAMILIES_GENERIC)), *odd]
+    assert _assert_stack_is_alone(vs) == {
+        "precondition failed", "not finite: f_a", "not finite: value", "commutator test", "error"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """CLI exit codes, report content, and byte-level determinism."""
 
 import csv
+import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -343,6 +345,47 @@ def test_bound_structured_output_is_strict_json(tmp_path, capsys):
     assert mixed["intermediates"]["sqrt(||A|| ||AB^2||)"] is None
 
 
+def test_bound_pm_quadratic_past_double_range_is_unavailable(tmp_path, capsys):
+    # Every product of this pair is finite, but (||AB|| - ||BA||)^2 = 1e400
+    # is not: both pm-quadratic rows are Unavailable, the report is strict
+    # JSON, and the pair, which does not commute, exits 3.
+    def reject(constant):
+        raise ValueError(f"{constant} in the structured report")
+
+    paths = [tmp_path / "a.mat", tmp_path / "b.mat"]
+    save_matrix(paths[0], as_matrix([[0, 1e200], [0, 0]]))
+    save_matrix(paths[1], as_matrix([[0, 0], [0, 1]]))
+    code = main(["bound", "--series", "geometric", "--format", "structured",
+                 "--matrix", str(paths[0]), "--matrix", str(paths[1])])
+    out, err = capsys.readouterr()
+    assert code == 3 and err.startswith("error: pair does not commute")
+    rows = {r["name"]: r for r in json.loads(out, parse_constant=reject)["results"]}
+    for sign in "+-":
+        assert rows[f"pm-quadratic({sign})"]["value"] is None
+        assert rows[f"pm-quadratic({sign})"]["reason"] == "not finite: value = inf"
+        assert rows[f"pm-mixed({sign})"]["value"] == 1e200
+
+
+@pytest.mark.parametrize("series, A, B", [
+    ("exp", np.diag([27.0, 1.0]), np.diag([27.0, 1.0])),
+    ("geometric", [[0, 1e200], [0, 0]], np.eye(2)),
+    ("geometric", [[0, 0.9], [0, 0]], [[0, 0], [0.9, 0]]),
+    ("log-resolvent", [[0.5, 0.3], [0, 0.2]], None),
+])
+def test_bound_structured_document_is_one_walk_of_the_json_round_trip(series, A, B):
+    # The structured report, written in one walk, is the report that
+    # json.dumps, then json.loads with each non-finite constant as null,
+    # gives: each non-finite float null, and every other value as it was.
+    f = lookup(series)
+    report = best_bound(f, as_matrix(A), None if B is None else as_matrix(B))
+    (oracles,) = oracle_radii(f, [report.invariants])
+    doc = {"series": series, "oracles": oracles, "results": report.results, "minimum": None}
+    plain = {**doc, "results": [dataclasses.asdict(r) for r in report.results]}
+    expected = json.loads(json.dumps(plain), parse_constant=lambda _: None)
+    dump = functools.partial(json.dumps, indent=2, sort_keys=True, allow_nan=False)
+    assert dump(cli._strict(doc)) == dump(expected)
+
+
 def test_bound_missing_file_exits_2(capsys):
     code = main(["bound", "--series", "exp", "--matrix", "/nonexistent.mat"])
     assert code == 2
@@ -655,8 +698,8 @@ def test_compare_emits_plot_ready_csv(tmp_path, capsys):
 def test_compare_formats_no_trial_rows(tmp_path, monkeypatch):
     # compare writes only compare.csv, so its workers send back tallies and
     # format no trials.csv row (the fork carries the patch into them).
-    def no_rows(record):
+    def no_rows(judged, quoted):
         raise AssertionError("compare formatted a trials.csv row")
 
-    monkeypatch.setattr(harness_mod, "trial_rows", no_rows)
+    monkeypatch.setattr(harness_mod, "_rows_text", no_rows)
     assert main(["compare", *_VERIFY_ARGS, "--out", str(tmp_path / "cmp")]) == 0

@@ -1,5 +1,7 @@
 """Instance generation, sweeps, the job runner, and report determinism."""
 
+import csv
+import io
 import math
 import multiprocessing
 import os
@@ -45,6 +47,7 @@ from specbound.harness import (
     _haar_unitary,
     _judged,
     _generate,
+    as_judged,
     _scaled,
     _trial_spec,
     oracle_radii,
@@ -729,6 +732,42 @@ def _assert_summary_of(summary, records):
             (statistics.median(ts), max(ts)) if ts else (None, None))
 
 
+def _rows_alone(records):
+    """The trials.csv rows of `records`, one csv.writer row per bound, each
+    cell formatted alone: the reference for `report_piece`'s text."""
+    def cell(value):
+        return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    for r in records:
+        for b in r.bounds:
+            oracle, oracle_err = r.oracles.get(b.target, (None, None))
+            writer.writerow([r.spec.family, r.spec.seed, r.spec.dim, cell(r.spec.norm_target),
+                             r.series_name, b.name, b.target, "1" if b.available else "0",
+                             *map(cell, (b.value, b.reason, oracle, oracle_err,
+                                         r.tightness.get(b.name))),
+                             "1" if r.violation else "0"])
+    return text.getvalue()
+
+
+def test_trials_csv_text_is_csv_writers_cell_by_cell():
+    # Series names and reasons that need quoting, a quote doubled, a line
+    # break and a leading space: each cell as csv.writer writes it.
+    records = _report_records()
+    oracles = {"AB": (0.5, 0.0)}
+    for k, (series, reason) in enumerate([("poly:1,-0.5+0.3j,0.25j", "a, b"),
+                                          ("2F1:0.5,1,2", 'say "x"'),
+                                          ("exp", "two\nlines"), ("geometric", " lead")]):
+        bounds = [BoundResult("x", 0.25, "AB"), BoundResult("z", None, "AB", reason=reason)]
+        tightness, low = _judged(bounds, oracles)
+        records.append(TrialRecord(spec(FAMILIES_PAIR[1], seed=k), series, oracles, bounds,
+                                   tightness, bool(low)))
+    text = report_piece(as_judged(records))[0][0]
+    assert text == _rows_alone(records)
+    assert '"poly:1,-0.5+0.3j,0.25j"' in text and '"say ""x"""' in text
+
+
 @pytest.mark.parametrize("size", [1, 7, 25])
 def test_report_pieces_join_to_the_records_reports(size, tmp_path):
     records = _report_records()
@@ -738,7 +777,7 @@ def test_report_pieces_join_to_the_records_reports(size, tmp_path):
     _assert_summary_of(summary, records)
     assert summary["bounds"]["x"]["wins"] == summary["bounds"]["y"]["wins"] == 3
     pieces = [piece for start in range(0, len(records), size)
-              for piece in report_piece(records[start:start + size])]
+              for piece in report_piece(as_judged(records[start:start + size]))]
     assert len(pieces) == math.ceil(len(records) / size)
     assert summarize_tallies(tally for _, tally in pieces) == summary
     write_trials_csv(records, tmp_path / "records.csv")
@@ -758,7 +797,7 @@ def test_sweep_report_reduction_matches_records(size, monkeypatch):
     pieces = run_sweep(config, reduce=report_piece)
     assert len(pieces) == 3 * math.ceil(8 / size)
     assert summarize_tallies(tally for _, tally in pieces) == summarize(records)
-    assert "".join(rows for rows, _ in pieces) == report_piece(records)[0][0]
+    assert "".join(rows for rows, _ in pieces) == report_piece(as_judged(records))[0][0]
     assert multiprocessing.active_children() == []
 
 
@@ -776,12 +815,12 @@ def test_a_long_sweep_is_the_same_at_every_chunk_size(monkeypatch, family):
                       summarize_tallies(tally for _, tally in pieces)))
     assert swept[0] == swept[1] == swept[2]
     records = swept[2][0]
-    assert swept[2][1:] == (report_piece(records)[0][0], summarize(records))
+    assert swept[2][1:] == (report_piece(as_judged(records))[0][0], summarize(records))
     assert multiprocessing.active_children() == []
 
 
 def test_report_piece_holds_only_strings_and_numbers():
-    (piece,) = report_piece(_report_records())
+    (piece,) = report_piece(as_judged(_report_records()))
 
     def leaves(x):
         if isinstance(x, (list, tuple)):

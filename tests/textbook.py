@@ -1,20 +1,25 @@
 """Textbook facts about spectral radii and operator norms, checked on the
 harness's random instances; the certified matrix truncation S_m(T), by
 Horner's rule on matrices, as a reference for the oracle's spectral
-mapping that shares no code with it; and the oracle's scalar sum at one
-row of points, the bit-for-bit reference for its stacked kernel.
+mapping that shares no code with it; the oracle's scalar sum at one row
+of points, the bit-for-bit reference for its stacked kernel; and the
+bound rows of one instance in Python floats, the bit-for-bit reference
+for the stacked `bounds.evaluate`.
 
 These checks exercise LAPACK and the instance generators rather than any
 bound of the package, so they run in the test suite, not in `verify`.
 """
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
 
 from inequalities import relaxed_arms
-from specbound import NormOverflow, from_coefficients, operator_norm
+from specbound import (BestBoundReport, BoundResult, NormOverflow, eval_companion,
+                       from_coefficients, operator_norm)
+from specbound.bounds import _COMMUTING_ROWS, _MIXED, _PM_ROWS, _PRODUCT, _SINGLE
 from specbound.harness import (
     FAMILIES_SINGLE,
     CheckResult,
@@ -199,3 +204,89 @@ def run_mixed_chain(
         for arm in relaxed_arms(mixed.intermediates):
             result.record(mixed.value - arm - 1e-10 * max(1.0, arm))
     return {"pm-mixed-chain": result}
+
+
+def _square(x: float) -> float:
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _chain(s, half: bool) -> float:
+    value = s["||AB||"] + min(s[x] for x in _MIXED)
+    return 0.5 * value if half else value
+
+
+def _quadratic(F, s):
+    return 0.5 * (s["||AB||"] + s["||BA||"] + math.sqrt(
+        _square(s["||AB||"] - s["||BA||"]) + 4.0 * s["||A^2||"] * s["||B^2||"])), {}
+
+
+# Each row's combination on one instance's Python floats.
+_COMBINE = {
+    "companion-radius": lambda F, s: (F[0], {}),
+    "product-radius": lambda F, s: (F[0], {}),
+    "factor-radius": lambda F, s: (F[0], {}),
+    "pair-squares": lambda F, s: (math.sqrt(F[0] * F[1]), {}),
+    "norm-split": lambda F, s: (0.5 * (F[0] + F[1]), {}),
+    "mixed-split": lambda F, s: (0.5 * F[0] + 0.5 * min(F[1], F[2]),
+                                 {"arm-left": F[1], "arm-right": F[2]}),
+    "product-half": lambda F, s: (0.5 * (s["||AB||"] + s["sqrt(||A^2|| ||B^2||)"]), {}),
+    "product-chain": lambda F, s: (_chain(s, True), {}),
+    "pm-quadratic(+)": _quadratic,
+    "pm-quadratic(-)": _quadratic,
+    "pm-mixed(+)": lambda F, s: (_chain(s, False), {}),
+    "pm-mixed(-)": lambda F, s: (_chain(s, False), {}),
+}
+
+
+def _evaluate_alone(row, f, s, tol: float, fa: dict) -> BoundResult:
+    """Check the preconditions on the quantities `s`, then evaluate f_a
+    (memoised in `fa` by argument across the rows of one instance) and
+    combine."""
+    checked = dict.fromkeys(row.hyps + (row.args if row.check_args else ()))
+    pre = [(sys.intern(f"{x} < R"), s[x] < f.radius, s[x]) for x in checked]
+    notes = {x: s[x] for x in row.notes}
+    if row.args:
+        notes["eval_uncertainty"] = 3 * tol
+    out = BoundResult(row.name, None, row.target, None, pre, notes)
+    for desc, holds, measured in pre:
+        if not holds:
+            out.reason = f"precondition failed: {desc} (measured {measured:.6g})"
+            return out
+    for x in row.args:
+        if s[x] not in fa:
+            fa[s[x]] = eval_companion(f, s[x], tol)
+    F = [fa[s[x]] for x in row.args]
+    value, extra = _COMBINE[row.name](F, s)
+    for name, y in [*zip((f"f_a({x})" for x in row.args), F), ("value", value)]:
+        if not math.isfinite(y):
+            out.reason = f"not finite: {name} = {y!r}"
+            return out
+    notes.update(extra)
+    out.value = value
+    return out
+
+
+def bound_report_alone(f, v, tol: float) -> BestBoundReport:
+    """`best_bound` of the instance whose invariants are `v`, one row at a
+    time in Python floats: what every instance of a stacked
+    `bounds.evaluate` must get, bit for bit."""
+    fa: dict[float, float] = {}
+    target = "f(T)" if "r(T)" in v else "f(AB)"
+    if target == "f(T)":
+        results = [_evaluate_alone(_SINGLE, f, v, tol, fa)]
+    else:
+        results = [_evaluate_alone(row, f, v, tol, fa) for row in (*_PM_ROWS, _PRODUCT)]
+        if v.commuting:
+            results += [_evaluate_alone(row, f, v, tol, fa) for row in _COMMUTING_ROWS]
+        else:
+            cnorm = v["||AB-BA||"]
+            reason = f"commutator test failed (||AB-BA|| = {cnorm:.6e})"
+            results += [BoundResult(row.name, None, row.target, reason,
+                                    [("AB = BA", False, cnorm)])
+                        for row in _COMMUTING_ROWS]
+    candidates = [r for r in results if r.available and r.target == target]
+    minimum = min(candidates, key=lambda r: r.value) if candidates else None
+    return BestBoundReport(results, minimum, v)
