@@ -1,9 +1,12 @@
 """Randomized verification harness: instances, sweeps, reports.
 
-Random instances come from a seedable PCG64 generator (numpy's
-default_rng), so identical (seed, family, dim, norm_target) specs
-reproduce bit-identical matrices and identical sweep configurations
-reproduce byte-identical reports.
+Every random draw comes from a PCG64 stream that is numpy's
+`default_rng` stream for the same entropy: a trial's [seed, family index,
+index], an instance's seed. `_streams` builds a chunk's streams in one
+pass, SeedSequence's mixing run over every entropy's words at once. So
+identical (seed, family, dim, norm_target) specs reproduce bit-identical
+matrices and identical sweep configurations reproduce byte-identical
+reports.
 
 A sweep evaluates every applicable bound against an oracle (the certified
 truncated series at the instance's eigenvalues) and flags any bound
@@ -31,10 +34,12 @@ In a worker, a chunk's large pairs are solved in-process too.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
 import math
+import operator
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,6 +86,116 @@ class InstanceSpec:
         if (type(self.dim) is not int or self.dim < 1
                 or not 0 < self.norm_target < math.inf):
             raise ValueError(f"bad instance spec {self}")
+
+
+# numpy's SeedSequence (O'Neill's seed_seq): a pool of 4 uint32 words, the
+# (initial value, multiplier) of the hash constants that mix the entropy
+# into it and of those that draw the state from it, and the mix step's
+# multipliers.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_HASH_MIX = (0x43B0D7E5, 0x931E8875)
+_HASH_STATE = (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_OTHERS = [[d for d in range(_POOL) if d != s] for s in range(_POOL)]
+
+
+@functools.cache
+def _hash_constants(first: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of `count` successive hash steps, as uint32 arrays:
+    step j xors with h_j and multiplies by h_{j+1}, h_0 = `first` and
+    h_{j+1} = h_j * `mult` mod 2^32. They do not depend on the data."""
+    h = [first]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    h = np.array(h, dtype=np.uint32)
+    h.flags.writeable = False  # shared by every call
+    return h[:-1], h[1:]
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ (v >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _SHIFT)
+
+
+def _pcg64_states(words: np.ndarray) -> np.ndarray:
+    """`SeedSequence(e).generate_state(4, np.uint64)` for each row e of the
+    (k, w) uint32 entropy words `words`, w >= 4, as a (k, 4) array. The
+    hash steps run in SeedSequence's order: each pool word's, then each
+    pool word into each other one, then each word past the pool into every
+    pool word; a step's constants are the same for every row."""
+    width = words.shape[1]
+    # _POOL + _POOL * (_POOL - 1) + _POOL * (width - _POOL) steps
+    xor, mul = _hash_constants(*_HASH_MIX, _POOL * width)
+    pool = _hashmix(words[:, :_POOL], xor[:_POOL], mul[:_POOL])
+    j = _POOL
+    for s, others in enumerate(_OTHERS):
+        step = slice(j, j + _POOL - 1)
+        pool[:, others] = _mix(pool[:, others], _hashmix(pool[:, s, None], xor[step], mul[step]))
+        j += _POOL - 1
+    for s in range(_POOL, width):
+        step = slice(j, j + _POOL)
+        pool = _mix(pool, _hashmix(words[:, s, None], xor[step], mul[step]))
+        j += _POOL
+    state = _hashmix(np.tile(pool, 2), *_hash_constants(*_HASH_STATE, 2 * _POOL))
+    # Little-endian word pairs, as SeedSequence reads them on any host.
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _entropy_words(entropy) -> list[int]:
+    """The uint32 words SeedSequence assembles from `entropy`, an int >= 0
+    or a list of them, each int's least significant word first, padded with
+    zeros to the pool size: a missing pool word mixes in as a 0 word."""
+    words = []
+    for n in [entropy] if isinstance(entropy, (int, np.integer)) else entropy:
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"expected non-negative integer, got {n}")
+        words.append(n & _MASK32)
+        while n := n >> 32:
+            words.append(n & _MASK32)
+    return words + [0] * (_POOL - len(words))
+
+
+@functools.cache
+def _seeded_generator() -> Callable[[np.ndarray], np.random.Generator]:
+    """The function from a PCG64 state row to its Generator. numpy.random is
+    imported here, on the first stream, not when the CLI starts."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class State(ISeedSequence):
+        """The seed sequence whose PCG64 state is a given row."""
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for (4, np.uint64)
+            return self.state
+
+    return lambda state: Generator(PCG64(State(state)))
+
+
+def _streams(entropies: Sequence) -> list[np.random.Generator]:
+    """numpy's `default_rng(e)` stream for each entropy e of `entropies`,
+    bit for bit, built in one pass: the SeedSequence states of every
+    entropy of one word count come from one `_pcg64_states` call, and each
+    seeds its PCG64 directly."""
+    words = [_entropy_words(e) for e in entropies]
+    by_width: dict[int, list[int]] = {}
+    for k, w in enumerate(words):
+        by_width.setdefault(len(w), []).append(k)
+    states = np.empty((len(words), 4), dtype=np.uint64)
+    for ks in by_width.values():
+        states[ks] = _pcg64_states(np.array([words[k] for k in ks], dtype=np.uint32))
+    generator = _seeded_generator()
+    return [generator(state) for state in states]
 
 
 def _ginibre(rng: np.random.Generator, n: int) -> Matrix:
@@ -147,7 +262,7 @@ def _generate(specs: Sequence[InstanceSpec]) -> tuple[Matrix, ...]:
     independent Ginibre matrices.
     """
     family, n = specs[0].family, specs[0].dim
-    rngs = [np.random.default_rng(np.random.PCG64(s.seed)) for s in specs]
+    rngs = _streams([s.seed for s in specs])
     targets = np.array([s.norm_target for s in specs])
 
     def stack(draw: Callable[[np.random.Generator], np.ndarray]) -> np.ndarray:
@@ -427,41 +542,45 @@ def oracle_radii(
     return out
 
 
-def _trial_spec(config: SweepConfig, family: str, family_index: int,
-                index: int) -> tuple[PowerSeries, InstanceSpec]:
-    """The series and instance of one trial, drawn from its own stream."""
-    trial_rng = np.random.default_rng([config.seed, family_index, index])
-    name = config.series_names[index % len(config.series_names)]
-    f = lookup(name)
-    dim = config.dims[index % len(config.dims)]
-    if family in FAMILIES_GENERIC:  # ||AB|| <= target^2 <= 0.9025 R
-        base = min(2.0, 0.95 * math.sqrt(f.radius))
-        fraction = trial_rng.uniform(0.1, 1.0)
-    elif family in FAMILIES_PAIR:
-        base = 0.8 * math.sqrt(f.radius) if math.isfinite(f.radius) else 1.0
-        fraction = trial_rng.uniform(0.3, 1.0)
-    else:
-        base = 0.9 * min(f.radius, 10.0)
-        fraction = trial_rng.uniform(0.05, 1.0)
-    return f, InstanceSpec(
-        seed=int(trial_rng.integers(0, 2**63)),
-        family=family,
-        dim=dim,
-        norm_target=float(base * fraction),
-    )
+def _trial_specs(config: SweepConfig, family: str, family_index: int,
+                 indices: Sequence[int]) -> list[tuple[PowerSeries, InstanceSpec]]:
+    """The series and instance of each trial `indices` of one family, each
+    drawn from the trial's own stream, default_rng([seed, family_index,
+    index])."""
+    out = []
+    for index, trial_rng in zip(indices, _streams([[config.seed, family_index, i]
+                                                   for i in indices])):
+        f = lookup(config.series_names[index % len(config.series_names)])
+        if family in FAMILIES_GENERIC:  # ||AB|| <= target^2 <= 0.9025 R
+            base = min(2.0, 0.95 * math.sqrt(f.radius))
+            fraction = trial_rng.uniform(0.1, 1.0)
+        elif family in FAMILIES_PAIR:
+            base = 0.8 * math.sqrt(f.radius) if math.isfinite(f.radius) else 1.0
+            fraction = trial_rng.uniform(0.3, 1.0)
+        else:
+            base = 0.9 * min(f.radius, 10.0)
+            fraction = trial_rng.uniform(0.05, 1.0)
+        out.append((f, InstanceSpec(
+            seed=int(trial_rng.integers(0, 2**63)),
+            family=family,
+            dim=config.dims[index % len(config.dims)],
+            norm_target=float(base * fraction),
+        )))
+    return out
 
 
 def _trials(config: SweepConfig, family: str, family_index: int,
-            indices: Iterable[int], reduce: Callable[[list], list] = trial_records) -> list:
+            indices: Sequence[int], reduce: Callable[[list], list] = trial_records) -> list:
     """`reduce` of the trials `indices` of one family, as a list of one
-    `Judged`. Each trial is drawn from its own stream; then the trials of
-    each dimension are generated, factored and solved as one stack, their
-    oracles are summed as one stack per series, and their bound rows are
-    evaluated and judged as one stack. A failing trial raises what it would
+    `Judged`. Each trial is drawn from its own stream, the chunk's streams
+    built in one `_streams` pass; then the trials of each dimension are
+    generated, factored and solved as one stack, their oracles are summed
+    as one stack per series, and their bound rows are evaluated and judged
+    as one stack. A failing trial raises what it would
     raise alone; the first in index order wins. A pair of a commuting
     family that fails the commutator test raises GenerationFailure; a
     generic pair gets the commuting rows Unavailable, as `bound` does."""
-    trials = [_trial_spec(config, family, family_index, i) for i in indices]
+    trials = _trial_specs(config, family, family_index, indices)
     groups: dict[int, list[int]] = {}  # dim -> positions in `trials`
     for k, (_, spec) in enumerate(trials):
         groups.setdefault(spec.dim, []).append(k)
@@ -700,8 +819,7 @@ def run_limit_checks(
     result = CheckResult()
     cauchy_series = [lookup("exp"), lookup("geometric")]
     drawn: dict[int, list] = {}  # dim -> [(f, G, norm target)]
-    for i in range(trials):
-        rng = np.random.default_rng([seed, i, 3])
+    for i, rng in enumerate(_streams([[seed, i, 3] for i in range(trials)])):
         n = dims[i % len(dims)]
         f = cauchy_series[i % len(cauchy_series)]
         norm_cap = 1.5 if math.isinf(f.radius) else 0.7 * f.radius

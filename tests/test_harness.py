@@ -8,6 +8,7 @@ import os
 import pickle
 import signal
 import statistics
+import subprocess
 import sys
 
 import numpy as np
@@ -49,7 +50,7 @@ from specbound.harness import (
     _generate,
     as_judged,
     _scaled,
-    _trial_spec,
+    _trial_specs,
     oracle_radii,
     report_piece,
     run_jobs,
@@ -60,7 +61,7 @@ from specbound.harness import (
 from specbound.series import (DEFAULT_MAX_TERMS, DEFAULT_TOL, _order_and_tail,
                               partial_sums, truncation_order)
 from textbook import (certified_truncation, matrix_partial_sum, partial_sums_alone,
-                      run_identity_checks, run_limit_laws, run_mixed_chain)
+                      run_identity_checks, run_limit_laws, run_mixed_chain, trial_spec_alone)
 
 
 def spec(family, seed=1, dim=4, target=0.8):
@@ -159,6 +160,55 @@ def test_generated_stacks_match_each_instance_drawn_alone(family, n):
     stacks = _generate(specs)
     for k, s in enumerate(specs):
         assert [S[k].tobytes() for S in stacks] == [M.tobytes() for M in drawn_alone(s)], s
+
+
+# Entropies of 1 to 5 words: trailing zero words inside the 4-word pool,
+# both sides of 2^32 and 2^64, and [2**100, 3, 5], whose words past the
+# pool are mixed in by SeedSequence's last loop.
+_ENTROPIES = [0, [0], [7, 0, 0], [7], 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 1, [2**100, 3, 5]]
+
+
+def test_streams_are_numpys_default_rng_streams_bit_for_bit():
+    entropies = _ENTROPIES + [[7, 0, 3], [2**64 + 1, 2, 99], [2**100, 3, 5, 0]]
+    # The first 7 have at most 4 words: one `_pcg64_states` pass.
+    words = np.array([harness_mod._entropy_words(e) for e in _ENTROPIES[:7]], dtype=np.uint32)
+    states = harness_mod._pcg64_states(words).tolist()
+    assert states == [np.random.SeedSequence(e).generate_state(4, np.uint64).tolist()
+                      for e in _ENTROPIES[:7]]
+    assert states[2] == states[3]  # [7, 0, 0] mixes as [7]
+    for e, rng in zip(entropies, harness_mod._streams(entropies)):
+        alone = np.random.default_rng(e)
+        assert rng.bit_generator.state == alone.bit_generator.state, e
+        assert rng.integers(0, 2**63, 3).tolist() == alone.integers(0, 2**63, 3).tolist(), e
+        assert rng.standard_normal(5).tobytes() == alone.standard_normal(5).tobytes(), e
+
+
+def test_streams_of_mixed_word_counts_keep_their_order():
+    # One `_pcg64_states` pass per word count, each stream back in its place.
+    entropies = _ENTROPIES[::-1] * 2
+    got = [rng.integers(0, 2**63) for rng in harness_mod._streams(entropies)]
+    assert got == [np.random.default_rng(e).integers(0, 2**63) for e in entropies]
+    assert harness_mod._streams([]) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        harness_mod._streams([[3, -1]])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 1])
+def test_trial_specs_match_each_trial_drawn_alone(seed):
+    config = SweepConfig(trials=30, dims=(1, 3, 5), seed=seed)
+    for fi, family in enumerate(config.families):
+        indices = range(3, 30)
+        assert _trial_specs(config, family, fi, indices) == [
+            trial_spec_alone(config, family, fi, i) for i in indices], family
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # Importing numpy.random takes a new process 12-18 ms (`python -X
+    # importtime`, 2-CPU x86 host), counted in every command's start-up; the
+    # first stream loads it.
+    code = "import sys, specbound.cli; sys.exit('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.mark.parametrize("dim, target", [
@@ -261,7 +311,7 @@ def test_oracle_matches_the_matrix_truncation(family, name):
     f = lookup(name)
     config = SweepConfig(series_names=(name,), families=(family,), trials=12,
                          dims=(2, 4, 8), seed=19)
-    specs = [_trial_spec(config, family, 0, i)[1] for i in range(config.trials)]
+    specs = [s for _, s in _trial_specs(config, family, 0, range(config.trials))]
     if family in FAMILIES_GENERIC:
         top = min(2.0, 0.95 * math.sqrt(f.radius))
     elif family in FAMILIES_PAIR:
@@ -316,6 +366,25 @@ def test_verify_sums_each_oracle_stack_in_one_kernel_call(monkeypatch, tmp_path)
     monkeypatch.setattr(harness_mod, "partial_sums", counted)
     assert cli.main(["verify", "--trials", "200", "--seed", "7", "--out", str(tmp_path)]) == 0
     assert len(rows) == 72 and sum(rows) == 2400
+
+
+def test_verify_builds_each_chunks_streams_in_one_pass(monkeypatch, tmp_path):
+    # On one CPU: one `_streams` call per chunk for its 100 trial specs (8
+    # families, 2 chunks), one per chunk and dimension for the instances
+    # (3 dimensions), and one for the 200 truncation-cauchy draws.
+    import specbound.jobs as jobs_mod
+    from specbound import cli
+
+    sizes, streams = [], harness_mod._streams
+
+    def counted(entropies):
+        sizes.append(len(entropies))
+        return streams(entropies)
+
+    monkeypatch.setattr(jobs_mod, "_cpus", lambda: 1)
+    monkeypatch.setattr(harness_mod, "_streams", counted)
+    assert cli.main(["verify", "--trials", "200", "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert len(sizes) == 65 and sum(sizes) == 2 * 1600 + 200
 
 
 def test_oracle_memory_is_far_below_a_table_of_powers():
@@ -592,7 +661,7 @@ def test_sweep_raises_what_its_first_failing_trial_raises_alone(
     family = FAMILIES_PAIR[0]
     config = SweepConfig(series_names=(series,), families=(family,), trials=25,
                          dims=(2, 3, 5), seed=4)
-    specs = [_trial_spec(config, family, 0, i)[1] for i in range(config.trials)]
+    specs = [s for _, s in _trial_specs(config, family, 0, range(config.trials))]
     non_commuting_pairs({specs[i]: near_radius_pair(specs[i].dim) if scale == "near" else scale
                          for i, scale in scales.items()})
     for i in range(index):

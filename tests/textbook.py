@@ -2,9 +2,10 @@
 harness's random instances; the certified matrix truncation S_m(T), by
 Horner's rule on matrices, as a reference for the oracle's spectral
 mapping that shares no code with it; the oracle's scalar sum at one row
-of points, the bit-for-bit reference for its stacked kernel; and the
-bound rows of one instance in Python floats, the bit-for-bit reference
-for the stacked `bounds.evaluate`.
+of points, the bit-for-bit reference for its stacked kernel; the bound
+rows of one instance in Python floats, the bit-for-bit reference for the
+stacked `bounds.evaluate`; and one sweep trial's spec drawn from numpy's
+own `default_rng`, the reference for the harness's per-chunk streams.
 
 These checks exercise LAPACK and the instance generators rather than any
 bound of the package, so they run in the test suite, not in `verify`.
@@ -18,9 +19,11 @@ import numpy as np
 
 from inequalities import relaxed_arms
 from specbound import (BestBoundReport, BoundResult, NormOverflow, eval_companion,
-                       from_coefficients, operator_norm)
+                       from_coefficients, lookup, operator_norm)
 from specbound.bounds import _COMMUTING_ROWS, _MIXED, _PM_ROWS, _PRODUCT, _SINGLE
 from specbound.harness import (
+    FAMILIES_GENERIC,
+    FAMILIES_PAIR,
     FAMILIES_SINGLE,
     CheckResult,
     InstanceSpec,
@@ -97,6 +100,29 @@ def gelfand_sequence(T, k_max: int) -> list[float]:
             raise NormOverflow("repeated squaring overflowed; normalize first")
         out.append(cur ** (1.0 / 2.0**k) if cur > 0 else 0.0)
     return out
+
+
+def trial_spec_alone(config: SweepConfig, family: str, family_index: int, index: int):
+    """The (series, instance) of one sweep trial, drawn alone from numpy's
+    `default_rng([seed, family_index, index])`: what the stacked
+    `harness._trial_specs` must give each trial."""
+    trial_rng = np.random.default_rng([config.seed, family_index, index])
+    f = lookup(config.series_names[index % len(config.series_names)])
+    if family in FAMILIES_GENERIC:  # ||AB|| <= target^2 <= 0.9025 R
+        base = min(2.0, 0.95 * math.sqrt(f.radius))
+        fraction = trial_rng.uniform(0.1, 1.0)
+    elif family in FAMILIES_PAIR:
+        base = 0.8 * math.sqrt(f.radius) if math.isfinite(f.radius) else 1.0
+        fraction = trial_rng.uniform(0.3, 1.0)
+    else:
+        base = 0.9 * min(f.radius, 10.0)
+        fraction = trial_rng.uniform(0.05, 1.0)
+    return f, InstanceSpec(
+        seed=int(trial_rng.integers(0, 2**63)),
+        family=family,
+        dim=config.dims[index % len(config.dims)],
+        norm_target=float(base * fraction),
+    )
 
 
 def _identity_spec(seed: int, i: int, dims: Sequence[int]) -> InstanceSpec:
