@@ -21,24 +21,15 @@ from .harness import (
     gen_matrix,
     oracle_radii,
     run_sweep,
-    summarize,
     write_summary_json,
     write_trials_csv,
 )
-from .matrices import (
-    as_matrix,
-    load_matrix,
-    operator_norm,
-    save_matrix,
-    spectral_radius,
-)
+from .matrices import as_matrix, load_matrix, save_matrix
 from .series import (
     PowerSeries,
-    catalog,
     eval_companion,
     from_coefficients,
     lookup,
-    truncation_order,
 )
 
 __version__ = "0.1.0"

@@ -3,16 +3,16 @@
 Subcommands:
   bound    evaluate every applicable bound for one or two matrices
   verify   run a randomized verification sweep plus the check of the
-           truncation certificates
-  compare  emit per-bound tightness statistics as plot-ready CSV
+           truncation certificates; besides `trials.csv` and
+           `summary.json` it writes the per-bound statistics as the
+           plot-ready `compare.csv`
 
-`verify` and `compare` run their trials (and `verify` its check) on
-one worker process per CPU the process's affinity allows, and `bound`
-runs a pair's eigensolves and SVDs that way from n = 96 on;
-`taskset -c 0` runs them in-process. The reports, exit codes and error
+`verify` runs its trials and its check on one worker process per CPU
+the process's affinity allows, and `bound` runs a pair's eigensolves
+and SVDs that way from n = 96 on; `taskset -c 0` runs them in-process. The reports, exit codes and error
 messages are the same either way, at one BLAS thread count.
 
-Exit codes: 0 success, 1 a violation or failed check (verify, compare),
+Exit codes: 0 success, 1 a violation or failed check (verify),
 or a bound below its oracle (bound, which names each such bound after
 writing its report), 2 structural error (bad file or option value,
 dimension mismatch, unknown or malformed name, a series truncation out
@@ -86,19 +86,18 @@ def build_parser() -> argparse.ArgumentParser:
                     default="table")
     pb.add_argument("--out", default=None, help="write the report here instead of stdout")
 
-    sweep = harness.SweepConfig  # the defaults of both sweep commands
-    for name in ("verify", "compare"):
-        ps = sub.add_parser(name)
-        ps.add_argument("--series", default=",".join(sweep.series_names),
-                        help="comma-separated catalog names, 2F1:alpha,beta,gamma "
-                             "or poly:c0,c1,...")
-        ps.add_argument("--tol", type=float, default=sweep.tol)
-        ps.add_argument("--trials", type=int, default=sweep.trials,
-                        help="instances per family")
-        ps.add_argument("--dims", default=",".join(map(str, sweep.dims)))
-        ps.add_argument("--families", default=",".join(sweep.families))
-        ps.add_argument("--seed", type=int, default=sweep.seed)
-        ps.add_argument("--out", required=True, help="output directory")
+    sweep = harness.SweepConfig  # the sweep's defaults
+    pv = sub.add_parser("verify")
+    pv.add_argument("--series", default=",".join(sweep.series_names),
+                    help="comma-separated catalog names, 2F1:alpha,beta,gamma "
+                         "or poly:c0,c1,...")
+    pv.add_argument("--tol", type=float, default=sweep.tol)
+    pv.add_argument("--trials", type=int, default=sweep.trials,
+                    help="instances per family")
+    pv.add_argument("--dims", default=",".join(map(str, sweep.dims)))
+    pv.add_argument("--families", default=",".join(sweep.families))
+    pv.add_argument("--seed", type=int, default=sweep.seed)
+    pv.add_argument("--out", required=True, help="output directory")
     return parser
 
 
@@ -211,17 +210,10 @@ def _sweep_config(args) -> harness.SweepConfig:
     )
 
 
-def _sweep(args) -> tuple[harness.SweepConfig, Path]:
-    """The config of `verify` or `compare` and its --out directory, made
-    only once the options are valid."""
-    config = _sweep_config(args)
+def cmd_verify(args) -> int:
+    config = _sweep_config(args)  # before --out is made: a bad option makes nothing
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return config, out_dir
-
-
-def cmd_verify(args) -> int:
-    config, out_dir = _sweep(args)
     # The check runs with the trials, on the same workers, which send back
     # report pieces, not records.
     *pieces, checks = harness.run_sweep(
@@ -240,30 +232,20 @@ def cmd_verify(args) -> int:
         "passed": passed,
     }
     harness.write_summary_json(summary, out_dir / "summary.json")
+    with open(out_dir / "compare.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        stats = sweep_summary["bounds"]
+        writer.writerow(["bound", *next(iter(stats.values()))])
+        for name, stat in stats.items():
+            writer.writerow([name, *map(harness._fmt, stat.values())])
     print(
         f"{sweep_summary['trials']} trials, "
         f"{sweep_summary['violations']} violations; "
         f"checks {'pass' if all_checks_pass else 'FAIL'}"
     )
-    print(f"reports: {out_dir / 'trials.csv'}, {out_dir / 'summary.json'}")
+    print(f"reports: {out_dir / 'trials.csv'}, {out_dir / 'summary.json'}, "
+          f"{out_dir / 'compare.csv'}")
     return 0 if passed else 1
-
-
-def cmd_compare(args) -> int:
-    config, out_dir = _sweep(args)
-    pieces = harness.run_sweep(  # tallies only: compare writes no trials.csv
-        config, reduce=functools.partial(harness.report_piece, rows=False))
-    summary = harness.summarize_tallies(tally for _, tally in pieces)
-    path = out_dir / "compare.csv"
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        stats = summary["bounds"]
-        writer.writerow(["bound", *next(iter(stats.values()))])
-        for name, stat in stats.items():
-            writer.writerow([name, *map(harness._fmt, stat.values())])
-    print(f"{summary['trials']} trials, {summary['violations']} violations")
-    print(f"report: {path}")
-    return 0 if summary["violations"] == 0 else 1
 
 
 def main(argv=None) -> int:

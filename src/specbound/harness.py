@@ -459,24 +459,6 @@ class Judged:
         self.violation = (self.margins > 0).any(axis=0)
 
 
-def as_judged(records: Iterable[TrialRecord]) -> list[Judged]:
-    """`records` as `Judged` stacks for the reports, one per run of
-    consecutive records with the same bound names and targets."""
-    out = []
-    for layout, run in itertools.groupby(
-            records, lambda record: [(b.name, b.target) for b in record.bounds]):
-        run = list(run)
-        names, targets = zip(*layout)
-        out.append(Judged(
-            [r.spec for r in run], [r.series_name for r in run], [r.oracles for r in run],
-            names, targets,
-            np.array([[np.nan if b.value is None else b.value for b in r.bounds]
-                      for r in run]).T,
-            [[r.bounds[j].reason for r in run] for j in range(len(layout))],
-            lambda i, run=run: run[i].bounds))
-    return out
-
-
 def trial_records(chunks: Iterable[Judged]) -> list[TrialRecord]:
     """The `TrialRecord` of each trial of the judged stacks `chunks`:
     `run_sweep`'s default reduction."""
@@ -701,32 +683,29 @@ def _rows_text(j: Judged, quoted: _Quoted) -> str:
     return "".join(lines)
 
 
-def write_trials_csv(records: Union[str, Iterable[TrialRecord]],
-                     path: Union[str, Path]) -> None:
-    """Write `trials.csv`: the header, then the rows of `records`, or
-    `records` itself when it is the rows' text (joined `report_piece`s)."""
-    rows = records if isinstance(records, str) else report_piece(as_judged(records))[0][0]
+def write_trials_csv(rows: str, path: Union[str, Path]) -> None:
+    """Write `trials.csv`: the header, then `rows`, the rows' text (the
+    joined `report_piece`s of a sweep)."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(_CSV_COLUMNS) + "\n" + rows)
 
 
-def report_piece(chunks: Iterable[Judged], rows=True) -> list[tuple[str, tuple]]:
+def report_piece(chunks: Iterable[Judged]) -> list[tuple[str, tuple]]:
     """`run_sweep`'s reduction for the reports, strings and numbers only:
-    [(`trials.csv` rows or "" if not `rows`, (trials, violations, {bound:
-    [target, evaluated, available, wins, tightness values, worst margin]}))],
-    from the columns of the judged stacks `chunks`, each string quoted
-    once. A bound "wins" a trial when it attains the minimum among the
-    available bounds sharing its target quantity (ties count for all). Its
-    worst margin is the largest of its `_verdicts` margins over the trials
-    where it was compared with its oracle (-inf if none)."""
+    [(`trials.csv` rows, (trials, violations, {bound: [target, evaluated,
+    available, wins, tightness values, worst margin]}))], from the columns
+    of the judged stacks `chunks`, each string quoted once. A bound "wins"
+    a trial when it attains the minimum among the available bounds sharing
+    its target quantity (ties count for all). Its worst margin is the
+    largest of its `_verdicts` margins over the trials where it was
+    compared with its oracle (-inf if none)."""
     text, quoted = [], _Quoted()
     trials = violations = 0
     per_bound: dict[str, list] = {}
     for j in chunks:
         trials += len(j.specs)
         violations += int(j.violation.sum())
-        if rows:
-            text.append(_rows_text(j, quoted))
+        text.append(_rows_text(j, quoted))
         floors: dict[str, np.ndarray] = {}  # target -> least available value of each trial
         for target, values in zip(j.targets, j.values):
             floors[target] = np.fmin(floors.get(target, math.inf), values)
@@ -767,11 +746,6 @@ def summarize_tallies(tallies: Iterable[tuple]) -> dict:
             "worst_margin": worst if math.isfinite(worst) else None,
         }
     return {"trials": trials, "violations": violations, "bounds": summary_bounds}
-
-
-def summarize(records: Iterable[TrialRecord]) -> dict:
-    """The `summary.json` statistics of `records`, as `verify` writes them."""
-    return summarize_tallies(tally for _, tally in report_piece(as_judged(records)))
 
 
 def write_summary_json(summary: dict, path: Union[str, Path]) -> None:

@@ -1,4 +1,4 @@
-"""Dense complex matrices: eigenvalues, spectral radii, operator norms.
+"""Dense complex matrices: eigenvalues and operator norms of stacks.
 
 Matrices are plain numpy arrays (complex128, square). `as_matrix` is the
 validating constructor; the file format is a JSON document with fields
@@ -42,27 +42,12 @@ def eigenvalues(S: np.ndarray) -> np.ndarray:
         raise EigenFailure(f"eigenvalue solve failed: {exc}") from exc
 
 
-def spectral_radii(S: np.ndarray) -> np.ndarray:
-    """max |eigenvalue| of each matrix of a (..., n, n) stack, one eigensolve."""
-    return np.abs(eigenvalues(S)).max(axis=-1)
-
-
 def operator_norms(S: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a (..., n, n) stack, one SVD."""
     try:
         return np.linalg.svd(np.asarray(S, dtype=np.complex128), compute_uv=False)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"singular value solve failed: {exc}") from exc
-
-
-def spectral_radius(T: Matrix) -> float:
-    """max |eigenvalue| via a dense eigensolve."""
-    return float(spectral_radii(T))
-
-
-def operator_norm(T: Matrix) -> float:
-    """Largest singular value (induced 2-norm)."""
-    return float(operator_norms(T))
 
 
 def commutes(cnorm: float, nA: float, nB: float) -> bool:

@@ -24,7 +24,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,14 +49,12 @@ class PowerSeries:
     each object keeps the orders it certified (`_orders`) to bracket later
     searches. A catalog tail reads ln|a_n| of the series it was built with
     (`log_abs`), so a copy given other coefficients needs its own tail.
-    `closed_form(x)`, when given, is the companion's value in closed form.
     """
 
     coefficients: Callable[[int], tuple[np.ndarray, np.ndarray]]
     radius: float
     name: str
     tail_bound: Callable[[int, float], float] = field(repr=False)
-    closed_form: Optional[Callable[[float], float]] = field(default=None, repr=False)
     _prefix: list = field(init=False, repr=False, compare=False,
                           default_factory=lambda: [np.empty(0, complex), np.empty(0)])
     # (tol, max_terms) -> (sorted [(x, order)], {order: (smallest x, largest x)})
@@ -79,10 +77,6 @@ class PowerSeries:
         if n >= len(logs):
             logs = (self.prefix(n) if n < 2**16 else self.coefficients(n))[1]
         return logs.item(n)
-
-    def coeff(self, n: int) -> complex:
-        """a_n, read from the prefix."""
-        return complex(self.prefix(n)[0][n])
 
 
 def _check_eval_args(f: PowerSeries, x: float, tol: float) -> None:
@@ -126,16 +120,6 @@ def _order_and_tail(
         ends[m] = (min(lo, x), max(hi, x))
         bisect.insort(seen, (x, m))
     return m, t
-
-
-def truncation_order(
-    f: PowerSeries, x: float, tol: float, max_terms: int = DEFAULT_MAX_TERMS
-) -> int:
-    """Smallest m whose certified tail majorant at x is <= tol when that
-    majorant is nonincreasing in m and nondecreasing in x, as every catalog
-    tail is, else a certified m that may be larger (see `PowerSeries`);
-    found in O(log m) tail evaluations."""
-    return _order_and_tail(f, x, tol, max_terms)[0]
 
 
 def eval_companion(
@@ -247,8 +231,7 @@ def from_coefficients(
 
 
 def _hypergeometric(name: str, k: int, d: int, c: float, a: Sequence[float],
-                    b: Sequence[float], s: int,
-                    closed_form: Callable[[float], float]) -> PowerSeries:
+                    b: Sequence[float], s: int) -> PowerSeries:
     """s z^k sum_j t_j (c z^d)^j with t_j = prod(a)_j / (j! prod(b)_j), for
     positive a and b with len(a) <= len(b) + 1 and s = +1 or -1.
 
@@ -302,33 +285,27 @@ def _hypergeometric(name: str, k: int, d: int, c: float, a: Sequence[float],
             return math.inf
 
     radius = ratio_c ** (-1.0 / d) if len(a) == len(b) + 1 else math.inf
-    f = PowerSeries(coefficients, radius, name, tail, closed_form)  # read by tail
+    f = PowerSeries(coefficients, radius, name, tail)  # read by tail
     return f
 
 
-# Every named series but 2F1: names, (k, d, c, a, b, s), companion's closed form.
+# Every named series but 2F1: names, (k, d, c, a, b, s).
 _ROWS = (
-    # ln 1/(1+z) = sum_{n>=1} (-1)^n z^n / n; companion ln 1/(1-z)
-    (("log-resolvent",), 1, 1, -1.0, (1.0, 1.0), (2.0,), -1, lambda x: -math.log1p(-x)),
-    (("cos",), 0, 2, -0.25, (), (0.5,), 1, math.cosh),
-    (("sin",), 1, 2, -0.25, (), (1.5,), 1, math.sinh),
-    (("resolvent",), 0, 1, -1.0, (1.0,), (), 1, lambda x: 1.0 / (1.0 - x)),  # 1/(1+z)
-    (("exp",), 0, 1, 1.0, (), (), 1, math.exp),
+    (("log-resolvent",), 1, 1, -1.0, (1.0, 1.0), (2.0,), -1),  # ln 1/(1+z)
+    (("cos",), 0, 2, -0.25, (), (0.5,), 1),
+    (("sin",), 1, 2, -0.25, (), (1.5,), 1),
+    (("resolvent",), 0, 1, -1.0, (1.0,), (), 1),  # 1/(1+z)
+    (("exp",), 0, 1, 1.0, (), (), 1),
     # artanh(z) = sum z^(2j+1)/(2j+1), also named half-log-ratio: (1/2) ln((1+z)/(1-z))
-    (("half-log-ratio", "artanh"), 1, 2, 1.0, (0.5, 1.0), (1.5,), 1, math.atanh),
-    (("arcsin",), 1, 2, 1.0, (0.5, 0.5), (1.5,), 1, math.asin),
-    (("geometric",), 0, 1, 1.0, (1.0,), (), 1, lambda x: 1.0 / (1.0 - x)),  # 1/(1-z)
-    (("cosh",), 0, 2, 0.25, (), (0.5,), 1, math.cosh),
-    (("sinh",), 1, 2, 0.25, (), (1.5,), 1, math.sinh),
+    (("half-log-ratio", "artanh"), 1, 2, 1.0, (0.5, 1.0), (1.5,), 1),
+    (("arcsin",), 1, 2, 1.0, (0.5, 0.5), (1.5,), 1),
+    (("geometric",), 0, 1, 1.0, (1.0,), (), 1),  # 1/(1-z)
+    (("cosh",), 0, 2, 0.25, (), (0.5,), 1),
+    (("sinh",), 1, 2, 0.25, (), (1.5,), 1),
 )
 _CATALOG: dict[str, PowerSeries] = {
     name: _hypergeometric(name, *row) for names, *row in _ROWS for name in names
 }
-
-
-def catalog() -> list[PowerSeries]:
-    """All named series, with 2F1 at alpha = beta = gamma = 1."""
-    return [*_CATALOG.values(), lookup("2F1")]
 
 
 def _literals(name: str, what: str) -> list[complex]:
@@ -361,13 +338,7 @@ def lookup(name: str) -> PowerSeries:
         if len(params) != 3 or not all(c.imag == 0 < c.real for c in params):
             raise ValueError(f"{name!r} needs three positive reals alpha,beta,gamma")
         alpha, beta, gamma = (c.real for c in params)
-
-        def closed_form(x: float) -> float:
-            from scipy.special import hyp2f1
-
-            return float(hyp2f1(alpha, beta, gamma, x))
-
-        return _hypergeometric(name, 0, 1, 1.0, (alpha, beta), (gamma,), 1, closed_form)
+        return _hypergeometric(name, 0, 1, 1.0, (alpha, beta), (gamma,), 1)
     if name.startswith("poly:"):
         return from_coefficients(_literals(name, "coefficient"), name=name)
     if name in _CATALOG:

@@ -13,9 +13,9 @@ def lapack_work(monkeypatch):
     """Count the package's SVD, eigensolve and QR work: "svd", "eig" and
     "qr" count matrices (k for a (k, n, n) stack, 1 for one matrix),
     "svd_calls", "eig_calls" and "qr_calls" count calls. Every operator
-    norm goes through `operator_norms`, every eigensolve, `spectral_radii`
-    included, through `eigenvalues`, and every QR (the Haar unitaries')
-    through `np.linalg.qr`. The "qr" keys appear with the first QR call."""
+    norm goes through `operator_norms`, every eigensolve through
+    `eigenvalues`, and every QR (the Haar unitaries') through
+    `np.linalg.qr`. The "qr" keys appear with the first QR call."""
     work = {"svd": 0, "svd_calls": 0, "eig": 0, "eig_calls": 0}
 
     def counted(kind, fn):

@@ -21,20 +21,18 @@ from specbound import (
     PowerSeries,
     as_matrix,
     best_bound,
-    catalog,
     eval_companion,
     gen_commuting_pair,
     lookup,
-    operator_norm,
     oracle_radii,
-    spectral_radius,
 )
 from specbound.bounds import (_COMMUTING_ROWS, _PAIR_NORMS, Invariants, _pair_values,
                               evaluate, invariants, products)
 from specbound.errors import SpecboundError
 from specbound.harness import (FAMILIES_GENERIC, FAMILIES_SINGLE, InstanceSpec, _generate,
                                _ginibre)
-from textbook import bound_report_alone, certified_truncation
+from textbook import (bound_report_alone, catalog, certified_truncation, closed_form,
+                      operator_norm, spectral_radius)
 
 TOL = 1e-10
 
@@ -266,9 +264,9 @@ def test_product_and_factor_rows_sit_below_the_holder_chain(f, family, n, fracti
     rA, rB = factor.intermediates["r(A)"], factor.intermediates["r(B)"]
     below(product.value, factor.value, "factor-radius")
     for p in (1.25, 1.5, 2.0, 3.0, 6.0):
-        geo = holder_geo(f.closed_form, rA, rB, p)
+        geo = holder_geo(closed_form(f), rA, rB, p)
         below(factor.value, geo, ("holder_geo", p))
-        below(geo, holder_ratio(f.closed_form, rA, rB, p), ("holder_ratio", p))
+        below(geo, holder_ratio(closed_form(f), rA, rB, p), ("holder_ratio", p))
     below(factor.value, by_name["pair-squares"].value, "pair-squares")
     for name in ("norm-split", "mixed-split"):
         below(product.value, by_name[name].value, name)
@@ -578,7 +576,7 @@ def test_dropped_corollaries_dominate_their_rows(f, u, p, kind, seed):
     # Each corollary, with f_a from its closed form, is at least the row it
     # dominates as best_bound evaluates it, at any nonnegative arguments
     # inside the disk: the norms need not come from one pair.
-    fa = f.closed_form
+    fa = closed_form(f)
     R = f.radius
     top = math.sqrt(0.99 * R) if math.isfinite(R) else 3.0  # every argument < R
 

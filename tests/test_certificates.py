@@ -18,7 +18,8 @@ import math
 import mpmath as mp
 import pytest
 
-from specbound import catalog, lookup
+from specbound import lookup
+from textbook import catalog
 
 mp.mp.dps = 40
 

@@ -26,10 +26,10 @@ from specbound import (
     lookup,
     oracle_radii,
     save_matrix,
-    spectral_radius,
 )
 from specbound import cli
 from specbound.cli import _parse_series, _sweep_config, build_parser, main
+from textbook import spectral_radius
 
 
 @pytest.fixture
@@ -456,7 +456,7 @@ def test_bound_bad_exponent_or_tolerance_exits_2(tmp_path, capsys, option, modes
 
 
 # ---------------------------------------------------------------------------
-# verify / compare
+# verify
 # ---------------------------------------------------------------------------
 
 _VERIFY_ARGS = [
@@ -546,7 +546,7 @@ def test_verify_generation_failure_exits_2_with_the_in_process_message(
     assert capsys.readouterr().err == err
 
 
-@pytest.mark.parametrize("command", ["verify", "compare"])
+@pytest.mark.parametrize("command", ["verify"])
 @pytest.mark.parametrize("args", [
     ["--dims", ","], ["--series", ","], ["--trials", "-3"], ["--families", ","],
     ["--families", "bogus"], ["--dims", "0"], ["--trials", "0"], ["--p", "0.5"],
@@ -583,7 +583,7 @@ def test_sweep_runs_a_poly_series(tmp_path, capsys):
     assert {row["series"] for row in rows} == {"poly:1,0.5", "exp"}
 
 
-@pytest.mark.parametrize("command", ["verify", "compare"])
+@pytest.mark.parametrize("command", ["verify"])
 def test_sweep_empty_poly_coefficient_exits_2(tmp_path, capsys, command):
     code = main([command, "--series", "poly:1,,0.5", "--out", str(tmp_path / "r")])
     assert code == 2
@@ -686,20 +686,42 @@ def test_sweep_records_each_series_own_params(tmp_path, capsys):
 
 
 def test_compare_emits_plot_ready_csv(tmp_path, capsys):
+    # verify writes summary.json's per-bound statistics again as compare.csv,
+    # one row per bound, each cell as trials.csv writes it.
     out = tmp_path / "cmp"
-    code = main(["compare", *_VERIFY_ARGS, "--out", str(out)])
+    code = main(["verify", *_VERIFY_ARGS, "--out", str(out)])
     assert code == 0
     lines = (out / "compare.csv").read_text().splitlines()
     assert lines[0].startswith("bound,target,evaluated,available")
     assert any(line.startswith("pair-squares") for line in lines)
     assert any(line.startswith("companion-radius") for line in lines)
+    bounds = json.loads((out / "summary.json").read_text())["sweep"]["bounds"]
+    header, *rows = csv.reader(lines)
+    assert [row[0] for row in rows] == list(bounds)
+    for name, *cells in rows:
+        assert dict(zip(header[1:], cells)) == {
+            key: "" if value is None else repr(value) if isinstance(value, float)
+            else str(value) for key, value in bounds[name].items()}
 
 
-def test_compare_formats_no_trial_rows(tmp_path, monkeypatch):
-    # compare writes only compare.csv, so its workers send back tallies and
-    # format no trials.csv row (the fork carries the patch into them).
-    def no_rows(judged, quoted):
-        raise AssertionError("compare formatted a trials.csv row")
+def test_compare_is_an_unknown_subcommand(tmp_path, capsys):
+    # verify writes compare.csv; no second sweep command writes it alone.
+    assert exit_code(["compare", *_VERIFY_ARGS, "--out", str(tmp_path / "cmp")]) == 2
+    assert "invalid choice: 'compare'" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
 
-    monkeypatch.setattr(harness_mod, "_rows_text", no_rows)
-    assert main(["compare", *_VERIFY_ARGS, "--out", str(tmp_path / "cmp")]) == 0
+
+def test_verify_and_bound_run_without_scipy(tmp_path):
+    # scipy is no dependency: with its import blocked, a fresh interpreter
+    # (and the workers it forks) sweeps and bounds a 2F1.
+    path = str(tmp_path / "t.mat")
+    save_matrix(path, np.array([[0.3, 0.2, 0], [0, 0.4, 0.1], [0.1, 0, 0.5]], dtype=complex))
+    no_scipy = ("import sys; sys.modules['scipy'] = None; "
+                "from specbound.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(specbound.__file__).resolve().parents[1])
+    for argv in (["verify", "--series", "2F1:0.5,1,2,exp", "--trials", "4", "--seed", "3",
+                  "--out", str(tmp_path / "r")],
+                 ["bound", "--series", "2F1:0.5,0.75,1.25", "--matrix", path]):
+        done = subprocess.run([sys.executable, "-c", no_scipy, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+        assert done.returncode == 0, (argv[0], done.stderr)

@@ -32,10 +32,7 @@ from specbound import (
     gen_commuting_pair,
     gen_matrix,
     lookup,
-    operator_norm,
     run_sweep,
-    spectral_radius,
-    summarize,
     write_trials_csv,
 )
 from specbound.bounds import _COMMUTING_ROWS, invariants
@@ -48,7 +45,6 @@ from specbound.harness import (
     _haar_unitary,
     _judged,
     _generate,
-    as_judged,
     _scaled,
     _trial_specs,
     oracle_radii,
@@ -58,10 +54,11 @@ from specbound.harness import (
     run_trial,
     summarize_tallies,
 )
-from specbound.series import (DEFAULT_MAX_TERMS, DEFAULT_TOL, _order_and_tail,
-                              partial_sums, truncation_order)
-from textbook import (certified_truncation, matrix_partial_sum, partial_sums_alone,
-                      run_identity_checks, run_limit_laws, run_mixed_chain, trial_spec_alone)
+from specbound.series import DEFAULT_MAX_TERMS, DEFAULT_TOL, _order_and_tail, partial_sums
+from textbook import (as_judged, certified_truncation, matrix_partial_sum, operator_norm,
+                      partial_sums_alone, run_identity_checks, run_limit_laws,
+                      run_mixed_chain, spectral_radius, summarize, trial_spec_alone,
+                      truncation_order)
 
 
 def spec(family, seed=1, dim=4, target=0.8):
@@ -703,8 +700,8 @@ def test_sweep_determinism_and_csv_bytes(tmp_path):
     config = small_config()
     one = tmp_path / "one.csv"
     two = tmp_path / "two.csv"
-    write_trials_csv(run_sweep(config), one)
-    write_trials_csv(run_sweep(config), two)
+    write_trials_csv(report_piece(as_judged(run_sweep(config)))[0][0], one)
+    write_trials_csv(report_piece(as_judged(run_sweep(config)))[0][0], two)
     assert one.read_bytes() == two.read_bytes()
     header = one.read_text().splitlines()[0]
     assert header.startswith("family,seed,dim,norm_target,series")
@@ -849,7 +846,7 @@ def test_report_pieces_join_to_the_records_reports(size, tmp_path):
               for piece in report_piece(as_judged(records[start:start + size]))]
     assert len(pieces) == math.ceil(len(records) / size)
     assert summarize_tallies(tally for _, tally in pieces) == summary
-    write_trials_csv(records, tmp_path / "records.csv")
+    write_trials_csv(report_piece(as_judged(records))[0][0], tmp_path / "records.csv")
     write_trials_csv("".join(rows for rows, _ in pieces), tmp_path / "pieces.csv")
     assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "pieces.csv").read_bytes()
 

@@ -4,7 +4,7 @@ its catalog sentence names the package's catalog."""
 import re
 from pathlib import Path
 
-from specbound import catalog
+from textbook import catalog
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

@@ -17,15 +17,13 @@ from specbound import (
     NoConvergence,
     OutOfDisk,
     PowerSeries,
-    catalog,
     eval_companion,
     from_coefficients,
     lookup,
-    truncation_order,
 )
 from specbound.cli import _parse_series
 from specbound.series import _order_and_tail, partial_sums
-from textbook import partial_sums_alone
+from textbook import catalog, closed_form, coeff, partial_sums_alone, truncation_order
 
 ALL_NAMES = [
     "log-resolvent", "cos", "sin", "resolvent", "exp", "half-log-ratio",
@@ -76,7 +74,7 @@ def test_ci_catalog_sweep_names_every_catalog_series():
 
 def test_exp_entry():
     f = lookup("exp")
-    assert f.coeff(3) == pytest.approx(1.0 / 6.0)
+    assert coeff(f, 3) == pytest.approx(1.0 / 6.0)
     assert f.radius == math.inf
 
 
@@ -84,7 +82,7 @@ def test_2f1_unit_parameters_collapse_to_geometric():
     for name in ("2F1", "2F1:1,1,1"):
         f = lookup(name)
         for n in range(20):
-            assert f.coeff(n) == pytest.approx(1.0)
+            assert coeff(f, n) == pytest.approx(1.0)
 
 
 def test_2f1_rejects_nonpositive_parameters():
@@ -97,24 +95,24 @@ def test_arcsin_coefficients_match_taylor_expansion():
     # independent oracle: mpmath Taylor coefficients of asin at 0
     expected = [float(c) for c in mpmath.taylor(mpmath.asin, 0, 9)]
     f = lookup("arcsin")
-    got = [f.coeff(n).real for n in range(10)]
+    got = [coeff(f, n).real for n in range(10)]
     assert got == pytest.approx(expected, abs=1e-15)
-    assert f.coeff(3).real == pytest.approx(1.0 / 6.0)
+    assert coeff(f, 3).real == pytest.approx(1.0 / 6.0)
 
 
 def test_log_resolvent_coefficients_alternate():
     f = lookup("log-resolvent")
-    assert f.coeff(0) == 0
-    assert f.coeff(1) == pytest.approx(-1.0)
-    assert f.coeff(2) == pytest.approx(0.5)
-    assert f.coeff(3) == pytest.approx(-1.0 / 3.0)
+    assert coeff(f, 0) == 0
+    assert coeff(f, 1) == pytest.approx(-1.0)
+    assert coeff(f, 2) == pytest.approx(0.5)
+    assert coeff(f, 3) == pytest.approx(-1.0 / 3.0)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_coefficients_deterministic(name):
     f = lookup(name)
-    first = [f.coeff(n) for n in range(30)]
-    second = [f.coeff(n) for n in range(30)]
+    first = [coeff(f, n) for n in range(30)]
+    second = [coeff(f, n) for n in range(30)]
     assert first == second
 
 
@@ -124,16 +122,16 @@ def test_terms_vanish_inside_finite_disk(name):
     f = lookup(name)
     assert math.isfinite(f.radius)
     for x in (0.3, 0.6, 0.9):
-        assert abs(f.coeff(2000)) * x**2000 < 1e-60
+        assert abs(coeff(f, 2000)) * x**2000 < 1e-60
 
 
 def test_terms_vanish_for_2f1_with_growing_coefficients():
     # alpha + beta > gamma + 1 makes the coefficients grow polynomially;
     # terms must still vanish inside the unit disk
     f = lookup("2F1:2,2,1")
-    assert f.coeff(2000).real > 1.0
+    assert coeff(f, 2000).real > 1.0
     for x in (0.3, 0.6, 0.9):
-        assert abs(f.coeff(2000)) * x**2000 < 1e-60
+        assert abs(coeff(f, 2000)) * x**2000 < 1e-60
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +144,7 @@ def test_companion_of_log_resolvent_is_positive_log_series():
     with pytest.raises(OutOfDisk):  # the companion's disk is f's
         eval_companion(f, f.radius, 1e-12)
     for n in range(1, 15):
-        assert abs(f.coeff(n)) == pytest.approx(1.0 / n)
+        assert abs(coeff(f, n)) == pytest.approx(1.0 / n)
     # companion closed form is ln 1/(1-x)
     assert eval_companion(f, 0.5, 1e-12) == pytest.approx(
         math.log(2.0), abs=1e-11
@@ -181,7 +179,7 @@ def test_companion_idempotent(name):
 
     once = replace(f, coefficients=magnitudes)
     for n in range(40):
-        assert abs(once.coeff(n)) == abs(f.coeff(n))
+        assert abs(coeff(once, n)) == abs(coeff(f, n))
     for x in (0.0, 0.3 * min(f.radius, 2.0), 0.9 * min(f.radius, 2.0)):
         assert eval_companion(once, x, 1e-12) == eval_companion(f, x, 1e-12)
 
@@ -234,7 +232,7 @@ def test_closed_form_agreement(name):
     tol = 1e-10
     for x in grid(f):
         value = eval_companion(f, x, tol)
-        assert abs(value - f.closed_form(x)) <= 10 * tol, (name, x)
+        assert abs(value - closed_form(f)(x)) <= 10 * tol, (name, x)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -298,8 +296,8 @@ def test_tail_certificate_dominates_measured_remainder(name):
     tol = 1e-10
     for x in grid(f, points=12):
         m = truncation_order(f, x, tol)
-        partial = sum(abs(f.coeff(j)) * x**j for j in range(m + 1))
-        closed = f.closed_form(x)
+        partial = sum(abs(coeff(f, j)) * x**j for j in range(m + 1))
+        closed = closed_form(f)(x)
         measured = closed - partial
         slack = 1e-12 * max(1.0, abs(closed))
         assert measured <= f.tail_bound(m, x) + slack, (name, x)
@@ -433,7 +431,7 @@ def test_order_search_and_companion_match_per_term_reference(name):
                 assert _order_and_tail(f, x, tol, max_terms) == expected, (x, tol)
                 got = eval_companion(f, x, tol, max_terms)
                 if expected[0] > REFERENCE_TERMS:
-                    want = f.closed_form(x)
+                    want = closed_form(f)(x)
                     assert abs(got - want) <= tol + 1e-12 * want, (x, tol, max_terms)
                     continue
                 want = per_term_companion(f, expected[0], x)
@@ -558,14 +556,14 @@ ULP_POLY = ("poly:0.6404226504432821+0.1370126477621637j,1,"
 @pytest.mark.parametrize("name", [*ALL_NAMES, "2F1", COMPLEX_POLY, ULP_POLY])
 def test_prefix_matches_coeff_bit_for_bit(name):
     # Every prefix, grown or read shorter, is the head of one
-    # coefficients(m) call, and coeff(j) reads it.
+    # coefficients(m) call, and coeff(f, j) reads it.
     f = replace(lookup(name))  # a fresh, empty prefix
     full, full_logs = f.coefficients(200)
     for m in (3, 200, 0):  # grow, then read a shorter prefix
         a, logs = f.prefix(m)
         assert a.tobytes() == full[: m + 1].tobytes()
         assert logs.tobytes() == full_logs[: m + 1].tobytes()
-    coeffs = [f.coeff(j) for j in range(201)]
+    coeffs = [coeff(f, j) for j in range(201)]
     assert np.array(coeffs, dtype=np.complex128).tobytes() == full.tobytes()
     if name.startswith("poly:"):  # each a_n as given; ln|a_n| of Python's abs
         given = [complex(t) for t in name[len("poly:"):].split(",")]
@@ -586,7 +584,7 @@ def test_prefix_calls_coefficients_only_to_grow_and_is_not_a_field():
     # Past the prefix, it grows to a_{m+2} at least, and at least doubles.
     for m in (10, 5, 30, 30, 31, 62):
         f.prefix(m)
-    f.coeff(7)
+    coeff(f, 7)
     assert calls == [12, 32, 66]
     assert f == replace(f) and "_prefix=" not in repr(f)
     g = replace(f)
@@ -625,7 +623,7 @@ def point_reference():
     with mpmath.workdps(40):
         S, P, sums = [mpmath.mpc(0)] * len(z), [mpmath.mpc(1)] * len(z), []
         for k in range(top + 1):
-            a = mpmath.mpc(f.coeff(k))
+            a = mpmath.mpc(coeff(f, k))
             S = [s + a * p for s, p in zip(S, P)]
             sums.append(np.array(S, dtype=np.complex128))
             P = [p * mpmath.mpc(x) for p, x in zip(P, z.tolist())]
@@ -636,7 +634,7 @@ def point_reference():
 def test_partial_sums_match_mpmath(point_reference, m):
     # Rounding error of Horner's form: a small multiple of u sum |a_k| |z|^k.
     f, z, sums = point_reference
-    majorant = sum(abs(f.coeff(k)) * np.abs(z) ** k for k in range(m + 1))
+    majorant = sum(abs(coeff(f, k)) * np.abs(z) ** k for k in range(m + 1))
     assert np.all(np.abs(partial_sums(f, z[None], [m])[0] - sums[m]) <= 1e-13 * majorant)
 
 
@@ -645,9 +643,9 @@ def test_partial_sums_low_order_is_horner():
     f = lookup("exp")
     z = np.array([0.3 - 0.7j, -2.5 + 0.1j, 4.0 + 0j])
     for m in range(4):
-        S = np.full(3, f.coeff(m))
+        S = np.full(3, coeff(f, m))
         for j in range(m - 1, -1, -1):
-            S = f.coeff(j) + z * S
+            S = coeff(f, j) + z * S
         assert np.array_equal(partial_sums(f, z[None], [m])[0], S), m
 
 

@@ -4,22 +4,28 @@ Horner's rule on matrices, as a reference for the oracle's spectral
 mapping that shares no code with it; the oracle's scalar sum at one row
 of points, the bit-for-bit reference for its stacked kernel; the bound
 rows of one instance in Python floats, the bit-for-bit reference for the
-stacked `bounds.evaluate`; and one sweep trial's spec drawn from numpy's
-own `default_rng`, the reference for the harness's per-chunk streams.
+stacked `bounds.evaluate`; one sweep trial's spec drawn from numpy's
+own `default_rng`, the reference for the harness's per-chunk streams; and
+the references the tests read that the package does not: each catalog
+companion in closed form, the catalog as a list, the scalar spectral
+radius and operator norm, the truncation order alone, and the reports of
+a list of trial records.
 
 These checks exercise LAPACK and the instance generators rather than any
 bound of the package, so they run in the test suite, not in `verify`.
 """
 
+import itertools
 import math
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
+import mpmath
 import numpy as np
 
 from inequalities import relaxed_arms
-from specbound import (BestBoundReport, BoundResult, NormOverflow, eval_companion,
-                       from_coefficients, lookup, operator_norm)
+from specbound import (BestBoundReport, BoundResult, NormOverflow, PowerSeries,
+                       eval_companion, from_coefficients, lookup)
 from specbound.bounds import _COMMUTING_ROWS, _MIXED, _PM_ROWS, _PRODUCT, _SINGLE
 from specbound.harness import (
     FAMILIES_GENERIC,
@@ -27,15 +33,99 @@ from specbound.harness import (
     FAMILIES_SINGLE,
     CheckResult,
     InstanceSpec,
+    Judged,
     SweepConfig,
+    TrialRecord,
     _ginibre,
     _haar_unitary,
     _scaled,
     _trials,
     gen_matrix,
+    report_piece,
+    summarize_tallies,
 )
-from specbound.matrices import operator_norms, spectral_radii
-from specbound.series import DEFAULT_MAX_TERMS, DEFAULT_TOL, _order_and_tail
+from specbound.matrices import eigenvalues, operator_norms
+from specbound.series import _CATALOG, DEFAULT_MAX_TERMS, DEFAULT_TOL, _order_and_tail
+
+# Each catalog series' companion sum_n |a_n| x^n in closed form.
+CLOSED_FORMS = {
+    "log-resolvent": lambda x: -math.log1p(-x),  # ln 1/(1-x)
+    "cos": math.cosh,
+    "sin": math.sinh,
+    "resolvent": lambda x: 1.0 / (1.0 - x),
+    "exp": math.exp,
+    "half-log-ratio": math.atanh,
+    "artanh": math.atanh,
+    "arcsin": math.asin,
+    "geometric": lambda x: 1.0 / (1.0 - x),
+    "cosh": math.cosh,
+    "sinh": math.sinh,
+}
+
+
+def closed_form(f: PowerSeries):
+    """The companion of the catalog or 2F1 series `f` in closed form, as a
+    function of x: `CLOSED_FORMS[f.name]`, or mpmath's hyp2f1 at the
+    parameters of a 2F1 name ("2F1" alone: all three 1)."""
+    if f.name == "2F1" or f.name.startswith("2F1:"):
+        params = ([1.0] * 3 if f.name == "2F1"
+                  else [complex(p).real for p in f.name[4:].split(",")])
+        return lambda x: float(mpmath.hyp2f1(*params, x))
+    return CLOSED_FORMS[f.name]
+
+
+def catalog() -> list[PowerSeries]:
+    """All named series of the package, with 2F1 at alpha = beta = gamma = 1."""
+    return [*_CATALOG.values(), lookup("2F1")]
+
+
+def coeff(f: PowerSeries, n: int) -> complex:
+    """a_n of `f`, read from its prefix."""
+    return complex(f.prefix(n)[0][n])
+
+
+def spectral_radii(S) -> np.ndarray:
+    """max |eigenvalue| of each matrix of a (..., n, n) stack, one eigensolve."""
+    return np.abs(eigenvalues(S)).max(axis=-1)
+
+
+def spectral_radius(T) -> float:
+    """max |eigenvalue| via a dense eigensolve."""
+    return float(spectral_radii(T))
+
+
+def operator_norm(T) -> float:
+    """Largest singular value (induced 2-norm)."""
+    return float(operator_norms(T))
+
+
+def truncation_order(f: PowerSeries, x: float, tol: float,
+                     max_terms: int = DEFAULT_MAX_TERMS) -> int:
+    """The certified truncation order the package's order search finds."""
+    return _order_and_tail(f, x, tol, max_terms)[0]
+
+
+def as_judged(records: Iterable[TrialRecord]) -> list[Judged]:
+    """`records` as `Judged` stacks for the reports, one per run of
+    consecutive records with the same bound names and targets."""
+    out = []
+    for layout, run in itertools.groupby(
+            records, lambda record: [(b.name, b.target) for b in record.bounds]):
+        run = list(run)
+        names, targets = zip(*layout)
+        out.append(Judged(
+            [r.spec for r in run], [r.series_name for r in run], [r.oracles for r in run],
+            names, targets,
+            np.array([[np.nan if b.value is None else b.value for b in r.bounds]
+                      for r in run]).T,
+            [[r.bounds[j].reason for r in run] for j in range(len(layout))],
+            lambda i, run=run: run[i].bounds))
+    return out
+
+
+def summarize(records: Iterable[TrialRecord]) -> dict:
+    """The `summary.json` statistics of `records`, as `verify` writes them."""
+    return summarize_tallies(tally for _, tally in report_piece(as_judged(records)))
 
 # Squaring past this norm risks leaving double range within a few steps.
 _SQUARING_NORM_CAP = 1e120
