@@ -16,7 +16,6 @@ from .harness import (
     FAMILIES_SINGLE,
     InstanceSpec,
     SweepConfig,
-    TrialRecord,
     gen_commuting_pair,
     gen_matrix,
     oracle_radii,

@@ -22,7 +22,8 @@ with the SVD), and keeps the eigenvalues of T or AB for the oracle. Each
 bound is a `Row` of a table, and `evaluate` fills every row of a whole
 stack at once, on one float64 column per quantity, with the bits each
 instance gets alone; `Table.results` turns one instance's rows into
-`BoundResult`s for the callers that read them. A bound that cannot apply,
+`BoundResult`s for `best_bound`, the only caller that reads them (a
+sweep reports the columns). A bound that cannot apply,
 a commutativity-gated one on a non-commuting pair included, comes back
 Unavailable with the reason; only structural problems (dimension
 mismatch, a bad tolerance, products out of range) raise.

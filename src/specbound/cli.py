@@ -182,7 +182,7 @@ def cmd_bound(args) -> int:
         })
         _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", args.out)
 
-    _, low = harness._judged(report.results, oracles)
+    low = harness._judged(report.results, oracles)
     for r in low:
         value, err = oracles[r.target]
         print(f"error: {r.name} = {r.value!r} is below oracle r[{r.target}] = "
@@ -214,12 +214,10 @@ def cmd_verify(args) -> int:
     config = _sweep_config(args)  # before --out is made: a bad option makes nothing
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # The check runs with the trials, on the same workers, which send back
-    # report pieces, not records.
+    # The check runs with the trials, on the same workers.
     *pieces, checks = harness.run_sweep(
         config,
         (harness.run_limit_checks, (args.seed, min(args.trials, 300), config.dims)),
-        reduce=harness.report_piece,
     )
     harness.write_trials_csv("".join(rows for rows, _ in pieces),
                              out_dir / "trials.csv")

@@ -18,9 +18,10 @@ one LAPACK call per step: the Haar unitaries' QR, each scaling's SVD, the
 invariants' SVD and their eigensolve; then the oracle sums the stack's
 truncations of each series in one `series.partial_sums` call, each with
 the bits it has alone. `bounds.evaluate` fills the chunk's bound rows as
-one stack of columns, and `Judged` judges them there, so the chunk's
-verdicts, `trials.csv` rows and tallies come from arrays; `BoundResult`s
-are built only for the callers that read them. Its judge is the only one:
+one stack of columns, and `Judged` judges them there; the chunk's
+`report_piece`, its `trials.csv` rows and summary tallies, is built from
+those arrays and is all the chunk returns, so a sweep builds no
+`BoundResult`: only `bound` does. Its judge is the only one:
 the norm-only rows on r(AB +/- BA) and product-radius meet non-commuting
 pairs in the "generic-pair" family.
 
@@ -363,27 +364,15 @@ class SweepConfig:
             lookup(name)
 
 
-@dataclass
-class TrialRecord:
-    """Outcome of one instance: oracles, all bounds, tightness, verdict."""
-
-    spec: InstanceSpec
-    series_name: str
-    oracles: dict[str, tuple[float, float]]
-    bounds: list[BoundResult]
-    tightness: dict[str, Optional[float]]
-    violation: bool
-
-
 _NO_ORACLE = (math.nan, math.nan)  # the (value, error) of a target without an oracle
 
 
 def _verdicts(values: np.ndarray, targets: Sequence[str],
               oracles: Sequence[dict[str, tuple[float, float]]]
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(compared, margins, tightness) of the (rows, trials) bound values
-    `values` (nan where Unavailable), row r on `targets[r]`, trial i judged
-    against `oracles[i]`. A bound is compared with its oracle when it is
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(margins, tightness) of the (rows, trials) bound values `values`
+    (nan where Unavailable), row r on `targets[r]`, trial i judged against
+    `oracles[i]`. A bound is compared with its oracle when it is
     available and its target has one. Its margin is how far it is below
     the oracle beyond the oracle's error plus `_SLACK_REL` * max(1,
     oracle), relative to max(1, oracle): positive exactly when the bound
@@ -409,26 +398,16 @@ def _verdicts(values: np.ndarray, targets: Sequence[str],
     margins[~trusted] = np.inf
     margins[~compared] = -np.inf
     tightness[~(compared & trusted & (oracle > 1e-12))] = np.nan
-    return compared, margins, tightness
+    return margins, tightness
 
 
 def _judged(bounds: Sequence[BoundResult], oracles: dict[str, tuple[float, float]]
-            ) -> tuple[dict[str, Optional[float]], list[BoundResult]]:
-    """(tightness ratio by bound name, bounds below their oracle) of one
-    trial, as `_verdicts` judges it, over the available bounds whose
-    target has an oracle."""
+            ) -> list[BoundResult]:
+    """The bounds of one trial below their oracle, as `_verdicts` judges
+    them."""
     values = np.array([[np.nan if b.value is None else b.value] for b in bounds])
-    compared, margins, tightness = _verdicts(values, [b.target for b in bounds], [oracles])
-    return (_tightness([b.name for b in bounds], compared[:, 0], tightness[:, 0]),
-            [b for b, low in zip(bounds, (margins[:, 0] > 0).tolist()) if low])
-
-
-def _tightness(names: Sequence[str], compared: np.ndarray, tightness: np.ndarray
-               ) -> dict[str, Optional[float]]:
-    """One trial's tightness ratio by bound name, None where untrusted, over
-    its compared bounds."""
-    return {name: None if math.isnan(t) else t
-            for name, c, t in zip(names, compared.tolist(), tightness.tolist()) if c}
+    margins, _ = _verdicts(values, [b.target for b in bounds], [oracles])
+    return [b for b, low in zip(bounds, (margins[:, 0] > 0).tolist()) if low]
 
 
 @dataclass
@@ -437,8 +416,7 @@ class Judged:
     row r of trial i is bound `names[r]` on `targets[r]`, of value
     `values[r, i]` (nan when Unavailable, with reason `reasons[r][i]`),
     judged against `oracles[i]` by `_verdicts`; a trial is a violation when
-    one of its bounds is below its oracle. `results(i)` builds trial i's
-    `BoundResult`s."""
+    one of its bounds is below its oracle."""
 
     specs: Sequence[InstanceSpec]
     series: Sequence[str]
@@ -447,26 +425,14 @@ class Judged:
     targets: Sequence[str]
     values: np.ndarray
     reasons: list[list[Optional[str]]]
-    results: Callable[[int], list[BoundResult]]
-    compared: np.ndarray = field(init=False)
     margins: np.ndarray = field(init=False)
     tightness: np.ndarray = field(init=False)
     violation: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.compared, self.margins, self.tightness = _verdicts(
+        self.margins, self.tightness = _verdicts(
             self.values, self.targets, self.oracles)
         self.violation = (self.margins > 0).any(axis=0)
-
-
-def trial_records(chunks: Iterable[Judged]) -> list[TrialRecord]:
-    """The `TrialRecord` of each trial of the judged stacks `chunks`:
-    `run_sweep`'s default reduction."""
-    return [TrialRecord(spec, series, oracles, j.results(i),
-                        _tightness(j.names, j.compared[:, i], j.tightness[:, i]),
-                        bool(j.violation[i]))
-            for j in chunks
-            for i, (spec, series, oracles) in enumerate(zip(j.specs, j.series, j.oracles))]
 
 
 def oracle_radii(
@@ -552,16 +518,17 @@ def _trial_specs(config: SweepConfig, family: str, family_index: int,
 
 
 def _trials(config: SweepConfig, family: str, family_index: int,
-            indices: Sequence[int], reduce: Callable[[list], list] = trial_records) -> list:
-    """`reduce` of the trials `indices` of one family, as a list of one
-    `Judged`. Each trial is drawn from its own stream, the chunk's streams
-    built in one `_streams` pass; then the trials of each dimension are
-    generated, factored and solved as one stack, their oracles are summed
-    as one stack per series, and their bound rows are evaluated and judged
-    as one stack. A failing trial raises what it would
-    raise alone; the first in index order wins. A pair of a commuting
-    family that fails the commutator test raises GenerationFailure; a
-    generic pair gets the commuting rows Unavailable, as `bound` does."""
+            indices: Sequence[int]) -> tuple[str, tuple]:
+    """The `report_piece` of the trials `indices` of one family. Each trial
+    is drawn from its own stream, the chunk's streams built in one
+    `_streams` pass; then the trials of each dimension are generated,
+    factored and solved as one stack, their oracles are summed as one stack
+    per series, and their bound rows are evaluated and judged as one
+    `Judged` stack. A failing trial raises what it would raise alone, as
+    a chunk of one trial; the first in index order wins. A pair of a
+    commuting family that fails the commutator test raises
+    GenerationFailure; a generic pair gets the commuting rows Unavailable,
+    as `bound` does."""
     trials = _trial_specs(config, family, family_index, indices)
     groups: dict[int, list[int]] = {}  # dim -> positions in `trials`
     for k, (_, spec) in enumerate(trials):
@@ -595,17 +562,10 @@ def _trials(config: SweepConfig, family: str, family_index: int,
             )
         if not isinstance(oracles, dict):
             raise oracles
-    return reduce([Judged([spec for _, spec in trials], [f.name for f, _ in trials], found,
-                          [row.name for row in table.rows], [row.target for row in table.rows],
-                          table.values, table.reasons, table.results)])
-
-
-def run_trial(
-    config: SweepConfig, family: str, family_index: int, index: int
-) -> TrialRecord:
-    """One deterministic trial; pure function of (config, family, index).
-    It is a sweep chunk of one trial."""
-    return _trials(config, family, family_index, [index])[0]
+    return report_piece(Judged([spec for _, spec in trials], [f.name for f, _ in trials], found,
+                               [row.name for row in table.rows],
+                               [row.target for row in table.rows],
+                               table.values, table.reasons))
 
 
 # Trials per sweep chunk: about 33 per dimension's stack at the default
@@ -615,21 +575,17 @@ def run_trial(
 _CHUNK_TRIALS = 100
 
 
-def run_sweep(config: SweepConfig, *extra: Job,
-              reduce: Callable[[list], list] = trial_records) -> list:
+def run_sweep(config: SweepConfig, *extra: Job) -> list:
     """Run every trial of the sweep with `run_jobs`, in chunks of one
     family's trials, each solved as stacks (see `_trials`). Each chunk's
-    judged trials go to `reduce` in the worker, which sends back only the
-    list it returns; the lists come back joined in seed order: the
-    `TrialRecord`s with `trial_records`, or each chunk's `report_piece`.
-    The `extra` jobs' results, run after the trials, follow."""
+    worker sends back only the chunk's `report_piece`; the pieces come
+    back in seed order, followed by the results of the `extra` jobs, run
+    after the trials."""
     trials = range(config.trials)
-    chunks = [(_trials, (config, family, fi, trials[start:start + _CHUNK_TRIALS],
-                             reduce))
+    chunks = [(_trials, (config, family, fi, trials[start:start + _CHUNK_TRIALS]))
               for fi, family in enumerate(config.families)
               for start in trials[::_CHUNK_TRIALS]]
-    results = run_jobs([*chunks, *extra])
-    return [r for chunk in results[:len(chunks)] for r in chunk] + results[len(chunks):]
+    return run_jobs([*chunks, *extra])
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +618,10 @@ class _Quoted(dict):
         return quoted
 
 
-def _rows_text(j: Judged, quoted: _Quoted) -> str:
+def _rows_text(j: Judged) -> str:
     """The `trials.csv` rows of the judged stack `j`, in `_CSV_COLUMNS`
-    order, one f-string a row."""
+    order, one f-string a row, each string quoted once."""
+    quoted = _Quoted()
     bounds = [f"{quoted[name]},{quoted[target]}," for name, target in zip(j.names, j.targets)]
     lines = []
     for spec, series, oracles, values, reasons, ratios, low in zip(
@@ -690,35 +647,25 @@ def write_trials_csv(rows: str, path: Union[str, Path]) -> None:
         handle.write(",".join(_CSV_COLUMNS) + "\n" + rows)
 
 
-def report_piece(chunks: Iterable[Judged]) -> list[tuple[str, tuple]]:
-    """`run_sweep`'s reduction for the reports, strings and numbers only:
-    [(`trials.csv` rows, (trials, violations, {bound: [target, evaluated,
-    available, wins, tightness values, worst margin]}))], from the columns
-    of the judged stacks `chunks`, each string quoted once. A bound "wins"
-    a trial when it attains the minimum among the available bounds sharing
-    its target quantity (ties count for all). Its worst margin is the
-    largest of its `_verdicts` margins over the trials where it was
-    compared with its oracle (-inf if none)."""
-    text, quoted = [], _Quoted()
-    trials = violations = 0
-    per_bound: dict[str, list] = {}
-    for j in chunks:
-        trials += len(j.specs)
-        violations += int(j.violation.sum())
-        text.append(_rows_text(j, quoted))
-        floors: dict[str, np.ndarray] = {}  # target -> least available value of each trial
-        for target, values in zip(j.targets, j.values):
-            floors[target] = np.fmin(floors.get(target, math.inf), values)
-        for name, target, values, ratios, margins in zip(j.names, j.targets, j.values,
-                                                         j.tightness, j.margins):
-            stat = per_bound.setdefault(name, [target, 0, 0, 0, [], -math.inf])
-            available = ~np.isnan(values)
-            stat[1] += len(j.specs)
-            stat[2] += int(available.sum())
-            stat[3] += int((available & (values <= floors[target] * (1.0 + _WIN_TIE_REL))).sum())
-            stat[4] += ratios[~np.isnan(ratios)].tolist()
-            stat[5] = max(stat[5], margins.max().item())
-    return [("".join(text), (trials, violations, per_bound))]
+def report_piece(j: Judged) -> tuple[str, tuple]:
+    """The reports' part of the judged stack `j`, strings and numbers only:
+    (`trials.csv` rows, (trials, violations, {bound: [target, evaluated,
+    available, wins, tightness values, worst margin]})), the tallies that
+    `summarize_tallies` merges. A bound "wins" a trial when it attains the
+    minimum among the available bounds sharing its target quantity (ties
+    count for all). Its worst margin is the largest of its `_verdicts`
+    margins over the stack, -inf if it was never compared with its oracle."""
+    floors: dict[str, np.ndarray] = {}  # target -> least available value of each trial
+    for target, values in zip(j.targets, j.values):
+        floors[target] = np.fmin(floors.get(target, math.inf), values)
+    per_bound = {}
+    for name, target, values, ratios, margins in zip(j.names, j.targets, j.values,
+                                                     j.tightness, j.margins):
+        available = ~np.isnan(values)
+        wins = available & (values <= floors[target] * (1.0 + _WIN_TIE_REL))
+        per_bound[name] = [target, len(j.specs), int(available.sum()), int(wins.sum()),
+                           ratios[~np.isnan(ratios)].tolist(), margins.max().item()]
+    return _rows_text(j), (len(j.specs), int(j.violation.sum()), per_bound)
 
 
 def summarize_tallies(tallies: Iterable[tuple]) -> dict:

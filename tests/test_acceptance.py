@@ -22,7 +22,6 @@ from specbound import (
     best_bound,
     eval_companion,
     lookup,
-    run_sweep,
 )
 from specbound.bounds import invariants
 from specbound.cli import main
@@ -30,12 +29,15 @@ from specbound.harness import (
     FAMILIES_PAIR,
     FAMILIES_SINGLE,
     InstanceSpec,
+    _fmt,
+    gen_commuting_pair,
     gen_matrix,
     oracle_radii,
     run_limit_checks,
 )
-from textbook import (certified_truncation, closed_form, run_identity_checks, run_limit_laws,
-                      run_mixed_chain, spectral_radius, truncation_order)
+from textbook import (certified_truncation, closed_form, row_spec, run_identity_checks,
+                      run_limit_laws, run_mixed_chain, spectral_radius, sweep_reports,
+                      trial_rows, truncation_order)
 
 TOL = 1e-10
 
@@ -53,14 +55,19 @@ def report(label: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {label}: {'PASS' if ok else 'FAIL'} -- {detail}")
 
 
-def record_companion(record):
-    """f_a of a trial's series, as its bounds evaluate it."""
-    f = lookup(record.series_name)
+def companion(f):
+    """f_a of a trial's series `f`, as its bounds evaluate it."""
     return lambda x: eval_companion(f, x, TOL)
 
 
+def oracle_and_slack(row):
+    """The oracle of a `trials.csv` row and the slack it is judged with."""
+    oracle, oracle_err = float(row["oracle"]), float(row["oracle_error"])
+    return oracle, 1e-8 * max(1.0, oracle) + oracle_err
+
+
 @pytest.fixture(scope="module")
-def pair_records():
+def pair_reports():
     config = SweepConfig(
         series_names=("exp", "geometric", "log-resolvent", "resolvent"),
         families=FAMILIES_PAIR,
@@ -69,7 +76,7 @@ def pair_records():
         seed=2024,
         tol=TOL,
     )
-    return run_sweep(config)
+    return sweep_reports(config)
 
 
 def test_a1_single_operator_soundness():
@@ -84,10 +91,10 @@ def test_a1_single_operator_soundness():
             seed=101 + idx,
             tol=TOL,
         )
-        records = run_sweep(config)
-        assert len(records) == 1000
-        total += len(records)
-        violations += sum(r.violation for r in records)
+        rows, summary = sweep_reports(config)
+        assert len(rows) == summary["trials"] == 1000
+        total += summary["trials"]
+        violations += summary["violations"]
     ok = violations == 0
     report("A1 single-operator soundness", ok,
            f"{total} instances over {len(ALL_SERIES)} series, "
@@ -95,28 +102,28 @@ def test_a1_single_operator_soundness():
     assert ok
 
 
-def test_a2_pair_holder_soundness(pair_records):
+def test_a2_pair_holder_soundness(pair_reports):
     """The product row, the factor row and pair-squares sound on 500
     commuting pairs per family (the Hölder and ratio forms, which A3 shows
-    are above the factor row, are then sound too)."""
+    are above the factor row, are then sound too), read from the sweep's
+    rows."""
     per_family = {fam: 0 for fam in FAMILIES_PAIR}
     violations = 0
     unavailable_reasons: dict[str, int] = {}
     holder_names = ["product-radius", "factor-radius", "pair-squares"]
-    for record in pair_records:
-        per_family[record.spec.family] += 1
-        oracle, oracle_err = record.oracles["f(AB)"]
-        slack = 1e-8 * max(1.0, oracle) + oracle_err
-        by_name = {b.name: b for b in record.bounds}
+    for trial in trial_rows(pair_reports[0]):
+        per_family[trial[0]["family"]] += 1
+        by_name = {row["bound"]: row for row in trial}
         for name in holder_names:
-            b = by_name[name]
-            if b.available:
-                if b.value < oracle - slack:
+            row = by_name[name]
+            oracle, slack = oracle_and_slack(row)
+            if row["available"] == "1":
+                if float(row["value"]) < oracle - slack:
                     violations += 1
             else:
-                assert b.reason, name
-                unavailable_reasons[b.reason] = (
-                    unavailable_reasons.get(b.reason, 0) + 1
+                assert row["reason"], name
+                unavailable_reasons[row["reason"]] = (
+                    unavailable_reasons.get(row["reason"], 0) + 1
                 )
     ok = violations == 0 and all(n >= 500 for n in per_family.values())
     report("A2 product, factor and pair-squares soundness", ok,
@@ -125,20 +132,27 @@ def test_a2_pair_holder_soundness(pair_records):
     assert ok
 
 
-def test_a3_chain_soundness_and_ordering(pair_records):
+def test_a3_chain_soundness_and_ordering(pair_reports):
     """Each norm-averaged row and the factor row bound the oracle, and are
     at most the corollary that dominates them (the Cauchy-Schwarz form, or
     the Hölder form at p = 1.5, 2 and 3), evaluated from the row's
     intermediates; each Hölder form is at most its ratio form; the product
     row is at most the factor row; mixed-split is at most the triple
-    product form, which is at most its own Cauchy-Schwarz form."""
-    assert len(pair_records) >= 500
+    product form, which is at most its own Cauchy-Schwarz form. The
+    intermediates come from `best_bound` on each pair, generated again
+    from its row's spec columns, and every row's value cell is that
+    report's value: the sweep and `bound` report the same numbers."""
+    trials = trial_rows(pair_reports[0])
+    assert len(trials) >= 500
     violations, order_breaks = 0, 0
-    for record in pair_records:
-        oracle, oracle_err = record.oracles["f(AB)"]
-        slack = 1e-8 * max(1.0, oracle) + oracle_err
-        fa = record_companion(record)
-        by_name = {b.name: b for b in record.bounds}
+    for trial in trials:
+        f = lookup(trial[0]["series"])
+        results = best_bound(f, *gen_commuting_pair(row_spec(trial[0])), tol=TOL).results
+        by_name = {b.name: b for b in results}
+        assert [(row["bound"], row["value"]) for row in trial] == [
+            (b.name, _fmt(b.value)) for b in results]
+        oracle, slack = oracle_and_slack(next(row for row in trial if row["target"] == "f(AB)"))
+        fa = companion(f)
         pairs = [(by_name[name], form(fa, by_name[name].intermediates))
                  for name, form in CS_FORMS.items()]
         factor = by_name["factor-radius"]
@@ -162,7 +176,7 @@ def test_a3_chain_soundness_and_ordering(pair_records):
                 order_breaks += 1
     ok = violations == 0 and order_breaks == 0
     report("A3 chain soundness and ordering", ok,
-           f"{len(pair_records)} pairs, {violations} soundness violations, "
+           f"{len(trials)} pairs, {violations} soundness violations, "
            f"{order_breaks} ordering breaks")
     assert ok
 
@@ -170,17 +184,15 @@ def test_a3_chain_soundness_and_ordering(pair_records):
 def test_a4_noncommuting_quadratic_bounds():
     """Norm-only bounds on r(AB +/- BA), judged by the sweep on 500
     generic pairs, plus the 2x2 equality case."""
-    records = run_sweep(SweepConfig(families=("generic-pair",), trials=500,
-                                    dims=(2, 4, 8), seed=77))
+    rows, summary = sweep_reports(SweepConfig(families=("generic-pair",), trials=500,
+                                              dims=(2, 4, 8), seed=77))
     judged = {f"pm-{kind}({sign})": 0 for kind in ("quadratic", "mixed") for sign in "+-"}
-    for record in records:
-        for b in record.bounds:
-            if b.name in judged and b.available and b.target in record.oracles:
-                judged[b.name] += 1
+    for row in rows:
+        if row["bound"] in judged and row["available"] == "1" and row["oracle"]:
+            judged[row["bound"]] += 1
     assert judged == dict.fromkeys(judged, 500)
     checks = run_mixed_chain(seed=77, trials=500, dims=(2, 4, 8))
-    violations = (sum(r.violation for r in records)
-                  + sum(c.violations for c in checks.values()))
+    violations = summary["violations"] + sum(c.violations for c in checks.values())
     shift = as_matrix([[0, 1], [0, 0]])
     shift_t = as_matrix([[0, 0], [1, 0]])
     equality_gap = 0.0

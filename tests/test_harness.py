@@ -25,7 +25,6 @@ from specbound import (
     NormOverflow,
     SpecboundError,
     SweepConfig,
-    TrialRecord,
     UnknownFamily,
     best_bound,
     from_coefficients,
@@ -40,6 +39,7 @@ from specbound.harness import (
     _SLACK_REL,
     FAMILIES_GENERIC,
     CheckResult,
+    Judged,
     _cubic,
     _ginibre,
     _haar_unitary,
@@ -47,18 +47,18 @@ from specbound.harness import (
     _generate,
     _scaled,
     _trial_specs,
+    _trials,
     oracle_radii,
     report_piece,
     run_jobs,
     run_limit_checks,
-    run_trial,
     summarize_tallies,
 )
 from specbound.series import DEFAULT_MAX_TERMS, DEFAULT_TOL, _order_and_tail, partial_sums
-from textbook import (as_judged, certified_truncation, matrix_partial_sum, operator_norm,
-                      partial_sums_alone, run_identity_checks, run_limit_laws,
-                      run_mixed_chain, spectral_radius, summarize, trial_spec_alone,
-                      truncation_order)
+from textbook import (certified_truncation, matrix_partial_sum, operator_norm,
+                      partial_sums_alone, read_rows, row_spec, run_identity_checks,
+                      run_limit_laws, run_mixed_chain, spectral_radius, sweep_reports,
+                      trial_rows, trial_spec_alone, truncation_order)
 
 
 def spec(family, seed=1, dim=4, target=0.8):
@@ -261,7 +261,7 @@ def test_pair_trial_svd_count(lapack_work, family, svds):
     # ||AB||, the other radii and AB's eigenvalues from the report.
     config = SweepConfig(families=(family,), trials=20, dims=(8,), seed=5)
     for i in range(config.trials):
-        run_trial(config, family, 0, i)
+        _trials(config, family, 0, [i])
     assert lapack_work["svd"] == 20 * svds
     assert lapack_work["svd_calls"] == 20 * (svds - 9)
     assert lapack_work["eig_calls"] == 20  # best_bound's
@@ -453,7 +453,7 @@ def test_trial_on_non_commuting_pair_fails_loudly(non_commuting_pairs):
     non_commuting_pairs()
     config = SweepConfig(trials=1, dims=(2,))
     with pytest.raises(GenerationFailure, match="not a commuting pair"):
-        run_trial(config, FAMILIES_PAIR[0], 0, 0)
+        _trials(config, FAMILIES_PAIR[0], 0, [0])
 
 
 def test_generic_pair_trial_judges_the_rows_of_any_pair():
@@ -463,22 +463,23 @@ def test_generic_pair_trial_judges_the_rows_of_any_pair():
     config = SweepConfig(series_names=("exp",), families=FAMILIES_GENERIC, trials=6,
                          dims=(2, 4, 8), seed=2)
     for i in range(config.trials):
-        record = run_trial(config, "generic-pair", 0, i)
-        assert 0.2 <= record.spec.norm_target <= 2.0
-        A, B = _generate([record.spec])
-        assert operator_norm(A[0]) == pytest.approx(record.spec.norm_target, rel=1e-12)
-        assert operator_norm(B[0]) == pytest.approx(record.spec.norm_target, rel=1e-12)
+        text, _ = _trials(config, "generic-pair", 0, [i])
+        rows = {row["bound"]: row for row in read_rows(text)}
+        assert len(rows) == 5 + len(_COMMUTING_ROWS) == 11
+        s = row_spec(rows["product-radius"])
+        assert 0.2 <= s.norm_target <= 2.0
+        A, B = _generate([s])
+        assert operator_norm(A[0]) == pytest.approx(s.norm_target, rel=1e-12)
+        assert operator_norm(B[0]) == pytest.approx(s.norm_target, rel=1e-12)
         (v,) = invariants(A, B)
         assert not v.commuting
         reason = f"commutator test failed (||AB-BA|| = {v['||AB-BA||']:.6e})"
-        rows = {b.name: b for b in record.bounds}
         for row in _COMMUTING_ROWS:
-            assert not rows[row.name].available and rows[row.name].reason == reason
-        assert len(rows) == 5 + len(_COMMUTING_ROWS) == 11
+            assert (rows[row.name]["available"], rows[row.name]["reason"]) == ("0", reason)
         product = rows["product-radius"]
-        oracle, _ = record.oracles["f(AB)"]
-        assert product.available and record.tightness["product-radius"] == product.value / oracle
-        assert not record.violation
+        assert product["available"] == "1" and product["tightness"] == repr(
+            float(product["value"]) / float(product["oracle"]))
+        assert {row["violation"] for row in rows.values()} == {"0"}
 
 
 def test_limit_checks_match_the_per_instance_loop():
@@ -583,49 +584,67 @@ def test_sweep_config_rejects_non_int_trials_and_seed(field, value):
 
 
 def test_sweep_has_no_violations_and_full_records():
-    records = run_sweep(small_config())
-    assert len(records) == 20
-    for record in records:
-        assert not record.violation
-        assert "f(AB)" in record.oracles
-        names = {b.name for b in record.bounds}
+    rows, summary = sweep_reports(small_config())
+    assert (summary["trials"], summary["violations"]) == (20, 0)
+    trials = trial_rows(rows)
+    assert len(trials) == 20
+    for trial in trials:
+        assert {row["violation"] for row in trial} == {"0"}
+        assert all(row["oracle"] for row in trial if row["target"] == "f(AB)")
         assert {"pair-squares", "pm-quadratic(+)", "product-radius",
-                "factor-radius"} <= names
-        for b in record.bounds:
-            if b.available:
-                assert b.value >= 0
+                "factor-radius"} <= {row["bound"] for row in trial}
+        for row in trial:
+            if row["available"] == "1":
+                assert float(row["value"]) >= 0
 
 
 def test_single_mode_sweep():
-    records = run_sweep(small_config(families=("diagonal-positive",)))
-    assert len(records) == 10
-    for record in records:
-        assert not record.violation
-        assert set(record.oracles) == {"f(T)"}
-        assert [b.name for b in record.bounds] == ["companion-radius"]
+    rows, summary = sweep_reports(small_config(families=("diagonal-positive",)))
+    assert (summary["trials"], summary["violations"], len(rows)) == (10, 0, 10)
+    for row in rows:
+        assert (row["bound"], row["target"], row["violation"]) == (
+            "companion-radius", "f(T)", "0")
+        assert row["oracle"]
+
+
+def joined(pieces):
+    """The `trials.csv` rows and the sweep statistics of report pieces."""
+    pieces = list(pieces)
+    return "".join(rows for rows, _ in pieces), summarize_tallies(t for _, t in pieces)
+
+
+def one_by_one(config):
+    """`joined` of the sweep's trials, each run alone as a chunk of one."""
+    return joined(_trials(config, family, fi, [i])
+                  for fi, family in enumerate(config.families) for i in range(config.trials))
 
 
 def test_sweep_records_come_back_in_seed_order(monkeypatch):
-    # two chunks per family, against the trials run one by one in-process
+    # Two chunks per family: each trial's rows come back in the order of
+    # its family and index, with the instance numpy's own stream draws.
     monkeypatch.setattr(harness_mod, "_CHUNK_TRIALS", 25)
     config = small_config(trials=30, dims=(2,))
-    expected = [run_trial(config, family, fi, i)
-                for fi, family in enumerate(config.families) for i in range(30)]
-    assert run_sweep(config) == expected
+    rows, _ = sweep_reports(config)
+    assert [(t[0]["family"], t[0]["seed"], t[0]["series"]) for t in trial_rows(rows)] == [
+        (s.family, str(s.seed), f.name)
+        for fi, family in enumerate(config.families)
+        for f, s in (trial_spec_alone(config, family, fi, i) for i in range(30))]
 
 
 def test_sweep_of_mixed_stacks_equals_trials_run_one_by_one(monkeypatch):
     # Each dimension's stack mixes series (4 names, 3 dims), and every
-    # family has a full chunk and a short one.
+    # family has a full chunk and a short one: the rows and statistics are
+    # those of the trials run alone.
     monkeypatch.setattr(harness_mod, "_CHUNK_TRIALS", 25)
     config = SweepConfig(
         series_names=("exp", "geometric", "2F1:0.5,1,2", "poly:1,-0.5+0.3j"),
         trials=30, dims=(2, 3, 5), seed=17)
     assert len(config.families) == 8
-    expected = [run_trial(config, family, fi, i)
-                for fi, family in enumerate(config.families) for i in range(30)]
-    assert len({(r.spec.dim, r.series_name) for r in expected[:25]}) == 12
-    assert run_sweep(config) == expected
+    expected = one_by_one(config)
+    first = read_rows(expected[0])[:25]  # the first chunk, one row a trial
+    assert {row["family"] for row in first} == {config.families[0]}
+    assert len({(row["dim"], row["series"]) for row in first}) == 12
+    assert joined(run_sweep(config)) == expected
 
 
 def near_radius_pair(n):
@@ -662,9 +681,9 @@ def test_sweep_raises_what_its_first_failing_trial_raises_alone(
     non_commuting_pairs({specs[i]: near_radius_pair(specs[i].dim) if scale == "near" else scale
                          for i, scale in scales.items()})
     for i in range(index):
-        run_trial(config, family, 0, i)
+        _trials(config, family, 0, [i])
     with pytest.raises(error) as alone:
-        run_trial(config, family, 0, index)
+        _trials(config, family, 0, [index])
     with pytest.raises(error) as swept:
         run_sweep(config)
     assert str(swept.value) == str(alone.value)
@@ -683,7 +702,7 @@ def test_a_chunk_is_solved_as_one_stack_per_dimension(lapack_work, monkeypatch, 
     for trials, chunks in ((100, 1), (250, 3)):
         config = SweepConfig(families=(family,), trials=trials, dims=(2, 4, 8), seed=5)
         lapack_work.update(dict.fromkeys(lapack_work, 0))
-        run_trial(config, family, 0, 0)
+        _trials(config, family, 0, [0])
         one = dict(lapack_work)
         lapack_work.update(dict.fromkeys(lapack_work, 0))
         run_sweep(config)
@@ -700,19 +719,18 @@ def test_sweep_determinism_and_csv_bytes(tmp_path):
     config = small_config()
     one = tmp_path / "one.csv"
     two = tmp_path / "two.csv"
-    write_trials_csv(report_piece(as_judged(run_sweep(config)))[0][0], one)
-    write_trials_csv(report_piece(as_judged(run_sweep(config)))[0][0], two)
+    write_trials_csv("".join(rows for rows, _ in run_sweep(config)), one)
+    write_trials_csv("".join(rows for rows, _ in run_sweep(config)), two)
     assert one.read_bytes() == two.read_bytes()
     header = one.read_text().splitlines()[0]
     assert header.startswith("family,seed,dim,norm_target,series")
 
 
-def _judged_trial(f, instance, matrices):
+def _judged_trial(f, matrices):
+    """(oracles, bounds, bounds below their oracle) of one instance."""
     report = best_bound(f, *matrices)
     (oracles,) = oracle_radii(f, [report.invariants])
-    tightness, low = _judged(report.results, oracles)
-    return TrialRecord(instance, f.name, oracles, report.results, tightness,
-                       bool(low))
+    return oracles, report.results, _judged(report.results, oracles)
 
 
 def test_sweep_survives_targets_outside_disk():
@@ -721,33 +739,31 @@ def test_sweep_survives_targets_outside_disk():
         # single mode: ||T|| = 1.5 >= R = 1 leaves the bound unavailable
         # and the oracle uncomputable; the trial must report, not crash
         s = spec("diagonal-positive", seed=seed, dim=2 + 2 * (seed % 2), target=1.5)
-        r = _judged_trial(f, s, (gen_matrix(s),))
-        assert r.oracles == {}
-        assert [b.available for b in r.bounds] == [False]
-        assert not r.violation
+        oracles, bounds, low = _judged_trial(f, (gen_matrix(s),))
+        assert oracles == {}
+        assert [b.available for b in bounds] == [False]
+        assert not low
         # pair mode at ||A|| = ||B|| = 1.3: every series precondition
         # fails, norm-only bounds still apply and are judged
         s = spec(FAMILIES_PAIR[seed % 2], seed=seed, dim=2 + 2 * (seed % 2), target=1.3)
-        r = _judged_trial(f, s, gen_commuting_pair(s))
-        assert {"AB", "AB+BA", "AB-BA"} <= r.oracles.keys()
-        assert not r.violation
-        assert all(not b.available for b in r.bounds if b.target == "f(AB)")
-        assert any(b.available for b in r.bounds)
+        oracles, bounds, low = _judged_trial(f, gen_commuting_pair(s))
+        assert {"AB", "AB+BA", "AB-BA"} <= oracles.keys()
+        assert not low
+        assert all(not b.available for b in bounds if b.target == "f(AB)")
+        assert any(b.available for b in bounds)
 
 
 def test_sweep_accepts_polynomial_series():
-    records = run_sweep(small_config(
+    rows, summary = sweep_reports(small_config(
         series_names=("poly:1,0,0.5",), families=("diagonal-positive",),
         trials=4,
     ))
-    for record in records:
-        assert record.series_name == "poly:1,0,0.5"
-        assert not record.violation
+    assert (summary["trials"], summary["violations"]) == (4, 0)
+    assert {(row["series"], row["violation"]) for row in rows} == {("poly:1,0,0.5", "0")}
 
 
 def test_summarize_statistics():
-    records = run_sweep(small_config())
-    summary = summarize(records)
+    _, summary = sweep_reports(small_config())
     assert summary["trials"] == 20
     assert summary["violations"] == 0
     sq = summary["bounds"]["pair-squares"]
@@ -759,134 +775,156 @@ def test_summarize_statistics():
     assert wins >= 20  # every trial has at least one winner (ties allowed)
 
 
-def _report_records():
-    """Sweep records with unavailable rows and None tightness (the zero
-    oracle of log-resolvent on nilpotent input), and hand-made trials
-    whose rows tie for a win, one of them a violation."""
-    records = run_sweep(small_config(
-        series_names=("log-resolvent", "geometric"),
-        families=("nilpotent", *FAMILIES_PAIR), trials=8))
+def _stack(trials, rows):
+    """The `Judged` stack of `trials`, each (spec, series, oracles), and of
+    `rows`, each (name, target, cells) with one cell a trial: the row's
+    value there, or the reason it is Unavailable."""
+    specs, series, oracles = zip(*trials)
+    names, targets, cells = zip(*rows)
+    return Judged(specs, series, oracles, names, targets,
+                  np.array([[math.nan if isinstance(c, str) else c for c in row]
+                            for row in cells]),
+                  [[c if isinstance(c, str) else None for c in row] for row in cells])
+
+
+def _sliced(j, start, stop):
+    """Trials start:stop of the stack `j`, as a stack of their own."""
+    return Judged(j.specs[start:stop], j.series[start:stop], j.oracles[start:stop],
+                  j.names, j.targets, j.values[:, start:stop],
+                  [reasons[start:stop] for reasons in j.reasons])
+
+
+def _report_stacks():
+    """Hand-made stacks of two layouts: rows Unavailable, rows on a zero
+    oracle (no tightness, as log-resolvent on a nilpotent matrix), two rows
+    that tie for every win and one violation among three pairs, and 30
+    single trials, enough for chunks of 1, 7 and 25 to split."""
     oracles = {"AB": (0.5, 0.0), "f(AB)": (0.0, 0.0)}
-    for k, value in enumerate((1.0, 0.25, 0.6)):
-        bounds = [BoundResult("x", value, "AB"),
-                  BoundResult("y", value * (1 + 1e-13), "AB"),
-                  BoundResult("z", None, "f(AB)", reason="outside the disk")]
-        tightness, low = _judged(bounds, oracles)
-        records.append(TrialRecord(spec(FAMILIES_PAIR[0], seed=k), "exp",
-                                   oracles, bounds, tightness, bool(low)))
-    return records
+    xs = [1.0, 0.25, 0.6]
+    ties = _stack([(spec(FAMILIES_PAIR[0], seed=k), "exp", oracles) for k in range(3)],
+                  [("x", "AB", xs), ("y", "AB", [x * (1 + 1e-13) for x in xs]),
+                   ("z", "f(AB)", ["outside the disk"] * 3),
+                   ("w", "f(AB)", [2.0, "outside the disk", 3.0])])
+    single = [({"f(T)": (0.0, 0.0)} if k % 10 == 0 else {"f(T)": (1.0 + k / 8, 1e-10)},
+               "precondition failed: ||T|| < R (measured 1.2)" if k % 7 == 3
+               else 0.0 if k % 10 == 0 else (1.0 + k / 8) * (1.0 + k / 64))
+              for k in range(30)]
+    return [ties, _stack([(spec("nilpotent", seed=k), "log-resolvent", o)
+                          for k, (o, _) in enumerate(single)],
+                         [("companion-radius", "f(T)", [cell for _, cell in single])])]
 
 
-def _case_counts(records):
-    available = [(r, b) for r in records for b in r.bounds if b.available]
-    return (sum(not b.available for r in records for b in r.bounds),
-            sum(r.tightness.get(b.name) is None for r, b in available),
-            sum(r.violation for r in records))
+def _alone(stacks):
+    """(spec, series, oracles, bounds) of each trial of `stacks`, its rows
+    as `BoundResult`s."""
+    for j in stacks:
+        for i, (s, series, oracles) in enumerate(zip(j.specs, j.series, j.oracles)):
+            yield s, series, oracles, [
+                BoundResult(name, None if reasons[i] else value, target, reasons[i])
+                for name, target, value, reasons in zip(j.names, j.targets,
+                                                        j.values[:, i].tolist(), j.reasons)]
 
 
-def _assert_summary_of(summary, records):
-    """Counts and tightness statistics read off the records one by one."""
+def _tightness_alone(b, oracles):
+    """value / oracle of an available bound whose oracle and its error are
+    finite and the oracle above 1e-12, else None."""
+    oracle, err = oracles.get(b.target, (math.nan, math.nan))
+    if b.available and math.isfinite(oracle) and math.isfinite(err) and oracle > 1e-12:
+        return b.value / oracle
+    return None
+
+
+def _case_counts(stacks):
+    trials = list(_alone(stacks))
+    return (sum(not b.available for *_, bounds in trials for b in bounds),
+            sum(b.available and _tightness_alone(b, oracles) is None
+                for _, _, oracles, bounds in trials for b in bounds),
+            sum(bool(_judged(bounds, oracles)) for _, _, oracles, bounds in trials))
+
+
+def _assert_summary_of(summary, stacks):
+    """Counts and tightness statistics read off the trials one by one."""
+    trials = [(oracles, bounds) for _, _, oracles, bounds in _alone(stacks)]
     assert (summary["trials"], summary["violations"]) == (
-        len(records), sum(r.violation for r in records))
+        len(trials), sum(bool(_judged(bounds, oracles)) for oracles, bounds in trials))
     for name, stat in summary["bounds"].items():
-        rows = [(r, b) for r in records for b in r.bounds if b.name == name]
-        ts = [r.tightness[name] for r, b in rows
-              if b.available and r.tightness.get(name) is not None]
+        rows = [(b, oracles) for oracles, bounds in trials for b in bounds if b.name == name]
+        ts = [t for t in (_tightness_alone(b, oracles) for b, oracles in rows) if t is not None]
         assert (stat["evaluated"], stat["available"]) == (
-            len(rows), sum(b.available for _, b in rows))
+            len(rows), sum(b.available for b, _ in rows))
         assert (stat["tightness_median"], stat["tightness_max"]) == (
             (statistics.median(ts), max(ts)) if ts else (None, None))
 
 
-def _rows_alone(records):
-    """The trials.csv rows of `records`, one csv.writer row per bound, each
-    cell formatted alone: the reference for `report_piece`'s text."""
+def _rows_alone(stacks):
+    """The trials.csv rows of `stacks`, one csv.writer row per bound, each
+    cell formatted alone, each trial judged alone: the reference for
+    `report_piece`'s text."""
     def cell(value):
         return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
-    for r in records:
-        for b in r.bounds:
-            oracle, oracle_err = r.oracles.get(b.target, (None, None))
-            writer.writerow([r.spec.family, r.spec.seed, r.spec.dim, cell(r.spec.norm_target),
-                             r.series_name, b.name, b.target, "1" if b.available else "0",
+    for s, series, oracles, bounds in _alone(stacks):
+        violation = "1" if _judged(bounds, oracles) else "0"
+        for b in bounds:
+            oracle, oracle_err = oracles.get(b.target, (None, None))
+            writer.writerow([s.family, s.seed, s.dim, cell(s.norm_target), series,
+                             b.name, b.target, "1" if b.available else "0",
                              *map(cell, (b.value, b.reason, oracle, oracle_err,
-                                         r.tightness.get(b.name))),
-                             "1" if r.violation else "0"])
+                                         _tightness_alone(b, oracles))),
+                             violation])
     return text.getvalue()
 
 
 def test_trials_csv_text_is_csv_writers_cell_by_cell():
     # Series names and reasons that need quoting, a quote doubled, a line
     # break and a leading space: each cell as csv.writer writes it.
-    records = _report_records()
-    oracles = {"AB": (0.5, 0.0)}
-    for k, (series, reason) in enumerate([("poly:1,-0.5+0.3j,0.25j", "a, b"),
-                                          ("2F1:0.5,1,2", 'say "x"'),
-                                          ("exp", "two\nlines"), ("geometric", " lead")]):
-        bounds = [BoundResult("x", 0.25, "AB"), BoundResult("z", None, "AB", reason=reason)]
-        tightness, low = _judged(bounds, oracles)
-        records.append(TrialRecord(spec(FAMILIES_PAIR[1], seed=k), series, oracles, bounds,
-                                   tightness, bool(low)))
-    text = report_piece(as_judged(records))[0][0]
-    assert text == _rows_alone(records)
+    quoting = [("poly:1,-0.5+0.3j,0.25j", "a, b"), ("2F1:0.5,1,2", 'say "x"'),
+               ("exp", "two\nlines"), ("geometric", " lead")]
+    stacks = _report_stacks() + [_stack(
+        [(spec(FAMILIES_PAIR[1], seed=k), series, {"AB": (0.5, 0.0)})
+         for k, (series, _) in enumerate(quoting)],
+        [("x", "AB", [0.25] * 4), ("z", "AB", [reason for _, reason in quoting])])]
+    text = "".join(report_piece(j)[0] for j in stacks)
+    assert text == _rows_alone(stacks)
     assert '"poly:1,-0.5+0.3j,0.25j"' in text and '"say ""x"""' in text
 
 
 @pytest.mark.parametrize("size", [1, 7, 25])
-def test_report_pieces_join_to_the_records_reports(size, tmp_path):
-    records = _report_records()
-    unavailable, no_tightness, violations = _case_counts(records)
+def test_report_pieces_join_to_the_records_reports(size):
+    # The stacks split into chunks of `size` trials: the pieces join to
+    # the whole stacks' reports, which are the trials' read one by one.
+    stacks = _report_stacks()
+    unavailable, no_tightness, violations = _case_counts(stacks)
     assert unavailable and no_tightness and violations == 1
-    summary = summarize(records)
-    _assert_summary_of(summary, records)
+    whole = joined(map(report_piece, stacks))
+    summary = whole[1]
+    _assert_summary_of(summary, stacks)
     assert summary["bounds"]["x"]["wins"] == summary["bounds"]["y"]["wins"] == 3
-    pieces = [piece for start in range(0, len(records), size)
-              for piece in report_piece(as_judged(records[start:start + size]))]
-    assert len(pieces) == math.ceil(len(records) / size)
-    assert summarize_tallies(tally for _, tally in pieces) == summary
-    write_trials_csv(report_piece(as_judged(records))[0][0], tmp_path / "records.csv")
-    write_trials_csv("".join(rows for rows, _ in pieces), tmp_path / "pieces.csv")
-    assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "pieces.csv").read_bytes()
-
-
-@pytest.mark.parametrize("size", [1, 7, 25])
-def test_sweep_report_reduction_matches_records(size, monkeypatch):
-    # Chunks of `size` trials, run by the workers when there are CPUs for them.
-    import specbound.harness as harness_mod
-
-    monkeypatch.setattr(harness_mod, "_CHUNK_TRIALS", size)
-    config = small_config(series_names=("log-resolvent", "geometric"),
-                          families=("nilpotent", *FAMILIES_PAIR), trials=8)
-    records = run_sweep(config)
-    pieces = run_sweep(config, reduce=report_piece)
-    assert len(pieces) == 3 * math.ceil(8 / size)
-    assert summarize_tallies(tally for _, tally in pieces) == summarize(records)
-    assert "".join(rows for rows, _ in pieces) == report_piece(as_judged(records))[0][0]
-    assert multiprocessing.active_children() == []
+    pieces = [report_piece(_sliced(j, start, start + size))
+              for j in stacks for start in range(0, len(j.specs), size)]
+    assert len(pieces) == sum(math.ceil(len(j.specs) / size) for j in stacks)
+    assert joined(pieces) == whole
+    assert whole[0] == _rows_alone(stacks)
 
 
 @pytest.mark.parametrize("family", ["unitary-conjugated-jordan", "commuting-triangular-pair"])
 def test_a_long_sweep_is_the_same_at_every_chunk_size(monkeypatch, family):
     # 250 trials of one family, whose Haar unitaries are factored as one
     # stack per chunk and dimension: at 100 the last chunk is a short one.
+    # Every chunk size gives the rows and statistics of the trials run alone.
     config = SweepConfig(families=(family,), trials=250, dims=(2, 3, 5), seed=11)
-    swept = []
     for size in (7, 25, 100):
         monkeypatch.setattr(harness_mod, "_CHUNK_TRIALS", size)
-        pieces = run_sweep(config, reduce=report_piece)
+        pieces = run_sweep(config)
         assert len(pieces) == math.ceil(250 / size)
-        swept.append((run_sweep(config), "".join(rows for rows, _ in pieces),
-                      summarize_tallies(tally for _, tally in pieces)))
-    assert swept[0] == swept[1] == swept[2]
-    records = swept[2][0]
-    assert swept[2][1:] == (report_piece(as_judged(records))[0][0], summarize(records))
+        assert joined(pieces) == one_by_one(config), size
     assert multiprocessing.active_children() == []
 
 
 def test_report_piece_holds_only_strings_and_numbers():
-    (piece,) = report_piece(as_judged(_report_records()))
+    piece = report_piece(_report_stacks()[0])
 
     def leaves(x):
         if isinstance(x, (list, tuple)):
@@ -896,7 +934,7 @@ def test_report_piece_holds_only_strings_and_numbers():
         return [x]
 
     assert {type(leaf) for leaf in leaves(piece)} <= {str, int, float}
-    # so its pickle names no class of this package (no TrialRecord, no BoundResult)
+    # so its pickle names no class of this package (no Judged, no BoundResult)
     assert b"specbound" not in pickle.dumps(piece)
 
 
@@ -906,16 +944,13 @@ def test_report_piece_holds_only_strings_and_numbers():
 ])
 def test_judge_flags_a_non_finite_oracle(oracle, violation):
     # A NaN or inf oracle checks nothing; an available bound meeting one
-    # must not count as a pass.
+    # must not count as a pass, in `bound` or in a sweep's report.
     bounds = [BoundResult("b", 2.0, "f(T)")]
-    tightness, low = _judged(bounds, {"f(T)": oracle})
-    assert (low == bounds) is violation
-    record = TrialRecord(
-        spec=spec("diagonal-positive"), series_name="exp",
-        oracles={"f(T)": oracle}, bounds=bounds, tightness=tightness,
-        violation=bool(low),
-    )
-    assert summarize([record])["violations"] == int(violation)
+    assert (_judged(bounds, {"f(T)": oracle}) == bounds) is violation
+    rows, (trials, violations, _) = report_piece(
+        _stack([(spec("diagonal-positive"), "exp", {"f(T)": oracle})], [("b", "f(T)", [2.0])]))
+    assert (trials, violations) == (1, int(violation))
+    assert rows.endswith(f",{int(violation)}\n")
 
 
 def test_worst_margin_is_positive_exactly_on_a_flagged_bound():
@@ -931,11 +966,11 @@ def test_worst_margin_is_positive_exactly_on_a_flagged_bound():
     bounds += [BoundResult("unavailable", None, "f(T)", reason="outside the disk"),
                BoundResult("no-oracle", 1.0, "AB+BA"),
                BoundResult("non-finite-oracle", 1.0, "AB")]
-    tightness, low = _judged(bounds, oracles)
-    record = TrialRecord(spec("diagonal-positive"), "exp", oracles, bounds, tightness,
-                         bool(low))
+    low = _judged(bounds, oracles)
+    stack = _stack([(spec("diagonal-positive"), "exp", oracles)],
+                   [(b.name, b.target, [b.reason or b.value]) for b in bounds])
     worst = {name: stat["worst_margin"]
-             for name, stat in summarize([record])["bounds"].items()}
+             for name, stat in joined([report_piece(stack)])[1]["bounds"].items()}
     assert [b.name for b in low] == ["below", "far-below", "non-finite-oracle"]
     for b in bounds:
         flagged = b in low and b.name != "non-finite-oracle"
@@ -949,14 +984,14 @@ def test_worst_margin_is_positive_exactly_on_a_flagged_bound():
 
 def test_worst_margin_is_null_only_on_rows_a_generic_pair_never_judges(monkeypatch):
     # Chunks of 7, run by the workers when there are CPUs for them: the
-    # largest margin of each bound is the same as over the records. Every
-    # row a generic pair gets is judged, below its slack's floor; the
-    # commuting rows are never judged.
-    monkeypatch.setattr(harness_mod, "_CHUNK_TRIALS", 7)
+    # largest margin of each bound is the same as in one chunk. Every row
+    # a generic pair gets is judged, below its slack's floor; the commuting
+    # rows are never judged.
     config = small_config(families=FAMILIES_GENERIC, trials=20)
-    pieces = run_sweep(config, reduce=report_piece)
-    stats = summarize_tallies(tally for _, tally in pieces)["bounds"]
-    assert summarize(run_sweep(config))["bounds"] == stats
+    stats = joined(run_sweep(config))[1]["bounds"]
+    monkeypatch.setattr(harness_mod, "_CHUNK_TRIALS", 7)
+    pieces = run_sweep(config)
+    assert len(pieces) == 3 and joined(pieces)[1]["bounds"] == stats
     commuting = {row.name for row in _COMMUTING_ROWS}
     for name, stat in stats.items():
         if name in commuting:

@@ -8,17 +8,19 @@ stacked `bounds.evaluate`; one sweep trial's spec drawn from numpy's
 own `default_rng`, the reference for the harness's per-chunk streams; and
 the references the tests read that the package does not: each catalog
 companion in closed form, the catalog as a list, the scalar spectral
-radius and operator norm, the truncation order alone, and the reports of
-a list of trial records.
+radius and operator norm, the truncation order alone, and a sweep's
+reports read back as rows and statistics.
 
 These checks exercise LAPACK and the instance generators rather than any
 bound of the package, so they run in the test suite, not in `verify`.
 """
 
+import csv
+import io
 import itertools
 import math
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -26,22 +28,22 @@ import numpy as np
 from inequalities import relaxed_arms
 from specbound import (BestBoundReport, BoundResult, NormOverflow, PowerSeries,
                        eval_companion, from_coefficients, lookup)
-from specbound.bounds import _COMMUTING_ROWS, _MIXED, _PM_ROWS, _PRODUCT, _SINGLE
+from specbound.bounds import _COMMUTING_ROWS, _MIXED, _PM_ROWS, _PRODUCT, _SINGLE, invariants
 from specbound.harness import (
     FAMILIES_GENERIC,
     FAMILIES_PAIR,
     FAMILIES_SINGLE,
+    _CSV_COLUMNS,
     CheckResult,
     InstanceSpec,
-    Judged,
     SweepConfig,
-    TrialRecord,
+    _generate,
     _ginibre,
     _haar_unitary,
     _scaled,
     _trials,
     gen_matrix,
-    report_piece,
+    run_sweep,
     summarize_tallies,
 )
 from specbound.matrices import eigenvalues, operator_norms
@@ -105,27 +107,33 @@ def truncation_order(f: PowerSeries, x: float, tol: float,
     return _order_and_tail(f, x, tol, max_terms)[0]
 
 
-def as_judged(records: Iterable[TrialRecord]) -> list[Judged]:
-    """`records` as `Judged` stacks for the reports, one per run of
-    consecutive records with the same bound names and targets."""
-    out = []
-    for layout, run in itertools.groupby(
-            records, lambda record: [(b.name, b.target) for b in record.bounds]):
-        run = list(run)
-        names, targets = zip(*layout)
-        out.append(Judged(
-            [r.spec for r in run], [r.series_name for r in run], [r.oracles for r in run],
-            names, targets,
-            np.array([[np.nan if b.value is None else b.value for b in r.bounds]
-                      for r in run]).T,
-            [[r.bounds[j].reason for r in run] for j in range(len(layout))],
-            lambda i, run=run: run[i].bounds))
-    return out
+def read_rows(text: str) -> list[dict[str, str]]:
+    """The `trials.csv` rows `text` (joined report pieces' rows, no header)
+    as `csv.DictReader` reads them under the header `_CSV_COLUMNS`."""
+    return list(csv.DictReader(io.StringIO(text), fieldnames=_CSV_COLUMNS))
 
 
-def summarize(records: Iterable[TrialRecord]) -> dict:
-    """The `summary.json` statistics of `records`, as `verify` writes them."""
-    return summarize_tallies(tally for _, tally in report_piece(as_judged(records)))
+def sweep_reports(config: SweepConfig) -> tuple[list[dict[str, str]], dict]:
+    """What `verify` reports of the sweep `config`, read back: the rows of
+    `run_sweep`'s pieces by `read_rows`, and `summarize_tallies` of their
+    tallies, the sweep part of `summary.json`."""
+    pieces = run_sweep(config)
+    return (read_rows("".join(rows for rows, _ in pieces)),
+            summarize_tallies(tally for _, tally in pieces))
+
+
+def row_spec(row: dict[str, str]) -> InstanceSpec:
+    """The instance of a `trials.csv` row, from its spec columns."""
+    return InstanceSpec(int(row["seed"]), row["family"], int(row["dim"]),
+                        float(row["norm_target"]))
+
+
+def trial_rows(rows: list[dict[str, str]]) -> list[list[dict[str, str]]]:
+    """`rows` split into each trial's rows, which are consecutive and share
+    their spec and series columns."""
+    return [list(group) for _, group in itertools.groupby(
+        rows, lambda row: [row[c] for c in ("family", "seed", "dim", "norm_target", "series")])]
+
 
 # Squaring past this norm risks leaving double range within a few steps.
 _SQUARING_NORM_CAP = 1e120
@@ -308,17 +316,21 @@ def run_limit_laws(
 def run_mixed_chain(
     seed: int = 0, trials: int = 500, dims: Sequence[int] = (2, 4, 8)
 ) -> dict[str, CheckResult]:
-    """pm-mixed is at most each of its `relaxed_arms`, computed from the
-    row's own intermediates, on the `generic-pair` trials of `verify
-    --seed seed --trials trials --dims dims`. This is submultiplicativity
-    of LAPACK's norms."""
+    """pm-mixed is at most each of its `relaxed_arms` on the `generic-pair`
+    trials of `verify --seed seed --trials trials --dims dims`: the row's
+    value as the sweep writes it, the arms from the norms of its pair,
+    generated again from the row's spec columns. This is
+    submultiplicativity of LAPACK's norms."""
     result = CheckResult()
     config = SweepConfig(trials=trials, dims=tuple(dims), seed=seed)
     family = "generic-pair"
-    for record in _trials(config, family, config.families.index(family), range(trials)):
-        (mixed,) = (b for b in record.bounds if b.name == "pm-mixed(+)")
-        for arm in relaxed_arms(mixed.intermediates):
-            result.record(mixed.value - arm - 1e-10 * max(1.0, arm))
+    text, _ = _trials(config, family, config.families.index(family), range(trials))
+    for row in read_rows(text):
+        if row["bound"] == "pm-mixed(+)":
+            (norms,) = invariants(*_generate([row_spec(row)]))
+            value = float(row["value"])
+            for arm in relaxed_arms(norms):
+                result.record(value - arm - 1e-10 * max(1.0, arm))
     return {"pm-mixed-chain": result}
 
 
