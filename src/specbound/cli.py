@@ -219,8 +219,7 @@ def cmd_verify(args) -> int:
         config,
         (harness.run_limit_checks, (args.seed, min(args.trials, 300), config.dims)),
     )
-    harness.write_trials_csv("".join(rows for rows, _ in pieces),
-                             out_dir / "trials.csv")
+    harness.write_trials_csv((rows for rows, _ in pieces), out_dir / "trials.csv")
     sweep_summary = harness.summarize_tallies(tally for _, tally in pieces)
     all_checks_pass = all(c.passed for c in checks.values())
     passed = sweep_summary["violations"] == 0 and all_checks_pass

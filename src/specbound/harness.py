@@ -640,11 +640,13 @@ def _rows_text(j: Judged) -> str:
     return "".join(lines)
 
 
-def write_trials_csv(rows: str, path: Union[str, Path]) -> None:
-    """Write `trials.csv`: the header, then `rows`, the rows' text (the
-    joined `report_piece`s of a sweep)."""
+def write_trials_csv(rows: Iterable[str], path: Union[str, Path]) -> None:
+    """Write `trials.csv`: the header, then each text of `rows` in turn (the
+    rows of a sweep's `report_piece`s), so no copy of the whole report is
+    built."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(_CSV_COLUMNS) + "\n" + rows)
+        handle.write(",".join(_CSV_COLUMNS) + "\n")
+        handle.writelines(rows)
 
 
 def report_piece(j: Judged) -> tuple[str, tuple]:

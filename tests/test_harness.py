@@ -719,11 +719,49 @@ def test_sweep_determinism_and_csv_bytes(tmp_path):
     config = small_config()
     one = tmp_path / "one.csv"
     two = tmp_path / "two.csv"
-    write_trials_csv("".join(rows for rows, _ in run_sweep(config)), one)
-    write_trials_csv("".join(rows for rows, _ in run_sweep(config)), two)
+    write_trials_csv((rows for rows, _ in run_sweep(config)), one)
+    write_trials_csv((rows for rows, _ in run_sweep(config)), two)
     assert one.read_bytes() == two.read_bytes()
     header = one.read_text().splitlines()[0]
     assert header.startswith("family,seed,dim,norm_target,series")
+
+
+def test_trials_csv_is_the_header_then_each_piece(tmp_path):
+    pieces = [rows for rows, _ in run_sweep(small_config())]
+    assert len(pieces) > 1
+    header = ",".join(harness_mod._CSV_COLUMNS) + "\n"
+    for given in (pieces, iter(pieces)):
+        write_trials_csv(given, tmp_path / "trials.csv")
+        assert (tmp_path / "trials.csv").read_bytes() == (header + "".join(pieces)).encode()
+
+
+def test_verify_holds_its_trials_csv_once(monkeypatch, tmp_path):
+    # The parent's traced peak while verify turns the sweep's results, as
+    # it unpickles them from its workers, into its reports: the pieces
+    # themselves, and no join of them, header-plus-rows string or encoding
+    # of the whole report (4.2 times trials.csv when each was built).
+    import tracemalloc
+    from specbound import cli
+
+    sweep, sent = harness_mod.run_sweep, []
+
+    def received(*args):
+        if not sent:
+            sent.append(pickle.dumps(sweep(*args)))
+        return pickle.loads(sent[0])
+
+    monkeypatch.setattr(harness_mod, "run_sweep", received)
+    argv = ["verify", "--trials", "200", "--seed", "7", "--out"]
+    assert cli.main([*argv, str(tmp_path / "first")]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, str(tmp_path / "traced")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "traced" / "trials.csv").stat().st_size
+    assert size > 10**6
+    assert peak <= 2 * size
 
 
 def _judged_trial(f, matrices):
