@@ -329,8 +329,10 @@ def gen_commuting_pair(spec: InstanceSpec) -> tuple[Matrix, Matrix]:
 class SweepConfig:
     """Deterministic description of a verification sweep.
 
-    `trials` counts instances per family; dims and series cycle across
-    trials. Norm targets default to 0.9*min(R, 10) for single families
+    `trials` counts instances per family. Across a family's trials the
+    series cycles fastest and the dimension steps once per cycle of the
+    series, so every (series, dimension) pair recurs each len(series_names)
+    * len(dims) trials. Norm targets default to 0.9*min(R, 10) for single families
     and 0.8*sqrt(R) (1.0 when R is infinite) for commuting pairs, each
     times a per-trial fraction drawn from the trial's own seed. A generic
     pair's target is min(2, 0.95*sqrt(R)) times a fraction in (0.1, 1):
@@ -511,7 +513,7 @@ def _trial_specs(config: SweepConfig, family: str, family_index: int,
         out.append((f, InstanceSpec(
             seed=int(trial_rng.integers(0, 2**63)),
             family=family,
-            dim=config.dims[index % len(config.dims)],
+            dim=config.dims[index // len(config.series_names) % len(config.dims)],
             norm_target=float(base * fraction),
         )))
     return out

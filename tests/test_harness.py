@@ -347,7 +347,7 @@ def test_near_radius_stack_keeps_each_oracle(name):
 
 def test_verify_sums_each_oracle_stack_in_one_kernel_call(monkeypatch, tmp_path):
     # On one CPU: one call per chunk, dimension and series for the 1,600
-    # sweep trials (8 families, 2 chunks, 3 dimensions with one series
+    # sweep trials (8 families, 2 chunks, 3 dimensions with 3 series
     # each), and one per dimension, tolerance and series for the 800
     # truncation-cauchy radii (3 dimensions, 4 tolerances, 2 series).
     import specbound.jobs as jobs_mod
@@ -362,7 +362,7 @@ def test_verify_sums_each_oracle_stack_in_one_kernel_call(monkeypatch, tmp_path)
     monkeypatch.setattr(jobs_mod, "_cpus", lambda: 1)
     monkeypatch.setattr(harness_mod, "partial_sums", counted)
     assert cli.main(["verify", "--trials", "200", "--seed", "7", "--out", str(tmp_path)]) == 0
-    assert len(rows) == 72 and sum(rows) == 2400
+    assert len(rows) == 168 and sum(rows) == 2400
 
 
 def test_verify_builds_each_chunks_streams_in_one_pass(monkeypatch, tmp_path):

@@ -218,7 +218,7 @@ def trial_spec_alone(config: SweepConfig, family: str, family_index: int, index:
     return f, InstanceSpec(
         seed=int(trial_rng.integers(0, 2**63)),
         family=family,
-        dim=config.dims[index % len(config.dims)],
+        dim=config.dims[index // len(config.series_names) % len(config.dims)],
         norm_target=float(base * fraction),
     )
 
