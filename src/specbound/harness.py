@@ -331,10 +331,11 @@ class SweepConfig:
 
     `trials` counts instances per family. Across a family's trials the
     series cycles fastest and the dimension steps once per cycle of the
-    series, so every (series, dimension) pair recurs each len(series_names)
-    * len(dims) trials. Norm targets default to 0.9*min(R, 10) for single families
-    and 0.8*sqrt(R) (1.0 when R is infinite) for commuting pairs, each
-    times a per-trial fraction drawn from the trial's own seed. A generic
+    series, so every (series, dimension) pair recurs each
+    len(series_names) * len(dims) trials. Norm targets default to
+    0.9*min(R, 10) for single families and 0.8*sqrt(R) (1.0 when R is
+    infinite) for commuting pairs, each times a per-trial fraction drawn
+    from the trial's own seed. A generic
     pair's target is min(2, 0.95*sqrt(R)) times a fraction in (0.1, 1):
     U(0.2, 2.0) when R is infinite, the range the norm-only rows on
     r(AB +/- BA) need, and ||AB|| <= 0.9025*R otherwise, whose truncation

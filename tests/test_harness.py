@@ -739,7 +739,7 @@ def test_verify_holds_its_trials_csv_once(monkeypatch, tmp_path):
     # The parent's traced peak while verify turns the sweep's results, as
     # it unpickles them from its workers, into its reports: the pieces
     # themselves, and no join of them, header-plus-rows string or encoding
-    # of the whole report (4.2 times trials.csv when each was built).
+    # of the whole report, each of which is one more trials.csv.
     import tracemalloc
     from specbound import cli
 
