@@ -165,7 +165,7 @@ def cmd_bound(args) -> int:
     matrices = [load_matrix(path) for path in args.matrix]
     # best_bound raises DimMismatch (exit 2) for a pair of unequal sizes.
     report = best_bound(f, *matrices, tol=args.tol)
-    (oracles,) = oracle_radii(f, [report.invariants], tol=args.tol)
+    (oracles,) = oracle_radii([f], [report.invariants], tol=args.tol)
     if not isinstance(oracles, dict):
         raise oracles
 

@@ -15,10 +15,12 @@ floating-point rounding and the oracle's own truncation error. It runs in
 chunks of up to `_CHUNK_TRIALS` (100) of one family's trials; a chunk's
 trials of one dimension are generated, factored and solved as one stack,
 one LAPACK call per step: the Haar unitaries' QR, each scaling's SVD, the
-invariants' SVD and their eigensolve; then the oracle sums the stack's
-truncations of each series in one `series.partial_sums` call, each with
-the bits it has alone. `bounds.evaluate` fills the chunk's bound rows as
-one stack of columns, and `Judged` judges them there; the chunk's
+invariants' SVD and their eigensolve. Then the whole chunk, every
+series and dimension, goes to `oracle_radii` and to `bounds.evaluate` as
+one stack each: the oracle sums the truncations of each dimension and
+series in one `series.partial_sums` call, each with the bits it has
+alone, `evaluate` fills the chunk's bound rows as one stack of columns,
+and `Judged` judges them there; the chunk's
 `report_piece`, its `trials.csv` rows and summary tallies, is built from
 those arrays and is all the chunk returns, so a sweep builds no
 `BoundResult`: only `bound` does. Its judge is the only one:
@@ -439,13 +441,13 @@ class Judged:
 
 
 def oracle_radii(
-    f: PowerSeries, vs: Sequence[Invariants], tol: float = DEFAULT_TOL
+    fs: Sequence[PowerSeries], vs: Sequence[Invariants], tol: float = DEFAULT_TOL
 ) -> list[Union[dict[str, tuple[float, float]], NoConvergence, NormOverflow]]:
     """(value, error) of the oracle for each target quantity of each
     instance whose invariants (as `best_bound` reports them) are in the
-    stack `vs`, all of one dimension; an instance whose oracle fails gets,
-    in its place, the NoConvergence or NormOverflow naming it, for the
-    caller to raise.
+    stack `vs`, each with its own series in `fs`; an instance whose oracle
+    fails gets, in its place, the NoConvergence or NormOverflow naming it,
+    for the caller to raise.
 
     Pair mode gives r(AB), r(AB+BA) and r(AB-BA), read from `v`, with no
     error. When its argument lies inside the disk, the series target f(T)
@@ -453,15 +455,18 @@ def oracle_radii(
     `v.spectrum` of T or AB (spectral mapping), with the truncation's
     remainder bound as error: m is the order whose scalar majorant tail
     sum_{j>m} |a_j| x^j at x = ||T|| or ||AB||, read from `v`, is <= tol,
-    and that tail dominates the matrix remainder's operator norm.
-    NoConvergence if no order up to DEFAULT_MAX_TERMS is certified, and
-    NormOverflow if S_m is not finite at an eigenvalue. Every instance's
-    order is found first; then one `partial_sums` call sums every
-    truncation, each with the bits it has alone. No SVD or eigensolve runs.
+    and the tail bounds |f(lambda) - S_m(lambda)| at every eigenvalue,
+    |lambda| <= x. NoConvergence if no order up to DEFAULT_MAX_TERMS is
+    certified, and NormOverflow if S_m is not finite at an eigenvalue.
+    Every instance's order is found first; then one `partial_sums` call
+    per dimension and series sums their truncations, each with the bits it
+    has alone. No SVD or eigensolve runs.
     """
     out: list = []
-    summed = []  # (place in `out`, argument, order, tail) of each truncation
-    for v in vs:
+    # (dimension, id of the series) -> (place in `out`, argument, order,
+    # tail) of each truncation; `fs` holds the series
+    stacks: dict[tuple[int, int], list[tuple[int, str, int, float]]] = {}
+    for f, v in zip(fs, vs):
         if "r(T)" in v:
             arg, oracles = "T", {}
         else:
@@ -474,22 +479,22 @@ def oracle_radii(
         except NoConvergence as e:
             oracles = e
         else:
-            summed.append((len(out), arg, m, tail))
+            stacks.setdefault((len(v.spectrum), id(f)), []).append((len(out), arg, m, tail))
         out.append(oracles)
-    if not summed:
-        return out
-    places, _, orders, _ = zip(*summed)
-    spectra = np.array([vs[k].spectrum for k in places])
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        radii = np.abs(partial_sums(f, spectra, orders)).max(axis=1).tolist()
-    for (k, arg, m, tail), radius in zip(summed, radii):
-        if math.isfinite(radius):
-            out[k][f"f({arg})"] = (radius, tail)
-        else:
-            given = "matrix" if arg == "T" else "pair"
-            out[k] = NormOverflow(
-                f"{f.name}: the order-{m} truncation at ||{arg}|| = {vs[k][f'||{arg}||']:g} "
-                f"is not finite; normalize the {given} first")
+    for summed in stacks.values():
+        places, _, orders, _ = zip(*summed)
+        f = fs[places[0]]
+        spectra = np.array([vs[k].spectrum for k in places])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            radii = np.abs(partial_sums(f, spectra, orders)).max(axis=1).tolist()
+        for (k, arg, m, tail), radius in zip(summed, radii):
+            if math.isfinite(radius):
+                out[k][f"f({arg})"] = (radius, tail)
+            else:
+                given = "matrix" if arg == "T" else "pair"
+                out[k] = NormOverflow(
+                    f"{f.name}: the order-{m} truncation at ||{arg}|| = {vs[k][f'||{arg}||']:g} "
+                    f"is not finite; normalize the {given} first")
     return out
 
 
@@ -525,9 +530,9 @@ def _trials(config: SweepConfig, family: str, family_index: int,
     """The `report_piece` of the trials `indices` of one family. Each trial
     is drawn from its own stream, the chunk's streams built in one
     `_streams` pass; then the trials of each dimension are generated,
-    factored and solved as one stack, their oracles are summed as one stack
-    per series, and their bound rows are evaluated and judged as one
-    `Judged` stack. A failing trial raises what it would raise alone, as
+    factored and solved as one stack, and the chunk's oracles and bound
+    rows come from one `oracle_radii` and one `evaluate` call, judged as
+    one `Judged` stack. A failing trial raises what it would raise alone, as
     a chunk of one trial; the first in index order wins. A pair of a
     commuting family that fails the commutator test raises
     GenerationFailure; a generic pair gets the commuting rows Unavailable,
@@ -540,22 +545,15 @@ def _trials(config: SweepConfig, family: str, family_index: int,
     for ks in groups.values():
         for k, v in zip(ks, invariants(*_generate([trials[k][1] for k in ks]))):
             filled[k] = v
-    stacks: dict[tuple[int, str], list[int]] = {}  # (dim, series) -> positions
-    for k, ((f, spec), v) in enumerate(zip(trials, filled)):
-        if not isinstance(v, NormOverflow):
-            stacks.setdefault((spec.dim, f.name), []).append(k)
-    found: list = [None] * len(trials)
-    for ks in stacks.values():
-        for k, oracles in zip(ks, oracle_radii(trials[ks[0]][0], [filled[k] for k in ks],
-                                               config.tol)):
-            found[k] = oracles
-    valid = [(f, v) for (f, _), v in zip(trials, filled) if not isinstance(v, NormOverflow)]
-    table = evaluate([f for f, _ in valid], [v for _, v in valid], config.tol)
-    errors = iter(table.errors)
-    for (f, spec), v, oracles in zip(trials, filled, found):
+    fs = [f for (f, _), v in zip(trials, filled) if not isinstance(v, NormOverflow)]
+    vs = [v for v in filled if not isinstance(v, NormOverflow)]
+    table = evaluate(fs, vs, config.tol)
+    found = oracle_radii(fs, vs, config.tol)
+    checked = zip(table.errors, found)  # one of each per trial in `vs`
+    for (_, spec), v in zip(trials, filled):
         if isinstance(v, NormOverflow):
             raise v
-        error = next(errors)
+        error, oracles = next(checked)
         if error is not None:
             raise error
         if family in FAMILIES_PAIR and not v.commuting:
@@ -741,7 +739,7 @@ def run_limit_checks(
     tolerances differ by at most the coarser one's error. The instances of
     one dimension are scaled and get their `invariants` as one stack; each
     radius is `oracle_radii`'s, the one every trial is judged against,
-    from one call per dimension, tolerance and series."""
+    from one call per tolerance on every instance."""
     result = CheckResult()
     cauchy_series = [lookup("exp"), lookup("geometric")]
     drawn: dict[int, list] = {}  # dim -> [(f, G, norm target)]
@@ -751,14 +749,14 @@ def run_limit_checks(
         norm_cap = 1.5 if math.isinf(f.radius) else 0.7 * f.radius
         G = _ginibre(rng, n)
         drawn.setdefault(n, []).append((f, G, float(rng.uniform(0.3, 1.0)) * norm_cap))
+    fs, vs = [], []
     for draws in drawn.values():
-        fs, G, targets = zip(*draws)
-        vs = invariants(_scaled(np.stack(G), np.array(targets)))
-        for f in cauchy_series:
-            stack = [v for g, v in zip(fs, vs) if g is f]
-            by_tol = [oracle_radii(f, stack, t) for t in (1e-3, 1e-5, 1e-7, 1e-9)]
-            for oracles in zip(*by_tol):
-                radii = [o["f(T)"] for o in oracles]
-                for (r_a, err_a), (r_b, _) in itertools.combinations(radii, 2):
-                    result.record(abs(r_a - r_b) - (err_a + 1e-8))
+        drawn_fs, G, targets = zip(*draws)
+        fs += drawn_fs
+        vs += invariants(_scaled(np.stack(G), np.array(targets)))
+    by_tol = [oracle_radii(fs, vs, t) for t in (1e-3, 1e-5, 1e-7, 1e-9)]
+    for oracles in zip(*by_tol):
+        radii = [o["f(T)"] for o in oracles]
+        for (r_a, err_a), (r_b, _) in itertools.combinations(radii, 2):
+            result.record(abs(r_a - r_b) - (err_a + 1e-8))
     return {"truncation-cauchy": result}

@@ -263,7 +263,7 @@ def test_a7_equality_cases():
     geo = lookup("geometric")
     T = as_matrix([[0, 0.5], [0, 0]])
     bound = best_bound(geo, T, tol=TOL).results[0]
-    oracle = oracle_radii(geo, invariants(T[None]), TOL)[0]["f(T)"][0]
+    oracle = oracle_radii([geo], invariants(T[None]), TOL)[0]["f(T)"][0]
     exact = abs(bound.value - 1.0) <= 1e-12 and abs(oracle - 1.0) <= 1e-12
     ok = exact
     report("A7 equality cases", ok,

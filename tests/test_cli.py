@@ -154,7 +154,7 @@ def test_bound_below_its_own_oracle_exits_1(tmp_path, capsys, n):
     closed = 1.0 / (1.0 - 0.9801 * 10.0 ** (-22.0 / n))
     assert closed == pytest.approx(exact, rel=1e-9)
     report = best_bound(lookup("geometric"), 0.99 * J, 0.99 * (J + E))
-    oracle, _ = oracle_radii(lookup("geometric"), [report.invariants])[0]["f(AB)"]
+    oracle, _ = oracle_radii([lookup("geometric")], [report.invariants])[0]["f(AB)"]
     assert abs(oracle - closed) <= 1e-13 * closed
 
 
@@ -378,7 +378,7 @@ def test_bound_structured_document_is_one_walk_of_the_json_round_trip(series, A,
     # gives: each non-finite float null, and every other value as it was.
     f = lookup(series)
     report = best_bound(f, as_matrix(A), None if B is None else as_matrix(B))
-    (oracles,) = oracle_radii(f, [report.invariants])
+    (oracles,) = oracle_radii([f], [report.invariants])
     doc = {"series": series, "oracles": oracles, "results": report.results, "minimum": None}
     plain = {**doc, "results": [dataclasses.asdict(r) for r in report.results]}
     expected = json.loads(json.dumps(plain), parse_constant=lambda _: None)
@@ -600,8 +600,9 @@ def test_sweep_malformed_2f1_name_exits_2(tmp_path, capsys, series):
 
 
 def test_bound_csv_is_the_bound_columns_of_trials_csv(tmp_path, capsys):
-    # One writer for both reports: a swept pair's `bound --format csv` is
-    # its trial's rows of trials.csv, bound columns only.
+    # Two writers agree: a swept pair's `bound --format csv`
+    # (`cli._bound_report_csv`, through csv.writer) is its trial's rows of
+    # trials.csv (`harness._rows_text`, f-strings), bound columns only.
     out = tmp_path / "r"
     assert main(["verify", "--series", "exp", "--families", "commuting-polynomial-pair",
                  "--trials", "1", "--dims", "4", "--out", str(out)]) == 0
@@ -679,7 +680,7 @@ def test_sweep_records_each_series_own_params(tmp_path, capsys):
 
         def oracle(series):
             f = lookup(series)
-            return repr(oracle_radii(f, [best_bound(f, T).invariants])[0]["f(T)"][0])
+            return repr(oracle_radii([f], [best_bound(f, T).invariants])[0]["f(T)"][0])
 
         assert oracle(name) == row["oracle"]
         assert oracle(other) != row["oracle"]

@@ -275,8 +275,8 @@ def test_pair_oracle_makes_no_lapack_call(lapack_work):
     (v,) = invariants(A[None], B[None])  # best_bound's SVD call and eigensolve
     (w,) = invariants(T[None])
     lapack_work.update(dict.fromkeys(lapack_work, 0))
-    (oracles,) = oracle_radii(f, [v])  # everything is read from v
-    (single,) = oracle_radii(f, [w])
+    (oracles,) = oracle_radii([f], [v])  # everything is read from v
+    (single,) = oracle_radii([f], [w])
     assert lapack_work == dict.fromkeys(lapack_work, 0)
     # Bit for bit the one-target-at-a-time formulas: f(AB) is S_m at the
     # eigenvalues of AB, m the order certified at ||AB||.
@@ -320,7 +320,7 @@ def test_oracle_matches_the_matrix_truncation(family, name):
         stacks = _generate([s])
         (v,) = invariants(*stacks)
         arg = stacks[0][0] if len(stacks) == 1 else stacks[0][0] @ stacks[1][0]
-        value, err = oracle_radii(f, [v])[0]["f(T)" if len(stacks) == 1 else "f(AB)"]
+        value, err = oracle_radii([f], [v])[0]["f(T)" if len(stacks) == 1 else "f(AB)"]
         S, tail = certified_truncation(f, arg)
         reference = spectral_radius(S)
         assert err == tail, s
@@ -337,12 +337,47 @@ def test_near_radius_stack_keeps_each_oracle(name):
     norms = np.array([0.93, 0.995, 0.9, 0.96, 0.9, 0.98])
     vs = invariants(_scaled(np.stack([_ginibre(g, 32) for _ in norms]), norms))
     orders = []
-    for v, oracles in zip(vs, oracle_radii(f, vs)):
+    for v, oracles in zip(vs, oracle_radii([f] * len(vs), vs)):
         m, tail = _order_and_tail(f, v["||T||"], DEFAULT_TOL, DEFAULT_MAX_TERMS)
         orders.append(m)
         radius = np.abs(partial_sums_alone(f, v.spectrum, m)).max()
-        assert oracle_radii(f, [v]) == [oracles] == [{"f(T)": (radius, tail)}]
+        assert oracle_radii([f], [v]) == [oracles] == [{"f(T)": (radius, tail)}]
     assert min(orders) < 250 and max(orders) > 3800
+
+
+def test_oracle_stack_of_mixed_series_and_dimensions(monkeypatch):
+    # Singles and pairs of five series at n = 1, 2 and 5, in shuffled
+    # order, with a single outside geometric's disk and one whose order no
+    # tolerance up to DEFAULT_MAX_TERMS certifies: each instance gets what
+    # it gets alone, and the stack sums each (dimension, series) in one
+    # kernel call.
+    g = np.random.default_rng(37)
+    stack = []  # (series, invariants)
+    for name in _ORACLE_SERIES:
+        for n in (1, 2, 5):
+            T, A, B = (_scaled(_ginibre(g, n)[None], 0.6) for _ in range(3))
+            stack += [(lookup(name), *invariants(T)), (lookup(name), *invariants(A, B))]
+    geometric = lookup("geometric")
+    for norm in (1.5, 1.0 - 1e-7):
+        stack.append((geometric, *invariants(_scaled(_ginibre(g, 2)[None], norm))))
+    stack = [stack[k] for k in g.permutation(len(stack))]
+    fs, vs = [f for f, _ in stack], [v for _, v in stack]
+
+    def outcome(oracles):
+        return oracles if isinstance(oracles, dict) else (type(oracles), oracles.args)
+
+    alone = [outcome(oracle_radii([f], [v])[0]) for f, v in stack]
+    calls = []
+
+    def counted(f, z, orders):
+        calls.append((z.shape[1], f.name, len(orders)))
+        return partial_sums(f, z, orders)
+
+    monkeypatch.setattr(harness_mod, "partial_sums", counted)
+    assert [outcome(o) for o in oracle_radii(fs, vs)] == alone
+    assert sorted(calls) == sorted((n, name, 2) for name in _ORACLE_SERIES for n in (1, 2, 5))
+    assert alone.count({}) == 1  # the single outside the disk
+    assert [o[0] for o in alone if isinstance(o, tuple)] == [NoConvergence]
 
 
 def test_verify_sums_each_oracle_stack_in_one_kernel_call(monkeypatch, tmp_path):
@@ -394,12 +429,12 @@ def test_oracle_memory_is_far_below_a_table_of_powers():
 
     f = lookup("geometric")
     (v,) = invariants(_scaled(_ginibre(np.random.default_rng(3), 32), 0.9999)[None])
-    (first,) = oracle_radii(f, [v])
+    (first,) = oracle_radii([f], [v])
     m = truncation_order(f, v["||T||"], DEFAULT_TOL)
     assert m > 3 * 10**5
     tracemalloc.start()
     try:
-        assert oracle_radii(f, [v]) == [first]
+        assert oracle_radii([f], [v]) == [first]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -412,13 +447,13 @@ def test_repeated_oracle_computes_no_coefficient(monkeypatch, name, norm):
     # a_{m+2} (artanh, odd terms only), which the kept prefix holds.
     f = lookup(name)
     (v,) = invariants(_scaled(_ginibre(np.random.default_rng(3), 32), norm)[None])
-    (first,) = oracle_radii(f, [v])
+    (first,) = oracle_radii([f], [v])
     assert truncation_order(f, v["||T||"], DEFAULT_TOL) > 2**16
     orders = []
     coefficients = f.coefficients
     monkeypatch.setitem(vars(f), "coefficients",
                         lambda m: (orders.append(m), coefficients(m))[1])
-    assert oracle_radii(f, [v]) == [first]
+    assert oracle_radii([f], [v]) == [first]
     assert orders == []
 
 
@@ -496,8 +531,8 @@ def test_limit_checks_match_the_per_instance_loop():
             tols = (1e-3, 1e-5, 1e-7, 1e-9)
             for a in range(len(tols)):
                 for b in range(a + 1, len(tols)):
-                    r_a, err_a = oracle_radii(f, [v], tols[a])[0]["f(T)"]
-                    r_b, _ = oracle_radii(f, [v], tols[b])[0]["f(T)"]
+                    r_a, err_a = oracle_radii([f], [v], tols[a])[0]["f(T)"]
+                    r_b, _ = oracle_radii([f], [v], tols[b])[0]["f(T)"]
                     result.record(abs(r_a - r_b) - (err_a + 1e-8))
         return {"truncation-cauchy": result}
 
@@ -767,7 +802,7 @@ def test_verify_holds_its_trials_csv_once(monkeypatch, tmp_path):
 def _judged_trial(f, matrices):
     """(oracles, bounds, bounds below their oracle) of one instance."""
     report = best_bound(f, *matrices)
-    (oracles,) = oracle_radii(f, [report.invariants])
+    (oracles,) = oracle_radii([f], [report.invariants])
     return oracles, report.results, _judged(report.results, oracles)
 
 

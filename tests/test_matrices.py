@@ -332,14 +332,14 @@ def test_partial_sum_matches_mpmath(ps_reference, m):
 
 def test_oracle_exp_of_diagonal():
     f = lookup("exp")
-    value = oracle_radii(f, invariants(np.diag([0.5, 0.2])[None]), 1e-10)[0]["f(T)"][0]
+    value = oracle_radii([f], invariants(np.diag([0.5, 0.2])[None]), 1e-10)[0]["f(T)"][0]
     assert value == pytest.approx(math.exp(0.5), abs=1e-10)
 
 
 def test_oracle_geometric_of_nilpotent():
     f = lookup("geometric")
     T = as_matrix([[0, 0.5], [0, 0]])
-    value = oracle_radii(f, invariants(T[None]), 1e-10)[0]["f(T)"][0]
+    value = oracle_radii([f], invariants(T[None]), 1e-10)[0]["f(T)"][0]
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -348,6 +348,6 @@ def test_oracle_log_resolvent_below_scalar_bound():
     G = random_complex(31, 4)
     T = 0.8 * G / operator_norm(G)
     tol = 1e-10
-    value = oracle_radii(f, invariants(T[None]), tol)[0]["f(T)"][0]
+    value = oracle_radii([f], invariants(T[None]), tol)[0]["f(T)"][0]
     r = spectral_radius(T)
     assert value <= -math.log1p(-r) + tol + 1e-10
