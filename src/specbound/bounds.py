@@ -32,7 +32,6 @@ mismatch, a bad tolerance, products out of range) raise.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
@@ -281,8 +280,7 @@ class Table:
                 out.append(BoundResult(row.name, None, row.target, reasons[i],
                                        [("AB = BA", False, v["||AB-BA||"])]))
                 continue
-            # One shared description string per label, as a literal would be.
-            pre = [(sys.intern(f"{x} < R"), v[x] < f.radius, v[x]) for x in row.checked]
+            pre = [(f"{x} < R", v[x] < f.radius, v[x]) for x in row.checked]
             notes = {x: v[x] for x in row.notes}
             if row.args:
                 notes["eval_uncertainty"] = 3 * self.tol
