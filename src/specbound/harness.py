@@ -736,16 +736,19 @@ def run_limit_checks(
     seed: int = 0, trials: int = 300, dims: Sequence[int] = (2, 4, 8)
 ) -> dict[str, CheckResult]:
     """The Cauchy behaviour of the oracle: its radii at different
-    tolerances differ by at most the coarser one's error. The instances of
-    one dimension are scaled and get their `invariants` as one stack; each
+    tolerances differ by at most the coarser one's error. Draw i is of
+    series i % 2 (exp, then geometric) and dimension dims[i // 2 %
+    len(dims)], so every (series, dimension) pair recurs each 2 * len(dims)
+    draws. The instances of one dimension are scaled and get their
+    `invariants` as one stack; each
     radius is `oracle_radii`'s, the one every trial is judged against,
     from one call per tolerance on every instance."""
     result = CheckResult()
     cauchy_series = [lookup("exp"), lookup("geometric")]
     drawn: dict[int, list] = {}  # dim -> [(f, G, norm target)]
     for i, rng in enumerate(_streams([[seed, i, 3] for i in range(trials)])):
-        n = dims[i % len(dims)]
-        f = cauchy_series[i % len(cauchy_series)]
+        f = cauchy_series[i % 2]
+        n = dims[i // 2 % len(dims)]
         norm_cap = 1.5 if math.isinf(f.radius) else 0.7 * f.radius
         G = _ginibre(rng, n)
         drawn.setdefault(n, []).append((f, G, float(rng.uniform(0.3, 1.0)) * norm_cap))

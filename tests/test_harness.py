@@ -524,7 +524,7 @@ def test_limit_checks_match_the_per_instance_loop():
         result, series = CheckResult(), [lookup("exp"), lookup("geometric")]
         for i in range(trials):
             rng = np.random.default_rng([seed, i, 3])
-            n, f = dims[i % len(dims)], series[i % 2]
+            n, f = dims[i // 2 % len(dims)], series[i % 2]
             cap = 1.5 if math.isinf(f.radius) else 0.7 * f.radius
             T = scaled_as_drawn(_ginibre(rng, n), float(rng.uniform(0.3, 1.0)) * cap)
             (v,) = invariants(T[None])
@@ -540,6 +540,22 @@ def test_limit_checks_match_the_per_instance_loop():
         for trials in (0, 1, 12, 200):
             want = per_instance(2, trials, dims)
             assert run_limit_checks(2, trials, dims) == want, (dims, trials)
+
+
+def test_limit_checks_sum_every_series_at_every_dimension(monkeypatch):
+    # Two series against an even number of dimensions: the series cycles
+    # fastest and the dimension steps once per cycle, so each series is
+    # checked at each dimension, in one kernel call per tolerance.
+    summed = []
+
+    def counted(f, z, orders):
+        summed.append((f.name, z.shape[1]))
+        return partial_sums(f, z, orders)
+
+    monkeypatch.setattr(harness_mod, "partial_sums", counted)
+    assert run_limit_checks(7, 300, (2, 4))["truncation-cauchy"].passed
+    pairs = [(name, n) for name in ("exp", "geometric") for n in (2, 4)]
+    assert sorted(summed) == sorted(pairs * 4)
 
 
 def test_limit_check_is_three_calls_per_dimension(lapack_work):
