@@ -463,9 +463,7 @@ def oracle_radii(
     has alone. No SVD or eigensolve runs.
     """
     out: list = []
-    # (dimension, id of the series) -> (place in `out`, argument, order,
-    # tail) of each truncation; `fs` holds the series
-    stacks: dict[tuple[int, int], list[tuple[int, str, int, float]]] = {}
+    stacks: dict = {}  # (n, id of f) -> [(place in `out`, argument, order, tail)]
     for f, v in zip(fs, vs):
         if "r(T)" in v:
             arg, oracles = "T", {}
@@ -737,12 +735,10 @@ def run_limit_checks(
 ) -> dict[str, CheckResult]:
     """The Cauchy behaviour of the oracle: its radii at different
     tolerances differ by at most the coarser one's error. Draw i is of
-    series i % 2 (exp, then geometric) and dimension dims[i // 2 %
-    len(dims)], so every (series, dimension) pair recurs each 2 * len(dims)
-    draws. The instances of one dimension are scaled and get their
-    `invariants` as one stack; each
-    radius is `oracle_radii`'s, the one every trial is judged against,
-    from one call per tolerance on every instance."""
+    series i % 2 (exp, geometric) and dimension dims[i // 2 % len(dims)].
+    The instances of one dimension are scaled and get their `invariants`
+    as one stack; each radius is `oracle_radii`'s, the one every trial is
+    judged against, from one call per tolerance on every instance."""
     result = CheckResult()
     cauchy_series = [lookup("exp"), lookup("geometric")]
     drawn: dict[int, list] = {}  # dim -> [(f, G, norm target)]
