@@ -1,12 +1,15 @@
 """Randomized verification harness: instances, sweeps, reports.
 
-Every random draw comes from a PCG64 stream that is numpy's
-`default_rng` stream for the same entropy: a trial's [seed, family index,
-index], an instance's seed. `_streams` builds a chunk's streams in one
-pass, SeedSequence's mixing run over every entropy's words at once. So
-identical (seed, family, dim, norm_target) specs reproduce bit-identical
-matrices and identical sweep configurations reproduce byte-identical
-reports.
+Every random draw is, bit for bit, a draw of numpy's `default_rng`
+stream for its entropy: a trial's [seed, family index, index], an
+instance's seed. SeedSequence's mixing runs over the words of a chunk's
+entropies at once (`_seed_states`). A trial's two draws are then PCG64's
+arithmetic on those states, one uint64 array pass for the chunk
+(`_pcg64_draws`), with no Generator built; each instance's values come
+from numpy's own methods on its own Generator (`_streams`), each draw
+filling that instance's row of one stack (`_drawn`). So identical (seed,
+family, dim, norm_target) specs reproduce bit-identical matrices and
+identical sweep configurations reproduce byte-identical reports.
 
 A sweep evaluates every applicable bound against an oracle (the certified
 truncated series at the instance's eigenvalues) and flags any bound
@@ -185,11 +188,10 @@ def _seeded_generator() -> Callable[[np.ndarray], np.random.Generator]:
     return lambda state: Generator(PCG64(State(state)))
 
 
-def _streams(entropies: Sequence) -> list[np.random.Generator]:
-    """numpy's `default_rng(e)` stream for each entropy e of `entropies`,
-    bit for bit, built in one pass: the SeedSequence states of every
-    entropy of one word count come from one `_pcg64_states` call, and each
-    seeds its PCG64 directly."""
+def _seed_states(entropies: Sequence) -> np.ndarray:
+    """`SeedSequence(e).generate_state(4, np.uint64)` for each entropy e of
+    `entropies`, as a (k, 4) array: the states of every entropy of one word
+    count come from one `_pcg64_states` call."""
     words = [_entropy_words(e) for e in entropies]
     by_width: dict[int, list[int]] = {}
     for k, w in enumerate(words):
@@ -197,14 +199,59 @@ def _streams(entropies: Sequence) -> list[np.random.Generator]:
     states = np.empty((len(words), 4), dtype=np.uint64)
     for ks in by_width.values():
         states[ks] = _pcg64_states(np.array([words[k] for k in ks], dtype=np.uint32))
+    return states
+
+
+def _streams(entropies: Sequence) -> list[np.random.Generator]:
+    """numpy's `default_rng(e)` stream for each entropy e of `entropies`,
+    bit for bit, built in one pass: each `_seed_states` row seeds its PCG64
+    directly."""
     generator = _seeded_generator()
-    return [generator(state) for state in states]
+    return [generator(state) for state in _seed_states(entropies)]
 
 
-def _ginibre(rng: np.random.Generator, n: int) -> Matrix:
-    return (
-        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    ) / math.sqrt(2.0)
+# numpy's PCG64 (XSL-RR 128/64): the high and low 64-bit words of its LCG
+# multiplier 0x2360ED051FC65DA4_4385DF649FCCF645, the low word's 32-bit
+# halves, and the mask of a low half.
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MULT_L0, _MULT_L1 = np.uint64(0x9FCCF645), np.uint64(0x4385DF64)
+_LOW32 = np.uint64(_MASK32)
+
+
+def _add128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """a + b mod 2^128 of (high, low) uint64 word arrays."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _lcg_step(state: tuple, inc: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """state * multiplier + inc mod 2^128 of (high, low) uint64 word
+    arrays; the high word of low * `_MULT_LO` is summed from 32-bit halves."""
+    high, low = state
+    l0, l1 = low & _LOW32, low >> 32
+    cross0, cross1 = l0 * _MULT_L1, l1 * _MULT_L0
+    mid = (l0 * _MULT_L0 >> 32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    carried = l1 * _MULT_L1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
+    return _add128((carried + low * _MULT_HI + high * _MULT_LO, low * _MULT_LO), inc)
+
+
+def _pcg64_draws(states: np.ndarray, k: int) -> np.ndarray:
+    """The first k outputs of numpy's PCG64 seeded with each (4,) uint64
+    state row of `states`, as a (rows, k) uint64 array:
+    `Generator(PCG64(s)).bit_generator.random_raw(k)`. With initstate = s0
+    2^64 + s1 and inc = 2 (s2 2^64 + s3) + 1, the state is one LCG step
+    from initstate + inc (one step from 0 is inc); each output is one more
+    step, then the XSL-RR of the new state."""
+    s0, s1, s2, s3 = states.T
+    inc = (s2 << 1 | s3 >> 63, s3 << 1 | 1)
+    state = _lcg_step(_add128(inc, (s0, s1)), inc)
+    out = np.empty((len(states), k), dtype=np.uint64)
+    for j in range(k):
+        state = _lcg_step(state, inc)
+        high, low = state
+        x, rot = high ^ low, high >> 58
+        out[:, j] = x >> rot | x << (64 - rot & 63)
+    return out
 
 
 def _haar_unitary(G: Matrix) -> Matrix:
@@ -247,13 +294,42 @@ def _diagonal(d: np.ndarray) -> Matrix:
     return D
 
 
+def _drawn(rngs: Sequence[np.random.Generator], method: str,
+           shape: tuple[int, ...]) -> np.ndarray:
+    """Each stream's `method` ("standard_normal" or "random") draws of
+    `shape`, as one (len(rngs), *shape) float64 stack: each stream fills
+    its own row in place, taking the values it would return alone."""
+    out = np.empty((len(rngs), *shape))
+    for rng, row in zip(rngs, out.reshape(len(rngs), math.prod(shape))):
+        getattr(rng, method)(out=row)
+    return out
+
+
+def _uniforms(rngs: Sequence[np.random.Generator], low: float, high: float,
+              *shape: int) -> np.ndarray:
+    """Each stream's `uniform(low, high, shape)`, formed once per stack as
+    numpy forms it: low + (high - low) * u of the stream's `random` u."""
+    return low + (high - low) * _drawn(rngs, "random", shape)
+
+
+def _complex_normals(rngs: Sequence[np.random.Generator], *shape: int) -> np.ndarray:
+    """Each stream's `standard_normal(shape) + 1j * standard_normal(shape)`."""
+    re, im = _drawn(rngs, "standard_normal", (2, *shape)).swapaxes(0, 1)
+    return re + 1j * im
+
+
+def _ginibres(rngs: Sequence[np.random.Generator], n: int) -> Matrix:
+    """Each stream's n x n Ginibre matrix, complex normals over sqrt(2)."""
+    return _complex_normals(rngs, n, n) / math.sqrt(2.0)
+
+
 def _generate(specs: Sequence[InstanceSpec]) -> tuple[Matrix, ...]:
     """The instances of `specs`, all of one family and one dimension, as
     (T,) with T a (k, n, n) stack, or (A, B) for a pair family. Each
     instance's values are drawn from its own seed's stream, in the order
-    of its family's branch, and each instance is scaled to its own norm
-    target; the stack's Haar unitaries come from one QR call and each
-    scaling from one SVD call.
+    of its family's branch, each draw into one stack for all instances,
+    and each instance is scaled to its own norm target; the stack's Haar
+    unitaries come from one QR call and each scaling from one SVD call.
 
     The Jordan family's well-separated eigenvalues plus short
     superdiagonal chains keep it strongly non-normal but numerically
@@ -267,43 +343,34 @@ def _generate(specs: Sequence[InstanceSpec]) -> tuple[Matrix, ...]:
     family, n = specs[0].family, specs[0].dim
     rngs = _streams([s.seed for s in specs])
     targets = np.array([s.norm_target for s in specs])
-
-    def stack(draw: Callable[[np.random.Generator], np.ndarray]) -> np.ndarray:
-        """Each instance's `draw` from its own stream, as one stack."""
-        return np.stack([draw(rng) for rng in rngs])
-
-    def ginibre(rng: np.random.Generator) -> Matrix:
-        return _ginibre(rng, n)
-
     if family == "diagonal-positive":
-        d = stack(lambda rng: rng.uniform(0.05, 1.0, n))
+        d = _uniforms(rngs, 0.05, 1.0, n)
         return (_diagonal(d * (targets / d.max(axis=1))[:, None]),)
     if family == "hermitian":
-        G = stack(ginibre)
+        G = _ginibres(rngs, n)
         X = [(G + G.conj().swapaxes(-1, -2)) / 2.0]
     elif family == "unitary-conjugated-jordan":
-        radii = stack(lambda rng: rng.uniform(0.4, 1.0, n))
-        turn = stack(lambda rng: rng.uniform(0.0, 1.0))
-        coupling = stack(lambda rng: rng.uniform(2.0, 4.0))
+        radii = _uniforms(rngs, 0.4, 1.0, n)
+        turn = _uniforms(rngs, 0.0, 1.0)
+        coupling = _uniforms(rngs, 2.0, 4.0)
         angles = 2.0 * math.pi * (np.arange(n) + turn[:, None]) / n
         D = _diagonal(radii * np.exp(1j * angles))
         D[:, range(0, n - 1, 2), range(1, n, 2)] = coupling[:, None]
-        X = [_conjugated(stack(ginibre), D)]
+        X = [_conjugated(_ginibres(rngs, n), D)]
     elif family == "nilpotent":
-        X = [np.triu(stack(ginibre), 1)]
+        X = [np.triu(_ginibres(rngs, n), 1)]
     elif family == "dense-random":
-        X = [stack(ginibre)]
+        X = [_ginibres(rngs, n)]
     elif family == "commuting-polynomial-pair":
-        M = _scaled(stack(ginibre), 1.0)
-        X = [_cubic(stack(lambda rng: rng.standard_normal(4) + 1j * rng.standard_normal(4)), M)
-             for _ in "ab"]
+        M = _scaled(_ginibres(rngs, n), 1.0)
+        X = [_cubic(_complex_normals(rngs, 4), M) for _ in "ab"]
     elif family == "commuting-triangular-pair":
-        G = stack(ginibre)  # then the diagonals of A and B in the basis of its Haar unitary
-        D = [stack(lambda rng: rng.uniform(0.2, 1.0, n)
-                   * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))) for _ in "ab"]
+        G = _ginibres(rngs, n)  # then the diagonals of A and B in the basis of its Haar unitary
+        D = [_uniforms(rngs, 0.2, 1.0, n) * np.exp(2j * math.pi * _uniforms(rngs, 0.0, 1.0, n))
+             for _ in "ab"]
         X = _conjugated(G, _diagonal(np.stack(D)))
     else:  # "generic-pair"
-        X = [stack(ginibre), stack(ginibre)]
+        X = [_ginibres(rngs, n), _ginibres(rngs, n)]
     return tuple(_scaled(np.stack(X), targets))
 
 
@@ -496,29 +563,39 @@ def oracle_radii(
     return out
 
 
+def _fractions_and_seeds(x: np.ndarray, low: float) -> tuple[list[float], list[int]]:
+    """`uniform(low, 1.0)`, then `integers(0, 2**63)`, of each numpy stream
+    whose first two PCG64 outputs are a row of the (k, 2) uint64 `x`: low +
+    (1.0 - low) * u for the first output's top 53 bits u in [0, 1), as
+    numpy forms it, and the second output's top 63 bits, as Lemire's
+    method gives them on a power-of-two span, which never rejects."""
+    fractions = low + (1.0 - low) * ((x[:, 0] >> 11) * 2.0**-53)
+    return fractions.tolist(), (x[:, 1] >> 1).tolist()
+
+
 def _trial_specs(config: SweepConfig, family: str, family_index: int,
                  indices: Sequence[int]) -> list[tuple[PowerSeries, InstanceSpec]]:
-    """The series and instance of each trial `indices` of one family, each
-    drawn from the trial's own stream, default_rng([seed, family_index,
-    index])."""
+    """The series and instance of each trial `indices` of one family, drawn
+    from the trial's own stream, default_rng([seed, family_index, index]):
+    the fraction of its norm target is the stream's `uniform(low, 1.0)`, at
+    its family's low end, and its instance seed the stream's
+    `integers(0, 2**63)`. Every trial's two draws come from one
+    `_pcg64_draws` pass over the chunk; no Generator is built."""
+    if family in FAMILIES_GENERIC:  # ||AB|| <= target^2 <= 0.9025 R
+        low, base = 0.1, lambda R: min(2.0, 0.95 * math.sqrt(R))
+    elif family in FAMILIES_PAIR:
+        low, base = 0.3, lambda R: 0.8 * math.sqrt(R) if math.isfinite(R) else 1.0
+    else:
+        low, base = 0.05, lambda R: 0.9 * min(R, 10.0)
+    states = _seed_states([[config.seed, family_index, i] for i in indices])
     out = []
-    for index, trial_rng in zip(indices, _streams([[config.seed, family_index, i]
-                                                   for i in indices])):
+    for index, fraction, seed in zip(indices, *_fractions_and_seeds(_pcg64_draws(states, 2), low)):
         f = lookup(config.series_names[index % len(config.series_names)])
-        if family in FAMILIES_GENERIC:  # ||AB|| <= target^2 <= 0.9025 R
-            base = min(2.0, 0.95 * math.sqrt(f.radius))
-            fraction = trial_rng.uniform(0.1, 1.0)
-        elif family in FAMILIES_PAIR:
-            base = 0.8 * math.sqrt(f.radius) if math.isfinite(f.radius) else 1.0
-            fraction = trial_rng.uniform(0.3, 1.0)
-        else:
-            base = 0.9 * min(f.radius, 10.0)
-            fraction = trial_rng.uniform(0.05, 1.0)
         out.append((f, InstanceSpec(
-            seed=int(trial_rng.integers(0, 2**63)),
+            seed=seed,
             family=family,
             dim=config.dims[index // len(config.series_names) % len(config.dims)],
-            norm_target=float(base * fraction),
+            norm_target=base(f.radius) * fraction,
         )))
     return out
 
@@ -526,8 +603,8 @@ def _trial_specs(config: SweepConfig, family: str, family_index: int,
 def _trials(config: SweepConfig, family: str, family_index: int,
             indices: Sequence[int]) -> tuple[str, tuple]:
     """The `report_piece` of the trials `indices` of one family. Each trial
-    is drawn from its own stream, the chunk's streams built in one
-    `_streams` pass; then the trials of each dimension are generated,
+    is drawn from its own stream, every trial's draws in one
+    `_trial_specs` pass; then the trials of each dimension are generated,
     factored and solved as one stack, and the chunk's oracles and bound
     rows come from one `oracle_radii` and one `evaluate` call, judged as
     one `Judged` stack. A failing trial raises what it would raise alone, as
@@ -735,24 +812,26 @@ def run_limit_checks(
 ) -> dict[str, CheckResult]:
     """The Cauchy behaviour of the oracle: its radii at different
     tolerances differ by at most the coarser one's error. Draw i is of
-    series i % 2 (exp, geometric) and dimension dims[i // 2 % len(dims)].
-    The instances of one dimension are scaled and get their `invariants`
+    series i % 2 (exp, geometric) and dimension dims[i // 2 % len(dims)],
+    a Ginibre matrix scaled to uniform(0.3, 1.0) times its series' norm
+    cap, from the stream default_rng([seed, i, 3]). The draws of one
+    dimension are drawn into one stack, scaled and get their `invariants`
     as one stack; each radius is `oracle_radii`'s, the one every trial is
     judged against, from one call per tolerance on every instance."""
     result = CheckResult()
     cauchy_series = [lookup("exp"), lookup("geometric")]
-    drawn: dict[int, list] = {}  # dim -> [(f, G, norm target)]
-    for i, rng in enumerate(_streams([[seed, i, 3] for i in range(trials)])):
-        f = cauchy_series[i % 2]
-        n = dims[i // 2 % len(dims)]
-        norm_cap = 1.5 if math.isinf(f.radius) else 0.7 * f.radius
-        G = _ginibre(rng, n)
-        drawn.setdefault(n, []).append((f, G, float(rng.uniform(0.3, 1.0)) * norm_cap))
+    rngs = _streams([[seed, i, 3] for i in range(trials)])
+    drawn: dict[int, list[int]] = {}  # dim -> draws
+    for i in range(trials):
+        drawn.setdefault(dims[i // 2 % len(dims)], []).append(i)
     fs, vs = [], []
-    for draws in drawn.values():
-        drawn_fs, G, targets = zip(*draws)
+    for n, draws in drawn.items():
+        stack = [rngs[i] for i in draws]
+        drawn_fs = [cauchy_series[i % 2] for i in draws]
+        norm_caps = np.array([1.5 if math.isinf(f.radius) else 0.7 * f.radius for f in drawn_fs])
+        G = _ginibres(stack, n)
         fs += drawn_fs
-        vs += invariants(_scaled(np.stack(G), np.array(targets)))
+        vs += invariants(_scaled(G, _uniforms(stack, 0.3, 1.0) * norm_caps))
     by_tol = [oracle_radii(fs, vs, t) for t in (1e-3, 1e-5, 1e-7, 1e-9)]
     for oracles in zip(*by_tol):
         radii = [o["f(T)"] for o in oracles]

@@ -29,9 +29,8 @@ from specbound import (
 from specbound.bounds import (_COMMUTING_ROWS, _PAIR_NORMS, Invariants, _pair_values,
                               evaluate, invariants, products)
 from specbound.errors import SpecboundError
-from specbound.harness import (FAMILIES_GENERIC, FAMILIES_SINGLE, InstanceSpec, _generate,
-                               _ginibre)
-from textbook import (bound_report_alone, catalog, certified_truncation, closed_form,
+from specbound.harness import FAMILIES_GENERIC, FAMILIES_SINGLE, InstanceSpec, _generate
+from textbook import (bound_report_alone, catalog, certified_truncation, closed_form, ginibre,
                       operator_norm, spectral_radius)
 
 TOL = 1e-10
@@ -560,7 +559,7 @@ def _real_pair(kind, seed, a, b):
     elif kind == "commuting":
         A, B = commuting_pair(seed, n)
     else:
-        A, B = _ginibre(rng, n), _ginibre(rng, n)
+        A, B = ginibre(rng, n), ginibre(rng, n)
     return A * (a / operator_norm(A)), B * (b / operator_norm(B))
 
 

@@ -41,7 +41,6 @@ from specbound.harness import (
     CheckResult,
     Judged,
     _cubic,
-    _ginibre,
     _haar_unitary,
     _judged,
     _generate,
@@ -55,7 +54,7 @@ from specbound.harness import (
     summarize_tallies,
 )
 from specbound.series import DEFAULT_MAX_TERMS, DEFAULT_TOL, _order_and_tail, partial_sums
-from textbook import (certified_truncation, matrix_partial_sum, operator_norm,
+from textbook import (certified_truncation, ginibre, matrix_partial_sum, operator_norm,
                       partial_sums_alone, read_rows, row_spec, run_identity_checks,
                       run_limit_laws, run_mixed_chain, spectral_radius, sweep_reports,
                       trial_rows, trial_spec_alone, truncation_order)
@@ -78,7 +77,7 @@ def test_single_families_hit_norm_target(family):
 
 
 def test_scaled_scales_each_matrix_of_a_stack_and_leaves_zero_ones():
-    G = _ginibre(np.random.default_rng(0), 3)
+    G = ginibre(np.random.default_rng(0), 3)
     S = _scaled(np.stack((G, 0 * G, 2 * G)), np.array([0.5, 0.7, 0.9]))
     assert S[0].tobytes() == (G * (0.5 / operator_norm(G))).tobytes()
     assert [operator_norm(M) for M in S] == pytest.approx([0.5, 0.0, 0.9])
@@ -114,13 +113,13 @@ def drawn_alone(s):
     n, t = s.dim, s.norm_target
 
     def haar():
-        return _haar_unitary(_ginibre(rng, n))
+        return _haar_unitary(ginibre(rng, n))
 
     if s.family == "diagonal-positive":
         d = rng.uniform(0.05, 1.0, n)
         return [np.diag(d * (t / d.max())).astype(complex)]
     if s.family == "hermitian":
-        G = _ginibre(rng, n)
+        G = ginibre(rng, n)
         X = [(G + G.conj().T) / 2.0]
     elif s.family == "unitary-conjugated-jordan":
         radii = rng.uniform(0.4, 1.0, n)
@@ -130,11 +129,11 @@ def drawn_alone(s):
         U = haar()
         X = [U @ D @ U.conj().T]
     elif s.family == "nilpotent":
-        X = [np.triu(_ginibre(rng, n), 1)]
+        X = [np.triu(ginibre(rng, n), 1)]
     elif s.family == "dense-random":
-        X = [_ginibre(rng, n)]
+        X = [ginibre(rng, n)]
     elif s.family == "commuting-polynomial-pair":
-        M = _scaled(_ginibre(rng, n), 1.0)
+        M = _scaled(ginibre(rng, n), 1.0)
         X = [_cubic((rng.standard_normal(4) + 1j * rng.standard_normal(4))[None], M[None])[0]
              for _ in "ab"]
     elif s.family == "commuting-triangular-pair":
@@ -144,7 +143,7 @@ def drawn_alone(s):
              for _ in "ab"]
     else:
         assert s.family == "generic-pair"
-        X = [_ginibre(rng, n), _ginibre(rng, n)]
+        X = [ginibre(rng, n), ginibre(rng, n)]
     return [_scaled(M, t) for M in X]
 
 
@@ -188,6 +187,29 @@ def test_streams_of_mixed_word_counts_keep_their_order():
     assert harness_mod._streams([]) == []
     with pytest.raises(ValueError, match="non-negative"):
         harness_mod._streams([[3, -1]])
+
+
+def test_pcg64_draws_are_numpys_raw_outputs():
+    # Every entropy above, and 10^4 trial entropies [seed, family index,
+    # index] with seeds of 1 to 5 words.
+    g = np.random.default_rng(20261022)
+    entropies = _ENTROPIES + [
+        [int(g.integers(0, 2**63)) << int(g.integers(0, 70)), int(g.integers(0, 8)),
+         int(g.integers(0, 10**6))] for _ in range(10**4)]
+    states = harness_mod._seed_states(entropies)
+    assert (harness_mod._pcg64_draws(states, 5) == np.array(
+        [np.random.default_rng(e).bit_generator.random_raw(5) for e in entropies])).all()
+    assert harness_mod._pcg64_draws(states[:0], 2).shape == (0, 2)
+
+
+@pytest.mark.parametrize("low", [0.05, 0.3, 0.1])  # each family's low end
+def test_trial_fractions_and_seeds_are_numpys_uniform_and_integers(low):
+    # 10^5 pairs of draws from one stream, each as a trial's first two.
+    draws = 10**5
+    x = np.random.default_rng(11).bit_generator.random_raw(2 * draws).reshape(draws, 2)
+    g = np.random.default_rng(11)
+    assert list(zip(*harness_mod._fractions_and_seeds(x, low))) == [
+        (g.uniform(low, 1.0), int(g.integers(0, 2**63))) for _ in range(draws)]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**64 + 1])
@@ -335,7 +357,7 @@ def test_near_radius_stack_keeps_each_oracle(name):
     f = lookup(name)
     g = np.random.default_rng(len(name))
     norms = np.array([0.93, 0.995, 0.9, 0.96, 0.9, 0.98])
-    vs = invariants(_scaled(np.stack([_ginibre(g, 32) for _ in norms]), norms))
+    vs = invariants(_scaled(np.stack([ginibre(g, 32) for _ in norms]), norms))
     orders = []
     for v, oracles in zip(vs, oracle_radii([f] * len(vs), vs)):
         m, tail = _order_and_tail(f, v["||T||"], DEFAULT_TOL, DEFAULT_MAX_TERMS)
@@ -355,11 +377,11 @@ def test_oracle_stack_of_mixed_series_and_dimensions(monkeypatch):
     stack = []  # (series, invariants)
     for name in _ORACLE_SERIES:
         for n in (1, 2, 5):
-            T, A, B = (_scaled(_ginibre(g, n)[None], 0.6) for _ in range(3))
+            T, A, B = (_scaled(ginibre(g, n)[None], 0.6) for _ in range(3))
             stack += [(lookup(name), *invariants(T)), (lookup(name), *invariants(A, B))]
     geometric = lookup("geometric")
     for norm in (1.5, 1.0 - 1e-7):
-        stack.append((geometric, *invariants(_scaled(_ginibre(g, 2)[None], norm))))
+        stack.append((geometric, *invariants(_scaled(ginibre(g, 2)[None], norm))))
     stack = [stack[k] for k in g.permutation(len(stack))]
     fs, vs = [f for f, _ in stack], [v for _, v in stack]
 
@@ -401,22 +423,33 @@ def test_verify_sums_each_oracle_stack_in_one_kernel_call(monkeypatch, tmp_path)
 
 
 def test_verify_builds_each_chunks_streams_in_one_pass(monkeypatch, tmp_path):
-    # On one CPU: one `_streams` call per chunk for its 100 trial specs (8
-    # families, 2 chunks), one per chunk and dimension for the instances
-    # (3 dimensions), and one for the 200 truncation-cauchy draws.
+    # On one CPU: one `_streams` call per chunk and dimension for the
+    # instances (8 families, 2 chunks, 3 dimensions) and one for the 200
+    # truncation-cauchy draws. The trial specs build no Generator: their
+    # draws come from `_pcg64_draws`.
     import specbound.jobs as jobs_mod
     from specbound import cli
 
-    sizes, streams = [], harness_mod._streams
+    sizes, streams, trial_specs = [], harness_mod._streams, harness_mod._trial_specs
 
     def counted(entropies):
         sizes.append(len(entropies))
         return streams(entropies)
 
+    def no_generator(*args):
+        raise AssertionError("a trial spec built a Generator")
+
+    def specs_without_generators(*args):
+        with monkeypatch.context() as m:
+            m.setattr(harness_mod, "_seeded_generator", no_generator)
+            m.setattr(np.random, "default_rng", no_generator)
+            return trial_specs(*args)
+
     monkeypatch.setattr(jobs_mod, "_cpus", lambda: 1)
     monkeypatch.setattr(harness_mod, "_streams", counted)
+    monkeypatch.setattr(harness_mod, "_trial_specs", specs_without_generators)
     assert cli.main(["verify", "--trials", "200", "--seed", "7", "--out", str(tmp_path)]) == 0
-    assert len(sizes) == 65 and sum(sizes) == 2 * 1600 + 200
+    assert len(sizes) == 49 and sum(sizes) == 1600 + 200
 
 
 def test_oracle_memory_is_far_below_a_table_of_powers():
@@ -428,7 +461,7 @@ def test_oracle_memory_is_far_below_a_table_of_powers():
     import tracemalloc
 
     f = lookup("geometric")
-    (v,) = invariants(_scaled(_ginibre(np.random.default_rng(3), 32), 0.9999)[None])
+    (v,) = invariants(_scaled(ginibre(np.random.default_rng(3), 32), 0.9999)[None])
     (first,) = oracle_radii([f], [v])
     m = truncation_order(f, v["||T||"], DEFAULT_TOL)
     assert m > 3 * 10**5
@@ -446,7 +479,7 @@ def test_repeated_oracle_computes_no_coefficient(monkeypatch, name, norm):
     # Orders past 2**16: the tail at order m reads a_{m+1} (geometric) or
     # a_{m+2} (artanh, odd terms only), which the kept prefix holds.
     f = lookup(name)
-    (v,) = invariants(_scaled(_ginibre(np.random.default_rng(3), 32), norm)[None])
+    (v,) = invariants(_scaled(ginibre(np.random.default_rng(3), 32), norm)[None])
     (first,) = oracle_radii([f], [v])
     assert truncation_order(f, v["||T||"], DEFAULT_TOL) > 2**16
     orders = []
@@ -468,7 +501,7 @@ def test_limit_checks_match_the_one_matrix_formulas():
     for i in range(trials):
         rng = np.random.default_rng([seed, i, 3])
         n = dims[i % len(dims)]
-        M = _scaled(_ginibre(rng, n), 1.0)
+        M = _scaled(ginibre(rng, n), 1.0)
         k = int(rng.integers(2, 7))
         coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         terms = [coeffs[j] * np.linalg.matrix_power(M, j) for j in range(k)]
@@ -526,7 +559,7 @@ def test_limit_checks_match_the_per_instance_loop():
             rng = np.random.default_rng([seed, i, 3])
             n, f = dims[i // 2 % len(dims)], series[i % 2]
             cap = 1.5 if math.isinf(f.radius) else 0.7 * f.radius
-            T = scaled_as_drawn(_ginibre(rng, n), float(rng.uniform(0.3, 1.0)) * cap)
+            T = scaled_as_drawn(ginibre(rng, n), float(rng.uniform(0.3, 1.0)) * cap)
             (v,) = invariants(T[None])
             tols = (1e-3, 1e-5, 1e-7, 1e-9)
             for a in range(len(tols)):
@@ -1191,7 +1224,7 @@ def test_a_large_pair_solved_on_every_cpu_changes_no_bit(monkeypatch):
 
     n, rng = bounds_mod._SPLIT_MIN_DIM, np.random.default_rng(6)
     pairs = [gen_commuting_pair(spec("commuting-polynomial-pair", dim=128)),
-             (_ginibre(rng, n) / 8, _ginibre(rng, n) / 8)]  # not commuting
+             (ginibre(rng, n) / 8, ginibre(rng, n) / 8)]  # not commuting
     run, ran = jobs_mod.run_jobs, []
     monkeypatch.setattr(jobs_mod, "run_jobs", lambda jobs: ran.append(len(jobs)) or run(jobs))
     reports = [best_bound(lookup("exp"), A, B) for A, B in pairs]

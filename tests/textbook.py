@@ -5,7 +5,8 @@ mapping that shares no code with it; the oracle's scalar sum at one row
 of points, the bit-for-bit reference for its stacked kernel; the bound
 rows of one instance in Python floats, the bit-for-bit reference for the
 stacked `bounds.evaluate`; one sweep trial's spec drawn from numpy's
-own `default_rng`, the reference for the harness's per-chunk streams; and
+own `default_rng`, the reference for the harness's PCG64 arithmetic; one
+Ginibre matrix drawn alone, the reference for its stacked draws; and
 the references the tests read that the package does not: each catalog
 companion in closed form, the catalog as a list, the scalar spectral
 radius and operator norm, the truncation order alone, and a sweep's
@@ -38,7 +39,6 @@ from specbound.harness import (
     InstanceSpec,
     SweepConfig,
     _generate,
-    _ginibre,
     _haar_unitary,
     _scaled,
     _trials,
@@ -84,6 +84,12 @@ def catalog() -> list[PowerSeries]:
 def coeff(f: PowerSeries, n: int) -> complex:
     """a_n of `f`, read from its prefix."""
     return complex(f.prefix(n)[0][n])
+
+
+def ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
+    """An n x n Ginibre matrix drawn alone from `rng`, complex normals over
+    sqrt(2): the reference for `harness._ginibres`, which fills a stack."""
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
 
 
 def spectral_radii(S) -> np.ndarray:
@@ -267,8 +273,8 @@ def run_identity_checks(
 
         pair_rng = np.random.default_rng([seed, i, 1])
         n = dims[i % len(dims)]
-        A = _ginibre(pair_rng, n)
-        B = _ginibre(pair_rng, n)
+        A = ginibre(pair_rng, n)
+        B = ginibre(pair_rng, n)
         rab, rba = spectral_radii(np.stack((A @ B, B @ A))).tolist()
         results["product-order"].record(
             abs(rab - rba) - 1e-8 * max(1.0, rab)
@@ -279,7 +285,7 @@ def run_identity_checks(
             seed=int(normal_rng.integers(0, 2**63)),
             family="hermitian", dim=n, norm_target=1.0,
         ))
-        HU = np.stack((H, _haar_unitary(_ginibre(normal_rng, n))))
+        HU = np.stack((H, _haar_unitary(ginibre(normal_rng, n))))
         for r, nrm in zip(spectral_radii(HU).tolist(), operator_norms(HU).tolist()):
             results["normal-equality"].record(abs(r - nrm) - 1e-10)
     return results
@@ -297,7 +303,7 @@ def run_limit_laws(
     for i in range(trials):
         rng = np.random.default_rng([seed, i, 3])
         n = dims[i % len(dims)]
-        M = _scaled(_ginibre(rng, n), 1.0)
+        M = _scaled(ginibre(rng, n), 1.0)
         k = int(rng.integers(2, 7))
         coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         terms = [coeffs[j] * np.linalg.matrix_power(M, j) for j in range(k)]
